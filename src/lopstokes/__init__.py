@@ -13,8 +13,8 @@ physical-space fields with residual checks.
 Module map
     params        fluid parameters, sector, spectral points
     symbols       characteristic roots and the exponential kernels
-    kernels       batch scan backends (numba njit or pure numpy)
-    lopatinski    boundary matrix L, determinant bounds, asymptotics
+    lopatinski    boundary matrix L, its cofactors, determinant bounds,
+                  asymptotics; one formula set for scalars and arrays
     coefficients  closed-form amplitudes, height symbol K, cutoff scans
     resolvent     profile solutions, residuals, energy balance, fuzzing
     multiplier    anisotropic symbol-class certification

@@ -38,7 +38,6 @@ from .errors import (
     NonPositiveOmega,
     ZeroModeData,
 )
-from .kernels import set_threads
 from .lopatinski import scan_lower_bound
 from .multiplier import certify_table, class_cutoff
 from .params import SpectralPoint
@@ -72,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", help="report directory "
                         "(default from config; env LOPSTOKES_OUT overrides)")
     common.add_argument("--seed", type=int, metavar="U64", help="fuzz RNG seed")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help="kernel thread count (0 = library default)")
     common.add_argument("--samples", type=int, metavar="N", help="fuzz sample count")
     common.add_argument("--tolerance-scale", type=float, default=1.0, metavar="FLOAT",
                         help="multiply every pass/fail tolerance by this factor")
@@ -118,15 +115,11 @@ def _effective(args) -> tuple[RunConfig, Tolerances, str, str]:
         if args.samples < 1:
             raise ConfigError(f"--samples must be >= 1, got {args.samples}")
         over["samples"] = args.samples
-    if args.threads is not None:
-        over["threads"] = args.threads
     if over:
         cfg = dataclasses.replace(cfg, **over)
     tol = cfg.tolerances.scale(args.tolerance_scale)
     out = os.environ.get("LOPSTOKES_OUT") or args.out or cfg.out_dir
     tag = config_hash(cfg, extra={"tolerance_scale": args.tolerance_scale})
-    if cfg.threads > 0:
-        set_threads(cfg.threads)
     return cfg, tol, ensure_out_dir(out), tag
 
 

@@ -11,9 +11,10 @@ h_hat(0) and H_hat(0).  The height symbol
          + sigma_+ A^2 (rho_- Lc33 - rho_+ Lc23)] / (det L (rho_- - rho_+))
 
 closes the kinematic equation lambda H - weighted-normal-trace = d into
-H = (lambda + K)^{-1} (d + w_h).  All symbol formulas live on SymbolKit and
-accept scalars or numpy arrays alike, so the finite-difference class
-estimator reuses the exact production arithmetic.
+H = (lambda + K)^{-1} (d + w_h).  All symbol formulas live on SymbolKit, on
+top of the lopatinski entry and cofactor formulas, and accept scalars or
+numpy arrays alike, so the scans and the finite-difference class estimator
+reuse the exact production arithmetic.
 """
 
 from __future__ import annotations
@@ -25,10 +26,16 @@ import numpy as np
 
 from .config import GridSpec, Tolerances
 from .errors import HeightNotInvertible, NoCutoffFound
-from .kernels import get_backend
-from .lopatinski import LopatinskiMatrix, assemble, omega1
+from .lopatinski import (
+    LopatinskiMatrix,
+    assemble,
+    block_det,
+    boundary_entries,
+    cofactor_entries,
+    omega1,
+)
 from .params import FluidParams, Sector, SpectralPoint
-from .symbols import CharRoots
+from .symbols import CharRoots, char_roots_batch
 
 __all__ = [
     "SymbolKit",
@@ -45,6 +52,7 @@ __all__ = [
     "slope_limit",
     "find_lambda0",
     "height_scan",
+    "height_ratio",
     "height_ratio_curve",
 ]
 
@@ -64,48 +72,32 @@ class SymbolKit:
         "c11", "c12", "c13", "c21", "c22", "c23", "c31", "c32", "c33",
     )
 
-    def __init__(self, fluid, lam, a, ap, bp, bm, entries, det, p_stab):
+    def __init__(self, fluid, lam, a, roots, l_plus, l_minus, det, p_stab):
         self.fluid = fluid
         self.lam = lam
         self.a = a
-        self.ap = ap
-        self.bp = bp
-        self.bm = bm
-        (self.l11p, self.l12p, self.l21p, self.l22p,
-         self.l11m, self.l12m, self.l21m, self.l22m) = entries
+        self.ap, self.bp, self.bm = roots
+        self.l11p, self.l12p, self.l21p, self.l22p = l_plus
+        self.l11m, self.l12m, self.l21m, self.l22m = l_minus
         self.det = det
         self.p_stab = p_stab
-        l11 = self.l11p + self.l11m
-        self.c11 = self.l22p * self.l22m
-        self.c12 = -self.l22p * self.l12m
-        self.c13 = self.l12p * self.l22m
-        self.c21 = -self.l21p * self.l22m
-        self.c22 = self.l21p * self.l12m
-        self.c23 = self.l12m * self.l21m - l11 * self.l22m
-        self.c31 = -self.l22p * self.l21m
-        self.c32 = l11 * self.l22p - self.l12p * self.l21p
-        self.c33 = -self.l12p * self.l21m
+        (self.c11, self.c12, self.c13,
+         self.c21, self.c22, self.c23,
+         self.c31, self.c32, self.c33) = cofactor_entries(l_plus, l_minus)
 
     @classmethod
     def from_matrix(cls, m: LopatinskiMatrix) -> "SymbolKit":
-        p = _stab_p_of(m)
-        return cls(
-            m.fluid, m.point.lam, m.point.a,
-            m.roots.a_plus, m.roots.b_plus, m.roots.b_minus,
-            (*m.l_plus, *m.l_minus), m.det, p,
-        )
+        return cls(m.fluid, m.point.lam, m.point.a, m.roots.as_tuple(),
+                   m.l_plus, m.l_minus, m.det, m.p_stab)
 
     @classmethod
     def batch(cls, fluid: FluidParams, lam: np.ndarray, a: np.ndarray) -> "SymbolKit":
         lam = np.ascontiguousarray(lam, dtype=np.complex128)
         a = np.ascontiguousarray(a, dtype=np.float64)
-        rp, rm, mp, mm, nup = fluid.as_tuple()
-        backend = get_backend()
-        ap, bp, bm = backend.roots_batch(lam, a, rp, rm, mp, mm, nup)
-        out = backend.lmatrix_batch(lam, a, rp, rm, mp, mm, nup)
-        entries = out[:8]
-        det, p_stab = out[8], out[9]
-        return cls(fluid, lam, a, ap, bp, bm, entries, det, p_stab)
+        roots = char_roots_batch(fluid, lam, a)
+        l_plus, l_minus, p_stab = boundary_entries(fluid, lam, a, *roots)
+        return cls(fluid, lam, a, roots, l_plus, l_minus,
+                   block_det(l_plus, l_minus)[0], p_stab)
 
     # -- P family: q_pm = i xi'.beta'_pm mp B_pm beta_pmN = A (sum_m P_m h_m + A P_N H)
     #
@@ -249,13 +241,6 @@ class SymbolKit:
             f.sigma_minus * a3 * (f.rho_minus * self.c32 - f.rho_plus * self.c22)
             + f.sigma_plus * a2 * (f.rho_minus * self.c33 - f.rho_plus * self.c23)
         ) / (self.det * drho)
-
-
-def _stab_p_of(m: LopatinskiMatrix) -> complex:
-    f = m.fluid
-    a2 = m.point.a ** 2
-    den = f.rho_plus / (2.0 * f.mu_plus + f.nu_plus) * m.point.lam + a2
-    return (m.roots.a_plus * m.roots.b_plus + a2) / den
 
 
 @dataclass(frozen=True)
@@ -595,11 +580,7 @@ class HeightScanReport:
 
     def to_dict(self) -> dict:
         return {
-            "fluid": {
-                "rho_plus": self.fluid.rho_plus, "rho_minus": self.fluid.rho_minus,
-                "mu_plus": self.fluid.mu_plus, "mu_minus": self.fluid.mu_minus,
-                "nu_plus": self.fluid.nu_plus, "sigma": self.fluid.sigma,
-            },
+            "fluid": self.fluid.to_dict(),
             "epsilon": self.epsilon,
             "lambda0": self.lambda0,
             "omega3": self.omega3,
@@ -617,11 +598,14 @@ class HeightScanReport:
         }
 
 
+def height_ratio(fluid: FluidParams, lam: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """|lam + K|/(|lam| + A) over arrays, the quantity the height scans bound."""
+    k = SymbolKit.batch(fluid, lam, a).k_height()
+    return np.abs(lam + k) / (np.abs(lam) + a)
+
+
 def _height_ratios(fluid: FluidParams, sector: Sector, grid: GridSpec):
     """(mags, per-magnitude min ratio, argmin metadata) over the scan grid."""
-    backend = get_backend()
-    rp, rm, mp, mm, nup = fluid.as_tuple()
-    sig_p, sig_m = fluid.sigma_plus, fluid.sigma_minus
     mags = grid.lam_mags()
     angs = grid.angles(sector.epsilon)
     avals = grid.a_vals()
@@ -631,10 +615,8 @@ def _height_ratios(fluid: FluidParams, sector: Sector, grid: GridSpec):
     per_mag_min = np.empty(mags.size)
     worst = []
     for i, mag in enumerate(mags):
-        lam = np.ascontiguousarray(mag * lam_block)
-        _, ratio = backend.heightscan_batch(
-            lam, np.ascontiguousarray(a_block), rp, rm, mp, mm, nup, sig_p, sig_m
-        )
+        lam = mag * lam_block
+        ratio = height_ratio(fluid, lam, a_block)
         k = int(np.argmin(ratio))
         per_mag_min[i] = float(ratio[k])
         worst.append((complex(lam[k]), float(a_block[k])))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
@@ -26,29 +25,10 @@ __all__ = [
     "RunConfig",
     "load_config",
     "default_config",
-    "mutation_from_env",
     "REFERENCE_PARAMS",
     "STRESS_PARAM_SETS",
 ]
 
-
-def mutation_from_env() -> tuple[str, float] | None:
-    """Deliberate-defect hook, read from LOPSTOKES_MUTATE="target[:rel]".
-
-    Perturbs one named quantity (a boundary-matrix entry or a solution
-    amplitude) by the factor (1 + rel); rel defaults to -2.0, a sign flip.
-    The hook exists so the certification suite can demonstrate that it is
-    able to fail; it must never be set in production runs.
-    """
-    spec = os.environ.get("LOPSTOKES_MUTATE", "").strip()
-    if not spec:
-        return None
-    target, _, rel = spec.partition(":")
-    try:
-        factor = float(rel) if rel else -2.0
-    except ValueError as exc:
-        raise ConfigError(f"LOPSTOKES_MUTATE rel part {rel!r} is not a number") from exc
-    return target.strip(), factor
 
 # Reference parameter set used by scans and the acceptance suite: distinct
 # unit-scale densities, unit viscosities, unit surface tension.
@@ -77,21 +57,7 @@ class Tolerances:
     internal algorithm switches) by a factor, for the CLI --tolerance-scale.
     """
 
-    # symbol algebra
-    resquare: float = 1e-14
-    root_scaling: float = 1e-13
-    confluent_switch: float = 1e-4      # |b-a| < switch*|b+a| -> series kernel
-    series_term: float = 1e-16          # relative truncation of the series
-    kernel_continuity: float = 1e-12
-
     # boundary matrix
-    raw_vs_stable: float = 1e-10
-    cancellation_safe: float = 1e-11
-    det_factorization: float = 1e-13
-    det_vs_direct: float = 1e-12
-    adjugate_identity: float = 1e-12
-    entry_homogeneity: float = 1e-12
-    det_ratio_floor: float = 1e-14      # SingularDetL below floor*(\sqrt{|lam|}+A)^4
     omega_refine_drift: float = 0.05
     asym_dev_at_100: float = 0.05
     asym_dev_at_1e4: float = 0.005
@@ -133,11 +99,8 @@ class Tolerances:
         scaled = {
             name: getattr(self, name) * factor
             for name in (
-                "resquare", "root_scaling", "kernel_continuity", "raw_vs_stable",
-                "cancellation_safe", "det_factorization", "det_vs_direct",
-                "adjugate_identity", "entry_homogeneity", "beta_residual",
-                "beta_jump", "coeff_vs_direct", "ode_residual", "interface_residual",
-                "fuzz_residual", "energy_defect", "quadrature_cross",
+                "beta_residual", "beta_jump", "coeff_vs_direct", "ode_residual",
+                "interface_residual", "fuzz_residual", "energy_defect", "quadrature_cross",
                 "fft_roundtrip", "single_mode", "volevich", "lions_resub",
                 "extension_c3", "asym_dev_at_100", "asym_dev_at_1e4",
             )
@@ -206,7 +169,7 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class ClassGridSpec:
+class ClassGridSpec(GridSpec):
     """Grid for multiplier-class estimation (dim-3 frequencies, two directions).
 
     Kept smaller than the scan grid: every point costs a full finite-difference
@@ -222,20 +185,6 @@ class ClassGridSpec:
     a_max: float = 1e4
     a_per_decade: int = 3
 
-    def lam_mags(self) -> np.ndarray:
-        decades = math.log10(self.lam_max / self.lam_min)
-        n = int(round(decades * self.lam_per_decade)) + 1
-        return np.logspace(math.log10(self.lam_min), math.log10(self.lam_max), n)
-
-    def a_vals(self) -> np.ndarray:
-        decades = math.log10(self.a_max / self.a_min)
-        n = int(round(decades * self.a_per_decade)) + 1
-        return np.logspace(math.log10(self.a_min), math.log10(self.a_max), n)
-
-    def angles(self, epsilon: float) -> np.ndarray:
-        span = math.pi - epsilon
-        return np.linspace(-span, span, self.n_angles)
-
     def refined(self) -> "ClassGridSpec":
         return ClassGridSpec(
             lam_min=self.lam_min / 10.0,
@@ -248,9 +197,6 @@ class ClassGridSpec:
         )
 
 
-_DIRECTIONS = ((1.0, 0.0), (0.6, 0.8))
-
-
 @dataclass(frozen=True)
 class RunConfig:
     fluid: FluidParams = REFERENCE_PARAMS
@@ -261,7 +207,6 @@ class RunConfig:
     seed: int = 20260817
     samples: int = 10000
     out_dir: str = "reports"
-    threads: int = 0                      # 0 = leave the pool alone
     solve: dict = field(default_factory=dict)
 
 
@@ -269,7 +214,7 @@ _FLUID_KEYS = {"rho_plus", "rho_minus", "mu_plus", "mu_minus", "nu_plus", "sigma
 _SECTOR_KEYS = {"epsilon", "lambda_floor"}
 _GRID_KEYS = {"lam_min", "lam_max", "lam_per_decade", "n_angles", "a_min", "a_max", "a_per_decade"}
 _SOLVE_KEYS = {"lambda_re", "lambda_im", "mode", "x_levels", "box", "shape", "data"}
-_TOP_KEYS = {"fluid", "sector", "grid", "class_grid", "seed", "samples", "out_dir", "threads", "solve"}
+_TOP_KEYS = {"fluid", "sector", "grid", "class_grid", "seed", "samples", "out_dir", "solve"}
 
 
 def _require_mapping(obj: Any, path: str) -> dict:
@@ -353,7 +298,6 @@ def parse_config(doc: dict, base: RunConfig | None = None) -> RunConfig:
 
     seed = _number(doc, "seed", "config", base.seed, integer=True)
     samples = _number(doc, "samples", "config", base.samples, integer=True)
-    threads = _number(doc, "threads", "config", base.threads, integer=True)
     if seed < 0 or seed >= 2**64:
         raise ConfigError(f"config.seed: must fit in an unsigned 64-bit value, got {seed}")
     if samples < 1:
@@ -365,7 +309,7 @@ def parse_config(doc: dict, base: RunConfig | None = None) -> RunConfig:
     return RunConfig(
         fluid=fluid, sector=sector, grid=grid, class_grid=class_grid,
         tolerances=base.tolerances, seed=seed, samples=samples,
-        out_dir=out_dir, threads=threads, solve=solve,
+        out_dir=out_dir, solve=solve,
     )
 
 
@@ -388,11 +332,7 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
 def config_document(cfg: RunConfig) -> dict:
     """Canonical JSON-ready document for hashing and report headers."""
     return {
-        "fluid": {
-            "rho_plus": cfg.fluid.rho_plus, "rho_minus": cfg.fluid.rho_minus,
-            "mu_plus": cfg.fluid.mu_plus, "mu_minus": cfg.fluid.mu_minus,
-            "nu_plus": cfg.fluid.nu_plus, "sigma": cfg.fluid.sigma,
-        },
+        "fluid": cfg.fluid.to_dict(),
         "sector": {"epsilon": cfg.sector.epsilon, "lambda_floor": cfg.sector.lambda_floor},
         "grid": {f.name: getattr(cfg.grid, f.name) for f in fields(GridSpec)},
         "class_grid": {f.name: getattr(cfg.class_grid, f.name) for f in fields(ClassGridSpec)},

@@ -25,17 +25,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import GridSpec, Tolerances, mutation_from_env
+from .config import GridSpec, Tolerances
 from .errors import AsymptoticMismatch, NonPositiveOmega, SingularDetL
-from .kernels import get_backend
 from .params import FluidParams, Sector, SpectralPoint
-from .symbols import CharRoots, char_roots
+from .symbols import CharRoots, char_roots, char_roots_batch
 
 __all__ = [
     "LopatinskiMatrix",
     "ScanReport",
-    "entries_plus",
-    "entries_minus",
+    "boundary_entries",
+    "block_det",
+    "cofactor_entries",
+    "det_ratios",
     "assemble",
     "omega1",
     "omega2",
@@ -53,28 +54,58 @@ ENTRY_DEGREES = {
 }
 
 
-def _stab_p(fluid: FluidParams, lam: complex, a: float, ap: complex, bp: complex) -> complex:
-    a2 = a * a
-    den = fluid.rho_plus / (2.0 * fluid.mu_plus + fluid.nu_plus) * lam + a2
-    return (ap * bp + a2) / den
+def boundary_entries(fluid: FluidParams, lam, a, ap, bp, bm):
+    """Stabilized entries ((L+11, L+12, L+21, L+22), (L-11, L-12, L-21, L-22), P).
 
-
-def entries_plus(
-    fluid: FluidParams, sp: SpectralPoint, r: CharRoots
-) -> tuple[complex, complex, complex, complex]:
-    """Stabilized compressible-side entries (L+11, L+12, L+21, L+22)."""
+    Plain field arithmetic, so lam, a and the roots may be Python scalars or
+    equal-shape numpy arrays.  The +-side entries route every division
+    through P; the --side difference B- - A is taken as rho-*lam/(mu-*(B-+A)).
+    """
     mu, nu = fluid.mu_plus, fluid.nu_plus
-    a = sp.a
-    p = _stab_p(fluid, sp.lam, a, r.a_plus, r.b_plus)
+    a2 = a * a
+    p = (ap * bp + a2) / (fluid.rho_plus / (2.0 * mu + nu) * lam + a2)
     c_pn = (mu + nu) / (2.0 * mu + nu)
-    l11 = mu * c_pn * r.a_plus * p
-    l12 = mu * a * a * (2.0 - c_pn * p)
-    l21 = (
-        2.0 * mu * nu / (2.0 * mu + nu) * r.a_plus / (r.b_plus + r.a_plus)
-        - mu * (nu - mu) / (2.0 * mu + nu)
-    ) * p
-    l22 = mu * c_pn * r.b_plus * p
-    return l11, l12, l21, l22
+    l_plus = (
+        mu * c_pn * ap * p,
+        mu * a2 * (2.0 - c_pn * p),
+        (2.0 * mu * nu / (2.0 * mu + nu) * ap / (bp + ap)
+         - mu * (nu - mu) / (2.0 * mu + nu)) * p,
+        mu * c_pn * bp * p,
+    )
+    mm = fluid.mu_minus
+    bm_minus_a = fluid.rho_minus * lam / (mm * (bm + a))
+    l_minus = (mm * (a + bm), mm * a * bm_minus_a, mm * bm_minus_a, mm * (a + bm) * bm)
+    return l_plus, l_minus, p
+
+
+def block_det(l_plus, l_minus):
+    """(det L, det L+, det L-) from the two 2x2 blocks, never by naive expansion."""
+    det_p = l_plus[0] * l_plus[3] - l_plus[1] * l_plus[2]
+    det_m = l_minus[0] * l_minus[3] - l_minus[1] * l_minus[2]
+    return l_minus[3] * det_p + l_plus[3] * det_m, det_p, det_m
+
+
+def cofactor_entries(l_plus, l_minus):
+    """The nine cofactors (c11, c12, ..., c33), row-major: (L^{-1})_ij = c_ij/det L."""
+    l11p, l12p, l21p, l22p = l_plus
+    l11m, l12m, l21m, l22m = l_minus
+    l11 = l11p + l11m
+    return (
+        l22p * l22m, -l22p * l12m, l12p * l22m,
+        -l21p * l22m, l21p * l12m, l12m * l21m - l11 * l22m,
+        -l22p * l21m, l11 * l22p - l12p * l21p, -l12p * l21m,
+    )
+
+
+def det_ratios(fluid: FluidParams, lam: np.ndarray, a: np.ndarray):
+    """(|det L|, |det L|/(sqrt|lam|+A)^4) over arrays, for lower-bound scans.
+
+    Forms only the entries and det L, no cofactors, so a scan chunk keeps
+    few arrays alive.
+    """
+    l_plus, l_minus, _ = boundary_entries(fluid, lam, a, *char_roots_batch(fluid, lam, a))
+    absdet = np.abs(block_det(l_plus, l_minus)[0])
+    return absdet, absdet / (np.sqrt(np.abs(lam)) + a) ** 4
 
 
 def entries_plus_raw(
@@ -93,21 +124,6 @@ def entries_plus_raw(
     l22 = rho * lam * bp / d
     l12 = mu * a * a * (2.0 * ap * bp - a * a - bp * bp) / d
     l21 = rho * lam * ((mu + nu) * ap + (mu - nu) * bp) / ((mu + nu) * (bp + ap) * d)
-    return l11, l12, l21, l22
-
-
-def entries_minus(
-    fluid: FluidParams, sp: SpectralPoint, r: CharRoots
-) -> tuple[complex, complex, complex, complex]:
-    """Incompressible-side entries; B- - A taken as rho-*lam/(mu-*(B-+A))."""
-    mu = fluid.mu_minus
-    a = sp.a
-    bm = r.b_minus
-    bm_minus_a = fluid.rho_minus * sp.lam / (mu * (bm + a))
-    l11 = mu * (a + bm)
-    l12 = mu * a * bm_minus_a
-    l21 = mu * bm_minus_a
-    l22 = mu * (a + bm) * bm
     return l11, l12, l21, l22
 
 
@@ -138,6 +154,7 @@ class LopatinskiMatrix:
     det: complex
     det_plus: complex
     det_minus: complex
+    p_stab: complex
 
     def matrix(self) -> np.ndarray:
         l11p, l12p, l21p, l22p = self.l_plus
@@ -153,17 +170,8 @@ class LopatinskiMatrix:
 
     def cofactors(self) -> np.ndarray:
         """3x3 array Lc with (L^{-1})_{ij} = Lc[i,j]/det."""
-        l11p, l12p, l21p, l22p = self.l_plus
-        l11m, l12m, l21m, l22m = self.l_minus
-        l11 = l11p + l11m
-        return np.array(
-            [
-                [l22p * l22m, -l22p * l12m, l12p * l22m],
-                [-l21p * l22m, l21p * l12m, l12m * l21m - l11 * l22m],
-                [-l22p * l21m, l11 * l22p - l12p * l21p, -l12p * l21m],
-            ],
-            dtype=np.complex128,
-        )
+        return np.array(cofactor_entries(self.l_plus, self.l_minus),
+                        dtype=np.complex128).reshape(3, 3)
 
     def inverse(self) -> np.ndarray:
         return self.cofactors() / self.det
@@ -181,8 +189,8 @@ class LopatinskiMatrix:
         return abs(self.det) / self.scale4
 
 
-# Slots addressable by the deliberate-defect hook; unknown targets that are
-# not amplitude names either must raise, so typos cannot silently no-op.
+# Slots addressable by the perturb argument of assemble; unknown targets that
+# are not amplitude names either must raise, so typos cannot silently no-op.
 ENTRY_TARGETS = {
     "l11p": ("p", 0), "l12p": ("p", 1), "l21p": ("p", 2), "l22p": ("p", 3),
     "l11m": ("m", 0), "l12m": ("m", 1), "l21m": ("m", 2), "l22m": ("m", 3),
@@ -197,25 +205,20 @@ def assemble(
 ) -> LopatinskiMatrix:
     """Build the matrix at one spectral point, det via the block split.
 
-    perturb (or the LOPSTOKES_MUTATE environment hook) scales one named
-    entry by (1 + rel) before the determinant and cofactors are formed, so
-    a mutated build is internally consistent and only the physics checks
-    can expose it.
+    perturb scales one named entry by (1 + rel) before the determinant and
+    cofactors are formed, so a mutated build is internally consistent and
+    only the physics checks can expose it.
     """
     r = r or char_roots(fluid, sp)
-    lp = entries_plus(fluid, sp, r)
-    lm = entries_minus(fluid, sp, r)
-    mut = perturb if perturb is not None else mutation_from_env()
-    if mut is not None and mut[0] in ENTRY_TARGETS:
-        side, k = ENTRY_TARGETS[mut[0]]
-        bump = 1.0 + mut[1]
+    lp, lm, p = boundary_entries(fluid, sp.lam, sp.a, r.a_plus, r.b_plus, r.b_minus)
+    if perturb is not None and perturb[0] in ENTRY_TARGETS:
+        side, k = ENTRY_TARGETS[perturb[0]]
+        bump = 1.0 + perturb[1]
         if side == "p":
             lp = tuple(v * bump if i == k else v for i, v in enumerate(lp))
         else:
             lm = tuple(v * bump if i == k else v for i, v in enumerate(lm))
-    det_p = lp[0] * lp[3] - lp[1] * lp[2]
-    det_m = lm[0] * lm[3] - lm[1] * lm[2]
-    det = lm[3] * det_p + lp[3] * det_m
+    det, det_p, det_m = block_det(lp, lm)
     if abs(det) < 1e-300:
         raise SingularDetL(
             f"det L = {det!r} at lam={sp.lam!r}, A={sp.a!r}; "
@@ -223,7 +226,7 @@ def assemble(
         )
     return LopatinskiMatrix(
         fluid=fluid, point=sp, roots=r, l_plus=lp, l_minus=lm,
-        det=det, det_plus=det_p, det_minus=det_m,
+        det=det, det_plus=det_p, det_minus=det_m, p_stab=p,
     )
 
 
@@ -264,11 +267,7 @@ class ScanReport:
 
     def to_dict(self) -> dict:
         d = {
-            "fluid": {
-                "rho_plus": self.fluid.rho_plus, "rho_minus": self.fluid.rho_minus,
-                "mu_plus": self.fluid.mu_plus, "mu_minus": self.fluid.mu_minus,
-                "nu_plus": self.fluid.nu_plus, "sigma": self.fluid.sigma,
-            },
+            "fluid": self.fluid.to_dict(),
             "epsilon": self.epsilon,
             "grid": {
                 "lam_magnitudes": list(self.grid.lam_mags()),
@@ -297,18 +296,16 @@ _CHUNK = 1 << 19
 
 
 def _scan_min(fluid: FluidParams, sector: Sector, grid: GridSpec):
-    """(omega, worst_lam, worst_a, n) over the grid, chunked through a backend."""
-    backend = get_backend()
-    rp, rm, mp, mm, nup = fluid.as_tuple()
+    """(omega, worst_lam, worst_a, n) over the grid, in bounded-size chunks."""
     lam, a = grid.points(sector.epsilon)
     n = lam.size
     best = math.inf
     worst_lam = complex(lam[0])
     worst_a = float(a[0])
     for start in range(0, n, _CHUNK):
-        lam_c = np.ascontiguousarray(lam[start:start + _CHUNK])
-        a_c = np.ascontiguousarray(a[start:start + _CHUNK])
-        _, ratio = backend.detscan_batch(lam_c, a_c, rp, rm, mp, mm, nup)
+        lam_c = lam[start:start + _CHUNK]
+        a_c = a[start:start + _CHUNK]
+        _, ratio = det_ratios(fluid, lam_c, a_c)
         if not np.all(np.isfinite(ratio)):
             bad = int(np.argmin(np.isfinite(ratio)))
             raise NonPositiveOmega(

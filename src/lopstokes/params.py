@@ -11,6 +11,7 @@ floor.  Tangential frequencies xi' never vanish; A = |xi'|.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -47,8 +48,12 @@ class FluidParams:
         return self.rho_minus * self.sigma / (self.rho_minus - self.rho_plus)
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
-        """(rho_plus, rho_minus, mu_plus, mu_minus, nu_plus) for the kernels."""
+        """(rho_plus, rho_minus, mu_plus, mu_minus, nu_plus)."""
         return (self.rho_plus, self.rho_minus, self.mu_plus, self.mu_minus, self.nu_plus)
+
+    def to_dict(self) -> dict[str, float]:
+        """The six constants by field name, as reports and config hashes record them."""
+        return dataclasses.asdict(self)
 
 
 def validate_params(p: FluidParams) -> None:

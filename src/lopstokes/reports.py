@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import GridSpec, RunConfig, config_document
-from .kernels import get_backend
+from .lopatinski import det_ratios
 from .params import FluidParams, Sector
 from .transform import PhysicalField
 
@@ -65,9 +65,9 @@ def canonical_json(obj) -> str:
 def config_hash(cfg: RunConfig, extra: dict | None = None) -> str:
     """12-hex content hash of the effective configuration.
 
-    The hashed document excludes the output directory and thread count
-    (they change where and how fast, never what); extra carries CLI-level
-    overrides such as the tolerance scale.
+    The hashed document excludes the output directory (it changes where,
+    never what); extra carries CLI-level overrides such as the tolerance
+    scale.
     """
     doc = config_document(cfg)
     if extra:
@@ -98,11 +98,8 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 def scan_rows(fluid: FluidParams, sector: Sector, grid: GridSpec):
     """Per-point determinant scan rows in deterministic grid order."""
-    backend = get_backend()
     lam, a = grid.points(sector.epsilon)
-    rp, rm, mp, mm, nup = fluid.as_tuple()
-    absdet, ratio = backend.detscan_batch(
-        np.ascontiguousarray(lam), np.ascontiguousarray(a), rp, rm, mp, mm, nup)
+    absdet, ratio = det_ratios(fluid, lam, a)
     for i in range(lam.size):
         yield (float(lam[i].real), float(lam[i].imag), float(a[i]),
                float(absdet[i]), float(ratio[i]))
@@ -162,11 +159,7 @@ def write_field(base_path: str, field: PhysicalField, lam: complex,
         "shape": list(field.grid_shape),
         "x_levels": list(field.x_levels),
         "lambda": complex(lam),
-        "fluid": {
-            "rho_plus": fluid.rho_plus, "rho_minus": fluid.rho_minus,
-            "mu_plus": fluid.mu_plus, "mu_minus": fluid.mu_minus,
-            "nu_plus": fluid.nu_plus, "sigma": fluid.sigma,
-        },
+        "fluid": fluid.to_dict(),
     })
     return csv_path, json_path
 

@@ -30,7 +30,7 @@ from .coefficients import (
     height_rhs,
     solve_betas,
 )
-from .config import REFERENCE_PARAMS, Tolerances, mutation_from_env
+from .config import REFERENCE_PARAMS, Tolerances
 from .errors import QuadratureFailure
 from .lopatinski import ENTRY_TARGETS, LopatinskiMatrix, assemble
 from .params import FluidParams, Sector, SpectralPoint
@@ -291,7 +291,7 @@ class ProfileSolution:
 
 
 def amplitude_targets(dim: int) -> tuple[str, ...]:
-    """Mutation-hook names for every solution amplitude at dimension dim."""
+    """Names of every solution amplitude at dimension dim, as perturb targets."""
     names = []
     for base in ("beta_plus", "beta_minus", "g_plus", "g_minus"):
         names.extend(f"{base}_{j + 1}" for j in range(dim - 1))
@@ -335,12 +335,11 @@ def assemble_profiles(
     In kinematic mode the height amplitude is obtained from the closed
     kinematic relation first (raising HeightNotInvertible when lambda + K
     degenerates), then the velocity problem is solved with that height.
-    perturb / LOPSTOKES_MUTATE scale one amplitude or matrix entry by
-    (1 + rel) so the downstream checks can prove they detect defects.
+    perturb scales one amplitude or matrix entry by (1 + rel) so the
+    downstream checks can prove they detect defects.
     """
-    mut = perturb if perturb is not None else mutation_from_env()
     r = char_roots(fluid, sp)
-    L = assemble(fluid, sp, r, perturb=mut)
+    L = assemble(fluid, sp, r, perturb=perturb)
     h = np.asarray(data.h_hat, dtype=np.complex128)
     if data.mode == "kinematic":
         hs = height_K(fluid, sp, L, sector=sector, tol=tol)
@@ -353,8 +352,8 @@ def assemble_profiles(
         k = complex(SymbolKit.from_matrix(L).k_height())
     bs = solve_betas(fluid, sp, r, L, h, H)
 
-    if mut is not None:
-        gp, gm, bp, bm, gamma = _mutated_amplitudes(bs, sp.dim, mut[0], mut[1])
+    if perturb is not None:
+        gp, gm, bp, bm, gamma = _mutated_amplitudes(bs, sp.dim, *perturb)
     else:
         gp, gm, bp, bm, gamma = bs.g_plus, bs.g_minus, bs.beta_plus, bs.beta_minus, bs.gamma_minus
 

@@ -11,8 +11,9 @@ the divided-exponential kernel
     M(a, b; x) = (exp(b*x) - exp(a*x)) / (b - a),
 
 which is evaluated by a confluent series when b is close to a so that nearby
-roots never cost accuracy.  Scalar paths use Python complex arithmetic; batch
-paths defer to the selected kernel backend.
+roots never cost accuracy.  The root formula is written once: scalar points
+take it with cmath.sqrt on Python complex numbers, batches with np.sqrt on
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongSign
-from .kernels import get_backend
 from .params import FluidParams, SpectralPoint
 
 __all__ = [
@@ -60,6 +60,15 @@ class CharRoots:
         return self.a_plus, self.b_plus, self.b_minus
 
 
+def _roots(fluid: FluidParams, lam, a2, sqrt):
+    """(A_plus, B_plus, B_minus) from lambda and A^2 through the given sqrt."""
+    return (
+        sqrt(fluid.rho_plus / (fluid.mu_plus + fluid.nu_plus) * lam + a2),
+        sqrt(fluid.rho_plus / fluid.mu_plus * lam + a2),
+        sqrt(fluid.rho_minus / fluid.mu_minus * lam + a2),
+    )
+
+
 def char_roots(fluid: FluidParams, point: SpectralPoint) -> CharRoots:
     """Principal-branch roots for one (lambda, xi') pair.
 
@@ -68,10 +77,7 @@ def char_roots(fluid: FluidParams, point: SpectralPoint) -> CharRoots:
     """
     lam = point.lam
     a = point.a
-    a2 = a * a
-    ap = cmath.sqrt(fluid.rho_plus / (fluid.mu_plus + fluid.nu_plus) * lam + a2)
-    bp = cmath.sqrt(fluid.rho_plus / fluid.mu_plus * lam + a2)
-    bm = cmath.sqrt(fluid.rho_minus / fluid.mu_minus * lam + a2)
+    ap, bp, bm = _roots(fluid, lam, a * a, cmath.sqrt)
     for name, val in (("A_plus", ap), ("B_plus", bp), ("B_minus", bm)):
         if not val.real > 0.0:
             raise WrongSign(f"{name} has nonpositive real part at lam={lam!r}, A={a!r}")
@@ -81,11 +87,10 @@ def char_roots(fluid: FluidParams, point: SpectralPoint) -> CharRoots:
 def char_roots_batch(
     fluid: FluidParams, lam: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized roots over flat arrays lam (complex) and a (real)."""
+    """Vectorized roots over equal-shape arrays lam (complex) and a (real)."""
     lam = np.asarray(lam, dtype=np.complex128)
     a = np.asarray(a, dtype=np.float64)
-    rp, rm, mp, mm, nup = fluid.as_tuple()
-    return get_backend().roots_batch(lam.ravel(), a.ravel(), rp, rm, mp, mm, nup)
+    return _roots(fluid, lam, a * a, np.sqrt)
 
 
 def root_envelope_ratio(roots: CharRoots) -> tuple[float, float]:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lopstokes import (
     FluidParams,
@@ -30,8 +30,9 @@ from lopstokes import (
     slope_limit,
     solve_betas,
 )
-from lopstokes.coefficients import SymbolKit, height_ratio_curve, height_rhs
-from lopstokes.config import REFERENCE_PARAMS
+from lopstokes.coefficients import SymbolKit, height_ratio, height_ratio_curve, height_rhs
+from lopstokes.config import REFERENCE_PARAMS, STRESS_PARAM_SETS
+from lopstokes.lopatinski import det_ratios
 
 TOL = Tolerances()
 SECTOR = Sector(epsilon=math.pi / 4)
@@ -341,22 +342,6 @@ class TestHeightSymbol:
         k2 = complex(SymbolKit.from_matrix(assemble(REF, sp.scaled(s))).k_height())
         assert rel(k2, s * k1) < 1e-12
 
-    def test_backend_heightscan_matches_kit(self):
-        from lopstokes.kernels import get_backend
-        backend = get_backend()
-        rng = np.random.default_rng(11)
-        mags = 10.0 ** rng.uniform(-3, 6, 30)
-        lam = np.ascontiguousarray(mags * np.exp(1j * rng.uniform(-2.3, 2.3, 30)))
-        a = np.ascontiguousarray(10.0 ** rng.uniform(-3, 4, 30))
-        kvals, ratio = backend.heightscan_batch(
-            lam, a, *REF.as_tuple(), REF.sigma_plus, REF.sigma_minus)
-        for i in range(lam.size):
-            sp = SpectralPoint(lam=complex(lam[i]), xi=(float(a[i]),))
-            k = complex(SymbolKit.from_matrix(assemble(REF, sp)).k_height())
-            assert rel(complex(kvals[i]), k) < 5e-12
-            want = abs(lam[i] + k) / (abs(lam[i]) + a[i])
-            assert abs(float(ratio[i]) - want) < 5e-12 * want
-
 
 class TestHeightScan:
     def test_find_lambda0_default_floor(self):
@@ -400,3 +385,47 @@ class TestHeightScan:
         # default floor is first met at the grid magnitude above 1000/999
         lam0 = find_lambda0(flat, SECTOR, grid=grid)
         assert lam0 == pytest.approx(10.0 ** 0.25, rel=1e-12)
+
+
+# Scalar points run the shared formulas on Python complex numbers, batches on
+# numpy arrays; the two differ only in how complex division rounds (a few
+# ulp per operation), so every symbol must agree far inside this bound.
+AGREE_RTOL = 5e-12
+KIT_FIELDS = ("ap", "bp", "bm", "l11p", "l12p", "l21p", "l22p",
+              "l11m", "l12m", "l21m", "l22m", "det", "p_stab",
+              "c11", "c12", "c13", "c21", "c22", "c23", "c31", "c32", "c33")
+
+
+class TestScalarBatchAgreement:
+    @settings(max_examples=80)
+    @given(
+        fluid=st.sampled_from((REF, *STRESS_PARAM_SETS)),
+        pts=st.lists(st.tuples(st.floats(-4.0, 8.0),      # log10 |lambda|
+                               st.floats(-2.35, 2.35),    # arg lambda
+                               st.floats(-4.0, 8.0)),     # log10 A
+                     min_size=1, max_size=12),
+    )
+    def test_every_symbol_agrees(self, fluid, pts):
+        lam = np.array([10.0 ** m * complex(math.cos(t), math.sin(t))
+                        for m, t, _ in pts])
+        a = np.array([10.0 ** la for _, _, la in pts])
+        kb = SymbolKit.batch(fluid, lam, a)
+        k_batch = kb.k_height()
+        absdet, det_ratio = det_ratios(fluid, lam, a)
+        h_ratio = height_ratio(fluid, lam, a)
+        for i in range(lam.size):
+            sp = SpectralPoint(lam=complex(lam[i]), xi=(float(a[i]),))
+            ks = SymbolKit.from_matrix(assemble(fluid, sp))
+            for name in KIT_FIELDS:
+                got, want = complex(getattr(kb, name)[i]), getattr(ks, name)
+                assert abs(got - want) <= AGREE_RTOL * abs(want), name
+            scale4 = (math.sqrt(abs(sp.lam)) + sp.a) ** 4
+            assert abs(absdet[i] - abs(ks.det)) <= AGREE_RTOL * abs(ks.det)
+            assert abs(det_ratio[i] - abs(ks.det) / scale4) <= AGREE_RTOL * det_ratio[i]
+            # K is compared on the scale |lam| + A the height ratio divides
+            # by, which stays positive when sigma = 0 makes K vanish
+            k_scalar = complex(ks.k_height())
+            h_scale = abs(sp.lam) + sp.a
+            assert abs(complex(k_batch[i]) - k_scalar) <= AGREE_RTOL * (abs(k_scalar) + h_scale)
+            want_ratio = abs(sp.lam + k_scalar) / h_scale
+            assert abs(h_ratio[i] - want_ratio) <= AGREE_RTOL * (abs(k_scalar) / h_scale + 1.0)

@@ -18,36 +18,11 @@ from lopstokes.config import (
     Tolerances,
     default_config,
     load_config,
-    mutation_from_env,
 )
+from lopstokes.cli import main
 from lopstokes.config import config_document, parse_config
 from lopstokes.errors import ConfigError
 from lopstokes.params import FluidParams
-
-
-class TestMutationFromEnv:
-    def test_unset(self, monkeypatch):
-        monkeypatch.delenv("LOPSTOKES_MUTATE", raising=False)
-        assert mutation_from_env() is None
-        monkeypatch.setenv("LOPSTOKES_MUTATE", "   ")
-        assert mutation_from_env() is None
-
-    def test_target_only_defaults_to_sign_flip(self, monkeypatch):
-        monkeypatch.setenv("LOPSTOKES_MUTATE", "l12m")
-        assert mutation_from_env() == ("l12m", -2.0)
-
-    def test_target_with_rel(self, monkeypatch):
-        monkeypatch.setenv("LOPSTOKES_MUTATE", "beta_plus_1:0.25")
-        assert mutation_from_env() == ("beta_plus_1", 0.25)
-
-    def test_whitespace_stripped(self, monkeypatch):
-        monkeypatch.setenv("LOPSTOKES_MUTATE", "  gamma_minus :1e-3 ")
-        assert mutation_from_env() == ("gamma_minus", 1e-3)
-
-    def test_bad_rel(self, monkeypatch):
-        monkeypatch.setenv("LOPSTOKES_MUTATE", "l12m:abc")
-        with pytest.raises(ConfigError, match="not a number"):
-            mutation_from_env()
 
 
 class TestTolerances:
@@ -69,10 +44,9 @@ class TestTolerances:
     def test_scale_leaves_algorithm_switches(self):
         base = Tolerances()
         tol = base.scale(100.0)
-        for name in ("confluent_switch", "series_term", "fd_step_rel",
-                     "noise_gate", "class_drift", "envelope_drift",
-                     "mutation_floor", "height_floor", "height_inv_rel",
-                     "det_ratio_floor", "omega_refine_drift", "slope_dev",
+        for name in ("fd_step_rel", "noise_gate", "class_drift",
+                     "envelope_drift", "mutation_floor", "height_floor",
+                     "height_inv_rel", "omega_refine_drift", "slope_dev",
                      "zero_mode", "volevich_quad_rel"):
             assert getattr(tol, name) == getattr(base, name), name
 
@@ -158,6 +132,26 @@ class TestClassGridSpec:
         assert g.a_per_decade == 6
         assert g.n_angles == 7
 
+    @pytest.mark.parametrize("kw", [
+        {"lam_min": 0.0},
+        {"lam_max": 1e-5},
+        {"a_min": -1.0},
+        {"a_per_decade": 0},
+        {"n_angles": 2},
+    ])
+    def test_validation(self, kw):
+        with pytest.raises(ConfigError):
+            ClassGridSpec(**kw)
+
+    def test_bad_class_grid_is_a_config_error_in_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"class_grid": {"lam_min": 0}}))
+        code = main(["verify-multipliers", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 65
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lam_min" in err
+
 
 class TestParseConfig:
     def test_empty_doc_is_default(self):
@@ -174,7 +168,6 @@ class TestParseConfig:
             "class_grid": {"lam_per_decade": 2},
             "seed": 42,
             "samples": 500,
-            "threads": 4,
             "out_dir": "out",
             "solve": {"lambda_re": 2.0, "lambda_im": 1.0, "mode": "explicit"},
         }
@@ -189,7 +182,6 @@ class TestParseConfig:
         assert cfg.class_grid.a_per_decade == 3
         assert cfg.seed == 42
         assert cfg.samples == 500
-        assert cfg.threads == 4
         assert cfg.out_dir == "out"
         assert cfg.solve["mode"] == "explicit"
 

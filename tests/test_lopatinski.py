@@ -27,13 +27,7 @@ from lopstokes import (
 )
 from lopstokes.config import GridSpec, REFERENCE_PARAMS
 from lopstokes.errors import AsymptoticMismatch
-from lopstokes.lopatinski import (
-    ENTRY_DEGREES,
-    entries_minus,
-    entries_minus_raw,
-    entries_plus,
-    entries_plus_raw,
-)
+from lopstokes.lopatinski import ENTRY_DEGREES, entries_minus_raw, entries_plus_raw
 
 REF = REFERENCE_PARAMS
 
@@ -99,7 +93,7 @@ class TestFrozenEntries:
         fluid = FluidParams(2.0, 1.0, 1.0, 1.0, 1.0)
         sp = SpectralPoint(lam=3.0, xi=(1.0,))
         r = char_roots(fluid, sp)
-        l11p = entries_plus(fluid, sp, r)[0]
+        l11p = assemble(fluid, sp, r).l_plus[0]
         # L+11 = mu (mu+nu)/(2mu+nu) A_+ P
         p_val = l11p * 3.0 / (2.0 * r.a_plus)
         want = (2.0 * math.sqrt(7.0) + 1.0) / 3.0
@@ -111,7 +105,7 @@ class TestFrozenEntries:
         sp = SpectralPoint(lam=1.0, xi=(1.0,))
         r = char_roots(fluid, sp)
         assert rel(r.b_minus, 2.0) < 1e-15
-        l11m, l12m, l21m, l22m = entries_minus(fluid, sp, r)
+        l11m, l12m, l21m, l22m = assemble(fluid, sp, r).l_minus
         assert rel(l11m, 3.0) < 1e-14
         assert rel(l12m, 1.0) < 1e-14
         assert rel(l21m, 1.0) < 1e-14
@@ -120,13 +114,13 @@ class TestFrozenEntries:
     def test_plus_small_lambda_limit(self):
         # L+21 -> 2 mu^2/(2mu+nu) = 2/3 at reference as lambda -> 0
         sp = SpectralPoint(lam=1e-12 + 0.0j, xi=(1.0,))
-        l21p = entries_plus(REF, sp, char_roots(REF, sp))[2]
+        l21p = assemble(REF, sp).l_plus[2]
         assert rel(l21p, 2.0 / 3.0) < 1e-6
 
     def test_minus_small_lambda_vanishing(self):
         # L-21 -> 0 like lambda at fixed A
-        base = abs(entries_minus(REF, P_at(1e-6), char_roots(REF, P_at(1e-6)))[2])
-        smaller = abs(entries_minus(REF, P_at(1e-8), char_roots(REF, P_at(1e-8)))[2])
+        base = abs(assemble(REF, P_at(1e-6)).l_minus[2])
+        smaller = abs(assemble(REF, P_at(1e-8)).l_minus[2])
         assert smaller < 2e-2 * base
 
 
@@ -149,7 +143,7 @@ class TestStabilizedForms:
             gate = abs(r.a_plus * r.b_plus - sp.a ** 2) / scale2
             if gate <= 1e-8:
                 continue
-            stable = entries_plus(REF, sp, r)
+            stable = assemble(REF, sp, r).l_plus
             raw = entries_plus_raw(REF, sp, r)
             bound = 1e-10 if gate > 1e-4 else 100.0 * 2.3e-16 / gate
             for s, w in zip(stable, raw):
@@ -164,7 +158,7 @@ class TestStabilizedForms:
             gate = abs(r.b_minus - sp.a) / (abs(r.b_minus) + sp.a)
             if gate <= 1e-10:
                 continue
-            stable = entries_minus(REF, sp, r)
+            stable = assemble(REF, sp, r).l_minus
             raw = entries_minus_raw(REF, sp, r)
             bound = 1e-11 if gate > 1e-3 else 100.0 * 2.3e-16 / gate
             for s, w in zip(stable, raw):

@@ -67,6 +67,11 @@ class TestFluidParams:
         p = FluidParams(2.0, 3.0, 0.5, 1.5, 2.5, 0.7)
         assert p.as_tuple() == (2.0, 3.0, 0.5, 1.5, 2.5)
 
+    def test_to_dict_layout(self):
+        p = FluidParams(2.0, 3.0, 0.5, 1.5, 2.5, 0.7)
+        assert p.to_dict() == {"rho_plus": 2.0, "rho_minus": 3.0, "mu_plus": 0.5,
+                               "mu_minus": 1.5, "nu_plus": 2.5, "sigma": 0.7}
+
     def test_validate_params_idempotent(self):
         validate_params(REF)  # already-validated record passes again
 

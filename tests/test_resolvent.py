@@ -322,6 +322,19 @@ class TestMutationAndFuzz:
         bad = {k: v for k, v in out.items() if v <= floor}
         assert bad == {}
 
+    def test_environment_cannot_mutate(self, monkeypatch):
+        # perturbation is an explicit argument only: a stray environment
+        # setting must not alter a production solve
+        sp = SpectralPoint(lam=1.0 + 0.6j, xi=(0.9,))
+        data = BoundaryData.explicit([0.7 - 0.3j], 0.5 + 0.2j)
+        clean = assemble_profiles(REF, sp, data, sector=SECTOR)
+        monkeypatch.setenv("LOPSTOKES_MUTATE", "l12m")
+        env = assemble_profiles(REF, sp, data, sector=SECTOR)
+        assert env.betas.matrix == clean.betas.matrix
+        for got, want in zip((*env.u_plus, *env.u_minus, env.pressure),
+                             (*clean.u_plus, *clean.u_minus, clean.pressure)):
+            assert (got.c_m, got.c_b, got.c_a) == (want.c_m, want.c_b, want.c_a)
+
     def test_unknown_mutation_target(self):
         sp = SpectralPoint(lam=1.0 + 0.6j, xi=(0.9,))
         data = BoundaryData.explicit([0.7 - 0.3j], 0.5 + 0.2j)

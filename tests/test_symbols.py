@@ -26,9 +26,14 @@ from lopstokes import (
     stokes_kernel_minus,
     stokes_kernel_plus,
 )
-from lopstokes.config import REFERENCE_PARAMS, Tolerances
+from lopstokes.config import REFERENCE_PARAMS
 from lopstokes.errors import WrongSign
-from lopstokes.symbols import char_roots_batch, exp_diff_quot_batch, root_envelope_ratio
+from lopstokes.symbols import (
+    CONFLUENT_SWITCH,
+    char_roots_batch,
+    exp_diff_quot_batch,
+    root_envelope_ratio,
+)
 
 REF = REFERENCE_PARAMS
 
@@ -144,11 +149,10 @@ class TestFrozenKernels:
 
     def test_series_direct_seam_continuity(self):
         # values just inside and outside the switch radius must agree
-        tol = Tolerances()
         a = 1.3 - 0.4j
         x = 0.9
         for direction in (1.0 + 0.0j, cmath.exp(0.7j)):
-            d_at = tol.confluent_switch * abs(2.0 * a) * direction
+            d_at = CONFLUENT_SWITCH * abs(2.0 * a) * direction
             lo = exp_diff_quot(a, a + d_at * (1.0 - 1e-9), x)   # series path
             hi = exp_diff_quot(a, a + d_at * (1.0 + 1e-9), x)   # direct path
             assert abs(lo - hi) / abs(hi) < 1e-12
