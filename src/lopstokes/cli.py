@@ -124,7 +124,7 @@ def _effective(args) -> tuple[RunConfig, Tolerances, str, str]:
 
 
 def cmd_scan_lopatinski(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
-    rep = scan_lower_bound(cfg.fluid, cfg.sector, cfg.grid, refine=True, tol=tol)
+    rep = scan_lower_bound(cfg.fluid, cfg.sector, cfg.grid, refine=True)
     write_json(os.path.join(out, f"scan_{tag}.json"), rep.to_dict())
     write_scan_csv(os.path.join(out, f"scan_{tag}.csv"),
                    scan_rows(cfg.fluid, cfg.sector, cfg.grid))
@@ -166,7 +166,10 @@ def _energy_suite(cfg: RunConfig, tol: Tolerances, fuzz_rep) -> dict:
         h = tuple(0.4 + 0.3j for _ in range(sp.dim - 1))
         data = (BoundaryData.kinematic(h, d_hat=0.6 - 0.2j) if mode == "kinematic"
                 else BoundaryData.explicit(h, H_hat=0.1 + 0.7j))
-        sol = assemble_profiles(cfg.fluid, sp, data, sector=cfg.sector, tol=tol)
+        try:
+            sol = assemble_profiles(cfg.fluid, sp, data, sector=cfg.sector, tol=tol)
+        except HeightNotInvertible as exc:
+            return {"passed": False, "error": str(exc)}
         worst_quad = max(worst_quad,
                          energy_quadrature_check(cfg.fluid, sp, sol,
                                                  quad_rel=tol.volevich_quad_rel))

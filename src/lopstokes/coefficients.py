@@ -32,9 +32,10 @@ from .lopatinski import (
     block_det,
     boundary_entries,
     cofactor_entries,
+    cofactor_solve,
     omega1,
 )
-from .params import FluidParams, Sector, SpectralPoint
+from .params import FluidParams, Sector, SpectralPoint, first_offender
 from .symbols import CharRoots, char_roots_batch
 
 __all__ = [
@@ -44,9 +45,12 @@ __all__ = [
     "HeightSymbol",
     "HeightScanReport",
     "solve_betas",
+    "amplitudes",
     "coefficient_symbols",
     "height_K",
     "height_rhs",
+    "kinematic_weight",
+    "refused_heights",
     "omega3",
     "omega4_formula",
     "slope_limit",
@@ -274,24 +278,69 @@ class BetaSolution:
             [self.ix_beta_minus, self.beta_plus[-1], self.beta_minus[-1]],
             dtype=np.complex128,
         )
-        rhs = _rhs_vector(m, self.h_hat, self.H_hat)
+        ixh = np.sum(1j * np.asarray(m.point.xi) * self.h_hat)
+        rhs = np.array(_interface_rhs(m.fluid, m.point.a, m.l_plus[0], m.l_plus[2],
+                                     ixh, self.H_hat), dtype=np.complex128)
         r = m.matrix() @ x - rhs
         scale = max(float(np.max(np.abs(m.matrix()) @ np.abs(x))), float(np.max(np.abs(rhs))), 1e-300)
         return float(np.max(np.abs(r))) / scale
 
 
-def _rhs_vector(m: LopatinskiMatrix, h_hat: np.ndarray, H_hat: complex) -> np.ndarray:
-    f = m.fluid
-    a = m.point.a
-    ixh = np.sum(1j * np.asarray(m.point.xi) * h_hat)
-    return np.array(
-        [
-            m.l_plus[0] * ixh,
-            -f.sigma_minus * a ** 3 * H_hat,
-            -f.sigma_plus * a ** 2 * H_hat - m.l_plus[2] * ixh,
-        ],
-        dtype=np.complex128,
+def _interface_rhs(fluid: FluidParams, a, l11p, l21p, ixh, H):
+    """Right-hand side of the 3x3 interface system for data (i xi'.h, H)."""
+    return (
+        l11p * ixh,
+        -fluid.sigma_minus * a ** 3 * H,
+        -fluid.sigma_plus * a ** 2 * H - l21p * ixh,
     )
+
+
+def amplitudes(kit: SymbolKit, ixi, h, H) -> dict:
+    """Solve the interface system and expand every solution amplitude.
+
+    ixi and h hold one entry per tangential component (i xi_m and h_m), each
+    a scalar or an array over the points of kit, and H is the height datum;
+    plain field arithmetic, so one point and a batch share this code.
+    Returns the BetaSolution amplitude fields; the per-component ones are
+    stacked on axis 0, tangential first and normal last.
+    """
+    f = kit.fluid
+    a = kit.a
+    ixh = sum(x * y for x, y in zip(ixi, h))
+    ixbm, beta_p_N, beta_m_N = cofactor_solve(
+        (kit.c11, kit.c12, kit.c13, kit.c21, kit.c22, kit.c23, kit.c31, kit.c32, kit.c33),
+        kit.det, _interface_rhs(f, a, kit.l11p, kit.l21p, ixh, H))
+
+    # q_pm via the representation tables, not the trace combinations
+    # ixb_pm -+ B_pm beta_pmN: the latter cancel catastrophically when
+    # B_pm >> A and would poison gamma_minus and every g amplitude.
+    q_plus = a * (sum(kit.p_plus_m(x) * y for x, y in zip(ixi, h))
+                  + a * kit.p_plus_N() * H)
+    q_minus = a * (sum(kit.p_minus_m(x) * y for x, y in zip(ixi, h))
+                   + a * kit.p_minus_N() * H)
+    g_plus = [kit._r_plus_factor_j(x) * q_plus for x in ixi]
+    g_plus.append(kit._r_plus_factor_N() * q_plus)
+    g_minus = [-(x / a) * q_minus for x in ixi]
+    g_minus.append(-q_minus)
+
+    bsum = f.mu_plus * kit.bp + f.mu_minus * kit.bm
+    beta_minus = [
+        (f.mu_plus * kit.bp * hj - f.mu_plus * gp - f.mu_minus * gm
+         + x * (f.mu_plus * beta_p_N - f.mu_minus * beta_m_N)) / bsum
+        for x, hj, gp, gm in zip(ixi, h, g_plus, g_minus)
+    ]
+    beta_plus = [bm - hj for bm, hj in zip(beta_minus, h)]
+    return {
+        "ix_beta_minus": ixbm,
+        "ix_beta_plus": ixbm - ixh,
+        "q_plus": q_plus,
+        "q_minus": q_minus,
+        "beta_plus": np.array([*beta_plus, beta_p_N], dtype=np.complex128),
+        "beta_minus": np.array([*beta_minus, beta_m_N], dtype=np.complex128),
+        "g_plus": np.array(g_plus, dtype=np.complex128),
+        "g_minus": np.array(g_minus, dtype=np.complex128),
+        "gamma_minus": -f.mu_minus * (a + kit.bm) * q_minus / a,
+    }
 
 
 def solve_betas(
@@ -304,64 +353,18 @@ def solve_betas(
 ) -> BetaSolution:
     """Solve the 3x3 interface system and expand every amplitude.
 
-    h_hat: tangential jump data, length N-1; H_hat: height datum.
+    h_hat: tangential jump data, length N-1; H_hat: height datum.  The
+    one-point case of amplitudes.
     """
     h_hat = np.asarray(h_hat, dtype=np.complex128)
     if h_hat.shape != (sp.dim - 1,):
         raise ValueError(f"h_hat must have shape ({sp.dim - 1},), got {h_hat.shape}")
     H_hat = complex(H_hat)
-    a = sp.a
-    xi = np.asarray(sp.xi, dtype=np.float64)
-    ixh = complex(np.sum(1j * xi * h_hat))
-
-    x = L.solve(_rhs_vector(L, h_hat, H_hat))
-    ixbm = complex(x[0])
-    beta_p_N = complex(x[1])
-    beta_m_N = complex(x[2])
-    ixbp = ixbm - ixh
-
-    f = fluid
-    kit = SymbolKit.from_matrix(L)
-    # q_pm via the representation tables, not the trace combinations
-    # ixb_pm -+ B_pm beta_pmN: the latter cancel catastrophically when
-    # B_pm >> A and would poison gamma_minus and every g amplitude.
-    q_plus = complex(
-        a * (sum(kit.p_plus_m(1j * xi[m]) * h_hat[m] for m in range(sp.dim - 1))
-             + a * kit.p_plus_N() * H_hat))
-    q_minus = complex(
-        a * (sum(kit.p_minus_m(1j * xi[m]) * h_hat[m] for m in range(sp.dim - 1))
-             + a * kit.p_minus_N() * H_hat))
-    fac_N = kit._r_plus_factor_N()
-    n = sp.dim
-    g_plus = np.empty(n, dtype=np.complex128)
-    g_minus = np.empty(n, dtype=np.complex128)
-    for j in range(n - 1):
-        g_plus[j] = kit._r_plus_factor_j(1j * xi[j]) * q_plus
-        g_minus[j] = -(1j * xi[j] / a) * q_minus
-    g_plus[-1] = fac_N * q_plus
-    g_minus[-1] = -q_minus
-    gamma_minus = -f.mu_minus * (a + r.b_minus) * q_minus / a
-
-    bsum = f.mu_plus * r.b_plus + f.mu_minus * r.b_minus
-    beta_plus = np.empty(n, dtype=np.complex128)
-    beta_minus = np.empty(n, dtype=np.complex128)
-    for j in range(n - 1):
-        beta_minus[j] = (
-            f.mu_plus * r.b_plus * h_hat[j]
-            - f.mu_plus * g_plus[j] - f.mu_minus * g_minus[j]
-            + 1j * xi[j] * (f.mu_plus * beta_p_N - f.mu_minus * beta_m_N)
-        ) / bsum
-        beta_plus[j] = beta_minus[j] - h_hat[j]
-    beta_plus[-1] = beta_p_N
-    beta_minus[-1] = beta_m_N
-
-    return BetaSolution(
-        matrix=L, h_hat=h_hat, H_hat=H_hat,
-        ix_beta_minus=ixbm, ix_beta_plus=ixbp,
-        q_plus=q_plus, q_minus=q_minus,
-        beta_plus=beta_plus, beta_minus=beta_minus,
-        g_plus=g_plus, g_minus=g_minus, gamma_minus=gamma_minus,
-    )
+    amps = amplitudes(SymbolKit.from_matrix(L), 1j * np.asarray(sp.xi, dtype=np.float64),
+                      h_hat, H_hat)
+    for key in ("ix_beta_minus", "ix_beta_plus", "q_plus", "q_minus", "gamma_minus"):
+        amps[key] = complex(amps[key])
+    return BetaSolution(matrix=L, h_hat=h_hat, H_hat=H_hat, **amps)
 
 
 @dataclass(frozen=True)
@@ -534,30 +537,45 @@ def height_K(
     certified (scanned) versions come from height_scan / find_lambda0.
     """
     sector = sector or Sector(epsilon=math.pi / 4)
-    tol = tol or Tolerances()
-    kit = SymbolKit.from_matrix(L)
-    k = complex(kit.k_height())
+    k = complex(SymbolKit.from_matrix(L).k_height())
     denom = sp.lam + k
-    if abs(denom) < tol.height_inv_rel * (abs(sp.lam) + sp.a) or abs(denom) < 1e-300:
-        raise HeightNotInvertible(
-            f"|lambda + K| = {abs(denom):.3e} at lam={sp.lam!r}, A={sp.a!r}"
-        )
+    refused_heights(sp.lam, sp.a, denom, tol or Tolerances(), strict=True)
     return HeightSymbol(
         K=k, inv=1.0 / denom, omega3=omega3(fluid),
         omega4=omega4_formula(fluid, sector), lambda0=sector.lambda_floor,
     )
 
 
-def height_rhs(coeffs: CoefficientSet, h_hat) -> complex:
+def refused_heights(lam, a, denom, tol: Tolerances, strict: bool = False):
+    """Where (lambda + K)^{-1} is refused, for denom = lambda + K.
+
+    The inverse is refused when |lambda + K| < tol.height_inv_rel (|lambda| + A)
+    or < 1e-300.  Returns the mask (scalars or arrays alike); with strict=True
+    raises HeightNotInvertible at the first refused point instead.
+    """
+    mag = abs(denom)
+    bad = (mag < tol.height_inv_rel * (abs(lam) + a)) | (mag < 1e-300)
+    hit = first_offender(bad, lam, a) if strict else None
+    if hit is not None:
+        i, where = hit
+        raise HeightNotInvertible(f"|lambda + K| = {float(np.ravel(mag)[i]):.3e} at {where}")
+    return bad
+
+
+def kinematic_weight(fluid: FluidParams, a, s_minus_N, s_plus_N, h):
     """Weighted normal-trace contribution w_h of the jump data to the
-    kinematic equation: H = (lambda+K)^{-1} (d + w_h)."""
-    f = coeffs.fluid
-    a = coeffs.point.a
-    h_hat = np.asarray(h_hat, dtype=np.complex128)
-    drho = f.rho_minus - f.rho_plus
-    sm = coeffs.s_minus[-1, :-1]
-    sp_ = coeffs.s_plus[-1, :-1]
-    return complex(a * np.sum((f.rho_minus * sm - f.rho_plus * sp_) * h_hat) / drho)
+    kinematic equation, H = (lambda+K)^{-1} (d + w_h), from the S-_Nm and
+    S+_Nm symbols (one entry per tangential component, scalars or arrays)."""
+    drho = fluid.rho_minus - fluid.rho_plus
+    return a * sum((fluid.rho_minus * sm - fluid.rho_plus * sp) * hm
+                   for sm, sp, hm in zip(s_minus_N, s_plus_N, h)) / drho
+
+
+def height_rhs(coeffs: CoefficientSet, h_hat) -> complex:
+    """w_h at one point from its coefficient tables (see kinematic_weight)."""
+    return complex(kinematic_weight(coeffs.fluid, coeffs.point.a, coeffs.s_minus[-1, :-1],
+                                    coeffs.s_plus[-1, :-1],
+                                    np.asarray(h_hat, dtype=np.complex128)))
 
 
 @dataclass(frozen=True)

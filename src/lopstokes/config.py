@@ -58,7 +58,6 @@ class Tolerances:
     """
 
     # boundary matrix
-    omega_refine_drift: float = 0.05
     asym_dev_at_100: float = 0.05
     asym_dev_at_1e4: float = 0.005
 

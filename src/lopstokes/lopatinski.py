@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import GridSpec, Tolerances
 from .errors import AsymptoticMismatch, NonPositiveOmega, SingularDetL
-from .params import FluidParams, Sector, SpectralPoint
+from .params import FluidParams, Sector, SpectralPoint, first_offender
 from .symbols import CharRoots, char_roots, char_roots_batch
 
 __all__ = [
@@ -36,6 +36,8 @@ __all__ = [
     "boundary_entries",
     "block_det",
     "cofactor_entries",
+    "cofactor_solve",
+    "perturbed_entries",
     "det_ratios",
     "assemble",
     "omega1",
@@ -95,6 +97,18 @@ def cofactor_entries(l_plus, l_minus):
         -l21p * l22m, l21p * l12m, l12m * l21m - l11 * l22m,
         -l22p * l21m, l11 * l22p - l12p * l21p, -l12p * l21m,
     )
+
+
+def cofactor_solve(cofactors, det, rhs):
+    """(x1, x2, x3) with L x = rhs, from the nine cofactors and det L.
+
+    Field arithmetic, so one right-hand side or one per point of a batch.
+    """
+    c11, c12, c13, c21, c22, c23, c31, c32, c33 = cofactors
+    r1, r2, r3 = rhs
+    return ((c11 * r1 + c12 * r2 + c13 * r3) / det,
+            (c21 * r1 + c22 * r2 + c23 * r3) / det,
+            (c31 * r1 + c32 * r2 + c33 * r3) / det)
 
 
 def det_ratios(fluid: FluidParams, lam: np.ndarray, a: np.ndarray):
@@ -178,7 +192,8 @@ class LopatinskiMatrix:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with L x = rhs through the explicit cofactors."""
-        return self.cofactors() @ np.asarray(rhs, dtype=np.complex128) / self.det
+        return np.array(cofactor_solve(cofactor_entries(self.l_plus, self.l_minus),
+                                       self.det, np.asarray(rhs, dtype=np.complex128)))
 
     @property
     def scale4(self) -> float:
@@ -197,6 +212,34 @@ ENTRY_TARGETS = {
 }
 
 
+def perturbed_entries(fluid: FluidParams, lam, a, roots, perturb=None):
+    """(l_plus, l_minus, P, (det L, det L+, det L-)) with a singularity check.
+
+    perturb = (entry name, rel) scales that entry by (1 + rel) before the
+    determinant is formed, so a mutated build is internally consistent and
+    only the physics checks can expose it; rel may be an array, one factor
+    per point.  Raises SingularDetL at the first point with |det L| < 1e-300.
+    Scalars or equal-shape arrays, like boundary_entries.
+    """
+    lp, lm, p = boundary_entries(fluid, lam, a, *roots)
+    if perturb is not None and perturb[0] in ENTRY_TARGETS:
+        side, k = ENTRY_TARGETS[perturb[0]]
+        bump = 1.0 + perturb[1]
+        if side == "p":
+            lp = tuple(v * bump if i == k else v for i, v in enumerate(lp))
+        else:
+            lm = tuple(v * bump if i == k else v for i, v in enumerate(lm))
+    dets = block_det(lp, lm)
+    hit = first_offender(abs(dets[0]) < 1e-300, lam, a)
+    if hit is not None:
+        i, where = hit
+        raise SingularDetL(
+            f"det L = {complex(np.ravel(dets[0])[i])!r} at {where}; "
+            "vanishing determinant inside the sector is a certification failure"
+        )
+    return lp, lm, p, dets
+
+
 def assemble(
     fluid: FluidParams,
     sp: SpectralPoint,
@@ -205,25 +248,11 @@ def assemble(
 ) -> LopatinskiMatrix:
     """Build the matrix at one spectral point, det via the block split.
 
-    perturb scales one named entry by (1 + rel) before the determinant and
-    cofactors are formed, so a mutated build is internally consistent and
-    only the physics checks can expose it.
+    perturb scales one named entry by (1 + rel), see perturbed_entries.
     """
     r = r or char_roots(fluid, sp)
-    lp, lm, p = boundary_entries(fluid, sp.lam, sp.a, r.a_plus, r.b_plus, r.b_minus)
-    if perturb is not None and perturb[0] in ENTRY_TARGETS:
-        side, k = ENTRY_TARGETS[perturb[0]]
-        bump = 1.0 + perturb[1]
-        if side == "p":
-            lp = tuple(v * bump if i == k else v for i, v in enumerate(lp))
-        else:
-            lm = tuple(v * bump if i == k else v for i, v in enumerate(lm))
-    det, det_p, det_m = block_det(lp, lm)
-    if abs(det) < 1e-300:
-        raise SingularDetL(
-            f"det L = {det!r} at lam={sp.lam!r}, A={sp.a!r}; "
-            "vanishing determinant inside the sector is a certification failure"
-        )
+    lp, lm, p, (det, det_p, det_m) = perturbed_entries(
+        fluid, sp.lam, sp.a, r.as_tuple(), perturb)
     return LopatinskiMatrix(
         fluid=fluid, point=sp, roots=r, l_plus=lp, l_minus=lm,
         det=det, det_plus=det_p, det_minus=det_m, p_stab=p,
@@ -324,7 +353,6 @@ def scan_lower_bound(
     sector: Sector,
     grid: GridSpec | None = None,
     refine: bool = False,
-    tol: Tolerances | None = None,
 ) -> ScanReport:
     """Estimate omega = inf |det L|/(sqrt|lam|+A)^4 over the scan grid.
 
@@ -334,7 +362,6 @@ def scan_lower_bound(
     positive.
     """
     grid = grid or GridSpec()
-    tol = tol or Tolerances()
     omega, worst_lam, worst_a, n = _scan_min(fluid, sector, grid)
     if not omega > 0.0:
         raise NonPositiveOmega(
@@ -358,14 +385,16 @@ def asymptotic_report(
     ratio_threshold: float = 100.0,
     sector: Sector | None = None,
     dev_tol: float | None = None,
+    tol: Tolerances | None = None,
 ):
     """Certify det L ~ omega1*A^4 and det L ~ omega2*lam^2 at a regime ratio.
 
     Probes A/sqrt|lam| = ratio_threshold (and its reciprocal) across scales
     and sector angles; returns (omega1, omega2, (dev1, dev2)) with
     dev1 = max |det L/(omega1 A^4) - 1| and dev2 = max |det L/(omega2 lam^2) - 1|.
-    Raises AsymptoticMismatch when the worse deviation exceeds dev_tol
-    (default 5% at ratio 100, 0.5% beyond 10^3).
+    Raises AsymptoticMismatch when the worse deviation exceeds dev_tol,
+    by default tol.asym_dev_at_100 up to ratio 10^3 and tol.asym_dev_at_1e4
+    beyond (5% and 0.5% unscaled).
     """
     if ratio_threshold < 100.0:
         raise AsymptoticMismatch(
@@ -373,7 +402,8 @@ def asymptotic_report(
         )
     sector = sector or Sector(epsilon=math.pi / 4)
     if dev_tol is None:
-        dev_tol = 0.05 if ratio_threshold <= 1e3 else 0.005
+        tol = tol or Tolerances()
+        dev_tol = tol.asym_dev_at_100 if ratio_threshold <= 1e3 else tol.asym_dev_at_1e4
     w1 = omega1(fluid)
     w2 = omega2(fluid)
     span = math.pi - sector.epsilon

@@ -15,9 +15,11 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EqualDensities, NonPositiveParameter, OutOfSector
 
-__all__ = ["FluidParams", "Sector", "SpectralPoint", "validate_params"]
+__all__ = ["FluidParams", "Sector", "SpectralPoint", "validate_params", "first_offender"]
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,6 @@ class FluidParams:
     @property
     def sigma_minus(self) -> float:
         return self.rho_minus * self.sigma / (self.rho_minus - self.rho_plus)
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        """(rho_plus, rho_minus, mu_plus, mu_minus, nu_plus)."""
-        return (self.rho_plus, self.rho_minus, self.mu_plus, self.mu_minus, self.nu_plus)
 
     def to_dict(self) -> dict[str, float]:
         """The six constants by field name, as reports and config hashes record them."""
@@ -141,3 +139,18 @@ class SpectralPoint:
         if not (s > 0.0):
             raise NonPositiveParameter(f"scaling factor must be positive, got {s!r}")
         return SpectralPoint(self.lam * s * s, tuple(s * x for x in self.xi))
+
+
+def first_offender(bad, lam, a) -> tuple[int, str] | None:
+    """(index, "lam=..., A=...") of the first point flagged in bad, else None.
+
+    bad, lam and a are scalars or equal-shape arrays; for more than one
+    point the text also names the sample index, so a batch error points at
+    its culprit.
+    """
+    flat = np.ravel(bad)
+    if not flat.any():
+        return None
+    i = int(np.argmax(flat))
+    where = f"lam={complex(np.ravel(lam)[i])!r}, A={float(np.ravel(a)[i])!r}"
+    return i, (f"sample {i}: {where}" if flat.size > 1 else where)

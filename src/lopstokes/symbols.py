@@ -25,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongSign
-from .params import FluidParams, SpectralPoint
+from .params import FluidParams, SpectralPoint, first_offender
 
 __all__ = [
     "CharRoots",
     "char_roots",
     "char_roots_batch",
+    "check_roots",
     "exp_diff_quot",
     "exp_diff_quot_batch",
     "stokes_kernel_plus",
@@ -78,9 +79,7 @@ def char_roots(fluid: FluidParams, point: SpectralPoint) -> CharRoots:
     lam = point.lam
     a = point.a
     ap, bp, bm = _roots(fluid, lam, a * a, cmath.sqrt)
-    for name, val in (("A_plus", ap), ("B_plus", bp), ("B_minus", bm)):
-        if not val.real > 0.0:
-            raise WrongSign(f"{name} has nonpositive real part at lam={lam!r}, A={a!r}")
+    check_roots((ap, bp, bm), lam, a)
     return CharRoots(a_plus=ap, b_plus=bp, b_minus=bm, a=a, lam=lam)
 
 
@@ -91,6 +90,20 @@ def char_roots_batch(
     lam = np.asarray(lam, dtype=np.complex128)
     a = np.asarray(a, dtype=np.float64)
     return _roots(fluid, lam, a * a, np.sqrt)
+
+
+def check_roots(roots, lam, a) -> None:
+    """Raise WrongSign at the first point where a root has Re <= 0.
+
+    roots = (A_plus, B_plus, B_minus) as scalars or equal-shape arrays.
+    """
+    bad = [np.logical_not(np.real(r) > 0.0) for r in roots]
+    hit = first_offender(bad[0] | bad[1] | bad[2], lam, a)
+    if hit is not None:
+        i, where = hit
+        name = next(n for n, b in zip(("A_plus", "B_plus", "B_minus"), bad)
+                    if np.ravel(b)[i])
+        raise WrongSign(f"{name} has nonpositive real part at {where}")
 
 
 def root_envelope_ratio(roots: CharRoots) -> tuple[float, float]:

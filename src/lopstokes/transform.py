@@ -33,12 +33,7 @@ from .coefficients import SymbolKit, height_K
 from .errors import EnvelopeUnbounded, QuadratureFailure, ZeroModeData
 from .lopatinski import assemble
 from .params import FluidParams, Sector, SpectralPoint
-from .resolvent import (
-    BoundaryData,
-    assemble_profiles,
-    interface_residual,
-    ode_residual,
-)
+from .resolvent import _CHUNK, assemble_batch
 from .symbols import char_roots
 
 __all__ = [
@@ -225,7 +220,10 @@ def solve_physical(
     height derived per mode) must be supplied.  x_levels are nonnegative
     distances from the interface; u_plus is evaluated at +x, u_minus and
     the pressure at -x.  With residuals=True each mode also reports its
-    ODE and interface defect, the certification sidecar.
+    ODE and interface defect, the certification sidecar.  The modes with
+    nonzero data are solved as arrays, in resolvent-sized chunks
+    (assemble_batch); a refused height raises HeightNotInvertible at the
+    first such mode in grid order.
     """
     tol = tol or Tolerances()
     box, shape = _validate_grid(box_lengths, np.shape(h_fields[0]) if h_fields else
@@ -250,36 +248,40 @@ def solve_physical(
         data_mode = "kinematic"
     _box_decay_warning(fluid, lam, box)
 
-    freqs = tangential_frequencies(box, shape)
+    # modes in np.ndindex order (C order), the zero mode and data-free ones skipped
+    xi_all = np.stack([g.ravel() for g in
+                       np.meshgrid(*tangential_frequencies(box, shape), indexing="ij")], axis=1)
+    h_all = np.stack([h.ravel() for h in h_spec], axis=1)
+    top_all = top_spec.ravel()
+    keep = (h_all != 0).any(axis=1) | (top_all != 0)
+    keep[0] = False
+    modes = np.flatnonzero(keep)
+
+    xs = np.asarray(levels, dtype=np.float64)[:, None]
     out_up = [np.zeros((len(levels),) + shape, dtype=np.complex128) for _ in range(dim)]
     out_um = [np.zeros((len(levels),) + shape, dtype=np.complex128) for _ in range(dim)]
     out_pr = np.zeros((len(levels),) + shape, dtype=np.complex128)
     out_h = np.zeros((1,) + shape, dtype=np.complex128)
     mode_res: dict[tuple[int, ...], tuple[float, float]] = {}
-    xs = np.asarray(levels, dtype=np.float64)
 
-    for idx in np.ndindex(shape):
-        if all(i == 0 for i in idx):
-            continue
-        xi = tuple(float(freqs[ax][i]) for ax, i in enumerate(idx))
-        h_k = tuple(h[idx] for h in h_spec)
-        top_k = complex(top_spec[idx])
-        if not any(h_k) and top_k == 0.0:
-            continue
-        sp = SpectralPoint(lam=lam, xi=xi)
-        if data_mode == "explicit-H":
-            bd = BoundaryData.explicit(h_k, H_hat=top_k)
-        else:
-            bd = BoundaryData.kinematic(h_k, d_hat=top_k)
-        sol = assemble_profiles(fluid, sp, bd, sector=sector, tol=tol)
+    def by_mode(out: np.ndarray) -> np.ndarray:
+        return out.reshape(out.shape[0], -1)     # a view: levels x flat modes
+
+    for start in range(0, modes.size, _CHUNK):
+        sel = modes[start:start + _CHUNK]
+        b = assemble_batch(fluid, np.full(sel.size, lam), xi_all[sel], h_all[sel],
+                           top_all[sel], data_mode, tol=tol)
         for J in range(dim):
-            out_up[J][(slice(None),) + idx] = sol.u_plus[J](xs)
-            out_um[J][(slice(None),) + idx] = sol.u_minus[J](-xs)
-        out_pr[(slice(None),) + idx] = sol.pressure(-xs)
-        out_h[(0,) + idx] = sol.H_hat_effective
+            by_mode(out_up[J])[:, sel] = b.u_plus[J](xs)
+            by_mode(out_um[J])[:, sel] = b.u_minus[J](-xs)
+        by_mode(out_pr)[:, sel] = b.pressure(-xs)
+        by_mode(out_h)[0, sel] = b.H
         if residuals:
-            ires = interface_residual(fluid, sp, sol)
-            mode_res[idx] = (ode_residual(fluid, sp, sol), ires.max())
+            res = b.residuals()
+            iface = np.maximum(res["interface"], res.get("kinematic", res["interface"]))
+            idx = zip(*np.unravel_index(sel, shape))
+            mode_res.update(zip((tuple(map(int, i)) for i in idx),
+                                zip(res["ode"].tolist(), iface.tolist())))
 
     def field(spec_stack: np.ndarray, lv: tuple[float, ...]) -> PhysicalField:
         phys = np.stack([_tophys(spec_stack[i]) for i in range(spec_stack.shape[0])])

@@ -1,14 +1,7 @@
-"""Shared fixtures plus the acceptance-criterion recorder.
-
-test_acceptance.py pushes one (number, title, passed, detail) row per
-criterion through the `criterion` fixture; pytest_terminal_summary prints
-them as a PASS/FAIL block at the end of the run regardless of capture
-settings, so the certification verdict is always visible in the log.
-"""
+"""Shared hypothesis profile: deterministic, no deadline."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -18,28 +11,3 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-_CRITERIA: list[tuple[int, str, bool, str]] = []
-
-
-@pytest.fixture(scope="session")
-def criterion():
-    """Recorder callable: criterion(number, title, passed, detail) -> passed."""
-
-    def record(number: int, title: str, passed: bool, detail: str = "") -> bool:
-        _CRITERIA.append((int(number), title, bool(passed), detail))
-        return bool(passed)
-
-    return record
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _CRITERIA:
-        return
-    terminalreporter.section("acceptance criteria")
-    for number, title, passed, detail in sorted(_CRITERIA):
-        verdict = "PASS" if passed else "FAIL"
-        line = f"[{verdict}] criterion {number}: {title}"
-        if detail:
-            line += f"  ({detail})"
-        terminalreporter.write_line(line)

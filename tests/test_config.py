@@ -46,7 +46,7 @@ class TestTolerances:
         tol = base.scale(100.0)
         for name in ("fd_step_rel", "noise_gate", "class_drift",
                      "envelope_drift", "mutation_floor", "height_floor",
-                     "height_inv_rel", "omega_refine_drift", "slope_dev",
+                     "height_inv_rel", "slope_dev",
                      "zero_mode", "volevich_quad_rel"):
             assert getattr(tol, name) == getattr(base, name), name
 

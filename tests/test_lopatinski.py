@@ -25,7 +25,7 @@ from lopstokes import (
     omega2,
     scan_lower_bound,
 )
-from lopstokes.config import GridSpec, REFERENCE_PARAMS
+from lopstokes.config import GridSpec, REFERENCE_PARAMS, Tolerances
 from lopstokes.errors import AsymptoticMismatch
 from lopstokes.lopatinski import ENTRY_DEGREES, entries_minus_raw, entries_plus_raw
 
@@ -241,6 +241,28 @@ class TestAsymptotics:
         assert max(dev6) < max(dev3)
         _, _, dev4 = asymptotic_report(REF, 1e4)
         assert max(dev4) <= 0.005
+
+    def test_default_gate_reads_the_tolerances(self):
+        # deviations here: about 7.3e-3 at ratio 100 and 7.1e-5 at ratio 1e4
+        asymptotic_report(REF, 100.0, tol=Tolerances().scale(0.2))
+        with pytest.raises(AsymptoticMismatch):
+            asymptotic_report(REF, 100.0, tol=Tolerances().scale(0.1))
+        asymptotic_report(REF, 1e4, tol=Tolerances().scale(0.02))
+        with pytest.raises(AsymptoticMismatch):
+            asymptotic_report(REF, 1e4, tol=Tolerances().scale(0.01))
+
+    def test_tolerance_scale_moves_the_cli_gate(self, tmp_path):
+        import json
+
+        from lopstokes.cli import main
+
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({"grid": {
+            "lam_min": 1e-2, "lam_max": 1e2, "lam_per_decade": 2, "n_angles": 5,
+            "a_min": 1e-2, "a_max": 1e2, "a_per_decade": 2}}))
+        argv = ["scan-lopatinski", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert main([*argv, "--tolerance-scale", "0.1"]) == 1
 
     def test_ratio_below_100_rejected(self):
         with pytest.raises(AsymptoticMismatch):

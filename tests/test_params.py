@@ -63,10 +63,6 @@ class TestFluidParams:
         with pytest.raises(EqualDensities):
             FluidParams(1.0, 1.0, 1.0, 1.0, 1.0)
 
-    def test_as_tuple_layout(self):
-        p = FluidParams(2.0, 3.0, 0.5, 1.5, 2.5, 0.7)
-        assert p.as_tuple() == (2.0, 3.0, 0.5, 1.5, 2.5)
-
     def test_to_dict_layout(self):
         p = FluidParams(2.0, 3.0, 0.5, 1.5, 2.5, 0.7)
         assert p.to_dict() == {"rho_plus": 2.0, "rho_minus": 3.0, "mu_plus": 0.5,

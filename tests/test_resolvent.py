@@ -1,9 +1,11 @@
 """Profile algebra, assembled resolvent solutions, and residual operators."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from lopstokes import (
@@ -20,16 +22,20 @@ from lopstokes import (
     interface_residual,
     ode_residual,
 )
+from lopstokes import resolvent
 from lopstokes.resolvent import (
     FuzzReport,
     amplitude_targets,
+    assemble_batch,
     decay_margin,
     default_x_samples,
     energy_quadrature_check,
+    fuzz_corpus,
     mutation_probe,
 )
+from lopstokes.errors import HeightNotInvertible
 from lopstokes.lopatinski import ENTRY_TARGETS
-from lopstokes.config import REFERENCE_PARAMS
+from lopstokes.config import REFERENCE_PARAMS, STRESS_PARAM_SETS
 
 TOL = Tolerances()
 SECTOR = Sector(epsilon=math.pi / 4)
@@ -373,3 +379,181 @@ class TestMutationAndFuzz:
                                         "dim": 2, "mode": "explicit-H"}},
                          elapsed=0.0)
         assert not bad.passed(TOL)
+
+
+# The first samples of the default fuzz corpus (seed 20260817), recorded from
+# the scalar fuzz loop that preceded the chunked one: (dim, mode, lam, xi', h, top)
+# with top = H in explicit-H mode and d in kinematic mode.  A reordered or
+# re-typed RNG draw changes these bits.
+GOLDEN_CORPUS = [
+    (2, "explicit-H", (-13131.898122433597 + 52440.379507328376j),
+     (-0.006481107983268854,), ((0.7388248063486503 + 0.4301424701423187j),),
+     (-1.342564187138612 - 0.09473737944642972j)),
+    (3, "kinematic", (-1.1442156102211418 + 10.455630022969606j),
+     (-58390129.06679504, 9554838.483014893),
+     ((-0.7272842809166739 + 0.32881676262317955j),
+      (-0.48133863101969737 + 0.1548206719306499j)),
+     (-0.6275341860570549 + 0.8622514642719594j)),
+    (3, "explicit-H", (-39.7606353736535 - 64.13938872334964j),
+     (2792853.243321098, 4657180.155185046),
+     ((0.4475782389409276 - 0.39075515056921584j),
+      (-0.12818968193750466 - 0.9284655064986038j)),
+     (-0.28007904700734576 - 0.4878486342823241j)),
+    (3, "kinematic", (15510793.498304263 + 9060025.584161434j),
+     (569.56553800615, -3949.5290494307424),
+     ((0.0289094501521068 - 0.1939258698727837j),
+      (0.6200164912614146 + 0.1967253997935986j)),
+     (0.10759710581073051 + 0.6428670013096198j)),
+    (2, "explicit-H", (-21145070.999240465 - 35054872.93175492j),
+     (0.8644956278715298,), ((-1.1689878500183737 - 0.14347342853258943j),),
+     (-0.8097484326482399 - 1.1192004294557367j)),
+    (2, "kinematic", (130.08477707787677 + 1303.9436508036376j),
+     (-0.0013640839652413468,), ((-1.7891458856209124 - 0.6446764157389583j),),
+     (0.32870104939527806 - 0.0739736561783615j)),
+    (3, "explicit-H", (1735.1134374417982 + 741.5464449890281j),
+     (38843.62905705063, 35318.59124940692),
+     ((0.5125392531755562 + 0.9646636202590648j),
+      (-0.1674541784663255 - 0.7821398579891771j)),
+     (-0.24399987053722869 + 0.5619912254804674j)),
+    (2, "kinematic", (44600.44303796896 + 186549.32042796953j),
+     (88991.72548136475,), ((1.4124649167228573 + 0.6372992352666929j),),
+     (0.18300844835115299 + 0.09683785369133839j)),
+]
+
+# batch and point agreement, fixed before the comparison was first run
+BATCH_RTOL = 1e-12
+CATEGORIES = ("ode", "interface", "kinematic", "decay", "energy")
+
+
+def point_residuals(fluid, sample):
+    """Every fuzz category at one corpus sample through the per-point API."""
+    dim, mode, lam, xi, h, top = sample
+    sp = SpectralPoint(lam=lam, xi=xi)
+    data = (BoundaryData.explicit(h, H_hat=top) if mode == "explicit-H"
+            else BoundaryData.kinematic(h, d_hat=top))
+    sol = assemble_profiles(fluid, sp, data)
+    ires = interface_residual(fluid, sp, sol)
+    out = {"ode": ode_residual(fluid, sp, sol),
+           "interface": ires.max(kinematic=False),
+           "decay": decay_margin(sol),
+           "energy": energy_balance(fluid, sp, sol).max()}
+    if ires.kinematic is not None:
+        out["kinematic"] = ires.kinematic
+    return out
+
+
+class TestCorpusAndBatch:
+    def test_corpus_is_unchanged(self):
+        got = list(fuzz_corpus(20260817, len(GOLDEN_CORPUS), SECTOR))
+        assert got == GOLDEN_CORPUS
+
+    @settings(max_examples=40)
+    @given(
+        fluid=st.sampled_from((REF, *STRESS_PARAM_SETS)),
+        dim=st.sampled_from((2, 3)),
+        mode=st.sampled_from(("explicit-H", "kinematic")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_points(self, fluid, dim, mode, seed):
+        # 13 points: no multiple of any chunk size, mixed magnitudes
+        pts = [s for s in fuzz_corpus(seed, 80, SECTOR) if s[0] == dim][:13]
+        cols = list(zip(*pts))
+        batch = assemble_batch(fluid, cols[2], cols[3], cols[4], cols[5], mode,
+                               strict=False)
+        res = batch.residuals(energy=True)
+        assert set(res) == set(CATEGORIES) - ({"kinematic"} if mode == "explicit-H" else set())
+        for i, smp in enumerate(pts):
+            if not batch.valid[i]:
+                with pytest.raises(HeightNotInvertible):
+                    point_residuals(fluid, (dim, mode, *smp[2:]))
+                continue
+            want = point_residuals(fluid, (dim, mode, *smp[2:]))
+            assert set(want) == set(res)
+            for cat, val in want.items():
+                assert abs(res[cat][i] - val) <= BATCH_RTOL * abs(val), (cat, i)
+
+    def test_perturbation_stays_at_its_index(self):
+        # index 4 is the mutation-probe point, where every target is visible
+        pts = [s for s in fuzz_corpus(5, 40, SECTOR) if s[0] == 3][:9]
+        pts[4] = (3, "explicit-H", complex(math.cos(2.0), math.sin(2.0)), (0.7, -0.4),
+                  (0.7 - 0.3j, 0.7 - 0.3j), 0.5 + 0.2j)
+        cols = list(zip(*pts))
+        clean = assemble_batch(REF, *cols[2:6], "explicit-H").residuals(energy=True)
+        for target in (*amplitude_targets(3), *ENTRY_TARGETS):
+            rel = np.zeros(len(pts))
+            rel[4] = 1e-3
+            hit = assemble_batch(REF, *cols[2:6], "explicit-H",
+                                 perturb=(target, rel)).residuals(energy=True)
+            assert max(hit["ode"][4], hit["interface"][4]) > TOL.mutation_floor, target
+            for cat in clean:
+                others = np.arange(len(pts)) != 4
+                assert np.array_equal(hit[cat][others], clean[cat][others]), (target, cat)
+
+    def test_fuzz_chunks_keep_first_worst(self, monkeypatch):
+        # 31 samples in chunks of 4 (no multiple of it) against the one-point
+        # loop: every category keeps its first maximum in corpus order
+        want = {c: {"value": -1.0} for c in CATEGORIES}
+        for smp in fuzz_corpus(11, 31, SECTOR):
+            for cat, val in point_residuals(REF, smp).items():
+                if val > want[cat]["value"]:
+                    want[cat] = {"value": val, "lam_re": smp[2].real,
+                                 "lam_im": smp[2].imag, "a": math.hypot(*smp[3]),
+                                 "dim": smp[0], "mode": smp[1]}
+        monkeypatch.setattr(resolvent, "_CHUNK", 4)
+        got = fuzz_residuals(REF, SECTOR, n_samples=31, seed=11, energy=True)
+        assert got.worst == want
+        monkeypatch.undo()
+        assert fuzz_residuals(REF, SECTOR, n_samples=31, seed=11,
+                              energy=True).worst == want
+
+    def test_batch_errors_name_the_sample(self):
+        pts = [s for s in fuzz_corpus(3, 20, SECTOR) if s[0] == 2][:6]
+        cols = list(zip(*pts))
+        tol = Tolerances(height_inv_rel=1e3)
+        with pytest.raises(HeightNotInvertible, match="sample 0: "):
+            assemble_batch(REF, *cols[2:6], "kinematic", tol=tol)
+        with pytest.raises(ValueError, match="h_hat must have shape"):
+            assemble_batch(REF, cols[2], cols[3], [h * 2 for h in cols[4]], cols[5],
+                           "explicit-H")
+
+
+class TestFuzzHeightFailures:
+    def test_refused_heights_fail_the_report(self):
+        # |lam + K|/(|lam| + A) spans about 0.3 to 2.8 on these samples
+        tol = Tolerances(height_inv_rel=1.0)
+        rep = fuzz_residuals(REF, SECTOR, n_samples=200, seed=20260817, tol=tol)
+        fails = rep.height_failures
+        assert fails is not None and 0 < fails["count"] < 100
+        assert fails["first"]["mode"] == "kinematic"
+        assert set(fails["first"]) == {"lam_re", "lam_im", "a", "dim", "mode"}
+        assert not rep.passed(tol)
+        assert rep.to_dict()["height_not_invertible"] == fails
+        # the other samples are still certified
+        assert rep.worst["kinematic"]["value"] >= 0.0
+        assert rep.worst["ode"]["value"] < TOL.fuzz_residual
+
+    def test_clean_report_keeps_its_keys(self):
+        rep = fuzz_residuals(REF, SECTOR, n_samples=50, seed=7)
+        assert rep.height_failures is None
+        assert list(rep.to_dict()) == ["seed", "n_samples", "epsilon",
+                                       "energy_included", "worst"]
+
+    def test_verify_still_writes_its_report(self, tmp_path):
+        import json
+
+        from lopstokes.cli import cmd_verify
+        from lopstokes.config import ClassGridSpec, GridSpec, RunConfig
+
+        grid = GridSpec(lam_min=1e-2, lam_max=1e2, lam_per_decade=2, n_angles=3,
+                        a_min=1e-2, a_max=1e2, a_per_decade=2)
+        cfg = RunConfig(grid=grid, samples=40,
+                        class_grid=ClassGridSpec(lam_min=1e-1, lam_max=1e1,
+                                                 lam_per_decade=1, n_angles=3,
+                                                 a_min=1e-1, a_max=1e1,
+                                                 a_per_decade=1))
+        code = cmd_verify(cfg, Tolerances(height_inv_rel=1e3), str(tmp_path), "t")
+        doc = json.loads((tmp_path / "verify_t.json").read_text())
+        assert code & 1 and doc["exit_code"] == code
+        fuzz = doc["suites"]["fuzz"]
+        assert not fuzz["passed"] and fuzz["height_not_invertible"]["count"] == 20
+        assert not doc["suites"]["energy"]["passed"]
