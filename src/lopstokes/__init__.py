@@ -15,7 +15,7 @@ Module map
     symbols       characteristic roots and the exponential kernels
     lopatinski    boundary matrix L, its cofactors, determinant bounds,
                   asymptotics; one formula set for scalars and arrays
-    coefficients  closed-form amplitudes, height symbol K, cutoff scans
+    coefficients  closed-form amplitudes, height symbol K, height curve
     resolvent     profile solutions, residuals, energy balance, fuzzing
     multiplier    anisotropic symbol-class certification
     transform     tangential FFT solves, Volevich identity, extensions
@@ -71,10 +71,11 @@ from .lopatinski import (
 from .coefficients import (
     BetaSolution,
     CoefficientSet,
+    HeightCurve,
     HeightScanReport,
     HeightSymbol,
     coefficient_symbols,
-    find_lambda0,
+    height_curve,
     height_K,
     height_scan,
     omega3,
@@ -100,7 +101,6 @@ from .multiplier import (
     Claim,
     MultiplierClassReport,
     certify_table,
-    class_cutoff,
     declared_claims,
     estimate_class,
 )
@@ -128,16 +128,16 @@ __all__ = [
     "LopatinskiMatrix", "ScanReport", "assemble", "asymptotic_report",
     "omega1", "omega2", "scan_lower_bound",
     # coefficients
-    "BetaSolution", "CoefficientSet", "HeightScanReport", "HeightSymbol",
-    "coefficient_symbols", "find_lambda0", "height_K", "height_scan",
+    "BetaSolution", "CoefficientSet", "HeightCurve", "HeightScanReport",
+    "HeightSymbol", "coefficient_symbols", "height_curve", "height_K", "height_scan",
     "omega3", "omega4_formula", "slope_limit", "solve_betas",
     # resolvent
     "BoundaryData", "EnergyReport", "FuzzReport", "InterfaceResiduals",
     "Profile", "ProfileSolution", "assemble_profiles", "energy_balance",
     "fuzz_residuals", "inner_product", "interface_residual", "ode_residual",
     # multiplier
-    "Claim", "MultiplierClassReport", "certify_table", "class_cutoff",
-    "declared_claims", "estimate_class",
+    "Claim", "MultiplierClassReport", "certify_table", "declared_claims",
+    "estimate_class",
     # transform
     "DecayReport", "PhysicalField", "PhysicalSolution", "height_extension",
     "kernel_decay_check", "solve_physical", "volevich_apply",

@@ -8,6 +8,11 @@ Subcommands
     solve             boundary data files -> field outputs + residual sidecar
     kernel-decay      inverse-FFT decay envelope of the height kernel
 
+Each scan grid is evaluated once per command.  The height curve (per-|lambda|
+minimum of |lambda+K|/(|lambda|+A)) yields both cutoffs, the height report
+and the height CSV; the base determinant grid yields omega, its worst point
+and the scan CSV columns.
+
 Exit codes: 0 success; 2 usage (argparse); 65 config or data validation;
 `verify` failures form a bitmask (1 fuzz, 2 multipliers, 4 height,
 8 energy); verify-multipliers alone exits with its bitmask value 2; the
@@ -27,7 +32,7 @@ import os
 import sys
 
 from . import __version__
-from .coefficients import find_lambda0, height_ratio_curve, height_scan
+from .coefficients import HeightCurve, height_curve, height_scan, omega4_formula
 from .config import RunConfig, Tolerances, default_config, load_config
 from .errors import (
     ConfigError,
@@ -39,13 +44,12 @@ from .errors import (
     ZeroModeData,
 )
 from .lopatinski import scan_lower_bound
-from .multiplier import certify_table, class_cutoff
+from .multiplier import certify_table
 from .params import SpectralPoint
 from .reports import (
     config_hash,
     ensure_out_dir,
     read_field,
-    scan_rows,
     write_class_csv,
     write_decay_csv,
     write_field,
@@ -126,8 +130,7 @@ def _effective(args) -> tuple[RunConfig, Tolerances, str, str]:
 def cmd_scan_lopatinski(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
     rep = scan_lower_bound(cfg.fluid, cfg.sector, cfg.grid, refine=True)
     write_json(os.path.join(out, f"scan_{tag}.json"), rep.to_dict())
-    write_scan_csv(os.path.join(out, f"scan_{tag}.csv"),
-                   scan_rows(cfg.fluid, cfg.sector, cfg.grid))
+    write_scan_csv(os.path.join(out, f"scan_{tag}.csv"), *rep.columns)
     dev = max(rep.delta1, rep.delta2)
     ok = rep.omega > 0.0 and dev <= tol.asym_dev_at_100
     print(f"scan-lopatinski: omega = {rep.omega:.6e} over {rep.n_points} points, "
@@ -137,11 +140,10 @@ def cmd_scan_lopatinski(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> 
 
 
 def cmd_scan_height(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
-    lam0 = find_lambda0(cfg.fluid, cfg.sector, cfg.grid, floor=tol.height_floor)
-    rep = height_scan(cfg.fluid, cfg.sector, cfg.grid, lambda0=lam0)
-    mags, curve = height_ratio_curve(cfg.fluid, cfg.sector, cfg.grid)
+    curve = height_curve(cfg.fluid, cfg.sector, cfg.grid)
+    rep = height_scan(cfg.fluid, cfg.sector, curve, curve.cutoff(tol.height_floor))
     write_json(os.path.join(out, f"height_{tag}.json"), rep.to_dict())
-    write_height_csv(os.path.join(out, f"height_{tag}.csv"), mags, curve)
+    write_height_csv(os.path.join(out, f"height_{tag}.csv"), curve.mags, curve.per_min)
     ok = rep.omega4 > 0.0
     print(f"scan-height: lambda0 = {rep.lambda0:.6e}, omega4 = {rep.omega4:.6e}, "
           f"K/A slope = {rep.slope:.6f} (formula limit {rep.slope_limit:.6f}) "
@@ -167,7 +169,7 @@ def _energy_suite(cfg: RunConfig, tol: Tolerances, fuzz_rep) -> dict:
         data = (BoundaryData.kinematic(h, d_hat=0.6 - 0.2j) if mode == "kinematic"
                 else BoundaryData.explicit(h, H_hat=0.1 + 0.7j))
         try:
-            sol = assemble_profiles(cfg.fluid, sp, data, sector=cfg.sector, tol=tol)
+            sol = assemble_profiles(cfg.fluid, sp, data, tol=tol)
         except HeightNotInvertible as exc:
             return {"passed": False, "error": str(exc)}
         worst_quad = max(worst_quad,
@@ -181,6 +183,20 @@ def _energy_suite(cfg: RunConfig, tol: Tolerances, fuzz_rep) -> dict:
     }
 
 
+def _multiplier_table(cfg: RunConfig, tol: Tolerances, out: str, tag: str,
+                      curve: HeightCurve):
+    """(quotient cutoff, certified class table); writes class_<tag>.csv."""
+    # The (lambda + K)-quotient symbols lose uniformity wherever
+    # |lambda + K|/(|lambda| + A) dips below its formula-level constant (the
+    # interfacial dispersion curve passes near the sector edge at moderate
+    # |lambda|), so they are claimed above the smallest scanned cutoff whose
+    # suffix infimum clears omega4_formula, not the height_floor.
+    lam0 = curve.cutoff(omega4_formula(cfg.fluid, cfg.sector))
+    table = certify_table(cfg.fluid, cfg.sector, cfg.class_grid, lambda0=lam0, tol=tol)
+    write_class_csv(os.path.join(out, f"class_{tag}.csv"), table)
+    return lam0, table
+
+
 def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
     suites: dict[str, dict] = {}
 
@@ -189,17 +205,15 @@ def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
                           energy=True, tol=tol)
     suites["fuzz"] = {**fuzz.to_dict(), "passed": fuzz.passed(tol)}
 
+    curve = height_curve(cfg.fluid, cfg.sector, cfg.grid)
     try:
-        lam0 = find_lambda0(cfg.fluid, cfg.sector, cfg.grid, floor=tol.height_floor)
-        hrep = height_scan(cfg.fluid, cfg.sector, cfg.grid, lambda0=lam0)
+        hrep = height_scan(cfg.fluid, cfg.sector, curve, curve.cutoff(tol.height_floor))
         suites["height"] = {**hrep.to_dict(), "passed": hrep.omega4 > 0.0}
     except (NoCutoffFound, HeightNotInvertible) as exc:
         suites["height"] = {"passed": False, "error": str(exc)}
 
     try:
-        lam0c = class_cutoff(cfg.fluid, cfg.sector, cfg.grid)
-        table = certify_table(cfg.fluid, cfg.sector, cfg.class_grid,
-                              lambda0=lam0c, tol=tol)
+        lam0c, table = _multiplier_table(cfg, tol, out, tag, curve)
         suites["multipliers"] = {
             "passed": all(r.verdict == "pass" for r in table),
             "failed": sorted(r.name for r in table if r.verdict != "pass"),
@@ -207,7 +221,6 @@ def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
             "quotient_cutoff": lam0c,
             "max_drift": max(r.max_drift() for r in table),
         }
-        write_class_csv(os.path.join(out, f"class_{tag}.csv"), table)
     except (NoCutoffFound, GridTooCoarse) as exc:
         suites["multipliers"] = {"passed": False, "error": str(exc)}
 
@@ -234,10 +247,8 @@ def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
 
 
 def cmd_verify_multipliers(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
-    lam0 = class_cutoff(cfg.fluid, cfg.sector, cfg.grid)
-    table = certify_table(cfg.fluid, cfg.sector, cfg.class_grid,
-                          lambda0=lam0, tol=tol)
-    write_class_csv(os.path.join(out, f"class_{tag}.csv"), table)
+    lam0, table = _multiplier_table(cfg, tol, out, tag,
+                                    height_curve(cfg.fluid, cfg.sector, cfg.grid))
     write_json(os.path.join(out, f"multipliers_{tag}.json"), {
         "quotient_cutoff": lam0,
         "claims": [
@@ -283,7 +294,7 @@ def cmd_solve(cfg: RunConfig, tol: Tolerances, out: str, tag: str, data_args) ->
         fields.append(fld.samples[0])
 
     if mode == "kinematic":
-        lam0 = find_lambda0(cfg.fluid, cfg.sector, cfg.grid, floor=tol.height_floor)
+        lam0 = height_curve(cfg.fluid, cfg.sector, cfg.grid).cutoff(tol.height_floor)
         if abs(lam) < lam0:
             print(f"advisory: |lambda| = {abs(lam):.3e} is below the certified "
                   f"height cutoff lambda0 = {lam0:.3e}; the kinematic inversion "
@@ -292,7 +303,7 @@ def cmd_solve(cfg: RunConfig, tol: Tolerances, out: str, tag: str, data_args) ->
     kw = {"H_field": fields[-1]} if mode == "explicit-H" else {"d_field": fields[-1]}
     sol = solve_physical(cfg.fluid, lam, fields[:-1], box,
                          x_levels=tuple(float(x) for x in sv["x_levels"]),
-                         sector=cfg.sector, tol=tol, residuals=True, **kw)
+                         tol=tol, residuals=True, **kw)
 
     for J, fld in enumerate(sol.u_plus, start=1):
         write_field(os.path.join(out, f"solve_{tag}_u_plus_{J}"), fld, lam,

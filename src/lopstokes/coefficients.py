@@ -14,7 +14,8 @@ closes the kinematic equation lambda H - weighted-normal-trace = d into
 H = (lambda + K)^{-1} (d + w_h).  All symbol formulas live on SymbolKit, on
 top of the lopatinski entry and cofactor formulas, and accept scalars or
 numpy arrays alike, so the scans and the finite-difference class estimator
-reuse the exact production arithmetic.
+reuse the exact production arithmetic.  The height scan evaluates its grid
+once, into a HeightCurve; every cutoff and the scanned omega4 are read off it.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ __all__ = [
     "omega3",
     "omega4_formula",
     "slope_limit",
-    "find_lambda0",
+    "HeightCurve",
+    "height_curve",
     "height_scan",
     "height_ratio",
-    "height_ratio_curve",
 ]
 
 
@@ -534,7 +535,7 @@ def height_K(
     """Evaluate K and (lambda + K)^{-1} at one spectral point.
 
     The omega4/lambda0 fields carry the formula-level reference values; the
-    certified (scanned) versions come from height_scan / find_lambda0.
+    certified (scanned) versions come from height_scan / HeightCurve.cutoff.
     """
     sector = sector or Sector(epsilon=math.pi / 4)
     k = complex(SymbolKit.from_matrix(L).k_height())
@@ -584,7 +585,6 @@ class HeightScanReport:
 
     fluid: FluidParams
     epsilon: float
-    grid: GridSpec
     lambda0: float
     omega3: float
     omega4: float            # scanned min of |lam+K|/(|lam|+A) over |lam| >= lambda0
@@ -622,76 +622,72 @@ def height_ratio(fluid: FluidParams, lam: np.ndarray, a: np.ndarray) -> np.ndarr
     return np.abs(lam + k) / (np.abs(lam) + a)
 
 
-def _height_ratios(fluid: FluidParams, sector: Sector, grid: GridSpec):
-    """(mags, per-magnitude min ratio, argmin metadata) over the scan grid."""
+@dataclass(frozen=True)
+class HeightCurve:
+    """Per-magnitude minimum of |lam+K|/(|lam|+A) over one scan grid.
+
+    The one evaluation of the height grid: every cutoff and the scanned
+    omega4 are read off it, nothing downstream rescans the grid.
+    """
+
+    mags: np.ndarray         # scanned |lambda|, increasing
+    per_min: np.ndarray      # min over angles and A at each magnitude
+    worst: tuple             # (lam, A) attaining each minimum
+    n_points: int
+
+    def cutoff(self, floor: float) -> float:
+        """Smallest grid cutoff with inf_{|lam| >= cutoff} |lam+K|/(|lam|+A) >= floor.
+
+        Returns 0.0 when the bound holds over the whole scanned sector; raises
+        NoCutoffFound when no cutoff inside the grid range works (sigma = 0
+        can land here when K degenerates).
+        """
+        suffix = np.minimum.accumulate(self.per_min[::-1])[::-1]
+        ok = suffix >= floor
+        if not ok.any():
+            raise NoCutoffFound(
+                f"no cutoff in [{self.mags[0]:.3e}, {self.mags[-1]:.3e}] attains "
+                f"|lam+K|/(|lam|+A) >= {floor:.1e}"
+            )
+        first = int(np.argmax(ok))
+        return 0.0 if first == 0 else float(self.mags[first])
+
+
+def height_curve(fluid: FluidParams, sector: Sector,
+                 grid: GridSpec | None = None) -> HeightCurve:
+    """Evaluate the height ratio on the scan grid, one magnitude at a time."""
+    grid = grid or GridSpec()
     mags = grid.lam_mags()
     angs = grid.angles(sector.epsilon)
     avals = grid.a_vals()
-    block = angs.size * avals.size
     lam_block = np.repeat(np.exp(1j * angs), avals.size)
     a_block = np.tile(avals, angs.size)
-    per_mag_min = np.empty(mags.size)
+    per_min = np.empty(mags.size)
     worst = []
     for i, mag in enumerate(mags):
         lam = mag * lam_block
         ratio = height_ratio(fluid, lam, a_block)
         k = int(np.argmin(ratio))
-        per_mag_min[i] = float(ratio[k])
+        per_min[i] = float(ratio[k])
         worst.append((complex(lam[k]), float(a_block[k])))
-    return mags, per_mag_min, worst, mags.size * block
-
-
-def height_ratio_curve(fluid: FluidParams, sector: Sector,
-                       grid: GridSpec | None = None):
-    """(|lambda| magnitudes, per-magnitude min of |lam+K|/(|lam|+A)); the
-    plot-ready curve behind find_lambda0."""
-    mags, per_min, _, _ = _height_ratios(fluid, sector, grid or GridSpec())
-    return mags, per_min
-
-
-def find_lambda0(
-    fluid: FluidParams,
-    sector: Sector,
-    grid: GridSpec | None = None,
-    floor: float | None = None,
-) -> float:
-    """Smallest grid cutoff with inf_{|lam| >= cutoff} |lam+K|/(|lam|+A) >= floor.
-
-    Returns 0.0 when the bound holds over the whole scanned sector; raises
-    NoCutoffFound when no cutoff inside the grid range works (sigma = 0 can
-    land here when K degenerates).
-    """
-    grid = grid or GridSpec()
-    floor = floor if floor is not None else Tolerances().height_floor
-    mags, per_min, _, _ = _height_ratios(fluid, sector, grid)
-    suffix = np.minimum.accumulate(per_min[::-1])[::-1]
-    ok = suffix >= floor
-    if not ok.any():
-        raise NoCutoffFound(
-            f"no cutoff in [{mags[0]:.3e}, {mags[-1]:.3e}] attains "
-            f"|lam+K|/(|lam|+A) >= {floor:.1e}"
-        )
-    first = int(np.argmax(ok))
-    return 0.0 if first == 0 else float(mags[first])
+    return HeightCurve(mags=mags, per_min=per_min, worst=tuple(worst),
+                       n_points=mags.size * lam_block.size)
 
 
 def height_scan(
     fluid: FluidParams,
     sector: Sector,
-    grid: GridSpec | None = None,
-    lambda0: float | None = None,
+    curve: HeightCurve,
+    lambda0: float,
     slope_ratio: float = 100.0,
 ) -> HeightScanReport:
-    """Certify omega4 > 0 above lambda0 and measure the A-regime slope of K."""
-    grid = grid or GridSpec()
-    if lambda0 is None:
-        lambda0 = find_lambda0(fluid, sector, grid)
-    mags, per_min, worst, n = _height_ratios(fluid, sector, grid)
-    mask = mags >= max(lambda0, mags[0])
-    idx = np.nonzero(mask)[0]
+    """Certify omega4 > 0 above lambda0 on the scanned curve and measure the
+    A-regime slope of K."""
+    mags, per_min = curve.mags, curve.per_min
+    idx = np.nonzero(mags >= max(lambda0, mags[0]))[0]
     kbest = idx[int(np.argmin(per_min[idx]))]
     w4 = float(per_min[kbest])
-    worst_lam, worst_a = worst[kbest]
+    worst_lam, worst_a = curve.worst[kbest]
 
     # slope probe: A = slope_ratio * sqrt|lam|, lam real spanning scales
     slopes = []
@@ -714,8 +710,8 @@ def height_scan(
                 env = max(env, abs(complex(kit.k_height())) / math.sqrt(lam_mag))
 
     return HeightScanReport(
-        fluid=fluid, epsilon=sector.epsilon, grid=grid, lambda0=float(lambda0),
+        fluid=fluid, epsilon=sector.epsilon, lambda0=float(lambda0),
         omega3=omega3(fluid), omega4=w4, omega4_formula=omega4_formula(fluid, sector),
         slope=slope, slope_limit=slope_limit(fluid), k_envelope=env,
-        worst_lam=worst_lam, worst_a=worst_a, n_points=n,
+        worst_lam=worst_lam, worst_a=worst_a, n_points=curve.n_points,
     )

@@ -1,7 +1,7 @@
 """Centralized tolerances, scan grids, and run-configuration parsing.
 
-All numeric thresholds used across the library live in Tolerances so tests,
-the CLI and the acceptance suite share one set of defaults.  Run
+Every numeric threshold the library applies lives in Tolerances, so the CLI
+and the tests share one set of defaults.  Run
 configurations are JSON files; unknown keys are rejected with their full path
 so typos cannot silently fall back to defaults.
 """
@@ -51,7 +51,7 @@ STRESS_PARAM_SETS: tuple[FluidParams, ...] = (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Every default threshold in one record.
+    """Every threshold the library applies, in one record.
 
     scale() multiplies the acceptance-style residual thresholds (not the
     internal algorithm switches) by a factor, for the CLI --tolerance-scale.
@@ -61,13 +61,9 @@ class Tolerances:
     asym_dev_at_100: float = 0.05
     asym_dev_at_1e4: float = 0.005
 
-    # coefficients / height symbol
-    beta_residual: float = 1e-12
-    beta_jump: float = 1e-13
-    coeff_vs_direct: float = 1e-11
-    height_floor: float = 1e-3          # find_lambda0 acceptance level
+    # height symbol
+    height_floor: float = 1e-3          # HeightCurve.cutoff acceptance level
     height_inv_rel: float = 1e-10       # HeightNotInvertible below rel*(|lam|+A)
-    slope_dev: float = 0.05
 
     # multiplier classes
     class_drift: float = 2.0
@@ -75,20 +71,12 @@ class Tolerances:
     noise_gate: float = 10.0
 
     # resolvent
-    ode_residual: float = 1e-10
-    interface_residual: float = 1e-11
     fuzz_residual: float = 1e-10
     energy_defect: float = 1e-10
     quadrature_cross: float = 1e-8
-    mutation_floor: float = 1e-4
 
     # physical layer
-    fft_roundtrip: float = 1e-13
-    single_mode: float = 1e-12
-    volevich: float = 1e-8
     volevich_quad_rel: float = 1e-9
-    lions_resub: float = 1e-13
-    extension_c3: float = 1e-9
     envelope_drift: float = 2.0
     zero_mode: float = 1e-12
 
@@ -97,12 +85,8 @@ class Tolerances:
             raise ConfigError(f"tolerance scale must be positive, got {factor!r}")
         scaled = {
             name: getattr(self, name) * factor
-            for name in (
-                "beta_residual", "beta_jump", "coeff_vs_direct", "ode_residual",
-                "interface_residual", "fuzz_residual", "energy_defect", "quadrature_cross",
-                "fft_roundtrip", "single_mode", "volevich", "lions_resub",
-                "extension_c3", "asym_dev_at_100", "asym_dev_at_1e4",
-            )
+            for name in ("fuzz_residual", "energy_defect", "quadrature_cross",
+                         "asym_dev_at_100", "asym_dev_at_1e4")
         }
         return replace(self, **scaled)
 

@@ -292,7 +292,8 @@ class ScanReport:
     worst_a: float
     n_points: int
     refine_drift: float | None = None
-    stress: tuple = field(default=())
+    # base-grid (lam, A, |det L|, ratio) arrays in grid order, the scan CSV
+    columns: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         d = {
@@ -324,22 +325,28 @@ class ScanReport:
 _CHUNK = 1 << 19
 
 
-def _scan_min(fluid: FluidParams, sector: Sector, grid: GridSpec):
-    """(omega, worst_lam, worst_a, n) over the grid, in bounded-size chunks."""
+def _det_chunks(fluid: FluidParams, sector: Sector, grid: GridSpec):
+    """(lam, A, |det L|, ratio) over the grid in grid order, in bounded-size
+    chunks; raises NonPositiveOmega at the first nonfinite ratio."""
     lam, a = grid.points(sector.epsilon)
-    n = lam.size
-    best = math.inf
-    worst_lam = complex(lam[0])
-    worst_a = float(a[0])
-    for start in range(0, n, _CHUNK):
+    for start in range(0, lam.size, _CHUNK):
         lam_c = lam[start:start + _CHUNK]
         a_c = a[start:start + _CHUNK]
-        _, ratio = det_ratios(fluid, lam_c, a_c)
+        absdet, ratio = det_ratios(fluid, lam_c, a_c)
         if not np.all(np.isfinite(ratio)):
             bad = int(np.argmin(np.isfinite(ratio)))
             raise NonPositiveOmega(
                 f"nonfinite |det L| ratio at lam={lam_c[bad]!r}, A={a_c[bad]!r}"
             )
+        yield lam_c, a_c, absdet, ratio
+
+
+def _scan_min(chunks):
+    """(omega, worst_lam, worst_a, n) over _det_chunks output."""
+    best = math.inf
+    worst_lam, worst_a, n = 0j, 0.0, 0
+    for lam_c, a_c, _, ratio in chunks:
+        n += lam_c.size
         k = int(np.argmin(ratio))
         if ratio[k] < best:
             best = float(ratio[k])
@@ -358,25 +365,28 @@ def scan_lower_bound(
 
     The infimum is empirical (grid minimum); with refine=True the grid is
     re-run at double density and the relative movement of omega is recorded
-    as refine_drift.  Raises NonPositiveOmega if the minimum is not strictly
-    positive.
+    as refine_drift.  Each grid is evaluated once: the refined one is only
+    reduced, chunk by chunk and first, so that its peak memory does not
+    overlap the base grid's per-point values, which stay on the report as
+    the scan CSV columns.  Raises NonPositiveOmega if the minimum is not
+    strictly positive.
     """
     grid = grid or GridSpec()
-    omega, worst_lam, worst_a, n = _scan_min(fluid, sector, grid)
+    omega_r = _scan_min(_det_chunks(fluid, sector, grid.refined()))[0] if refine else None
+    base = list(_det_chunks(fluid, sector, grid))
+    omega, worst_lam, worst_a, n = _scan_min(base)
     if not omega > 0.0:
         raise NonPositiveOmega(
             f"scan infimum {omega!r} at lam={worst_lam!r}, A={worst_a!r}"
         )
-    drift = None
-    if refine:
-        omega_r, _, _, _ = _scan_min(fluid, sector, grid.refined())
-        drift = abs(omega_r - omega) / omega
+    drift = None if omega_r is None else abs(omega_r - omega) / omega
     w1, w2, dev = asymptotic_report(fluid, 100.0, sector=sector, dev_tol=math.inf)
     d1, d2 = dev
     return ScanReport(
         fluid=fluid, epsilon=sector.epsilon, grid=grid, omega=omega,
         omega1=w1, omega2=w2, r1=100.0, r2=100.0, delta1=d1, delta2=d2,
         worst_lam=worst_lam, worst_a=worst_a, n_points=n, refine_drift=drift,
+        columns=tuple(np.concatenate(col) for col in zip(*base)),
     )
 
 

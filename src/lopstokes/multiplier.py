@@ -40,7 +40,6 @@ __all__ = [
     "estimate_class",
     "declared_claims",
     "certify_table",
-    "class_cutoff",
     "KAPPAS",
 ]
 
@@ -250,32 +249,7 @@ def estimate_class(
         claim = Claim(name=name, s=float(claimed[0]), mtype=int(claimed[1]),
                       fn=symbol, lam_floor=lam_floor)
 
-    run_b = _GridRun(fluid, sector, grid, claim.lam_floor, tol)
-    run_r = _GridRun(fluid, sector, grid.refined(), claim.lam_floor, tol)
-    cb, rb, db = run_b.estimates(claim)
-    cr, rr, dr = run_r.estimates(claim)
-    drift, verdict = _verdict(cb, cr, rb, rr, tol.class_drift)
-    unresolved = tuple(sorted(k for k in rb if not (rb[k] and rr[k])))
-    return MultiplierClassReport(
-        name=claim.name, s=claim.s, mtype=claim.mtype, lam_floor=claim.lam_floor,
-        constants=cb, refined_constants=cr, drift=drift,
-        discarded=db + dr, unresolved=unresolved,
-        n_base=run_b.n, n_refined=run_r.n, verdict=verdict,
-    )
-
-
-def class_cutoff(fluid: FluidParams, sector: Sector, grid=None) -> float:
-    """Magnitude cutoff above which the (lambda + K)-quotients are claimed.
-
-    The quotient symbols lose uniformity wherever |lambda + K|/(|lambda| + A)
-    dips below its formula-level constant (the interfacial dispersion curve
-    passes near the sector edge at moderate |lambda|), so the claims carry
-    the smallest scanned cutoff whose suffix infimum clears that constant.
-    Raises NoCutoffFound when no scanned cutoff does.
-    """
-    from .coefficients import find_lambda0, omega4_formula
-
-    return find_lambda0(fluid, sector, grid, floor=omega4_formula(fluid, sector))
+    return _certify([claim], fluid, sector, grid, tol)[0]
 
 
 def declared_claims(lambda0: float = 1.0) -> list[Claim]:
@@ -397,8 +371,13 @@ def certify_table(
     tol = tol or Tolerances()
     sector = sector or Sector(epsilon=math.pi / 4)
     grid = grid or ClassGridSpec()
-    claims = declared_claims(lambda0=lambda0)
+    return _certify(declared_claims(lambda0=lambda0), fluid, sector, grid, tol)
 
+
+def _certify(claims, fluid: FluidParams, sector: Sector, grid: ClassGridSpec,
+             tol: Tolerances) -> list[MultiplierClassReport]:
+    """Judge each claim on a base and a refined grid; claims with one floor
+    share the stencil evaluations of both grids."""
     groups: dict[float, list[Claim]] = {}
     for cl in claims:
         groups.setdefault(cl.lam_floor, []).append(cl)

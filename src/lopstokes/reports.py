@@ -4,7 +4,8 @@ Reports are append-only artifacts named by a content hash of the effective
 run configuration, so re-running the same study overwrites byte-identical
 files and distinct studies never collide.  Nothing here embeds timestamps,
 hostnames, or float formatting that could vary between runs; floats are
-written with repr (shortest round-trip form).
+written with repr (shortest round-trip form).  CSV writers take whole
+columns (arrays in grid order) and format each column in one pass.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import GridSpec, RunConfig, config_document
-from .lopatinski import det_ratios
-from .params import FluidParams, Sector
+from .config import RunConfig, config_document
+from .params import FluidParams
 from .transform import PhysicalField
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "write_json",
-    "scan_rows",
     "write_scan_csv",
     "write_height_csv",
     "write_class_csv",
@@ -82,54 +82,48 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def _cells(col) -> Iterable[str]:
+    """One CSV column as text: floats by repr, integers by str, strings as given."""
+    arr = np.asarray(col)
+    if arr.dtype.kind == "f":
+        return map(repr, arr.tolist())
+    if arr.dtype.kind in "iu":
+        return map(str, arr.tolist())
+    return arr.tolist()
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns under header, one formatting pass per column."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([c if isinstance(c, str) else
-                        (str(c) if isinstance(c, (int, np.integer)) else _fmt(c))
-                        for c in row])
+        w.writerows(zip(*map(_cells, columns)))
 
 
-def scan_rows(fluid: FluidParams, sector: Sector, grid: GridSpec):
-    """Per-point determinant scan rows in deterministic grid order."""
-    lam, a = grid.points(sector.epsilon)
-    absdet, ratio = det_ratios(fluid, lam, a)
-    for i in range(lam.size):
-        yield (float(lam[i].real), float(lam[i].imag), float(a[i]),
-               float(absdet[i]), float(ratio[i]))
-
-
-def write_scan_csv(path: str, rows: Iterable[Sequence[float]]) -> None:
-    _write_csv(path, ("re_lambda", "im_lambda", "A", "abs_detL", "ratio"), rows)
+def write_scan_csv(path: str, lam, a, absdet, ratio) -> None:
+    """Per-point determinant scan columns in grid order (see ScanReport.columns)."""
+    lam = np.asarray(lam, dtype=np.complex128)
+    _write_csv(path, ("re_lambda", "im_lambda", "A", "abs_detL", "ratio"),
+               (lam.real, lam.imag, a, absdet, ratio))
 
 
 def write_height_csv(path: str, mags: Sequence[float], ratios: Sequence[float]) -> None:
     """Plot-ready per-magnitude minimum of |lambda+K|/(|lambda|+A)."""
-    _write_csv(path, ("lam_mag", "min_ratio"),
-               zip((float(m) for m in mags), (float(r) for r in ratios)))
+    _write_csv(path, ("lam_mag", "min_ratio"), (mags, ratios))
 
 
 def write_class_csv(path: str, reports) -> None:
     """One row per certified derivative: the contract columns plus the
     symbol name keying them."""
-    def rows():
-        for rep in reports:
-            for kappa, ell, c, drift in rep.rows():
-                yield (rep.name, "".join(str(k) for k in kappa), str(ell),
-                       c, drift)
+    rows = [(rep.name, "".join(str(k) for k in kappa), str(ell), c, drift)
+            for rep in reports for kappa, ell, c, drift in rep.rows()]
     _write_csv(path, ("symbol", "kappa_multi_index", "ell", "constant",
-                      "refinement_drift"), rows())
+                      "refinement_drift"), tuple(zip(*rows)))
 
 
 def write_decay_csv(path: str, report) -> None:
     _write_csv(path, ("shell_radius", "sup_weighted", "n_points"),
-               ((lo, w, int(c)) for lo, w, c in report.to_rows()))
+               tuple(zip(*report.to_rows())))
 
 
 def write_field(base_path: str, field: PhysicalField, lam: complex,
@@ -145,14 +139,12 @@ def write_field(base_path: str, field: PhysicalField, lam: complex,
     csv_path = base_path + ".csv"
     json_path = base_path + ".json"
 
-    def rows():
-        for li in range(len(field.x_levels)):
-            level = field.samples[li]
-            for idx in np.ndindex(field.grid_shape):
-                v = level[idx]
-                yield (li, *[int(k) for k in idx], float(v.real), float(v.imag))
-
-    _write_csv(csv_path, ("level", *idx_names, "re", "im"), rows())
+    n_levels = len(field.x_levels)
+    level = np.repeat(np.arange(n_levels), math.prod(field.grid_shape))
+    idx = np.tile(np.indices(field.grid_shape).reshape(d, -1), n_levels)
+    values = field.samples.reshape(-1)
+    _write_csv(csv_path, ("level", *idx_names, "re", "im"),
+               (level, *idx, values.real, values.imag))
     write_json(json_path, {
         "name": name,
         "box": list(field.box_lengths),
@@ -192,12 +184,10 @@ def write_residual_csv(path: str, grid_shape: Sequence[int],
     d = len(grid_shape)
     idx_names = ("k0", "k1")[:d]
 
-    def rows():
-        for idx in sorted(mode_residuals):
-            ode, iface = mode_residuals[idx]
-            yield (*[int(k) for k in idx], float(ode), float(iface))
-
-    _write_csv(path, (*idx_names, "ode_residual", "interface_residual"), rows())
+    keys = sorted(mode_residuals)
+    idx = np.array(keys, dtype=np.int64).reshape(len(keys), d)
+    vals = np.array([mode_residuals[k] for k in keys], dtype=np.float64).reshape(len(keys), 2)
+    _write_csv(path, (*idx_names, "ode_residual", "interface_residual"), (*idx.T, *vals.T))
 
 
 def ensure_out_dir(path: str) -> str:

@@ -466,7 +466,6 @@ def assemble_profiles(
     fluid: FluidParams,
     sp: SpectralPoint,
     data: BoundaryData,
-    sector: Sector | None = None,
     tol: Tolerances | None = None,
     perturb: tuple[str, float] | None = None,
 ) -> ProfileSolution:
@@ -477,8 +476,7 @@ def assemble_profiles(
     degenerates), then the velocity problem is solved with that height.
     perturb scales one amplitude or matrix entry by (1 + rel) so the
     downstream checks can prove they detect defects.  The one-point case of
-    assemble_batch; sector is accepted for compatibility, the inversion rule
-    (Tolerances.height_inv_rel) does not depend on it.
+    assemble_batch.
     """
     top = data.d_hat if data.mode == "kinematic" else data.H_hat
     batch, roots, (lp, lm, p, dets), amps, k = _solve(
@@ -1047,15 +1045,13 @@ def mutation_probe(
     sp: SpectralPoint,
     data: BoundaryData,
     rel: float = 1e-3,
-    sector: Sector | None = None,
 ) -> dict[str, float]:
     """Worst residual triggered by perturbing each single amplitude or
     boundary-matrix entry by (1 + rel); every value must clear the
     detection floor for the suite to be falsifiable."""
     out = {}
     for target in (*amplitude_targets(sp.dim), *ENTRY_TARGETS):
-        sol = assemble_profiles(fluid, sp, data, sector=sector,
-                                perturb=(target, rel))
+        sol = assemble_profiles(fluid, sp, data, perturb=(target, rel))
         out[target] = max(ode_residual(fluid, sp, sol),
                           interface_residual(fluid, sp, sol).max())
     return out

@@ -210,7 +210,6 @@ def solve_physical(
     x_levels: Sequence[float],
     H_field: np.ndarray | None = None,
     d_field: np.ndarray | None = None,
-    sector: Sector | None = None,
     tol: Tolerances | None = None,
     residuals: bool = True,
 ) -> PhysicalSolution:

@@ -11,9 +11,28 @@ is checked separately where it can speak (values, first derivative).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import mpmath as mp
 
 FD_NODES = 9
+
+# Thresholds the tests apply to the package's results; the thresholds the
+# package applies itself live in lopstokes.config.Tolerances.
+TEST_TOL = SimpleNamespace(
+    beta_residual=1e-12,        # interface system residual of solve_betas
+    beta_jump=1e-13,            # tangential velocity jump against h
+    coeff_vs_direct=1e-11,      # symbol tables against direct solves
+    slope_dev=0.05,             # measured K/A slope against slope_limit
+    ode_residual=1e-10,
+    interface_residual=1e-11,
+    mutation_floor=1e-4,        # residual a perturbed amplitude must trigger
+    fft_roundtrip=1e-13,
+    single_mode=1e-12,          # one-mode grid solve against the profile solve
+    volevich=1e-8,
+    lions_resub=1e-13,
+    extension_c3=1e-9,          # C^3 mismatch of the Lions reflection
+)
 
 
 def one_sided_weights(k: int, sgn: int, n: int = FD_NODES) -> list:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import TEST_TOL
 from lopstokes import (
     FluidParams,
     GridSpec,
@@ -22,7 +23,6 @@ from lopstokes import (
     assemble,
     char_roots,
     coefficient_symbols,
-    find_lambda0,
     height_K,
     height_scan,
     omega3,
@@ -30,11 +30,10 @@ from lopstokes import (
     slope_limit,
     solve_betas,
 )
-from lopstokes.coefficients import SymbolKit, height_ratio, height_ratio_curve, height_rhs
+from lopstokes.coefficients import SymbolKit, height_curve, height_ratio, height_rhs
 from lopstokes.config import REFERENCE_PARAMS, STRESS_PARAM_SETS
 from lopstokes.lopatinski import det_ratios
 
-TOL = Tolerances()
 SECTOR = Sector(epsilon=math.pi / 4)
 
 REF = REFERENCE_PARAMS
@@ -109,7 +108,7 @@ class TestBetaSolve:
     )
     def test_system_residual(self, fluid, sp, h, H):
         sol = solve_at(fluid, sp, h, H)
-        assert sol.system_residual() < TOL.beta_residual
+        assert sol.system_residual() < TEST_TOL.beta_residual
 
     def test_frozen_q_and_gamma(self):
         # q_pm come from the representation tables; at this well-conditioned
@@ -134,7 +133,7 @@ class TestBetaSolve:
         # beta_+j - beta_-j = -h_j for tangential j
         sol = solve_at(fluid, sp, h, H)
         jump = sol.beta_plus[:-1] - sol.beta_minus[:-1]
-        assert np.max(np.abs(jump + h)) < TOL.beta_jump * np.max(np.abs(h))
+        assert np.max(np.abs(jump + h)) < TEST_TOL.beta_jump * np.max(np.abs(h))
 
     def test_ix_beta_plus_identity(self):
         sol = solve_at(REF, P1, H1, HH1)
@@ -197,7 +196,7 @@ class TestCoefficientTables:
         def close(a, b):
             a, b = np.atleast_1d(a), np.atleast_1d(b)
             scale = max(float(np.max(np.abs(b))), 1e-300)
-            return float(np.max(np.abs(a - b))) / scale < TOL.coeff_vs_direct
+            return float(np.max(np.abs(a - b))) / scale < TEST_TOL.coeff_vs_direct
 
         assert close(gp, sol.g_plus)
         assert close(gm, sol.g_minus)
@@ -296,7 +295,7 @@ class TestHeightSymbol:
         trace = (fluid.rho_minus * sol.beta_minus[-1]
                  - fluid.rho_plus * sol.beta_plus[-1]) / drho
         lhs = height_rhs(cs, h) - k * complex(H)
-        assert abs(lhs - trace) < TOL.coeff_vs_direct * max(abs(trace), 1.0)
+        assert abs(lhs - trace) < TEST_TOL.coeff_vs_direct * max(abs(trace), 1.0)
 
     def test_omega3_reference_value(self):
         assert omega3(REF) == pytest.approx(68.0 / 3.0, rel=1e-14)
@@ -345,30 +344,32 @@ class TestHeightSymbol:
 
 class TestHeightScan:
     def test_find_lambda0_default_floor(self):
-        assert find_lambda0(REF, SECTOR) == 0.0
+        assert height_curve(REF, SECTOR).cutoff(Tolerances().height_floor) == 0.0
 
     def test_find_lambda0_at_formula_floor(self):
-        lam0 = find_lambda0(REF, SECTOR, floor=omega4_formula(REF, SECTOR))
+        lam0 = height_curve(REF, SECTOR).cutoff(omega4_formula(REF, SECTOR))
         assert lam0 == pytest.approx(50.118723362727245, rel=1e-12)
 
     def test_find_lambda0_unattainable_floor(self):
         with pytest.raises(NoCutoffFound):
-            find_lambda0(REF, SECTOR, floor=10.0)
+            height_curve(REF, SECTOR).cutoff(10.0)
 
     def test_ratio_curve_shape(self):
         grid = GridSpec(lam_min=1e-2, lam_max=1e2, lam_per_decade=3,
                         n_angles=5, a_min=1e-2, a_max=1e2, a_per_decade=3)
-        mags, per_min = height_ratio_curve(REF, SECTOR, grid)
-        assert mags.shape == per_min.shape == (13,)
-        assert np.all(per_min > 0)
-        assert np.all(np.diff(mags) > 0)
+        curve = height_curve(REF, SECTOR, grid)
+        assert curve.mags.shape == curve.per_min.shape == (13,)
+        assert len(curve.worst) == 13
+        assert curve.n_points == 13 * 5 * 13
+        assert np.all(curve.per_min > 0)
+        assert np.all(np.diff(curve.mags) > 0)
 
     def test_scan_report(self):
-        rep = height_scan(REF, SECTOR, lambda0=0.0)
+        rep = height_scan(REF, SECTOR, height_curve(REF, SECTOR), lambda0=0.0)
         assert rep.lambda0 == 0.0
         assert rep.omega4 > 0
         assert 0.0 < rep.k_envelope < 100.0
-        assert rep.slope == pytest.approx(17.0 / 6.0, rel=TOL.slope_dev)
+        assert rep.slope == pytest.approx(17.0 / 6.0, rel=TEST_TOL.slope_dev)
         assert rep.slope_limit == pytest.approx(17.0 / 6.0, rel=1e-14)
         assert rep.omega4_formula == pytest.approx(0.1913417161825449, rel=1e-13)
         assert rep.n_points == 121 * 13 * 121
@@ -377,13 +378,24 @@ class TestHeightScan:
         assert set(d["worst_point"]) == {"re_lambda", "im_lambda", "A"}
         assert d["omega4"] == rep.omega4
 
+    def test_scan_report_above_cutoff(self):
+        # omega4 is the curve minimum over the magnitudes at or above lambda0
+        curve = height_curve(REF, SECTOR)
+        lam0 = curve.cutoff(omega4_formula(REF, SECTOR))
+        rep = height_scan(REF, SECTOR, curve, lambda0=lam0)
+        above = curve.mags >= lam0
+        assert rep.omega4 == curve.per_min[above].min()
+        assert rep.omega4 >= omega4_formula(REF, SECTOR)
+        k = int(np.flatnonzero(above)[np.argmin(curve.per_min[above])])
+        assert (rep.worst_lam, rep.worst_a) == curve.worst[k]
+
     def test_sigma_zero_has_no_positive_floor_cutoff(self):
         flat = FluidParams(1.0, 2.0, 1.0, 1.0, 1e3, 0.0)
         grid = GridSpec(lam_min=1e-3, lam_max=1e3, lam_per_decade=4,
                         n_angles=5, a_min=1e-3, a_max=1e3, a_per_decade=4)
         # K vanishes identically, so the ratio is |lam|/(|lam|+A) and the
         # default floor is first met at the grid magnitude above 1000/999
-        lam0 = find_lambda0(flat, SECTOR, grid=grid)
+        lam0 = height_curve(flat, SECTOR, grid=grid).cutoff(Tolerances().height_floor)
         assert lam0 == pytest.approx(10.0 ** 0.25, rel=1e-12)
 
 

@@ -28,25 +28,26 @@ from lopstokes.params import FluidParams
 class TestTolerances:
     def test_defaults(self):
         tol = Tolerances()
+        assert len(dataclasses.fields(tol)) == 13
         assert tol.fuzz_residual == 1e-10
-        assert tol.volevich == 1e-8
+        assert tol.volevich_quad_rel == 1e-9
         assert tol.class_drift == 2.0
-        assert tol.single_mode == 1e-12
+        assert tol.height_floor == 1e-3
         assert tol.zero_mode == 1e-12
 
     def test_scale_touches_residual_thresholds(self):
         tol = Tolerances().scale(10.0)
         assert tol.fuzz_residual == pytest.approx(1e-9)
-        assert tol.single_mode == pytest.approx(1e-11)
-        assert tol.extension_c3 == pytest.approx(1e-8)
+        assert tol.energy_defect == pytest.approx(1e-9)
+        assert tol.quadrature_cross == pytest.approx(1e-7)
         assert tol.asym_dev_at_100 == pytest.approx(0.5)
+        assert tol.asym_dev_at_1e4 == pytest.approx(0.05)
 
     def test_scale_leaves_algorithm_switches(self):
         base = Tolerances()
         tol = base.scale(100.0)
         for name in ("fd_step_rel", "noise_gate", "class_drift",
-                     "envelope_drift", "mutation_floor", "height_floor",
-                     "height_inv_rel", "slope_dev",
+                     "envelope_drift", "height_floor", "height_inv_rel",
                      "zero_mode", "volevich_quad_rel"):
             assert getattr(tol, name) == getattr(base, name), name
 

@@ -6,6 +6,7 @@ Calibration constants are hand-derivable: on the scan directions (1,0) and
 in the discarded-below-noise count, not in the constants).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,9 +19,10 @@ from lopstokes import (
     Sector,
     Tolerances,
     certify_table,
-    class_cutoff,
     declared_claims,
     estimate_class,
+    height_curve,
+    omega4_formula,
 )
 from lopstokes.multiplier import KAPPAS, Claim
 from lopstokes.config import REFERENCE_PARAMS
@@ -141,7 +143,22 @@ class TestClaimTable:
         assert (by_name["K"].s, by_name["K"].mtype) == (1, 2)
 
     def test_class_cutoff_reference(self):
-        assert class_cutoff(REF, SECTOR) == pytest.approx(LAMBDA0_REF, rel=1e-12)
+        # the quotient claims' cutoff: the height-curve cutoff at omega4_formula
+        lam0 = height_curve(REF, SECTOR).cutoff(omega4_formula(REF, SECTOR))
+        assert lam0 == pytest.approx(LAMBDA0_REF, rel=1e-12)
+
+    def test_estimate_class_matches_table(self):
+        table = {r.name: r for r in certify_table(REF, sector=SECTOR, grid=SMALL,
+                                                  lambda0=LAMBDA0_REF)}
+        claims = {c.name: c for c in declared_claims(lambda0=LAMBDA0_REF)}
+        for name in ("S+_NN", "A*S+NN/q"):
+            rep = estimate_class(claims[name], sector=SECTOR, grid=SMALL, fluid=REF)
+            want = table[name]
+            for f in dataclasses.fields(rep):
+                # repr compares the nan drift entries of unresolved indices too
+                assert repr(getattr(rep, f.name)) == repr(getattr(want, f.name)), (name, f.name)
+        assert table["A*S+NN/q"].lam_floor == LAMBDA0_REF
+        assert table["S+_NN"].lam_floor == 0.0
 
     def test_certify_table_reference(self):
         reports = certify_table(REF, sector=SECTOR, lambda0=LAMBDA0_REF)

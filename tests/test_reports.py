@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from lopstokes.config import GridSpec, RunConfig
+from lopstokes.lopatinski import scan_lower_bound
 from lopstokes.params import FluidParams, Sector
 from lopstokes.reports import (
     canonical_json,
@@ -17,7 +19,6 @@ from lopstokes.reports import (
     ensure_out_dir,
     jsonable,
     read_field,
-    scan_rows,
     write_class_csv,
     write_decay_csv,
     write_field,
@@ -96,19 +97,29 @@ class TestWriteJson:
 
 
 class TestScanRows:
-    def test_structure_and_order(self):
+    def test_structure_and_order(self, tmp_path):
         grid = GridSpec(lam_min=1.0, lam_max=10.0, lam_per_decade=1, n_angles=3,
                         a_min=1.0, a_max=10.0, a_per_decade=1)
         sector = Sector(epsilon=math.pi / 4)
-        rows = list(scan_rows(REF, sector, grid))
-        assert len(rows) == 2 * 3 * 2
+        rep = scan_lower_bound(REF, sector, grid)
+        lam, a, absdet, ratio = rep.columns
+        assert lam.shape == a.shape == absdet.shape == ratio.shape == (2 * 3 * 2,)
+        # grid order: magnitude, then angle, then A
+        want_lam, want_a = grid.points(sector.epsilon)
+        assert np.array_equal(lam, want_lam) and np.array_equal(a, want_a)
         span = math.pi - math.pi / 4
-        assert rows[0][0] == pytest.approx(math.cos(-span), rel=1e-12)
-        assert rows[0][1] == pytest.approx(math.sin(-span), rel=1e-12)
-        assert rows[0][2] == pytest.approx(1.0)
-        for row in rows:
-            assert len(row) == 5
-            assert row[3] > 0.0 and row[4] > 0.0
+        assert lam[0].real == pytest.approx(math.cos(-span), rel=1e-12)
+        assert lam[0].imag == pytest.approx(math.sin(-span), rel=1e-12)
+        assert a[0] == pytest.approx(1.0)
+        assert np.all(absdet > 0.0) and np.all(ratio > 0.0)
+        assert rep.omega == ratio.min()
+        p = tmp_path / "scan.csv"
+        write_scan_csv(str(p), *rep.columns)
+        lines = p.read_text().splitlines()
+        assert lines[0] == "re_lambda,im_lambda,A,abs_detL,ratio"
+        assert len(lines) == 1 + 12
+        assert [float(c) for c in lines[1].split(",")] == [
+            lam[0].real, lam[0].imag, a[0], absdet[0], ratio[0]]
 
 
 class _StubClassReport:
@@ -129,7 +140,7 @@ class _StubDecayReport:
 class TestCsvWriters:
     def test_scan_csv(self, tmp_path):
         p = tmp_path / "scan.csv"
-        write_scan_csv(str(p), [(1.0, -0.5, 2.0, 0.1, 1.25)])
+        write_scan_csv(str(p), [1.0 - 0.5j], [2.0], [0.1], [1.25])
         lines = p.read_text().splitlines()
         assert lines[0] == "re_lambda,im_lambda,A,abs_detL,ratio"
         assert lines[1] == "1.0,-0.5,2.0,0.1,1.25"
@@ -174,6 +185,78 @@ class TestCsvWriters:
         p = tmp_path / "res2.csv"
         write_residual_csv(str(p), (16, 16), {(0, 1): (0.0, 0.0)})
         assert p.read_text().splitlines()[0] == "k0,k1,ode_residual,interface_residual"
+
+
+class TestGoldenCsvBytes:
+    """Exact bytes of every CSV writer on awkward values (signed zero, nan,
+    infinities, the smallest subnormal, 1e16, numpy integer columns)."""
+
+    def test_scan(self, tmp_path):
+        p = tmp_path / "scan.csv"
+        write_scan_csv(str(p), np.array([complex(-0.0, math.nan), complex(0.1, -math.inf)]),
+                       np.array([math.inf, 1.0]), [5e-324, -0.0], np.array([1e16, math.nan]))
+        assert p.read_bytes() == (b"re_lambda,im_lambda,A,abs_detL,ratio\n"
+                                  b"-0.0,nan,inf,5e-324,1e+16\n"
+                                  b"0.1,-inf,1.0,-0.0,nan\n")
+
+    def test_height(self, tmp_path):
+        p = tmp_path / "height.csv"
+        write_height_csv(str(p), np.array([5e-324, 1e16, math.inf]), [-0.0, math.nan, 0.1])
+        assert p.read_bytes() == b"lam_mag,min_ratio\n5e-324,-0.0\n1e+16,nan\ninf,0.1\n"
+
+    def test_class(self, tmp_path):
+        p = tmp_path / "class.csv"
+        write_class_csv(str(p), [
+            _StubClassReport("A*R+NN/q", [("00", 0, 5e-324, math.nan),
+                                          ("11", 1, 1e16, math.inf)]),
+            _StubClassReport("K", [((1, 0), 0, -0.0, -0.0)])])
+        assert p.read_bytes() == (b"symbol,kappa_multi_index,ell,constant,refinement_drift\n"
+                                  b"A*R+NN/q,00,0,5e-324,nan\n"
+                                  b"A*R+NN/q,11,1,1e+16,inf\n"
+                                  b"K,10,0,-0.0,-0.0\n")
+
+    def test_decay(self, tmp_path):
+        class Report:
+            @staticmethod
+            def to_rows():
+                return [(-0.0, 1e16, np.int64(4)), (5e-324, math.nan, np.int64(0))]
+
+        p = tmp_path / "decay.csv"
+        write_decay_csv(str(p), Report())
+        assert p.read_bytes() == (b"shell_radius,sup_weighted,n_points\n"
+                                  b"-0.0,1e+16,4\n5e-324,nan,0\n")
+
+    def test_residual(self, tmp_path):
+        p = tmp_path / "res.csv"
+        write_residual_csv(str(p), (16, 16), {(np.int64(3), np.int64(1)): (math.nan, 5e-324),
+                                              (0, 2): (-0.0, 1e16),
+                                              (0, 10): (math.inf, 0.1)})
+        assert p.read_bytes() == (b"k0,k1,ode_residual,interface_residual\n"
+                                  b"0,2,-0.0,1e+16\n0,10,inf,0.1\n3,1,nan,5e-324\n")
+
+    def test_field_two_levels(self, tmp_path):
+        s = np.zeros((2, 16, 16), dtype=np.complex128)
+        s[0, 0, 1] = complex(-0.0, math.nan)
+        s[0, 1, 0] = complex(math.inf, -0.0)
+        s[1, 15, 0] = complex(5e-324, 1e16)
+        s[1, 0, 15] = complex(0.1, -math.inf)
+        field = PhysicalField(box_lengths=(1.0, 2.0), grid_shape=(16, 16),
+                              x_levels=(0.0, -0.5), samples=s)
+        base = str(tmp_path / "u")
+        write_field(base, field, 2.0 + 0.5j, REF, "u")
+        data = (tmp_path / "u.csv").read_bytes()
+        lines = data.split(b"\n")
+        assert len(lines) == 1 + 2 * 256 + 1 and lines[-1] == b""
+        # level, then i, then j (C order)
+        assert lines[:3] == [b"level,i,j,re,im", b"0,0,0,0.0,0.0", b"0,0,1,-0.0,nan"]
+        assert lines[16:18] == [b"0,0,15,0.0,0.0", b"0,1,0,inf,-0.0"]
+        assert lines[256:258] == [b"0,15,15,0.0,0.0", b"1,0,0,0.0,0.0"]
+        assert lines[272] == b"1,0,15,0.1,-inf"
+        assert lines[497] == b"1,15,0,5e-324,1e+16"
+        assert hashlib.sha256(data).hexdigest() == (
+            "85c80689d7d13fe47eeb13cf8bd2fa5bd894ca7d591ac486b87123fdd8dc492a")
+        assert hashlib.sha256((tmp_path / "u.json").read_bytes()).hexdigest() == (
+            "a0eafe6bd112b2af34c584676055421ff432f462f25074c6506003fdda478942")
 
 
 class TestFieldIO:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from helpers import TEST_TOL
 from lopstokes import (
     BoundaryData,
     FluidParams,
@@ -182,10 +183,10 @@ class TestAssembledSolution:
     @pytest.mark.parametrize("mode", ["explicit-H", "kinematic"])
     def test_residuals(self, name, fluid, sp, mode):
         data = data_for(sp, mode)
-        sol = assemble_profiles(fluid, sp, data, sector=SECTOR)
-        assert ode_residual(fluid, sp, sol) < TOL.ode_residual
+        sol = assemble_profiles(fluid, sp, data)
+        assert ode_residual(fluid, sp, sol) < TEST_TOL.ode_residual
         ires = interface_residual(fluid, sp, sol)
-        assert ires.max() < TOL.interface_residual
+        assert ires.max() < TEST_TOL.interface_residual
         if mode == "kinematic":
             assert ires.kinematic is not None
         else:
@@ -195,7 +196,7 @@ class TestAssembledSolution:
     def test_traces_expose_amplitudes(self):
         sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
         data = BoundaryData.explicit([0.3 - 0.2j, -0.1 + 0.5j], 0.25 + 0.6j)
-        sol = assemble_profiles(REF, sp, data, sector=SECTOR)
+        sol = assemble_profiles(REF, sp, data)
         for j in range(3):
             assert sol.u_plus[j].trace0 == sol.betas.beta_plus[j]
             assert sol.u_minus[j].trace0 == sol.betas.beta_minus[j]
@@ -206,14 +207,14 @@ class TestAssembledSolution:
     def test_velocity_jump_is_data(self):
         sp = SpectralPoint(lam=1.0 + 0.3j, xi=(0.9,))
         data = BoundaryData.explicit([1.0 + 0j], 0.0j)
-        sol = assemble_profiles(REF, sp, data, sector=SECTOR)
+        sol = assemble_profiles(REF, sp, data)
         jump = sol.u_minus[0].trace0 - sol.u_plus[0].trace0
         assert abs(jump - 1.0) < 1e-12
 
     def test_kinematic_height_relation(self):
         sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
         data = BoundaryData.kinematic([0.3 - 0.2j, -0.1 + 0.5j], 0.45 - 0.2j)
-        sol = assemble_profiles(REF, sp, data, sector=SECTOR)
+        sol = assemble_profiles(REF, sp, data)
         drho = REF.rho_minus - REF.rho_plus
         trace = (REF.rho_minus * sol.u_minus[-1].trace0
                  - REF.rho_plus * sol.u_plus[-1].trace0) / drho
@@ -225,21 +226,20 @@ class TestAssembledSolution:
         # kinematic residual to round-off
         sp = SpectralPoint(lam=0.8 - 0.5j, xi=(1.3,))
         base = BoundaryData.explicit([0.2 + 0.4j], -0.6 + 0.1j)
-        sol = assemble_profiles(REF, sp, base, sector=SECTOR)
+        sol = assemble_profiles(REF, sp, base)
         drho = REF.rho_minus - REF.rho_plus
         trace = (REF.rho_minus * sol.u_minus[-1].trace0
                  - REF.rho_plus * sol.u_plus[-1].trace0) / drho
         d = sp.lam * sol.H_hat_effective - trace
         again = BoundaryData.explicit([0.2 + 0.4j], -0.6 + 0.1j, d_hat=d)
-        ires = interface_residual(REF, sp, assemble_profiles(REF, sp, again,
-                                                             sector=SECTOR))
+        ires = interface_residual(REF, sp, assemble_profiles(REF, sp, again))
         assert ires.kinematic is not None
-        assert ires.kinematic < TOL.interface_residual
+        assert ires.kinematic < TEST_TOL.interface_residual
 
     def test_zero_data(self):
         sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
         data = BoundaryData.explicit([0.0j, 0.0j], 0.0j)
-        sol = assemble_profiles(REF, sp, data, sector=SECTOR)
+        sol = assemble_profiles(REF, sp, data)
         for u in (*sol.u_plus, *sol.u_minus, sol.pressure):
             assert u.c_m == 0 and u.c_b == 0 and u.c_a == 0
         assert ode_residual(REF, sp, sol) == 0.0
@@ -252,9 +252,9 @@ class TestAssembledSolution:
         d2 = BoundaryData.explicit([-0.4 + 0.1j, 0.2 - 0.3j], -0.5 + 0.15j)
         d12 = BoundaryData.explicit(
             [a + b for a, b in zip(d1.h_hat, d2.h_hat)], d1.H_hat + d2.H_hat)
-        s1 = assemble_profiles(REF, sp, d1, sector=SECTOR)
-        s2 = assemble_profiles(REF, sp, d2, sector=SECTOR)
-        s12 = assemble_profiles(REF, sp, d12, sector=SECTOR)
+        s1 = assemble_profiles(REF, sp, d1)
+        s2 = assemble_profiles(REF, sp, d2)
+        s12 = assemble_profiles(REF, sp, d12)
         x = np.array([0.1, 0.7, 2.0])
         for j in range(3):
             want = s12.u_plus[j](x)
@@ -265,7 +265,7 @@ class TestAssembledSolution:
     def test_minus_divergence_cancels(self):
         sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
         data = BoundaryData.explicit([0.3 - 0.2j, -0.1 + 0.5j], 0.25 + 0.6j)
-        sol = assemble_profiles(REF, sp, data, sector=SECTOR)
+        sol = assemble_profiles(REF, sp, data)
         div = sol.divergence(-1)
         scale = max(np.max(np.abs(sol.betas.beta_minus)),
                     np.max(np.abs(sol.betas.g_minus)))
@@ -286,7 +286,7 @@ class TestEnergy:
                              ids=[r[0] for r in REGIMES[:4]])
     def test_balance_defect(self, name, fluid, sp):
         data = data_for(sp, "explicit-H")
-        sol = assemble_profiles(fluid, sp, data, sector=SECTOR)
+        sol = assemble_profiles(fluid, sp, data)
         rep = energy_balance(fluid, sp, sol)
         assert rep.max() < TOL.energy_defect
         assert rep.plus_defect >= 0 and rep.minus_defect >= 0
@@ -298,13 +298,13 @@ class TestEnergy:
     def test_quadrature_cross_check(self):
         sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
         data = BoundaryData.explicit([0.3 - 0.2j, -0.1 + 0.5j], 0.25 + 0.6j)
-        sol = assemble_profiles(REF, sp, data, sector=SECTOR)
+        sol = assemble_profiles(REF, sp, data)
         assert energy_quadrature_check(REF, sp, sol) < TOL.quadrature_cross
 
     def test_quadrature_cross_check_2d(self):
         sp = SpectralPoint(lam=0.8 - 0.5j, xi=(1.3,))
         data = BoundaryData.explicit([0.2 + 0.4j], -0.6 + 0.1j)
-        sol = assemble_profiles(REF, sp, data, sector=SECTOR)
+        sol = assemble_profiles(REF, sp, data)
         assert energy_quadrature_check(REF, sp, sol) < TOL.quadrature_cross
 
 
@@ -322,9 +322,9 @@ class TestMutationAndFuzz:
         lam = complex(math.cos(2.0), math.sin(2.0))
         sp = SpectralPoint(lam=lam, xi=(0.7, -0.4))
         data = BoundaryData.explicit([0.7 - 0.3j, 0.7 - 0.3j], 0.5 + 0.2j)
-        out = mutation_probe(REF, sp, data, rel=1e-3, sector=SECTOR)
+        out = mutation_probe(REF, sp, data, rel=1e-3)
         assert set(out) == set(amplitude_targets(3)) | set(ENTRY_TARGETS)
-        floor = TOL.mutation_floor
+        floor = TEST_TOL.mutation_floor
         bad = {k: v for k, v in out.items() if v <= floor}
         assert bad == {}
 
@@ -333,9 +333,9 @@ class TestMutationAndFuzz:
         # setting must not alter a production solve
         sp = SpectralPoint(lam=1.0 + 0.6j, xi=(0.9,))
         data = BoundaryData.explicit([0.7 - 0.3j], 0.5 + 0.2j)
-        clean = assemble_profiles(REF, sp, data, sector=SECTOR)
+        clean = assemble_profiles(REF, sp, data)
         monkeypatch.setenv("LOPSTOKES_MUTATE", "l12m")
-        env = assemble_profiles(REF, sp, data, sector=SECTOR)
+        env = assemble_profiles(REF, sp, data)
         assert env.betas.matrix == clean.betas.matrix
         for got, want in zip((*env.u_plus, *env.u_minus, env.pressure),
                              (*clean.u_plus, *clean.u_minus, clean.pressure)):
@@ -345,8 +345,7 @@ class TestMutationAndFuzz:
         sp = SpectralPoint(lam=1.0 + 0.6j, xi=(0.9,))
         data = BoundaryData.explicit([0.7 - 0.3j], 0.5 + 0.2j)
         with pytest.raises(ValueError):
-            assemble_profiles(REF, sp, data, sector=SECTOR,
-                              perturb=("bogus", 1e-3))
+            assemble_profiles(REF, sp, data, perturb=("bogus", 1e-3))
 
     def test_fuzz_small_corpus(self):
         rep = fuzz_residuals(REF, SECTOR, n_samples=500, seed=20260817)
@@ -484,7 +483,7 @@ class TestCorpusAndBatch:
             rel[4] = 1e-3
             hit = assemble_batch(REF, *cols[2:6], "explicit-H",
                                  perturb=(target, rel)).residuals(energy=True)
-            assert max(hit["ode"][4], hit["interface"][4]) > TOL.mutation_floor, target
+            assert max(hit["ode"][4], hit["interface"][4]) > TEST_TOL.mutation_floor, target
             for cat in clean:
                 others = np.arange(len(pts)) != 4
                 assert np.array_equal(hit[cat][others], clean[cat][others]), (target, cat)

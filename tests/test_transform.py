@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
-from helpers import lions_c3_mismatch, profile_reference
+from helpers import TEST_TOL, lions_c3_mismatch, profile_reference
 from lopstokes.config import Tolerances
 from lopstokes.errors import (
     EnvelopeUnbounded,
@@ -110,7 +110,7 @@ class TestGrids:
         for shape in [(16,), (16, 16)]:
             x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             back = _tophys(_tospec(x))
-            assert rel_err(back, x) < TOL.fft_roundtrip
+            assert rel_err(back, x) < TEST_TOL.fft_roundtrip
 
 
 class TestPhysicalField:
@@ -166,13 +166,13 @@ class TestSolvePhysical:
                                        ref.pressure(-x) * pw))
         worst = max(worst, rel_err(sol.height.level(0),
                                    ref.H_hat_effective * pw))
-        assert worst < TOL.single_mode
+        assert worst < TEST_TOL.single_mode
         assert sol.mode == "explicit-H"
         assert sol.dim == 2
         assert (3,) in sol.mode_residuals
         ode_worst, iface_worst = sol.worst_residuals()
-        assert ode_worst < TOL.ode_residual
-        assert iface_worst < TOL.interface_residual
+        assert ode_worst < TEST_TOL.ode_residual
+        assert iface_worst < TEST_TOL.interface_residual
 
     def test_single_mode_3d_kinematic(self):
         box = (2.0 * math.pi, 4.0 * math.pi)
@@ -186,14 +186,14 @@ class TestSolvePhysical:
         ref = assemble_profiles(REF, sp, BoundaryData.kinematic(h, d_hat=d))
         assert sol.mode == "kinematic"
         assert sol.dim == 3
-        assert rel_err(sol.height.level(0), ref.H_hat_effective * pw) < TOL.single_mode
+        assert rel_err(sol.height.level(0), ref.H_hat_effective * pw) < TEST_TOL.single_mode
         for j in range(3):
-            assert rel_err(sol.u_plus[j].level(0), ref.u_plus[j](0.5) * pw) < TOL.single_mode
-            assert rel_err(sol.u_minus[j].level(0), ref.u_minus[j](-0.5) * pw) < TOL.single_mode
-        assert rel_err(sol.pressure.level(0), ref.pressure(-0.5) * pw) < TOL.single_mode
+            assert rel_err(sol.u_plus[j].level(0), ref.u_plus[j](0.5) * pw) < TEST_TOL.single_mode
+            assert rel_err(sol.u_minus[j].level(0), ref.u_minus[j](-0.5) * pw) < TEST_TOL.single_mode
+        assert rel_err(sol.pressure.level(0), ref.pressure(-0.5) * pw) < TEST_TOL.single_mode
         ode_worst, iface_worst = sol.worst_residuals()
-        assert ode_worst < TOL.ode_residual
-        assert iface_worst < TOL.interface_residual
+        assert ode_worst < TEST_TOL.ode_residual
+        assert iface_worst < TEST_TOL.interface_residual
 
     def test_two_mode_superposition(self):
         amps = (0.9 - 0.2j, -0.3 + 0.5j)
@@ -210,8 +210,8 @@ class TestSolvePhysical:
                                     BoundaryData.explicit((amp,), H_hat=ctop))
             want_h += ref.H_hat_effective * pw
             want_u += ref.u_plus[1](0.2) * pw
-        assert rel_err(sol.height.level(0), want_h) < TOL.single_mode
-        assert rel_err(sol.u_plus[1].level(0), want_u) < TOL.single_mode
+        assert rel_err(sol.height.level(0), want_h) < TEST_TOL.single_mode
+        assert rel_err(sol.u_plus[1].level(0), want_u) < TEST_TOL.single_mode
 
     def test_zero_data(self):
         z = np.zeros(SHAPE, dtype=complex)
@@ -268,7 +268,7 @@ class TestVolevich:
         parts = t_trace_symbol(REF, phase)(sp)
         v, d = volevich_mode(REF, sp, phase, parts, 0.6 + 0.1j, prof, x=x)
         assert d != 0.0
-        assert abs(v - d) / abs(d) < TOL.volevich
+        assert abs(v - d) / abs(d) < TEST_TOL.volevich
 
     def test_zero_trace(self):
         sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
@@ -279,14 +279,14 @@ class TestVolevich:
             warnings.simplefilter("ignore", IntegrationWarning)
             v, d = volevich_mode(REF, sp, "+", parts, 1.0, prof)
         assert d == 0.0
-        assert abs(v) < TOL.volevich
+        assert abs(v) < TEST_TOL.volevich
 
     def test_apply_on_grid(self):
         grid = (0.9 * plane_wave(BOX, SHAPE, (1,))
                 - (0.3 + 0.4j) * plane_wave(BOX, SHAPE, (-2,)))
         data = ExpData(grid=grid, profile=((1.0, 1.2),))
         fv, fd = volevich_apply(REF, LAM, "+", t_trace_symbol(REF, "+"), data, BOX)
-        assert rel_err(fv, fd) < TOL.volevich
+        assert rel_err(fv, fd) < TEST_TOL.volevich
         want = np.zeros(SHAPE, dtype=complex)
         for amp, k in ((0.9, 1.0), (-(0.3 + 0.4j), -2.0)):
             sp = SpectralPoint(lam=LAM, xi=(k,))
@@ -345,7 +345,7 @@ class TestHeightExtension:
         assert aj == pytest.approx([10.0, -20.0, 15.0, -4.0], rel=1e-12)
         for k in range(4):
             resub = sum(aj[j - 1] * (-j) ** k for j in range(1, 5))
-            assert abs(resub - 1.0) < TOL.lions_resub
+            assert abs(resub - 1.0) < TEST_TOL.lions_resub
 
     def test_profile_trace_is_one(self):
         sp = SpectralPoint(lam=LAM, xi=(1.5,))
@@ -374,7 +374,7 @@ class TestHeightExtension:
         mism = lions_c3_mismatch(lions_coefficients(), a)
         assert len(mism) == 4
         for k, m in enumerate(mism):
-            assert m < TOL.extension_c3, f"order {k}: {m}"
+            assert m < TEST_TOL.extension_c3, f"order {k}: {m}"
 
     @pytest.mark.parametrize("a", [0.5, 40.0])
     def test_first_derivative_float64(self, a):
@@ -389,7 +389,7 @@ class TestHeightExtension:
         nodes = np.arange(9) * h
         dp = np.dot(wp, height_profile_mode(sp, nodes)) / h
         dm = np.dot(wm, height_profile_mode(sp, -nodes)) / h
-        assert abs(dp - dm) / ell < TOL.extension_c3
+        assert abs(dp - dm) / ell < TEST_TOL.extension_c3
 
     def test_extension_field_follows_profile(self):
         d = (0.5 - 0.3j) * plane_wave(BOX, SHAPE, (2,))
