@@ -20,6 +20,7 @@ once, into a HeightCurve; every cutoff and the scanned omega4 are read off it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,12 +63,29 @@ __all__ = [
 ]
 
 
+def _memoised(method):
+    """Evaluate a no-argument SymbolKit symbol once per kit (the fields it
+    reads are never reassigned)."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        memo = self._memo
+        if name not in memo:
+            memo[name] = method(self)
+        return memo[name]
+
+    return cached
+
+
 class SymbolKit:
     """Entry/cofactor bundle with every coefficient symbol as a method.
 
     Fields are either python complex scalars or equal-shape numpy arrays;
     the formulas only use field arithmetic, so both work.  Indices are
-    supplied as the value i*xi_m of the chosen frequency component.
+    supplied as the value i*xi_m of the chosen frequency component.  The
+    symbols without an index argument are memoised on the kit; callers must
+    not modify a returned array in place.
     """
 
     __slots__ = (
@@ -75,9 +93,11 @@ class SymbolKit:
         "l11p", "l12p", "l21p", "l22p", "l11m", "l12m", "l21m", "l22m",
         "det", "p_stab",
         "c11", "c12", "c13", "c21", "c22", "c23", "c31", "c32", "c33",
+        "_memo",
     )
 
     def __init__(self, fluid, lam, a, roots, l_plus, l_minus, det, p_stab):
+        self._memo = {}
         self.fluid = fluid
         self.lam = lam
         self.a = a
@@ -110,9 +130,11 @@ class SymbolKit:
     # lambda-dominated regime, so the P entries are built from regrouped
     # forms in which every minus-entry difference is resolved analytically.
 
+    @_memoised
     def _det_block_plus(self):
         return self.l11p * self.l22p - self.l12p * self.l21p
 
+    @_memoised
     def _w_plus(self):
         """L22+ + B+ L21+ with the parameter-level cancellation removed."""
         f = self.fluid
@@ -146,6 +168,7 @@ class SymbolKit:
         num = self._row_plus(0) * self.l11p - self._row_plus(2) * self.l21p
         return num / self.det * w - w
 
+    @_memoised
     def p_plus_N(self):
         f = self.fluid
         return -(self._row_plus(1) * f.sigma_minus * self.a
@@ -156,6 +179,7 @@ class SymbolKit:
         num = self._row_minus(0) * self.l11p - self._row_minus(2) * self.l21p
         return num / self.det * w
 
+    @_memoised
     def p_minus_N(self):
         f = self.fluid
         return -(self._row_minus(1) * f.sigma_minus * self.a
@@ -168,6 +192,7 @@ class SymbolKit:
         return -f.nu_plus * ixi_j * self.p_stab / (
             (2.0 * f.mu_plus + f.nu_plus) * (self.ap + self.bp))
 
+    @_memoised
     def _r_plus_factor_N(self):
         f = self.fluid
         return f.nu_plus * self.ap * self.p_stab / (
@@ -188,6 +213,7 @@ class SymbolKit:
     def s_plus_Nm(self, ixi_m):
         return (self.c21 * self.l11p - self.c23 * self.l21p) / self.det * (ixi_m / self.a)
 
+    @_memoised
     def s_plus_NN(self):
         f = self.fluid
         return -(self.c22 * f.sigma_minus * self.a + self.c23 * f.sigma_plus) / self.det
@@ -195,10 +221,12 @@ class SymbolKit:
     def s_minus_Nm(self, ixi_m):
         return (self.c31 * self.l11p - self.c33 * self.l21p) / self.det * (ixi_m / self.a)
 
+    @_memoised
     def s_minus_NN(self):
         f = self.fluid
         return -(self.c32 * f.sigma_minus * self.a + self.c33 * f.sigma_plus) / self.det
 
+    @_memoised
     def _bsum(self):
         f = self.fluid
         return f.mu_plus * self.bp + f.mu_minus * self.bm
@@ -221,9 +249,11 @@ class SymbolKit:
             + f.mu_minus * ixi_j * self.s_minus_NN()
         ) / self._bsum()
 
+    @_memoised
     def t_plus(self):
         return -self.fluid.mu_minus * self.bm / self._bsum()
 
+    @_memoised
     def t_minus(self):
         return self.fluid.mu_plus * self.bp / self._bsum()
 
@@ -232,11 +262,13 @@ class SymbolKit:
     def p_press_m(self, ixi_m):
         return -self.fluid.mu_minus * (self.a + self.bm) * self.p_minus_m(ixi_m)
 
+    @_memoised
     def p_press_N(self):
         return -self.fluid.mu_minus * (self.a + self.bm) * self.p_minus_N()
 
     # -- height symbol
 
+    @_memoised
     def k_height(self):
         f = self.fluid
         drho = f.rho_minus - f.rho_plus
@@ -324,10 +356,9 @@ def amplitudes(kit: SymbolKit, ixi, h, H) -> dict:
     g_minus = [-(x / a) * q_minus for x in ixi]
     g_minus.append(-q_minus)
 
-    bsum = f.mu_plus * kit.bp + f.mu_minus * kit.bm
     beta_minus = [
         (f.mu_plus * kit.bp * hj - f.mu_plus * gp - f.mu_minus * gm
-         + x * (f.mu_plus * beta_p_N - f.mu_minus * beta_m_N)) / bsum
+         + x * (f.mu_plus * beta_p_N - f.mu_minus * beta_m_N)) / kit._bsum()
         for x, hj, gp, gm in zip(ixi, h, g_plus, g_minus)
     ]
     beta_plus = [bm - hj for bm, hj in zip(beta_minus, h)]
@@ -485,13 +516,10 @@ def coefficient_symbols(
 
 @dataclass(frozen=True)
 class HeightSymbol:
-    """K at one point plus the formula-level constants of its lower bound."""
+    """K and (lambda + K)^{-1} at one point."""
 
     K: complex
     inv: complex
-    omega3: float
-    omega4: float
-    lambda0: float
 
     @property
     def lam_plus_K_abs(self) -> float:
@@ -529,22 +557,14 @@ def height_K(
     fluid: FluidParams,
     sp: SpectralPoint,
     L: LopatinskiMatrix,
-    sector: Sector | None = None,
     tol: Tolerances | None = None,
 ) -> HeightSymbol:
-    """Evaluate K and (lambda + K)^{-1} at one spectral point.
-
-    The omega4/lambda0 fields carry the formula-level reference values; the
-    certified (scanned) versions come from height_scan / HeightCurve.cutoff.
-    """
-    sector = sector or Sector(epsilon=math.pi / 4)
+    """Evaluate K and (lambda + K)^{-1} at one spectral point; raises
+    HeightNotInvertible where the inverse is refused (see refused_heights)."""
     k = complex(SymbolKit.from_matrix(L).k_height())
     denom = sp.lam + k
     refused_heights(sp.lam, sp.a, denom, tol or Tolerances(), strict=True)
-    return HeightSymbol(
-        K=k, inv=1.0 / denom, omega3=omega3(fluid),
-        omega4=omega4_formula(fluid, sector), lambda0=sector.lambda_floor,
-    )
+    return HeightSymbol(K=k, inv=1.0 / denom)
 
 
 def refused_heights(lam, a, denom, tol: Tolerances, strict: bool = False):

@@ -19,12 +19,20 @@ constants then come from the resolvable region, and the pass criterion is
 stability (< 2x drift) under a refinement that doubles grid density and
 widens both ranges by a decade, which is what exposes wrong-degree claims
 as boundary blow-up.
+
+Claims sharing a sector floor share one stencil pass per grid.  The pass
+walks the grid in fixed chunks of _CHUNK points: one SymbolKit is built over
+the chunk's 27-point stencils (lam, lam +- i h_tau by nine xi offsets),
+every claim of the group is judged on it, and it is dropped before the next
+chunk.  Every reported number is a reduction over points (a maximum, an
+any, a count), so the chunked result equals the whole-grid one and peak
+memory does not grow with the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,6 +59,16 @@ _OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), 
 _OID = {off: i for i, off in enumerate(_OFFSETS)}
 
 _DIRECTIONS = ((1.0, 0.0), (0.6, 0.8))
+
+_ORDERS = tuple(int(k[0]) + int(k[1]) for k in KAPPAS)
+_KEYS = tuple((kappa, ell) for ell in (0, 1) for kappa in KAPPAS)
+
+# Grid points per stencil chunk; one kit holds 27 stencil points per grid
+# point.  27 * _CHUNK must stay below 16,384: from 256 KiB of complex128 on,
+# numpy evaluates x * <temporary> as the in-place temporary *= x, complex
+# multiply is not bitwise commutative, and the estimates would then depend
+# on the chunk size.
+_CHUNK = 600
 
 
 @dataclass(frozen=True)
@@ -89,8 +107,51 @@ class MultiplierClassReport:
             yield kappa, ell, c, self.drift.get((kappa, ell), math.nan)
 
 
+class _Stencil:
+    """The 27-point stencil of one chunk of grid points, shared by the claims.
+
+    One kit holds the stencil points in (lam row, xi offset, point) order:
+    lam, lam + i h_tau, lam - i h_tau by the nine xi offsets; args holds
+    (kit, i xi_1, i xi_2) in that order, the arguments of every Claim.fn.
+    Alongside: the chunk's columns, the noise weight sum/h^{|kappa|} of
+    every kappa, and the class bounds, computed once per (s, type).
+    """
+
+    def __init__(self, run: "_GridRun", sl: slice):
+        lam, h = run.lam[sl], run.h[sl]
+        self.tau, self.htau, self.h, self.h2 = run.tau[sl], run.htau[sl], h, h * h
+        self.scale, self.a = run.scale[sl], run.a[sl]
+        x1 = np.concatenate([run.xi1[sl] + dx * h for dx, _ in _OFFSETS])
+        x2 = np.concatenate([run.xi2[sl] + dy * h for _, dy in _OFFSETS])
+        rows = (lam, lam + 1j * self.htau, lam - 1j * self.htau)
+        kit = SymbolKit.batch(run.fluid,
+                              np.concatenate([np.tile(r, len(_OFFSETS)) for r in rows]),
+                              np.tile(np.hypot(x1, x2), len(rows)))
+        self.args = (kit, np.tile(1j * x1, len(rows)), np.tile(1j * x2, len(rows)))
+        self.wsum = np.stack([np.ones_like(h), 1.0 / h, 1.0 / h,
+                              4.0 / self.h2, 4.0 / self.h2, 1.0 / self.h2])
+        self.gfac = np.abs(self.tau) / self.htau
+        self._bounds = {}
+
+    def bound(self, s: float, mtype: int) -> np.ndarray:
+        """The class bound of every kappa: (sqrt|lam| + A)^{s-|kappa|} for
+        type 1, (sqrt|lam| + A)^s A^{-|kappa|} for type 2."""
+        if (s, mtype) not in self._bounds:
+            by_order = [self.scale ** (s - order) if mtype == 1
+                        else self.scale ** s * self.a ** (-float(order))
+                        for order in range(3)]
+            self._bounds[s, mtype] = np.stack([by_order[o] for o in _ORDERS])
+        return self._bounds[s, mtype]
+
+
 class _GridRun:
-    """Cached 27-point stencil evaluations over one flattened grid."""
+    """The point columns of one flattened class grid.
+
+    Holds lam, A, xi_1, xi_2, tau, the bound scale and the two steps per
+    point, nothing per stencil point: estimates() builds the stencil of one
+    _CHUNK of points at a time and judges every claim on it before the
+    next, so memory is set by the chunk, not the grid.
+    """
 
     def __init__(self, fluid: FluidParams, sector: Sector, grid: ClassGridSpec,
                  lam_floor: float, tol: Tolerances):
@@ -113,6 +174,7 @@ class _GridRun:
         lam = np.repeat(lam, avals.size * dirs.shape[0])
         a = np.tile(np.repeat(avals, dirs.shape[0]), mags.size * angs.size)
         d = np.tile(dirs, (mags.size * angs.size * avals.size, 1))
+        self.fluid = fluid
         self.xi1 = a * d[:, 0]
         self.xi2 = a * d[:, 1]
         self.lam = lam
@@ -124,75 +186,65 @@ class _GridRun:
         self.htau = tol.fd_step_rel * np.maximum(np.abs(self.tau), np.abs(lam))
         self.gate = tol.noise_gate
 
-        self._ctx = []
-        for lv in (lam, lam + 1j * self.htau, lam - 1j * self.htau):
-            row = []
-            for dx, dy in _OFFSETS:
-                x1 = self.xi1 + dx * self.h
-                x2 = self.xi2 + dy * self.h
-                row.append((SymbolKit.batch(fluid, lv, np.hypot(x1, x2)), 1j * x1, 1j * x2))
-            self._ctx.append(row)
+    def estimates(self, claims):
+        """(constants, resolved, n_discarded) per claim on this grid.
 
-    def estimates(self, claim: Claim):
-        """(constants, resolved, n_discarded) for one claim on this grid."""
-        evals = [
-            [np.asarray(claim.fn(kit, ix1, ix2), dtype=np.complex128)
-             for (kit, ix1, ix2) in row]
-            for row in self._ctx
-        ]
-        m_max = np.zeros(self.n)
-        for row in evals:
-            for e in row:
-                m_max = np.maximum(m_max, np.abs(e))
+        Each is a reduction over points, accumulated across chunks: the
+        maximum of |est|/bound over the kept points, whether any point was
+        kept, and the count of discarded ones.
+        """
+        maxima = [{key: [] for key in _KEYS} for _ in claims]
+        discarded = [0] * len(claims)
+        for start in range(0, self.n, _CHUNK):
+            stencil = _Stencil(self, slice(start, start + _CHUNK))
+            for i, claim in enumerate(claims):
+                discarded[i] += self._judge(claim, stencil, maxima[i])
+            del stencil  # free this chunk's kit before the next one is built
 
-        g_l0 = evals[0]
-        g_l1 = [
-            self.tau * (ep - em) / (2.0 * self.htau)
-            for ep, em in zip(evals[1], evals[2])
-        ]
+        constants, resolved = [], []
+        for found in maxima:
+            # a key no point resolved carries the constant 0.0
+            constants.append({key: float(np.max(m)) if m else 0.0
+                              for key, m in found.items()})
+            resolved.append({key: bool(m) for key, m in found.items()})
+        return list(zip(constants, resolved, discarded))
 
-        h = self.h
-        h2 = h * h
-        constants = {}
-        resolved = {}
-        discarded = 0
-        for ell, g in ((0, g_l0), (1, g_l1)):
-            gfac = 1.0 if ell == 0 else np.abs(self.tau) / self.htau
-            for kappa in KAPPAS:
-                est, wsum = _difference(g, kappa, h, h2)
-                order = int(kappa[0]) + int(kappa[1])
-                if claim.mtype == 1:
-                    bound = self.scale ** (claim.s - order)
-                else:
-                    bound = self.scale ** claim.s * self.a ** (-float(order))
-                floor = NOISE_EPS * m_max * gfac * wsum
-                keep = np.abs(est) >= self.gate * floor
-                discarded += int(np.count_nonzero(~keep))
-                resolved[(kappa, ell)] = bool(keep.any())
-                if keep.any():
-                    constants[(kappa, ell)] = float(np.max(np.abs(est[keep]) / bound[keep]))
-                else:
-                    constants[(kappa, ell)] = 0.0
-        return constants, resolved, discarded
+    def _judge(self, claim: Claim, st: _Stencil, found: dict) -> int:
+        """Append the chunk's max |est|/bound over its kept points to
+        found[key] for each key with a kept point; returns the discarded count.
+
+        Arrays run over (ell, kappa, point) in _KEYS order.
+        """
+        ev = np.asarray(claim.fn(*st.args), dtype=np.complex128)
+        ev = ev.reshape(3, len(_OFFSETS), st.tau.size)
+        m_max = np.abs(ev).max(axis=(0, 1))
+        g_l1 = st.tau * (ev[1] - ev[2]) / (2.0 * st.htau)
+        est = _differences(np.stack((ev[0], g_l1), axis=1), st.h, st.h2)
+
+        noise = NOISE_EPS * m_max
+        floor = np.stack([noise, noise * st.gfac])[:, None, :] * st.wsum
+        mag = np.abs(est)
+        keep = mag >= self.gate * floor
+        ratio = np.where(keep, mag / st.bound(claim.s, claim.mtype), -np.inf)
+        top = ratio.max(axis=-1).reshape(-1)
+        for key, hit, value in zip(_KEYS, keep.any(axis=-1).reshape(-1), top):
+            if hit:
+                found[key].append(value)
+        return keep.size - int(np.count_nonzero(keep))
 
 
-def _difference(g, kappa: str, h, h2):
-    """Central-difference estimate and the noise weight sum/h^{|kappa|}."""
+def _differences(g, h, h2):
+    """Central-difference estimates over (ell, kappa, point), kappa in KAPPAS
+    order, from g over (xi offset, ell, point)."""
     o = _OID
-    if kappa == "00":
-        return g[o[(0, 0)]], 1.0
-    if kappa == "10":
-        return (g[o[(1, 0)]] - g[o[(-1, 0)]]) / (2.0 * h), 1.0 / h
-    if kappa == "01":
-        return (g[o[(0, 1)]] - g[o[(0, -1)]]) / (2.0 * h), 1.0 / h
-    if kappa == "20":
-        return (g[o[(1, 0)]] - 2.0 * g[o[(0, 0)]] + g[o[(-1, 0)]]) / h2, 4.0 / h2
-    if kappa == "02":
-        return (g[o[(0, 1)]] - 2.0 * g[o[(0, 0)]] + g[o[(0, -1)]]) / h2, 4.0 / h2
-    if kappa == "11":
-        est = (g[o[(1, 1)]] - g[o[(1, -1)]] - g[o[(-1, 1)]] + g[o[(-1, -1)]]) / (4.0 * h2)
-        return est, 1.0 / h2
-    raise ValueError(f"unknown multi-index {kappa!r}")
+    return np.stack([
+        g[o[(0, 0)]],
+        (g[o[(1, 0)]] - g[o[(-1, 0)]]) / (2.0 * h),
+        (g[o[(0, 1)]] - g[o[(0, -1)]]) / (2.0 * h),
+        (g[o[(1, 0)]] - 2.0 * g[o[(0, 0)]] + g[o[(-1, 0)]]) / h2,
+        (g[o[(0, 1)]] - 2.0 * g[o[(0, 0)]] + g[o[(0, -1)]]) / h2,
+        (g[o[(1, 1)]] - g[o[(1, -1)]] - g[o[(-1, 1)]] + g[o[(-1, -1)]]) / (4.0 * h2),
+    ], axis=1)
 
 
 def _verdict(base, refined, res_b, res_r, drift_tol):
@@ -386,9 +438,8 @@ def _certify(claims, fluid: FluidParams, sector: Sector, grid: ClassGridSpec,
     for floor, members in sorted(groups.items()):
         run_b = _GridRun(fluid, sector, grid, floor, tol)
         run_r = _GridRun(fluid, sector, grid.refined(), floor, tol)
-        for cl in members:
-            cb, rb, db = run_b.estimates(cl)
-            cr, rr, dr = run_r.estimates(cl)
+        base, refined = run_b.estimates(members), run_r.estimates(members)
+        for cl, (cb, rb, db), (cr, rr, dr) in zip(members, base, refined):
             drift, verdict = _verdict(cb, cr, rb, rr, tol.class_drift)
             unresolved = tuple(sorted(k for k in rb if not (rb[k] and rr[k])))
             reports.append(MultiplierClassReport(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import RunConfig, config_document
+from .errors import ConfigError
 from .params import FluidParams
 from .transform import PhysicalField
 
@@ -157,25 +159,70 @@ def write_field(base_path: str, field: PhysicalField, lam: complex,
 
 
 def read_field(base_path: str) -> tuple[dict, PhysicalField]:
-    """Read back a field written by write_field (also the solve input format)."""
-    with open(base_path + ".json", "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    shape = tuple(int(n) for n in header["shape"])
-    levels = tuple(float(x) for x in header["x_levels"])
-    samples = np.zeros((len(levels),) + shape, dtype=np.complex128)
-    with open(base_path + ".csv", "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader)
-        d = len(shape)
-        if len(head) != d + 3:
-            raise ValueError(f"{base_path}.csv: expected {d + 3} columns, got {len(head)}")
-        for row in reader:
-            li = int(row[0])
-            idx = tuple(int(c) for c in row[1:1 + d])
-            samples[(li,) + idx] = float(row[1 + d]) + 1j * float(row[2 + d])
-    field = PhysicalField(box_lengths=tuple(float(b) for b in header["box"]),
-                          grid_shape=shape, x_levels=levels, samples=samples)
+    """Read back a field written by write_field (also the solve input format).
+
+    The CSV is parsed in one pass, by column type; rows it does not list
+    stay zero.  Malformed input (bad JSON, a missing or bad header key, a
+    bad cell, a wrong column count, an index outside the header's grid)
+    raises ConfigError naming the file.
+    """
+    json_path, csv_path = base_path + ".json", base_path + ".csv"
+    try:
+        with open(json_path, "r", encoding="utf-8") as fh:
+            header = json.load(fh)
+        shape = tuple(int(n) for n in header["shape"])
+        levels = tuple(float(x) for x in header["x_levels"])
+        # the header alone builds, and so validates, the all-zero field
+        field = PhysicalField(box_lengths=tuple(float(b) for b in header["box"]),
+                              grid_shape=shape, x_levels=levels,
+                              samples=np.zeros((len(levels),) + shape, dtype=np.complex128))
+    except KeyError as exc:
+        raise ConfigError(f"{json_path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{json_path}: {exc}") from exc
+
+    d = len(shape)
+    names = ("level", *(f"index {k}" for k in range(d)))
+    dtype = [(name, np.int64) for name in names] + [("re", np.float64), ("im", np.float64)]
+    try:
+        with open(csv_path, "r", encoding="utf-8") as fh:
+            head, _, body = fh.read().partition("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{csv_path}: {exc}") from exc
+    n_cols = len(head.split(","))
+    if n_cols != d + 3:
+        raise ConfigError(f"{csv_path}: expected {d + 3} columns, got {n_cols}")
+    try:
+        rows = (np.loadtxt(io.StringIO(body), delimiter=",", dtype=dtype, comments=None,
+                           ndmin=1)
+                if body.strip() else np.zeros(0, dtype=dtype))
+    except ValueError as exc:
+        raise ConfigError(f"{csv_path}: {_bad_row(body, d) or exc}") from exc
+
+    index = tuple(rows[name] for name in names)
+    for name, col, n in zip(names, index, field.samples.shape):
+        bad = np.flatnonzero((col < 0) | (col >= n))
+        if bad.size:
+            raise ConfigError(f"{csv_path}: data row {bad[0] + 1}: {name} "
+                              f"{col[bad[0]]} outside [0, {n})")
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, as in Python
+        field.samples[index] = rows["re"] + 1j * rows["im"]
     return header, field
+
+
+def _bad_row(body: str, d: int) -> str | None:
+    """The first data row of a field CSV body that does not parse, in words."""
+    rows = (line for line in body.splitlines() if line.strip())
+    for n, line in enumerate(rows, start=1):
+        cells = line.split(",")
+        if len(cells) != d + 3:
+            return f"data row {n}: expected {d + 3} cells, got {len(cells)}"
+        try:
+            for i, cell in enumerate(cells):
+                (int if i <= d else float)(cell)
+        except ValueError as exc:
+            return f"data row {n}: {exc}"
+    return None
 
 
 def write_residual_csv(path: str, grid_shape: Sequence[int],

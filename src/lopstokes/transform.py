@@ -32,7 +32,7 @@ from .config import Tolerances
 from .coefficients import SymbolKit, height_K
 from .errors import EnvelopeUnbounded, QuadratureFailure, ZeroModeData
 from .lopatinski import assemble
-from .params import FluidParams, Sector, SpectralPoint
+from .params import FluidParams, SpectralPoint
 from .resolvent import _CHUNK, assemble_batch
 from .symbols import char_roots
 
@@ -475,7 +475,6 @@ def height_extension(
     d_field: np.ndarray,
     box_lengths: Sequence[float],
     x_levels: Sequence[float],
-    sector: Sector | None = None,
     tol: Tolerances | None = None,
 ) -> PhysicalField:
     """Solve (lambda+K) H^ = d^ per mode and extend across the interface.
@@ -500,7 +499,7 @@ def height_extension(
             continue
         sp = SpectralPoint(lam=complex(lam),
                            xi=tuple(float(freqs[ax][i]) for ax, i in enumerate(idx)))
-        hs = height_K(fluid, sp, assemble(fluid, sp), sector=sector, tol=tol)
+        hs = height_K(fluid, sp, assemble(fluid, sp), tol=tol)
         out[(slice(None),) + idx] = hs.inv * amp * height_profile_mode(sp, xs)
     phys = np.stack([_tophys(out[i]) for i in range(len(levels))])
     return PhysicalField(box_lengths=box, grid_shape=shape,

@@ -1,9 +1,11 @@
-"""Command-level properties: each scan grid is evaluated once per command."""
+"""Command-level properties: each scan grid is evaluated once per command,
+and malformed solve input ends in exit 65 with the file named."""
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -11,7 +13,9 @@ import pytest
 
 from lopstokes import coefficients, lopatinski
 from lopstokes.cli import main
-from lopstokes.config import GridSpec
+from lopstokes.config import GridSpec, REFERENCE_PARAMS
+from lopstokes.reports import write_field
+from lopstokes.transform import PhysicalField
 
 EPS = math.pi / 4
 GRID_POINTS = GridSpec().points(EPS)[0].size                 # 190,333
@@ -62,3 +66,54 @@ def test_det_grids_evaluated_once(monkeypatch, config):
     assert main(["scan-lopatinski", *config]) == 0
     assert sum(det) == GRID_POINTS + REFINED_POINTS
     assert height == []
+
+
+@pytest.fixture
+def solve_argv(tmp_path):
+    """An explicit-H solve on a 16-point grid: config plus two input fields."""
+    box, shape = (64.0,), (16,)
+    x = np.arange(16) * (2.0 * math.pi / 16)
+    cfg = {"solve": {"lambda_re": 2.0, "lambda_im": 1.0, "mode": "explicit-H",
+                     "x_levels": [0.0, 0.5], "box": list(box), "shape": list(shape)}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    bases = []
+    for name, values in (("h1", np.sin(x)), ("H", 0.5 * np.cos(2.0 * x))):
+        base = str(tmp_path / name)
+        write_field(base, PhysicalField(box_lengths=box, grid_shape=shape, x_levels=(0.0,),
+                                        samples=values[None, :]),
+                    2.0 + 1.0j, REFERENCE_PARAMS, name)
+        bases.append(base)
+    return ["solve", "--config", str(path), "--out", str(tmp_path / "out"), *bases]
+
+
+def test_solve_reads_its_fields(solve_argv):
+    assert main(solve_argv) == 0
+
+
+def _replace_line(path, lineno, edit):
+    lines = path.read_text().splitlines()
+    lines[lineno] = edit(lines[lineno])
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("suffix,edit,message", [
+    (".csv", lambda p: _replace_line(p, 3, lambda s: "x" + s), "data row 3: invalid literal"),
+    (".csv", lambda p: _replace_line(p, 4, lambda s: s + ",0.0"),
+     "data row 4: expected 4 cells, got 5"),
+    (".csv", lambda p: _replace_line(p, 0, lambda s: s + ",extra"), "expected 4 columns"),
+    (".csv", lambda p: _replace_line(p, 5, lambda s: "1" + s[1:]), r"data row 5: level 1 outside \[0, 1\)"),
+    (".csv", lambda p: _replace_line(p, 6, lambda s: "0,-3" + s[s.index(",", 2):]),
+     r"data row 6: index 0 -3 outside \[0, 16\)"),
+    (".json", lambda p: p.write_text(json.dumps(
+        {k: v for k, v in json.loads(p.read_text()).items() if k != "shape"})),
+     "missing key 'shape'"),
+    (".json", lambda p: p.write_text("{"), "Expecting property name"),
+], ids=["bad-cell", "row-columns", "header-columns", "level-range", "index-range",
+        "missing-key", "bad-json"])
+def test_malformed_solve_input_exits_65(capsys, tmp_path, solve_argv, suffix, edit, message):
+    edit(tmp_path / f"h1{suffix}")
+    assert main(solve_argv) == 65
+    err = capsys.readouterr().err
+    assert f"h1{suffix}" in err
+    assert re.search(message, err), err

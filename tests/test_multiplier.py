@@ -8,6 +8,7 @@ in the discarded-below-noise count, not in the constants).
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from lopstokes import (
     height_curve,
     omega4_formula,
 )
+from lopstokes import multiplier
+from lopstokes.coefficients import SymbolKit
 from lopstokes.multiplier import KAPPAS, Claim
-from lopstokes.config import REFERENCE_PARAMS
+from lopstokes.config import REFERENCE_PARAMS, STRESS_PARAM_SETS
 
 REF = REFERENCE_PARAMS
 SECTOR = Sector(epsilon=math.pi / 4)
@@ -168,3 +171,74 @@ class TestClaimTable:
         assert sum(1 for r in reports if r.lam_floor == LAMBDA0_REF) == 13
         worst = max(r.max_drift() for r in reports)
         assert worst < Tolerances().class_drift
+
+
+def _reports_equal(got, want):
+    assert [r.name for r in got] == [r.name for r in want]
+    for rep, ref in zip(got, want):
+        for f in dataclasses.fields(rep):
+            # repr compares the nan drift entries of unresolved indices too
+            assert repr(getattr(rep, f.name)) == repr(getattr(ref, f.name)), (rep.name, f.name)
+
+
+class TestChunking:
+    def test_chunk_keeps_numpy_on_one_arithmetic_path(self):
+        # from 256 KiB on numpy evaluates x * <temporary> as the in-place
+        # temporary *= x, and complex multiply is not bitwise commutative;
+        # the stencil kit holds 27 complex128 values per grid point
+        assert 27 * multiplier._CHUNK * 16 < 256 * 1024
+
+    def test_reports_do_not_depend_on_the_chunk(self, monkeypatch):
+        want = certify_table(REF, sector=SECTOR, grid=SMALL, lambda0=LAMBDA0_REF)
+        # an odd chunk that divides no grid size; 37 keeps the run to seconds
+        monkeypatch.setattr(multiplier, "_CHUNK", 37)
+        got = certify_table(REF, sector=SECTOR, grid=SMALL, lambda0=LAMBDA0_REF)
+        _reports_equal(got, want)
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # refined grids of 594 and 2,574 points (4.3x): the stencil of one
+        # chunk sets the peak, not the grid
+        peaks = []
+        for n_angles in (3, 13):
+            grid = ClassGridSpec(lam_min=1e-1, lam_max=1e2, lam_per_decade=1,
+                                 n_angles=n_angles, a_min=1e-1, a_max=1e1, a_per_decade=1)
+            tracemalloc.start()
+            try:
+                reports = certify_table(REF, sector=SECTOR, grid=grid, lambda0=1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(reports) == 45
+        assert reports[0].n_refined == 2574
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+MEMOISED = {"k_height", "p_plus_N", "p_minus_N", "s_plus_NN", "s_minus_NN", "p_press_N",
+            "_w_plus", "_bsum", "_det_block_plus", "_r_plus_factor_N", "t_plus", "t_minus"}
+
+
+class TestMemo:
+    def test_memoised_symbols(self):
+        found = {name for name, fn in vars(SymbolKit).items()
+                 if callable(fn) and hasattr(fn, "__wrapped__")}
+        assert found == MEMOISED
+
+    @pytest.mark.parametrize("fluid", [REF, *STRESS_PARAM_SETS])
+    def test_memo_is_bit_neutral(self, monkeypatch, fluid):
+        rng = np.random.default_rng(7)
+        lam = 10.0 ** rng.uniform(-4, 6, 64) * np.exp(1j * rng.uniform(-2.3, 2.3, 64))
+        a = 10.0 ** rng.uniform(-4, 4, 64)
+
+        # warm kit: every symbol twice, the composite ones first, so the
+        # parts they memoise are asked for again directly
+        names = sorted(MEMOISED, key=lambda n: (not n.startswith("_"), n))
+        warm = SymbolKit.batch(fluid, lam, a)
+        got = {n: getattr(warm, n)() for n in reversed(names)}
+        assert all(getattr(warm, n)() is got[n] for n in names)
+
+        for name in MEMOISED:
+            monkeypatch.setattr(SymbolKit, name, getattr(SymbolKit, name).__wrapped__)
+        cold = SymbolKit.batch(fluid, lam, a)
+        for name in names:
+            want = getattr(cold, name)()
+            assert np.asarray(got[name]).tobytes() == np.asarray(want).tobytes(), name

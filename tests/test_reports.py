@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lopstokes.config import GridSpec, RunConfig
+from lopstokes.errors import ConfigError
 from lopstokes.lopatinski import scan_lower_bound
 from lopstokes.params import FluidParams, Sector
 from lopstokes.reports import (
@@ -307,8 +308,28 @@ class TestFieldIO:
         txt = csv_file.read_text().splitlines()
         txt[0] = "level,i,j,re,im"
         csv_file.write_text("\n".join(txt) + "\n")
-        with pytest.raises(ValueError, match="columns"):
+        with pytest.raises(ConfigError, match=r"bad\.csv: expected 4 columns"):
             read_field(base)
+
+    def test_values_match_the_per_cell_parse(self, tmp_path):
+        # the reading rule of the per-cell parser this reader replaced,
+        # re + 1j * im in Python complex arithmetic, on cells where it is
+        # not plain (signed zeros, infinities, nan, subnormals); rows the
+        # CSV does not list stay zero
+        field = self._field()
+        base = str(tmp_path / "odd")
+        write_field(base, field, 1.0 + 0j, REF, "odd")
+        cells = ["-0.0", "0.0", "inf", "-inf", "nan", "5e-324", "-2.5e-300", "1e16",
+                 "0.1", "1e400", "-1.7976931348623157e+308", "3"]
+        rows = [(lv, i, cells[(3 * lv + i) % len(cells)], cells[(5 * i + lv) % len(cells)])
+                for lv in range(2) for i in range(16) if (lv, i) != (1, 7)]
+        (tmp_path / "odd.csv").write_text(
+            "level,i,re,im\n" + "".join(f"{lv},{i},{r},{m}\n" for lv, i, r, m in rows))
+        want = np.zeros((2, 16), dtype=np.complex128)
+        for lv, i, r, m in rows:
+            want[lv, i] = float(r) + 1j * float(m)
+        _, back = read_field(base)
+        assert back.samples.tobytes() == want.tobytes()
 
 
 class TestEnsureOutDir:
