@@ -18,7 +18,7 @@ Module map
     coefficients  closed-form amplitudes, height symbol K, height curve
     resolvent     profile solutions, residuals, energy balance, fuzzing
     multiplier    anisotropic symbol-class certification
-    transform     tangential FFT solves, Volevich identity, extensions
+    transform     tangential FFT solves, kernel decay
     reports       deterministic CSV/JSON artifacts
     config        run configuration and tolerances
     cli           the `lopstokes` command
@@ -73,10 +73,8 @@ from .coefficients import (
     CoefficientSet,
     HeightCurve,
     HeightScanReport,
-    HeightSymbol,
     coefficient_symbols,
     height_curve,
-    height_K,
     height_scan,
     omega3,
     omega4_formula,
@@ -108,10 +106,8 @@ from .transform import (
     DecayReport,
     PhysicalField,
     PhysicalSolution,
-    height_extension,
     kernel_decay_check,
     solve_physical,
-    volevich_apply,
 )
 
 __version__ = "0.1.0"
@@ -129,7 +125,7 @@ __all__ = [
     "omega1", "omega2", "scan_lower_bound",
     # coefficients
     "BetaSolution", "CoefficientSet", "HeightCurve", "HeightScanReport",
-    "HeightSymbol", "coefficient_symbols", "height_curve", "height_K", "height_scan",
+    "coefficient_symbols", "height_curve", "height_scan",
     "omega3", "omega4_formula", "slope_limit", "solve_betas",
     # resolvent
     "BoundaryData", "EnergyReport", "FuzzReport", "InterfaceResiduals",
@@ -139,8 +135,8 @@ __all__ = [
     "Claim", "MultiplierClassReport", "certify_table", "declared_claims",
     "estimate_class",
     # transform
-    "DecayReport", "PhysicalField", "PhysicalSolution", "height_extension",
-    "kernel_decay_check", "solve_physical", "volevich_apply",
+    "DecayReport", "PhysicalField", "PhysicalSolution", "kernel_decay_check",
+    "solve_physical",
     # config
     "ClassGridSpec", "GridSpec", "RunConfig", "Tolerances", "default_config",
     "load_config",

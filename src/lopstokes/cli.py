@@ -174,7 +174,7 @@ def _energy_suite(cfg: RunConfig, tol: Tolerances, fuzz_rep) -> dict:
             return {"passed": False, "error": str(exc)}
         worst_quad = max(worst_quad,
                          energy_quadrature_check(cfg.fluid, sp, sol,
-                                                 quad_rel=tol.volevich_quad_rel))
+                                                 quad_rel=tol.energy_quad_rel))
     return {
         "closed_form_worst": worst_closed,
         "quadrature_cross_worst": worst_quad,

@@ -44,12 +44,10 @@ __all__ = [
     "SymbolKit",
     "BetaSolution",
     "CoefficientSet",
-    "HeightSymbol",
     "HeightScanReport",
     "solve_betas",
     "amplitudes",
     "coefficient_symbols",
-    "height_K",
     "height_rhs",
     "kinematic_weight",
     "refused_heights",
@@ -514,18 +512,6 @@ def coefficient_symbols(
     )
 
 
-@dataclass(frozen=True)
-class HeightSymbol:
-    """K and (lambda + K)^{-1} at one point."""
-
-    K: complex
-    inv: complex
-
-    @property
-    def lam_plus_K_abs(self) -> float:
-        return 1.0 / abs(self.inv)
-
-
 def omega3(fluid: FluidParams) -> float:
     """A-regime constant of the height symbol (printed form; exact at sigma=1).
 
@@ -551,20 +537,6 @@ def omega4_formula(fluid: FluidParams, sector: Sector) -> float:
     ratio = slope_limit(fluid)
     s = 0.5 * math.sin(sector.epsilon / 2.0)
     return min(0.25, 0.25 * ratio, s, s * ratio)
-
-
-def height_K(
-    fluid: FluidParams,
-    sp: SpectralPoint,
-    L: LopatinskiMatrix,
-    tol: Tolerances | None = None,
-) -> HeightSymbol:
-    """Evaluate K and (lambda + K)^{-1} at one spectral point; raises
-    HeightNotInvertible where the inverse is refused (see refused_heights)."""
-    k = complex(SymbolKit.from_matrix(L).k_height())
-    denom = sp.lam + k
-    refused_heights(sp.lam, sp.a, denom, tol or Tolerances(), strict=True)
-    return HeightSymbol(K=k, inv=1.0 / denom)
 
 
 def refused_heights(lam, a, denom, tol: Tolerances, strict: bool = False):

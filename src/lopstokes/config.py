@@ -74,9 +74,9 @@ class Tolerances:
     fuzz_residual: float = 1e-10
     energy_defect: float = 1e-10
     quadrature_cross: float = 1e-8
+    energy_quad_rel: float = 1e-9
 
     # physical layer
-    volevich_quad_rel: float = 1e-9
     envelope_drift: float = 2.0
     zero_mode: float = 1e-12
 
@@ -194,7 +194,7 @@ class RunConfig:
 
 
 _FLUID_KEYS = {"rho_plus", "rho_minus", "mu_plus", "mu_minus", "nu_plus", "sigma"}
-_SECTOR_KEYS = {"epsilon", "lambda_floor"}
+_SECTOR_KEYS = {"epsilon"}
 _GRID_KEYS = {"lam_min", "lam_max", "lam_per_decade", "n_angles", "a_min", "a_max", "a_per_decade"}
 _SOLVE_KEYS = {"lambda_re", "lambda_im", "mode", "x_levels", "box", "shape", "data"}
 _TOP_KEYS = {"fluid", "sector", "grid", "class_grid", "seed", "samples", "out_dir", "solve"}
@@ -254,7 +254,6 @@ def parse_config(doc: dict, base: RunConfig | None = None) -> RunConfig:
         _check_keys(sub, _SECTOR_KEYS, "config.sector")
         sector = Sector(
             epsilon=_number(sub, "epsilon", "config.sector", base.sector.epsilon),
-            lambda_floor=_number(sub, "lambda_floor", "config.sector", base.sector.lambda_floor),
         )
 
     def grid_of(key: str, cls, current):
@@ -316,7 +315,7 @@ def config_document(cfg: RunConfig) -> dict:
     """Canonical JSON-ready document for hashing and report headers."""
     return {
         "fluid": cfg.fluid.to_dict(),
-        "sector": {"epsilon": cfg.sector.epsilon, "lambda_floor": cfg.sector.lambda_floor},
+        "sector": {"epsilon": cfg.sector.epsilon},
         "grid": {f.name: getattr(cfg.grid, f.name) for f in fields(GridSpec)},
         "class_grid": {f.name: getattr(cfg.class_grid, f.name) for f in fields(ClassGridSpec)},
         "seed": cfg.seed,

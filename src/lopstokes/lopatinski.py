@@ -37,7 +37,7 @@ __all__ = [
     "block_det",
     "cofactor_entries",
     "cofactor_solve",
-    "perturbed_entries",
+    "checked_entries",
     "det_ratios",
     "assemble",
     "omega1",
@@ -45,7 +45,6 @@ __all__ = [
     "scan_lower_bound",
     "asymptotic_report",
     "ENTRY_DEGREES",
-    "ENTRY_TARGETS",
 ]
 
 # parabolic degree of each entry: value under (lam, xi') -> (s^2 lam, s xi')
@@ -204,31 +203,13 @@ class LopatinskiMatrix:
         return abs(self.det) / self.scale4
 
 
-# Slots addressable by the perturb argument of assemble; unknown targets that
-# are not amplitude names either must raise, so typos cannot silently no-op.
-ENTRY_TARGETS = {
-    "l11p": ("p", 0), "l12p": ("p", 1), "l21p": ("p", 2), "l22p": ("p", 3),
-    "l11m": ("m", 0), "l12m": ("m", 1), "l21m": ("m", 2), "l22m": ("m", 3),
-}
-
-
-def perturbed_entries(fluid: FluidParams, lam, a, roots, perturb=None):
+def checked_entries(fluid: FluidParams, lam, a, roots):
     """(l_plus, l_minus, P, (det L, det L+, det L-)) with a singularity check.
 
-    perturb = (entry name, rel) scales that entry by (1 + rel) before the
-    determinant is formed, so a mutated build is internally consistent and
-    only the physics checks can expose it; rel may be an array, one factor
-    per point.  Raises SingularDetL at the first point with |det L| < 1e-300.
-    Scalars or equal-shape arrays, like boundary_entries.
+    Raises SingularDetL at the first point with |det L| < 1e-300.  Scalars
+    or equal-shape arrays, like boundary_entries.
     """
     lp, lm, p = boundary_entries(fluid, lam, a, *roots)
-    if perturb is not None and perturb[0] in ENTRY_TARGETS:
-        side, k = ENTRY_TARGETS[perturb[0]]
-        bump = 1.0 + perturb[1]
-        if side == "p":
-            lp = tuple(v * bump if i == k else v for i, v in enumerate(lp))
-        else:
-            lm = tuple(v * bump if i == k else v for i, v in enumerate(lm))
     dets = block_det(lp, lm)
     hit = first_offender(abs(dets[0]) < 1e-300, lam, a)
     if hit is not None:
@@ -244,15 +225,10 @@ def assemble(
     fluid: FluidParams,
     sp: SpectralPoint,
     r: CharRoots | None = None,
-    perturb: tuple[str, float] | None = None,
 ) -> LopatinskiMatrix:
-    """Build the matrix at one spectral point, det via the block split.
-
-    perturb scales one named entry by (1 + rel), see perturbed_entries.
-    """
+    """Build the matrix at one spectral point, det via the block split."""
     r = r or char_roots(fluid, sp)
-    lp, lm, p, (det, det_p, det_m) = perturbed_entries(
-        fluid, sp.lam, sp.a, r.as_tuple(), perturb)
+    lp, lm, p, (det, det_p, det_m) = checked_entries(fluid, sp.lam, sp.a, r.as_tuple())
     return LopatinskiMatrix(
         fluid=fluid, point=sp, roots=r, l_plus=lp, l_minus=lm,
         det=det, det_plus=det_p, det_minus=det_m, p_stab=p,

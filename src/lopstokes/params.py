@@ -70,38 +70,30 @@ def validate_params(p: FluidParams) -> None:
 
 @dataclass(frozen=True)
 class Sector:
-    """Resolvent sector |arg(lambda)| <= pi - epsilon, |lambda| >= lambda_floor.
+    """Resolvent sector |arg(lambda)| <= pi - epsilon, lambda != 0.
 
     epsilon is restricted to (0, pi/2]: the estimates degrade as epsilon -> 0
     and the model is never used beyond a right-half-plane-plus margin.
     """
 
     epsilon: float
-    lambda_floor: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon <= math.pi / 2.0):
             raise NonPositiveParameter(
                 f"sector epsilon must lie in (0, pi/2], got {self.epsilon!r}"
             )
-        if not (self.lambda_floor >= 0.0):
-            raise NonPositiveParameter(
-                f"sector lambda_floor must be >= 0, got {self.lambda_floor!r}"
-            )
 
     def contains(self, lam: complex) -> bool:
         lam = complex(lam)
         if lam == 0:
-            return False
-        if abs(lam) < self.lambda_floor:
             return False
         return abs(cmath.phase(lam)) <= math.pi - self.epsilon + 1e-15
 
     def require(self, lam: complex) -> None:
         if not self.contains(lam):
             raise OutOfSector(
-                f"lambda={lam!r} outside sector(epsilon={self.epsilon}, "
-                f"lambda_floor={self.lambda_floor})"
+                f"lambda={lam!r} outside sector(epsilon={self.epsilon})"
             )
 
 

@@ -44,7 +44,7 @@ from .coefficients import (
 )
 from .config import REFERENCE_PARAMS, Tolerances
 from .errors import QuadratureFailure
-from .lopatinski import ENTRY_TARGETS, LopatinskiMatrix, perturbed_entries
+from .lopatinski import LopatinskiMatrix, checked_entries
 from .params import FluidParams, Sector, SpectralPoint
 from .symbols import CharRoots, char_roots_batch, check_roots, exp_diff_quot_batch
 
@@ -68,8 +68,6 @@ __all__ = [
     "inner_product",
     "fuzz_corpus",
     "fuzz_residuals",
-    "amplitude_targets",
-    "mutation_probe",
 ]
 
 # Points per fuzz/solve batch: bounds the working set (a few dozen arrays of
@@ -294,8 +292,7 @@ def _divergence(ixi, us) -> Profile:
 class ProfileSolution:
     """Assembled solution at one spectral point.
 
-    Components are Profiles (exact derivatives, closed-form integrals);
-    term_representation exposes the raw amplitude/exponent list.
+    Components are Profiles (exact derivatives, closed-form integrals).
     """
 
     fluid: FluidParams
@@ -316,13 +313,6 @@ class ProfileSolution:
     def divergence(self, side: int) -> Profile:
         ixi = tuple(1j * v for v in self.point.xi)
         return _divergence(ixi, self.u_plus if side > 0 else self.u_minus)
-
-    def term_representation(self) -> dict:
-        return {
-            "u_plus": tuple(u.terms for u in self.u_plus),
-            "u_minus": tuple(u.terms for u in self.u_minus),
-            "pressure": self.pressure.terms,
-        }
 
 
 @dataclass(frozen=True)
@@ -361,33 +351,7 @@ class ProfileBatch:
         return out
 
 
-def amplitude_targets(dim: int) -> tuple[str, ...]:
-    """Names of every solution amplitude at dimension dim, as perturb targets."""
-    names = []
-    for base in ("beta_plus", "beta_minus", "g_plus", "g_minus"):
-        names.extend(f"{base}_{j + 1}" for j in range(dim - 1))
-        names.append(f"{base}_n")
-    names.append("gamma_minus")
-    return tuple(names)
-
-
-def _mutated(amps: dict, dim: int, perturb) -> dict:
-    """amps with the perturb target (an amplitude name) scaled by 1 + rel."""
-    if perturb is None or perturb[0] in ENTRY_TARGETS:
-        return amps
-    target, rel = perturb
-    out = dict(amps)
-    if target == "gamma_minus":
-        out[target] = amps[target] * (1.0 + rel)
-        return out
-    base, _, comp = target.rpartition("_")
-    row = dim - 1 if comp == "n" else int(comp) - 1
-    out[base] = amps[base].copy()
-    out[base][row] = amps[base][row] * (1.0 + rel)
-    return out
-
-
-def _solve(fluid, lam, xi, h, top, mode, tol, perturb, strict):
+def _solve(fluid, lam, xi, h, top, mode, tol, strict):
     """(ProfileBatch, roots, entries, amplitudes, K) at N points of one
     dimension: the shared body of assemble_batch and assemble_profiles."""
     if mode not in _MODES:
@@ -399,15 +363,12 @@ def _solve(fluid, lam, xi, h, top, mode, tol, perturb, strict):
     dim = xi.shape[1] + 1
     if h.shape != xi.shape:
         raise ValueError(f"h_hat must have shape ({dim - 1},), got {h.shape[1:]}")
-    if perturb is not None and perturb[0] not in ENTRY_TARGETS \
-            and perturb[0] not in amplitude_targets(dim):
-        raise ValueError(f"unknown mutation target {perturb[0]!r}")
     tol = tol or Tolerances()
     # math.hypot per point: exactly SpectralPoint.a
     a = np.array([math.hypot(*row) for row in xi.tolist()], dtype=np.float64)
     roots = char_roots_batch(fluid, lam, a)
     check_roots(roots, lam, a)
-    entries = perturbed_entries(fluid, lam, a, roots, perturb)
+    entries = checked_entries(fluid, lam, a, roots)
     l_plus, l_minus, p_stab, dets = entries
     kit = SymbolKit(fluid, lam, a, roots, l_plus, l_minus, dets[0], p_stab)
     ixi = _ixi(xi.T)
@@ -424,16 +385,15 @@ def _solve(fluid, lam, xi, h, top, mode, tol, perturb, strict):
     else:
         H = top
     amps = amplitudes(kit, ixi, hs, H)
-    mut = _mutated(amps, dim, perturb)
     ap, bp, bm = roots
     batch = ProfileBatch(
         fluid=fluid, lam=lam, a=a, ixi=ixi, h=hs,
         d=top if mode == "kinematic" else None, H=H,
-        u_plus=tuple(Profile(+1, bp, ap, c_m=mut["g_plus"][j], c_b=mut["beta_plus"][j])
+        u_plus=tuple(Profile(+1, bp, ap, c_m=amps["g_plus"][j], c_b=amps["beta_plus"][j])
                      for j in range(dim)),
-        u_minus=tuple(Profile(-1, bm, a, c_m=mut["g_minus"][j], c_b=mut["beta_minus"][j])
+        u_minus=tuple(Profile(-1, bm, a, c_m=amps["g_minus"][j], c_b=amps["beta_minus"][j])
                       for j in range(dim)),
-        pressure=Profile(-1, bm, a, c_a=mut["gamma_minus"]),
+        pressure=Profile(-1, bm, a, c_a=amps["gamma_minus"]),
         valid=valid,
     )
     return batch, roots, entries, amps, k
@@ -447,19 +407,17 @@ def assemble_batch(
     top,
     mode: str,
     tol: Tolerances | None = None,
-    perturb: tuple | None = None,
     strict: bool = True,
 ) -> ProfileBatch:
     """Solve N points of one dimension and one data mode at once.
 
     lam (N,), xi (N, dim-1), h_hat (N, dim-1), top (N,) holds H in
-    explicit-H mode and d in kinematic mode.  perturb = (target, rel) as in
-    assemble_profiles; rel may be an (N,) array, one factor per point.
-    Raises WrongSign, SingularDetL and (with strict) HeightNotInvertible
-    naming the first offending sample; with strict=False refused heights
-    are flagged in ProfileBatch.valid instead.
+    explicit-H mode and d in kinematic mode.  Raises WrongSign, SingularDetL
+    and (with strict) HeightNotInvertible naming the first offending sample;
+    with strict=False refused heights are flagged in ProfileBatch.valid
+    instead.
     """
-    return _solve(fluid, lam, xi, h_hat, top, mode, tol, perturb, strict)[0]
+    return _solve(fluid, lam, xi, h_hat, top, mode, tol, strict)[0]
 
 
 def assemble_profiles(
@@ -467,20 +425,17 @@ def assemble_profiles(
     sp: SpectralPoint,
     data: BoundaryData,
     tol: Tolerances | None = None,
-    perturb: tuple[str, float] | None = None,
 ) -> ProfileSolution:
     """Solve the interface system and emit the explicit profiles.
 
     In kinematic mode the height amplitude is obtained from the closed
     kinematic relation first (raising HeightNotInvertible when lambda + K
     degenerates), then the velocity problem is solved with that height.
-    perturb scales one amplitude or matrix entry by (1 + rel) so the
-    downstream checks can prove they detect defects.  The one-point case of
-    assemble_batch.
+    The one-point case of assemble_batch.
     """
     top = data.d_hat if data.mode == "kinematic" else data.H_hat
     batch, roots, (lp, lm, p, dets), amps, k = _solve(
-        fluid, [sp.lam], [sp.xi], [data.h_hat], [top], data.mode, tol, perturb, True)
+        fluid, [sp.lam], [sp.xi], [data.h_hat], [top], data.mode, tol, True)
 
     def one(v):
         return complex(v[0])
@@ -649,16 +604,6 @@ class InterfaceResiduals:
             vals.append(self.kinematic)
         out = _vmax(vals)
         return float(out) if np.ndim(out) == 0 else out
-
-    def as_dict(self) -> dict:
-        return {
-            "tangential_stress": list(self.tangential_stress),
-            "normal_stress_minus": self.normal_stress_minus,
-            "normal_stress_plus": self.normal_stress_plus,
-            "velocity_jump": list(self.velocity_jump),
-            "divergence_trace": self.divergence_trace,
-            "kinematic": self.kinematic,
-        }
 
 
 def _trace_parts(p: Profile) -> list:
@@ -843,7 +788,7 @@ def energy_quadrature_check(
     from scipy.integrate import quad
 
     tol = Tolerances()
-    quad_rel = tol.volevich_quad_rel if quad_rel is None else quad_rel
+    quad_rel = tol.energy_quad_rel if quad_rel is None else quad_rel
     n = sp.dim
     ixi = [1j * v for v in sp.xi]
     jobs: list[Profile] = []
@@ -1039,19 +984,3 @@ def fuzz_residuals(
                       energy_included=energy, worst=worst, elapsed=elapsed,
                       height_failures=failures)
 
-
-def mutation_probe(
-    fluid: FluidParams,
-    sp: SpectralPoint,
-    data: BoundaryData,
-    rel: float = 1e-3,
-) -> dict[str, float]:
-    """Worst residual triggered by perturbing each single amplitude or
-    boundary-matrix entry by (1 + rel); every value must clear the
-    detection floor for the suite to be falsifiable."""
-    out = {}
-    for target in (*amplitude_targets(sp.dim), *ENTRY_TARGETS):
-        sol = assemble_profiles(fluid, sp, data, perturb=(target, rel))
-        out[target] = max(ode_residual(fluid, sp, sol),
-                          interface_residual(fluid, sp, sol).max())
-    return out

@@ -1,5 +1,4 @@
-"""Physical-space layer: tangential FFT, grid solves, Volevich forms,
-height extension, kernel decay.
+"""Physical-space layer: tangential FFT, grid solves, kernel decay.
 
 The tangential variables live on a periodic box standing in for the whole
 hyperplane; data sampled on a uniform grid are pushed through the forward
@@ -26,32 +25,20 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .config import Tolerances
-from .coefficients import SymbolKit, height_K
-from .errors import EnvelopeUnbounded, QuadratureFailure, ZeroModeData
-from .lopatinski import assemble
-from .params import FluidParams, SpectralPoint
+from .errors import EnvelopeUnbounded, ZeroModeData
+from .params import FluidParams
 from .resolvent import _CHUNK, assemble_batch
-from .symbols import char_roots
 
 __all__ = [
     "PhysicalField",
     "PhysicalSolution",
-    "ExpData",
     "DecayReport",
     "plane_wave",
     "grid_coordinates",
     "tangential_frequencies",
     "solve_physical",
-    "volevich_identity_residual",
-    "volevich_mode",
-    "volevich_apply",
-    "t_trace_symbol",
-    "lions_coefficients",
-    "height_profile_mode",
-    "height_extension",
     "kernel_decay_check",
 ]
 
@@ -295,215 +282,6 @@ def solve_physical(
         height=field(out_h, (0.0,)),
         mode_residuals=mode_res,
     )
-
-
-# ---------------------------------------------------------------------------
-# Volevich forms
-
-
-def volevich_identity_residual(fluid: FluidParams, sp: SpectralPoint, phase: str) -> float:
-    """|rho lam / (mu B^2) - sum_k (i xi_k)^2 / B^2 - 1| for the chosen phase."""
-    rho, mu = ((fluid.rho_plus, fluid.mu_plus) if phase == "+"
-               else (fluid.rho_minus, fluid.mu_minus))
-    b2 = rho * sp.lam / mu + sp.a ** 2
-    s = sum((1j * v) ** 2 for v in sp.xi)
-    return abs(rho * sp.lam / (mu * b2) - s / b2 - 1.0)
-
-
-@dataclass(frozen=True)
-class ExpData:
-    """Boundary datum g(x') p(y) with closed-form half-space profile
-    p(y) = sum_i c_i exp(-r_i y) in the distance variable y >= 0."""
-
-    grid: np.ndarray
-    profile: tuple[tuple[complex, complex], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=np.complex128))
-        prof = tuple((complex(c), complex(r)) for c, r in self.profile)
-        if not prof:
-            raise ValueError("profile needs at least one exponential term")
-        if any(r.real <= 0.0 for _, r in prof):
-            raise ValueError("profile rates must have positive real part")
-        object.__setattr__(self, "profile", prof)
-
-    def value(self, y: float) -> complex:
-        return sum(c * np.exp(-r * y) for c, r in self.profile)
-
-    def dvalue(self, y: float) -> complex:
-        return sum(-c * r * np.exp(-r * y) for c, r in self.profile)
-
-
-def t_trace_symbol(fluid: FluidParams, phase: str) -> Callable:
-    """The tangential-jump trace symbol T exp(-B x) as exponential parts."""
-    def parts(sp: SpectralPoint):
-        r = char_roots(fluid, sp)
-        kit = SymbolKit.from_matrix(assemble(fluid, sp, r))
-        if phase == "+":
-            return ((complex(kit.t_plus()), complex(r.b_plus)),)
-        return ((complex(kit.t_minus()), complex(r.b_minus)),)
-    return parts
-
-
-def volevich_mode(
-    fluid: FluidParams,
-    sp: SpectralPoint,
-    phase: str,
-    symbol_parts: Sequence[tuple[complex, complex]],
-    amp: complex,
-    profile: ExpData,
-    x: float = 0.0,
-    quad_rel: float | None = None,
-    tol: Tolerances | None = None,
-) -> tuple[complex, complex]:
-    """One mode of the trace operator in Volevich form vs the direct trace.
-
-    The operator a(x) h^(0) is rewritten as -int_0^inf of
-    a(x+y) [rho lam^{1/2} f4N / (mu B^2) - sum_k i xi_k f5kN / B^2]
-    + a'(x+y) [rho f3 / (mu B^2) - sum_k f5kk / B^2] dy with
-    (f3, f4, f5) = (lam h, lam^{1/2} grad h, grad^2 h); the minus phase
-    reduces to the same integral in the distance variable.  Returns
-    (volevich value, direct trace value).
-    """
-    tol = tol or Tolerances()
-    rel = tol.volevich_quad_rel if quad_rel is None else quad_rel
-    rho, mu = ((fluid.rho_plus, fluid.mu_plus) if phase == "+"
-               else (fluid.rho_minus, fluid.mu_minus))
-    lam = sp.lam
-    b2 = rho * lam / mu + sp.a ** 2
-    sqrt_lam = complex(lam) ** 0.5
-    aparts = tuple((complex(c), complex(r)) for c, r in symbol_parts)
-    ixi = [1j * v for v in sp.xi]
-
-    def a_val(t: float) -> complex:
-        return sum(c * np.exp(-r * t) for c, r in aparts)
-
-    def a_der(t: float) -> complex:
-        return sum(-c * r * np.exp(-r * t) for c, r in aparts)
-
-    def integrand(t: float) -> complex:
-        h = amp * profile.value(t)
-        hp = amp * profile.dvalue(t)
-        f3 = lam * h
-        f4n = sqrt_lam * hp
-        f5kn = sum(v * (v * hp) for v in ixi)
-        f5kk = sum(v * v * h for v in ixi)
-        return (a_val(x + t) * (rho * sqrt_lam * f4n / (mu * b2) - f5kn / b2)
-                + a_der(x + t) * (rho * f3 / (mu * b2) - f5kk / b2))
-
-    val, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=rel,
-                    limit=200, complex_func=True)
-    val = -val
-    direct = a_val(x) * amp * profile.value(0.0)
-    scale = (abs(amp) * sum(abs(c) for c, _ in profile.profile)
-             * sum(abs(c) for c, _ in aparts))
-    if abs(err) > 1e-6 * max(abs(val), abs(direct), scale * 1e-6):
-        raise QuadratureFailure(
-            f"volevich quadrature error {abs(err):.3e} vs value {abs(val):.3e}")
-    return complex(val), complex(direct)
-
-
-def volevich_apply(
-    fluid: FluidParams,
-    lam: complex,
-    phase: str,
-    symbol: Callable[[SpectralPoint], Sequence[tuple[complex, complex]]],
-    data: ExpData,
-    box_lengths: Sequence[float],
-    x: float = 0.0,
-    quad_rel: float | None = None,
-    tol: Tolerances | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Field-level Volevich evaluation against the direct trace formula.
-
-    Returns (volevich field, direct field) on the tangential grid at level
-    x; the pair agreeing is the operator-structure certificate.
-    """
-    tol = tol or Tolerances()
-    box, shape = _validate_grid(box_lengths, data.grid.shape)
-    spec = _clean_zero_mode(_tospec(data.grid), "volevich data", tol)
-    freqs = tangential_frequencies(box, shape)
-    out_v = np.zeros(shape, dtype=np.complex128)
-    out_d = np.zeros(shape, dtype=np.complex128)
-    for idx in np.ndindex(shape):
-        if all(i == 0 for i in idx):
-            continue
-        amp = complex(spec[idx])
-        if amp == 0.0:
-            continue
-        sp = SpectralPoint(lam=complex(lam),
-                           xi=tuple(float(freqs[ax][i]) for ax, i in enumerate(idx)))
-        v, d = volevich_mode(fluid, sp, phase, symbol(sp), amp, data, x=x,
-                             quad_rel=quad_rel, tol=tol)
-        out_v[idx] = v
-        out_d[idx] = d
-    return _tophys(out_v), _tophys(out_d)
-
-
-# ---------------------------------------------------------------------------
-# Height extension
-
-
-def lions_coefficients() -> np.ndarray:
-    """Reflection weights a_1..a_4 with sum a_j (-j)^k = 1 for k = 0..3."""
-    nodes = -np.arange(1, 5, dtype=np.float64)
-    v = np.vander(nodes, 4, increasing=True).T
-    return np.linalg.solve(v, np.ones(4))
-
-
-def height_profile_mode(sp: SpectralPoint, x):
-    """(lambda+K)^{-1}-normalized height profile at signed levels x.
-
-    exp(-sqrt(1+A^2) x) above the interface, the four-term reflection below;
-    multiply by (lambda+K)^{-1} d^ for the actual mode amplitude.
-    """
-    ell = math.sqrt(1.0 + sp.a ** 2)
-    xx = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty(xx.shape, dtype=np.complex128)
-    pos = xx >= 0.0
-    out[pos] = np.exp(-ell * xx[pos])
-    if (~pos).any():
-        aj = lions_coefficients()
-        neg = xx[~pos]
-        out[~pos] = sum(aj[j - 1] * np.exp(-ell * (-j * neg)) for j in range(1, 5))
-    return complex(out[0]) if np.ndim(x) == 0 else out
-
-
-def height_extension(
-    fluid: FluidParams,
-    lam: complex,
-    d_field: np.ndarray,
-    box_lengths: Sequence[float],
-    x_levels: Sequence[float],
-    tol: Tolerances | None = None,
-) -> PhysicalField:
-    """Solve (lambda+K) H^ = d^ per mode and extend across the interface.
-
-    x_levels may be signed; negative levels use the Lions reflection, which
-    matches value and first three normal derivatives at the interface.
-    Raises HeightNotInvertible when lambda + K degenerates at some mode.
-    """
-    tol = tol or Tolerances()
-    d_field = np.asarray(d_field, dtype=np.complex128)
-    box, shape = _validate_grid(box_lengths, d_field.shape)
-    spec = _clean_zero_mode(_tospec(d_field), "d", tol)
-    freqs = tangential_frequencies(box, shape)
-    levels = tuple(float(x) for x in x_levels)
-    xs = np.asarray(levels, dtype=np.float64)
-    out = np.zeros((len(levels),) + shape, dtype=np.complex128)
-    for idx in np.ndindex(shape):
-        if all(i == 0 for i in idx):
-            continue
-        amp = complex(spec[idx])
-        if amp == 0.0:
-            continue
-        sp = SpectralPoint(lam=complex(lam),
-                           xi=tuple(float(freqs[ax][i]) for ax, i in enumerate(idx)))
-        hs = height_K(fluid, sp, assemble(fluid, sp), tol=tol)
-        out[(slice(None),) + idx] = hs.inv * amp * height_profile_mode(sp, xs)
-    phys = np.stack([_tophys(out[i]) for i in range(len(levels))])
-    return PhysicalField(box_lengths=box, grid_shape=shape,
-                         x_levels=levels, samples=phys)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,21 @@
-"""High-precision helpers shared between test modules.
+"""Thresholds and the mutation hook shared between test modules.
 
-One-sided difference quotients of the reflected height profile hit a
-float64 wall at the third derivative: the lower extension's ninth
-derivative scales like 4^9, so the truncation/roundoff crossover sits
-near 5e-7 no matter how the step is tuned.  The certification therefore
-runs the stencils in mpmath on the same exponential formula the package
-evaluates, with the package's own reflection coefficients, and float64
-is checked separately where it can speak (values, first derivative).
+mutated() scales one boundary-matrix entry or one solution amplitude by
+(1 + rel) for the duration of a with-block, by patching the entry formula
+(lopatinski.boundary_entries) or the amplitude formula (resolvent.amplitudes)
+from outside.  The residual checks never read either formula, so a mutated
+solve is internally consistent and only the physics checks can expose it;
+the mutation tests prove that they do.
 """
 
 from __future__ import annotations
 
+import contextlib
 from types import SimpleNamespace
 
-import mpmath as mp
+import pytest
 
-FD_NODES = 9
+from lopstokes import lopatinski, resolvent
 
 # Thresholds the tests apply to the package's results; the thresholds the
 # package applies itself live in lopstokes.config.Tolerances.
@@ -29,68 +29,76 @@ TEST_TOL = SimpleNamespace(
     mutation_floor=1e-4,        # residual a perturbed amplitude must trigger
     fft_roundtrip=1e-13,
     single_mode=1e-12,          # one-mode grid solve against the profile solve
-    volevich=1e-8,
-    lions_resub=1e-13,
-    extension_c3=1e-9,          # C^3 mismatch of the Lions reflection
 )
 
+# boundary-matrix entries a mutation can target: name -> (side, slot), side 0
+# the compressible (+) block and 1 the incompressible (-) block
+ENTRY_TARGETS = {
+    "l11p": (0, 0), "l12p": (0, 1), "l21p": (0, 2), "l22p": (0, 3),
+    "l11m": (1, 0), "l12m": (1, 1), "l21m": (1, 2), "l22m": (1, 3),
+}
 
-def one_sided_weights(k: int, sgn: int, n: int = FD_NODES) -> list:
-    """Stencil weights for f^(k)(0) from nodes sgn*h*(0..n-1); divide by h**k.
 
-    Solved on integer nodes so the Vandermonde stays well conditioned;
-    the caller applies the 1/h**k scaling.
+def amplitude_targets(dim: int) -> tuple[str, ...]:
+    """Names of every solution amplitude at dimension dim."""
+    names = []
+    for base in ("beta_plus", "beta_minus", "g_plus", "g_minus"):
+        names.extend(f"{base}_{j + 1}" for j in range(dim - 1))
+        names.append(f"{base}_n")
+    names.append("gamma_minus")
+    return tuple(names)
+
+
+@contextlib.contextmanager
+def mutated(target: str, rel):
+    """Inside the block, scale the named entry or amplitude by (1 + rel).
+
+    rel may be an array, one factor per point of a batch.  A name that is
+    no entry and no amplitude of the solved dimension raises ValueError
+    inside the solve, so a typo cannot pass as an undetected mutation.
     """
-    v = mp.matrix(n, n)
-    for r in range(n):
-        for c in range(n):
-            v[r, c] = mp.mpf(sgn * c) ** r
-    rhs = mp.matrix(n, 1)
-    rhs[k] = mp.factorial(k)
-    w = mp.lu_solve(v, rhs)
-    return [w[i] for i in range(n)]
+    bump = 1.0 + rel
+    with pytest.MonkeyPatch.context() as mp:
+        if target in ENTRY_TARGETS:
+            side, slot = ENTRY_TARGETS[target]
+            clean = lopatinski.boundary_entries
 
+            def entries(*args):
+                *blocks, p = clean(*args)
+                blocks[side] = tuple(v * bump if k == slot else v
+                                     for k, v in enumerate(blocks[side]))
+                return (*blocks, p)
 
-def lions_c3_mismatch(a_coeffs, a_tangential: float, h_scaled: str = "1e-3",
-                      dps: int = 40) -> list[float]:
-    """|D+_k - D-_k| / ell^k for k = 0..3, one-sided stencils both sides.
-
-    a_coeffs are the reflection weights as solved by the package (floats,
-    converted exactly); the minus side uses the lower branch's one-sided
-    limit at 0, not the upper value.
-    """
-    with mp.workdps(dps):
-        aj = [mp.mpf(float(c)) for c in a_coeffs]
-        ell = mp.sqrt(1 + mp.mpf(float(a_tangential)) ** 2)
-        h = mp.mpf(h_scaled) / ell
-
-        def upper(x):
-            return mp.e ** (-ell * x)
-
-        def lower(x):
-            return sum(aj[j - 1] * mp.e ** (ell * j * x) for j in range(1, 5))
-
-        fp = [upper(i * h) for i in range(FD_NODES)]
-        fm = [lower(-i * h) for i in range(FD_NODES)]
-        out = []
-        for k in range(4):
-            wp = one_sided_weights(k, +1)
-            wm = one_sided_weights(k, -1)
-            dp = sum(w * f for w, f in zip(wp, fp)) / h ** k
-            dm = sum(w * f for w, f in zip(wm, fm)) / h ** k
-            out.append(float(abs(dp - dm) / ell ** k))
-    return out
-
-
-def profile_reference(a_coeffs, a_tangential: float, x: float,
-                      dps: int = 40) -> complex:
-    """mpmath evaluation of the reflected height profile at signed x."""
-    with mp.workdps(dps):
-        aj = [mp.mpf(float(c)) for c in a_coeffs]
-        ell = mp.sqrt(1 + mp.mpf(float(a_tangential)) ** 2)
-        xx = mp.mpf(float(x))
-        if xx >= 0:
-            val = mp.e ** (-ell * xx)
+            mp.setattr(lopatinski, "boundary_entries", entries)
         else:
-            val = sum(aj[j - 1] * mp.e ** (ell * j * xx) for j in range(1, 5))
-        return complex(val)
+            clean_amps = resolvent.amplitudes
+            base, _, comp = target.rpartition("_")
+
+            def amplitudes(*args):
+                amps = dict(clean_amps(*args))
+                dim = amps["beta_plus"].shape[0]
+                if target not in amplitude_targets(dim):
+                    raise ValueError(f"no amplitude {target!r} at dimension {dim}")
+                if target == "gamma_minus":
+                    amps[target] = amps[target] * bump
+                    return amps
+                row = dim - 1 if comp == "n" else int(comp) - 1
+                amps[base] = amps[base].copy()
+                amps[base][row] = amps[base][row] * bump
+                return amps
+
+            mp.setattr(resolvent, "amplitudes", amplitudes)
+        yield
+
+
+def mutation_probe(fluid, sp, data, rel: float = 1e-3) -> dict[str, float]:
+    """Worst ODE or interface residual after mutating each single amplitude
+    or boundary-matrix entry by (1 + rel); every value must clear the
+    detection floor for the suite to be falsifiable."""
+    out = {}
+    for target in (*amplitude_targets(sp.dim), *ENTRY_TARGETS):
+        with mutated(target, rel):
+            sol = resolvent.assemble_profiles(fluid, sp, data)
+        out[target] = max(resolvent.ode_residual(fluid, sp, sol),
+                          resolvent.interface_residual(fluid, sp, sol).max())
+    return out

@@ -1,5 +1,6 @@
 """Command-level properties: each scan grid is evaluated once per command,
-and malformed solve input ends in exit 65 with the file named."""
+malformed solve input ends in exit 65 with the file named, and so does a
+config key the program no longer reads."""
 
 from __future__ import annotations
 
@@ -117,3 +118,12 @@ def test_malformed_solve_input_exits_65(capsys, tmp_path, solve_argv, suffix, ed
     err = capsys.readouterr().err
     assert f"h1{suffix}" in err
     assert re.search(message, err), err
+
+
+def test_removed_sector_key_exits_65(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sector": {"epsilon": EPS, "lambda_floor": 2.5}}))
+    assert main(["scan-height", "--config", str(path), "--out", str(tmp_path / "out")]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "config.sector" in err and "lambda_floor" in err
+    assert not (tmp_path / "out").exists()

@@ -23,14 +23,19 @@ from lopstokes import (
     assemble,
     char_roots,
     coefficient_symbols,
-    height_K,
     height_scan,
     omega3,
     omega4_formula,
     slope_limit,
     solve_betas,
 )
-from lopstokes.coefficients import SymbolKit, height_curve, height_ratio, height_rhs
+from lopstokes.coefficients import (
+    SymbolKit,
+    height_curve,
+    height_ratio,
+    height_rhs,
+    refused_heights,
+)
 from lopstokes.config import REFERENCE_PARAMS, STRESS_PARAM_SETS
 from lopstokes.lopatinski import det_ratios
 
@@ -269,16 +274,17 @@ class TestHeightSymbol:
         assert rel(complex(kit.k_height()), K_O1) < 1e-13
 
     def test_height_K_record(self):
-        hs = height_K(REF, P1, assemble(REF, P1))
-        assert rel(hs.K, K_O1) < 1e-13
-        assert abs(hs.inv * (P1.lam + hs.K) - 1.0) < 1e-15
-        assert hs.lam_plus_K_abs == pytest.approx(abs(P1.lam + hs.K), rel=1e-14)
+        k = complex(SymbolKit.from_matrix(assemble(REF, P1)).k_height())
+        assert rel(k, K_O1) < 1e-13
+        assert not refused_heights(P1.lam, P1.a, P1.lam + k, Tolerances(), strict=True)
         assert omega3(REF) == pytest.approx(68.0 / 3.0, rel=1e-14)
 
     def test_not_invertible_raises(self):
         strict = dataclasses.replace(Tolerances(), height_inv_rel=1e10)
+        k = SymbolKit.from_matrix(assemble(REF, P1)).k_height()
+        assert refused_heights(P1.lam, P1.a, P1.lam + k, strict)
         with pytest.raises(HeightNotInvertible):
-            height_K(REF, P1, assemble(REF, P1), tol=strict)
+            refused_heights(P1.lam, P1.a, P1.lam + k, strict, strict=True)
 
     @pytest.mark.parametrize("fluid,sp,h,H",
                              [(REF, P1, H1, HH1), (FLUID4, P4, H4, HH4)],
@@ -290,7 +296,7 @@ class TestHeightSymbol:
         L = assemble(fluid, sp)
         sol = solve_betas(fluid, sp, r, L, h, H)
         cs = coefficient_symbols(fluid, sp, r, L)
-        k = height_K(fluid, sp, L).K
+        k = SymbolKit.from_matrix(L).k_height()
         drho = fluid.rho_minus - fluid.rho_plus
         trace = (fluid.rho_minus * sol.beta_minus[-1]
                  - fluid.rho_plus * sol.beta_plus[-1]) / drho

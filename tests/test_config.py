@@ -30,7 +30,7 @@ class TestTolerances:
         tol = Tolerances()
         assert len(dataclasses.fields(tol)) == 13
         assert tol.fuzz_residual == 1e-10
-        assert tol.volevich_quad_rel == 1e-9
+        assert tol.energy_quad_rel == 1e-9
         assert tol.class_drift == 2.0
         assert tol.height_floor == 1e-3
         assert tol.zero_mode == 1e-12
@@ -48,7 +48,7 @@ class TestTolerances:
         tol = base.scale(100.0)
         for name in ("fd_step_rel", "noise_gate", "class_drift",
                      "envelope_drift", "height_floor", "height_inv_rel",
-                     "zero_mode", "volevich_quad_rel"):
+                     "zero_mode", "energy_quad_rel"):
             assert getattr(tol, name) == getattr(base, name), name
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, float("inf"), float("nan")])
@@ -162,7 +162,7 @@ class TestParseConfig:
         doc = {
             "fluid": {"rho_plus": 1.0, "rho_minus": 3.0, "mu_plus": 0.5,
                       "mu_minus": 2.0, "nu_plus": 0.1, "sigma": 4.0},
-            "sector": {"epsilon": 0.9, "lambda_floor": 2.5},
+            "sector": {"epsilon": 0.9},
             "grid": {"lam_min": 1e-2, "lam_max": 1e2, "lam_per_decade": 4,
                      "n_angles": 5, "a_min": 1e-1, "a_max": 1e3,
                      "a_per_decade": 2},
@@ -176,7 +176,6 @@ class TestParseConfig:
         assert cfg.fluid.rho_minus == 3.0
         assert cfg.fluid.sigma == 4.0
         assert cfg.sector.epsilon == 0.9
-        assert cfg.sector.lambda_floor == 2.5
         assert cfg.grid.lam_per_decade == 4
         assert cfg.grid.n_angles == 5
         assert cfg.class_grid.lam_per_decade == 2

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mutated
 from lopstokes import (
     FluidParams,
     Sector,
@@ -217,7 +218,8 @@ class TestDeterminantIdentities:
 
     def test_entry_mutation_is_internally_consistent(self):
         clean = assemble(REF, P1)
-        mut = assemble(REF, P1, perturb=("l12p", 1e-3))
+        with mutated("l12p", 1e-3):
+            mut = assemble(REF, P1)
         assert rel(mut.l_plus[1], clean.l_plus[1] * 1.001) < 1e-15
         det_p = mut.l_plus[0] * mut.l_plus[3] - mut.l_plus[1] * mut.l_plus[2]
         det_m = mut.l_minus[0] * mut.l_minus[3] - mut.l_minus[1] * mut.l_minus[2]

@@ -92,12 +92,6 @@ class TestSector:
             with pytest.raises(NonPositiveParameter):
                 Sector(epsilon=bad)
 
-    def test_lambda_floor_nonnegative(self):
-        Sector(epsilon=math.pi / 4, lambda_floor=0.0)
-        Sector(epsilon=math.pi / 4, lambda_floor=3.5)
-        with pytest.raises(NonPositiveParameter):
-            Sector(epsilon=math.pi / 4, lambda_floor=-1.0)
-
     def test_contains_basic(self):
         s = Sector(epsilon=math.pi / 4)
         assert s.contains(1.0)
@@ -106,9 +100,10 @@ class TestSector:
         assert not s.contains(0.0)
 
     def test_contains_floor(self):
-        s = Sector(epsilon=math.pi / 4, lambda_floor=2.0)
-        assert not s.contains(1j)
-        assert s.contains(3j)
+        # no magnitude floor: only lambda = 0 itself is left out
+        s = Sector(epsilon=math.pi / 4)
+        assert s.contains(1e-300j)
+        assert s.contains(1e300 + 1e300j)
 
     def test_contains_edge_ray(self):
         s = Sector(epsilon=math.pi / 4)

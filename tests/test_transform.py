@@ -1,43 +1,27 @@
-"""Physical-space layer: grids, per-mode solves, Volevich forms, height
-extension across the interface, and the kernel decay certificate."""
+"""Physical-space layer: grids, per-mode solves and the kernel decay
+certificate."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
-from helpers import TEST_TOL, lions_c3_mismatch, profile_reference
+from helpers import TEST_TOL
 from lopstokes.config import Tolerances
-from lopstokes.errors import (
-    EnvelopeUnbounded,
-    HeightNotInvertible,
-    QuadratureFailure,
-    ZeroModeData,
-)
+from lopstokes.errors import EnvelopeUnbounded, ZeroModeData
 from lopstokes.params import FluidParams, SpectralPoint
 from lopstokes.resolvent import BoundaryData, assemble_profiles
-from lopstokes.symbols import char_roots
 from lopstokes.transform import (
     DecayReport,
-    ExpData,
     PhysicalField,
     grid_coordinates,
-    height_extension,
-    height_profile_mode,
     kernel_decay_check,
-    lions_coefficients,
     plane_wave,
     solve_physical,
-    t_trace_symbol,
     tangential_frequencies,
-    volevich_apply,
-    volevich_identity_residual,
-    volevich_mode,
 )
 from lopstokes.transform import _tophys, _tospec
 
@@ -245,180 +229,6 @@ class TestSolvePhysical:
         pw = plane_wave(BOX, SHAPE, (1,))
         with pytest.warns(RuntimeWarning, match="periodization"):
             solve_physical(REF, 0.01, [0.1 * pw], BOX, (0.0,), H_field=0.3 * pw)
-
-
-class TestVolevich:
-    POINTS = [
-        SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4)),
-        SpectralPoint(lam=40.0 - 25.0j, xi=(3.0,)),
-        SpectralPoint(lam=0.05 + 0.02j, xi=(0.4, 1.1)),
-    ]
-
-    @pytest.mark.parametrize("phase", ["+", "-"])
-    def test_identity_decomposition(self, phase):
-        for sp in self.POINTS:
-            assert volevich_identity_residual(REF, sp, phase) < 1e-14
-
-    @pytest.mark.parametrize("phase", ["+", "-"])
-    @pytest.mark.parametrize("x", [0.0, 0.7])
-    def test_mode_matches_direct_trace(self, phase, x):
-        sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
-        prof = ExpData(grid=np.zeros(SHAPE),
-                       profile=((0.8 - 0.3j, 1.0 + 0.2j), (0.2, 2.5)))
-        parts = t_trace_symbol(REF, phase)(sp)
-        v, d = volevich_mode(REF, sp, phase, parts, 0.6 + 0.1j, prof, x=x)
-        assert d != 0.0
-        assert abs(v - d) / abs(d) < TEST_TOL.volevich
-
-    def test_zero_trace(self):
-        sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
-        prof = ExpData(grid=np.zeros(SHAPE), profile=((1.0, 1.0), (-1.0, 2.0)))
-        parts = t_trace_symbol(REF, "+")(sp)
-        with warnings.catch_warnings():
-            # the quadrature target is ~0; quad flags the relative tolerance
-            warnings.simplefilter("ignore", IntegrationWarning)
-            v, d = volevich_mode(REF, sp, "+", parts, 1.0, prof)
-        assert d == 0.0
-        assert abs(v) < TEST_TOL.volevich
-
-    def test_apply_on_grid(self):
-        grid = (0.9 * plane_wave(BOX, SHAPE, (1,))
-                - (0.3 + 0.4j) * plane_wave(BOX, SHAPE, (-2,)))
-        data = ExpData(grid=grid, profile=((1.0, 1.2),))
-        fv, fd = volevich_apply(REF, LAM, "+", t_trace_symbol(REF, "+"), data, BOX)
-        assert rel_err(fv, fd) < TEST_TOL.volevich
-        want = np.zeros(SHAPE, dtype=complex)
-        for amp, k in ((0.9, 1.0), (-(0.3 + 0.4j), -2.0)):
-            sp = SpectralPoint(lam=LAM, xi=(k,))
-            r = char_roots(REF, sp)
-            t_plus = -REF.mu_minus * r.b_minus / (REF.mu_plus * r.b_plus
-                                                  + REF.mu_minus * r.b_minus)
-            want += t_plus * amp * plane_wave(BOX, SHAPE, (int(k),))
-        assert rel_err(fd, want) < 1e-12
-
-    def test_apply_rejects_mean(self):
-        data = ExpData(grid=plane_wave(BOX, SHAPE, (1,)) + 0.2,
-                       profile=((1.0, 1.0),))
-        with pytest.raises(ZeroModeData):
-            volevich_apply(REF, LAM, "+", t_trace_symbol(REF, "+"), data, BOX)
-
-    def test_trace_symbol_parts(self):
-        sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
-        r = char_roots(REF, sp)
-        bsum = REF.mu_plus * r.b_plus + REF.mu_minus * r.b_minus
-        (cp, rp), = t_trace_symbol(REF, "+")(sp)
-        assert cp == pytest.approx(-REF.mu_minus * r.b_minus / bsum, rel=1e-13)
-        assert rp == pytest.approx(complex(r.b_plus), rel=1e-13)
-        (cm, rm), = t_trace_symbol(REF, "-")(sp)
-        assert cm == pytest.approx(REF.mu_plus * r.b_plus / bsum, rel=1e-13)
-        assert rm == pytest.approx(complex(r.b_minus), rel=1e-13)
-        assert cm - cp == pytest.approx(1.0, rel=1e-13)
-
-    def test_expdata_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ExpData(grid=np.zeros(SHAPE), profile=())
-        with pytest.raises(ValueError, match="positive real part"):
-            ExpData(grid=np.zeros(SHAPE), profile=((1.0, -0.5 + 1.0j),))
-
-    def test_expdata_values(self):
-        prof = ExpData(grid=np.zeros(SHAPE), profile=((2.0, 1.0), (-1.0, 3.0)))
-        y = 0.4
-        want = 2.0 * math.exp(-y) - math.exp(-3.0 * y)
-        assert prof.value(y) == pytest.approx(want, rel=1e-14)
-        dwant = -2.0 * math.exp(-y) + 3.0 * math.exp(-3.0 * y)
-        assert prof.dvalue(y) == pytest.approx(dwant, rel=1e-14)
-
-    def test_quadrature_failure(self):
-        # decay 1e-3 under 1e6 oscillation starves the subdivision budget
-        sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
-        parts = t_trace_symbol(REF, "+")(sp)
-        prof = ExpData(grid=np.zeros(SHAPE), profile=((1.0, 1e-3 + 1e6j),))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            with pytest.raises(QuadratureFailure):
-                volevich_mode(REF, sp, "+", parts, 1.0, prof)
-
-
-class TestHeightExtension:
-    def test_lions_coefficients(self):
-        aj = lions_coefficients()
-        assert aj == pytest.approx([10.0, -20.0, 15.0, -4.0], rel=1e-12)
-        for k in range(4):
-            resub = sum(aj[j - 1] * (-j) ** k for j in range(1, 5))
-            assert abs(resub - 1.0) < TEST_TOL.lions_resub
-
-    def test_profile_trace_is_one(self):
-        sp = SpectralPoint(lam=LAM, xi=(1.5,))
-        val = height_profile_mode(sp, 0.0)
-        assert isinstance(val, complex)
-        assert val == 1.0
-
-    def test_profile_shapes(self):
-        sp = SpectralPoint(lam=LAM, xi=(1.5,))
-        out = height_profile_mode(sp, np.array([-1.0, 0.0, 2.0]))
-        assert out.shape == (3,)
-        assert out.dtype == np.complex128
-
-    @pytest.mark.parametrize("a", [0.5, 3.0])
-    def test_profile_matches_reference(self, a):
-        sp = SpectralPoint(lam=LAM, xi=(a,))
-        aj = lions_coefficients()
-        xs = [-2.5, -1.0, -0.3, -1e-3, 0.0, 1e-3, 0.4, 2.0]
-        got = height_profile_mode(sp, np.array(xs))
-        for x, g in zip(xs, got):
-            want = profile_reference(aj, a, x)
-            assert abs(g - want) <= 1e-13 * abs(want)
-
-    @pytest.mark.parametrize("a", [0.5, 40.0])
-    def test_c3_matching_across_interface(self, a):
-        mism = lions_c3_mismatch(lions_coefficients(), a)
-        assert len(mism) == 4
-        for k, m in enumerate(mism):
-            assert m < TEST_TOL.extension_c3, f"order {k}: {m}"
-
-    @pytest.mark.parametrize("a", [0.5, 40.0])
-    def test_first_derivative_float64(self, a):
-        # float64 can certify the slope directly; higher orders need the
-        # high-precision stencils above
-        from helpers import one_sided_weights
-        sp = SpectralPoint(lam=LAM, xi=(a,))
-        ell = math.sqrt(1.0 + a * a)
-        h = 5e-3 / ell
-        wp = np.array([float(w) for w in one_sided_weights(1, +1)])
-        wm = np.array([float(w) for w in one_sided_weights(1, -1)])
-        nodes = np.arange(9) * h
-        dp = np.dot(wp, height_profile_mode(sp, nodes)) / h
-        dm = np.dot(wm, height_profile_mode(sp, -nodes)) / h
-        assert abs(dp - dm) / ell < TEST_TOL.extension_c3
-
-    def test_extension_field_follows_profile(self):
-        d = (0.5 - 0.3j) * plane_wave(BOX, SHAPE, (2,))
-        levels = (0.0, 0.6, -0.8)
-        field = height_extension(REF, LAM, d, BOX, levels)
-        sp = SpectralPoint(lam=LAM, xi=(2.0,))
-        trace = field.level(0)
-        for i, x in enumerate(levels):
-            want = trace * height_profile_mode(sp, x)
-            assert rel_err(field.level(i), want) < 1e-12
-
-    def test_extension_matches_kinematic_height(self):
-        d = ((0.5 - 0.3j) * plane_wave(BOX, SHAPE, (2,))
-             + (0.1 + 0.8j) * plane_wave(BOX, SHAPE, (-5,)))
-        field = height_extension(REF, LAM, d, BOX, (0.7, 0.0, -0.9))
-        zero = np.zeros(SHAPE, dtype=complex)
-        sol = solve_physical(REF, LAM, [zero], BOX, (0.0,), d_field=d)
-        assert rel_err(field.level(1), sol.height.level(0)) < 1e-13
-        assert field.x_levels == (0.7, 0.0, -0.9)
-
-    def test_extension_not_invertible(self):
-        bad = dataclasses.replace(Tolerances(), height_inv_rel=1e10)
-        d = plane_wave(BOX, SHAPE, (2,))
-        with pytest.raises(HeightNotInvertible):
-            height_extension(REF, LAM, d, BOX, (0.0,), tol=bad)
-
-    def test_extension_zero_field(self):
-        field = height_extension(REF, LAM, np.zeros(SHAPE), BOX, (0.5, -0.5))
-        assert np.all(field.samples == 0.0)
 
 
 class TestKernelDecay:
