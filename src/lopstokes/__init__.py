@@ -12,11 +12,14 @@ physical-space fields with residual checks.
 
 Module map
     params        fluid parameters, sector, spectral points
-    symbols       characteristic roots and the exponential kernels
+    symbols       characteristic roots and the divided-exponential kernel
     lopatinski    boundary matrix L, its cofactors, determinant bounds,
-                  asymptotics; one formula set for scalars and arrays
+                  asymptotics
     coefficients  closed-form amplitudes, height symbol K, height curve
     resolvent     profile solutions, residuals, energy balance, fuzzing
+
+Every formula is array arithmetic over points; a single point is an array
+of length one, run through the same code as any batch.
     multiplier    anisotropic symbol-class certification
     transform     tangential FFT solves, kernel decay
     reports       deterministic CSV/JSON artifacts
@@ -52,48 +55,33 @@ from .errors import (
     ZeroModeData,
 )
 from .params import FluidParams, Sector, SpectralPoint
-from .symbols import (
-    CharRoots,
-    char_roots,
-    exp_diff_quot,
-    stokes_kernel_minus,
-    stokes_kernel_plus,
-)
+from .symbols import char_roots_batch, exp_diff_quot_batch
 from .lopatinski import (
-    LopatinskiMatrix,
     ScanReport,
-    assemble,
     asymptotic_report,
     omega1,
     omega2,
     scan_lower_bound,
 )
 from .coefficients import (
-    BetaSolution,
-    CoefficientSet,
     HeightCurve,
     HeightScanReport,
-    coefficient_symbols,
+    SymbolKit,
     height_curve,
     height_scan,
     omega3,
     omega4_formula,
     slope_limit,
-    solve_betas,
 )
 from .resolvent import (
-    BoundaryData,
     EnergyReport,
     FuzzReport,
     InterfaceResiduals,
     Profile,
-    ProfileSolution,
-    assemble_profiles,
-    energy_balance,
+    ProfileBatch,
+    assemble_batch,
     fuzz_residuals,
     inner_product,
-    interface_residual,
-    ode_residual,
 )
 from .multiplier import (
     Claim,
@@ -118,19 +106,15 @@ __all__ = [
     "FluidParams", "Sector", "SpectralPoint",
     "REFERENCE_PARAMS", "STRESS_PARAM_SETS",
     # symbols
-    "CharRoots", "char_roots", "exp_diff_quot",
-    "stokes_kernel_plus", "stokes_kernel_minus",
+    "char_roots_batch", "exp_diff_quot_batch",
     # lopatinski
-    "LopatinskiMatrix", "ScanReport", "assemble", "asymptotic_report",
-    "omega1", "omega2", "scan_lower_bound",
+    "ScanReport", "asymptotic_report", "omega1", "omega2", "scan_lower_bound",
     # coefficients
-    "BetaSolution", "CoefficientSet", "HeightCurve", "HeightScanReport",
-    "coefficient_symbols", "height_curve", "height_scan",
-    "omega3", "omega4_formula", "slope_limit", "solve_betas",
+    "HeightCurve", "HeightScanReport", "SymbolKit", "height_curve", "height_scan",
+    "omega3", "omega4_formula", "slope_limit",
     # resolvent
-    "BoundaryData", "EnergyReport", "FuzzReport", "InterfaceResiduals",
-    "Profile", "ProfileSolution", "assemble_profiles", "energy_balance",
-    "fuzz_residuals", "inner_product", "interface_residual", "ode_residual",
+    "EnergyReport", "FuzzReport", "InterfaceResiduals", "Profile", "ProfileBatch",
+    "assemble_batch", "fuzz_residuals", "inner_product",
     # multiplier
     "Claim", "MultiplierClassReport", "certify_table", "declared_claims",
     "estimate_class",

@@ -13,7 +13,8 @@ minimum of |lambda+K|/(|lambda|+A)) yields both cutoffs, the height report
 and the height CSV; the base determinant grid yields omega, its worst point
 and the scan CSV columns.
 
-Exit codes: 0 success; 2 usage (argparse); 65 config or data validation;
+Exit codes: 0 success; 2 usage (argparse); 65 config or data validation,
+including a `solve` lambda outside the configured sector (or lambda = 0);
 `verify` failures form a bitmask (1 fuzz, 2 multipliers, 4 height,
 8 energy); verify-multipliers alone exits with its bitmask value 2; the
 scan and decay commands exit 1 when their certification fails.
@@ -45,7 +46,6 @@ from .errors import (
 )
 from .lopatinski import scan_lower_bound
 from .multiplier import certify_table
-from .params import SpectralPoint
 from .reports import (
     config_hash,
     ensure_out_dir,
@@ -58,12 +58,7 @@ from .reports import (
     write_residual_csv,
     write_scan_csv,
 )
-from .resolvent import (
-    BoundaryData,
-    assemble_profiles,
-    energy_quadrature_check,
-    fuzz_residuals,
-)
+from .resolvent import assemble_batch, energy_quadrature_check, fuzz_residuals
 from .transform import kernel_decay_check, solve_physical
 
 _DEFAULT_SAMPLES = RunConfig().samples
@@ -164,17 +159,14 @@ def _energy_suite(cfg: RunConfig, tol: Tolerances, fuzz_rep) -> dict:
     worst_closed = fuzz_rep.worst.get("energy", {}).get("value", 0.0)
     worst_quad = 0.0
     for lam, xi, mode in _ENERGY_PROBES:
-        sp = SpectralPoint(lam=lam, xi=xi)
-        h = tuple(0.4 + 0.3j for _ in range(sp.dim - 1))
-        data = (BoundaryData.kinematic(h, d_hat=0.6 - 0.2j) if mode == "kinematic"
-                else BoundaryData.explicit(h, H_hat=0.1 + 0.7j))
+        h = [0.4 + 0.3j] * len(xi)
+        top = 0.6 - 0.2j if mode == "kinematic" else 0.1 + 0.7j
         try:
-            sol = assemble_profiles(cfg.fluid, sp, data, tol=tol)
+            batch = assemble_batch(cfg.fluid, [lam], [xi], [h], [top], mode, tol=tol)
         except HeightNotInvertible as exc:
             return {"passed": False, "error": str(exc)}
         worst_quad = max(worst_quad,
-                         energy_quadrature_check(cfg.fluid, sp, sol,
-                                                 quad_rel=tol.energy_quad_rel))
+                         energy_quadrature_check(batch, quad_rel=tol.energy_quad_rel))
     return {
         "closed_form_worst": worst_closed,
         "quadrature_cross_worst": worst_quad,
@@ -271,6 +263,7 @@ def cmd_solve(cfg: RunConfig, tol: Tolerances, out: str, tag: str, data_args) ->
     if missing:
         raise ConfigError(f"config.solve: missing key(s) {missing}")
     lam = complex(float(sv["lambda_re"]), float(sv.get("lambda_im", 0.0)))
+    cfg.sector.require(lam)
     mode = sv["mode"]
     if mode not in ("explicit-H", "kinematic"):
         raise ConfigError(f"config.solve.mode: expected 'explicit-H' or "

@@ -12,10 +12,11 @@ h_hat(0) and H_hat(0).  The height symbol
 
 closes the kinematic equation lambda H - weighted-normal-trace = d into
 H = (lambda + K)^{-1} (d + w_h).  All symbol formulas live on SymbolKit, on
-top of the lopatinski entry and cofactor formulas, and accept scalars or
-numpy arrays alike, so the scans and the finite-difference class estimator
-reuse the exact production arithmetic.  The height scan evaluates its grid
-once, into a HeightCurve; every cutoff and the scanned omega4 are read off it.
+top of the lopatinski entry and cofactor formulas, as arithmetic over arrays
+of points, so the solves, the scans and the finite-difference class
+estimator share the production arithmetic; a single point is an array of
+length one.  The height scan evaluates its grid once, into a HeightCurve;
+every cutoff and the scanned omega4 are read off it.
 """
 
 from __future__ import annotations
@@ -29,26 +30,19 @@ import numpy as np
 from .config import GridSpec, Tolerances
 from .errors import HeightNotInvertible, NoCutoffFound
 from .lopatinski import (
-    LopatinskiMatrix,
-    assemble,
     block_det,
     boundary_entries,
     cofactor_entries,
     cofactor_solve,
     omega1,
 )
-from .params import FluidParams, Sector, SpectralPoint, first_offender
-from .symbols import CharRoots, char_roots_batch
+from .params import FluidParams, Sector, first_offender
+from .symbols import char_roots_batch
 
 __all__ = [
     "SymbolKit",
-    "BetaSolution",
-    "CoefficientSet",
     "HeightScanReport",
-    "solve_betas",
     "amplitudes",
-    "coefficient_symbols",
-    "height_rhs",
     "kinematic_weight",
     "refused_heights",
     "omega3",
@@ -79,11 +73,11 @@ def _memoised(method):
 class SymbolKit:
     """Entry/cofactor bundle with every coefficient symbol as a method.
 
-    Fields are either python complex scalars or equal-shape numpy arrays;
-    the formulas only use field arithmetic, so both work.  Indices are
-    supplied as the value i*xi_m of the chosen frequency component.  The
-    symbols without an index argument are memoised on the kit; callers must
-    not modify a returned array in place.
+    Fields are equal-shape numpy arrays, one value per point; the formulas
+    only use field arithmetic.  Indices are supplied as the value i*xi_m of
+    the chosen frequency component.  The symbols without an index argument
+    are memoised on the kit; callers must not modify a returned array in
+    place.
     """
 
     __slots__ = (
@@ -107,11 +101,6 @@ class SymbolKit:
         (self.c11, self.c12, self.c13,
          self.c21, self.c22, self.c23,
          self.c31, self.c32, self.c33) = cofactor_entries(l_plus, l_minus)
-
-    @classmethod
-    def from_matrix(cls, m: LopatinskiMatrix) -> "SymbolKit":
-        return cls(m.fluid, m.point.lam, m.point.a, m.roots.as_tuple(),
-                   m.l_plus, m.l_minus, m.det, m.p_stab)
 
     @classmethod
     def batch(cls, fluid: FluidParams, lam: np.ndarray, a: np.ndarray) -> "SymbolKit":
@@ -278,45 +267,6 @@ class SymbolKit:
         ) / (self.det * drho)
 
 
-@dataclass(frozen=True)
-class BetaSolution:
-    """Direct solve of the interface system plus all derived amplitudes.
-
-    Arrays are indexed [0..N-2] tangential, [N-1] normal.
-    """
-
-    matrix: LopatinskiMatrix
-    h_hat: np.ndarray
-    H_hat: complex
-    ix_beta_minus: complex
-    ix_beta_plus: complex
-    q_plus: complex
-    q_minus: complex
-    beta_plus: np.ndarray
-    beta_minus: np.ndarray
-    g_plus: np.ndarray
-    g_minus: np.ndarray
-    gamma_minus: complex
-
-    @property
-    def dim(self) -> int:
-        return self.h_hat.size + 1
-
-    def system_residual(self) -> float:
-        """Relative residual of L x = rhs for the solved triple."""
-        m = self.matrix
-        x = np.array(
-            [self.ix_beta_minus, self.beta_plus[-1], self.beta_minus[-1]],
-            dtype=np.complex128,
-        )
-        ixh = np.sum(1j * np.asarray(m.point.xi) * self.h_hat)
-        rhs = np.array(_interface_rhs(m.fluid, m.point.a, m.l_plus[0], m.l_plus[2],
-                                     ixh, self.H_hat), dtype=np.complex128)
-        r = m.matrix() @ x - rhs
-        scale = max(float(np.max(np.abs(m.matrix()) @ np.abs(x))), float(np.max(np.abs(rhs))), 1e-300)
-        return float(np.max(np.abs(r))) / scale
-
-
 def _interface_rhs(fluid: FluidParams, a, l11p, l21p, ixh, H):
     """Right-hand side of the 3x3 interface system for data (i xi'.h, H)."""
     return (
@@ -330,9 +280,8 @@ def amplitudes(kit: SymbolKit, ixi, h, H) -> dict:
     """Solve the interface system and expand every solution amplitude.
 
     ixi and h hold one entry per tangential component (i xi_m and h_m), each
-    a scalar or an array over the points of kit, and H is the height datum;
-    plain field arithmetic, so one point and a batch share this code.
-    Returns the BetaSolution amplitude fields; the per-component ones are
+    an array over the points of kit, and H is the height datum.  Returns
+    every amplitude by name; the per-component ones (beta_pm, g_pm) are
     stacked on axis 0, tangential first and normal last.
     """
     f = kit.fluid
@@ -371,145 +320,6 @@ def amplitudes(kit: SymbolKit, ixi, h, H) -> dict:
         "g_minus": np.array(g_minus, dtype=np.complex128),
         "gamma_minus": -f.mu_minus * (a + kit.bm) * q_minus / a,
     }
-
-
-def solve_betas(
-    fluid: FluidParams,
-    sp: SpectralPoint,
-    r: CharRoots,
-    L: LopatinskiMatrix,
-    h_hat,
-    H_hat: complex,
-) -> BetaSolution:
-    """Solve the 3x3 interface system and expand every amplitude.
-
-    h_hat: tangential jump data, length N-1; H_hat: height datum.  The
-    one-point case of amplitudes.
-    """
-    h_hat = np.asarray(h_hat, dtype=np.complex128)
-    if h_hat.shape != (sp.dim - 1,):
-        raise ValueError(f"h_hat must have shape ({sp.dim - 1},), got {h_hat.shape}")
-    H_hat = complex(H_hat)
-    amps = amplitudes(SymbolKit.from_matrix(L), 1j * np.asarray(sp.xi, dtype=np.float64),
-                      h_hat, H_hat)
-    for key in ("ix_beta_minus", "ix_beta_plus", "q_plus", "q_minus", "gamma_minus"):
-        amps[key] = complex(amps[key])
-    return BetaSolution(matrix=L, h_hat=h_hat, H_hat=H_hat, **amps)
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """All data-to-amplitude symbols at one spectral point.
-
-    Layout: column m in 0..N-2 weights h_hat[m], column N-1 weights H_hat.
-    Rows of r_/s_ arrays run over solution components J = 0..N-1
-    (tangential first, normal last).
-    """
-
-    fluid: FluidParams
-    point: SpectralPoint
-    roots: CharRoots
-    p_plus: np.ndarray      # (N,)  P+_{m,0}, last = P+_{N,0}
-    p_minus: np.ndarray     # (N,)
-    r_plus: np.ndarray      # (N, N)
-    r_minus: np.ndarray     # (N, N)
-    s_plus: np.ndarray      # (N, N)
-    s_minus: np.ndarray     # (N, N)
-    t_plus: np.ndarray      # (N-1,)
-    t_minus: np.ndarray     # (N-1,)
-    p_press: np.ndarray     # (N,)  p-_{m,1}, last = p-_{N,1}
-
-    @property
-    def dim(self) -> int:
-        return self.p_plus.size
-
-    def _weights(self, h_hat: np.ndarray, H_hat: complex) -> np.ndarray:
-        a = self.point.a
-        return np.concatenate([np.asarray(h_hat, dtype=np.complex128), [a * complex(H_hat)]])
-
-    def assemble_g(self, h_hat, H_hat):
-        """(g_plus, g_minus): kernel amplitudes  A * (R h-weights)."""
-        w = self._weights(h_hat, H_hat)
-        a = self.point.a
-        return a * (self.r_plus @ w), a * (self.r_minus @ w)
-
-    def assemble_beta(self, h_hat, H_hat):
-        """(beta_plus, beta_minus) from the T and S tables."""
-        w = self._weights(h_hat, H_hat)
-        a = self.point.a
-        h_hat = np.asarray(h_hat, dtype=np.complex128)
-        bp = a * (self.s_plus @ w)
-        bm = a * (self.s_minus @ w)
-        bp[:-1] += self.t_plus * h_hat
-        bm[:-1] += self.t_minus * h_hat
-        return bp, bm
-
-    def assemble_gamma(self, h_hat, H_hat) -> complex:
-        w = self._weights(h_hat, H_hat)
-        return complex(self.p_press @ w)
-
-    def assemble_q(self, h_hat, H_hat):
-        w = self._weights(h_hat, H_hat)
-        a = self.point.a
-        return complex(a * (self.p_plus @ w)), complex(a * (self.p_minus @ w))
-
-
-def coefficient_symbols(
-    fluid: FluidParams, sp: SpectralPoint, r: CharRoots, L: LopatinskiMatrix
-) -> CoefficientSet:
-    """Populate the full P/R/S/T/p^- table at one spectral point."""
-    kit = SymbolKit.from_matrix(L)
-    n = sp.dim
-    xi = np.asarray(sp.xi, dtype=np.float64)
-    ixi = 1j * xi
-
-    p_plus = np.empty(n, dtype=np.complex128)
-    p_minus = np.empty(n, dtype=np.complex128)
-    for m in range(n - 1):
-        p_plus[m] = kit.p_plus_m(ixi[m])
-        p_minus[m] = kit.p_minus_m(ixi[m])
-    p_plus[-1] = kit.p_plus_N()
-    p_minus[-1] = kit.p_minus_N()
-
-    r_plus = np.empty((n, n), dtype=np.complex128)
-    r_minus = np.empty((n, n), dtype=np.complex128)
-    for jn, jv in [(False, j) for j in range(n - 1)] + [(True, n - 1)]:
-        for mn, mv in [(False, m) for m in range(n - 1)] + [(True, n - 1)]:
-            kw = {}
-            if not jn:
-                kw["ixi_j"] = ixi[jv]
-            if not mn:
-                kw["ixi_m"] = ixi[mv]
-            r_plus[jv, mv] = kit.r_plus(jn, mn, **kw)
-            r_minus[jv, mv] = kit.r_minus(jn, mn, **kw)
-
-    s_plus = np.empty((n, n), dtype=np.complex128)
-    s_minus = np.empty((n, n), dtype=np.complex128)
-    for j in range(n - 1):
-        for m in range(n - 1):
-            s_plus[j, m] = s_minus[j, m] = kit.s_jm(ixi[j], ixi[m])
-        s_plus[j, -1] = s_minus[j, -1] = kit.s_jN(ixi[j])
-    for m in range(n - 1):
-        s_plus[-1, m] = kit.s_plus_Nm(ixi[m])
-        s_minus[-1, m] = kit.s_minus_Nm(ixi[m])
-    s_plus[-1, -1] = kit.s_plus_NN()
-    s_minus[-1, -1] = kit.s_minus_NN()
-
-    t_p = np.full(n - 1, kit.t_plus(), dtype=np.complex128)
-    t_m = np.full(n - 1, kit.t_minus(), dtype=np.complex128)
-
-    p_press = np.empty(n, dtype=np.complex128)
-    for m in range(n - 1):
-        p_press[m] = kit.p_press_m(ixi[m])
-    p_press[-1] = kit.p_press_N()
-
-    return CoefficientSet(
-        fluid=fluid, point=sp, roots=r,
-        p_plus=p_plus, p_minus=p_minus,
-        r_plus=r_plus, r_minus=r_minus,
-        s_plus=s_plus, s_minus=s_minus,
-        t_plus=t_p, t_minus=t_m, p_press=p_press,
-    )
 
 
 def omega3(fluid: FluidParams) -> float:
@@ -562,13 +372,6 @@ def kinematic_weight(fluid: FluidParams, a, s_minus_N, s_plus_N, h):
     drho = fluid.rho_minus - fluid.rho_plus
     return a * sum((fluid.rho_minus * sm - fluid.rho_plus * sp) * hm
                    for sm, sp, hm in zip(s_minus_N, s_plus_N, h)) / drho
-
-
-def height_rhs(coeffs: CoefficientSet, h_hat) -> complex:
-    """w_h at one point from its coefficient tables (see kinematic_weight)."""
-    return complex(kinematic_weight(coeffs.fluid, coeffs.point.a, coeffs.s_minus[-1, :-1],
-                                    coeffs.s_plus[-1, :-1],
-                                    np.asarray(h_hat, dtype=np.complex128)))
 
 
 @dataclass(frozen=True)
@@ -682,24 +485,20 @@ def height_scan(
     worst_lam, worst_a = curve.worst[kbest]
 
     # slope probe: A = slope_ratio * sqrt|lam|, lam real spanning scales
-    slopes = []
-    for lam_mag in (1e-2, 1.0, 1e2):
-        a = slope_ratio * math.sqrt(lam_mag)
-        sp = SpectralPoint(lam=complex(lam_mag), xi=(a,))
-        kit = SymbolKit.from_matrix(assemble(fluid, sp))
-        slopes.append(complex(kit.k_height()).real / a)
-    slope = float(np.mean(slopes))
+    lam_mags = np.array([1e-2, 1.0, 1e2])
+    a = slope_ratio * np.sqrt(lam_mags)
+    slope = float(np.mean(SymbolKit.batch(fluid, lam_mags, a).k_height().real / a))
 
     # |K| <= C sqrt|lam| envelope on the lam-dominated side
-    env = 0.0
+    lam, a, root = [], [], []
     for lam_mag in (1.0, 1e2, 1e4, 1e6):
         for ang in (0.0, (math.pi - sector.epsilon) / 2):
-            lam = lam_mag * complex(math.cos(ang), math.sin(ang))
             for afrac in (1e-3, 1e-2, 1e-1, 1.0):
-                a = afrac * math.sqrt(lam_mag)
-                sp = SpectralPoint(lam=lam, xi=(a,))
-                kit = SymbolKit.from_matrix(assemble(fluid, sp))
-                env = max(env, abs(complex(kit.k_height())) / math.sqrt(lam_mag))
+                lam.append(lam_mag * complex(math.cos(ang), math.sin(ang)))
+                a.append(afrac * math.sqrt(lam_mag))
+                root.append(math.sqrt(lam_mag))
+    k = SymbolKit.batch(fluid, lam, a).k_height()
+    env = float(np.max(np.abs(k) / root))
 
     return HeightScanReport(
         fluid=fluid, epsilon=sector.epsilon, lambda0=float(lambda0),

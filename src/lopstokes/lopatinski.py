@@ -9,7 +9,8 @@ like lambda) by routing every division through
 
 whose denominator stays comparable to (sqrt|lambda| + A)^2 on the sector.
 Raw textbook entries are kept as an oracle for cross-checks away from the
-degenerate set.  The determinant obeys
+degenerate set.  Every formula is plain field arithmetic over arrays of
+points; a single point is an array of length one.  The determinant obeys
 
     |det L| >= omega (sqrt|lambda| + A)^4
 
@@ -27,11 +28,10 @@ import numpy as np
 
 from .config import GridSpec, Tolerances
 from .errors import AsymptoticMismatch, NonPositiveOmega, SingularDetL
-from .params import FluidParams, Sector, SpectralPoint, first_offender
-from .symbols import CharRoots, char_roots, char_roots_batch
+from .params import FluidParams, Sector, first_offender
+from .symbols import char_roots_batch, check_roots
 
 __all__ = [
-    "LopatinskiMatrix",
     "ScanReport",
     "boundary_entries",
     "block_det",
@@ -39,7 +39,6 @@ __all__ = [
     "cofactor_solve",
     "checked_entries",
     "det_ratios",
-    "assemble",
     "omega1",
     "omega2",
     "scan_lower_bound",
@@ -58,9 +57,9 @@ ENTRY_DEGREES = {
 def boundary_entries(fluid: FluidParams, lam, a, ap, bp, bm):
     """Stabilized entries ((L+11, L+12, L+21, L+22), (L-11, L-12, L-21, L-22), P).
 
-    Plain field arithmetic, so lam, a and the roots may be Python scalars or
-    equal-shape numpy arrays.  The +-side entries route every division
-    through P; the --side difference B- - A is taken as rho-*lam/(mu-*(B-+A)).
+    Plain field arithmetic over equal-shape arrays lam, a and roots.  The
+    +-side entries route every division through P; the --side difference
+    B- - A is taken as rho-*lam/(mu-*(B-+A)).
     """
     mu, nu = fluid.mu_plus, fluid.nu_plus
     a2 = a * a
@@ -121,17 +120,13 @@ def det_ratios(fluid: FluidParams, lam: np.ndarray, a: np.ndarray):
     return absdet, absdet / (np.sqrt(np.abs(lam)) + a) ** 4
 
 
-def entries_plus_raw(
-    fluid: FluidParams, sp: SpectralPoint, r: CharRoots
-) -> tuple[complex, complex, complex, complex]:
+def entries_plus_raw(fluid: FluidParams, lam, a, roots):
     """Textbook compressible entries with the explicit A+B+ - A^2 division.
 
     Loses accuracy as lambda -> 0; cross-check oracle only.
     """
     mu, nu, rho = fluid.mu_plus, fluid.nu_plus, fluid.rho_plus
-    a = sp.a
-    lam = sp.lam
-    ap, bp = r.a_plus, r.b_plus
+    ap, bp, _ = roots
     d = ap * bp - a * a
     l11 = rho * lam * ap / d
     l22 = rho * lam * bp / d
@@ -140,13 +135,10 @@ def entries_plus_raw(
     return l11, l12, l21, l22
 
 
-def entries_minus_raw(
-    fluid: FluidParams, sp: SpectralPoint, r: CharRoots
-) -> tuple[complex, complex, complex, complex]:
+def entries_minus_raw(fluid: FluidParams, lam, a, roots):
     """Incompressible entries with the naive B- - A subtraction (oracle)."""
     mu = fluid.mu_minus
-    a = sp.a
-    bm = r.b_minus
+    bm = roots[2]
     return (
         mu * (a + bm),
         mu * a * (bm - a),
@@ -155,59 +147,10 @@ def entries_minus_raw(
     )
 
 
-@dataclass(frozen=True)
-class LopatinskiMatrix:
-    """One assembled interface matrix; entries, determinant, cofactors."""
-
-    fluid: FluidParams
-    point: SpectralPoint
-    roots: CharRoots
-    l_plus: tuple[complex, complex, complex, complex]
-    l_minus: tuple[complex, complex, complex, complex]
-    det: complex
-    det_plus: complex
-    det_minus: complex
-    p_stab: complex
-
-    def matrix(self) -> np.ndarray:
-        l11p, l12p, l21p, l22p = self.l_plus
-        l11m, l12m, l21m, l22m = self.l_minus
-        return np.array(
-            [
-                [l11p + l11m, l12p, l12m],
-                [l21m, 0.0, l22m],
-                [-l21p, -l22p, 0.0],
-            ],
-            dtype=np.complex128,
-        )
-
-    def cofactors(self) -> np.ndarray:
-        """3x3 array Lc with (L^{-1})_{ij} = Lc[i,j]/det."""
-        return np.array(cofactor_entries(self.l_plus, self.l_minus),
-                        dtype=np.complex128).reshape(3, 3)
-
-    def inverse(self) -> np.ndarray:
-        return self.cofactors() / self.det
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with L x = rhs through the explicit cofactors."""
-        return np.array(cofactor_solve(cofactor_entries(self.l_plus, self.l_minus),
-                                       self.det, np.asarray(rhs, dtype=np.complex128)))
-
-    @property
-    def scale4(self) -> float:
-        return (math.sqrt(abs(self.point.lam)) + self.point.a) ** 4
-
-    @property
-    def ratio(self) -> float:
-        return abs(self.det) / self.scale4
-
-
 def checked_entries(fluid: FluidParams, lam, a, roots):
     """(l_plus, l_minus, P, (det L, det L+, det L-)) with a singularity check.
 
-    Raises SingularDetL at the first point with |det L| < 1e-300.  Scalars
-    or equal-shape arrays, like boundary_entries.
+    Raises SingularDetL at the first point with |det L| < 1e-300.
     """
     lp, lm, p = boundary_entries(fluid, lam, a, *roots)
     dets = block_det(lp, lm)
@@ -219,20 +162,6 @@ def checked_entries(fluid: FluidParams, lam, a, roots):
             "vanishing determinant inside the sector is a certification failure"
         )
     return lp, lm, p, dets
-
-
-def assemble(
-    fluid: FluidParams,
-    sp: SpectralPoint,
-    r: CharRoots | None = None,
-) -> LopatinskiMatrix:
-    """Build the matrix at one spectral point, det via the block split."""
-    r = r or char_roots(fluid, sp)
-    lp, lm, p, (det, det_p, det_m) = checked_entries(fluid, sp.lam, sp.a, r.as_tuple())
-    return LopatinskiMatrix(
-        fluid=fluid, point=sp, roots=r, l_plus=lp, l_minus=lm,
-        det=det, det_plus=det_p, det_minus=det_m, p_stab=p,
-    )
 
 
 def omega1(fluid: FluidParams) -> float:
@@ -298,7 +227,11 @@ class ScanReport:
         return d
 
 
-_CHUNK = 1 << 19
+# Points per scan chunk, below numpy's 16,384-value threshold for temporary
+# elision: above it numpy may evaluate x * temporary in place as
+# temporary * x, whose last bit can differ, so the scan bits would depend on
+# the chunk size.
+_CHUNK = 8192
 
 
 def _det_chunks(fluid: FluidParams, sector: Sector, grid: GridSpec):
@@ -393,23 +326,23 @@ def asymptotic_report(
     w1 = omega1(fluid)
     w2 = omega2(fluid)
     span = math.pi - sector.epsilon
-    angles = [0.0, 0.5 * span, -0.5 * span, span, -span]
-    dev1 = 0.0
-    dev2 = 0.0
-    for scale in (1e-2, 1.0, 1e2):
-        for ang in angles:
-            # A-dominated probe: A = ratio * sqrt|lam|
-            a = scale
-            lam_mag = (a / ratio_threshold) ** 2
-            lam = lam_mag * complex(math.cos(ang), math.sin(ang))
-            m = assemble(fluid, SpectralPoint(lam=lam, xi=(a,)))
-            dev1 = max(dev1, abs(m.det / (w1 * a ** 4) - 1.0))
-            # lambda-dominated probe: sqrt|lam| = ratio * A
-            lam_mag = scale * scale
-            lam = lam_mag * complex(math.cos(ang), math.sin(ang))
-            a = math.sqrt(lam_mag) / ratio_threshold
-            m = assemble(fluid, SpectralPoint(lam=lam, xi=(a,)))
-            dev2 = max(dev2, abs(m.det / (w2 * lam * lam) - 1.0))
+    rot = [complex(math.cos(t), math.sin(t))
+           for t in (0.0, 0.5 * span, -0.5 * span, span, -span)]
+    scales = (1e-2, 1.0, 1e2)
+    # A-dominated probes A = ratio * sqrt|lam|, then lambda-dominated
+    # probes sqrt|lam| = ratio * A, one per scale and sector angle
+    a1 = np.repeat(scales, len(rot))
+    lam1 = np.array([(s / ratio_threshold) ** 2 * r for s in scales for r in rot])
+    lam2 = np.array([s * s * r for s in scales for r in rot])
+    a2 = np.repeat([math.sqrt(s * s) / ratio_threshold for s in scales], len(rot))
+    lam = np.concatenate([lam1, lam2])
+    a = np.concatenate([a1, a2])
+    roots = char_roots_batch(fluid, lam, a)
+    check_roots(roots, lam, a)
+    dets = checked_entries(fluid, lam, a, roots)[3]
+    det1, det2 = np.split(dets[0], 2)
+    dev1 = float(np.max(np.abs(det1 / (w1 * a1 ** 4) - 1.0)))
+    dev2 = float(np.max(np.abs(det2 / (w2 * lam2 * lam2) - 1.0)))
     if max(dev1, dev2) > dev_tol:
         raise AsymptoticMismatch(
             f"regime deviations ({dev1:.3e}, {dev2:.3e}) exceed {dev_tol:.3e} "

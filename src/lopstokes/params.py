@@ -4,8 +4,8 @@ The model couples a compressible phase on the upper half-space x_N > 0
 (density rho_plus, shear viscosity mu_plus, second viscosity nu_plus) to an
 incompressible phase on x_N < 0 (rho_minus, mu_minus), with surface tension
 sigma on the flat interface x_N = 0.  Resolvent parameters live in the sector
-|arg(lambda)| <= pi - epsilon, optionally truncated to |lambda| >= lambda
-floor.  Tangential frequencies xi' never vanish; A = |xi'|.
+|arg(lambda)| <= pi - epsilon, lambda != 0.  Tangential frequencies xi' never
+vanish; A = |xi'|.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Exponential-sum resolvent solutions and independent residual checks.
 
-assemble_profiles turns interface data at one spectral point into explicit
+assemble_batch turns interface data at N spectral points into explicit
 velocity and pressure profiles
 
     u_plus_J(x)  = g_plus_J  M_plus(x)  + beta_plus_J  exp(-B_plus x),  x >= 0,
@@ -17,16 +17,15 @@ assemble_batch solves N points of one dimension and data mode at once into
 a ProfileBatch, whose Profiles hold one (N,) array per field, and each check
 (ODE, interface, kinematic, decay, energy) is written once, over such a
 batch, returning one value per point; depth samples sit on axis 0, points
-on the last axis.  The per-point functions (assemble_profiles,
-ode_residual, interface_residual, decay_margin, energy_balance) run the
-same code on a batch of one, so a point gives the same result alone as
-inside any batch.  fuzz_residuals draws its corpus point by point and
+on the last axis.  A single point is a batch of one, so it gives the same
+result alone as inside any batch.  The one scalar bridge is Profile.at,
+which energy_quadrature_check needs because adaptive quadrature integrates
+a scalar function.  fuzz_residuals draws its corpus point by point and
 evaluates it in chunks of _CHUNK samples.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -36,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (
-    BetaSolution,
     SymbolKit,
     amplitudes,
     kinematic_weight,
@@ -44,27 +42,18 @@ from .coefficients import (
 )
 from .config import REFERENCE_PARAMS, Tolerances
 from .errors import QuadratureFailure
-from .lopatinski import LopatinskiMatrix, checked_entries
-from .params import FluidParams, Sector, SpectralPoint
-from .symbols import CharRoots, char_roots_batch, check_roots, exp_diff_quot_batch
+from .lopatinski import checked_entries
+from .params import FluidParams, Sector
+from .symbols import char_roots_batch, check_roots, exp_diff_quot_batch
 
 __all__ = [
-    "ExpTerm",
     "Profile",
-    "BoundaryData",
-    "ProfileSolution",
     "ProfileBatch",
     "InterfaceResiduals",
     "EnergyReport",
     "FuzzReport",
-    "assemble_profiles",
     "assemble_batch",
-    "ode_residual",
-    "interface_residual",
-    "energy_balance",
     "energy_quadrature_check",
-    "decay_margin",
-    "default_x_samples",
     "inner_product",
     "fuzz_corpus",
     "fuzz_residuals",
@@ -75,26 +64,6 @@ __all__ = [
 _CHUNK = 2048
 
 _MODES = ("explicit-H", "kinematic")
-
-
-@dataclass(frozen=True)
-class ExpTerm:
-    """One amplitude * x^degree * exp(exponent*x) term of a profile."""
-
-    amplitude: complex
-    exponent: complex
-    degree: int = 0
-
-    def __call__(self, x):
-        xx = np.asarray(x, dtype=np.float64)
-        val = self.amplitude * xx ** self.degree * np.exp(self.exponent * xx)
-        return complex(val) if np.ndim(x) == 0 else val
-
-    def deriv(self) -> tuple["ExpTerm", ...]:
-        out = [ExpTerm(self.amplitude * self.exponent, self.exponent, self.degree)]
-        if self.degree:
-            out.append(ExpTerm(self.amplitude * self.degree, self.exponent, self.degree - 1))
-        return tuple(out)
 
 
 def _field(v):
@@ -127,8 +96,8 @@ class Profile:
     Evaluation routes the M part through the series-stabilized divided
     difference, so near-confluent roots lose no accuracy.
 
-    Fields are complex scalars (one point) or (N,) arrays (one value per
-    point of a batch); the algebra is the same field arithmetic for both.
+    Fields are (N,) arrays, one value per point of a batch; Profile.at(i)
+    gives point i with complex scalar fields, for scalar integrands.
     """
 
     __slots__ = ("side", "b", "a", "c_m", "c_b", "c_a")
@@ -195,26 +164,6 @@ class Profile:
 
     __rmul__ = __mul__
 
-    @property
-    def terms(self) -> tuple[ExpTerm, ...]:
-        """Amplitude/exponent/degree view of a one-point profile; degree 1
-        appears only when the two rates coincide exactly (then M(x) = x e_A(x))."""
-        sgn = -1.0 if self.side > 0 else 1.0
-        out = []
-        if self.c_m != 0:
-            if self.b == self.a:
-                # confluent M is sgn * x e_A: -x e^{-ax} above, x e^{ax} below
-                out.append(ExpTerm(sgn * self.c_m, sgn * self.a, 1))
-            else:
-                w = self.c_m / (self.b - self.a)
-                out.append(ExpTerm(w, sgn * self.b, 0))
-                out.append(ExpTerm(-w, sgn * self.a, 0))
-        if self.c_b != 0:
-            out.append(ExpTerm(self.c_b, sgn * self.b, 0))
-        if self.c_a != 0:
-            out.append(ExpTerm(self.c_a, sgn * self.a, 0))
-        return tuple(out)
-
 
 def _gram(b, a):
     """Pairing table G[i][j] = integral of basis_i * conj(basis_j) over the
@@ -246,37 +195,6 @@ def inner_product(p: Profile, q: Profile, gram=None):
     return total
 
 
-@dataclass(frozen=True)
-class BoundaryData:
-    """Interface data: tangential velocity jumps h_m, and either the height
-    H directly (explicit-H) or the kinematic datum d with H derived as
-    (lambda + K)^{-1} (d + w_h)."""
-
-    h_hat: tuple[complex, ...]
-    H_hat: complex | None = None
-    d_hat: complex | None = None
-    mode: str = "explicit-H"
-
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "kinematic":
-            if self.H_hat is not None:
-                raise ValueError("kinematic mode derives H_hat; do not supply it")
-            if self.d_hat is None:
-                raise ValueError("kinematic mode requires d_hat")
-        elif self.H_hat is None:
-            raise ValueError("explicit-H mode requires H_hat")
-
-    @classmethod
-    def explicit(cls, h_hat, H_hat: complex, d_hat: complex | None = None) -> "BoundaryData":
-        return cls(tuple(complex(v) for v in h_hat), complex(H_hat), d_hat, "explicit-H")
-
-    @classmethod
-    def kinematic(cls, h_hat, d_hat: complex) -> "BoundaryData":
-        return cls(tuple(complex(v) for v in h_hat), None, complex(d_hat), "kinematic")
-
-
 def _ixi(xi) -> tuple:
     return tuple(1j * np.asarray(v, dtype=np.float64) for v in xi)
 
@@ -286,33 +204,6 @@ def _divergence(ixi, us) -> Profile:
     for j, u in enumerate(us[:-1]):
         total = total + ixi[j] * u
     return total
-
-
-@dataclass(frozen=True)
-class ProfileSolution:
-    """Assembled solution at one spectral point.
-
-    Components are Profiles (exact derivatives, closed-form integrals).
-    """
-
-    fluid: FluidParams
-    point: SpectralPoint
-    roots: CharRoots
-    data: BoundaryData
-    betas: BetaSolution
-    u_plus: tuple[Profile, ...]
-    u_minus: tuple[Profile, ...]
-    pressure: Profile
-    H_hat_effective: complex
-    k_height: complex
-
-    @property
-    def dim(self) -> int:
-        return self.point.dim
-
-    def divergence(self, side: int) -> Profile:
-        ixi = tuple(1j * v for v in self.point.xi)
-        return _divergence(ixi, self.u_plus if side > 0 else self.u_minus)
 
 
 @dataclass(frozen=True)
@@ -351,54 +242,6 @@ class ProfileBatch:
         return out
 
 
-def _solve(fluid, lam, xi, h, top, mode, tol, strict):
-    """(ProfileBatch, roots, entries, amplitudes, K) at N points of one
-    dimension: the shared body of assemble_batch and assemble_profiles."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    lam = np.asarray(lam, dtype=np.complex128)
-    xi = np.asarray(xi, dtype=np.float64)
-    h = np.asarray(h, dtype=np.complex128)
-    top = np.asarray(top, dtype=np.complex128)
-    dim = xi.shape[1] + 1
-    if h.shape != xi.shape:
-        raise ValueError(f"h_hat must have shape ({dim - 1},), got {h.shape[1:]}")
-    tol = tol or Tolerances()
-    # math.hypot per point: exactly SpectralPoint.a
-    a = np.array([math.hypot(*row) for row in xi.tolist()], dtype=np.float64)
-    roots = char_roots_batch(fluid, lam, a)
-    check_roots(roots, lam, a)
-    entries = checked_entries(fluid, lam, a, roots)
-    l_plus, l_minus, p_stab, dets = entries
-    kit = SymbolKit(fluid, lam, a, roots, l_plus, l_minus, dets[0], p_stab)
-    ixi = _ixi(xi.T)
-    hs = tuple(h.T)
-    k = kit.k_height()
-    valid = np.ones(lam.shape, dtype=bool)
-    if mode == "kinematic":
-        denom = lam + k
-        refused = refused_heights(lam, a, denom, tol, strict=strict)
-        w_h = kinematic_weight(fluid, a, [kit.s_minus_Nm(x) for x in ixi],
-                               [kit.s_plus_Nm(x) for x in ixi], hs)
-        H = np.where(refused, 0.0, (top + w_h) * (1.0 / np.where(refused, 1.0, denom)))
-        valid = ~refused
-    else:
-        H = top
-    amps = amplitudes(kit, ixi, hs, H)
-    ap, bp, bm = roots
-    batch = ProfileBatch(
-        fluid=fluid, lam=lam, a=a, ixi=ixi, h=hs,
-        d=top if mode == "kinematic" else None, H=H,
-        u_plus=tuple(Profile(+1, bp, ap, c_m=amps["g_plus"][j], c_b=amps["beta_plus"][j])
-                     for j in range(dim)),
-        u_minus=tuple(Profile(-1, bm, a, c_m=amps["g_minus"][j], c_b=amps["beta_minus"][j])
-                      for j in range(dim)),
-        pressure=Profile(-1, bm, a, c_a=amps["gamma_minus"]),
-        valid=valid,
-    )
-    return batch, roots, entries, amps, k
-
-
 def assemble_batch(
     fluid: FluidParams,
     lam,
@@ -417,80 +260,49 @@ def assemble_batch(
     with strict=False refused heights are flagged in ProfileBatch.valid
     instead.
     """
-    return _solve(fluid, lam, xi, h_hat, top, mode, tol, strict)[0]
-
-
-def assemble_profiles(
-    fluid: FluidParams,
-    sp: SpectralPoint,
-    data: BoundaryData,
-    tol: Tolerances | None = None,
-) -> ProfileSolution:
-    """Solve the interface system and emit the explicit profiles.
-
-    In kinematic mode the height amplitude is obtained from the closed
-    kinematic relation first (raising HeightNotInvertible when lambda + K
-    degenerates), then the velocity problem is solved with that height.
-    The one-point case of assemble_batch.
-    """
-    top = data.d_hat if data.mode == "kinematic" else data.H_hat
-    batch, roots, (lp, lm, p, dets), amps, k = _solve(
-        fluid, [sp.lam], [sp.xi], [data.h_hat], [top], data.mode, tol, True)
-
-    def one(v):
-        return complex(v[0])
-
-    r = CharRoots(*map(one, roots), a=sp.a, lam=sp.lam)
-    matrix = LopatinskiMatrix(
-        fluid=fluid, point=sp, roots=r, l_plus=tuple(map(one, lp)),
-        l_minus=tuple(map(one, lm)), det=one(dets[0]), det_plus=one(dets[1]),
-        det_minus=one(dets[2]), p_stab=one(p))
-    betas = BetaSolution(
-        matrix=matrix, h_hat=np.asarray(data.h_hat, dtype=np.complex128),
-        H_hat=one(batch.H),
-        **{key: v[:, 0] if v.ndim == 2 else one(v) for key, v in amps.items()})
-    return ProfileSolution(
-        fluid=fluid, point=sp, roots=r, data=data, betas=betas,
-        u_plus=tuple(u.at(0) for u in batch.u_plus),
-        u_minus=tuple(u.at(0) for u in batch.u_minus),
-        pressure=batch.pressure.at(0),
-        H_hat_effective=one(batch.H), k_height=one(k),
-    )
-
-
-def _view(fluid: FluidParams, sp: SpectralPoint, sol: ProfileSolution,
-          data: BoundaryData | None = None) -> ProfileBatch:
-    """One-point ProfileBatch of an assembled solution, for the checks."""
-    data = sol.data if data is None else data
-
-    def arr(v):
-        return np.array([v], dtype=np.complex128)
-
-    def lift(p: Profile) -> Profile:
-        return Profile(p.side, arr(p.b), arr(p.a), arr(p.c_m), arr(p.c_b), arr(p.c_a))
-
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    lam = np.asarray(lam, dtype=np.complex128)
+    xi = np.asarray(xi, dtype=np.float64)
+    h = np.asarray(h_hat, dtype=np.complex128)
+    top = np.asarray(top, dtype=np.complex128)
+    dim = xi.shape[1] + 1
+    if h.shape != xi.shape:
+        raise ValueError(f"h_hat must have shape ({dim - 1},), got {h.shape[1:]}")
+    tol = tol or Tolerances()
+    # A = |xi'| by math.hypot per point, as the fuzz reports record it
+    a = np.array([math.hypot(*row) for row in xi.tolist()], dtype=np.float64)
+    roots = char_roots_batch(fluid, lam, a)
+    check_roots(roots, lam, a)
+    l_plus, l_minus, p_stab, dets = checked_entries(fluid, lam, a, roots)
+    kit = SymbolKit(fluid, lam, a, roots, l_plus, l_minus, dets[0], p_stab)
+    ixi = _ixi(xi.T)
+    hs = tuple(h.T)
+    k = kit.k_height()
+    valid = np.ones(lam.shape, dtype=bool)
+    if mode == "kinematic":
+        denom = lam + k
+        refused = refused_heights(lam, a, denom, tol, strict=strict)
+        w_h = kinematic_weight(fluid, a, [kit.s_minus_Nm(x) for x in ixi],
+                               [kit.s_plus_Nm(x) for x in ixi], hs)
+        H = np.where(refused, 0.0, (top + w_h) * (1.0 / np.where(refused, 1.0, denom)))
+        valid = ~refused
+    else:
+        H = top
+    amps = amplitudes(kit, ixi, hs, H)
+    ap, bp, bm = roots
     return ProfileBatch(
-        fluid=fluid, lam=arr(sp.lam), a=np.array([sp.a], dtype=np.float64),
-        ixi=_ixi([[v] for v in sp.xi]), h=tuple(arr(v) for v in data.h_hat),
-        d=None if data.d_hat is None else arr(data.d_hat),
-        H=arr(sol.H_hat_effective), u_plus=tuple(map(lift, sol.u_plus)),
-        u_minus=tuple(map(lift, sol.u_minus)), pressure=lift(sol.pressure),
-        valid=np.ones(1, dtype=bool),
+        fluid=fluid, lam=lam, a=a, ixi=ixi, h=hs,
+        d=top if mode == "kinematic" else None, H=H,
+        u_plus=tuple(Profile(+1, bp, ap, c_m=amps["g_plus"][j], c_b=amps["beta_plus"][j])
+                     for j in range(dim)),
+        u_minus=tuple(Profile(-1, bm, a, c_m=amps["g_minus"][j], c_b=amps["beta_minus"][j])
+                      for j in range(dim)),
+        pressure=Profile(-1, bm, a, c_a=amps["gamma_minus"]),
+        valid=valid,
     )
 
 
-def _item(v, i: int):
-    if v is None:
-        return None
-    if isinstance(v, tuple):
-        return tuple(_item(x, i) for x in v)
-    return np.ravel(v)[i].item()
-
-
-def _at(record, i: int):
-    """Point i of a per-point-array result record, with Python scalar fields."""
-    return type(record)(**{f.name: _item(getattr(record, f.name), i)
-                           for f in dataclasses.fields(record)})
 
 
 _LOG_DEPTHS = np.logspace(-2.0, 1.0, 20)
@@ -498,13 +310,7 @@ _LOG_DEPTHS = np.logspace(-2.0, 1.0, 20)
 
 def _depths(lam, a):
     """Twenty log-spaced depths per point (axis 0), covering the decay scale."""
-    scale = np.sqrt(np.abs(lam)) + a
-    return _LOG_DEPTHS.reshape((-1,) + (1,) * np.ndim(scale)) / scale
-
-
-def default_x_samples(sp: SpectralPoint) -> np.ndarray:
-    """Twenty log-spaced depths covering the natural decay scale."""
-    return _depths(sp.lam, sp.a)
+    return _LOG_DEPTHS[:, None] / (np.sqrt(np.abs(lam)) + a)
 
 
 def _vmax(values):
@@ -561,24 +367,6 @@ def _ode(s: ProfileBatch, xs):
     return _vmax(worst)
 
 
-def ode_residual(
-    fluid: FluidParams,
-    sp: SpectralPoint,
-    sol: ProfileSolution,
-    x_samples=None,
-) -> float:
-    """Max relative residual of the five interior equations.
-
-    Both momentum balances and the minus-phase divergence constraint are
-    evaluated by exact term-by-term differentiation at |x| samples placed
-    on the correct side, each equation normalized by its largest term.
-    """
-    s = _view(fluid, sp, sol)
-    xs = (_depths(s.lam, s.a) if x_samples is None
-          else np.abs(np.asarray(x_samples, dtype=np.float64)).reshape(-1, 1))
-    return float(_ode(s, xs)[0])
-
-
 def _rel(parts: list):
     """|sum| over the largest constituent, per point (0 where all vanish)."""
     return _ratio(np.abs(sum(parts)), _vmax([np.abs(p) for p in parts]))
@@ -586,15 +374,15 @@ def _rel(parts: list):
 
 @dataclass(frozen=True)
 class InterfaceResiduals:
-    """Relative residual of each interface condition, reported individually
-    (floats at one point, (N,) arrays over a batch)."""
+    """Relative residual of each interface condition, reported individually,
+    one (N,) array per condition."""
 
-    tangential_stress: tuple[float, ...]
-    normal_stress_minus: float
-    normal_stress_plus: float
-    velocity_jump: tuple[float, ...]
-    divergence_trace: float
-    kinematic: float | None
+    tangential_stress: tuple[np.ndarray, ...]
+    normal_stress_minus: np.ndarray
+    normal_stress_plus: np.ndarray
+    velocity_jump: tuple[np.ndarray, ...]
+    divergence_trace: np.ndarray
+    kinematic: np.ndarray | None
 
     def max(self, kinematic: bool = True):
         vals = [*self.tangential_stress, self.normal_stress_minus,
@@ -602,8 +390,7 @@ class InterfaceResiduals:
                 self.divergence_trace]
         if kinematic and self.kinematic is not None:
             vals.append(self.kinematic)
-        out = _vmax(vals)
-        return float(out) if np.ndim(out) == 0 else out
+        return _vmax(vals)
 
 
 def _trace_parts(p: Profile) -> list:
@@ -678,26 +465,6 @@ def _interface(s: ProfileBatch) -> InterfaceResiduals:
     )
 
 
-def interface_residual(
-    fluid: FluidParams,
-    sp: SpectralPoint,
-    sol: ProfileSolution,
-    data: BoundaryData | None = None,
-) -> InterfaceResiduals:
-    """Re-derive every interface condition from the profile traces.
-
-    Uses only traces and trace derivatives of the assembled profiles plus
-    the raw data, never the boundary matrix, so it is an independent check
-    of the whole coefficient pipeline.  Each condition is flattened to its
-    additive constituents and |sum| is judged against the largest one;
-    grouped traces can themselves be near-total cancellations of large
-    amplitudes, and normalizing by those would turn plain round-off into
-    a fake defect.  The kinematic relation is checked whenever a d value
-    is available (always, in kinematic mode).
-    """
-    return _at(_interface(_view(fluid, sp, sol, data)), 0)
-
-
 def _partial(u: Profile, idx: int, ixi, n: int) -> Profile:
     return u.deriv() if idx == n - 1 else ixi[idx] * u
 
@@ -709,18 +476,16 @@ class EnergyReport:
     lam_term = rho lam sum ||u_J||^2; dissipation is the (real, nonnegative
     for admissible parameters) quadratic form in the symmetric gradient;
     flux pairs the boundary stress with the velocity trace.  defects are
-    |sum| over the largest of the three magnitudes (floats at one point,
-    (N,) arrays over a batch).
+    |sum| over the largest of the three magnitudes, one value per point.
     """
 
-    plus_defect: float
-    minus_defect: float
-    plus_parts: tuple[complex, complex, complex]
-    minus_parts: tuple[complex, complex, complex]
+    plus_defect: np.ndarray
+    minus_defect: np.ndarray
+    plus_parts: tuple[np.ndarray, np.ndarray, np.ndarray]
+    minus_parts: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def max(self):
-        out = np.maximum(self.plus_defect, self.minus_defect)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.maximum(self.plus_defect, self.minus_defect)
 
 
 def _side_energy(s: ProfileBatch, side: int):
@@ -768,58 +533,51 @@ def _energy(s: ProfileBatch) -> EnergyReport:
     return EnergyReport(plus_defect=dp, minus_defect=dm, plus_parts=pp, minus_parts=pm)
 
 
-def energy_balance(fluid: FluidParams, sp: SpectralPoint, sol: ProfileSolution) -> EnergyReport:
-    """Closed-form integration-by-parts balance for both phases."""
-    return _at(_energy(_view(fluid, sp, sol)), 0)
-
-
-def energy_quadrature_check(
-    fluid: FluidParams,
-    sp: SpectralPoint,
-    sol: ProfileSolution,
-    quad_rel: float | None = None,
-) -> float:
+def energy_quadrature_check(s: ProfileBatch, quad_rel: float | None = None) -> float:
     """Adaptive-quadrature cross-check of every integral in the balance.
 
-    Each squared norm entering energy_balance is recomputed numerically on
-    the rate-scaled half-line and compared with the closed form; returns the
-    largest normalized mismatch.
+    At each point of the batch, every squared norm entering the energy
+    balance is recomputed numerically on the rate-scaled half-line and
+    compared with the closed form; returns the largest normalized mismatch.
+    quad integrates a scalar function, so each point is taken apart into
+    scalar profiles with Profile.at.
     """
     from scipy.integrate import quad
 
     tol = Tolerances()
     quad_rel = tol.energy_quad_rel if quad_rel is None else quad_rel
-    n = sp.dim
-    ixi = [1j * v for v in sp.xi]
-    jobs: list[Profile] = []
-    for side in (+1, -1):
-        us = sol.u_plus if side > 0 else sol.u_minus
-        jobs.extend(us)
-        for J in range(n):
-            for K in range(J, n):
-                jobs.append(_partial(us[K], J, ixi, n) + _partial(us[J], K, ixi, n))
-    jobs.append(sol.divergence(+1))
-    jobs.append(sol.pressure)
-
-    closed = [inner_product(p, p).real for p in jobs]
-    scale = max(max(closed), 1e-300)
+    n = len(s.u_plus)
     worst = 0.0
-    for p, ref in zip(jobs, closed):
-        if ref < 1e-14 * scale:
-            continue
-        rate = min(p.b.real, p.a.real)
-        span = 1.0 / rate
-        sgn = 1.0 if p.side > 0 else -1.0
+    for i in range(s.lam.size):
+        ixi = [complex(x[i]) for x in s.ixi]
+        plus = [u.at(i) for u in s.u_plus]
+        jobs: list[Profile] = []
+        for us in (plus, [u.at(i) for u in s.u_minus]):
+            jobs.extend(us)
+            for J in range(n):
+                for K in range(J, n):
+                    jobs.append(_partial(us[K], J, ixi, n) + _partial(us[J], K, ixi, n))
+        jobs.append(_divergence(ixi, plus))
+        jobs.append(s.pressure.at(i))
 
-        def integrand(t: float) -> float:
-            return abs(p(sgn * span * t)) ** 2 * span
+        closed = [inner_product(p, p).real for p in jobs]
+        scale = max(max(closed), 1e-300)
+        for p, ref in zip(jobs, closed):
+            if ref < 1e-14 * scale:
+                continue
+            rate = min(p.b.real, p.a.real)
+            span = 1.0 / rate
+            sgn = 1.0 if p.side > 0 else -1.0
 
-        val, err = quad(integrand, 0.0, np.inf, epsrel=quad_rel, epsabs=0.0, limit=200)
-        if err > 1e-6 * max(abs(val), ref):
-            raise QuadratureFailure(
-                f"energy integral error estimate {err:.3e} too large at "
-                f"lam={sp.lam!r}, A={sp.a!r}")
-        worst = max(worst, abs(val - ref) / max(ref, 1e-8 * scale))
+            def integrand(t: float) -> float:
+                return abs(p(sgn * span * t)) ** 2 * span
+
+            val, err = quad(integrand, 0.0, np.inf, epsrel=quad_rel, epsabs=0.0, limit=200)
+            if err > 1e-6 * max(abs(val), ref):
+                raise QuadratureFailure(
+                    f"energy integral error estimate {err:.3e} too large at "
+                    f"lam={complex(s.lam[i])!r}, A={float(s.a[i])!r}")
+            worst = max(worst, abs(val - ref) / max(ref, 1e-8 * scale))
     return worst
 
 
@@ -838,12 +596,6 @@ def _decay(s: ProfileBatch):
             worst.append(np.divide(val, bound, out=np.zeros(val.shape),
                                    where=bound >= 1e-300))
     return _vmax(worst)
-
-
-def decay_margin(sol: ProfileSolution) -> float:
-    """Ratio of |component| to its rigorous decay envelope at the probe
-    depth 10/(sqrt|lam| + A); must never exceed 1 (up to round-off)."""
-    return float(_decay(_view(sol.fluid, sol.point, sol))[0])
 
 
 def _cnormal(rng: np.random.Generator, size=None):

@@ -1,4 +1,11 @@
-"""Thresholds and the mutation hook shared between test modules.
+"""Thresholds, one-point helpers and the mutation hook shared between
+test modules.
+
+A single spectral point is a batch of one: point_kit, solve_point and
+point_amplitudes run the production array code on arrays of length one.
+lopatinski_matrix and cofactor_matrix spell out the 3x3 interface matrix
+and its cofactors at one point, and coefficient_tables the P/R/S/T/p^-
+data-to-amplitude tables, for checks against a direct solve.
 
 mutated() scales one boundary-matrix entry or one solution amplitude by
 (1 + rel) for the duration of a with-block, by patching the entry formula
@@ -13,14 +20,16 @@ from __future__ import annotations
 import contextlib
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from lopstokes import lopatinski, resolvent
+from lopstokes.coefficients import SymbolKit, amplitudes
 
 # Thresholds the tests apply to the package's results; the thresholds the
 # package applies itself live in lopstokes.config.Tolerances.
 TEST_TOL = SimpleNamespace(
-    beta_residual=1e-12,        # interface system residual of solve_betas
+    beta_residual=1e-12,        # interface system residual of the amplitudes
     beta_jump=1e-13,            # tangential velocity jump against h
     coeff_vs_direct=1e-11,      # symbol tables against direct solves
     slope_dev=0.05,             # measured K/A slope against slope_limit
@@ -91,14 +100,81 @@ def mutated(target: str, rel):
         yield
 
 
-def mutation_probe(fluid, sp, data, rel: float = 1e-3) -> dict[str, float]:
-    """Worst ODE or interface residual after mutating each single amplitude
-    or boundary-matrix entry by (1 + rel); every value must clear the
-    detection floor for the suite to be falsifiable."""
+def mutation_probe(fluid, sp, h, H, rel: float = 1e-3) -> dict[str, float]:
+    """Worst ODE or interface residual of the explicit-H solve at sp after
+    mutating each single amplitude or boundary-matrix entry by (1 + rel);
+    every value must clear the detection floor for the suite to be
+    falsifiable."""
     out = {}
     for target in (*amplitude_targets(sp.dim), *ENTRY_TARGETS):
         with mutated(target, rel):
-            sol = resolvent.assemble_profiles(fluid, sp, data)
-        out[target] = max(resolvent.ode_residual(fluid, sp, sol),
-                          resolvent.interface_residual(fluid, sp, sol).max())
+            res = solve_point(fluid, sp, h, H).residuals()
+        out[target] = float(max(res["ode"][0], res["interface"][0]))
     return out
+
+
+def point_kit(fluid, sp) -> SymbolKit:
+    """The SymbolKit of one spectral point, every field an array of length one."""
+    return SymbolKit.batch(fluid, [sp.lam], [sp.a])
+
+
+def solve_point(fluid, sp, h, top, mode="explicit-H", **kw):
+    """assemble_batch at one spectral point; top is H or d by mode."""
+    return resolvent.assemble_batch(fluid, [sp.lam], [sp.xi], [h], [top], mode, **kw)
+
+
+def point_amplitudes(fluid, sp, h, H) -> dict:
+    """amplitudes() at one spectral point, with the point axis dropped."""
+    amps = amplitudes(point_kit(fluid, sp), [np.array([1j * x]) for x in sp.xi],
+                      [np.array([v]) for v in h], np.array([H]))
+    return {key: v[..., 0] for key, v in amps.items()}
+
+
+def lopatinski_matrix(kit, i: int = 0) -> np.ndarray:
+    """The 3x3 interface matrix L at point i of a kit."""
+    return np.array([
+        [kit.l11p[i] + kit.l11m[i], kit.l12p[i], kit.l12m[i]],
+        [kit.l21m[i], 0.0, kit.l22m[i]],
+        [-kit.l21p[i], -kit.l22p[i], 0.0],
+    ], dtype=np.complex128)
+
+
+def cofactor_matrix(kit, i: int = 0) -> np.ndarray:
+    """3x3 array C at point i of a kit, with (L^{-1})_jk = C[j, k]/det L."""
+    return np.array([getattr(kit, f"c{j}{k}")[i] for j in (1, 2, 3) for k in (1, 2, 3)],
+                    dtype=np.complex128).reshape(3, 3)
+
+
+def coefficient_tables(fluid, sp) -> SimpleNamespace:
+    """The data-to-amplitude tables at one point.
+
+    Column m < N-1 weights h[m], column N-1 weights A*H; rows of the r_ and
+    s_ tables run over the components J (tangential first, normal last).
+    """
+    kit = point_kit(fluid, sp)
+    n = sp.dim
+    ixi = [np.array([1j * x]) for x in sp.xi]
+
+    def table(tangential, normal):
+        """One row: the symbol at each i xi_m, then the normal column."""
+        return np.array([*(tangential(x) for x in ixi), normal()])[:, 0]
+
+    def r_table(r):
+        rows = [table(lambda x, xj=xj: r(False, False, xj, x), lambda xj=xj: r(False, True, xj))
+                for xj in ixi]
+        rows.append(table(lambda x: r(True, False, ixi_m=x), lambda: r(True, True)))
+        return np.array(rows)
+
+    s_rows = [table(lambda x, xj=xj: kit.s_jm(xj, x), lambda xj=xj: kit.s_jN(xj))
+              for xj in ixi]
+    return SimpleNamespace(
+        p_plus=table(kit.p_plus_m, kit.p_plus_N),
+        p_minus=table(kit.p_minus_m, kit.p_minus_N),
+        r_plus=r_table(kit.r_plus),
+        r_minus=r_table(kit.r_minus),
+        s_plus=np.array([*s_rows, table(kit.s_plus_Nm, kit.s_plus_NN)]),
+        s_minus=np.array([*s_rows, table(kit.s_minus_Nm, kit.s_minus_NN)]),
+        t_plus=np.full(n - 1, kit.t_plus()[0]),
+        t_minus=np.full(n - 1, kit.t_minus()[0]),
+        p_press=table(kit.p_press_m, kit.p_press_N),
+    )

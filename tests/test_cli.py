@@ -1,6 +1,7 @@
 """Command-level properties: each scan grid is evaluated once per command,
-malformed solve input ends in exit 65 with the file named, and so does a
-config key the program no longer reads."""
+malformed solve input or a solve lambda outside the sector ends in exit 65,
+and so does a config key the program no longer reads; the energy suite
+reproduces its pinned quadrature figure."""
 
 from __future__ import annotations
 
@@ -8,13 +9,14 @@ import json
 import math
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lopstokes import coefficients, lopatinski
+from lopstokes import cli, coefficients, lopatinski
 from lopstokes.cli import main
-from lopstokes.config import GridSpec, REFERENCE_PARAMS
+from lopstokes.config import GridSpec, REFERENCE_PARAMS, default_config
 from lopstokes.reports import write_field
 from lopstokes.transform import PhysicalField
 
@@ -92,6 +94,25 @@ def test_solve_reads_its_fields(solve_argv):
     assert main(solve_argv) == 0
 
 
+@pytest.mark.parametrize("lam,code", [
+    (complex(-5.0, 0.1), 65),     # arg 3.12 beyond pi - epsilon = 2.36
+    (0j, 65),
+    (complex(-1.0, 1.05), 0),     # arg 2.33, just inside
+], ids=["beyond-edge", "zero", "inside"])
+def test_solve_lambda_must_lie_in_the_sector(capsys, tmp_path, solve_argv, lam, code):
+    path = tmp_path / "config.json"
+    cfg = json.loads(path.read_text())
+    cfg["solve"].update(lambda_re=lam.real, lambda_im=lam.imag)
+    path.write_text(json.dumps(cfg))
+    assert main(solve_argv) == code
+    written = list((tmp_path / "out").glob("solve_*"))
+    if code:
+        assert "outside sector" in capsys.readouterr().err
+        assert written == []
+    else:
+        assert written
+
+
 def _replace_line(path, lineno, edit):
     lines = path.read_text().splitlines()
     lines[lineno] = edit(lines[lineno])
@@ -127,3 +148,12 @@ def test_removed_sector_key_exits_65(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "config.sector" in err and "lambda_floor" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_energy_suite_pinned():
+    # the figure verify writes for the default probes; fuzz supplies only
+    # the closed-form worst, absent here
+    cfg = default_config()
+    doc = cli._energy_suite(cfg, cfg.tolerances, SimpleNamespace(worst={}))
+    assert doc["quadrature_cross_worst"] == 9.135637188909454e-14
+    assert doc["passed"]

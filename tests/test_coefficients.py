@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import TEST_TOL
+from helpers import (
+    TEST_TOL,
+    coefficient_tables,
+    lopatinski_matrix,
+    point_amplitudes,
+    point_kit,
+    solve_point,
+)
 from lopstokes import (
     FluidParams,
     GridSpec,
@@ -20,20 +27,17 @@ from lopstokes import (
     Sector,
     SpectralPoint,
     Tolerances,
-    assemble,
-    char_roots,
-    coefficient_symbols,
     height_scan,
     omega3,
     omega4_formula,
     slope_limit,
-    solve_betas,
 )
 from lopstokes.coefficients import (
     SymbolKit,
+    _interface_rhs,
     height_curve,
     height_ratio,
-    height_rhs,
+    kinematic_weight,
     refused_heights,
 )
 from lopstokes.config import REFERENCE_PARAMS, STRESS_PARAM_SETS
@@ -80,12 +84,6 @@ Q_MINUS_O1 = -0.045458565104738894325 - 0.13712670332362234712j
 GAMMA_O1 = 0.059628857084524896477 + 0.55840723699809662265j
 
 
-def solve_at(fluid, sp, h, H):
-    r = char_roots(fluid, sp)
-    L = assemble(fluid, sp)
-    return solve_betas(fluid, sp, r, L, h, H)
-
-
 def rel(got, want):
     return abs(got - want) / max(abs(want), 1e-300)
 
@@ -101,10 +99,10 @@ class TestBetaSolve:
         ids=["o1", "o3", "o4"],
     )
     def test_frozen_triples(self, fluid, sp, h, H, frozen):
-        sol = solve_at(fluid, sp, h, H)
-        assert rel(sol.ix_beta_minus, frozen[0]) < 1e-13
-        assert rel(sol.beta_plus[-1], frozen[1]) < 1e-13
-        assert rel(sol.beta_minus[-1], frozen[2]) < 1e-13
+        sol = point_amplitudes(fluid, sp, h, H)
+        assert rel(sol["ix_beta_minus"], frozen[0]) < 1e-13
+        assert rel(sol["beta_plus"][-1], frozen[1]) < 1e-13
+        assert rel(sol["beta_minus"][-1], frozen[2]) < 1e-13
 
     @pytest.mark.parametrize(
         "fluid,sp,h,H",
@@ -112,22 +110,29 @@ class TestBetaSolve:
         ids=["o1", "o3", "o4"],
     )
     def test_system_residual(self, fluid, sp, h, H):
-        sol = solve_at(fluid, sp, h, H)
-        assert sol.system_residual() < TEST_TOL.beta_residual
+        # relative residual of L x = rhs for the solved triple
+        sol = point_amplitudes(fluid, sp, h, H)
+        kit = point_kit(fluid, sp)
+        m = lopatinski_matrix(kit)
+        x = np.array([sol["ix_beta_minus"], sol["beta_plus"][-1], sol["beta_minus"][-1]])
+        ixh = np.sum(1j * np.asarray(sp.xi) * h)
+        rhs = np.array(_interface_rhs(fluid, sp.a, kit.l11p[0], kit.l21p[0], ixh, H))
+        scale = max(np.max(np.abs(m) @ np.abs(x)), np.max(np.abs(rhs)))
+        assert np.max(np.abs(m @ x - rhs)) / scale < TEST_TOL.beta_residual
 
     def test_frozen_q_and_gamma(self):
         # q_pm come from the representation tables; at this well-conditioned
         # point they must agree with the trace combinations the oracle used.
-        sol = solve_at(REF, P1, H1, HH1)
-        assert rel(sol.q_plus, Q_PLUS_O1) < 1e-12
-        assert rel(sol.q_minus, Q_MINUS_O1) < 1e-12
-        assert rel(sol.gamma_minus, GAMMA_O1) < 1e-12
+        sol = point_amplitudes(REF, P1, H1, HH1)
+        assert rel(sol["q_plus"], Q_PLUS_O1) < 1e-12
+        assert rel(sol["q_minus"], Q_MINUS_O1) < 1e-12
+        assert rel(sol["gamma_minus"], GAMMA_O1) < 1e-12
 
     def test_normal_g_amplitudes_equal_minus_q(self):
-        sol = solve_at(REF, P1, H1, HH1)
-        assert sol.g_minus[-1] == -sol.q_minus
-        fac = SymbolKit.from_matrix(sol.matrix)._r_plus_factor_N()
-        assert sol.g_plus[-1] == fac * sol.q_plus
+        sol = point_amplitudes(REF, P1, H1, HH1)
+        assert sol["g_minus"][-1] == -sol["q_minus"]
+        fac = point_kit(REF, P1)._r_plus_factor_N()[0]
+        assert sol["g_plus"][-1] == fac * sol["q_plus"]
 
     @pytest.mark.parametrize(
         "fluid,sp,h,H",
@@ -136,43 +141,44 @@ class TestBetaSolve:
     )
     def test_tangential_jump(self, fluid, sp, h, H):
         # beta_+j - beta_-j = -h_j for tangential j
-        sol = solve_at(fluid, sp, h, H)
-        jump = sol.beta_plus[:-1] - sol.beta_minus[:-1]
+        sol = point_amplitudes(fluid, sp, h, H)
+        jump = sol["beta_plus"][:-1] - sol["beta_minus"][:-1]
         assert np.max(np.abs(jump + h)) < TEST_TOL.beta_jump * np.max(np.abs(h))
 
     def test_ix_beta_plus_identity(self):
-        sol = solve_at(REF, P1, H1, HH1)
+        sol = point_amplitudes(REF, P1, H1, HH1)
         ixh = np.sum(1j * np.asarray(P1.xi) * H1)
-        assert sol.ix_beta_plus == sol.ix_beta_minus - ixh
+        assert sol["ix_beta_plus"] == sol["ix_beta_minus"] - ixh
 
     def test_zero_data_gives_zero(self):
-        sol = solve_at(REF, P1, np.zeros(2, dtype=complex), 0.0)
-        for arr in (sol.beta_plus, sol.beta_minus, sol.g_plus, sol.g_minus):
+        sol = point_amplitudes(REF, P1, np.zeros(2, dtype=complex), 0.0)
+        for arr in (sol["beta_plus"], sol["beta_minus"], sol["g_plus"], sol["g_minus"]):
             assert np.all(arr == 0)
-        assert sol.gamma_minus == 0
-        assert sol.q_plus == 0 and sol.q_minus == 0
+        assert sol["gamma_minus"] == 0
+        assert sol["q_plus"] == 0 and sol["q_minus"] == 0
 
     def test_linearity(self):
         h2 = np.array([-0.4 + 0.1j, 0.25 - 0.35j])
         hh2 = -0.5 - 0.3j
-        s1 = solve_at(REF, P1, H1, HH1)
-        s2 = solve_at(REF, P1, h2, hh2)
-        s12 = solve_at(REF, P1, H1 + h2, HH1 + hh2)
+        s1 = point_amplitudes(REF, P1, H1, HH1)
+        s2 = point_amplitudes(REF, P1, h2, hh2)
+        s12 = point_amplitudes(REF, P1, H1 + h2, HH1 + hh2)
         for field in ("beta_plus", "beta_minus", "g_plus", "g_minus"):
-            a = getattr(s1, field) + getattr(s2, field)
-            b = getattr(s12, field)
+            a = s1[field] + s2[field]
+            b = s12[field]
             assert np.max(np.abs(a - b)) < 1e-13 * max(np.max(np.abs(b)), 1.0)
-        assert abs(s1.gamma_minus + s2.gamma_minus - s12.gamma_minus) < 1e-13
+        assert abs(s1["gamma_minus"] + s2["gamma_minus"] - s12["gamma_minus"]) < 1e-13
 
     def test_rejects_wrong_shape(self):
-        r = char_roots(REF, P1)
-        L = assemble(REF, P1)
-        with pytest.raises(ValueError):
-            solve_betas(REF, P1, r, L, np.zeros(1, dtype=complex), 0.0)
+        with pytest.raises(ValueError, match="h_hat must have shape"):
+            solve_point(REF, P1, np.zeros(1, dtype=complex), 0.0)
 
     def test_dim_property(self):
-        assert solve_at(REF, P1, H1, HH1).dim == 3
-        assert solve_at(REF, P3, H3, HH3).dim == 2
+        # one amplitude per velocity component: N - 1 tangential, one normal
+        for sp, h, H in ((P1, H1, HH1), (P3, H3, HH3)):
+            sol = point_amplitudes(REF, sp, h, H)
+            for field in ("beta_plus", "beta_minus", "g_plus", "g_minus"):
+                assert sol[field].shape == (sp.dim,)
 
 
 POINTS = [
@@ -188,34 +194,31 @@ class TestCoefficientTables:
     @pytest.mark.parametrize("fluid,sp,h,H", POINTS,
                              ids=["o1", "o3", "o4", "lam-dom"])
     def test_tables_vs_direct(self, fluid, sp, h, H):
-        r = char_roots(fluid, sp)
-        L = assemble(fluid, sp)
-        sol = solve_betas(fluid, sp, r, L, h, H)
-        cs = coefficient_symbols(fluid, sp, r, L)
+        sol = point_amplitudes(fluid, sp, h, H)
+        cs = coefficient_tables(fluid, sp)
+        a = sp.a
+        w = np.concatenate([h, [a * H]])
+        bp = a * (cs.s_plus @ w)
+        bm = a * (cs.s_minus @ w)
+        bp[:-1] += cs.t_plus * h
+        bm[:-1] += cs.t_minus * h
 
-        gp, gm = cs.assemble_g(h, H)
-        bp, bm = cs.assemble_beta(h, H)
-        qp, qm = cs.assemble_q(h, H)
-        gam = cs.assemble_gamma(h, H)
+        def close(got, want):
+            got, want = np.atleast_1d(got), np.atleast_1d(want)
+            scale = max(float(np.max(np.abs(want))), 1e-300)
+            return float(np.max(np.abs(got - want))) / scale < TEST_TOL.coeff_vs_direct
 
-        def close(a, b):
-            a, b = np.atleast_1d(a), np.atleast_1d(b)
-            scale = max(float(np.max(np.abs(b))), 1e-300)
-            return float(np.max(np.abs(a - b))) / scale < TEST_TOL.coeff_vs_direct
-
-        assert close(gp, sol.g_plus)
-        assert close(gm, sol.g_minus)
-        assert close(bp, sol.beta_plus)
-        assert close(bm, sol.beta_minus)
-        assert close(qp, sol.q_plus)
-        assert close(qm, sol.q_minus)
-        assert close(gam, sol.gamma_minus)
+        assert close(a * (cs.r_plus @ w), sol["g_plus"])
+        assert close(a * (cs.r_minus @ w), sol["g_minus"])
+        assert close(bp, sol["beta_plus"])
+        assert close(bm, sol["beta_minus"])
+        assert close(a * (cs.p_plus @ w), sol["q_plus"])
+        assert close(a * (cs.p_minus @ w), sol["q_minus"])
+        assert close(cs.p_press @ w, sol["gamma_minus"])
 
     def test_layout(self):
-        r = char_roots(REF, P1)
-        cs = coefficient_symbols(REF, P1, r, assemble(REF, P1))
+        cs = coefficient_tables(REF, P1)
         n = P1.dim
-        assert cs.dim == n
         assert cs.p_plus.shape == (n,) and cs.p_minus.shape == (n,)
         assert cs.r_plus.shape == (n, n) and cs.s_minus.shape == (n, n)
         assert cs.t_plus.shape == (n - 1,)
@@ -224,13 +227,11 @@ class TestCoefficientTables:
     @pytest.mark.parametrize("fluid,sp", [(REF, P1), (FLUID4, P4)],
                              ids=["ref", "fluid4"])
     def test_normal_r_minus_row_is_minus_p_minus(self, fluid, sp):
-        r = char_roots(fluid, sp)
-        cs = coefficient_symbols(fluid, sp, r, assemble(fluid, sp))
+        cs = coefficient_tables(fluid, sp)
         assert np.array_equal(cs.r_minus[-1, :], -cs.p_minus)
 
     def test_tangential_r_minus_rows(self):
-        r = char_roots(REF, P1)
-        cs = coefficient_symbols(REF, P1, r, assemble(REF, P1))
+        cs = coefficient_tables(REF, P1)
         for j in range(P1.dim - 1):
             want = -(1j * P1.xi[j] / P1.a) * cs.p_minus
             assert np.max(np.abs(cs.r_minus[j, :] - want)) < 1e-15 * np.max(
@@ -239,21 +240,22 @@ class TestCoefficientTables:
     @pytest.mark.parametrize("fluid,sp,h,H", POINTS,
                              ids=["o1", "o3", "o4", "lam-dom"])
     def test_t_pair(self, fluid, sp, h, H):
-        r = char_roots(fluid, sp)
-        kit = SymbolKit.from_matrix(assemble(fluid, sp))
-        bsum = fluid.mu_plus * r.b_plus + fluid.mu_minus * r.b_minus
-        assert rel(kit.t_plus(), -fluid.mu_minus * r.b_minus / bsum) < 1e-15
-        assert rel(kit.t_minus(), fluid.mu_plus * r.b_plus / bsum) < 1e-15
-        assert abs(kit.t_minus() - kit.t_plus() - 1.0) < 1e-14
+        kit = point_kit(fluid, sp)
+        bp, bm = kit.bp[0], kit.bm[0]
+        bsum = fluid.mu_plus * bp + fluid.mu_minus * bm
+        t_plus, t_minus = kit.t_plus()[0], kit.t_minus()[0]
+        assert rel(t_plus, -fluid.mu_minus * bm / bsum) < 1e-15
+        assert rel(t_minus, fluid.mu_plus * bp / bsum) < 1e-15
+        assert abs(t_minus - t_plus - 1.0) < 1e-14
 
     def test_pressure_row_factor(self):
-        r = char_roots(REF, P1)
-        cs = coefficient_symbols(REF, P1, r, assemble(REF, P1))
-        fac = -REF.mu_minus * (P1.a + r.b_minus)
+        cs = coefficient_tables(REF, P1)
+        fac = -REF.mu_minus * (P1.a + point_kit(REF, P1).bm[0])
         assert np.max(np.abs(cs.p_press - fac * cs.p_minus)) < 1e-14 * np.max(
             np.abs(cs.p_press))
 
     def test_batch_kit_matches_scalar(self):
+        # every point of a batch kit equals the same point alone
         rng = np.random.default_rng(7)
         mags = 10.0 ** rng.uniform(-3, 6, 40)
         angs = rng.uniform(-2.3, 2.3, 40)
@@ -261,27 +263,25 @@ class TestCoefficientTables:
         a = 10.0 ** rng.uniform(-3, 4, 40)
         kb = SymbolKit.batch(REF, lam, a)
         for i in range(lam.size):
-            sp = SpectralPoint(lam=complex(lam[i]), xi=(float(a[i]),))
-            ks = SymbolKit.from_matrix(assemble(REF, sp))
-            assert rel(complex(kb.det[i]), ks.det) < 5e-13
-            assert rel(complex(kb.k_height()[i]), ks.k_height()) < 5e-12
-            assert rel(complex(kb.t_plus()[i]), ks.t_plus()) < 5e-13
+            ks = SymbolKit.batch(REF, lam[i:i + 1], a[i:i + 1])
+            assert rel(kb.det[i], ks.det[0]) < 5e-13
+            assert rel(kb.k_height()[i], ks.k_height()[0]) < 5e-12
+            assert rel(kb.t_plus()[i], ks.t_plus()[0]) < 5e-13
 
 
 class TestHeightSymbol:
     def test_frozen_k_o1(self):
-        kit = SymbolKit.from_matrix(assemble(REF, P1))
-        assert rel(complex(kit.k_height()), K_O1) < 1e-13
+        assert rel(point_kit(REF, P1).k_height()[0], K_O1) < 1e-13
 
     def test_height_K_record(self):
-        k = complex(SymbolKit.from_matrix(assemble(REF, P1)).k_height())
+        k = complex(point_kit(REF, P1).k_height()[0])
         assert rel(k, K_O1) < 1e-13
         assert not refused_heights(P1.lam, P1.a, P1.lam + k, Tolerances(), strict=True)
         assert omega3(REF) == pytest.approx(68.0 / 3.0, rel=1e-14)
 
     def test_not_invertible_raises(self):
         strict = dataclasses.replace(Tolerances(), height_inv_rel=1e10)
-        k = SymbolKit.from_matrix(assemble(REF, P1)).k_height()
+        k = point_kit(REF, P1).k_height()[0]
         assert refused_heights(P1.lam, P1.a, P1.lam + k, strict)
         with pytest.raises(HeightNotInvertible):
             refused_heights(P1.lam, P1.a, P1.lam + k, strict, strict=True)
@@ -292,15 +292,14 @@ class TestHeightSymbol:
     def test_kinematic_closure(self, fluid, sp, h, H):
         # lam*H - weighted normal trace = d  closes as (lam+K) H = d + w_h,
         # so the data-linear parts must satisfy  w_h - K*H = weighted trace.
-        r = char_roots(fluid, sp)
-        L = assemble(fluid, sp)
-        sol = solve_betas(fluid, sp, r, L, h, H)
-        cs = coefficient_symbols(fluid, sp, r, L)
-        k = SymbolKit.from_matrix(L).k_height()
+        sol = point_amplitudes(fluid, sp, h, H)
+        cs = coefficient_tables(fluid, sp)
+        k = point_kit(fluid, sp).k_height()[0]
         drho = fluid.rho_minus - fluid.rho_plus
-        trace = (fluid.rho_minus * sol.beta_minus[-1]
-                 - fluid.rho_plus * sol.beta_plus[-1]) / drho
-        lhs = height_rhs(cs, h) - k * complex(H)
+        trace = (fluid.rho_minus * sol["beta_minus"][-1]
+                 - fluid.rho_plus * sol["beta_plus"][-1]) / drho
+        w_h = kinematic_weight(fluid, sp.a, cs.s_minus[-1, :-1], cs.s_plus[-1, :-1], h)
+        lhs = w_h - k * complex(H)
         assert abs(lhs - trace) < TEST_TOL.coeff_vs_direct * max(abs(trace), 1.0)
 
     def test_omega3_reference_value(self):
@@ -327,9 +326,8 @@ class TestHeightSymbol:
         # K/A approaches sigma*omega3/omega1 = 17/6 when A dominates sqrt|lam|
         for lam_mag in (1e-2, 1.0, 1e2):
             a = 300.0 * math.sqrt(lam_mag)
-            sp = SpectralPoint(lam=complex(lam_mag), xi=(a,))
-            kit = SymbolKit.from_matrix(assemble(REF, sp))
-            k = complex(kit.k_height())
+            k = complex(point_kit(REF, SpectralPoint(lam=complex(lam_mag), xi=(a,)))
+                        .k_height()[0])
             assert abs(k.real / a - 17.0 / 6.0) < 0.05 * 17.0 / 6.0
             assert abs(k.imag) < 0.05 * abs(k.real)
 
@@ -343,8 +341,8 @@ class TestHeightSymbol:
         # numerator is degree 5, det is degree 4: K(s^2 lam, s A) = s K(lam, A)
         sp = SpectralPoint(lam=mag * complex(math.cos(ang), math.sin(ang)),
                            xi=(a,))
-        k1 = complex(SymbolKit.from_matrix(assemble(REF, sp)).k_height())
-        k2 = complex(SymbolKit.from_matrix(assemble(REF, sp.scaled(s))).k_height())
+        k1 = point_kit(REF, sp).k_height()[0]
+        k2 = point_kit(REF, sp.scaled(s)).k_height()[0]
         assert rel(k2, s * k1) < 1e-12
 
 
@@ -405,9 +403,8 @@ class TestHeightScan:
         assert lam0 == pytest.approx(10.0 ** 0.25, rel=1e-12)
 
 
-# Scalar points run the shared formulas on Python complex numbers, batches on
-# numpy arrays; the two differ only in how complex division rounds (a few
-# ulp per operation), so every symbol must agree far inside this bound.
+# A point evaluated alone, as a batch of one, runs the same array code as
+# inside any batch, so every symbol must agree far inside this bound.
 AGREE_RTOL = 5e-12
 KIT_FIELDS = ("ap", "bp", "bm", "l11p", "l12p", "l21p", "l22p",
               "l11m", "l12m", "l21m", "l22m", "det", "p_stab",
@@ -432,18 +429,18 @@ class TestScalarBatchAgreement:
         absdet, det_ratio = det_ratios(fluid, lam, a)
         h_ratio = height_ratio(fluid, lam, a)
         for i in range(lam.size):
-            sp = SpectralPoint(lam=complex(lam[i]), xi=(float(a[i]),))
-            ks = SymbolKit.from_matrix(assemble(fluid, sp))
+            one = slice(i, i + 1)
+            ks = SymbolKit.batch(fluid, lam[one], a[one])
             for name in KIT_FIELDS:
-                got, want = complex(getattr(kb, name)[i]), getattr(ks, name)
+                got, want = getattr(kb, name)[i], getattr(ks, name)[0]
                 assert abs(got - want) <= AGREE_RTOL * abs(want), name
-            scale4 = (math.sqrt(abs(sp.lam)) + sp.a) ** 4
-            assert abs(absdet[i] - abs(ks.det)) <= AGREE_RTOL * abs(ks.det)
-            assert abs(det_ratio[i] - abs(ks.det) / scale4) <= AGREE_RTOL * det_ratio[i]
+            absdet1, det_ratio1 = det_ratios(fluid, lam[one], a[one])
+            assert abs(absdet[i] - absdet1[0]) <= AGREE_RTOL * absdet1[0]
+            assert abs(det_ratio[i] - det_ratio1[0]) <= AGREE_RTOL * det_ratio1[0]
             # K is compared on the scale |lam| + A the height ratio divides
             # by, which stays positive when sigma = 0 makes K vanish
-            k_scalar = complex(ks.k_height())
-            h_scale = abs(sp.lam) + sp.a
-            assert abs(complex(k_batch[i]) - k_scalar) <= AGREE_RTOL * (abs(k_scalar) + h_scale)
-            want_ratio = abs(sp.lam + k_scalar) / h_scale
-            assert abs(h_ratio[i] - want_ratio) <= AGREE_RTOL * (abs(k_scalar) / h_scale + 1.0)
+            k_one = ks.k_height()[0]
+            h_scale = abs(lam[i]) + a[i]
+            assert abs(k_batch[i] - k_one) <= AGREE_RTOL * (abs(k_one) + h_scale)
+            h_ratio1 = height_ratio(fluid, lam[one], a[one])[0]
+            assert abs(h_ratio[i] - h_ratio1) <= AGREE_RTOL * (abs(k_one) / h_scale + 1.0)

@@ -14,21 +14,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mutated
+from helpers import cofactor_matrix, lopatinski_matrix, mutated, point_kit
 from lopstokes import (
     FluidParams,
     Sector,
     SpectralPoint,
     asymptotic_report,
-    assemble,
-    char_roots,
     omega1,
     omega2,
     scan_lower_bound,
 )
+from lopstokes import lopatinski
 from lopstokes.config import GridSpec, REFERENCE_PARAMS, Tolerances
 from lopstokes.errors import AsymptoticMismatch
-from lopstokes.lopatinski import ENTRY_DEGREES, entries_minus_raw, entries_plus_raw
+from lopstokes.lopatinski import (
+    ENTRY_DEGREES,
+    block_det,
+    checked_entries,
+    cofactor_solve,
+    entries_minus_raw,
+    entries_plus_raw,
+)
+from lopstokes.symbols import char_roots_batch
 
 REF = REFERENCE_PARAMS
 
@@ -56,6 +63,19 @@ def rel(got, want):
     return abs(got - want) / abs(want)
 
 
+ENTRY_NAMES = ("l11p", "l12p", "l21p", "l22p", "l11m", "l12m", "l21m", "l22m")
+
+
+def entries(fluid, sp):
+    """The eight stabilized entries at one point, by name, as complex scalars."""
+    kit = point_kit(fluid, sp)
+    return {name: complex(getattr(kit, name)[0]) for name in ENTRY_NAMES}
+
+
+def det_at(fluid, sp):
+    return complex(point_kit(fluid, sp).det[0])
+
+
 def random_points(n=120, seed=5):
     rng = np.random.default_rng(seed)
     pts = []
@@ -73,55 +93,50 @@ def random_points(n=120, seed=5):
 
 class TestFrozenEntries:
     def test_entries_point_one(self):
-        m = assemble(REF, P1)
-        got = dict(zip(("l11p", "l12p", "l21p", "l22p"), m.l_plus))
-        got.update(zip(("l11m", "l12m", "l21m", "l22m"), m.l_minus))
+        got = entries(REF, P1)
         for name, want in O1_ENTRIES.items():
             assert rel(got[name], want) < 1e-13, name
 
     def test_det_point_one(self):
-        assert rel(assemble(REF, P1).det, O1_DET) < 1e-13
+        assert rel(det_at(REF, P1), O1_DET) < 1e-13
 
     def test_det_point_three(self):
-        assert rel(assemble(REF, P3).det, O3_DET) < 1e-13
+        assert rel(det_at(REF, P3), O3_DET) < 1e-13
 
     def test_det_point_four(self):
-        assert rel(assemble(FLUID4, P4).det, O4_DET) < 1e-13
+        assert rel(det_at(FLUID4, P4), O4_DET) < 1e-13
 
     def test_stabilized_p_example(self):
         # rho_+=2, mu_+=nu_+=1, lam=3, A=1: A_+ = 2, B_+ = sqrt(7),
         # P = (A_+ B_+ + A^2)/(rho_+ lam/(2 mu_+ + nu_+) + A^2) = (2 sqrt7 + 1)/3
         fluid = FluidParams(2.0, 1.0, 1.0, 1.0, 1.0)
-        sp = SpectralPoint(lam=3.0, xi=(1.0,))
-        r = char_roots(fluid, sp)
-        l11p = assemble(fluid, sp, r).l_plus[0]
+        kit = point_kit(fluid, SpectralPoint(lam=3.0, xi=(1.0,)))
         # L+11 = mu (mu+nu)/(2mu+nu) A_+ P
-        p_val = l11p * 3.0 / (2.0 * r.a_plus)
+        p_val = kit.l11p[0] * 3.0 / (2.0 * kit.ap[0])
         want = (2.0 * math.sqrt(7.0) + 1.0) / 3.0
         assert rel(p_val, want) < 1e-14
+        assert rel(kit.p_stab[0], want) < 1e-14
 
     def test_minus_entries_closed_form(self):
         # mu_-=1, A=1, B_-=2 means L-11 = 3, L-22 = 6
         fluid = FluidParams(1.0, 3.0, 1.0, 1.0, 1.0)  # rho_-lam/mu_- + A^2 = 4
         sp = SpectralPoint(lam=1.0, xi=(1.0,))
-        r = char_roots(fluid, sp)
-        assert rel(r.b_minus, 2.0) < 1e-15
-        l11m, l12m, l21m, l22m = assemble(fluid, sp, r).l_minus
-        assert rel(l11m, 3.0) < 1e-14
-        assert rel(l12m, 1.0) < 1e-14
-        assert rel(l21m, 1.0) < 1e-14
-        assert rel(l22m, 6.0) < 1e-14
+        assert rel(point_kit(fluid, sp).bm[0], 2.0) < 1e-15
+        got = entries(fluid, sp)
+        assert rel(got["l11m"], 3.0) < 1e-14
+        assert rel(got["l12m"], 1.0) < 1e-14
+        assert rel(got["l21m"], 1.0) < 1e-14
+        assert rel(got["l22m"], 6.0) < 1e-14
 
     def test_plus_small_lambda_limit(self):
         # L+21 -> 2 mu^2/(2mu+nu) = 2/3 at reference as lambda -> 0
         sp = SpectralPoint(lam=1e-12 + 0.0j, xi=(1.0,))
-        l21p = assemble(REF, sp).l_plus[2]
-        assert rel(l21p, 2.0 / 3.0) < 1e-6
+        assert rel(entries(REF, sp)["l21p"], 2.0 / 3.0) < 1e-6
 
     def test_minus_small_lambda_vanishing(self):
         # L-21 -> 0 like lambda at fixed A
-        base = abs(assemble(REF, P_at(1e-6)).l_minus[2])
-        smaller = abs(assemble(REF, P_at(1e-8)).l_minus[2])
+        base = abs(entries(REF, P_at(1e-6))["l21m"])
+        smaller = abs(entries(REF, P_at(1e-8))["l21m"])
         assert smaller < 2e-2 * base
 
 
@@ -139,31 +154,31 @@ class TestStabilizedForms:
     def test_plus_raw_agreement(self):
         checked = 0
         for sp in random_points(seed=31):
-            r = char_roots(REF, sp)
+            kit = point_kit(REF, sp)
             scale2 = (math.sqrt(abs(sp.lam)) + sp.a) ** 2
-            gate = abs(r.a_plus * r.b_plus - sp.a ** 2) / scale2
+            gate = abs(kit.ap[0] * kit.bp[0] - sp.a ** 2) / scale2
             if gate <= 1e-8:
                 continue
-            stable = assemble(REF, sp, r).l_plus
-            raw = entries_plus_raw(REF, sp, r)
+            stable = (kit.l11p, kit.l12p, kit.l21p, kit.l22p)
+            raw = entries_plus_raw(REF, kit.lam, kit.a, (kit.ap, kit.bp, kit.bm))
             bound = 1e-10 if gate > 1e-4 else 100.0 * 2.3e-16 / gate
             for s, w in zip(stable, raw):
-                assert rel(s, w) < bound
+                assert rel(s[0], w[0]) < bound
             checked += 1
         assert checked > 60
 
     def test_minus_raw_agreement(self):
         checked = 0
         for sp in random_points(seed=37):
-            r = char_roots(REF, sp)
-            gate = abs(r.b_minus - sp.a) / (abs(r.b_minus) + sp.a)
+            kit = point_kit(REF, sp)
+            gate = abs(kit.bm[0] - sp.a) / (abs(kit.bm[0]) + sp.a)
             if gate <= 1e-10:
                 continue
-            stable = assemble(REF, sp, r).l_minus
-            raw = entries_minus_raw(REF, sp, r)
+            stable = (kit.l11m, kit.l12m, kit.l21m, kit.l22m)
+            raw = entries_minus_raw(REF, kit.lam, kit.a, (kit.ap, kit.bp, kit.bm))
             bound = 1e-11 if gate > 1e-3 else 100.0 * 2.3e-16 / gate
             for s, w in zip(stable, raw):
-                assert rel(s, w) < bound
+                assert rel(s[0], w[0]) < bound
             checked += 1
         assert checked > 60
 
@@ -178,53 +193,56 @@ class TestDeterminantIdentities:
     @settings(max_examples=150)
     def test_factorized_equals_direct(self, mag, ang, a, two_d):
         xi = (a,) if two_d else (a * 0.6, a * 0.8)
-        m = assemble(REF, SpectralPoint(lam=mag * cmath.exp(1j * ang), xi=xi))
-        direct = complex(np.linalg.det(m.matrix()))
-        assert rel(m.det, direct) < 1e-13
+        kit = point_kit(REF, SpectralPoint(lam=mag * cmath.exp(1j * ang), xi=xi))
+        direct = complex(np.linalg.det(lopatinski_matrix(kit)))
+        assert rel(kit.det[0], direct) < 1e-13
 
     def test_block_split_definition(self):
-        m = assemble(REF, P1)
-        det_p = m.l_plus[0] * m.l_plus[3] - m.l_plus[1] * m.l_plus[2]
-        det_m = m.l_minus[0] * m.l_minus[3] - m.l_minus[1] * m.l_minus[2]
-        assert rel(m.det_plus, det_p) < 1e-15
-        assert rel(m.det_minus, det_m) < 1e-15
-        assert rel(m.det, m.l_minus[3] * det_p + m.l_plus[3] * det_m) < 1e-15
+        got = entries(REF, P1)
+        lp = tuple(got[n] for n in ENTRY_NAMES[:4])
+        lm = tuple(got[n] for n in ENTRY_NAMES[4:])
+        det, det_plus, det_minus = block_det(lp, lm)
+        det_p = lp[0] * lp[3] - lp[1] * lp[2]
+        det_m = lm[0] * lm[3] - lm[1] * lm[2]
+        assert rel(det_plus, det_p) < 1e-15
+        assert rel(det_minus, det_m) < 1e-15
+        assert rel(det, lm[3] * det_p + lp[3] * det_m) < 1e-15
+        assert rel(det, det_at(REF, P1)) < 1e-15
 
     @pytest.mark.parametrize("fluid,sp", [(REF, P1), (REF, P3), (FLUID4, P4)])
     def test_adjugate_identity(self, fluid, sp):
-        m = assemble(fluid, sp)
-        prod = m.matrix() @ m.cofactors() / m.det
+        kit = point_kit(fluid, sp)
+        prod = lopatinski_matrix(kit) @ cofactor_matrix(kit) / kit.det[0]
         assert float(np.max(np.abs(prod - np.eye(3)))) < 1e-12
 
     def test_solve_matches_inverse(self):
-        m = assemble(REF, P1)
+        kit = point_kit(REF, P1)
         rhs = np.array([1.0 + 2.0j, -0.5j, 0.25], dtype=np.complex128)
-        x = m.solve(rhs)
-        assert float(np.max(np.abs(m.matrix() @ x - rhs))) < 1e-13 * float(np.max(np.abs(rhs)))
+        x = np.array(cofactor_solve(cofactor_matrix(kit).ravel(), kit.det[0], rhs))
+        assert float(np.max(np.abs(lopatinski_matrix(kit) @ x - rhs))) < 1e-13 * float(
+            np.max(np.abs(rhs)))
 
     @pytest.mark.parametrize("s", [0.5, 2.0, 10.0])
     def test_parabolic_homogeneity(self, s):
-        m0 = assemble(REF, P1)
-        m1 = assemble(REF, P1.scaled(s))
-        named0 = dict(zip(("l11p", "l12p", "l21p", "l22p"), m0.l_plus))
-        named0.update(zip(("l11m", "l12m", "l21m", "l22m"), m0.l_minus))
-        named1 = dict(zip(("l11p", "l12p", "l21p", "l22p"), m1.l_plus))
-        named1.update(zip(("l11m", "l12m", "l21m", "l22m"), m1.l_minus))
+        named0 = entries(REF, P1)
+        named1 = entries(REF, P1.scaled(s))
         for name, deg in ENTRY_DEGREES.items():
             if name == "det":
                 continue
             assert rel(named1[name], s ** deg * named0[name]) < 1e-12, name
-        assert rel(m1.det, s ** 4 * m0.det) < 1e-12
+        assert rel(det_at(REF, P1.scaled(s)), s ** 4 * det_at(REF, P1)) < 1e-12
 
     def test_entry_mutation_is_internally_consistent(self):
-        clean = assemble(REF, P1)
+        lam, a = np.array([P1.lam]), np.array([P1.a])
+        roots = char_roots_batch(REF, lam, a)
+        clean = checked_entries(REF, lam, a, roots)
         with mutated("l12p", 1e-3):
-            mut = assemble(REF, P1)
-        assert rel(mut.l_plus[1], clean.l_plus[1] * 1.001) < 1e-15
-        det_p = mut.l_plus[0] * mut.l_plus[3] - mut.l_plus[1] * mut.l_plus[2]
-        det_m = mut.l_minus[0] * mut.l_minus[3] - mut.l_minus[1] * mut.l_minus[2]
-        assert rel(mut.det, mut.l_minus[3] * det_p + mut.l_plus[3] * det_m) < 1e-15
-        assert mut.det != clean.det
+            lp, lm, _, (det, _, _) = checked_entries(REF, lam, a, roots)
+        assert rel(lp[1][0], clean[0][1][0] * 1.001) < 1e-15
+        det_p = lp[0] * lp[3] - lp[1] * lp[2]
+        det_m = lm[0] * lm[3] - lm[1] * lm[2]
+        assert rel(det[0], (lm[3] * det_p + lp[3] * det_m)[0]) < 1e-15
+        assert det[0] != clean[3][0][0]
 
 
 class TestAsymptotics:
@@ -300,3 +318,17 @@ class TestScan:
         wide = scan_lower_bound(REF, Sector(epsilon=math.pi / 4), grid=SMALL_GRID)
         narrow = scan_lower_bound(REF, Sector(epsilon=math.pi / 2), grid=SMALL_GRID)
         assert narrow.omega >= wide.omega
+
+    def test_chunk_below_elision_threshold(self):
+        # numpy reuses temporaries only for arrays under 16,384 values
+        assert lopatinski._CHUNK < 16384
+
+    def test_small_chunks_change_nothing(self, monkeypatch):
+        sector = Sector(epsilon=math.pi / 4)
+        want = scan_lower_bound(REF, sector, grid=SMALL_GRID, refine=True)
+        monkeypatch.setattr(lopatinski, "_CHUNK", 37)
+        got = scan_lower_bound(REF, sector, grid=SMALL_GRID, refine=True)
+        assert got == want
+        assert len(got.columns) == len(want.columns) == 4
+        for g, w in zip(got.columns, want.columns):
+            assert np.array_equal(g, w)

@@ -1,6 +1,5 @@
 """Profile algebra, assembled resolvent solutions, and residual operators."""
 
-import itertools
 import math
 
 import numpy as np
@@ -8,27 +7,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from helpers import ENTRY_TARGETS, TEST_TOL, amplitude_targets, mutated, mutation_probe
+from helpers import (
+    ENTRY_TARGETS,
+    TEST_TOL,
+    amplitude_targets,
+    mutated,
+    mutation_probe,
+    point_amplitudes,
+    solve_point,
+)
 from lopstokes import (
-    BoundaryData,
     FluidParams,
     Profile,
     Sector,
     SpectralPoint,
     Tolerances,
-    assemble_profiles,
-    energy_balance,
     fuzz_residuals,
     inner_product,
-    interface_residual,
-    ode_residual,
 )
 from lopstokes import resolvent
 from lopstokes.resolvent import (
     FuzzReport,
     assemble_batch,
-    decay_margin,
-    default_x_samples,
     energy_quadrature_check,
     fuzz_corpus,
 )
@@ -52,12 +52,19 @@ REGIMES = [
 ]
 
 
-def data_for(sp, mode):
+def solve_for(fluid, sp, mode):
+    """The solve at sp of pinned data: jumps from the point, H or d by mode."""
     rng = np.random.default_rng(abs(hash((round(abs(sp.lam), 6), sp.dim))) % 2**32)
     h = rng.standard_normal(sp.dim - 1) + 1j * rng.standard_normal(sp.dim - 1)
-    if mode == "explicit-H":
-        return BoundaryData.explicit(h, H_hat=0.4 - 0.7j)
-    return BoundaryData.kinematic(h, d_hat=-0.3 + 0.55j)
+    top = 0.4 - 0.7j if mode == "explicit-H" else -0.3 + 0.55j
+    return solve_point(fluid, sp, h, top, mode)
+
+
+def normal_trace(fluid, s):
+    """Density-weighted normal velocity trace of a one-point solve."""
+    drho = fluid.rho_minus - fluid.rho_plus
+    return complex(fluid.rho_minus * s.u_minus[-1].trace0[0]
+                   - fluid.rho_plus * s.u_plus[-1].trace0[0]) / drho
 
 
 class TestProfileAlgebra:
@@ -81,34 +88,17 @@ class TestProfileAlgebra:
         fd = (p(xs + h) - p(xs - h)) / (2.0 * h)
         assert abs(p.deriv()(xs) - fd) < 1e-8 * max(abs(fd), 1.0)
 
-    @pytest.mark.parametrize("p,xs", [(P, 0.8), (M, -1.1)], ids=["plus", "minus"])
-    def test_terms_reproduce_call(self, p, xs):
-        val = sum(t(xs) for t in p.terms)
-        assert abs(val - p(xs)) < 1e-14 * abs(p(xs))
-
     def test_confluent_terms_degree_one(self):
-        # confluent plus-side kernel is -x e^{-ax} (slope -1 at zero)
+        # with coinciding rates M is the degree-one term: -x e^{-ax} above,
+        # x e^{ax} below
         p = Profile(+1, b=1.0 + 0.5j, a=1.0 + 0.5j, c_m=2.0)
-        (t,) = p.terms
-        assert t.degree == 1
         x = 0.6
         want = -2.0 * x * np.exp(-(1.0 + 0.5j) * x)
         assert abs(p(x) - want) < 1e-14 * abs(want)
-        assert abs(t(x) - want) < 1e-14 * abs(want)
         m = Profile(-1, b=0.8 - 0.2j, a=0.8 - 0.2j, c_m=1.5)
-        (tm,) = m.terms
         xm = -0.9
         want_m = 1.5 * xm * np.exp((0.8 - 0.2j) * xm)
         assert abs(m(xm) - want_m) < 1e-13 * abs(want_m)
-        assert abs(tm(xm) - want_m) < 1e-13 * abs(want_m)
-
-    def test_exp_term_deriv(self):
-        t = self.P.terms[0]
-        parts = t.deriv()
-        x = 0.4
-        h = 1e-6
-        fd = (t(x + h) - t(x - h)) / (2.0 * h)
-        assert abs(sum(q(x) for q in parts) - fd) < 1e-8 * abs(fd)
 
     def test_add_and_scale(self):
         q = self.P + 2.5 * self.P
@@ -149,110 +139,77 @@ class TestProfileAlgebra:
         assert abs(n.imag) < 1e-15 * n.real
 
 
-class TestBoundaryData:
-    def test_explicit_requires_H(self):
-        with pytest.raises(ValueError):
-            BoundaryData(h_hat=(1.0 + 0j,), mode="explicit-H")
-
-    def test_kinematic_requires_d(self):
-        with pytest.raises(ValueError):
-            BoundaryData(h_hat=(1.0 + 0j,), mode="kinematic")
-
-    def test_kinematic_forbids_H(self):
-        with pytest.raises(ValueError):
-            BoundaryData(h_hat=(1.0 + 0j,), H_hat=1.0 + 0j, d_hat=0.5 + 0j,
-                         mode="kinematic")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            BoundaryData(h_hat=(), H_hat=1.0 + 0j, mode="dirichlet")
-
-    def test_constructors(self):
-        e = BoundaryData.explicit([0.5j], 1.0 - 2.0j)
-        assert e.mode == "explicit-H" and e.d_hat is None
-        k = BoundaryData.kinematic([0.5j], 0.25)
-        assert k.mode == "kinematic" and k.H_hat is None
-
-
 class TestAssembledSolution:
     @pytest.mark.parametrize("name,fluid,sp", REGIMES,
                              ids=[r[0] for r in REGIMES])
     @pytest.mark.parametrize("mode", ["explicit-H", "kinematic"])
     def test_residuals(self, name, fluid, sp, mode):
-        data = data_for(sp, mode)
-        sol = assemble_profiles(fluid, sp, data)
-        assert ode_residual(fluid, sp, sol) < TEST_TOL.ode_residual
-        ires = interface_residual(fluid, sp, sol)
-        assert ires.max() < TEST_TOL.interface_residual
+        res = solve_for(fluid, sp, mode).residuals()
+        assert res["ode"][0] < TEST_TOL.ode_residual
+        assert res["interface"][0] < TEST_TOL.interface_residual
         if mode == "kinematic":
-            assert ires.kinematic is not None
+            assert res["kinematic"][0] < TEST_TOL.interface_residual
         else:
-            assert ires.kinematic is None
-        assert decay_margin(sol) <= 1.0 + 1e-9
+            assert "kinematic" not in res
+        assert res["decay"][0] <= 1.0 + 1e-9
+
+    def test_unknown_mode(self):
+        sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7,))
+        with pytest.raises(ValueError, match="unknown mode"):
+            solve_point(REF, sp, [1.0 + 0j], 1.0 + 0j, "dirichlet")
 
     def test_traces_expose_amplitudes(self):
         sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
-        data = BoundaryData.explicit([0.3 - 0.2j, -0.1 + 0.5j], 0.25 + 0.6j)
-        sol = assemble_profiles(REF, sp, data)
+        h, H = [0.3 - 0.2j, -0.1 + 0.5j], 0.25 + 0.6j
+        sol = solve_point(REF, sp, h, H)
+        amps = point_amplitudes(REF, sp, h, H)
+        assert len(sol.u_plus) == len(sol.u_minus) == 3
         for j in range(3):
-            assert sol.u_plus[j].trace0 == sol.betas.beta_plus[j]
-            assert sol.u_minus[j].trace0 == sol.betas.beta_minus[j]
-        assert sol.pressure.trace0 == sol.betas.gamma_minus
-        assert sol.H_hat_effective == 0.25 + 0.6j
-        assert sol.dim == 3
+            assert sol.u_plus[j].trace0[0] == amps["beta_plus"][j]
+            assert sol.u_minus[j].trace0[0] == amps["beta_minus"][j]
+        assert sol.pressure.trace0[0] == amps["gamma_minus"]
+        assert sol.H[0] == 0.25 + 0.6j
 
     def test_velocity_jump_is_data(self):
         sp = SpectralPoint(lam=1.0 + 0.3j, xi=(0.9,))
-        data = BoundaryData.explicit([1.0 + 0j], 0.0j)
-        sol = assemble_profiles(REF, sp, data)
-        jump = sol.u_minus[0].trace0 - sol.u_plus[0].trace0
+        sol = solve_point(REF, sp, [1.0 + 0j], 0.0j)
+        jump = sol.u_minus[0].trace0[0] - sol.u_plus[0].trace0[0]
         assert abs(jump - 1.0) < 1e-12
 
     def test_kinematic_height_relation(self):
         sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
-        data = BoundaryData.kinematic([0.3 - 0.2j, -0.1 + 0.5j], 0.45 - 0.2j)
-        sol = assemble_profiles(REF, sp, data)
-        drho = REF.rho_minus - REF.rho_plus
-        trace = (REF.rho_minus * sol.u_minus[-1].trace0
-                 - REF.rho_plus * sol.u_plus[-1].trace0) / drho
-        got_d = sp.lam * sol.H_hat_effective - trace
+        sol = solve_point(REF, sp, [0.3 - 0.2j, -0.1 + 0.5j], 0.45 - 0.2j, "kinematic")
+        got_d = sp.lam * sol.H[0] - normal_trace(REF, sol)
         assert abs(got_d - (0.45 - 0.2j)) < 1e-12
 
     def test_explicit_with_consistent_d(self):
-        # supplying the d implied by an explicit solve must close the
-        # kinematic residual to round-off
+        # the kinematic solve of the d implied by an explicit solve must
+        # recover its height and close the kinematic residual to round-off
         sp = SpectralPoint(lam=0.8 - 0.5j, xi=(1.3,))
-        base = BoundaryData.explicit([0.2 + 0.4j], -0.6 + 0.1j)
-        sol = assemble_profiles(REF, sp, base)
-        drho = REF.rho_minus - REF.rho_plus
-        trace = (REF.rho_minus * sol.u_minus[-1].trace0
-                 - REF.rho_plus * sol.u_plus[-1].trace0) / drho
-        d = sp.lam * sol.H_hat_effective - trace
-        again = BoundaryData.explicit([0.2 + 0.4j], -0.6 + 0.1j, d_hat=d)
-        ires = interface_residual(REF, sp, assemble_profiles(REF, sp, again))
-        assert ires.kinematic is not None
-        assert ires.kinematic < TEST_TOL.interface_residual
+        sol = solve_point(REF, sp, [0.2 + 0.4j], -0.6 + 0.1j)
+        d = sp.lam * sol.H[0] - normal_trace(REF, sol)
+        again = solve_point(REF, sp, [0.2 + 0.4j], d, "kinematic")
+        assert abs(again.H[0] - (-0.6 + 0.1j)) < 1e-12
+        assert again.residuals()["kinematic"][0] < TEST_TOL.interface_residual
 
     def test_zero_data(self):
         sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
-        data = BoundaryData.explicit([0.0j, 0.0j], 0.0j)
-        sol = assemble_profiles(REF, sp, data)
+        sol = solve_point(REF, sp, [0.0j, 0.0j], 0.0j)
         for u in (*sol.u_plus, *sol.u_minus, sol.pressure):
-            assert u.c_m == 0 and u.c_b == 0 and u.c_a == 0
-        assert ode_residual(REF, sp, sol) == 0.0
-        assert interface_residual(REF, sp, sol).max() == 0.0
-        assert decay_margin(sol) == 0.0
+            assert np.all(u.c_m == 0) and np.all(u.c_b == 0) and np.all(u.c_a == 0)
+        res = sol.residuals()
+        assert res["ode"][0] == 0.0
+        assert res["interface"][0] == 0.0
+        assert res["decay"][0] == 0.0
 
     def test_linearity(self):
         sp = SpectralPoint(lam=1.4 + 0.9j, xi=(0.5, 1.1))
-        d1 = BoundaryData.explicit([0.3 - 0.2j, -0.1 + 0.5j], 0.25 + 0.6j)
-        d2 = BoundaryData.explicit([-0.4 + 0.1j, 0.2 - 0.3j], -0.5 + 0.15j)
-        d12 = BoundaryData.explicit(
-            [a + b for a, b in zip(d1.h_hat, d2.h_hat)], d1.H_hat + d2.H_hat)
-        s1 = assemble_profiles(REF, sp, d1)
-        s2 = assemble_profiles(REF, sp, d2)
-        s12 = assemble_profiles(REF, sp, d12)
-        x = np.array([0.1, 0.7, 2.0])
+        h1, H1 = np.array([0.3 - 0.2j, -0.1 + 0.5j]), 0.25 + 0.6j
+        h2, H2 = np.array([-0.4 + 0.1j, 0.2 - 0.3j]), -0.5 + 0.15j
+        s1 = solve_point(REF, sp, h1, H1)
+        s2 = solve_point(REF, sp, h2, H2)
+        s12 = solve_point(REF, sp, h1 + h2, H1 + H2)
+        x = np.array([0.1, 0.7, 2.0])[:, None]
         for j in range(3):
             want = s12.u_plus[j](x)
             got = s1.u_plus[j](x) + s2.u_plus[j](x)
@@ -261,48 +218,41 @@ class TestAssembledSolution:
 
     def test_minus_divergence_cancels(self):
         sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
-        data = BoundaryData.explicit([0.3 - 0.2j, -0.1 + 0.5j], 0.25 + 0.6j)
-        sol = assemble_profiles(REF, sp, data)
-        div = sol.divergence(-1)
-        scale = max(np.max(np.abs(sol.betas.beta_minus)),
-                    np.max(np.abs(sol.betas.g_minus)))
-        assert abs(div.c_m) < 1e-13 * scale
-        assert abs(div.c_b) < 1e-13 * scale
-        assert abs(div.c_a) < 1e-13 * scale
+        sol = solve_point(REF, sp, [0.3 - 0.2j, -0.1 + 0.5j], 0.25 + 0.6j)
+        div = resolvent._divergence(sol.ixi, sol.u_minus)
+        scale = max(max(abs(u.c_b[0]), abs(u.c_m[0])) for u in sol.u_minus)
+        assert abs(div.c_m[0]) < 1e-13 * scale
+        assert abs(div.c_b[0]) < 1e-13 * scale
+        assert abs(div.c_a[0]) < 1e-13 * scale
 
     def test_default_x_samples(self):
-        sp = SpectralPoint(lam=4.0 + 0j, xi=(2.0,))
-        xs = default_x_samples(sp)
-        assert xs.shape == (20,)
-        assert np.all(np.diff(xs) > 0)
-        assert xs[-1] == pytest.approx(10.0 / 4.0)
+        xs = resolvent._depths(np.array([4.0 + 0j]), np.array([2.0]))
+        assert xs.shape == (20, 1)
+        assert np.all(np.diff(xs[:, 0]) > 0)
+        assert xs[-1, 0] == pytest.approx(10.0 / 4.0)
 
 
 class TestEnergy:
     @pytest.mark.parametrize("name,fluid,sp", REGIMES[:4],
                              ids=[r[0] for r in REGIMES[:4]])
     def test_balance_defect(self, name, fluid, sp):
-        data = data_for(sp, "explicit-H")
-        sol = assemble_profiles(fluid, sp, data)
-        rep = energy_balance(fluid, sp, sol)
-        assert rep.max() < TOL.energy_defect
-        assert rep.plus_defect >= 0 and rep.minus_defect >= 0
+        rep = resolvent._energy(solve_for(fluid, sp, "explicit-H"))
+        assert rep.max()[0] < TOL.energy_defect
+        assert rep.plus_defect[0] >= 0 and rep.minus_defect[0] >= 0
         # dissipation entries are real and nonnegative
-        assert rep.plus_parts[1].imag == 0.0
-        assert rep.plus_parts[1].real >= 0.0
-        assert rep.minus_parts[1].real >= 0.0
+        assert rep.plus_parts[1][0].imag == 0.0
+        assert rep.plus_parts[1][0].real >= 0.0
+        assert rep.minus_parts[1][0].real >= 0.0
 
     def test_quadrature_cross_check(self):
         sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
-        data = BoundaryData.explicit([0.3 - 0.2j, -0.1 + 0.5j], 0.25 + 0.6j)
-        sol = assemble_profiles(REF, sp, data)
-        assert energy_quadrature_check(REF, sp, sol) < TOL.quadrature_cross
+        sol = solve_point(REF, sp, [0.3 - 0.2j, -0.1 + 0.5j], 0.25 + 0.6j)
+        assert energy_quadrature_check(sol) < TOL.quadrature_cross
 
     def test_quadrature_cross_check_2d(self):
         sp = SpectralPoint(lam=0.8 - 0.5j, xi=(1.3,))
-        data = BoundaryData.explicit([0.2 + 0.4j], -0.6 + 0.1j)
-        sol = assemble_profiles(REF, sp, data)
-        assert energy_quadrature_check(REF, sp, sol) < TOL.quadrature_cross
+        sol = solve_point(REF, sp, [0.2 + 0.4j], -0.6 + 0.1j)
+        assert energy_quadrature_check(sol) < TOL.quadrature_cross
 
 
 class TestMutationAndFuzz:
@@ -311,8 +261,7 @@ class TestMutationAndFuzz:
         # entry sensitivities (l12m, l21p) above the detection floor
         lam = complex(math.cos(2.0), math.sin(2.0))
         sp = SpectralPoint(lam=lam, xi=(0.7, -0.4))
-        data = BoundaryData.explicit([0.7 - 0.3j, 0.7 - 0.3j], 0.5 + 0.2j)
-        out = mutation_probe(REF, sp, data, rel=1e-3)
+        out = mutation_probe(REF, sp, [0.7 - 0.3j, 0.7 - 0.3j], 0.5 + 0.2j, rel=1e-3)
         assert len(out) == 13 + 8      # every 3-D amplitude and matrix entry
         floor = TEST_TOL.mutation_floor
         bad = {k: v for k, v in out.items() if v <= floor}
@@ -321,14 +270,13 @@ class TestMutationAndFuzz:
     def test_environment_cannot_mutate(self, monkeypatch):
         # no environment setting reaches a production solve
         sp = SpectralPoint(lam=1.0 + 0.6j, xi=(0.9,))
-        data = BoundaryData.explicit([0.7 - 0.3j], 0.5 + 0.2j)
-        clean = assemble_profiles(REF, sp, data)
+        clean = solve_point(REF, sp, [0.7 - 0.3j], 0.5 + 0.2j)
         monkeypatch.setenv("LOPSTOKES_MUTATE", "l12m")
-        env = assemble_profiles(REF, sp, data)
-        assert env.betas.matrix == clean.betas.matrix
+        env = solve_point(REF, sp, [0.7 - 0.3j], 0.5 + 0.2j)
         for got, want in zip((*env.u_plus, *env.u_minus, env.pressure),
                              (*clean.u_plus, *clean.u_minus, clean.pressure)):
-            assert (got.c_m, got.c_b, got.c_a) == (want.c_m, want.c_b, want.c_a)
+            for field in ("b", "a", "c_m", "c_b", "c_a"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
 
     def test_fuzz_small_corpus(self):
         rep = fuzz_residuals(REF, SECTOR, n_samples=500, seed=20260817)
@@ -408,20 +356,10 @@ CATEGORIES = ("ode", "interface", "kinematic", "decay", "energy")
 
 
 def point_residuals(fluid, sample):
-    """Every fuzz category at one corpus sample through the per-point API."""
+    """Every fuzz category at one corpus sample, solved alone as a batch of one."""
     dim, mode, lam, xi, h, top = sample
-    sp = SpectralPoint(lam=lam, xi=xi)
-    data = (BoundaryData.explicit(h, H_hat=top) if mode == "explicit-H"
-            else BoundaryData.kinematic(h, d_hat=top))
-    sol = assemble_profiles(fluid, sp, data)
-    ires = interface_residual(fluid, sp, sol)
-    out = {"ode": ode_residual(fluid, sp, sol),
-           "interface": ires.max(kinematic=False),
-           "decay": decay_margin(sol),
-           "energy": energy_balance(fluid, sp, sol).max()}
-    if ires.kinematic is not None:
-        out["kinematic"] = ires.kinematic
-    return out
+    res = assemble_batch(fluid, [lam], [xi], [h], [top], mode).residuals(energy=True)
+    return {cat: float(v[0]) for cat, v in res.items()}
 
 
 class TestCorpusAndBatch:
@@ -437,7 +375,9 @@ class TestCorpusAndBatch:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_batch_equals_points(self, fluid, dim, mode, seed):
-        # 13 points: no multiple of any chunk size, mixed magnitudes
+        # every point of a batch gives the residuals it gives solved alone,
+        # as a batch of one; 13 points: no multiple of any chunk size,
+        # mixed magnitudes
         pts = [s for s in fuzz_corpus(seed, 80, SECTOR) if s[0] == dim][:13]
         cols = list(zip(*pts))
         batch = assemble_batch(fluid, cols[2], cols[3], cols[4], cols[5], mode,

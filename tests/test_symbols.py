@@ -16,23 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lopstokes import (
-    CharRoots,
-    FluidParams,
-    Sector,
-    SpectralPoint,
-    char_roots,
-    exp_diff_quot,
-    stokes_kernel_minus,
-    stokes_kernel_plus,
-)
+import mpmath
+
+from lopstokes import FluidParams, Sector, SpectralPoint
 from lopstokes.config import REFERENCE_PARAMS
 from lopstokes.errors import WrongSign
 from lopstokes.symbols import (
     CONFLUENT_SWITCH,
     char_roots_batch,
+    check_roots,
     exp_diff_quot_batch,
-    root_envelope_ratio,
 )
 
 REF = REFERENCE_PARAMS
@@ -66,6 +59,41 @@ def rel(got, want):
     return abs(got - want) / abs(want)
 
 
+def roots_at(fluid, sp):
+    """(A_plus, B_plus, B_minus) at one point, a batch of one."""
+    return tuple(complex(r[0]) for r in char_roots_batch(fluid, [sp.lam], [sp.a]))
+
+
+def m_plus(ap, bp, x):
+    """M_plus(x) = (exp(-B_plus x) - exp(-A_plus x)) / (B_plus - A_plus), x >= 0."""
+    return -exp_diff_quot_batch(-bp, -ap, x)
+
+
+def m_minus(a, bm, x):
+    """M_minus(x) = (exp(B_minus x) - exp(A x)) / (B_minus - A), x <= 0."""
+    return exp_diff_quot_batch(a, bm, x)
+
+
+def quot_mp(a, b, x):
+    """(exp(b x) - exp(a x)) / (b - a) at 50 digits from the exact doubles."""
+    with mpmath.workdps(50):
+        a, b, x = mpmath.mpc(a), mpmath.mpc(b), mpmath.mpf(x)
+        return complex((mpmath.exp(b * x) - mpmath.exp(a * x)) / (b - a))
+
+
+def seam_offset(a, direction):
+    """b - a on the branch switch |b - a| = CONFLUENT_SWITCH |b + a|, along
+    direction (a fixed-point iteration contracting by CONFLUENT_SWITCH)."""
+    t = 0.0
+    for _ in range(4):
+        t = CONFLUENT_SWITCH * abs(2.0 * a + t * direction)
+    return t * direction
+
+
+def on_series_branch(a, b):
+    return np.abs(b - a) < CONFLUENT_SWITCH * np.abs(b + a)
+
+
 def sector_point(mag, ang, a, two_d=True):
     lam = mag * cmath.exp(1j * ang)
     xi = (a,) if two_d else (a * 0.6, a * 0.8)
@@ -74,67 +102,65 @@ def sector_point(mag, ang, a, two_d=True):
 
 class TestFrozenRoots:
     def test_point_one(self):
-        r = char_roots(REF, P1)
-        assert r.a == pytest.approx(O1_A, rel=1e-15)
-        assert rel(r.a_plus, O1_A_PLUS) < 1e-14
-        assert rel(r.b_plus, O1_B_PLUS) < 1e-14
-        assert rel(r.b_minus, O1_B_MINUS) < 1e-14
-        assert r.a_minus == r.a
+        ap, bp, bm = roots_at(REF, P1)
+        assert P1.a == pytest.approx(O1_A, rel=1e-15)
+        assert rel(ap, O1_A_PLUS) < 1e-14
+        assert rel(bp, O1_B_PLUS) < 1e-14
+        assert rel(bm, O1_B_MINUS) < 1e-14
 
     def test_point_three(self):
-        r = char_roots(REF, P3)
-        assert rel(r.a_plus, O3_A_PLUS) < 1e-14
-        assert rel(r.b_minus, O3_B_MINUS) < 1e-14
+        ap, _, bm = roots_at(REF, P3)
+        assert rel(ap, O3_A_PLUS) < 1e-14
+        assert rel(bm, O3_B_MINUS) < 1e-14
 
     def test_textbook_values(self):
         # rho_+=2, mu_+=nu_+=1, lam=3, A=1: A_+ = 2, B_+ = sqrt(7)
         p = FluidParams(2.0, 1.0, 1.0, 1.0, 1.0)
-        r = char_roots(p, SpectralPoint(lam=3.0, xi=(1.0,)))
-        assert rel(r.a_plus, 2.0) < 1e-15
-        assert rel(r.b_plus, math.sqrt(7.0)) < 1e-15
+        ap, bp, _ = roots_at(p, SpectralPoint(lam=3.0, xi=(1.0,)))
+        assert rel(ap, 2.0) < 1e-15
+        assert rel(bp, math.sqrt(7.0)) < 1e-15
 
     def test_principal_branch_of_i(self):
         # rho_-=mu_-=1, lam=i, A tiny: B_- ~ e^{i pi/4}
         p = FluidParams(2.0, 1.0, 1.0, 1.0, 1.0)
-        r = char_roots(p, SpectralPoint(lam=1j, xi=(1e-8,)))
-        assert rel(r.b_minus, cmath.exp(1j * math.pi / 4)) < 1e-8
+        bm = roots_at(p, SpectralPoint(lam=1j, xi=(1e-8,)))[2]
+        assert rel(bm, cmath.exp(1j * math.pi / 4)) < 1e-8
 
 
 class TestFrozenKernels:
     def test_plus_kernel_point_one(self):
-        r = char_roots(REF, P1)
-        assert rel(stokes_kernel_plus(r, 0.8), O1_M_PLUS) < 1e-14
+        ap, bp, _ = roots_at(REF, P1)
+        assert rel(m_plus(ap, bp, 0.8), O1_M_PLUS) < 1e-14
 
     def test_minus_kernel_point_one(self):
-        r = char_roots(REF, P1)
-        assert rel(stokes_kernel_minus(r, -0.8), O1_M_MINUS) < 1e-14
+        bm = roots_at(REF, P1)[2]
+        assert rel(m_minus(P1.a, bm, -0.8), O1_M_MINUS) < 1e-14
 
     def test_kernels_point_three(self):
-        r = char_roots(REF, P3)
-        assert rel(stokes_kernel_plus(r, 0.002), O3_M_PLUS) < 1e-13
-        assert rel(stokes_kernel_minus(r, -0.002), O3_M_MINUS) < 1e-13
+        ap, bp, bm = roots_at(REF, P3)
+        assert rel(m_plus(ap, bp, 0.002), O3_M_PLUS) < 1e-13
+        assert rel(m_minus(P3.a, bm, -0.002), O3_M_MINUS) < 1e-13
 
     def test_confluent_quotient(self):
-        got = -exp_diff_quot(-O2_B, -O2_A, O2_X)
+        got = -exp_diff_quot_batch(-O2_B, -O2_A, O2_X)
         assert rel(got, O2_QUOT) < 1e-13
 
     def test_plain_difference(self):
         # B=2, A=1, x=1: M_+ = e^{-2} - e^{-1}
-        r = CharRoots(a_plus=1.0, b_plus=2.0, b_minus=2.0, a=1.0, lam=1.0)
         want = math.exp(-2.0) - math.exp(-1.0)
-        assert rel(stokes_kernel_plus(r, 1.0), want) < 1e-15
+        assert rel(m_plus(1.0, 2.0, 1.0), want) < 1e-15
 
     def test_kernels_vanish_at_interface(self):
-        r = char_roots(REF, P1)
-        assert stokes_kernel_plus(r, 0.0) == 0.0
-        assert stokes_kernel_minus(r, 0.0) == 0.0
+        ap, bp, bm = roots_at(REF, P1)
+        assert m_plus(ap, bp, 0.0) == 0.0
+        assert m_minus(P1.a, bm, 0.0) == 0.0
 
     def test_kernel_slope_at_interface(self):
         # M_+'(0) = -1 and M_-'(0) = +1 for any root pair
-        r = char_roots(REF, P1)
+        ap, bp, bm = roots_at(REF, P1)
         h = 1e-6
-        dp = (stokes_kernel_plus(r, h) - stokes_kernel_plus(r, 0.0)) / h
-        dm = (stokes_kernel_minus(r, 0.0) - stokes_kernel_minus(r, -h)) / h
+        dp = (m_plus(ap, bp, h) - m_plus(ap, bp, 0.0)) / h
+        dm = (m_minus(P1.a, bm, 0.0) - m_minus(P1.a, bm, -h)) / h
         assert abs(dp + 1.0) < 1e-5
         assert abs(dm - 1.0) < 1e-5
 
@@ -143,7 +169,7 @@ class TestFrozenKernels:
         a = 1.1 + 0.3j
         for eps in (0.0, 1e-12, 1e-9):
             b = a * (1.0 + eps)
-            got = -exp_diff_quot(-b, -a, 1.0)
+            got = -exp_diff_quot_batch(-b, -a, 1.0)
             want = -1.0 * cmath.exp(-a)
             assert abs(got - want) / abs(want) < 1e-8
 
@@ -152,29 +178,41 @@ class TestFrozenKernels:
         a = 1.3 - 0.4j
         x = 0.9
         for direction in (1.0 + 0.0j, cmath.exp(0.7j)):
-            d_at = CONFLUENT_SWITCH * abs(2.0 * a) * direction
-            lo = exp_diff_quot(a, a + d_at * (1.0 - 1e-9), x)   # series path
-            hi = exp_diff_quot(a, a + d_at * (1.0 + 1e-9), x)   # direct path
+            b = a + seam_offset(a, direction) * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+            assert on_series_branch(a, b).tolist() == [True, False]
+            lo, hi = exp_diff_quot_batch(a, b, x)
             assert abs(lo - hi) / abs(hi) < 1e-12
 
     def test_batch_matches_scalar(self):
-        r = char_roots(REF, P1)
+        # every depth of a batch equals the same depth evaluated alone
+        ap, bp, bm = roots_at(REF, P1)
         xs = np.linspace(0.0, 3.0, 17)
-        batch = stokes_kernel_plus(r, xs)
+        batch = m_plus(ap, bp, xs)
         for x, v in zip(xs, batch):
-            assert abs(v - stokes_kernel_plus(r, float(x))) < 1e-15
-        batch_m = stokes_kernel_minus(r, -xs)
+            assert abs(v - m_plus(ap, bp, [x])[0]) < 1e-15
+        batch_m = m_minus(P1.a, bm, -xs)
         for x, v in zip(xs, batch_m):
-            assert abs(v - stokes_kernel_minus(r, float(-x))) < 1e-15
+            assert abs(v - m_minus(P1.a, bm, [-x])[0]) < 1e-15
 
     def test_exp_diff_quot_batch_mixed_paths(self):
-        a = np.array([1.0 + 0.2j, 1.0 + 0.2j, 2.0 - 1.0j])
-        b = np.array([1.0 + 0.2j + 1e-9, 3.0 + 0.2j, 2.0 - 1.0j + 5e-5j])
-        x = np.array([0.5, 0.5, 1.2])
+        # one batch through the series branch (first, third, and just inside
+        # the seam) and the direct branch (second, and just outside it),
+        # each against the 50-digit quotient
+        seam = 1.3 - 0.4j
+        d_at = seam_offset(seam, cmath.exp(0.7j))
+        a = np.array([1.0 + 0.2j, 1.0 + 0.2j, 2.0 - 1.0j, seam, seam])
+        b = np.array([1.0 + 0.2j + 1e-9, 3.0 + 0.2j, 2.0 - 1.0j + 5e-5j,
+                      seam + d_at * (1.0 - 1e-9), seam + d_at * (1.0 + 1e-9)])
+        x = np.array([0.5, 0.5, 1.2, 0.9, 0.9])
+        series = on_series_branch(a, b)
+        assert series.tolist() == [True, False, True, True, False]
         got = exp_diff_quot_batch(a, b, x)
-        for i in range(3):
-            want = exp_diff_quot(complex(a[i]), complex(b[i]), float(x[i]))
-            assert abs(got[i] - want) <= 1e-15 * max(1.0, abs(want))
+        for i in range(a.size):
+            want = quot_mp(a[i], b[i], x[i])
+            # the direct branch cancels exp(bx) - exp(ax), so its relative
+            # error grows like eps/|(b - a) x| towards the seam
+            bound = 1e-15 if series[i] else 1e-15 + 8 * 2.3e-16 / abs((b[i] - a[i]) * x[i])
+            assert abs(got[i] - want) <= bound * abs(want), i
 
 
 class TestRootProperties:
@@ -187,12 +225,12 @@ class TestRootProperties:
     @settings(max_examples=200)
     def test_branch_and_resquare(self, mag, ang, a, two_d):
         sp = sector_point(mag, ang, a, two_d)
-        r = char_roots(REF, sp)
+        ap, bp, bm = roots_at(REF, sp)
         a2 = sp.a ** 2
         targets = (
-            (r.a_plus, REF.rho_plus / (REF.mu_plus + REF.nu_plus) * sp.lam + a2),
-            (r.b_plus, REF.rho_plus / REF.mu_plus * sp.lam + a2),
-            (r.b_minus, REF.rho_minus / REF.mu_minus * sp.lam + a2),
+            (ap, REF.rho_plus / (REF.mu_plus + REF.nu_plus) * sp.lam + a2),
+            (bp, REF.rho_plus / REF.mu_plus * sp.lam + a2),
+            (bm, REF.rho_minus / REF.mu_minus * sp.lam + a2),
         )
         for root, square in targets:
             assert root.real > 0.0
@@ -201,35 +239,36 @@ class TestRootProperties:
     @pytest.mark.parametrize("s", [0.5, 2.0, 10.0])
     def test_parabolic_scaling(self, s):
         sp = SpectralPoint(lam=0.7 - 2.2j, xi=(1.3, -0.2))
-        r0 = char_roots(REF, sp)
-        r1 = char_roots(REF, sp.scaled(s))
-        for v0, v1 in zip(r0.as_tuple(), r1.as_tuple()):
+        r0 = roots_at(REF, sp)
+        r1 = roots_at(REF, sp.scaled(s))
+        for v0, v1 in zip(r0, r1):
             assert abs(v1 - s * v0) / abs(s * v0) < 1e-13
-        assert abs(r1.a - s * r0.a) / (s * r0.a) < 1e-13
+        assert abs(sp.scaled(s).a - s * sp.a) / (s * sp.a) < 1e-13
 
     def test_envelope_ratio_positive(self):
-        lo, hi = root_envelope_ratio(char_roots(REF, P1))
-        assert 0.0 < lo <= hi
-        lo3, hi3 = root_envelope_ratio(char_roots(REF, P3))
-        assert 0.0 < lo3 <= hi3
+        # Re(root)/(sqrt|lam| + A) stays in (0, inf) for all three roots
+        for sp in (P1, P3):
+            scale = math.sqrt(abs(sp.lam)) + sp.a
+            ratios = [r.real / scale for r in roots_at(REF, sp)]
+            assert 0.0 < min(ratios) <= max(ratios)
 
     def test_wrong_sign_on_cut(self):
         # negative real lambda with A ~ 0 pushes B- onto the imaginary axis
         sector = Sector(epsilon=math.pi / 4)
-        lam = -4.0 + 0.0j
-        assert not sector.contains(lam)
+        lam, a = np.array([-4.0 + 0.0j]), np.array([1e-300])
+        assert not sector.contains(lam[0])
         with pytest.raises(WrongSign):
-            char_roots(REF, SpectralPoint(lam=lam, xi=(1e-300,)))
+            check_roots(char_roots_batch(REF, lam, a), lam, a)
 
     def test_batch_matches_scalar_roots(self):
+        # every point of a batch equals the same point alone
         rng = np.random.default_rng(7)
         mags = 10.0 ** rng.uniform(-4, 8, 50)
         angs = rng.uniform(-3 * math.pi / 4, 3 * math.pi / 4, 50)
         lam = mags * np.exp(1j * angs)
         a = 10.0 ** rng.uniform(-4, 8, 50)
-        ap, bp, bm = char_roots_batch(REF, lam, a)
+        batch = char_roots_batch(REF, lam, a)
         for i in range(50):
-            r = char_roots(REF, SpectralPoint(lam=complex(lam[i]), xi=(float(a[i]),)))
-            assert rel(ap[i], r.a_plus) < 1e-14
-            assert rel(bp[i], r.b_plus) < 1e-14
-            assert rel(bm[i], r.b_minus) < 1e-14
+            alone = char_roots_batch(REF, lam[i:i + 1], a[i:i + 1])
+            for got, want in zip(batch, alone):
+                assert rel(got[i], want[0]) < 1e-14

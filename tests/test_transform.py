@@ -9,11 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import TEST_TOL
+from helpers import TEST_TOL, solve_point
 from lopstokes.config import Tolerances
 from lopstokes.errors import EnvelopeUnbounded, ZeroModeData
 from lopstokes.params import FluidParams, SpectralPoint
-from lopstokes.resolvent import BoundaryData, assemble_profiles
 from lopstokes.transform import (
     DecayReport,
     PhysicalField,
@@ -137,7 +136,7 @@ class TestSolvePhysical:
         sol = solve_physical(REF, LAM, [c1 * pw], BOX, levels,
                              H_field=c_top * pw)
         sp = SpectralPoint(lam=LAM, xi=(3.0,))
-        ref = assemble_profiles(REF, sp, BoundaryData.explicit((c1,), H_hat=c_top))
+        ref = solve_point(REF, sp, (c1,), c_top)
         worst = 0.0
         for j in range(2):
             for i, x in enumerate(levels):
@@ -149,7 +148,7 @@ class TestSolvePhysical:
             worst = max(worst, rel_err(sol.pressure.level(i),
                                        ref.pressure(-x) * pw))
         worst = max(worst, rel_err(sol.height.level(0),
-                                   ref.H_hat_effective * pw))
+                                   ref.H[0] * pw))
         assert worst < TEST_TOL.single_mode
         assert sol.mode == "explicit-H"
         assert sol.dim == 2
@@ -167,10 +166,10 @@ class TestSolvePhysical:
         sol = solve_physical(REF, LAM, [h[0] * pw, h[1] * pw], box, (0.5,),
                              d_field=d * pw)
         sp = SpectralPoint(lam=LAM, xi=(2.0, -1.5))
-        ref = assemble_profiles(REF, sp, BoundaryData.kinematic(h, d_hat=d))
+        ref = solve_point(REF, sp, h, d, "kinematic")
         assert sol.mode == "kinematic"
         assert sol.dim == 3
-        assert rel_err(sol.height.level(0), ref.H_hat_effective * pw) < TEST_TOL.single_mode
+        assert rel_err(sol.height.level(0), ref.H[0] * pw) < TEST_TOL.single_mode
         for j in range(3):
             assert rel_err(sol.u_plus[j].level(0), ref.u_plus[j](0.5) * pw) < TEST_TOL.single_mode
             assert rel_err(sol.u_minus[j].level(0), ref.u_minus[j](-0.5) * pw) < TEST_TOL.single_mode
@@ -190,9 +189,8 @@ class TestSolvePhysical:
         want_u = np.zeros(SHAPE, dtype=complex)
         for amp, ctop, pw, xi in zip(amps, tops, pws, (3.0, -5.0)):
             sp = SpectralPoint(lam=LAM, xi=(xi,))
-            ref = assemble_profiles(REF, sp,
-                                    BoundaryData.explicit((amp,), H_hat=ctop))
-            want_h += ref.H_hat_effective * pw
+            ref = solve_point(REF, sp, (amp,), ctop)
+            want_h += ref.H[0] * pw
             want_u += ref.u_plus[1](0.2) * pw
         assert rel_err(sol.height.level(0), want_h) < TEST_TOL.single_mode
         assert rel_err(sol.u_plus[1].level(0), want_u) < TEST_TOL.single_mode
