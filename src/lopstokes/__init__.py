@@ -11,20 +11,22 @@ estimates for the solution-operator multipliers, and FFT reconstruction of
 physical-space fields with residual checks.
 
 Module map
-    params        fluid parameters, sector, spectral points
+    params        fluid parameters and the resolvent sector
     symbols       characteristic roots and the divided-exponential kernel
-    lopatinski    boundary matrix L, its cofactors, determinant bounds,
-                  asymptotics
+    lopatinski    boundary matrix L, its cofactors, determinant scan,
+                  asymptotic deviations
     coefficients  closed-form amplitudes, height symbol K, height curve
     resolvent     profile solutions, residuals, energy balance, fuzzing
-
-Every formula is array arithmetic over points; a single point is an array
-of length one, run through the same code as any batch.
     multiplier    anisotropic symbol-class certification
     transform     tangential FFT solves, kernel decay
     reports       deterministic CSV/JSON artifacts
-    config        run configuration and tolerances
-    cli           the `lopstokes` command
+    config        run defaults (RunConfig), the scan grid layout (GridSpec),
+                  tolerances and the elision threshold
+    cli           the `lopstokes` command; every pass/fail gate
+
+Every formula is array arithmetic over points; a single point is an array
+of length one, run through the same code as any batch.  The library
+measures; the commands judge.
 """
 
 from .config import (
@@ -38,9 +40,7 @@ from .config import (
     load_config,
 )
 from .errors import (
-    AsymptoticMismatch,
     ConfigError,
-    EnvelopeUnbounded,
     EqualDensities,
     GridTooCoarse,
     HeightNotInvertible,
@@ -54,7 +54,7 @@ from .errors import (
     WrongSign,
     ZeroModeData,
 )
-from .params import FluidParams, Sector, SpectralPoint
+from .params import FluidParams, Sector
 from .symbols import char_roots_batch, exp_diff_quot_batch
 from .lopatinski import (
     ScanReport,
@@ -74,9 +74,7 @@ from .coefficients import (
     slope_limit,
 )
 from .resolvent import (
-    EnergyReport,
     FuzzReport,
-    InterfaceResiduals,
     Profile,
     ProfileBatch,
     assemble_batch,
@@ -88,7 +86,6 @@ from .multiplier import (
     MultiplierClassReport,
     certify_table,
     declared_claims,
-    estimate_class,
 )
 from .transform import (
     DecayReport,
@@ -103,7 +100,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # params
-    "FluidParams", "Sector", "SpectralPoint",
+    "FluidParams", "Sector",
     "REFERENCE_PARAMS", "STRESS_PARAM_SETS",
     # symbols
     "char_roots_batch", "exp_diff_quot_batch",
@@ -113,11 +110,10 @@ __all__ = [
     "HeightCurve", "HeightScanReport", "SymbolKit", "height_curve", "height_scan",
     "omega3", "omega4_formula", "slope_limit",
     # resolvent
-    "EnergyReport", "FuzzReport", "InterfaceResiduals", "Profile", "ProfileBatch",
+    "FuzzReport", "Profile", "ProfileBatch",
     "assemble_batch", "fuzz_residuals", "inner_product",
     # multiplier
     "Claim", "MultiplierClassReport", "certify_table", "declared_claims",
-    "estimate_class",
     # transform
     "DecayReport", "PhysicalField", "PhysicalSolution", "kernel_decay_check",
     "solve_physical",
@@ -126,7 +122,7 @@ __all__ = [
     "load_config",
     # errors
     "LopStokesError", "NonPositiveParameter", "EqualDensities", "OutOfSector",
-    "WrongSign", "SingularDetL", "NonPositiveOmega", "AsymptoticMismatch",
-    "HeightNotInvertible", "NoCutoffFound", "GridTooCoarse", "ZeroModeData",
-    "QuadratureFailure", "EnvelopeUnbounded", "ConfigError",
+    "WrongSign", "SingularDetL", "NonPositiveOmega", "HeightNotInvertible",
+    "NoCutoffFound", "GridTooCoarse", "ZeroModeData", "QuadratureFailure",
+    "ConfigError",
 ]

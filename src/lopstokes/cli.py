@@ -13,6 +13,12 @@ minimum of |lambda+K|/(|lambda|+A)) yields both cutoffs, the height report
 and the height CSV; the base determinant grid yields omega, its worst point
 and the scan CSV columns.
 
+The library measures and the commands judge: every pass/fail decision
+(omega > 0 with the asymptotic deviation within asym_dev_at_100, omega4 > 0,
+the decay drift within envelope_drift, the fuzz, multiplier and energy
+verdicts) is taken here, against Tolerances().scale(--tolerance-scale).
+The run defaults (fluid, sector, grids, seed, samples) come from RunConfig.
+
 Exit codes: 0 success; 2 usage (argparse); 65 config or data validation,
 including a `solve` lambda outside the configured sector (or lambda = 0);
 `verify` failures form a bitmask (1 fuzz, 2 multipliers, 4 height,
@@ -45,7 +51,7 @@ from .errors import (
     ZeroModeData,
 )
 from .lopatinski import scan_lower_bound
-from .multiplier import certify_table
+from .multiplier import certify_table, declared_claims
 from .reports import (
     config_hash,
     ensure_out_dir,
@@ -116,14 +122,14 @@ def _effective(args) -> tuple[RunConfig, Tolerances, str, str]:
         over["samples"] = args.samples
     if over:
         cfg = dataclasses.replace(cfg, **over)
-    tol = cfg.tolerances.scale(args.tolerance_scale)
+    tol = Tolerances().scale(args.tolerance_scale)
     out = os.environ.get("LOPSTOKES_OUT") or args.out or cfg.out_dir
     tag = config_hash(cfg, extra={"tolerance_scale": args.tolerance_scale})
     return cfg, tol, ensure_out_dir(out), tag
 
 
 def cmd_scan_lopatinski(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
-    rep = scan_lower_bound(cfg.fluid, cfg.sector, cfg.grid, refine=True)
+    rep = scan_lower_bound(cfg.fluid, cfg.sector, cfg.grid)
     write_json(os.path.join(out, f"scan_{tag}.json"), rep.to_dict())
     write_scan_csv(os.path.join(out, f"scan_{tag}.csv"), *rep.columns)
     dev = max(rep.delta1, rep.delta2)
@@ -184,7 +190,7 @@ def _multiplier_table(cfg: RunConfig, tol: Tolerances, out: str, tag: str,
     # |lambda|), so they are claimed above the smallest scanned cutoff whose
     # suffix infimum clears omega4_formula, not the height_floor.
     lam0 = curve.cutoff(omega4_formula(cfg.fluid, cfg.sector))
-    table = certify_table(cfg.fluid, cfg.sector, cfg.class_grid, lambda0=lam0, tol=tol)
+    table = certify_table(declared_claims(lam0), cfg.fluid, cfg.sector, cfg.class_grid, tol)
     write_class_csv(os.path.join(out, f"class_{tag}.csv"), table)
     return lam0, table
 
@@ -192,8 +198,7 @@ def _multiplier_table(cfg: RunConfig, tol: Tolerances, out: str, tag: str,
 def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
     suites: dict[str, dict] = {}
 
-    fuzz = fuzz_residuals(fluid=cfg.fluid, sector=cfg.sector,
-                          n_samples=cfg.samples, seed=cfg.seed,
+    fuzz = fuzz_residuals(cfg.fluid, cfg.sector, cfg.samples, cfg.seed,
                           energy=True, tol=tol)
     suites["fuzz"] = {**fuzz.to_dict(), "passed": fuzz.passed(tol)}
 

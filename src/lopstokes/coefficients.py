@@ -453,20 +453,18 @@ def height_curve(fluid: FluidParams, sector: Sector,
     """Evaluate the height ratio on the scan grid, one magnitude at a time."""
     grid = grid or GridSpec()
     mags = grid.lam_mags()
-    angs = grid.angles(sector.epsilon)
-    avals = grid.a_vals()
-    lam_block = np.repeat(np.exp(1j * angs), avals.size)
-    a_block = np.tile(avals, angs.size)
     per_min = np.empty(mags.size)
     worst = []
-    for i, mag in enumerate(mags):
-        lam = mag * lam_block
-        ratio = height_ratio(fluid, lam, a_block)
+    n_points = 0
+    for i in range(mags.size):
+        lam, a = grid.points(sector.epsilon, mags[i:i + 1])
+        ratio = height_ratio(fluid, lam, a)
         k = int(np.argmin(ratio))
         per_min[i] = float(ratio[k])
-        worst.append((complex(lam[k]), float(a_block[k])))
+        worst.append((complex(lam[k]), float(a[k])))
+        n_points += lam.size
     return HeightCurve(mags=mags, per_min=per_min, worst=tuple(worst),
-                       n_points=mags.size * lam_block.size)
+                       n_points=n_points)
 
 
 def height_scan(
@@ -474,9 +472,8 @@ def height_scan(
     sector: Sector,
     curve: HeightCurve,
     lambda0: float,
-    slope_ratio: float = 100.0,
 ) -> HeightScanReport:
-    """Certify omega4 > 0 above lambda0 on the scanned curve and measure the
+    """Read omega4 above lambda0 off the scanned curve and measure the
     A-regime slope of K."""
     mags, per_min = curve.mags, curve.per_min
     idx = np.nonzero(mags >= max(lambda0, mags[0]))[0]
@@ -485,6 +482,7 @@ def height_scan(
     worst_lam, worst_a = curve.worst[kbest]
 
     # slope probe: A = slope_ratio * sqrt|lam|, lam real spanning scales
+    slope_ratio = 100.0
     lam_mags = np.array([1e-2, 1.0, 1e2])
     a = slope_ratio * np.sqrt(lam_mags)
     slope = float(np.mean(SymbolKit.batch(fluid, lam_mags, a).k_height().real / a))

@@ -12,13 +12,11 @@ __all__ = [
     "WrongSign",
     "SingularDetL",
     "NonPositiveOmega",
-    "AsymptoticMismatch",
     "HeightNotInvertible",
     "NoCutoffFound",
     "GridTooCoarse",
     "ZeroModeData",
     "QuadratureFailure",
-    "EnvelopeUnbounded",
     "ConfigError",
 ]
 
@@ -51,10 +49,6 @@ class NonPositiveOmega(LopStokesError):
     """A scanned lower-bound constant came out nonpositive."""
 
 
-class AsymptoticMismatch(LopStokesError):
-    """Determinant asymptotics disagree with the closed-form constants beyond tolerance."""
-
-
 class HeightNotInvertible(LopStokesError):
     """lambda + K is too close to zero to invert the height equation at this point."""
 
@@ -73,10 +67,6 @@ class ZeroModeData(LopStokesError):
 
 class QuadratureFailure(LopStokesError):
     """An adaptive quadrature did not converge to the requested tolerance."""
-
-
-class EnvelopeUnbounded(LopStokesError):
-    """A decay-envelope estimate did not stabilize under refinement."""
 
 
 class ConfigError(LopStokesError):

@@ -20,13 +20,16 @@ stability (< 2x drift) under a refinement that doubles grid density and
 widens both ranges by a decade, which is what exposes wrong-degree claims
 as boundary blow-up.
 
-Claims sharing a sector floor share one stencil pass per grid.  The pass
-walks the grid in fixed chunks of _CHUNK points: one SymbolKit is built over
-the chunk's 27-point stencils (lam, lam +- i h_tau by nine xi offsets),
-every claim of the group is judged on it, and it is dropped before the next
-chunk.  Every reported number is a reduction over points (a maximum, an
-any, a count), so the chunked result equals the whole-grid one and peak
-memory does not grow with the grid.
+certify_table is the one entry point: it takes a list of claims (the
+declared table comes from declared_claims) and judges each on the class
+grid laid out by GridSpec.points and on its refinement.  Claims sharing a
+sector floor share one stencil pass per grid.  The pass walks the grid in
+fixed chunks of _CHUNK points: one SymbolKit is built over the chunk's
+27-point stencils (lam, lam +- i h_tau by nine xi offsets), every claim of
+the group is judged on it, and it is dropped before the next chunk.  Every
+reported number is a reduction over points (a maximum, an any, a count), so
+the chunked result equals the whole-grid one and peak memory does not grow
+with the grid.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .params import FluidParams, Sector
 __all__ = [
     "Claim",
     "MultiplierClassReport",
-    "estimate_class",
     "declared_claims",
     "certify_table",
     "KAPPAS",
@@ -64,10 +66,8 @@ _ORDERS = tuple(int(k[0]) + int(k[1]) for k in KAPPAS)
 _KEYS = tuple((kappa, ell) for ell in (0, 1) for kappa in KAPPAS)
 
 # Grid points per stencil chunk; one kit holds 27 stencil points per grid
-# point.  27 * _CHUNK must stay below 16,384: from 256 KiB of complex128 on,
-# numpy evaluates x * <temporary> as the in-place temporary *= x, complex
-# multiply is not bitwise commutative, and the estimates would then depend
-# on the chunk size.
+# point, and 27 * _CHUNK stays below config.ELISION_THRESHOLD so the
+# estimates do not depend on the chunk size.
 _CHUNK = 600
 
 
@@ -78,7 +78,7 @@ class Claim:
     name: str
     s: float
     mtype: int
-    fn: Callable  # fn(kit: SymbolKit, ixi1, ixi2) -> complex array
+    fn: Callable  # fn(kit: SymbolKit, ixi1) -> complex array
     lam_floor: float = 0.0
 
 
@@ -112,7 +112,7 @@ class _Stencil:
 
     One kit holds the stencil points in (lam row, xi offset, point) order:
     lam, lam + i h_tau, lam - i h_tau by the nine xi offsets; args holds
-    (kit, i xi_1, i xi_2) in that order, the arguments of every Claim.fn.
+    (kit, i xi_1) in that order, the arguments of every Claim.fn.
     Alongside: the chunk's columns, the noise weight sum/h^{|kappa|} of
     every kappa, and the class bounds, computed once per (s, type).
     """
@@ -127,7 +127,7 @@ class _Stencil:
         kit = SymbolKit.batch(run.fluid,
                               np.concatenate([np.tile(r, len(_OFFSETS)) for r in rows]),
                               np.tile(np.hypot(x1, x2), len(rows)))
-        self.args = (kit, np.tile(1j * x1, len(rows)), np.tile(1j * x2, len(rows)))
+        self.args = (kit, np.tile(1j * x1, len(rows)))
         self.wsum = np.stack([np.ones_like(h), 1.0 / h, 1.0 / h,
                               4.0 / self.h2, 4.0 / self.h2, 1.0 / self.h2])
         self.gfac = np.abs(self.tau) / self.htau
@@ -162,18 +162,9 @@ class _GridRun:
             # runs must sample that edge identically or the drift column
             # measures the floor discretization instead of grid convergence
             mags = np.unique(np.concatenate(([lam_floor], mags[mags > lam_floor])))
-        if mags.size == 0:
-            raise GridTooCoarse(
-                f"no grid magnitudes at or above the floor {lam_floor:.3e}"
-            )
-        angs = grid.angles(sector.epsilon)
-        avals = grid.a_vals()
-        dirs = np.asarray(_DIRECTIONS)
-
-        lam = (mags[:, None] * np.exp(1j * angs)[None, :]).reshape(-1)
-        lam = np.repeat(lam, avals.size * dirs.shape[0])
-        a = np.tile(np.repeat(avals, dirs.shape[0]), mags.size * angs.size)
-        d = np.tile(dirs, (mags.size * angs.size * avals.size, 1))
+        # every grid point once per frequency direction
+        lam, a = (np.repeat(v, len(_DIRECTIONS)) for v in grid.points(sector.epsilon, mags))
+        d = np.tile(_DIRECTIONS, (lam.size // len(_DIRECTIONS), 1))
         self.fluid = fluid
         self.xi1 = a * d[:, 0]
         self.xi2 = a * d[:, 1]
@@ -269,42 +260,7 @@ def _verdict(base, refined, res_b, res_r, drift_tol):
     return drift, ("fail" if bad else "pass")
 
 
-def estimate_class(
-    symbol: Claim | Callable,
-    claimed: tuple[float, int] | None = None,
-    sector: Sector | None = None,
-    grid: ClassGridSpec | None = None,
-    fluid: FluidParams | None = None,
-    name: str = "symbol",
-    lam_floor: float = 0.0,
-    tol: Tolerances | None = None,
-) -> MultiplierClassReport:
-    """Estimate the class constants of one symbol and judge the claim.
-
-    symbol is either a Claim or a callable fn(kit, ixi1, ixi2); in the
-    callable case `claimed` supplies (s, type).  The verdict is "pass" when
-    every resolvable constant moves by less than the drift tolerance under
-    grid refinement, "fail" otherwise (a wrong claimed degree diverges at
-    the extended range corner).
-    """
-    from .config import REFERENCE_PARAMS
-
-    tol = tol or Tolerances()
-    sector = sector or Sector(epsilon=math.pi / 4)
-    grid = grid or ClassGridSpec()
-    fluid = fluid or REFERENCE_PARAMS
-    if isinstance(symbol, Claim):
-        claim = symbol
-    else:
-        if claimed is None:
-            raise ValueError("claimed (s, type) is required for a bare callable")
-        claim = Claim(name=name, s=float(claimed[0]), mtype=int(claimed[1]),
-                      fn=symbol, lam_floor=lam_floor)
-
-    return _certify([claim], fluid, sector, grid, tol)[0]
-
-
-def declared_claims(lambda0: float = 1.0) -> list[Claim]:
+def declared_claims(lambda0: float) -> list[Claim]:
     """The full certified class table.
 
     Boundary-matrix entries, the inverse determinant, every coefficient
@@ -315,121 +271,113 @@ def declared_claims(lambda0: float = 1.0) -> list[Claim]:
     c: list[Claim] = []
 
     c += [
-        Claim("L11+", 1, 1, lambda kit, i1, i2: kit.l11p),
-        Claim("L22+", 1, 1, lambda kit, i1, i2: kit.l22p),
-        Claim("L12+", 2, 1, lambda kit, i1, i2: kit.l12p),
-        Claim("L21+", 0, 1, lambda kit, i1, i2: kit.l21p),
-        Claim("L11-", 1, 2, lambda kit, i1, i2: kit.l11m),
-        Claim("L21-", 1, 2, lambda kit, i1, i2: kit.l21m),
-        Claim("L12-", 2, 2, lambda kit, i1, i2: kit.l12m),
-        Claim("L22-", 2, 2, lambda kit, i1, i2: kit.l22m),
-        Claim("detL_inv", -4, 2, lambda kit, i1, i2: 1.0 / kit.det),
+        Claim("L11+", 1, 1, lambda kit, i1: kit.l11p),
+        Claim("L22+", 1, 1, lambda kit, i1: kit.l22p),
+        Claim("L12+", 2, 1, lambda kit, i1: kit.l12p),
+        Claim("L21+", 0, 1, lambda kit, i1: kit.l21p),
+        Claim("L11-", 1, 2, lambda kit, i1: kit.l11m),
+        Claim("L21-", 1, 2, lambda kit, i1: kit.l21m),
+        Claim("L12-", 2, 2, lambda kit, i1: kit.l12m),
+        Claim("L22-", 2, 2, lambda kit, i1: kit.l22m),
+        Claim("detL_inv", -4, 2, lambda kit, i1: 1.0 / kit.det),
     ]
 
     c += [
-        Claim("P+_m", 0, 2, lambda kit, i1, i2: kit.p_plus_m(i1)),
-        Claim("P+_N", 0, 2, lambda kit, i1, i2: kit.p_plus_N()),
-        Claim("P-_m", 0, 2, lambda kit, i1, i2: kit.p_minus_m(i1)),
-        Claim("P-_N", 0, 2, lambda kit, i1, i2: kit.p_minus_N()),
+        Claim("P+_m", 0, 2, lambda kit, i1: kit.p_plus_m(i1)),
+        Claim("P+_N", 0, 2, lambda kit, i1: kit.p_plus_N()),
+        Claim("P-_m", 0, 2, lambda kit, i1: kit.p_minus_m(i1)),
+        Claim("P-_N", 0, 2, lambda kit, i1: kit.p_minus_N()),
     ]
 
     c += [
-        Claim("R+_jm", 0, 2, lambda kit, i1, i2: kit.r_plus(False, False, i1, i1)),
-        Claim("R+_jN", 0, 2, lambda kit, i1, i2: kit.r_plus(False, True, ixi_j=i1)),
-        Claim("R+_Nm", 0, 2, lambda kit, i1, i2: kit.r_plus(True, False, ixi_m=i1)),
-        Claim("R+_NN", 0, 2, lambda kit, i1, i2: kit.r_plus(True, True)),
-        Claim("R-_jm", 0, 2, lambda kit, i1, i2: kit.r_minus(False, False, i1, i1)),
-        Claim("R-_jN", 0, 2, lambda kit, i1, i2: kit.r_minus(False, True, ixi_j=i1)),
-        Claim("R-_Nm", 0, 2, lambda kit, i1, i2: kit.r_minus(True, False, ixi_m=i1)),
-        Claim("R-_NN", 0, 2, lambda kit, i1, i2: kit.r_minus(True, True)),
+        Claim("R+_jm", 0, 2, lambda kit, i1: kit.r_plus(False, False, i1, i1)),
+        Claim("R+_jN", 0, 2, lambda kit, i1: kit.r_plus(False, True, ixi_j=i1)),
+        Claim("R+_Nm", 0, 2, lambda kit, i1: kit.r_plus(True, False, ixi_m=i1)),
+        Claim("R+_NN", 0, 2, lambda kit, i1: kit.r_plus(True, True)),
+        Claim("R-_jm", 0, 2, lambda kit, i1: kit.r_minus(False, False, i1, i1)),
+        Claim("R-_jN", 0, 2, lambda kit, i1: kit.r_minus(False, True, ixi_j=i1)),
+        Claim("R-_Nm", 0, 2, lambda kit, i1: kit.r_minus(True, False, ixi_m=i1)),
+        Claim("R-_NN", 0, 2, lambda kit, i1: kit.r_minus(True, True)),
     ]
 
     c += [
-        Claim("S_jm", -1, 2, lambda kit, i1, i2: kit.s_jm(i1, i1)),
-        Claim("S_jN", -1, 2, lambda kit, i1, i2: kit.s_jN(i1)),
-        Claim("S+_Nm", -1, 2, lambda kit, i1, i2: kit.s_plus_Nm(i1)),
-        Claim("S+_NN", -1, 2, lambda kit, i1, i2: kit.s_plus_NN()),
-        Claim("S-_Nm", -1, 2, lambda kit, i1, i2: kit.s_minus_Nm(i1)),
-        Claim("S-_NN", -1, 2, lambda kit, i1, i2: kit.s_minus_NN()),
+        Claim("S_jm", -1, 2, lambda kit, i1: kit.s_jm(i1, i1)),
+        Claim("S_jN", -1, 2, lambda kit, i1: kit.s_jN(i1)),
+        Claim("S+_Nm", -1, 2, lambda kit, i1: kit.s_plus_Nm(i1)),
+        Claim("S+_NN", -1, 2, lambda kit, i1: kit.s_plus_NN()),
+        Claim("S-_Nm", -1, 2, lambda kit, i1: kit.s_minus_Nm(i1)),
+        Claim("S-_NN", -1, 2, lambda kit, i1: kit.s_minus_NN()),
     ]
 
     c += [
-        Claim("T+_j", 0, 1, lambda kit, i1, i2: kit.t_plus()),
-        Claim("T-_j", 0, 1, lambda kit, i1, i2: kit.t_minus()),
-        Claim("p-_m1", 1, 2, lambda kit, i1, i2: kit.p_press_m(i1)),
-        Claim("p-_N1", 1, 2, lambda kit, i1, i2: kit.p_press_N()),
-        Claim("K", 1, 2, lambda kit, i1, i2: kit.k_height()),
+        Claim("T+_j", 0, 1, lambda kit, i1: kit.t_plus()),
+        Claim("T-_j", 0, 1, lambda kit, i1: kit.t_minus()),
+        Claim("p-_m1", 1, 2, lambda kit, i1: kit.p_press_m(i1)),
+        Claim("p-_N1", 1, 2, lambda kit, i1: kit.p_press_N()),
+        Claim("K", 1, 2, lambda kit, i1: kit.k_height()),
     ]
 
     def _quot(expr):
-        def fn(kit, i1, i2):
+        def fn(kit, i1):
             k = kit.k_height()
             den = (kit.lam + k) * (1.0 + kit.a * kit.a)
-            return expr(kit, i1, i2) / den
+            return expr(kit, i1) / den
         return fn
 
     c += [
         Claim("pN1/(lam+K)", 0, 2,
-              lambda kit, i1, i2: kit.p_press_N() / (kit.lam + kit.k_height()),
+              lambda kit, i1: kit.p_press_N() / (kit.lam + kit.k_height()),
               lam_floor=lambda0),
         Claim("A*R+NN*ixik/q", -1, 2,
-              _quot(lambda kit, i1, i2: kit.a * kit.r_plus(True, True) * i1),
+              _quot(lambda kit, i1: kit.a * kit.r_plus(True, True) * i1),
               lam_floor=lambda0),
         Claim("A*R-NN*ixik/q", -1, 2,
-              _quot(lambda kit, i1, i2: kit.a * kit.r_minus(True, True) * i1),
+              _quot(lambda kit, i1: kit.a * kit.r_minus(True, True) * i1),
               lam_floor=lambda0),
         Claim("A+*A*R+NN/q", -1, 2,
-              _quot(lambda kit, i1, i2: kit.ap * kit.a * kit.r_plus(True, True)),
+              _quot(lambda kit, i1: kit.ap * kit.a * kit.r_plus(True, True)),
               lam_floor=lambda0),
         Claim("A-*A*R-NN/q", -1, 2,
-              _quot(lambda kit, i1, i2: kit.a * kit.a * kit.r_minus(True, True)),
+              _quot(lambda kit, i1: kit.a * kit.a * kit.r_minus(True, True)),
               lam_floor=lambda0),
         Claim("A*R+NN/q", -2, 2,
-              _quot(lambda kit, i1, i2: kit.a * kit.r_plus(True, True)),
+              _quot(lambda kit, i1: kit.a * kit.r_plus(True, True)),
               lam_floor=lambda0),
         Claim("A*R-NN/q", -2, 2,
-              _quot(lambda kit, i1, i2: kit.a * kit.r_minus(True, True)),
+              _quot(lambda kit, i1: kit.a * kit.r_minus(True, True)),
               lam_floor=lambda0),
         Claim("A*S+NN/q", -2, 2,
-              _quot(lambda kit, i1, i2: kit.a * kit.s_plus_NN()),
+              _quot(lambda kit, i1: kit.a * kit.s_plus_NN()),
               lam_floor=lambda0),
         Claim("A*S-NN/q", -2, 2,
-              _quot(lambda kit, i1, i2: kit.a * kit.s_minus_NN()),
+              _quot(lambda kit, i1: kit.a * kit.s_minus_NN()),
               lam_floor=lambda0),
         Claim("A*S+NN*ixik/q", -2, 2,
-              _quot(lambda kit, i1, i2: kit.a * kit.s_plus_NN() * i1),
+              _quot(lambda kit, i1: kit.a * kit.s_plus_NN() * i1),
               lam_floor=lambda0),
         Claim("A*S-NN*ixik/q", -2, 2,
-              _quot(lambda kit, i1, i2: kit.a * kit.s_minus_NN() * i1),
+              _quot(lambda kit, i1: kit.a * kit.s_minus_NN() * i1),
               lam_floor=lambda0),
         Claim("B+*A*S+NN/q", -2, 2,
-              _quot(lambda kit, i1, i2: kit.bp * kit.a * kit.s_plus_NN()),
+              _quot(lambda kit, i1: kit.bp * kit.a * kit.s_plus_NN()),
               lam_floor=lambda0),
         Claim("B-*A*S-NN/q", -2, 2,
-              _quot(lambda kit, i1, i2: kit.bm * kit.a * kit.s_minus_NN()),
+              _quot(lambda kit, i1: kit.bm * kit.a * kit.s_minus_NN()),
               lam_floor=lambda0),
     ]
     return c
 
 
-def certify_table(
-    fluid: FluidParams,
-    sector: Sector | None = None,
-    grid: ClassGridSpec | None = None,
-    lambda0: float = 1.0,
-    tol: Tolerances | None = None,
-) -> list[MultiplierClassReport]:
-    """Run the declared table, sharing stencil evaluations across claims."""
-    tol = tol or Tolerances()
-    sector = sector or Sector(epsilon=math.pi / 4)
-    grid = grid or ClassGridSpec()
-    return _certify(declared_claims(lambda0=lambda0), fluid, sector, grid, tol)
-
-
-def _certify(claims, fluid: FluidParams, sector: Sector, grid: ClassGridSpec,
-             tol: Tolerances) -> list[MultiplierClassReport]:
+def certify_table(claims, fluid: FluidParams, sector: Sector, grid: ClassGridSpec,
+                  tol: Tolerances | None = None) -> list[MultiplierClassReport]:
     """Judge each claim on a base and a refined grid; claims with one floor
-    share the stencil evaluations of both grids."""
+    share the stencil evaluations of both grids.
+
+    The verdict is "pass" when every resolvable constant moves by less than
+    tol.class_drift under grid refinement, "fail" otherwise (a wrong claimed
+    degree diverges at the extended range corner).
+    """
+    tol = tol or Tolerances()
     groups: dict[float, list[Claim]] = {}
     for cl in claims:
         groups.setdefault(cl.lam_floor, []).append(cl)

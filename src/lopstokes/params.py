@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EqualDensities, NonPositiveParameter, OutOfSector
 
-__all__ = ["FluidParams", "Sector", "SpectralPoint", "validate_params", "first_offender"]
+__all__ = ["FluidParams", "Sector", "validate_params", "first_offender"]
 
 
 @dataclass(frozen=True)
@@ -95,42 +95,6 @@ class Sector:
             raise OutOfSector(
                 f"lambda={lam!r} outside sector(epsilon={self.epsilon})"
             )
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One resolvent/frequency point: lambda and the tangential frequency xi'.
-
-    xi has length N-1 for space dimension N in {2, 3} and must be nonzero;
-    a = |xi'| is cached at construction.
-    """
-
-    lam: complex
-    xi: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.xi) not in (1, 2):
-            raise NonPositiveParameter(
-                f"xi must have 1 or 2 components (dim 2 or 3), got {len(self.xi)}"
-            )
-        if self.a == 0.0:
-            raise NonPositiveParameter("xi' must be nonzero (A > 0 required)")
-        if self.lam == 0:
-            raise OutOfSector("lambda = 0 is excluded from the resolvent sector")
-
-    @property
-    def a(self) -> float:
-        return math.hypot(*self.xi)
-
-    @property
-    def dim(self) -> int:
-        return len(self.xi) + 1
-
-    def scaled(self, s: float) -> "SpectralPoint":
-        """Parabolic rescaling (lambda, xi') -> (s^2 lambda, s xi')."""
-        if not (s > 0.0):
-            raise NonPositiveParameter(f"scaling factor must be positive, got {s!r}")
-        return SpectralPoint(self.lam * s * s, tuple(s * x for x in self.xi))
 
 
 def first_offender(bad, lam, a) -> tuple[int, str] | None:

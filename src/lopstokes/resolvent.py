@@ -40,7 +40,7 @@ from .coefficients import (
     kinematic_weight,
     refused_heights,
 )
-from .config import REFERENCE_PARAMS, Tolerances
+from .config import Tolerances
 from .errors import QuadratureFailure
 from .lopatinski import checked_entries
 from .params import FluidParams, Sector
@@ -49,8 +49,6 @@ from .symbols import char_roots_batch, check_roots, exp_diff_quot_batch
 __all__ = [
     "Profile",
     "ProfileBatch",
-    "InterfaceResiduals",
-    "EnergyReport",
     "FuzzReport",
     "assemble_batch",
     "energy_quadrature_check",
@@ -231,14 +229,13 @@ class ProfileBatch:
     def residuals(self, energy: bool = False) -> dict[str, np.ndarray]:
         """Per-point worst residual of each check: ode, interface (without
         the kinematic relation), kinematic (when d is set), decay, energy."""
-        ires = _interface(self)
-        out = {"ode": _ode(self, _depths(self.lam, self.a)),
-               "interface": ires.max(kinematic=False)}
-        if ires.kinematic is not None:
-            out["kinematic"] = ires.kinematic
+        iface, kinematic = _interface(self)
+        out = {"ode": _ode(self, _depths(self.lam, self.a)), "interface": iface}
+        if kinematic is not None:
+            out["kinematic"] = kinematic
         out["decay"] = _decay(self)
         if energy:
-            out["energy"] = _energy(self).max()
+            out["energy"] = np.maximum(_side_energy(self, +1)[0], _side_energy(self, -1)[0])
         return out
 
 
@@ -372,27 +369,6 @@ def _rel(parts: list):
     return _ratio(np.abs(sum(parts)), _vmax([np.abs(p) for p in parts]))
 
 
-@dataclass(frozen=True)
-class InterfaceResiduals:
-    """Relative residual of each interface condition, reported individually,
-    one (N,) array per condition."""
-
-    tangential_stress: tuple[np.ndarray, ...]
-    normal_stress_minus: np.ndarray
-    normal_stress_plus: np.ndarray
-    velocity_jump: tuple[np.ndarray, ...]
-    divergence_trace: np.ndarray
-    kinematic: np.ndarray | None
-
-    def max(self, kinematic: bool = True):
-        vals = [*self.tangential_stress, self.normal_stress_minus,
-                self.normal_stress_plus, *self.velocity_jump,
-                self.divergence_trace]
-        if kinematic and self.kinematic is not None:
-            vals.append(self.kinematic)
-        return _vmax(vals)
-
-
 def _trace_parts(p: Profile) -> list:
     return [p.c_b, p.c_a]
 
@@ -408,8 +384,13 @@ def _sc(c, parts: list) -> list:
     return [c * q for q in parts]
 
 
-def _interface(s: ProfileBatch) -> InterfaceResiduals:
-    """Every interface condition re-derived from the profile traces."""
+def _interface(s: ProfileBatch):
+    """Every interface condition re-derived from the profile traces.
+
+    Returns (worst, kinematic): the per-point worst relative residual of the
+    stress, velocity-jump and divergence-trace conditions, and that of the
+    kinematic relation (None when the batch carries no datum d).
+    """
     f = s.fluid
     n = len(s.u_plus)
     a, lam, H, ixi = s.a, s.lam, s.H, s.ixi
@@ -458,37 +439,22 @@ def _interface(s: ProfileBatch) -> InterfaceResiduals:
             + _sc(f.rho_plus / drho, _trace_parts(u_p[-1]))
             + [-s.d]
         )
-    return InterfaceResiduals(
-        tangential_stress=t_stress, normal_stress_minus=ns_minus,
-        normal_stress_plus=ns_plus, velocity_jump=jumps,
-        divergence_trace=div_trace, kinematic=kin,
-    )
+    return _vmax([*t_stress, ns_minus, ns_plus, *jumps, div_trace]), kin
 
 
 def _partial(u: Profile, idx: int, ixi, n: int) -> Profile:
     return u.deriv() if idx == n - 1 else ixi[idx] * u
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Integrated balance per phase: lam_term + dissipation + flux = 0.
+def _side_energy(s: ProfileBatch, side: int):
+    """Integrated balance of one phase: lam_term + dissipation + flux = 0.
 
     lam_term = rho lam sum ||u_J||^2; dissipation is the (real, nonnegative
     for admissible parameters) quadratic form in the symmetric gradient;
-    flux pairs the boundary stress with the velocity trace.  defects are
-    |sum| over the largest of the three magnitudes, one value per point.
+    flux pairs the boundary stress with the velocity trace.  Returns
+    (defect, (lam_term, dissipation, flux)), the defect being |sum| over the
+    largest of the three magnitudes, one value per point.
     """
-
-    plus_defect: np.ndarray
-    minus_defect: np.ndarray
-    plus_parts: tuple[np.ndarray, np.ndarray, np.ndarray]
-    minus_parts: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def max(self):
-        return np.maximum(self.plus_defect, self.minus_defect)
-
-
-def _side_energy(s: ProfileBatch, side: int):
     f = s.fluid
     n = len(s.u_plus)
     ixi = s.ixi
@@ -525,12 +491,6 @@ def _side_energy(s: ProfileBatch, side: int):
 
     parts = (lam_term, diss + 0j, flux)
     return _rel(list(parts)), parts
-
-
-def _energy(s: ProfileBatch) -> EnergyReport:
-    dp, pp = _side_energy(s, +1)
-    dm, pm = _side_energy(s, -1)
-    return EnergyReport(plus_defect=dp, minus_defect=dm, plus_parts=pp, minus_parts=pm)
 
 
 def energy_quadrature_check(s: ProfileBatch, quad_rel: float | None = None) -> float:
@@ -673,10 +633,10 @@ class FuzzReport:
 
 
 def fuzz_residuals(
-    fluid: FluidParams | None = None,
-    sector: Sector | None = None,
-    n_samples: int = 10000,
-    seed: int = 20260817,
+    fluid: FluidParams,
+    sector: Sector,
+    n_samples: int,
+    seed: int,
     energy: bool = False,
     tol: Tolerances | None = None,
 ) -> FuzzReport:
@@ -689,8 +649,6 @@ def fuzz_residuals(
     category's maximum (NaN values are never recorded).  Kinematic samples
     whose height inverse is refused are counted instead of aborting.
     """
-    fluid = fluid or REFERENCE_PARAMS
-    sector = sector or Sector(epsilon=math.pi / 4)
     cats = ["ode", "interface", "kinematic", "decay"]
     if energy:
         cats.append("energy")

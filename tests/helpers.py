@@ -1,8 +1,9 @@
 """Thresholds, one-point helpers and the mutation hook shared between
 test modules.
 
-A single spectral point is a batch of one: point_kit, solve_point and
-point_amplitudes run the production array code on arrays of length one.
+A single spectral point is a batch of one: SpectralPoint is the point
+record the tests use, and point_kit, solve_point and point_amplitudes run
+the production array code on arrays of length one.
 lopatinski_matrix and cofactor_matrix spell out the 3x3 interface matrix
 and its cofactors at one point, and coefficient_tables the P/R/S/T/p^-
 data-to-amplitude tables, for checks against a direct solve.
@@ -18,6 +19,8 @@ the mutation tests prove that they do.
 from __future__ import annotations
 
 import contextlib
+import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +49,26 @@ ENTRY_TARGETS = {
     "l11p": (0, 0), "l12p": (0, 1), "l21p": (0, 2), "l22p": (0, 3),
     "l11m": (1, 0), "l12m": (1, 1), "l21m": (1, 2), "l22m": (1, 3),
 }
+
+
+@dataclass(frozen=True)
+class SpectralPoint:
+    """One resolvent/frequency point: lambda and the tangential frequency xi'."""
+
+    lam: complex
+    xi: tuple[float, ...]
+
+    @property
+    def a(self) -> float:
+        return math.hypot(*self.xi)
+
+    @property
+    def dim(self) -> int:
+        return len(self.xi) + 1
+
+    def scaled(self, s: float) -> "SpectralPoint":
+        """Parabolic rescaling (lambda, xi') -> (s^2 lambda, s xi')."""
+        return SpectralPoint(self.lam * s * s, tuple(s * x for x in self.xi))
 
 
 def amplitude_targets(dim: int) -> tuple[str, ...]:
@@ -100,16 +123,16 @@ def mutated(target: str, rel):
         yield
 
 
-def mutation_probe(fluid, sp, h, H, rel: float = 1e-3) -> dict[str, float]:
-    """Worst ODE or interface residual of the explicit-H solve at sp after
+def mutation_probe(fluid, sp, h, H, rel: float = 1e-3) -> dict[str, tuple[float, float]]:
+    """(ODE, interface) residual of the explicit-H solve at sp after
     mutating each single amplitude or boundary-matrix entry by (1 + rel);
-    every value must clear the detection floor for the suite to be
+    every target must clear the detection floor for the suite to be
     falsifiable."""
     out = {}
     for target in (*amplitude_targets(sp.dim), *ENTRY_TARGETS):
         with mutated(target, rel):
             res = solve_point(fluid, sp, h, H).residuals()
-        out[target] = float(max(res["ode"][0], res["interface"][0]))
+        out[target] = (float(res["ode"][0]), float(res["interface"][0]))
     return out
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from lopstokes import cli, coefficients, lopatinski
 from lopstokes.cli import main
-from lopstokes.config import GridSpec, REFERENCE_PARAMS, default_config
+from lopstokes.config import GridSpec, REFERENCE_PARAMS, Tolerances, default_config
 from lopstokes.reports import write_field
 from lopstokes.transform import PhysicalField
 
@@ -154,6 +154,6 @@ def test_energy_suite_pinned():
     # the figure verify writes for the default probes; fuzz supplies only
     # the closed-form worst, absent here
     cfg = default_config()
-    doc = cli._energy_suite(cfg, cfg.tolerances, SimpleNamespace(worst={}))
+    doc = cli._energy_suite(cfg, Tolerances(), SimpleNamespace(worst={}))
     assert doc["quadrature_cross_worst"] == 9.135637188909454e-14
     assert doc["passed"]

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     TEST_TOL,
+    SpectralPoint,
     coefficient_tables,
     lopatinski_matrix,
     point_amplitudes,
@@ -25,7 +26,6 @@ from lopstokes import (
     HeightNotInvertible,
     NoCutoffFound,
     Sector,
-    SpectralPoint,
     Tolerances,
     height_scan,
     omega3,

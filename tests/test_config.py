@@ -28,7 +28,7 @@ from lopstokes.params import FluidParams
 class TestTolerances:
     def test_defaults(self):
         tol = Tolerances()
-        assert len(dataclasses.fields(tol)) == 13
+        assert len(dataclasses.fields(tol)) == 12
         assert tol.fuzz_residual == 1e-10
         assert tol.energy_quad_rel == 1e-9
         assert tol.class_drift == 2.0
@@ -41,7 +41,6 @@ class TestTolerances:
         assert tol.energy_defect == pytest.approx(1e-9)
         assert tol.quadrature_cross == pytest.approx(1e-7)
         assert tol.asym_dev_at_100 == pytest.approx(0.5)
-        assert tol.asym_dev_at_1e4 == pytest.approx(0.05)
 
     def test_scale_leaves_algorithm_switches(self):
         base = Tolerances()

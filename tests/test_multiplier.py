@@ -21,14 +21,13 @@ from lopstokes import (
     Tolerances,
     certify_table,
     declared_claims,
-    estimate_class,
     height_curve,
     omega4_formula,
 )
 from lopstokes import multiplier
 from lopstokes.coefficients import SymbolKit
 from lopstokes.multiplier import KAPPAS, Claim
-from lopstokes.config import REFERENCE_PARAMS, STRESS_PARAM_SETS
+from lopstokes.config import ELISION_THRESHOLD, REFERENCE_PARAMS, STRESS_PARAM_SETS
 
 REF = REFERENCE_PARAMS
 SECTOR = Sector(epsilon=math.pi / 4)
@@ -39,14 +38,15 @@ SMALL = ClassGridSpec(lam_min=1e-2, lam_max=1e4, lam_per_decade=2,
 LAMBDA0_REF = 50.118723362727245
 
 
-def run(fn, s, mtype, **kw):
-    return estimate_class(fn, claimed=(s, mtype), sector=SECTOR,
-                          grid=SMALL, fluid=REF, **kw)
+def run(fn, s, mtype, lam_floor=0.0):
+    """The report of one claim on the SMALL grid."""
+    claim = Claim("symbol", float(s), mtype, fn, lam_floor=lam_floor)
+    return certify_table([claim], REF, SECTOR, SMALL)[0]
 
 
 class TestCalibration:
     def test_direction_symbol_passes_type2(self):
-        rep = run(lambda kit, i1, i2: i1 / kit.a, 0, 2)
+        rep = run(lambda kit, i1: i1 / kit.a, 0, 2)
         assert rep.verdict == "pass"
         assert rep.constants[("00", 0)] == pytest.approx(1.0, rel=1e-9)
         assert rep.constants[("10", 0)] == pytest.approx(0.64, rel=1e-5)
@@ -57,7 +57,7 @@ class TestCalibration:
         assert rep.discarded > 0
 
     def test_a_squared_passes_type1(self):
-        rep = run(lambda kit, i1, i2: kit.a * kit.a + 0j, 2, 1)
+        rep = run(lambda kit, i1: kit.a * kit.a + 0j, 2, 1)
         assert rep.verdict == "pass"
         # second xi_1 derivative of A^2 is exactly 2 against the unit bound
         assert rep.constants[("20", 0)] == pytest.approx(2.0, rel=1e-6)
@@ -66,34 +66,30 @@ class TestCalibration:
     def test_a_claimed_order_one_type1_fails(self):
         # d^2 A ~ 1/A beats (sqrt|lam|+A)^{-1} at the small-A large-lam
         # corner, so refinement widening must blow the drift up
-        rep = run(lambda kit, i1, i2: kit.a + 0j, 1, 1)
+        rep = run(lambda kit, i1: kit.a + 0j, 1, 1)
         assert rep.verdict == "fail"
         assert rep.max_drift() >= Tolerances().class_drift
 
     def test_overclaimed_degree_fails(self):
         # L12+ is order 2; claiming order 1 under-counts one scale power
-        rep = run(lambda kit, i1, i2: kit.l12p, 1, 1)
+        rep = run(lambda kit, i1: kit.l12p, 1, 1)
         assert rep.verdict == "fail"
 
     def test_product_rule(self):
         # order-2 type-1 entry times the order--4 type-2 inverse determinant
-        rep = run(lambda kit, i1, i2: kit.l12p / kit.det, -2, 2)
+        rep = run(lambda kit, i1: kit.l12p / kit.det, -2, 2)
         assert rep.verdict == "pass"
 
 
 class TestEstimator:
-    def test_bare_callable_requires_claimed(self):
-        with pytest.raises(ValueError):
-            estimate_class(lambda kit, i1, i2: kit.l11p, grid=SMALL)
-
     def test_claim_object_roundtrip(self):
-        cl = Claim("probe", 1.0, 1, lambda kit, i1, i2: kit.l11p)
-        rep = estimate_class(cl, sector=SECTOR, grid=SMALL, fluid=REF)
+        cl = Claim("probe", 1.0, 1, lambda kit, i1: kit.l11p)
+        rep = certify_table([cl], REF, SECTOR, SMALL)[0]
         assert (rep.name, rep.s, rep.mtype, rep.lam_floor) == ("probe", 1.0, 1, 0.0)
         assert rep.verdict == "pass"
 
     def test_rows_shape(self):
-        rep = run(lambda kit, i1, i2: kit.l11p, 1, 1)
+        rep = run(lambda kit, i1: kit.l11p, 1, 1)
         rows = list(rep.rows())
         assert len(rows) == 12
         for kappa, ell, c, drift in rows:
@@ -106,9 +102,7 @@ class TestEstimator:
 
     def test_floor_inserted_into_grid(self):
         floor = 3.7  # off-grid magnitude
-        rep = estimate_class(lambda kit, i1, i2: kit.l11p, claimed=(1, 1),
-                             sector=SECTOR, grid=SMALL, fluid=REF,
-                             lam_floor=floor)
+        rep = run(lambda kit, i1: kit.l11p, 1, 1, lam_floor=floor)
         assert rep.lam_floor == floor
         assert rep.verdict == "pass"
         # magnitudes at and above the floor only: 3.7 plus the grid tail
@@ -117,9 +111,7 @@ class TestEstimator:
 
     def test_floor_beyond_range_collapses_to_single_magnitude(self):
         # the floor magnitude itself is always kept on the grid
-        rep = estimate_class(lambda kit, i1, i2: kit.l11p, claimed=(1, 1),
-                             sector=SECTOR, grid=SMALL, fluid=REF,
-                             lam_floor=1e12)
+        rep = run(lambda kit, i1: kit.l11p, 1, 1, lam_floor=1e12)
         assert rep.n_base == 1 * 5 * 9 * 2
         assert rep.n_refined == 1 * 5 * 25 * 2
 
@@ -132,7 +124,7 @@ class TestEstimator:
 
 class TestClaimTable:
     def test_declared_claims_structure(self):
-        claims = declared_claims(lambda0=7.5)
+        claims = declared_claims(7.5)
         assert len(claims) == 45
         names = [c.name for c in claims]
         assert len(set(names)) == 45
@@ -151,11 +143,11 @@ class TestClaimTable:
         assert lam0 == pytest.approx(LAMBDA0_REF, rel=1e-12)
 
     def test_estimate_class_matches_table(self):
-        table = {r.name: r for r in certify_table(REF, sector=SECTOR, grid=SMALL,
-                                                  lambda0=LAMBDA0_REF)}
-        claims = {c.name: c for c in declared_claims(lambda0=LAMBDA0_REF)}
+        # a claim certified alone matches its entry in the shared-stencil table
+        claims = {c.name: c for c in declared_claims(LAMBDA0_REF)}
+        table = {r.name: r for r in certify_table(list(claims.values()), REF, SECTOR, SMALL)}
         for name in ("S+_NN", "A*S+NN/q"):
-            rep = estimate_class(claims[name], sector=SECTOR, grid=SMALL, fluid=REF)
+            rep = certify_table([claims[name]], REF, SECTOR, SMALL)[0]
             want = table[name]
             for f in dataclasses.fields(rep):
                 # repr compares the nan drift entries of unresolved indices too
@@ -164,7 +156,7 @@ class TestClaimTable:
         assert table["S+_NN"].lam_floor == 0.0
 
     def test_certify_table_reference(self):
-        reports = certify_table(REF, sector=SECTOR, lambda0=LAMBDA0_REF)
+        reports = certify_table(declared_claims(LAMBDA0_REF), REF, SECTOR, ClassGridSpec())
         assert len(reports) == 45
         failures = [r.name for r in reports if r.verdict != "pass"]
         assert failures == []
@@ -183,16 +175,15 @@ def _reports_equal(got, want):
 
 class TestChunking:
     def test_chunk_keeps_numpy_on_one_arithmetic_path(self):
-        # from 256 KiB on numpy evaluates x * <temporary> as the in-place
-        # temporary *= x, and complex multiply is not bitwise commutative;
         # the stencil kit holds 27 complex128 values per grid point
-        assert 27 * multiplier._CHUNK * 16 < 256 * 1024
+        assert 27 * multiplier._CHUNK < ELISION_THRESHOLD
 
     def test_reports_do_not_depend_on_the_chunk(self, monkeypatch):
-        want = certify_table(REF, sector=SECTOR, grid=SMALL, lambda0=LAMBDA0_REF)
+        claims = declared_claims(LAMBDA0_REF)
+        want = certify_table(claims, REF, SECTOR, SMALL)
         # an odd chunk that divides no grid size; 37 keeps the run to seconds
         monkeypatch.setattr(multiplier, "_CHUNK", 37)
-        got = certify_table(REF, sector=SECTOR, grid=SMALL, lambda0=LAMBDA0_REF)
+        got = certify_table(claims, REF, SECTOR, SMALL)
         _reports_equal(got, want)
 
     def test_peak_memory_does_not_grow_with_the_grid(self):
@@ -204,7 +195,7 @@ class TestChunking:
                                  n_angles=n_angles, a_min=1e-1, a_max=1e1, a_per_decade=1)
             tracemalloc.start()
             try:
-                reports = certify_table(REF, sector=SECTOR, grid=grid, lambda0=1.0)
+                reports = certify_table(declared_claims(1.0), REF, SECTOR, grid)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

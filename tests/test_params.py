@@ -1,4 +1,4 @@
-"""Parameter records, sector membership, spectral points."""
+"""Parameter records and sector membership."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from lopstokes import (
     NonPositiveParameter,
     OutOfSector,
     Sector,
-    SpectralPoint,
 )
 from lopstokes.config import REFERENCE_PARAMS
 from lopstokes.params import validate_params
@@ -128,46 +127,3 @@ class TestSector:
         lam = mag * cmath.exp(1j * ang)
         expected = abs(cmath.phase(lam)) <= math.pi - eps + 1e-15
         assert s.contains(lam) == expected
-
-
-class TestSpectralPoint:
-    def test_dim_and_norm(self):
-        p2 = SpectralPoint(lam=1.0 + 2.0j, xi=(0.3,))
-        p3 = SpectralPoint(lam=1.0 + 2.0j, xi=(3.0, 4.0))
-        assert p2.dim == 2 and p3.dim == 3
-        assert p2.a == pytest.approx(0.3)
-        assert p3.a == pytest.approx(5.0)
-
-    def test_bad_xi_rank(self):
-        with pytest.raises(NonPositiveParameter):
-            SpectralPoint(lam=1.0, xi=())
-        with pytest.raises(NonPositiveParameter):
-            SpectralPoint(lam=1.0, xi=(1.0, 2.0, 3.0))
-
-    def test_zero_xi_rejected(self):
-        with pytest.raises(NonPositiveParameter):
-            SpectralPoint(lam=1.0, xi=(0.0, 0.0))
-
-    def test_zero_lambda_rejected(self):
-        with pytest.raises(OutOfSector):
-            SpectralPoint(lam=0.0, xi=(1.0,))
-
-    def test_scaled(self):
-        sp = SpectralPoint(lam=2.0 + 1.0j, xi=(0.7, -0.4))
-        q = sp.scaled(3.0)
-        assert q.lam == pytest.approx(9.0 * sp.lam)
-        assert q.xi == pytest.approx((2.1, -1.2))
-        assert q.a == pytest.approx(3.0 * sp.a)
-        with pytest.raises(NonPositiveParameter):
-            sp.scaled(0.0)
-
-    @given(
-        s=st.floats(0.01, 100.0),
-        x1=st.floats(-1e3, 1e3),
-        x2=st.floats(-1e3, 1e3).filter(lambda v: v != 0.0),
-    )
-    @settings(max_examples=60)
-    def test_scaled_norm_homogeneous(self, s, x1, x2):
-        sp = SpectralPoint(lam=1.0 + 0.5j, xi=(x1, x2))
-        assert sp.scaled(s).a == pytest.approx(s * sp.a, rel=1e-12)
-

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from helpers import (
     ENTRY_TARGETS,
     TEST_TOL,
+    SpectralPoint,
     amplitude_targets,
     mutated,
     mutation_probe,
@@ -20,7 +21,6 @@ from lopstokes import (
     FluidParams,
     Profile,
     Sector,
-    SpectralPoint,
     Tolerances,
     fuzz_residuals,
     inner_product,
@@ -236,13 +236,15 @@ class TestEnergy:
     @pytest.mark.parametrize("name,fluid,sp", REGIMES[:4],
                              ids=[r[0] for r in REGIMES[:4]])
     def test_balance_defect(self, name, fluid, sp):
-        rep = resolvent._energy(solve_for(fluid, sp, "explicit-H"))
-        assert rep.max()[0] < TOL.energy_defect
-        assert rep.plus_defect[0] >= 0 and rep.minus_defect[0] >= 0
+        sol = solve_for(fluid, sp, "explicit-H")
+        plus_defect, plus_parts = resolvent._side_energy(sol, +1)
+        minus_defect, minus_parts = resolvent._side_energy(sol, -1)
+        assert max(plus_defect[0], minus_defect[0]) < TOL.energy_defect
+        assert plus_defect[0] >= 0 and minus_defect[0] >= 0
         # dissipation entries are real and nonnegative
-        assert rep.plus_parts[1][0].imag == 0.0
-        assert rep.plus_parts[1][0].real >= 0.0
-        assert rep.minus_parts[1][0].real >= 0.0
+        assert plus_parts[1][0].imag == 0.0
+        assert plus_parts[1][0].real >= 0.0
+        assert minus_parts[1][0].real >= 0.0
 
     def test_quadrature_cross_check(self):
         sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
@@ -264,8 +266,22 @@ class TestMutationAndFuzz:
         out = mutation_probe(REF, sp, [0.7 - 0.3j, 0.7 - 0.3j], 0.5 + 0.2j, rel=1e-3)
         assert len(out) == 13 + 8      # every 3-D amplitude and matrix entry
         floor = TEST_TOL.mutation_floor
-        bad = {k: v for k, v in out.items() if v <= floor}
+        bad = {k: v for k, v in out.items() if max(v) <= floor}
         assert bad == {}
+
+    def test_interface_check_alone_detects_mutations(self):
+        # a blind interface check must fail the suite: at the probe point
+        # the interface residual on its own clears the floor for every
+        # amplitude and every entry but l21p, which moves it only to about
+        # 7.7e-5; the ODE residual is the detector of an l21p mutation
+        lam = complex(math.cos(2.0), math.sin(2.0))
+        sp = SpectralPoint(lam=lam, xi=(0.7, -0.4))
+        out = mutation_probe(REF, sp, [0.7 - 0.3j, 0.7 - 0.3j], 0.5 + 0.2j, rel=1e-3)
+        iface = {k: v[1] for k, v in out.items() if k != "l21p"}
+        assert len(iface) == 13 + 7
+        floor = TEST_TOL.mutation_floor
+        assert {k: v for k, v in iface.items() if v <= floor} == {}
+        assert out["l21p"][0] > floor
 
     def test_environment_cannot_mutate(self, monkeypatch):
         # no environment setting reaches a production solve

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import mpmath
 
-from lopstokes import FluidParams, Sector, SpectralPoint
+from helpers import SpectralPoint
+from lopstokes import FluidParams, Sector
 from lopstokes.config import REFERENCE_PARAMS
 from lopstokes.errors import WrongSign
 from lopstokes.symbols import (
