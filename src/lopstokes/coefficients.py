@@ -150,10 +150,14 @@ class SymbolKit:
                     + self.bm * self._det_block_plus())
         return 2.0 * f.mu_minus * self.a * self.bm * self.l12p
 
+    @_memoised
+    def _p_plus_core(self):
+        """The index-free part num/det L of P+_m."""
+        return (self._row_plus(0) * self.l11p - self._row_plus(2) * self.l21p) / self.det
+
     def p_plus_m(self, ixi_m):
         w = ixi_m / self.a
-        num = self._row_plus(0) * self.l11p - self._row_plus(2) * self.l21p
-        return num / self.det * w - w
+        return self._p_plus_core() * w - w
 
     @_memoised
     def p_plus_N(self):
@@ -161,10 +165,14 @@ class SymbolKit:
         return -(self._row_plus(1) * f.sigma_minus * self.a
                  + self._row_plus(2) * f.sigma_plus) / self.det
 
+    @_memoised
+    def _p_minus_core(self):
+        """The index-free part num/det L of P-_m."""
+        return (self._row_minus(0) * self.l11p - self._row_minus(2) * self.l21p) / self.det
+
     def p_minus_m(self, ixi_m):
         w = ixi_m / self.a
-        num = self._row_minus(0) * self.l11p - self._row_minus(2) * self.l21p
-        return num / self.det * w
+        return self._p_minus_core() * w
 
     @_memoised
     def p_minus_N(self):

@@ -231,6 +231,10 @@ class ScanReport:
 # not depend on the chunk size.
 _CHUNK = ELISION_THRESHOLD // 2
 
+# A/sqrt|lam| (and its reciprocal) at which asymptotic_report probes the two
+# regimes; the scan report records it as the regime thresholds R1 and R2.
+_REGIME_RATIO = 100.0
+
 
 def _det_chunks(fluid: FluidParams, sector: Sector, grid: GridSpec):
     """(lam, A, |det L|, ratio) over the grid in grid order, in bounded-size
@@ -285,17 +289,17 @@ def scan_lower_bound(
         raise NonPositiveOmega(
             f"scan infimum {omega!r} at lam={worst_lam!r}, A={worst_a!r}"
         )
-    w1, w2, (d1, d2) = asymptotic_report(fluid, sector)
+    w1, w2, (d1, d2) = asymptotic_report(fluid, sector, _REGIME_RATIO)
     return ScanReport(
-        fluid=fluid, epsilon=sector.epsilon, grid=grid, omega=omega,
-        omega1=w1, omega2=w2, r1=100.0, r2=100.0, delta1=d1, delta2=d2,
+        fluid=fluid, epsilon=sector.epsilon, grid=grid, omega=omega, omega1=w1, omega2=w2,
+        r1=_REGIME_RATIO, r2=_REGIME_RATIO, delta1=d1, delta2=d2,
         worst_lam=worst_lam, worst_a=worst_a, n_points=n,
         refine_drift=abs(omega_r - omega) / omega,
         columns=tuple(np.concatenate(col) for col in zip(*base)),
     )
 
 
-def asymptotic_report(fluid: FluidParams, sector: Sector, ratio: float = 100.0):
+def asymptotic_report(fluid: FluidParams, sector: Sector, ratio: float = _REGIME_RATIO):
     """Measure how far det L sits from omega1*A^4 and omega2*lam^2 at a
     regime ratio.
 

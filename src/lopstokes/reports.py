@@ -5,7 +5,11 @@ run configuration, so re-running the same study overwrites byte-identical
 files and distinct studies never collide.  Nothing here embeds timestamps,
 hostnames, or float formatting that could vary between runs; floats are
 written with repr (shortest round-trip form).  CSV writers take whole
-columns (arrays in grid order) and format each column in one pass.
+columns (arrays in grid order) and format each distinct value of a column
+once: floats are keyed by their 64-bit pattern, so 0.0 and -0.0, and NaNs
+of different payloads, stay apart, and the text is gathered back by index.
+Rows are joined with commas; string cells are quoted by the csv module's
+minimal rule, once per distinct string.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import io
 import json
 import math
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,22 +88,36 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _cells(col) -> Iterable[str]:
-    """One CSV column as text: floats by repr, integers by str, strings as given."""
+def _quoted(text: str) -> str:
+    """text as one field of a row of several, quoted as csv.writer quotes it."""
+    buf = io.StringIO()
+    # a lone empty field would be written as "", so write a second, empty one
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _cells(col) -> list[str]:
+    """One CSV column as text: floats by repr, integers by str, strings quoted.
+
+    Each distinct value is formatted once, floats keyed by their bit pattern.
+    """
     arr = np.asarray(col)
-    if arr.dtype.kind == "f":
-        return map(repr, arr.tolist())
-    if arr.dtype.kind in "iu":
-        return map(str, arr.tolist())
-    return arr.tolist()
+    kind = arr.dtype.kind
+    if kind == "f":
+        keys, inv = np.unique(arr.astype(np.float64, copy=False).view(np.int64),
+                              return_inverse=True)
+        text = map(repr, keys.view(np.float64).tolist())
+    else:
+        keys, inv = np.unique(arr, return_inverse=True)
+        text = map(str if kind in "iu" else _quoted, keys.tolist())
+    return np.array(list(text), dtype=object)[inv].tolist()
 
 
 def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     """Write equal-length columns under header, one formatting pass per column."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(zip(*map(_cells, columns)))
+        fh.write(",".join(map(_quoted, header)) + "\n")
+        fh.writelines(map("{}\n".format, map(",".join, zip(*map(_cells, columns)))))
 
 
 def write_scan_csv(path: str, lam, a, absdet, ratio) -> None:

@@ -1,10 +1,12 @@
 """Command-level properties: each scan grid is evaluated once per command,
-malformed solve input or a solve lambda outside the sector ends in exit 65,
-and so does a config key the program no longer reads; the energy suite
-reproduces its pinned quadrature figure."""
+scan-lopatinski writes its pinned report bytes, malformed solve input or a
+solve lambda outside the sector ends in exit 65, and so does a config key the
+program no longer reads; the energy suite reproduces its pinned quadrature
+figure."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -69,6 +71,22 @@ def test_det_grids_evaluated_once(monkeypatch, config):
     assert main(["scan-lopatinski", *config]) == 0
     assert sum(det) == GRID_POINTS + REFINED_POINTS
     assert height == []
+
+
+def test_scan_report_bytes_pinned(tmp_path):
+    # scan-lopatinski end to end on a 405-point grid: any drift in how the
+    # scan is evaluated or its reports are formatted changes these digests
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"grid": {
+        "lam_min": 1e-2, "lam_max": 1e2, "lam_per_decade": 2, "n_angles": 5,
+        "a_min": 1e-2, "a_max": 1e2, "a_per_decade": 2}}))
+    assert main(["scan-lopatinski", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    digests = {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").glob("scan_*")}
+    assert digests == {
+        ".csv": "b7b31b3950330ae938c184d5021ccd1245dba60fc3aff47bcf2546a041f5d800",
+        ".json": "7cc5f167983c69b618789deada930c4a1f754d9b88b25af5ebe8d141625595d2",
+    }
 
 
 @pytest.fixture

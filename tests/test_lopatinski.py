@@ -298,6 +298,21 @@ class TestScan:
             assert key in d
         assert d["worst_point"]["ratio"] == rep.omega
 
+    def test_thresholds_are_the_probed_ratio(self, monkeypatch):
+        # R1 and R2 name the ratio asymptotic_report was run at, whatever it is
+        probed = []
+
+        def spy(fluid, sector, ratio):
+            probed.append(ratio)
+            return asymptotic_report(fluid, sector, ratio)
+
+        monkeypatch.setattr(lopatinski, "asymptotic_report", spy)
+        monkeypatch.setattr(lopatinski, "_REGIME_RATIO", 1e3)
+        rep = scan_lower_bound(REF, SECTOR, grid=SMALL_GRID)
+        assert probed == [1e3]
+        assert rep.to_dict()["regime_thresholds"] == {"R1": 1e3, "R2": 1e3}
+        assert (rep.delta1, rep.delta2) == asymptotic_report(REF, SECTOR, 1e3)[2]
+
     def test_scan_narrower_sector_not_worse(self):
         # shrinking the angle span cannot lower the infimum
         wide = scan_lower_bound(REF, SECTOR, grid=SMALL_GRID)

@@ -205,7 +205,8 @@ class TestChunking:
 
 
 MEMOISED = {"k_height", "p_plus_N", "p_minus_N", "s_plus_NN", "s_minus_NN", "p_press_N",
-            "_w_plus", "_bsum", "_det_block_plus", "_r_plus_factor_N", "t_plus", "t_minus"}
+            "_w_plus", "_bsum", "_det_block_plus", "_r_plus_factor_N", "t_plus", "t_minus",
+            "_p_plus_core", "_p_minus_core"}
 
 
 class TestMemo:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -190,7 +192,86 @@ class TestCsvWriters:
 
 class TestGoldenCsvBytes:
     """Exact bytes of every CSV writer on awkward values (signed zero, nan,
-    infinities, the smallest subnormal, 1e16, numpy integer columns)."""
+    infinities, the smallest subnormal, 1e16, numpy integer columns, strings
+    that need quoting, no rows), as csv.writer wrote them with repr cells."""
+
+    def test_signed_zeros_and_nan_payloads(self, tmp_path):
+        # each distinct float is formatted once, keyed by its bit pattern: a
+        # key by value would merge 0.0 with -0.0 and never match a nan
+        bits = np.array([0x0, 0x8000000000000000, 0x7FF8000000000001, 0x8000000000000000,
+                         0x7FF8000000000000, 0x0, 0xFFF8000000000000, 0x7FF8000000000001],
+                        dtype=np.uint64)
+        col = bits.view(np.float64)
+        lam = np.empty(col.size, dtype=np.complex128)
+        lam.real, lam.imag = col, col[::-1]
+        p = tmp_path / "scan.csv"
+        write_scan_csv(str(p), lam, col[::-1], col, col)
+        assert p.read_bytes() == (b"re_lambda,im_lambda,A,abs_detL,ratio\n"
+                                  b"0.0,nan,nan,0.0,0.0\n"
+                                  b"-0.0,nan,nan,-0.0,-0.0\n"
+                                  b"nan,0.0,0.0,nan,nan\n"
+                                  b"-0.0,nan,nan,-0.0,-0.0\n"
+                                  b"nan,-0.0,-0.0,nan,nan\n"
+                                  b"0.0,nan,nan,0.0,0.0\n"
+                                  b"nan,-0.0,-0.0,nan,nan\n"
+                                  b"nan,0.0,0.0,nan,nan\n")
+
+    def test_class_symbols_quoted(self, tmp_path):
+        p = tmp_path / "class.csv"
+        write_class_csv(str(p), [
+            _StubClassReport('P"m,1', [((), 0, 1.0, 0.5), ((1, 0), 1, 1.0, -0.0)]),
+            _StubClassReport("K", [((0, 1), 0, 0.5, 0.0)]),
+            _StubClassReport("a\nb", [((1, 1), 1, 0.5, math.nan)])])
+        assert p.read_bytes() == (b"symbol,kappa_multi_index,ell,constant,refinement_drift\n"
+                                  b'"P""m,1",,0,1.0,0.5\n'
+                                  b'"P""m,1",10,1,1.0,-0.0\n'
+                                  b"K,01,0,0.5,0.0\n"
+                                  b'"a\nb",11,1,0.5,nan\n')
+
+    def test_matches_the_per_cell_writer(self, tmp_path):
+        # random rows over a small pool of awkward values, against csv.writer
+        # with a repr per cell, the writer the column formatting replaced
+        rng = np.random.default_rng(3)
+        pool = np.array([0x0, 0x8000000000000000, 0x7FF8000000000001, 0x7FF8000000000000,
+                         0xFFF8000000000000, 0x7FF0000000000000, 0x1, 0x3FB999999999999A],
+                        dtype=np.uint64).view(np.float64)
+        names = ["K", 'P"m,1', "a\nb", "", " t_plus "]
+        rows = [(names[i], "".join(map(str, rng.integers(0, 3, k))), str(ell), c, d)
+                for i, k, ell, c, d in zip(rng.integers(0, len(names), 300),
+                                           rng.integers(0, 3, 300), rng.integers(0, 2, 300),
+                                           rng.choice(pool, 300), rng.choice(pool, 300))]
+        reports = [_StubClassReport(name, [r[1:] for r in rows if r[0] == name])
+                   for name in names]
+        p = tmp_path / "class.csv"
+        write_class_csv(str(p), reports)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(("symbol", "kappa_multi_index", "ell", "constant", "refinement_drift"))
+        w.writerows((rep.name, k, ell, repr(float(c)), repr(float(d)))
+                    for rep in reports for k, ell, c, d in rep.rows())
+        assert p.read_bytes() == buf.getvalue().encode()
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        class Empty:
+            @staticmethod
+            def to_rows():
+                return []
+
+        writers = {
+            "scan": (lambda p: write_scan_csv(p, [], [], [], []),
+                     b"re_lambda,im_lambda,A,abs_detL,ratio\n"),
+            "height": (lambda p: write_height_csv(p, [], []), b"lam_mag,min_ratio\n"),
+            "class": (lambda p: write_class_csv(p, []),
+                      b"symbol,kappa_multi_index,ell,constant,refinement_drift\n"),
+            "decay": (lambda p: write_decay_csv(p, Empty()),
+                      b"shell_radius,sup_weighted,n_points\n"),
+            "residual": (lambda p: write_residual_csv(p, (16, 16), {}),
+                         b"k0,k1,ode_residual,interface_residual\n"),
+        }
+        for name, (write, want) in writers.items():
+            p = tmp_path / f"{name}.csv"
+            write(str(p))
+            assert p.read_bytes() == want, name
 
     def test_scan(self, tmp_path):
         p = tmp_path / "scan.csv"

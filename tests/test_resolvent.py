@@ -444,6 +444,16 @@ class TestCorpusAndBatch:
         assert fuzz_residuals(REF, SECTOR, n_samples=31, seed=11,
                               energy=True).worst == want
 
+    def test_fuzz_chunks_across_a_full_chunk(self, monkeypatch):
+        # 2,100 samples: one full default chunk and a partial one, against
+        # chunks of 256 and of 37 (no multiple of either)
+        assert resolvent._CHUNK == 2048
+        want = fuzz_residuals(REF, SECTOR, n_samples=2100, seed=11, energy=True).worst
+        for size in (256, 37):
+            monkeypatch.setattr(resolvent, "_CHUNK", size)
+            got = fuzz_residuals(REF, SECTOR, n_samples=2100, seed=11, energy=True)
+            assert got.worst == want, size
+
     def test_batch_errors_name_the_sample(self):
         pts = [s for s in fuzz_corpus(3, 20, SECTOR) if s[0] == 2][:6]
         cols = list(zip(*pts))
