@@ -20,8 +20,8 @@ Module map
     multiplier    anisotropic symbol-class certification
     transform     tangential FFT solves, kernel decay
     reports       deterministic CSV/JSON artifacts
-    config        run defaults (RunConfig), the scan grid layout (GridSpec),
-                  tolerances and the elision threshold
+    config        run defaults (RunConfig), the one grid type (GridSpec),
+                  tolerances, the elision threshold and the config reader
     cli           the `lopstokes` command; every pass/fail gate
 
 Every formula is array arithmetic over points; a single point is an array
@@ -32,7 +32,6 @@ measures; the commands judge.
 from .config import (
     REFERENCE_PARAMS,
     STRESS_PARAM_SETS,
-    ClassGridSpec,
     GridSpec,
     RunConfig,
     Tolerances,
@@ -118,7 +117,7 @@ __all__ = [
     "DecayReport", "PhysicalField", "PhysicalSolution", "kernel_decay_check",
     "solve_physical",
     # config
-    "ClassGridSpec", "GridSpec", "RunConfig", "Tolerances", "default_config",
+    "GridSpec", "RunConfig", "Tolerances", "default_config",
     "load_config",
     # errors
     "LopStokesError", "NonPositiveParameter", "EqualDensities", "OutOfSector",

@@ -457,9 +457,8 @@ class HeightCurve:
 
 
 def height_curve(fluid: FluidParams, sector: Sector,
-                 grid: GridSpec | None = None) -> HeightCurve:
+                 grid: GridSpec) -> HeightCurve:
     """Evaluate the height ratio on the scan grid, one magnitude at a time."""
-    grid = grid or GridSpec()
     mags = grid.lam_mags()
     per_min = np.empty(mags.size)
     worst = []

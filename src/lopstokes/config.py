@@ -2,19 +2,21 @@
 
 Each decision has one owner here.  Every numeric threshold the library
 applies lives in Tolerances, so the CLI and the tests share one set of
-defaults; GridSpec.points lays out every (|lambda|, arg lambda, A) scan
-grid; RunConfig holds the run defaults (fluid, sector, grids, seed,
-samples), which the library functions take as arguments;
-ELISION_THRESHOLD bounds every chunked evaluation.  Run
-configurations are JSON files; unknown keys are rejected with their full path
-so typos cannot silently fall back to defaults.
+defaults; GridSpec, the one grid type, lays out the scan and class grids;
+RunConfig holds the run defaults (fluid, sector, grids, seed, samples),
+which the library functions take as arguments; ELISION_THRESHOLD bounds
+every chunked evaluation.  Run configurations are JSON files, each block
+read through its dataclass: unknown keys are rejected with their full path,
+so typos cannot silently fall back to defaults, and the record validates
+itself.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -25,10 +27,10 @@ from .params import FluidParams, Sector
 __all__ = [
     "Tolerances",
     "GridSpec",
-    "ClassGridSpec",
     "RunConfig",
     "load_config",
     "default_config",
+    "SOLVE_MODES",
     "REFERENCE_PARAMS",
     "STRESS_PARAM_SETS",
     "ELISION_THRESHOLD",
@@ -130,27 +132,14 @@ class GridSpec:
             raise ConfigError("grid density too low (need >=1/decade and >=3 angles)")
 
     def lam_mags(self) -> np.ndarray:
-        decades = math.log10(self.lam_max / self.lam_min)
-        n = int(round(decades * self.lam_per_decade)) + 1
-        return np.logspace(math.log10(self.lam_min), math.log10(self.lam_max), n)
+        return _log_axis(self.lam_min, self.lam_max, self.lam_per_decade)
 
     def a_vals(self) -> np.ndarray:
-        decades = math.log10(self.a_max / self.a_min)
-        n = int(round(decades * self.a_per_decade)) + 1
-        return np.logspace(math.log10(self.a_min), math.log10(self.a_max), n)
+        return _log_axis(self.a_min, self.a_max, self.a_per_decade)
 
     def angles(self, epsilon: float) -> np.ndarray:
         span = math.pi - epsilon
         return np.linspace(-span, span, self.n_angles)
-
-    def refined(self) -> "GridSpec":
-        """Double the per-decade density (same ranges, same angle count + 12)."""
-        return replace(
-            self,
-            lam_per_decade=2 * self.lam_per_decade,
-            a_per_decade=2 * self.a_per_decade,
-            n_angles=self.n_angles + 12,
-        )
 
     def points(self, epsilon: float,
                mags: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -168,33 +157,9 @@ class GridSpec:
         return lam_full, a_full
 
 
-@dataclass(frozen=True)
-class ClassGridSpec(GridSpec):
-    """Grid for multiplier-class estimation (dim-3 frequencies, two directions).
-
-    Kept smaller than the scan grid: every point costs a full finite-difference
-    stencil.  refined() doubles density and widens both ranges a decade per
-    side, which is what exposes wrong-degree claims.
-    """
-
-    lam_min: float = 1e-4
-    lam_max: float = 1e6
-    lam_per_decade: int = 3
-    n_angles: int = 7
-    a_min: float = 1e-4
-    a_max: float = 1e4
-    a_per_decade: int = 3
-
-    def refined(self) -> "ClassGridSpec":
-        return ClassGridSpec(
-            lam_min=self.lam_min / 10.0,
-            lam_max=self.lam_max * 10.0,
-            lam_per_decade=2 * self.lam_per_decade,
-            n_angles=self.n_angles,
-            a_min=self.a_min / 10.0,
-            a_max=self.a_max * 10.0,
-            a_per_decade=2 * self.a_per_decade,
-        )
+def _log_axis(lo: float, hi: float, per_decade: int) -> np.ndarray:
+    n = int(round(math.log10(hi / lo) * per_decade)) + 1
+    return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
 @dataclass(frozen=True)
@@ -202,18 +167,27 @@ class RunConfig:
     fluid: FluidParams = REFERENCE_PARAMS
     sector: Sector = Sector(epsilon=math.pi / 4)
     grid: GridSpec = GridSpec()
-    class_grid: ClassGridSpec = ClassGridSpec()
+    # the multiplier-class grid, smaller than the scan grid: every point
+    # costs a full finite-difference stencil
+    class_grid: GridSpec = GridSpec(lam_max=1e6, lam_per_decade=3, n_angles=7,
+                                    a_max=1e4, a_per_decade=3)
     seed: int = 20260817
     samples: int = 10000
     out_dir: str = "reports"
     solve: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must fit in an unsigned 64-bit value, got {self.seed}")
+        if self.samples < 1:
+            raise ConfigError(f"samples must be >= 1, got {self.samples}")
 
-_FLUID_KEYS = {"rho_plus", "rho_minus", "mu_plus", "mu_minus", "nu_plus", "sigma"}
-_SECTOR_KEYS = {"epsilon"}
-_GRID_KEYS = {"lam_min", "lam_max", "lam_per_decade", "n_angles", "a_min", "a_max", "a_per_decade"}
+
+# The two boundary-data modes of a solve: the height H given, or the normal
+# velocity d given and H recovered through lambda + K.
+SOLVE_MODES = ("explicit-H", "kinematic")
+
 _SOLVE_KEYS = {"lambda_re", "lambda_im", "mode", "x_levels", "box", "shape", "data"}
-_TOP_KEYS = {"fluid", "sector", "grid", "class_grid", "seed", "samples", "out_dir", "solve"}
 
 
 def _require_mapping(obj: Any, path: str) -> dict:
@@ -222,95 +196,83 @@ def _require_mapping(obj: Any, path: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _check_keys(obj: dict, allowed, path: str) -> None:
+    unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
-def _number(obj: dict, key: str, path: str, default: float, integer: bool = False):
-    if key not in obj:
-        return default
-    v = obj[key]
+def _number(v: Any, path: str, integer: bool = False):
+    """v as a float, or as an int where the field is one; finite either way."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
+        raise ConfigError(f"{path}: expected a number, got {v!r}")
+    # json.loads accepts NaN and +-Infinity; a huge integer is no float either
+    if not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {v!r}")
     if integer:
-        if float(v) != int(v):
-            raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
+        if isinstance(v, float) and not v.is_integer():
+            raise ConfigError(f"{path}: expected an integer, got {v!r}")
         return int(v)
     return float(v)
+
+
+def _record(current, doc: Any, path: str):
+    """current with the fields doc sets, each read by its annotation."""
+    doc = _require_mapping(doc, path)
+    kinds = {f.name: f.type for f in fields(current)}
+    _check_keys(doc, kinds, path)
+    new = {}
+    for key, v in doc.items():
+        where = f"{path}.{key}"
+        if is_dataclass(getattr(current, key)):
+            new[key] = _record(getattr(current, key), v, where)
+        elif key == "solve":
+            new[key] = _solve(v, where)
+        elif kinds[key] in ("str", str):
+            if not isinstance(v, str):
+                raise ConfigError(f"{where}: expected a string, got {v!r}")
+            new[key] = v
+        else:
+            new[key] = _number(v, where, integer=kinds[key] in ("int", int))
+    return replace(current, **new)
+
+
+def _solve(doc: Any, path: str) -> dict:
+    """The solve block as given, once each present value is checked."""
+    doc = _require_mapping(doc, path)
+    _check_keys(doc, _SOLVE_KEYS, path)
+    for key, v in doc.items():
+        where = f"{path}.{key}"
+        if key in ("lambda_re", "lambda_im"):
+            _number(v, where)
+        elif key == "mode":
+            if v not in SOLVE_MODES:
+                raise ConfigError(f"{where}: expected one of {list(SOLVE_MODES)}, got {v!r}")
+        elif not isinstance(v, list):
+            raise ConfigError(f"{where}: expected a list, got {v!r}")
+        elif key == "data":
+            if not all(isinstance(x, str) for x in v):
+                raise ConfigError(f"{where}: expected a list of strings, got {v!r}")
+        else:
+            for i, x in enumerate(v):
+                x = _number(x, f"{where}[{i}]", integer=key == "shape")
+                if key == "box" and not x > 0:
+                    raise ConfigError(f"{where}[{i}]: expected a positive number, got {x!r}")
+                if key == "x_levels" and not x >= 0:
+                    raise ConfigError(f"{where}[{i}]: expected a number >= 0, got {x!r}")
+    return dict(doc)
 
 
 def default_config() -> RunConfig:
     return RunConfig()
 
 
-def parse_config(doc: dict, base: RunConfig | None = None) -> RunConfig:
+def parse_config(doc: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, rejecting unknown keys."""
-    base = base or default_config()
-    doc = _require_mapping(doc, "config")
-    _check_keys(doc, _TOP_KEYS, "config")
-
-    fluid = base.fluid
-    if "fluid" in doc:
-        sub = _require_mapping(doc["fluid"], "config.fluid")
-        _check_keys(sub, _FLUID_KEYS, "config.fluid")
-        fluid = FluidParams(
-            rho_plus=_number(sub, "rho_plus", "config.fluid", base.fluid.rho_plus),
-            rho_minus=_number(sub, "rho_minus", "config.fluid", base.fluid.rho_minus),
-            mu_plus=_number(sub, "mu_plus", "config.fluid", base.fluid.mu_plus),
-            mu_minus=_number(sub, "mu_minus", "config.fluid", base.fluid.mu_minus),
-            nu_plus=_number(sub, "nu_plus", "config.fluid", base.fluid.nu_plus),
-            sigma=_number(sub, "sigma", "config.fluid", base.fluid.sigma),
-        )
-
-    sector = base.sector
-    if "sector" in doc:
-        sub = _require_mapping(doc["sector"], "config.sector")
-        _check_keys(sub, _SECTOR_KEYS, "config.sector")
-        sector = Sector(
-            epsilon=_number(sub, "epsilon", "config.sector", base.sector.epsilon),
-        )
-
-    def grid_of(key: str, cls, current):
-        if key not in doc:
-            return current
-        sub = _require_mapping(doc[key], f"config.{key}")
-        _check_keys(sub, _GRID_KEYS, f"config.{key}")
-        kw = {}
-        for f in fields(cls):
-            kw[f.name] = _number(
-                sub, f.name, f"config.{key}", getattr(current, f.name),
-                integer=f.name.endswith("per_decade") or f.name == "n_angles",
-            )
-        return cls(**kw)
-
-    grid = grid_of("grid", GridSpec, base.grid)
-    class_grid = grid_of("class_grid", ClassGridSpec, base.class_grid)
-
-    solve = base.solve
-    if "solve" in doc:
-        sub = _require_mapping(doc["solve"], "config.solve")
-        _check_keys(sub, _SOLVE_KEYS, "config.solve")
-        solve = dict(sub)
-
-    seed = _number(doc, "seed", "config", base.seed, integer=True)
-    samples = _number(doc, "samples", "config", base.samples, integer=True)
-    if seed < 0 or seed >= 2**64:
-        raise ConfigError(f"config.seed: must fit in an unsigned 64-bit value, got {seed}")
-    if samples < 1:
-        raise ConfigError(f"config.samples: must be >= 1, got {samples}")
-    out_dir = doc.get("out_dir", base.out_dir)
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"config.out_dir: expected a string, got {out_dir!r}")
-
-    return RunConfig(
-        fluid=fluid, sector=sector, grid=grid, class_grid=class_grid,
-        seed=seed, samples=samples, out_dir=out_dir, solve=solve,
-    )
+    return _record(RunConfig(), doc, "config")
 
 
-def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
+def load_config(path: str) -> RunConfig:
     """Parse a JSON run configuration; errors carry line/column diagnostics."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -321,19 +283,14 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     try:
-        return parse_config(doc, base=base)
+        return parse_config(doc)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_document(cfg: RunConfig) -> dict:
-    """Canonical JSON-ready document for hashing and report headers."""
-    return {
-        "fluid": cfg.fluid.to_dict(),
-        "sector": {"epsilon": cfg.sector.epsilon},
-        "grid": {f.name: getattr(cfg.grid, f.name) for f in fields(GridSpec)},
-        "class_grid": {f.name: getattr(cfg.class_grid, f.name) for f in fields(ClassGridSpec)},
-        "seed": cfg.seed,
-        "samples": cfg.samples,
-        "solve": cfg.solve,
-    }
+    """Canonical JSON-ready document for hashing and report headers: every
+    field but the output directory, which changes where, never what."""
+    doc = asdict(cfg)
+    del doc["out_dir"]
+    return doc

@@ -24,7 +24,7 @@ measure: the scan-lopatinski command judges the results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -269,20 +269,21 @@ def _scan_min(chunks):
 def scan_lower_bound(
     fluid: FluidParams,
     sector: Sector,
-    grid: GridSpec | None = None,
+    grid: GridSpec,
 ) -> ScanReport:
     """Estimate omega = inf |det L|/(sqrt|lam|+A)^4 over the scan grid.
 
     The infimum is empirical (grid minimum); the grid is re-run at double
-    density and the relative movement of omega is recorded as
-    refine_drift.  Each grid is evaluated once: the refined one is only
-    reduced, chunk by chunk and first, so that its peak memory does not
-    overlap the base grid's per-point values, which stay on the report as
-    the scan CSV columns.  Raises NonPositiveOmega if the minimum is not
-    strictly positive.
+    density with 12 more angles over the same ranges, and the relative
+    movement of omega is recorded as refine_drift.  Each grid is evaluated
+    once: the refined one is only reduced, chunk by chunk and first, so that
+    its peak memory does not overlap the base grid's per-point values, which
+    stay on the report as the scan CSV columns.  Raises NonPositiveOmega if
+    the minimum is not strictly positive.
     """
-    grid = grid or GridSpec()
-    omega_r = _scan_min(_det_chunks(fluid, sector, grid.refined()))[0]
+    fine = replace(grid, lam_per_decade=2 * grid.lam_per_decade,
+                   a_per_decade=2 * grid.a_per_decade, n_angles=grid.n_angles + 12)
+    omega_r = _scan_min(_det_chunks(fluid, sector, fine))[0]
     base = list(_det_chunks(fluid, sector, grid))
     omega, worst_lam, worst_a, n = _scan_min(base)
     if not omega > 0.0:

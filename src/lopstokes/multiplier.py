@@ -35,13 +35,13 @@ with the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .coefficients import SymbolKit
-from .config import ClassGridSpec, Tolerances
+from .config import GridSpec, Tolerances
 from .errors import GridTooCoarse
 from .params import FluidParams, Sector
 
@@ -153,7 +153,7 @@ class _GridRun:
     next, so memory is set by the chunk, not the grid.
     """
 
-    def __init__(self, fluid: FluidParams, sector: Sector, grid: ClassGridSpec,
+    def __init__(self, fluid: FluidParams, sector: Sector, grid: GridSpec,
                  lam_floor: float, tol: Tolerances):
         mags = grid.lam_mags()
         if lam_floor > 0.0:
@@ -368,7 +368,16 @@ def declared_claims(lambda0: float) -> list[Claim]:
     return c
 
 
-def certify_table(claims, fluid: FluidParams, sector: Sector, grid: ClassGridSpec,
+def _widened(grid: GridSpec) -> GridSpec:
+    """The refined class grid: double the density, widen each range a decade
+    per side, same angles."""
+    return replace(grid, lam_min=grid.lam_min / 10.0, lam_max=grid.lam_max * 10.0,
+                   lam_per_decade=2 * grid.lam_per_decade,
+                   a_min=grid.a_min / 10.0, a_max=grid.a_max * 10.0,
+                   a_per_decade=2 * grid.a_per_decade)
+
+
+def certify_table(claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
                   tol: Tolerances | None = None) -> list[MultiplierClassReport]:
     """Judge each claim on a base and a refined grid; claims with one floor
     share the stencil evaluations of both grids.
@@ -385,7 +394,7 @@ def certify_table(claims, fluid: FluidParams, sector: Sector, grid: ClassGridSpe
     reports = []
     for floor, members in sorted(groups.items()):
         run_b = _GridRun(fluid, sector, grid, floor, tol)
-        run_r = _GridRun(fluid, sector, grid.refined(), floor, tol)
+        run_r = _GridRun(fluid, sector, _widened(grid), floor, tol)
         base, refined = run_b.estimates(members), run_r.estimates(members)
         for cl, (cb, rb, db), (cr, rr, dr) in zip(members, base, refined):
             drift, verdict = _verdict(cb, cr, rb, rr, tol.class_drift)

@@ -40,7 +40,7 @@ from .coefficients import (
     kinematic_weight,
     refused_heights,
 )
-from .config import Tolerances
+from .config import SOLVE_MODES, Tolerances
 from .errors import QuadratureFailure
 from .lopatinski import checked_entries
 from .params import FluidParams, Sector
@@ -60,8 +60,6 @@ __all__ = [
 # Points per fuzz/solve batch: bounds the working set (a few dozen arrays of
 # 20 x _CHUNK complex values) whatever the corpus or grid size.
 _CHUNK = 2048
-
-_MODES = ("explicit-H", "kinematic")
 
 
 def _field(v):
@@ -257,7 +255,7 @@ def assemble_batch(
     with strict=False refused heights are flagged in ProfileBatch.valid
     instead.
     """
-    if mode not in _MODES:
+    if mode not in SOLVE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     lam = np.asarray(lam, dtype=np.complex128)
     xi = np.asarray(xi, dtype=np.float64)
@@ -586,7 +584,7 @@ def fuzz_corpus(seed: int, n_samples: int, sector: Sector):
             phi = rng.uniform(0.0, 2.0 * math.pi)
             xi = (a * math.cos(phi), a * math.sin(phi))
         h = tuple(complex(v) for v in _cnormal(rng, dim - 1))
-        yield dim, _MODES[i % 2], lam, xi, h, complex(_cnormal(rng))
+        yield dim, SOLVE_MODES[i % 2], lam, xi, h, complex(_cnormal(rng))
 
 
 @dataclass(frozen=True)
@@ -667,7 +665,7 @@ def fuzz_residuals(
     while chunk := list(itertools.islice(corpus, _CHUNK)):
         vals = {c: np.full(len(chunk), -np.inf) for c in cats}
         ok = np.ones(len(chunk), dtype=bool)
-        for dim, mode in itertools.product((2, 3), _MODES):
+        for dim, mode in itertools.product((2, 3), SOLVE_MODES):
             idx = np.array([i for i, smp in enumerate(chunk)
                             if smp[0] == dim and smp[1] == mode], dtype=np.intp)
             if idx.size == 0:

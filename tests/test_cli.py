@@ -1,8 +1,9 @@
 """Command-level properties: each scan grid is evaluated once per command,
 scan-lopatinski writes its pinned report bytes, malformed solve input or a
 solve lambda outside the sector ends in exit 65, and so does a config key the
-program no longer reads; the energy suite reproduces its pinned quadrature
-figure."""
+program no longer reads, a non-finite number, a malformed solve block or an
+out-of-range --seed/--samples; the energy suite reproduces its pinned
+quadrature figure."""
 
 from __future__ import annotations
 
@@ -24,7 +25,9 @@ from lopstokes.transform import PhysicalField
 
 EPS = math.pi / 4
 GRID_POINTS = GridSpec().points(EPS)[0].size                 # 190,333
-REFINED_POINTS = GridSpec().refined().points(EPS)[0].size   # 1,452,025
+# the scan refinement: twice the density (241 magnitudes and A values over
+# the same 12 decades) and 12 more angles
+REFINED_POINTS = 241 * 25 * 241                              # 1,452,025
 
 # the default scan grid with a coarse class grid, so verify stays quick
 SMALL_CLASS = {"class_grid": {"lam_min": 1e-2, "lam_max": 1e4, "lam_per_decade": 2,
@@ -165,6 +168,53 @@ def test_removed_sector_key_exits_65(capsys, tmp_path):
     assert main(["scan-height", "--config", str(path), "--out", str(tmp_path / "out")]) == 65
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "config.sector" in err and "lambda_floor" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("verify", {"seed": math.nan}),
+    ("verify", {"samples": math.inf}),
+    ("scan-lopatinski", {"grid": {"lam_max": math.inf}}),
+    ("scan-height", {"grid": {"n_angles": math.nan}}),
+    ("verify-multipliers", {"class_grid": {"a_max": math.inf}}),
+], ids=["seed-nan", "samples-inf", "lam_max-inf", "n_angles-nan", "class-a_max-inf"])
+def test_non_finite_config_exits_65(capsys, tmp_path, command, doc):
+    # json.dumps writes the NaN and Infinity literals that json.loads accepts
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected a finite number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,message", [
+    (["--seed", "-1"], "seed must fit in an unsigned 64-bit value, got -1"),
+    (["--seed", str(2**64)], "seed must fit in an unsigned 64-bit value"),
+    (["--samples", "0"], "samples must be >= 1, got 0"),
+], ids=["seed-negative", "seed-2**64", "samples-0"])
+def test_bad_override_exits_65(capsys, tmp_path, flag, message):
+    assert main(["verify", *flag, "--out", str(tmp_path / "out")]) == 65
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("lambda_re", "x", "config.solve.lambda_re: expected a number"),
+    ("box", 12, "config.solve.box: expected a list"),
+    ("data", 5, "config.solve.data: expected a list"),
+    ("lambda_im", None, "config.solve.lambda_im: expected a number"),
+    ("x_levels", [-0.5], "config.solve.x_levels[0]: expected a number >= 0"),
+], ids=["lambda_re-str", "box-scalar", "data-scalar", "lambda_im-null", "x_levels-negative"])
+def test_malformed_solve_config_exits_65(capsys, tmp_path, solve_argv, key, value, message):
+    path = tmp_path / "config.json"
+    cfg = json.loads(path.read_text())
+    cfg["solve"][key] = value
+    path.write_text(json.dumps(cfg))
+    assert main(solve_argv) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
 
 

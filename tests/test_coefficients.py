@@ -348,15 +348,15 @@ class TestHeightSymbol:
 
 class TestHeightScan:
     def test_find_lambda0_default_floor(self):
-        assert height_curve(REF, SECTOR).cutoff(Tolerances().height_floor) == 0.0
+        assert height_curve(REF, SECTOR, GridSpec()).cutoff(Tolerances().height_floor) == 0.0
 
     def test_find_lambda0_at_formula_floor(self):
-        lam0 = height_curve(REF, SECTOR).cutoff(omega4_formula(REF, SECTOR))
+        lam0 = height_curve(REF, SECTOR, GridSpec()).cutoff(omega4_formula(REF, SECTOR))
         assert lam0 == pytest.approx(50.118723362727245, rel=1e-12)
 
     def test_find_lambda0_unattainable_floor(self):
         with pytest.raises(NoCutoffFound):
-            height_curve(REF, SECTOR).cutoff(10.0)
+            height_curve(REF, SECTOR, GridSpec()).cutoff(10.0)
 
     def test_ratio_curve_shape(self):
         grid = GridSpec(lam_min=1e-2, lam_max=1e2, lam_per_decade=3,
@@ -369,7 +369,7 @@ class TestHeightScan:
         assert np.all(np.diff(curve.mags) > 0)
 
     def test_scan_report(self):
-        rep = height_scan(REF, SECTOR, height_curve(REF, SECTOR), lambda0=0.0)
+        rep = height_scan(REF, SECTOR, height_curve(REF, SECTOR, GridSpec()), lambda0=0.0)
         assert rep.lambda0 == 0.0
         assert rep.omega4 > 0
         assert 0.0 < rep.k_envelope < 100.0
@@ -384,7 +384,7 @@ class TestHeightScan:
 
     def test_scan_report_above_cutoff(self):
         # omega4 is the curve minimum over the magnitudes at or above lambda0
-        curve = height_curve(REF, SECTOR)
+        curve = height_curve(REF, SECTOR, GridSpec())
         lam0 = curve.cutoff(omega4_formula(REF, SECTOR))
         rep = height_scan(REF, SECTOR, curve, lambda0=lam0)
         above = curve.mags >= lam0

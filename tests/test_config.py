@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from lopstokes.config import (
     REFERENCE_PARAMS,
     STRESS_PARAM_SETS,
-    ClassGridSpec,
     GridSpec,
     RunConfig,
     Tolerances,
@@ -22,7 +22,8 @@ from lopstokes.config import (
 from lopstokes.cli import main
 from lopstokes.config import config_document, parse_config
 from lopstokes.errors import ConfigError
-from lopstokes.params import FluidParams
+from lopstokes.multiplier import _widened
+from lopstokes.params import FluidParams, Sector
 
 
 class TestTolerances:
@@ -93,13 +94,6 @@ class TestGridSpec:
         span = math.pi - math.pi / 4
         assert lam[0] == pytest.approx(1.0 * np.exp(-1j * span), rel=1e-12)
 
-    def test_refined(self):
-        g = GridSpec().refined()
-        assert g.lam_per_decade == 20
-        assert g.a_per_decade == 20
-        assert g.n_angles == 25
-        assert g.lam_min == 1e-4 and g.lam_max == 1e8
-
     @pytest.mark.parametrize("kw", [
         {"lam_min": 0.0},
         {"lam_min": -1.0},
@@ -116,14 +110,17 @@ class TestGridSpec:
 
 
 class TestClassGridSpec:
+    """The class grid spec, RunConfig().class_grid: a GridSpec with its own
+    defaults, refined by the multiplier certification alone."""
+
     def test_default_sizes(self):
-        g = ClassGridSpec()
+        g = RunConfig().class_grid
         assert g.lam_mags().size == 31
         assert g.a_vals().size == 25
         assert g.angles(math.pi / 4).size == 7
 
     def test_refined_widens_and_densifies(self):
-        g = ClassGridSpec().refined()
+        g = _widened(RunConfig().class_grid)
         assert g.lam_min == pytest.approx(1e-5)
         assert g.lam_max == pytest.approx(1e7)
         assert g.a_min == pytest.approx(1e-5)
@@ -141,7 +138,7 @@ class TestClassGridSpec:
     ])
     def test_validation(self, kw):
         with pytest.raises(ConfigError):
-            ClassGridSpec(**kw)
+            dataclasses.replace(RunConfig().class_grid, **kw)
 
     def test_bad_class_grid_is_a_config_error_in_the_cli(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -169,7 +166,7 @@ class TestParseConfig:
             "seed": 42,
             "samples": 500,
             "out_dir": "out",
-            "solve": {"lambda_re": 2.0, "lambda_im": 1.0, "mode": "explicit"},
+            "solve": {"lambda_re": 2.0, "lambda_im": 1.0, "mode": "explicit-H"},
         }
         cfg = parse_config(doc)
         assert cfg.fluid.rho_minus == 3.0
@@ -182,7 +179,7 @@ class TestParseConfig:
         assert cfg.seed == 42
         assert cfg.samples == 500
         assert cfg.out_dir == "out"
-        assert cfg.solve["mode"] == "explicit"
+        assert cfg.solve["mode"] == "explicit-H"
 
     def test_partial_fluid_keeps_defaults(self):
         cfg = parse_config({"fluid": {"mu_plus": 7.0}})
@@ -227,6 +224,44 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=">= 1"):
             parse_config({"samples": 0})
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"seed": -1}, "seed must fit in an unsigned 64-bit value"),
+        ({"seed": 2**64}, "seed must fit in an unsigned 64-bit value"),
+        ({"samples": 0}, "samples must be >= 1"),
+    ], ids=["seed-negative", "seed-2**64", "samples-0"])
+    def test_run_config_validates_itself(self, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**kw)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(RunConfig(), **kw)
+
+    # test_cli runs the seed, samples and grid cases through the command
+    @pytest.mark.parametrize("doc,where", [
+        ({"fluid": {"sigma": float("-inf")}}, "config.fluid.sigma"),
+        ({"class_grid": {"n_angles": float("nan")}}, "config.class_grid.n_angles"),
+        ({"seed": 10**400}, "config.seed"),
+        ({"sector": {"epsilon": 10**400}}, "config.sector.epsilon"),
+    ], ids=["sigma-inf", "n_angles-nan", "huge-int", "huge-float-field"])
+    def test_non_finite_numbers(self, doc, where):
+        with pytest.raises(ConfigError, match=rf"{re.escape(where)}: expected a finite number"):
+            parse_config(doc)
+
+    # test_cli runs the other malformed solve values through the command
+    @pytest.mark.parametrize("solve,message", [
+        ({"lambda_re": float("nan")}, "config.solve.lambda_re: expected a finite number"),
+        ({"mode": "explicit"}, "config.solve.mode: expected one of"),
+        ({"box": [1.0, 0.0]}, "config.solve.box[1]: expected a positive number"),
+        ({"shape": [8, 2.5]}, "config.solve.shape[1]: expected an integer"),
+        ({"data": ["h1", 2]}, "config.solve.data: expected a list of strings"),
+    ], ids=["lambda-nan", "mode", "box-zero", "shape-float", "data-items"])
+    def test_solve_values(self, solve, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config({"solve": solve})
+
+    def test_solve_block_is_kept_as_given(self):
+        solve = {"lambda_re": 2, "mode": "kinematic", "shape": [8], "box": [1]}
+        assert parse_config({"solve": solve}).solve == solve
+
     def test_out_dir_type(self):
         with pytest.raises(ConfigError, match="out_dir"):
             parse_config({"out_dir": 7})
@@ -235,17 +270,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="lam_min < lam_max"):
             parse_config({"grid": {"lam_min": 10.0, "lam_max": 1.0}})
 
-    def test_base_override(self):
-        base = RunConfig(seed=7, out_dir="elsewhere")
-        cfg = parse_config({"samples": 3}, base=base)
-        assert cfg.seed == 7
-        assert cfg.out_dir == "elsewhere"
-        assert cfg.samples == 3
+    def test_absent_keys_keep_the_defaults(self):
+        cfg = parse_config({"samples": 3, "grid": {"n_angles": 5}})
+        assert cfg == dataclasses.replace(
+            RunConfig(), samples=3, grid=GridSpec(n_angles=5))
 
     def test_document_roundtrip(self):
         cfg = RunConfig(seed=11, samples=64)
         doc = config_document(cfg)
         assert parse_config(doc) == cfg
+
+    def test_document_roundtrip_off_the_defaults(self):
+        # every record and scalar the document carries differs from its default
+        cfg = RunConfig(
+            fluid=FluidParams(2.0, 0.5, 3.0, 0.25, 7.0, 0.0),
+            sector=Sector(epsilon=1.2),
+            grid=GridSpec(lam_min=1e-3, lam_max=1e3, lam_per_decade=4, n_angles=9,
+                          a_min=1e-2, a_max=1e5, a_per_decade=5),
+            class_grid=GridSpec(lam_min=1e-2, lam_max=1e2, lam_per_decade=2, n_angles=5,
+                                a_min=1e-3, a_max=1e1, a_per_decade=1),
+            seed=2**64 - 1, samples=3, out_dir="elsewhere",
+            solve={"lambda_re": 2.0, "lambda_im": -1, "mode": "kinematic",
+                   "x_levels": [0, 0.5], "box": [64.0, 32], "shape": [8, 4],
+                   "data": ["h1", "h2", "d"]})
+        for f in dataclasses.fields(RunConfig):
+            if f.name != "out_dir":
+                assert getattr(cfg, f.name) != getattr(RunConfig(), f.name), f.name
+        doc = json.loads(json.dumps(config_document(cfg)))
+        assert parse_config(doc) == dataclasses.replace(cfg, out_dir=RunConfig().out_dir)
 
 
 class TestLoadConfig:

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from lopstokes import (
-    ClassGridSpec,
     FluidParams,
+    GridSpec,
+    RunConfig,
     GridTooCoarse,
     Sector,
     Tolerances,
@@ -32,8 +33,8 @@ from lopstokes.config import ELISION_THRESHOLD, REFERENCE_PARAMS, STRESS_PARAM_S
 REF = REFERENCE_PARAMS
 SECTOR = Sector(epsilon=math.pi / 4)
 
-SMALL = ClassGridSpec(lam_min=1e-2, lam_max=1e4, lam_per_decade=2,
-                      n_angles=5, a_min=1e-2, a_max=1e2, a_per_decade=2)
+SMALL = GridSpec(lam_min=1e-2, lam_max=1e4, lam_per_decade=2,
+                 n_angles=5, a_min=1e-2, a_max=1e2, a_per_decade=2)
 
 LAMBDA0_REF = 50.118723362727245
 
@@ -139,7 +140,7 @@ class TestClaimTable:
 
     def test_class_cutoff_reference(self):
         # the quotient claims' cutoff: the height-curve cutoff at omega4_formula
-        lam0 = height_curve(REF, SECTOR).cutoff(omega4_formula(REF, SECTOR))
+        lam0 = height_curve(REF, SECTOR, GridSpec()).cutoff(omega4_formula(REF, SECTOR))
         assert lam0 == pytest.approx(LAMBDA0_REF, rel=1e-12)
 
     def test_estimate_class_matches_table(self):
@@ -156,7 +157,8 @@ class TestClaimTable:
         assert table["S+_NN"].lam_floor == 0.0
 
     def test_certify_table_reference(self):
-        reports = certify_table(declared_claims(LAMBDA0_REF), REF, SECTOR, ClassGridSpec())
+        reports = certify_table(declared_claims(LAMBDA0_REF), REF, SECTOR,
+                                RunConfig().class_grid)
         assert len(reports) == 45
         failures = [r.name for r in reports if r.verdict != "pass"]
         assert failures == []
@@ -191,8 +193,8 @@ class TestChunking:
         # chunk sets the peak, not the grid
         peaks = []
         for n_angles in (3, 13):
-            grid = ClassGridSpec(lam_min=1e-1, lam_max=1e2, lam_per_decade=1,
-                                 n_angles=n_angles, a_min=1e-1, a_max=1e1, a_per_decade=1)
+            grid = GridSpec(lam_min=1e-1, lam_max=1e2, lam_per_decade=1,
+                            n_angles=n_angles, a_min=1e-1, a_max=1e1, a_per_decade=1)
             tracemalloc.start()
             try:
                 reports = certify_table(declared_claims(1.0), REF, SECTOR, grid)

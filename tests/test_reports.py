@@ -84,6 +84,10 @@ class TestConfigHash:
         assert (config_hash(RunConfig(), extra={"scale": 10.0})
                 != config_hash(RunConfig()))
 
+    def test_default_tag_pinned(self):
+        # the tag every default-config report is named by
+        assert config_hash(RunConfig(), extra={"tolerance_scale": 1.0}) == "e2bc2fd638e1"
+
 
 class TestWriteJson:
     def test_deterministic_bytes(self, tmp_path):

@@ -490,15 +490,15 @@ class TestFuzzHeightFailures:
         import json
 
         from lopstokes.cli import cmd_verify
-        from lopstokes.config import ClassGridSpec, GridSpec, RunConfig
+        from lopstokes.config import GridSpec, RunConfig
 
         grid = GridSpec(lam_min=1e-2, lam_max=1e2, lam_per_decade=2, n_angles=3,
                         a_min=1e-2, a_max=1e2, a_per_decade=2)
         cfg = RunConfig(grid=grid, samples=40,
-                        class_grid=ClassGridSpec(lam_min=1e-1, lam_max=1e1,
-                                                 lam_per_decade=1, n_angles=3,
-                                                 a_min=1e-1, a_max=1e1,
-                                                 a_per_decade=1))
+                        class_grid=GridSpec(lam_min=1e-1, lam_max=1e1,
+                                            lam_per_decade=1, n_angles=3,
+                                            a_min=1e-1, a_max=1e1,
+                                            a_per_decade=1))
         code = cmd_verify(cfg, Tolerances(height_inv_rel=1e3), str(tmp_path), "t")
         doc = json.loads((tmp_path / "verify_t.json").read_text())
         assert code & 1 and doc["exit_code"] == code
