@@ -34,6 +34,7 @@ __all__ = [
     "REFERENCE_PARAMS",
     "STRESS_PARAM_SETS",
     "ELISION_THRESHOLD",
+    "MAX_GRID_POINTS",
 ]
 
 # numpy's temporary-elision threshold in complex128 values (256 KiB).  From
@@ -43,6 +44,14 @@ __all__ = [
 # size.  A chunked evaluation reproduces the whole-grid bits only when every
 # chunk array stays below this many values.
 ELISION_THRESHOLD = 16384
+
+# The most points a GridSpec may lay out.  A scan keeps its point arrays and
+# per-point columns whole (about 64 bytes a point) and writes a CSV row per
+# point, so 10^7 points come to about a gigabyte; the bound admits the
+# default scan grid (190,333 points) and its refinement (1,452,025), and
+# turns an absurd density or angle count into a ConfigError instead of a
+# failed allocation.
+MAX_GRID_POINTS = 10**7
 
 
 # Reference parameter set used by scans and the acceptance suite: distinct
@@ -88,7 +97,7 @@ class Tolerances:
     fuzz_residual: float = 1e-10
     energy_defect: float = 1e-10
     quadrature_cross: float = 1e-8
-    energy_quad_rel: float = 1e-9
+    energy_quad_rel: float = 1e-9       # energy quadrature error estimate, relative
 
     # physical layer
     envelope_drift: float = 2.0
@@ -130,6 +139,13 @@ class GridSpec:
             raise ConfigError("grid A range must satisfy 0 < a_min < a_max")
         if self.lam_per_decade < 1 or self.a_per_decade < 1 or self.n_angles < 3:
             raise ConfigError("grid density too low (need >=1/decade and >=3 angles)")
+        # counted from logs: a huge density or angle count allocates nothing
+        log_points = sum(map(math.log10, (
+            _axis_len(self.lam_min, self.lam_max, self.lam_per_decade), self.n_angles,
+            _axis_len(self.a_min, self.a_max, self.a_per_decade))))
+        if log_points > math.log10(MAX_GRID_POINTS):
+            raise ConfigError(f"grid has 10^{log_points:.2f} points, above the limit "
+                              f"of {MAX_GRID_POINTS:,}")
 
     def lam_mags(self) -> np.ndarray:
         return _log_axis(self.lam_min, self.lam_max, self.lam_per_decade)
@@ -157,9 +173,14 @@ class GridSpec:
         return lam_full, a_full
 
 
+def _axis_len(lo: float, hi: float, per_decade: int):
+    """Points on a log axis: an int, or inf where the count overflows a float."""
+    span = math.log10(hi / lo) * per_decade
+    return int(round(span)) + 1 if span < math.inf else math.inf
+
+
 def _log_axis(lo: float, hi: float, per_decade: int) -> np.ndarray:
-    n = int(round(math.log10(hi / lo) * per_decade)) + 1
-    return np.logspace(math.log10(lo), math.log10(hi), n)
+    return np.logspace(math.log10(lo), math.log10(hi), _axis_len(lo, hi, per_decade))
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ class ZeroModeData(LopStokesError):
 
 
 class QuadratureFailure(LopStokesError):
-    """An adaptive quadrature did not converge to the requested tolerance."""
+    """A quadrature's error estimate exceeds its relative tolerance."""
 
 
 class ConfigError(LopStokesError):

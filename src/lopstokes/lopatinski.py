@@ -8,8 +8,7 @@ like lambda) by routing every division through
     P = (A_plus B_plus + A^2) / (rho_plus (2 mu_plus + nu_plus)^{-1} lambda + A^2),
 
 whose denominator stays comparable to (sqrt|lambda| + A)^2 on the sector.
-Raw textbook entries are kept as an oracle for cross-checks away from the
-degenerate set.  Every formula is plain field arithmetic over arrays of
+Every formula is plain field arithmetic over arrays of
 points; a single point is an array of length one.  The determinant obeys
 
     |det L| >= omega (sqrt|lambda| + A)^4
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import ELISION_THRESHOLD, GridSpec
-from .errors import NonPositiveOmega, SingularDetL
+from .errors import ConfigError, NonPositiveOmega, SingularDetL
 from .params import FluidParams, Sector, first_offender
 from .symbols import char_roots_batch, check_roots
 
@@ -120,33 +119,6 @@ def det_ratios(fluid: FluidParams, lam: np.ndarray, a: np.ndarray):
     l_plus, l_minus, _ = boundary_entries(fluid, lam, a, *char_roots_batch(fluid, lam, a))
     absdet = np.abs(block_det(l_plus, l_minus)[0])
     return absdet, absdet / (np.sqrt(np.abs(lam)) + a) ** 4
-
-
-def entries_plus_raw(fluid: FluidParams, lam, a, roots):
-    """Textbook compressible entries with the explicit A+B+ - A^2 division.
-
-    Loses accuracy as lambda -> 0; cross-check oracle only.
-    """
-    mu, nu, rho = fluid.mu_plus, fluid.nu_plus, fluid.rho_plus
-    ap, bp, _ = roots
-    d = ap * bp - a * a
-    l11 = rho * lam * ap / d
-    l22 = rho * lam * bp / d
-    l12 = mu * a * a * (2.0 * ap * bp - a * a - bp * bp) / d
-    l21 = rho * lam * ((mu + nu) * ap + (mu - nu) * bp) / ((mu + nu) * (bp + ap) * d)
-    return l11, l12, l21, l22
-
-
-def entries_minus_raw(fluid: FluidParams, lam, a, roots):
-    """Incompressible entries with the naive B- - A subtraction (oracle)."""
-    mu = fluid.mu_minus
-    bm = roots[2]
-    return (
-        mu * (a + bm),
-        mu * a * (bm - a),
-        mu * (bm - a),
-        mu * (a + bm) * bm,
-    )
 
 
 def checked_entries(fluid: FluidParams, lam, a, roots):
@@ -279,10 +251,14 @@ def scan_lower_bound(
     once: the refined one is only reduced, chunk by chunk and first, so that
     its peak memory does not overlap the base grid's per-point values, which
     stay on the report as the scan CSV columns.  Raises NonPositiveOmega if
-    the minimum is not strictly positive.
+    the minimum is not strictly positive, and ConfigError if the refinement
+    has more than MAX_GRID_POINTS points.
     """
-    fine = replace(grid, lam_per_decade=2 * grid.lam_per_decade,
-                   a_per_decade=2 * grid.a_per_decade, n_angles=grid.n_angles + 12)
+    try:
+        fine = replace(grid, lam_per_decade=2 * grid.lam_per_decade,
+                       a_per_decade=2 * grid.a_per_decade, n_angles=grid.n_angles + 12)
+    except ConfigError as exc:
+        raise ConfigError(f"scan refinement (double density, 12 more angles): {exc}") from exc
     omega_r = _scan_min(_det_chunks(fluid, sector, fine))[0]
     base = list(_det_chunks(fluid, sector, grid))
     omega, worst_lam, worst_a, n = _scan_min(base)

@@ -18,10 +18,11 @@ a ProfileBatch, whose Profiles hold one (N,) array per field, and each check
 (ODE, interface, kinematic, decay, energy) is written once, over such a
 batch, returning one value per point; depth samples sit on axis 0, points
 on the last axis.  A single point is a batch of one, so it gives the same
-result alone as inside any batch.  The one scalar bridge is Profile.at,
-which energy_quadrature_check needs because adaptive quadrature integrates
-a scalar function.  fuzz_residuals draws its corpus point by point and
-evaluates it in chunks of _CHUNK samples.
+result alone as inside any batch.  The quadrature cross-check of the
+energy integrals is a batch evaluation too: a fixed exp-sinh rule whose
+nodes form a (nodes, N) depth array through Profile.__call__.
+fuzz_residuals draws its corpus point by point and evaluates it in chunks
+of _CHUNK samples.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .coefficients import (
 from .config import SOLVE_MODES, Tolerances
 from .errors import QuadratureFailure
 from .lopatinski import checked_entries
-from .params import FluidParams, Sector
+from .params import FluidParams, Sector, first_offender
 from .symbols import char_roots_batch, check_roots, exp_diff_quot_batch
 
 __all__ = [
@@ -92,8 +93,8 @@ class Profile:
     Evaluation routes the M part through the series-stabilized divided
     difference, so near-confluent roots lose no accuracy.
 
-    Fields are (N,) arrays, one value per point of a batch; Profile.at(i)
-    gives point i with complex scalar fields, for scalar integrands.
+    Fields are (N,) arrays, one value per point of a batch, and evaluation
+    broadcasts them against depths of shape (k, N).
     """
 
     __slots__ = ("side", "b", "a", "c_m", "c_b", "c_a")
@@ -117,11 +118,6 @@ class Profile:
     @property
     def trace0(self):
         return self.c_b + self.c_a
-
-    def at(self, i: int) -> "Profile":
-        """Point i of a batch profile, with scalar fields."""
-        return Profile(self.side, *(v[i] if np.ndim(v) else v for v in
-                                    (self.b, self.a, self.c_m, self.c_b, self.c_a)))
 
     def deriv(self) -> "Profile":
         if self.side > 0:
@@ -491,52 +487,79 @@ def _side_energy(s: ProfileBatch, side: int):
     return _rel(list(parts)), parts
 
 
+# Exp-sinh rule for the rate-scaled half-line (Takahasi and Mori, Publ. RIMS
+# 9, 1974): t = exp(pi/2 sinh u) for u in [-5, 2] at step 2^-7, 897 nodes.
+# The ends drop under 1e-50 of a unit-rate integrand (t = 2.3e-51 at u = -5,
+# exp(-2t) < 1e-258 past t = 298 at u = 2).  Every other node is the same
+# rule at step 2^-6, and the gap between the two levels estimates the error;
+# 2^-6 against 2^-5 leaves that estimate above 1e-9 where A << sqrt|lam|.
+_DE_STEP = 2.0 ** -7
+_DE_U = np.arange(-5 * 128, 2 * 128 + 1) * _DE_STEP
+_DE_T = np.exp(0.5 * np.pi * np.sinh(_DE_U))
+_DE_W = _DE_STEP * 0.5 * np.pi * np.cosh(_DE_U) * _DE_T
+
+
+def _energy_jobs(s: ProfileBatch) -> list[Profile]:
+    """Every profile whose squared norm enters the energy balance: per side
+    the velocity components and the symmetric-gradient entries, then the
+    compressible divergence and the pressure."""
+    n = len(s.u_plus)
+    jobs: list[Profile] = []
+    for us in (s.u_plus, s.u_minus):
+        jobs.extend(us)
+        for J in range(n):
+            for K in range(J, n):
+                jobs.append(_partial(us[K], J, s.ixi, n) + _partial(us[J], K, s.ixi, n))
+    jobs.append(_divergence(s.ixi, s.u_plus))
+    jobs.append(s.pressure)
+    return jobs
+
+
+def _exp_sinh(p: Profile):
+    """(integral, error estimate) of |p|^2 over its half-line, one per point.
+
+    The rule runs on the rate-scaled half-line x = side * span * t with
+    span = 1/min(Re b, Re a), so the slowest term decays like exp(-t).
+    """
+    span = 1.0 / np.minimum(p.b.real, p.a.real)
+    f = np.abs(p(p.side * span * _DE_T[:, None])) ** 2 * span
+    # one contiguous row per point, so each sum runs alike in any batch
+    terms = np.ascontiguousarray((f * _DE_W[:, None]).T)
+    val = terms.sum(axis=1)
+    return val, np.abs(val - 2.0 * terms[:, ::2].sum(axis=1))
+
+
 def energy_quadrature_check(s: ProfileBatch, quad_rel: float | None = None) -> float:
-    """Adaptive-quadrature cross-check of every integral in the balance.
+    """Quadrature cross-check of every integral in the balance.
 
     At each point of the batch, every squared norm entering the energy
-    balance is recomputed numerically on the rate-scaled half-line and
-    compared with the closed form; returns the largest normalized mismatch.
-    quad integrates a scalar function, so each point is taken apart into
-    scalar profiles with Profile.at.
+    balance is integrated numerically by _exp_sinh, through Profile.__call__
+    on a (nodes, N) depth array, independently of the closed form it is then
+    compared with; returns the largest normalized mismatch.  Raises
+    QuadratureFailure where the rule's error estimate exceeds quad_rel
+    relative, naming the first such point.
     """
-    from scipy.integrate import quad
-
-    tol = Tolerances()
-    quad_rel = tol.energy_quad_rel if quad_rel is None else quad_rel
-    n = len(s.u_plus)
-    worst = 0.0
-    for i in range(s.lam.size):
-        ixi = [complex(x[i]) for x in s.ixi]
-        plus = [u.at(i) for u in s.u_plus]
-        jobs: list[Profile] = []
-        for us in (plus, [u.at(i) for u in s.u_minus]):
-            jobs.extend(us)
-            for J in range(n):
-                for K in range(J, n):
-                    jobs.append(_partial(us[K], J, ixi, n) + _partial(us[J], K, ixi, n))
-        jobs.append(_divergence(ixi, plus))
-        jobs.append(s.pressure.at(i))
-
-        closed = [inner_product(p, p).real for p in jobs]
-        scale = max(max(closed), 1e-300)
-        for p, ref in zip(jobs, closed):
-            if ref < 1e-14 * scale:
-                continue
-            rate = min(p.b.real, p.a.real)
-            span = 1.0 / rate
-            sgn = 1.0 if p.side > 0 else -1.0
-
-            def integrand(t: float) -> float:
-                return abs(p(sgn * span * t)) ** 2 * span
-
-            val, err = quad(integrand, 0.0, np.inf, epsrel=quad_rel, epsabs=0.0, limit=200)
-            if err > 1e-6 * max(abs(val), ref):
-                raise QuadratureFailure(
-                    f"energy integral error estimate {err:.3e} too large at "
-                    f"lam={complex(s.lam[i])!r}, A={float(s.a[i])!r}")
-            worst = max(worst, abs(val - ref) / max(ref, 1e-8 * scale))
-    return worst
+    quad_rel = Tolerances().energy_quad_rel if quad_rel is None else quad_rel
+    jobs = _energy_jobs(s)
+    closed = [inner_product(p, p).real for p in jobs]
+    scale = np.maximum(_vmax(closed), 1e-300)
+    worst = np.zeros(s.lam.shape)
+    errs, bad = [], []
+    for p, ref in zip(jobs, closed):
+        val, err = _exp_sinh(p)
+        checked = ~(ref < 1e-14 * scale)
+        errs.append(err)
+        bad.append(checked & ~(err <= quad_rel * np.maximum(np.abs(val), ref)))
+        mismatch = np.abs(val - ref) / np.maximum(ref, 1e-8 * scale)
+        worst = np.maximum(worst, np.where(checked, mismatch, 0.0))
+    bad = np.array(bad)
+    hit = first_offender(bad.any(axis=0), s.lam, s.a)
+    if hit is not None:
+        i, where = hit
+        raise QuadratureFailure(
+            f"energy integral error estimate {errs[int(np.argmax(bad[:, i]))][i]:.3e} "
+            f"too large at {where}")
+    return float(worst.max())
 
 
 def _decay(s: ProfileBatch):

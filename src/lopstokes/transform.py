@@ -40,8 +40,6 @@ __all__ = [
     "PhysicalField",
     "PhysicalSolution",
     "DecayReport",
-    "plane_wave",
-    "grid_coordinates",
     "tangential_frequencies",
     "solve_physical",
     "kernel_decay_check",
@@ -69,26 +67,6 @@ def tangential_frequencies(box_lengths, grid_shape) -> list[np.ndarray]:
     """Signed frequency values per axis in DFT order."""
     box, shape = _validate_grid(box_lengths, grid_shape)
     return [2.0 * math.pi * np.fft.fftfreq(n, d=b / n) for b, n in zip(box, shape)]
-
-
-def grid_coordinates(box_lengths, grid_shape) -> list[np.ndarray]:
-    box, shape = _validate_grid(box_lengths, grid_shape)
-    return [np.arange(n) * (b / n) for b, n in zip(box, shape)]
-
-
-def plane_wave(box_lengths, grid_shape, mode: Sequence[int]) -> np.ndarray:
-    """exp(i xi_mode . x') sampled on the grid; the single-mode test datum."""
-    box, shape = _validate_grid(box_lengths, grid_shape)
-    if len(mode) != len(shape):
-        raise ValueError("mode index rank must match the grid rank")
-    coords = grid_coordinates(box, shape)
-    out = np.ones(shape, dtype=np.complex128)
-    for ax, (k, b) in enumerate(zip(mode, box)):
-        xi = 2.0 * math.pi * k / b
-        shape_ax = [1] * len(shape)
-        shape_ax[ax] = shape[ax]
-        out = out * np.exp(1j * xi * coords[ax]).reshape(shape_ax)
-    return out
 
 
 @dataclass(frozen=True)

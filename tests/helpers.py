@@ -7,6 +7,9 @@ the production array code on arrays of length one.
 lopatinski_matrix and cofactor_matrix spell out the 3x3 interface matrix
 and its cofactors at one point, and coefficient_tables the P/R/S/T/p^-
 data-to-amplitude tables, for checks against a direct solve.
+entries_plus_raw and entries_minus_raw are the textbook boundary entries,
+an oracle for the stabilized ones away from the degenerate set;
+grid_coordinates and plane_wave lay out the single-mode grid datum.
 
 mutated() scales one boundary-matrix entry or one solution amplitude by
 (1 + rel) for the duration of a with-block, by patching the entry formula
@@ -28,6 +31,7 @@ import pytest
 
 from lopstokes import lopatinski, resolvent
 from lopstokes.coefficients import SymbolKit, amplitudes
+from lopstokes.transform import _validate_grid
 
 # Thresholds the tests apply to the package's results; the thresholds the
 # package applies itself live in lopstokes.config.Tolerances.
@@ -201,3 +205,51 @@ def coefficient_tables(fluid, sp) -> SimpleNamespace:
         t_minus=np.full(n - 1, kit.t_minus()[0]),
         p_press=table(kit.p_press_m, kit.p_press_N),
     )
+
+
+def entries_plus_raw(fluid, lam, a, roots):
+    """Textbook compressible entries with the explicit A+B+ - A^2 division.
+
+    Loses accuracy as lambda -> 0; cross-check oracle only.
+    """
+    mu, nu, rho = fluid.mu_plus, fluid.nu_plus, fluid.rho_plus
+    ap, bp, _ = roots
+    d = ap * bp - a * a
+    l11 = rho * lam * ap / d
+    l22 = rho * lam * bp / d
+    l12 = mu * a * a * (2.0 * ap * bp - a * a - bp * bp) / d
+    l21 = rho * lam * ((mu + nu) * ap + (mu - nu) * bp) / ((mu + nu) * (bp + ap) * d)
+    return l11, l12, l21, l22
+
+
+def entries_minus_raw(fluid, lam, a, roots):
+    """Incompressible entries with the naive B- - A subtraction (oracle)."""
+    mu = fluid.mu_minus
+    bm = roots[2]
+    return (
+        mu * (a + bm),
+        mu * a * (bm - a),
+        mu * (bm - a),
+        mu * (a + bm) * bm,
+    )
+
+
+def grid_coordinates(box_lengths, grid_shape) -> list[np.ndarray]:
+    """Sample positions per axis of the tangential grid."""
+    box, shape = _validate_grid(box_lengths, grid_shape)
+    return [np.arange(n) * (b / n) for b, n in zip(box, shape)]
+
+
+def plane_wave(box_lengths, grid_shape, mode) -> np.ndarray:
+    """exp(i xi_mode . x') sampled on the grid; the single-mode test datum."""
+    box, shape = _validate_grid(box_lengths, grid_shape)
+    if len(mode) != len(shape):
+        raise ValueError("mode index rank must match the grid rank")
+    coords = grid_coordinates(box, shape)
+    out = np.ones(shape, dtype=np.complex128)
+    for ax, (k, b) in enumerate(zip(mode, box)):
+        xi = 2.0 * math.pi * k / b
+        shape_ax = [1] * len(shape)
+        shape_ax[ax] = shape[ax]
+        out = out * np.exp(1j * xi * coords[ax]).reshape(shape_ax)
+    return out

@@ -2,8 +2,9 @@
 scan-lopatinski writes its pinned report bytes, malformed solve input or a
 solve lambda outside the sector ends in exit 65, and so does a config key the
 program no longer reads, a non-finite number, a malformed solve block or an
-out-of-range --seed/--samples; the energy suite reproduces its pinned
-quadrature figure."""
+out-of-range --seed/--samples, and a grid, or a scan refinement, of more
+points than MAX_GRID_POINTS; the energy suite reproduces its pinned quadrature
+figure."""
 
 from __future__ import annotations
 
@@ -19,7 +20,13 @@ import pytest
 
 from lopstokes import cli, coefficients, lopatinski
 from lopstokes.cli import main
-from lopstokes.config import GridSpec, REFERENCE_PARAMS, Tolerances, default_config
+from lopstokes.config import (
+    MAX_GRID_POINTS,
+    REFERENCE_PARAMS,
+    GridSpec,
+    Tolerances,
+    default_config,
+)
 from lopstokes.reports import write_field
 from lopstokes.transform import PhysicalField
 
@@ -189,6 +196,31 @@ def test_non_finite_config_exits_65(capsys, tmp_path, command, doc):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"grid": {"n_angles": 1e300}},
+    {"grid": {"lam_per_decade": 1e12}},
+], ids=["n_angles-1e300", "lam_per_decade-1e12"])
+def test_huge_grid_exits_65(capsys, tmp_path, doc):
+    # counted, not laid out: neither grid is allocated
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["scan-height", "--config", str(path), "--out", str(tmp_path / "out")]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"above the limit of {MAX_GRID_POINTS:,}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_refinement_beyond_the_bound_exits_65(capsys, tmp_path):
+    # 361 x 13 x 361 points are admitted; the scan's 721 x 25 x 721 are not
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"grid": {"lam_per_decade": 30, "a_per_decade": 30}}))
+    assert main(["scan-lopatinski", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: scan refinement") and "above the limit" in err
+
+
 @pytest.mark.parametrize("flag,message", [
     (["--seed", "-1"], "seed must fit in an unsigned 64-bit value, got -1"),
     (["--seed", str(2**64)], "seed must fit in an unsigned 64-bit value"),
@@ -223,5 +255,5 @@ def test_energy_suite_pinned():
     # the closed-form worst, absent here
     cfg = default_config()
     doc = cli._energy_suite(cfg, Tolerances(), SimpleNamespace(worst={}))
-    assert doc["quadrature_cross_worst"] == 9.135637188909454e-14
+    assert doc["quadrature_cross_worst"] == 5.621283425259092e-16
     assert doc["passed"]

@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SpectralPoint, cofactor_matrix, lopatinski_matrix, mutated, point_kit
+from helpers import (
+    SpectralPoint,
+    cofactor_matrix,
+    entries_minus_raw,
+    entries_plus_raw,
+    lopatinski_matrix,
+    mutated,
+    point_kit,
+)
 from lopstokes import (
     FluidParams,
     Sector,
@@ -30,8 +38,6 @@ from lopstokes.lopatinski import (
     block_det,
     checked_entries,
     cofactor_solve,
-    entries_minus_raw,
-    entries_plus_raw,
 )
 from lopstokes.symbols import char_roots_batch
 

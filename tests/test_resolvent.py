@@ -25,14 +25,14 @@ from lopstokes import (
     fuzz_residuals,
     inner_product,
 )
-from lopstokes import resolvent
+from lopstokes import cli, resolvent
 from lopstokes.resolvent import (
     FuzzReport,
     assemble_batch,
     energy_quadrature_check,
     fuzz_corpus,
 )
-from lopstokes.errors import HeightNotInvertible
+from lopstokes.errors import HeightNotInvertible, QuadratureFailure
 from lopstokes.config import REFERENCE_PARAMS, STRESS_PARAM_SETS
 
 TOL = Tolerances()
@@ -50,6 +50,12 @@ REGIMES = [
     ("near-confluent", REF, SpectralPoint(lam=1e-8 + 1e-8j, xi=(1.0,))),
     ("deep-sector", REF, SpectralPoint(lam=30.0 * np.exp(2.35j), xi=(5.0, 2.0))),
 ]
+
+# the energy probes verify runs, then one 2-D and one 3-D point per stress set
+QUAD_POINTS = [(REF, SpectralPoint(lam=lam, xi=xi), mode) for lam, xi, mode in cli._ENERGY_PROBES]
+QUAD_POINTS += [(fluid, sp, "explicit-H") for fluid in STRESS_PARAM_SETS
+                for sp in (SpectralPoint(lam=3.0 * np.exp(2.2j), xi=(1.7,)),
+                           SpectralPoint(lam=40.0 - 25.0j, xi=(0.6, -1.1)))]
 
 
 def solve_for(fluid, sp, mode):
@@ -255,6 +261,41 @@ class TestEnergy:
         sp = SpectralPoint(lam=0.8 - 0.5j, xi=(1.3,))
         sol = solve_point(REF, sp, [0.2 + 0.4j], -0.6 + 0.1j)
         assert energy_quadrature_check(sol) < TOL.quadrature_cross
+
+    @pytest.mark.parametrize("fluid,sp,mode", QUAD_POINTS,
+                             ids=[f"{i}-{len(sp.xi) + 1}d" for i, (_, sp, _) in
+                                  enumerate(QUAD_POINTS)])
+    def test_exp_sinh_matches_adaptive_quadrature(self, fluid, sp, mode):
+        # every job's integral, against scipy quad on the same rate-scaled
+        # half-line at epsrel 1e-11
+        sol = solve_point(fluid, sp, [0.4 + 0.3j] * len(sp.xi), 0.6 - 0.2j, mode)
+        for p in resolvent._energy_jobs(sol):
+            val, err = resolvent._exp_sinh(p)
+            span = 1.0 / min(p.b.real[0], p.a.real[0])
+            want, _ = quad(lambda t: abs(p(p.side * span * t)[0]) ** 2 * span,
+                           0.0, np.inf, epsrel=1e-11, epsabs=0.0, limit=200)
+            assert abs(val[0] - want) <= 1e-10 * want
+            assert err[0] <= TOL.energy_quad_rel * want
+
+    def test_failure_names_the_point(self):
+        sp = SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4))
+        sol = solve_point(REF, sp, [0.3 - 0.2j, -0.1 + 0.5j], 0.25 + 0.6j)
+        with pytest.raises(QuadratureFailure, match="error estimate") as info:
+            energy_quadrature_check(sol, quad_rel=0.0)
+        assert f"lam={sp.lam!r}, A={sp.a!r}" in str(info.value)
+
+    def test_batch_worst_is_the_worst_point(self):
+        # balanced, deep in the sector, near-confluent roots, lambda-dominated
+        pts = [SpectralPoint(lam=2.0 + 1.5j, xi=(0.7, -0.4)),
+               SpectralPoint(lam=30.0 * np.exp(2.35j), xi=(5.0, 2.0)),
+               SpectralPoint(lam=1e-8 + 1e-8j, xi=(0.6, 0.8)),
+               SpectralPoint(lam=3e4 - 2e4j, xi=(0.05, 0.02))]
+        h = [[0.3 - 0.2j, -0.1 + 0.5j]] * len(pts)
+        batch = assemble_batch(REF, [sp.lam for sp in pts], [sp.xi for sp in pts], h,
+                               [0.25 + 0.6j] * len(pts), "explicit-H")
+        alone = [energy_quadrature_check(solve_point(REF, sp, h[0], 0.25 + 0.6j))
+                 for sp in pts]
+        assert energy_quadrature_check(batch) == max(alone)
 
 
 class TestMutationAndFuzz:

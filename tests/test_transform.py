@@ -9,16 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import TEST_TOL, SpectralPoint, solve_point
+from helpers import TEST_TOL, SpectralPoint, grid_coordinates, plane_wave, solve_point
 from lopstokes.config import Tolerances
 from lopstokes.errors import ZeroModeData
 from lopstokes.params import FluidParams
 from lopstokes.transform import (
     DecayReport,
     PhysicalField,
-    grid_coordinates,
     kernel_decay_check,
-    plane_wave,
     solve_physical,
     tangential_frequencies,
 )
