@@ -255,7 +255,10 @@ def _record(current, doc: Any, path: str):
             new[key] = v
         else:
             new[key] = _number(v, where, integer=kinds[key] in ("int", int))
-    return replace(current, **new)
+    try:
+        return replace(current, **new)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _solve(doc: Any, path: str) -> dict:

@@ -63,12 +63,15 @@ def check_roots(roots, lam, a) -> None:
 def exp_diff_quot_batch(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Stable (exp(b*x) - exp(a*x)) / (b - a), broadcasting a, b and x.
 
-    Where |b - a| < CONFLUENT_SWITCH * |b + a| the quotient is evaluated as
+    Where |b - a| < CONFLUENT_SWITCH * |b + a| and |(b - a) x| < 1 the
+    quotient is evaluated as
 
         x * exp(a*x) * sum_{n>=0} ((b-a)*x)^n / (n+1)!
 
     truncated once every term falls below SERIES_TERM relative to its
-    partial sum, so the b -> a limit (x * exp(a*x)) is exact.
+    partial sum, so the b -> a limit (x * exp(a*x)) is exact.  Beyond
+    |(b - a) x| = 1 the series terms grow before they fall and can
+    overflow, while the direct formula has lost no accuracy there.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -77,11 +80,13 @@ def exp_diff_quot_batch(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarr
     d = b - a
     s = b + a
     out = np.empty(d.shape, dtype=np.complex128)
-    direct = np.abs(d) >= CONFLUENT_SWITCH * np.maximum(np.abs(s), 1e-300)
+    # an array also for 0-d inputs, so the depth test can narrow it in place
+    conf = np.asarray(np.abs(d) < CONFLUENT_SWITCH * np.maximum(np.abs(s), 1e-300))
+    conf[conf] = np.abs(d[conf] * x[conf]) < 1.0
+    direct = ~conf
     if np.any(direct):
         dd = d[direct]
         out[direct] = (np.exp(b[direct] * x[direct]) - np.exp(a[direct] * x[direct])) / dd
-    conf = ~direct
     if np.any(conf):
         z = d[conf] * x[conf]
         total = np.ones(z.shape, dtype=np.complex128)

@@ -18,7 +18,11 @@ char_roots_batch at A = 0.  Boxes shorter than ten of those decay lengths
 trigger a warning rather than an error.
 
 kernel_decay_check measures the decay envelope of the damped height kernel;
-the kernel-decay command judges it with DecayReport.passed.
+the kernel-decay command judges it with DecayReport.passed.  That kernel is
+real: its symbol is real and even in every frequency, so the envelope builds
+only the non-negative half of the last frequency axis and inverts it with a
+half-spectrum transform (irfftn).  The multiplier ell is called on that
+half-spectrum array of A = |xi'| and must return a real-valued array.
 """
 
 from __future__ import annotations
@@ -297,33 +301,41 @@ class DecayReport:
 
 def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
                      levels: tuple[float, ...]):
-    """(shell list, envelope constant, per-level grid sup of |k|)."""
+    """(shell list, envelope constant, per-level grid sup of |k|).
+
+    The symbol lives on the half spectrum and irfftn returns the real
+    kernel; both meshes stay sparse, and r and |k| r^N are formed on the
+    interior block alone, so no full complex grid and no dense mesh is
+    allocated.
+    """
     d = dim - 1
-    freqs = [2.0 * math.pi * np.fft.fftfreq(n, d=box / n) for _ in range(d)]
-    fmesh = np.meshgrid(*freqs, indexing="ij") if d > 1 else [freqs[0]]
-    a = np.sqrt(sum(f ** 2 for f in fmesh))
+    full = 2.0 * math.pi * np.fft.fftfreq(n, d=box / n)
+    half = 2.0 * math.pi * np.fft.rfftfreq(n, d=box / n)
+    a = np.sqrt(sum(f ** 2 for f in np.meshgrid(*([full] * (d - 1)), half,
+                                                indexing="ij", sparse=True)))
     base = ell(a)
+    if np.iscomplexobj(base):
+        raise ValueError("ell must be real-valued: the decay kernel is real")
+    damp_scale = np.sqrt(1.0 + a ** 2)
     spacing = box / n
     xw = (np.arange(n) * spacing + box / 2.0) % box - box / 2.0
-    xmesh = np.meshgrid(*([xw] * d), indexing="ij") if d > 1 else [xw]
-    r_tan2 = sum(x ** 2 for x in xmesh)
     # keep clear of the wrap-around seam where the periodic image interferes
-    interior = np.ones(a.shape, dtype=bool)
-    for x in xmesh:
-        interior &= np.abs(x) <= box / 4.0
-    damp_scale = np.sqrt(1.0 + a ** 2)
+    inner = np.flatnonzero(np.abs(xw) <= box / 4.0)
+    interior = np.ix_(*([inner] * d))
+    r_tan2 = sum(x ** 2 for x in np.meshgrid(*([xw[inner]] * d), indexing="ij",
+                                             sparse=True))
 
     samples_r: list[np.ndarray] = []
     samples_w: list[np.ndarray] = []
     sups = []
     for x_n in levels:
         sym = np.exp(-damp_scale * x_n) * base
-        k = (n / box) ** d * np.fft.ifftn(sym)
-        mag = np.abs(k)
-        sups.append(float(mag.max()))
+        k = np.fft.irfftn(sym, s=(n,) * d, axes=tuple(range(d)))
+        k *= (n / box) ** d
+        sups.append(float(max(k.max(), -k.min())))    # sup |k| on the whole grid
         r = np.sqrt(r_tan2 + x_n ** 2)
-        samples_r.append(r[interior].ravel())
-        samples_w.append((mag * r ** dim)[interior].ravel())
+        samples_r.append(r.ravel())
+        samples_w.append((np.abs(k[interior]) * r ** dim).ravel())
     rr = np.concatenate(samples_r)
     ww = np.concatenate(samples_w)
     edges_lo = rr.min()
@@ -358,6 +370,11 @@ def kernel_decay_check(
     Levels with exact doubles also check that sup |k| decreases in x_N.
     The report only measures; DecayReport.passed judges it against a drift
     limit the caller supplies (the CLI passes Tolerances.envelope_drift).
+
+    The kernel is real, and the inverse transform is half-spectrum: ell is
+    called once per envelope on the array of A over the non-negative half
+    of the last frequency axis and must return a real array of that shape;
+    a complex result raises ValueError.
 
     Default grids keep the spacing near box/n = 1/16: the symbol tail cut
     at the Nyquist frequency leaves a flat ringing floor of relative size

@@ -10,6 +10,8 @@ data-to-amplitude tables, for checks against a direct solve.
 entries_plus_raw and entries_minus_raw are the textbook boundary entries,
 an oracle for the stabilized ones away from the degenerate set;
 grid_coordinates and plane_wave lay out the single-mode grid datum.
+complex_kernel_envelope is the decay envelope through a full complex
+ifftn on dense meshes, an oracle for the half-spectrum transform.
 
 mutated() scales one boundary-matrix entry or one solution amplitude by
 (1 + rel) for the duration of a with-block, by patching the entry formula
@@ -253,3 +255,51 @@ def plane_wave(box_lengths, grid_shape, mode) -> np.ndarray:
         shape_ax[ax] = shape[ax]
         out = out * np.exp(1j * xi * coords[ax]).reshape(shape_ax)
     return out
+
+
+def complex_kernel_envelope(ell, dim: int, n: int, box: float, levels):
+    """transform._kernel_envelope through a full complex ifftn on dense
+    meshes: the whole spectrum is inverted and |k| includes the rounding
+    residue of the imaginary part.  Oracle for the half-spectrum path."""
+    d = dim - 1
+    freqs = [2.0 * math.pi * np.fft.fftfreq(n, d=box / n) for _ in range(d)]
+    fmesh = np.meshgrid(*freqs, indexing="ij") if d > 1 else [freqs[0]]
+    a = np.sqrt(sum(f ** 2 for f in fmesh))
+    base = ell(a)
+    spacing = box / n
+    xw = (np.arange(n) * spacing + box / 2.0) % box - box / 2.0
+    xmesh = np.meshgrid(*([xw] * d), indexing="ij") if d > 1 else [xw]
+    r_tan2 = sum(x ** 2 for x in xmesh)
+    interior = np.ones(a.shape, dtype=bool)
+    for x in xmesh:
+        interior &= np.abs(x) <= box / 4.0
+    damp_scale = np.sqrt(1.0 + a ** 2)
+
+    samples_r: list[np.ndarray] = []
+    samples_w: list[np.ndarray] = []
+    sups = []
+    for x_n in levels:
+        sym = np.exp(-damp_scale * x_n) * base
+        k = (n / box) ** d * np.fft.ifftn(sym)
+        mag = np.abs(k)
+        sups.append(float(mag.max()))
+        r = np.sqrt(r_tan2 + x_n ** 2)
+        samples_r.append(r[interior].ravel())
+        samples_w.append((mag * r ** dim)[interior].ravel())
+    rr = np.concatenate(samples_r)
+    ww = np.concatenate(samples_w)
+    edges_lo = rr.min()
+    shells = []
+    m = 0
+    while True:
+        lo = edges_lo * 2.0 ** m
+        hi = edges_lo * 2.0 ** (m + 1)
+        mask = (rr >= lo) & (rr < hi)
+        cnt = int(mask.sum())
+        if lo > rr.max():
+            break
+        if cnt:
+            shells.append((float(lo), float(ww[mask].max()), cnt))
+        m += 1
+    constant = max(s[1] for s in shells)
+    return shells, constant, sups

@@ -199,14 +199,16 @@ def test_non_finite_config_exits_65(capsys, tmp_path, command, doc):
 @pytest.mark.parametrize("doc", [
     {"grid": {"n_angles": 1e300}},
     {"grid": {"lam_per_decade": 1e12}},
-], ids=["n_angles-1e300", "lam_per_decade-1e12"])
+    {"class_grid": {"a_per_decade": 1e6}},
+], ids=["n_angles-1e300", "lam_per_decade-1e12", "class_grid-a_per_decade-1e6"])
 def test_huge_grid_exits_65(capsys, tmp_path, doc):
-    # counted, not laid out: neither grid is allocated
+    # counted, not laid out: no grid is allocated
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert main(["scan-height", "--config", str(path), "--out", str(tmp_path / "out")]) == 65
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"above the limit of {MAX_GRID_POINTS:,}" in err
+    assert f"config.{next(iter(doc))}: grid has 10^" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lopstokes.config import (
+    MAX_GRID_POINTS,
     REFERENCE_PARAMS,
     STRESS_PARAM_SETS,
     GridSpec,
@@ -265,6 +266,21 @@ class TestParseConfig:
     def test_out_dir_type(self):
         with pytest.raises(ConfigError, match="out_dir"):
             parse_config({"out_dir": 7})
+
+    @pytest.mark.parametrize("block", ["grid", "class_grid"])
+    @pytest.mark.parametrize("kw,message", [
+        ({"a_per_decade": 1e6}, "grid has 10^"),
+        ({"n_angles": 2}, "grid density too low"),
+    ], ids=["too-many-points", "too-few-angles"])
+    def test_grid_errors_name_their_block(self, block, kw, message):
+        with pytest.raises(ConfigError, match=rf"^config\.{block}: {re.escape(message)}"):
+            parse_config({block: kw})
+
+    def test_grid_size_error_reads_the_point_count(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"class_grid": {"a_per_decade": 1e6}})
+        assert str(exc.value) == ("config.class_grid: grid has 10^9.24 points, "
+                                  f"above the limit of {MAX_GRID_POINTS:,}")
 
     def test_grid_range_errors_propagate(self):
         with pytest.raises(ConfigError, match="lam_min < lam_max"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,8 +92,8 @@ def seam_offset(a, direction):
     return t * direction
 
 
-def on_series_branch(a, b):
-    return np.abs(b - a) < CONFLUENT_SWITCH * np.abs(b + a)
+def on_series_branch(a, b, x):
+    return (np.abs(b - a) < CONFLUENT_SWITCH * np.abs(b + a)) & (np.abs((b - a) * x) < 1.0)
 
 
 def sector_point(mag, ang, a, two_d=True):
@@ -180,9 +181,30 @@ class TestFrozenKernels:
         x = 0.9
         for direction in (1.0 + 0.0j, cmath.exp(0.7j)):
             b = a + seam_offset(a, direction) * np.array([1.0 - 1e-9, 1.0 + 1e-9])
-            assert on_series_branch(a, b).tolist() == [True, False]
+            assert on_series_branch(a, b, x).tolist() == [True, False]
             lo, hi = exp_diff_quot_batch(a, b, x)
             assert abs(lo - hi) / abs(hi) < 1e-12
+
+    def test_series_direct_depth_seam(self):
+        # inside the switch radius the series hands over to the direct
+        # formula at |(b - a) x| = 1; both sides match the 50-digit quotient
+        # up to the rounding of a x and b x, whose phases reach |a x| = 6.7e3
+        a = -1e-3 + 1.0j
+        b = a * (1.0 + 1.5e-4)
+        x = np.array([1.0 - 1e-9, 1.0 + 1e-9]) / abs(b - a)
+        assert on_series_branch(a, b, x).tolist() == [True, False]
+        got = exp_diff_quot_batch(a, b, x)
+        for i in range(2):
+            assert rel(got[i], quot_mp(a, b, x[i])) < 4 * abs(a * x[i]) * 2.3e-16, i
+
+    def test_far_confluent_depth_underflows_to_zero(self):
+        # |(b - a) x| = 1e13: the series would overflow to NaN, the exact
+        # value underflows to 0
+        a = -1.0 + 0.3j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exp_diff_quot_batch(a, a * (1.0 + 1e-5), 1e18)
+        assert got == 0.0
 
     def test_batch_matches_scalar(self):
         # every depth of a batch equals the same depth evaluated alone
@@ -205,7 +227,7 @@ class TestFrozenKernels:
         b = np.array([1.0 + 0.2j + 1e-9, 3.0 + 0.2j, 2.0 - 1.0j + 5e-5j,
                       seam + d_at * (1.0 - 1e-9), seam + d_at * (1.0 + 1e-9)])
         x = np.array([0.5, 0.5, 1.2, 0.9, 0.9])
-        series = on_series_branch(a, b)
+        series = on_series_branch(a, b, x)
         assert series.tolist() == [True, False, True, True, False]
         got = exp_diff_quot_batch(a, b, x)
         for i in range(a.size):

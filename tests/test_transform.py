@@ -5,11 +5,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import TEST_TOL, SpectralPoint, grid_coordinates, plane_wave, solve_point
+from helpers import (
+    TEST_TOL,
+    SpectralPoint,
+    complex_kernel_envelope,
+    grid_coordinates,
+    plane_wave,
+    solve_point,
+)
+from lopstokes import transform
 from lopstokes.config import Tolerances
 from lopstokes.errors import ZeroModeData
 from lopstokes.params import FluidParams
@@ -254,6 +263,40 @@ class TestKernelDecay:
         bad = lambda a: np.exp(0.6 * a)
         rep = kernel_decay_check(ell=bad, dim=2, n=64, box=16.0)
         assert not rep.passed(TOL.envelope_drift)
+
+    @pytest.mark.parametrize("dim,n,box,ell", [
+        (2, 256, 16.0, None),
+        (2, 128, 16.0, np.ones_like),
+        (3, 64, 8.0, None),
+        (3, 64, 8.0, lambda a: np.exp(0.6 * a)),
+    ], ids=["2d", "2d-flat", "3d", "3d-growing"])
+    def test_half_spectrum_matches_complex_oracle(self, monkeypatch, dim, n, box, ell):
+        new = kernel_decay_check(ell, dim=dim, n=n, box=box)
+        monkeypatch.setattr(transform, "_kernel_envelope", complex_kernel_envelope)
+        old = kernel_decay_check(ell, dim=dim, n=n, box=box)
+        assert new.constant == old.constant
+        assert (new.drift_refine, new.drift_box) == (old.drift_refine, old.drift_box)
+        assert new.monotone_levels == old.monotone_levels
+        assert [(lo, cnt) for lo, _, cnt in new.shells] == [(lo, cnt) for lo, _, cnt in old.shells]
+        np.testing.assert_allclose([s[1] for s in new.shells], [s[1] for s in old.shells],
+                                   rtol=1e-11, atol=0.0)
+
+    def test_complex_symbol_is_refused(self):
+        with pytest.raises(ValueError, match="real-valued"):
+            kernel_decay_check(ell=lambda a: (1.0 + 0.1j) * np.ones_like(a), dim=2,
+                               n=64, box=16.0)
+
+    def test_envelope_memory(self):
+        # the largest grid of the check is the refined one, (2n)^2 values at
+        # dim 3; a complex ifftn on dense meshes needs 18 such arrays
+        n = 128
+        tracemalloc.start()
+        try:
+            kernel_decay_check(dim=3, n=n, box=8.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * (2 * n) ** 2 * 8
 
     def test_validation(self):
         with pytest.raises(ValueError, match="dim"):
