@@ -26,15 +26,25 @@ grid laid out by GridSpec.points and on its refinement.  Claims sharing a
 sector floor share one stencil pass per grid.  The pass walks the grid in
 fixed chunks of _CHUNK points: one SymbolKit is built over the chunk's
 27-point stencils (lam, lam +- i h_tau by nine xi offsets), every claim of
-the group is judged on it, and it is dropped before the next chunk.  Every
-reported number is a reduction over points (a maximum, an any, a count), so
-the chunked result equals the whole-grid one and peak memory does not grow
-with the grid.
+the group is judged on it, and it is dropped before the next chunk.
+
+The chunks of every floor group and both grids are the tasks of one
+process pool per certify_table call, with one worker per usable core (the
+CPU affinity set of the process).  The workers are forked, so they inherit
+the claims and grid columns; only task indices and each chunk's per-claim
+maxima and discarded counts cross between processes.  With one core or one
+task, or where fork is not available, the same chunk function runs
+in-process.  Every reported number is a reduction over points (a maximum,
+an any, a count) of chunks computed by the same code on the same slices,
+so the result depends neither on the chunk size nor on the worker count or
+the order in which chunks finish, and peak memory does not grow with the
+grid.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -148,9 +158,9 @@ class _GridRun:
     """The point columns of one flattened class grid.
 
     Holds lam, A, xi_1, xi_2, tau, the bound scale and the two steps per
-    point, nothing per stencil point: estimates() builds the stencil of one
-    _CHUNK of points at a time and judges every claim on it before the
-    next, so memory is set by the chunk, not the grid.
+    point, nothing per stencil point: chunk() builds the stencil of one
+    _CHUNK of points and judges every claim on it, so memory is set by the
+    chunk, not the grid.
     """
 
     def __init__(self, fluid: FluidParams, sector: Sector, grid: GridSpec,
@@ -177,32 +187,19 @@ class _GridRun:
         self.htau = tol.fd_step_rel * np.maximum(np.abs(self.tau), np.abs(lam))
         self.gate = tol.noise_gate
 
-    def estimates(self, claims):
-        """(constants, resolved, n_discarded) per claim on this grid.
+    def chunk(self, start: int, claims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Judge every claim on the stencil of the _CHUNK points from start.
 
-        Each is a reduction over points, accumulated across chunks: the
-        maximum of |est|/bound over the kept points, whether any point was
-        kept, and the count of discarded ones.
+        Returns (hit, top, discarded) over (claim, key) in _KEYS order: whether
+        a point was kept, the max |est|/bound over the kept points (-inf where
+        none was), and per claim the count of discarded estimates.
         """
-        maxima = [{key: [] for key in _KEYS} for _ in claims]
-        discarded = [0] * len(claims)
-        for start in range(0, self.n, _CHUNK):
-            stencil = _Stencil(self, slice(start, start + _CHUNK))
-            for i, claim in enumerate(claims):
-                discarded[i] += self._judge(claim, stencil, maxima[i])
-            del stencil  # free this chunk's kit before the next one is built
+        stencil = _Stencil(self, slice(start, start + _CHUNK))
+        hit, top, discarded = zip(*(self._judge(claim, stencil) for claim in claims))
+        return np.array(hit), np.array(top), np.array(discarded)
 
-        constants, resolved = [], []
-        for found in maxima:
-            # a key no point resolved carries the constant 0.0
-            constants.append({key: float(np.max(m)) if m else 0.0
-                              for key, m in found.items()})
-            resolved.append({key: bool(m) for key, m in found.items()})
-        return list(zip(constants, resolved, discarded))
-
-    def _judge(self, claim: Claim, st: _Stencil, found: dict) -> int:
-        """Append the chunk's max |est|/bound over its kept points to
-        found[key] for each key with a kept point; returns the discarded count.
+    def _judge(self, claim: Claim, st: _Stencil):
+        """(hit, top, discarded) of one claim on one chunk, as in chunk().
 
         Arrays run over (ell, kappa, point) in _KEYS order.
         """
@@ -217,11 +214,8 @@ class _GridRun:
         mag = np.abs(est)
         keep = mag >= self.gate * floor
         ratio = np.where(keep, mag / st.bound(claim.s, claim.mtype), -np.inf)
-        top = ratio.max(axis=-1).reshape(-1)
-        for key, hit, value in zip(_KEYS, keep.any(axis=-1).reshape(-1), top):
-            if hit:
-                found[key].append(value)
-        return keep.size - int(np.count_nonzero(keep))
+        return (keep.any(axis=-1).reshape(-1), ratio.max(axis=-1).reshape(-1),
+                keep.size - int(np.count_nonzero(keep)))
 
 
 def _differences(g, h, h2):
@@ -377,6 +371,72 @@ def _widened(grid: GridSpec) -> GridSpec:
                    a_per_decade=2 * grid.a_per_decade)
 
 
+# Per floor group, its claims and its (base, refined) _GridRun: what a chunk
+# task indexes into.  Set by _adopt in each pool worker only.
+_WORK: list | None = None
+
+
+def _adopt(work) -> None:
+    global _WORK
+    _WORK = work
+
+
+def _chunk(task, work=None):
+    """The chunk() result of task = (floor group, grid, chunk start) on
+    work, or in a pool worker on the work it adopted."""
+    g, r, start = task
+    claims, runs = (_WORK if work is None else work)[g]
+    return runs[r].chunk(start, claims)
+
+
+def _workers() -> int:
+    """Usable cores: the size of this process's CPU affinity set."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_chunks(work, tasks) -> list:
+    """_chunk of every task, in task order.
+
+    One forked worker per usable core runs them when there are two or more
+    of both, the platform can fork and this process runs no other thread (a
+    lock another thread holds at the fork stays held in the worker);
+    otherwise they run in this process.  A worker that dies raises
+    BrokenProcessPool here instead of leaving the call waiting for it.
+    """
+    workers = min(_workers(), len(tasks))
+    if workers > 1:
+        import multiprocessing
+        import threading
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     initializer=_adopt, initargs=(work,)) as pool:
+                # a few chunks per message: fewer round trips, a short tail
+                return list(pool.map(_chunk, tasks, chunksize=4))
+    return [_chunk(task, work) for task in tasks]
+
+
+def _estimates(chunks) -> list[tuple[dict, dict, int]]:
+    """(constants, resolved, n_discarded) per claim on one grid, from the
+    chunk() results of all its chunks.
+
+    Each is a reduction over points: the maximum of |est|/bound over the
+    kept points, whether any point was kept, and the count of discarded
+    estimates.
+    """
+    hit, top, discarded = (np.stack(part) for part in zip(*chunks))
+    out = []
+    for row_hit, row_top, n in zip(hit.any(axis=0), top.max(axis=0), discarded.sum(axis=0)):
+        # a key no point resolved carries the constant 0.0
+        out.append(({key: float(t) if h else 0.0 for key, h, t in zip(_KEYS, row_hit, row_top)},
+                    {key: bool(h) for key, h in zip(_KEYS, row_hit)},
+                    int(n)))
+    return out
+
+
 def certify_table(claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
                   tol: Tolerances | None = None) -> list[MultiplierClassReport]:
     """Judge each claim on a base and a refined grid; claims with one floor
@@ -391,11 +451,18 @@ def certify_table(claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
     for cl in claims:
         groups.setdefault(cl.lam_floor, []).append(cl)
 
+    work = [(members, (_GridRun(fluid, sector, grid, floor, tol),
+                       _GridRun(fluid, sector, _widened(grid), floor, tol)))
+            for floor, members in sorted(groups.items())]
+    tasks = [(g, r, start) for g, (_, runs) in enumerate(work)
+             for r, run in enumerate(runs) for start in range(0, run.n, _CHUNK)]
+    chunks: dict[tuple[int, int], list] = {}
+    for (g, r, _), result in zip(tasks, _run_chunks(work, tasks)):
+        chunks.setdefault((g, r), []).append(result)
+
     reports = []
-    for floor, members in sorted(groups.items()):
-        run_b = _GridRun(fluid, sector, grid, floor, tol)
-        run_r = _GridRun(fluid, sector, _widened(grid), floor, tol)
-        base, refined = run_b.estimates(members), run_r.estimates(members)
+    for g, (members, (run_b, run_r)) in enumerate(work):
+        base, refined = _estimates(chunks[g, 0]), _estimates(chunks[g, 1])
         for cl, (cb, rb, db), (cr, rr, dr) in zip(members, base, refined):
             drift, verdict = _verdict(cb, cr, rb, rr, tol.class_drift)
             unresolved = tuple(sorted(k for k in rb if not (rb[k] and rr[k])))

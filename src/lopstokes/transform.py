@@ -299,6 +299,30 @@ class DecayReport:
         return [tuple(s) for s in self.shells]
 
 
+def _dyadic_shells(samples) -> list[tuple[float, float, int]]:
+    """(lo, max w, count) of each nonempty dyadic shell lo <= r < 2 lo.
+
+    samples holds (r, w) array pairs; lo runs over min r * 2^m up to the
+    last one at or below max r.  One searchsorted per pair bins its samples
+    by those same lo <= r < hi tests, so a shell keeps its count and max.
+    """
+    edges_lo = min(r.min() for r, _ in samples)
+    r_max = max(r.max() for r, _ in samples)
+    n_shells = 0
+    while edges_lo * 2.0 ** n_shells <= r_max:
+        n_shells += 1
+    edges = edges_lo * 2.0 ** np.arange(n_shells + 1)
+    counts = np.zeros(n_shells, dtype=np.int64)
+    tops = np.full(n_shells, -np.inf)
+    for r, w in samples:
+        # flat index arrays: ufunc.at is several times slower on 2-D ones
+        shell = np.searchsorted(edges, r.ravel(), side="right") - 1
+        counts += np.bincount(shell, minlength=n_shells)
+        np.maximum.at(tops, shell, w.ravel())
+    return [(float(edges[m]), float(tops[m]), int(counts[m]))
+            for m in np.flatnonzero(counts)]
+
+
 def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
                      levels: tuple[float, ...]):
     """(shell list, envelope constant, per-level grid sup of |k|).
@@ -325,8 +349,7 @@ def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
     r_tan2 = sum(x ** 2 for x in np.meshgrid(*([xw[inner]] * d), indexing="ij",
                                              sparse=True))
 
-    samples_r: list[np.ndarray] = []
-    samples_w: list[np.ndarray] = []
+    samples = []    # per level: r and |k| r^N on the interior block
     sups = []
     for x_n in levels:
         sym = np.exp(-damp_scale * x_n) * base
@@ -334,23 +357,8 @@ def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
         k *= (n / box) ** d
         sups.append(float(max(k.max(), -k.min())))    # sup |k| on the whole grid
         r = np.sqrt(r_tan2 + x_n ** 2)
-        samples_r.append(r.ravel())
-        samples_w.append((np.abs(k[interior]) * r ** dim).ravel())
-    rr = np.concatenate(samples_r)
-    ww = np.concatenate(samples_w)
-    edges_lo = rr.min()
-    shells = []
-    m = 0
-    while True:
-        lo = edges_lo * 2.0 ** m
-        hi = edges_lo * 2.0 ** (m + 1)
-        mask = (rr >= lo) & (rr < hi)
-        cnt = int(mask.sum())
-        if lo > rr.max():
-            break
-        if cnt:
-            shells.append((float(lo), float(ww[mask].max()), cnt))
-        m += 1
+        samples.append((r, np.abs(k[interior]) * r ** dim))
+    shells = _dyadic_shells(samples)
     constant = max(s[1] for s in shells)
     return shells, constant, sups
 

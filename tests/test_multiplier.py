@@ -7,8 +7,13 @@ in the discarded-below-noise count, not in the constants).
 """
 
 import dataclasses
+import json
 import math
+import multiprocessing
+import os
+import threading
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -25,10 +30,11 @@ from lopstokes import (
     height_curve,
     omega4_formula,
 )
-from lopstokes import multiplier
+from lopstokes import cli, multiplier
 from lopstokes.coefficients import SymbolKit
 from lopstokes.multiplier import KAPPAS, Claim
 from lopstokes.config import ELISION_THRESHOLD, REFERENCE_PARAMS, STRESS_PARAM_SETS
+from lopstokes.errors import SingularDetL
 
 REF = REFERENCE_PARAMS
 SECTOR = Sector(epsilon=math.pi / 4)
@@ -188,9 +194,11 @@ class TestChunking:
         got = certify_table(claims, REF, SECTOR, SMALL)
         _reports_equal(got, want)
 
-    def test_peak_memory_does_not_grow_with_the_grid(self):
+    def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch):
         # refined grids of 594 and 2,574 points (4.3x): the stencil of one
-        # chunk sets the peak, not the grid
+        # chunk sets the peak, not the grid.  tracemalloc sees this process
+        # only, so the chunks run here rather than in pool workers.
+        monkeypatch.setattr(multiplier, "_workers", lambda: 1)
         peaks = []
         for n_angles in (3, 13):
             grid = GridSpec(lam_min=1e-1, lam_max=1e2, lam_per_decade=1,
@@ -204,6 +212,99 @@ class TestChunking:
             assert len(reports) == 45
         assert reports[0].n_refined == 2574
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the chunk pool forks its workers")
+
+
+def _in_worker(parent: int) -> bool:
+    return os.getpid() != parent
+
+
+@needs_fork
+class TestPool:
+    @pytest.mark.parametrize("chunk", [multiplier._CHUNK, 37])
+    def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch, chunk):
+        claims = declared_claims(LAMBDA0_REF)
+        monkeypatch.setattr(multiplier, "_CHUNK", chunk)
+        monkeypatch.setattr(multiplier, "_workers", lambda: 1)
+        want = certify_table(claims, REF, SECTOR, SMALL)
+        monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+        got = certify_table(claims, REF, SECTOR, SMALL)
+        _reports_equal(got, want)
+        assert multiprocessing.active_children() == []
+
+    def test_wrong_degree_still_fails(self, monkeypatch):
+        monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+        parent = os.getpid()
+
+        def fn(kit, i1):
+            # a claim judged in this process would not be the pooled path
+            assert _in_worker(parent)
+            return kit.l12p
+
+        rep = run(fn, 1, 1)
+        assert rep.verdict == "fail"
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+        parent = os.getpid()
+
+        def fn(kit, i1):
+            raise SingularDetL(f"raised in {'a worker' if _in_worker(parent) else 'the caller'}")
+
+        with pytest.raises(SingularDetL, match="raised in a worker"):
+            run(fn, 0, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_keeps_the_exit_code(self, monkeypatch, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"class_grid": dataclasses.asdict(SMALL)}))
+
+        def singular(lam0):
+            def fn(kit, i1):
+                raise SingularDetL("det L vanishes")
+            return [Claim("singular", 0.0, 2, fn)]
+
+        monkeypatch.setattr(cli, "declared_claims", singular)
+        codes = []
+        for workers in (1, 2):
+            monkeypatch.setattr(multiplier, "_workers", lambda: workers)
+            codes.append(cli.main(["verify-multipliers", "--config", str(config),
+                                   "--out", str(tmp_path / f"out{workers}")]))
+            assert "error: det L vanishes" in capsys.readouterr().err
+        assert codes == [65, 65]
+        assert multiprocessing.active_children() == []
+
+    def test_threaded_caller_runs_in_process(self, monkeypatch):
+        # fork copies only the calling thread, so a pool is not forked while
+        # another thread runs
+        monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+        parent = os.getpid()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60.0,))
+        other.start()
+        try:
+            rep = run(lambda kit, i1: kit.l11p if not _in_worker(parent) else 1 / 0, 1, 1)
+        finally:
+            release.set()
+            other.join(timeout=60.0)
+        assert not other.is_alive()
+        assert rep.verdict == "pass"
+
+    def test_lost_worker_raises_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+        parent = os.getpid()
+
+        def fn(kit, i1):
+            if _in_worker(parent):
+                os._exit(1)
+            return kit.l11p
+
+        with pytest.raises(BrokenProcessPool):
+            run(fn, 1, 1)
+        assert multiprocessing.active_children() == []
 
 
 MEMOISED = {"k_height", "p_plus_N", "p_minus_N", "s_plus_NN", "s_minus_NN", "p_press_N",

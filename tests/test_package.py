@@ -1,5 +1,7 @@
-"""Package surface: every exported name resolves, and scipy is a test
-dependency only: neither importing the CLI nor running verify loads it."""
+"""Package surface: every exported name resolves, scipy is a test
+dependency only (neither importing the CLI nor running verify loads it), and
+importing the CLI leaves the process-pool modules out, which only a
+multiplier-class certification loads."""
 
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ def test_exports_resolve(name):
     assert stale == []
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The scipy modules a child running code has loaded, as printed text."""
+def _modules_after(code: str, packages=("scipy",)) -> str:
+    """The modules of packages a child running code has loaded, as printed text."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lopstokes.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -33,13 +35,17 @@ def _scipy_modules_after(code: str) -> str:
     out = subprocess.run(
         [sys.executable, "-c",
          f"import sys, lopstokes.cli; {code}; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"],
         capture_output=True, text=True, env=env, check=True, timeout=120)
     return out.stdout.strip().splitlines()[-1]
 
 
 def test_cli_import_leaves_scipy_out():
-    assert _scipy_modules_after("pass") == "[]"
+    assert _modules_after("pass") == "[]"
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    assert _modules_after("pass", ("multiprocessing", "concurrent")) == "[]"
 
 
 def test_verify_leaves_scipy_out(tmp_path):
@@ -50,5 +56,5 @@ def test_verify_leaves_scipy_out(tmp_path):
         "a_min": 1e-2, "a_max": 1e3, "a_per_decade": 2}}))
     argv = ["verify", "--samples", "20", "--config", str(config),
             "--out", str(tmp_path / "out")]
-    assert _scipy_modules_after(f"assert lopstokes.cli.main({argv!r}) == 0") == "[]"
+    assert _modules_after(f"assert lopstokes.cli.main({argv!r}) == 0") == "[]"
     assert list((tmp_path / "out").glob("verify_*.json"))

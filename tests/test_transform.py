@@ -281,6 +281,25 @@ class TestKernelDecay:
         np.testing.assert_allclose([s[1] for s in new.shells], [s[1] for s in old.shells],
                                    rtol=1e-11, atol=0.0)
 
+    def test_shells_match_per_shell_masks(self):
+        # the binning against a mask of every shell over every sample; some
+        # samples sit exactly on shell edges, which belong to the upper shell
+        rng = np.random.default_rng(3)
+        lo = 0.37
+        samples = [(lo * 2.0 ** rng.uniform(0.0, 9.0, shape), rng.uniform(0.0, 5.0, shape))
+                   for shape in ((40, 30), (17,), (8, 8))]
+        samples.append((lo * 2.0 ** np.array([0.0, 1.0, 4.0, 9.0]), np.arange(4.0)))
+        rr = np.concatenate([r.ravel() for r, _ in samples])
+        ww = np.concatenate([w.ravel() for _, w in samples])
+        want, m = [], 0
+        while lo * 2.0 ** m <= rr.max():
+            mask = (rr >= lo * 2.0 ** m) & (rr < lo * 2.0 ** (m + 1))
+            if mask.any():
+                want.append((lo * 2.0 ** m, float(ww[mask].max()), int(mask.sum())))
+            m += 1
+        assert transform._dyadic_shells(samples) == want
+        assert [cnt for *_, cnt in want][-1] == 1    # max r alone opens the last shell
+
     def test_complex_symbol_is_refused(self):
         with pytest.raises(ValueError, match="real-valued"):
             kernel_decay_check(ell=lambda a: (1.0 + 0.1j) * np.ones_like(a), dim=2,
