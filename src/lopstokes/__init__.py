@@ -41,7 +41,6 @@ from .config import (
 from .errors import (
     ConfigError,
     EqualDensities,
-    GridTooCoarse,
     HeightNotInvertible,
     LopStokesError,
     NoCutoffFound,
@@ -50,6 +49,7 @@ from .errors import (
     OutOfSector,
     QuadratureFailure,
     SingularDetL,
+    WorkerLost,
     WrongSign,
     ZeroModeData,
 )
@@ -122,6 +122,6 @@ __all__ = [
     # errors
     "LopStokesError", "NonPositiveParameter", "EqualDensities", "OutOfSector",
     "WrongSign", "SingularDetL", "NonPositiveOmega", "HeightNotInvertible",
-    "NoCutoffFound", "GridTooCoarse", "ZeroModeData", "QuadratureFailure",
-    "ConfigError",
+    "NoCutoffFound", "ZeroModeData", "QuadratureFailure", "ConfigError",
+    "WorkerLost",
 ]

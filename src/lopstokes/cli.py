@@ -25,7 +25,9 @@ out-of-range --seed/--samples, and a `solve` lambda outside the configured
 sector (or lambda = 0);
 `verify` failures form a bitmask (1 fuzz, 2 multipliers, 4 height,
 8 energy); verify-multipliers alone exits with its bitmask value 2; the
-scan and decay commands exit 1 when their certification fails.
+scan and decay commands exit 1 when their certification fails; 71
+(EX_OSERR) when a process-pool worker of the multiplier classes dies, for
+example killed by the OOM killer.
 
 Reports land in --out (env LOPSTOKES_OUT wins over the flag, which wins
 over the config), named <kind>_<hash>.<ext> by the 12-hex content hash of
@@ -45,11 +47,11 @@ from .coefficients import HeightCurve, height_curve, height_scan, omega4_formula
 from .config import RunConfig, Tolerances, default_config, load_config
 from .errors import (
     ConfigError,
-    GridTooCoarse,
     HeightNotInvertible,
     LopStokesError,
     NoCutoffFound,
     NonPositiveOmega,
+    WorkerLost,
     ZeroModeData,
 )
 from .lopatinski import scan_lower_bound
@@ -211,7 +213,7 @@ def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
             "quotient_cutoff": lam0c,
             "max_drift": max(r.max_drift() for r in table),
         }
-    except (NoCutoffFound, GridTooCoarse) as exc:
+    except NoCutoffFound as exc:
         suites["multipliers"] = {"passed": False, "error": str(exc)}
 
     suites["energy"] = _energy_suite(cfg, tol, fuzz)
@@ -244,8 +246,7 @@ def cmd_verify_multipliers(cfg: RunConfig, tol: Tolerances, out: str, tag: str) 
         "claims": [
             {"name": r.name, "s": r.s, "type": r.mtype,
              "lam_floor": r.lam_floor, "verdict": r.verdict,
-             "max_drift": r.max_drift(), "discarded": r.discarded,
-             "unresolved": list(r.unresolved)}
+             "max_drift": r.max_drift()}
             for r in table
         ],
     })
@@ -365,6 +366,9 @@ def main(argv=None) -> int:
     except (NonPositiveOmega, NoCutoffFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 71
     except LopStokesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65

@@ -13,10 +13,11 @@ h_hat(0) and H_hat(0).  The height symbol
 closes the kinematic equation lambda H - weighted-normal-trace = d into
 H = (lambda + K)^{-1} (d + w_h).  All symbol formulas live on SymbolKit, on
 top of the lopatinski entry and cofactor formulas, as arithmetic over arrays
-of points, so the solves, the scans and the finite-difference class
-estimator share the production arithmetic; a single point is an array of
-length one.  The height scan evaluates its grid once, into a HeightCurve;
-every cutoff and the scanned omega4 are read off it.
+of points, so the solves, the scans and the class estimator (on Taylor
+jets, through SymbolKit.from_roots) share the production arithmetic; a
+single point is an array of length one.  The height scan evaluates its grid
+once, into a HeightCurve; every cutoff and the scanned omega4 are read off
+it.
 """
 
 from __future__ import annotations
@@ -106,7 +107,11 @@ class SymbolKit:
     def batch(cls, fluid: FluidParams, lam: np.ndarray, a: np.ndarray) -> "SymbolKit":
         lam = np.ascontiguousarray(lam, dtype=np.complex128)
         a = np.ascontiguousarray(a, dtype=np.float64)
-        roots = char_roots_batch(fluid, lam, a)
+        return cls.from_roots(fluid, lam, a, char_roots_batch(fluid, lam, a))
+
+    @classmethod
+    def from_roots(cls, fluid: FluidParams, lam, a, roots) -> "SymbolKit":
+        """The kit of lam, A and their roots as given: arrays, jets or scalars."""
         l_plus, l_minus, p_stab = boundary_entries(fluid, lam, a, *roots)
         return cls(fluid, lam, a, roots, l_plus, l_minus,
                    block_det(l_plus, l_minus)[0], p_stab)

@@ -77,8 +77,9 @@ STRESS_PARAM_SETS: tuple[FluidParams, ...] = (
 class Tolerances:
     """Every threshold the library applies, in one record.
 
-    scale() multiplies the acceptance-style residual thresholds (not the
-    internal algorithm switches) by a factor, for the CLI --tolerance-scale.
+    scale() multiplies the acceptance-style residual thresholds by a factor,
+    for the CLI --tolerance-scale; the convergence gates, the height levels,
+    zero_mode and energy_quad_rel keep their values.
     """
 
     # boundary matrix
@@ -89,9 +90,7 @@ class Tolerances:
     height_inv_rel: float = 1e-10       # HeightNotInvertible below rel*(|lam|+A)
 
     # multiplier classes
-    class_drift: float = 2.0
-    fd_step_rel: float = 1e-4
-    noise_gate: float = 10.0
+    class_drift: float = 2.0            # largest refined/base constant ratio
 
     # resolvent
     fuzz_residual: float = 1e-10
@@ -189,7 +188,7 @@ class RunConfig:
     sector: Sector = Sector(epsilon=math.pi / 4)
     grid: GridSpec = GridSpec()
     # the multiplier-class grid, smaller than the scan grid: every point
-    # costs a full finite-difference stencil
+    # costs a 12-coefficient Taylor jet of every claimed symbol
     class_grid: GridSpec = GridSpec(lam_max=1e6, lam_per_decade=3, n_angles=7,
                                     a_max=1e4, a_per_decade=3)
     seed: int = 20260817

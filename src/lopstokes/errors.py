@@ -14,10 +14,10 @@ __all__ = [
     "NonPositiveOmega",
     "HeightNotInvertible",
     "NoCutoffFound",
-    "GridTooCoarse",
     "ZeroModeData",
     "QuadratureFailure",
     "ConfigError",
+    "WorkerLost",
 ]
 
 
@@ -57,10 +57,6 @@ class NoCutoffFound(LopStokesError):
     """No magnitude cutoff makes the height lower bound hold on the scanned grid."""
 
 
-class GridTooCoarse(LopStokesError):
-    """A scan/estimation grid is too small to produce a meaningful answer."""
-
-
 class ZeroModeData(LopStokesError):
     """Boundary data carries a zero-frequency component beyond tolerance."""
 
@@ -71,3 +67,7 @@ class QuadratureFailure(LopStokesError):
 
 class ConfigError(LopStokesError):
     """Run configuration file is malformed or contains unknown/invalid entries."""
+
+
+class WorkerLost(LopStokesError):
+    """A process-pool worker died (a signal, the OOM killer) before returning its result."""

@@ -184,6 +184,7 @@ class ScanReport:
                 "a_values": list(self.grid.a_vals()),
             },
             "omega": self.omega,
+            "omega_kind": "grid minimum, an upper estimate of the infimum",
             "omega1": self.omega1,
             "omega2": self.omega2,
             "regime_thresholds": {"R1": self.r1, "R2": self.r2},

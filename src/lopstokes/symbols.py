@@ -25,11 +25,22 @@ from .params import FluidParams, first_offender
 __all__ = [
     "char_roots_batch",
     "check_roots",
+    "root_radicands",
     "exp_diff_quot_batch",
 ]
 
 CONFLUENT_SWITCH = 1e-4
 SERIES_TERM = 1e-16
+
+
+def root_radicands(fluid: FluidParams, lam, a2):
+    """(A_plus^2, B_plus^2, B_minus^2) at lam and a2 = A^2, by field
+    arithmetic: arrays, Taylor jets and scalars alike."""
+    return (
+        fluid.rho_plus / (fluid.mu_plus + fluid.nu_plus) * lam + a2,
+        fluid.rho_plus / fluid.mu_plus * lam + a2,
+        fluid.rho_minus / fluid.mu_minus * lam + a2,
+    )
 
 
 def char_roots_batch(
@@ -38,12 +49,7 @@ def char_roots_batch(
     """Vectorized roots over equal-shape arrays lam (complex) and a (real)."""
     lam = np.asarray(lam, dtype=np.complex128)
     a = np.asarray(a, dtype=np.float64)
-    a2 = a * a
-    return (
-        np.sqrt(fluid.rho_plus / (fluid.mu_plus + fluid.nu_plus) * lam + a2),
-        np.sqrt(fluid.rho_plus / fluid.mu_plus * lam + a2),
-        np.sqrt(fluid.rho_minus / fluid.mu_minus * lam + a2),
-    )
+    return tuple(np.sqrt(r) for r in root_radicands(fluid, lam, a * a))
 
 
 def check_roots(roots, lam, a) -> None:

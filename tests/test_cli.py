@@ -95,7 +95,7 @@ def test_scan_report_bytes_pinned(tmp_path):
                for p in (tmp_path / "out").glob("scan_*")}
     assert digests == {
         ".csv": "b7b31b3950330ae938c184d5021ccd1245dba60fc3aff47bcf2546a041f5d800",
-        ".json": "7cc5f167983c69b618789deada930c4a1f754d9b88b25af5ebe8d141625595d2",
+        ".json": "336d1bbbb3b0df3bd3a070c91051032a6b7b32223f3dc64d01af77d127fc67b3",
     }
 
 

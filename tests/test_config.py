@@ -30,7 +30,7 @@ from lopstokes.params import FluidParams, Sector
 class TestTolerances:
     def test_defaults(self):
         tol = Tolerances()
-        assert len(dataclasses.fields(tol)) == 12
+        assert len(dataclasses.fields(tol)) == 10
         assert tol.fuzz_residual == 1e-10
         assert tol.energy_quad_rel == 1e-9
         assert tol.class_drift == 2.0
@@ -47,8 +47,7 @@ class TestTolerances:
     def test_scale_leaves_algorithm_switches(self):
         base = Tolerances()
         tol = base.scale(100.0)
-        for name in ("fd_step_rel", "noise_gate", "class_drift",
-                     "envelope_drift", "height_floor", "height_inv_rel",
+        for name in ("class_drift", "envelope_drift", "height_floor", "height_inv_rel",
                      "zero_mode", "energy_quad_rel"):
             assert getattr(tol, name) == getattr(base, name), name
 

@@ -304,6 +304,10 @@ class TestScan:
             assert key in d
         assert d["worst_point"]["ratio"] == rep.omega
 
+    def test_omega_is_labelled_a_grid_estimate(self):
+        d = scan_lower_bound(REF, SECTOR, grid=SMALL_GRID).to_dict()
+        assert d["omega_kind"] == "grid minimum, an upper estimate of the infimum"
+
     def test_thresholds_are_the_probed_ratio(self, monkeypatch):
         # R1 and R2 name the ratio asymptotic_report was run at, whatever it is
         probed = []

@@ -2,8 +2,9 @@
 
 Calibration constants are hand-derivable: on the scan directions (1,0) and
 (0.6,0.8) the symbol i xi_1 / A has |m| = 1, |d_xi1 m| A = 0.64 and
-|d_xi2 m| A = 0.48 (the (1,0) direction contributes zeros that must land
-in the discarded-below-noise count, not in the constants).
+|d_xi2 m| A = 0.48.  Its first derivatives and its d_xi1^2 and
+d_xi1 d_xi2 derivatives vanish on the (1,0) direction, and the Taylor jets
+give those zeros exactly, with no noise floor to hide them below.
 """
 
 import dataclasses
@@ -22,7 +23,6 @@ from lopstokes import (
     FluidParams,
     GridSpec,
     RunConfig,
-    GridTooCoarse,
     Sector,
     Tolerances,
     certify_table,
@@ -42,6 +42,10 @@ SECTOR = Sector(epsilon=math.pi / 4)
 SMALL = GridSpec(lam_min=1e-2, lam_max=1e4, lam_per_decade=2,
                  n_angles=5, a_min=1e-2, a_max=1e2, a_per_decade=2)
 
+# 24 base and 294 refined point-directions (12 and 84 above LAMBDA0_REF)
+TINY = GridSpec(lam_min=1.0, lam_max=10.0, lam_per_decade=1,
+                n_angles=3, a_min=1.0, a_max=10.0, a_per_decade=1)
+
 LAMBDA0_REF = 50.118723362727245
 
 
@@ -58,10 +62,17 @@ class TestCalibration:
         assert rep.constants[("00", 0)] == pytest.approx(1.0, rel=1e-9)
         assert rep.constants[("10", 0)] == pytest.approx(0.64, rel=1e-5)
         assert rep.constants[("01", 0)] == pytest.approx(0.48, rel=1e-5)
-        # lambda-independent symbol: every (tau d_tau) estimate is exactly 0
-        # (tau = 0 rays carry a zero noise floor, so these resolve as 0.0)
+        # lambda-independent symbol: every (tau d_tau) derivative is exactly 0
         assert all(rep.constants[(k, 1)] == 0.0 for k in KAPPAS)
-        assert rep.discarded > 0
+        # on the (1,0) direction (the even points) d_xi1, d_xi2, d_xi1^2 and
+        # d_xi1 d_xi2 of i xi_1 / A vanish, and the jet coefficients are 0.0
+        grid = multiplier._GridRun(REF, SECTOR, SMALL, 0.0)
+        kit, i1 = multiplier._jet_args(REF, grid.lam, grid.xi1, grid.xi2)
+        d = multiplier._derivatives(i1 / kit.a, grid.lam.imag)
+        zeros = [KAPPAS.index(k) for k in ("10", "01", "20", "11")]
+        assert np.all(d[0][zeros, ::2] == 0.0)
+        assert np.all(d[0][zeros, 1::2] > 0.0)
+        assert np.all(d[1] == 0.0)
 
     def test_a_squared_passes_type1(self):
         rep = run(lambda kit, i1: kit.a * kit.a + 0j, 2, 1)
@@ -80,6 +91,11 @@ class TestCalibration:
     def test_overclaimed_degree_fails(self):
         # L12+ is order 2; claiming order 1 under-counts one scale power
         rep = run(lambda kit, i1: kit.l12p, 1, 1)
+        assert rep.verdict == "fail"
+
+    def test_nan_symbol_fails(self):
+        # a NaN constant has not converged, so it cannot pass
+        rep = run(lambda kit, i1: kit.l11p * math.nan, 1, 1)
         assert rep.verdict == "fail"
 
     def test_product_rule(self):
@@ -121,12 +137,6 @@ class TestEstimator:
         rep = run(lambda kit, i1: kit.l11p, 1, 1, lam_floor=1e12)
         assert rep.n_base == 1 * 5 * 9 * 2
         assert rep.n_refined == 1 * 5 * 25 * 2
-
-    def test_unresolvable_verdict_raises(self):
-        from lopstokes.multiplier import _verdict
-        key = ("00", 0)
-        with pytest.raises(GridTooCoarse):
-            _verdict({key: 1.0}, {key: 1.0}, {key: False}, {key: False}, 2.0)
 
 
 class TestClaimTable:
@@ -177,14 +187,14 @@ def _reports_equal(got, want):
     assert [r.name for r in got] == [r.name for r in want]
     for rep, ref in zip(got, want):
         for f in dataclasses.fields(rep):
-            # repr compares the nan drift entries of unresolved indices too
+            # repr compares nan and inf drift entries too
             assert repr(getattr(rep, f.name)) == repr(getattr(ref, f.name)), (rep.name, f.name)
 
 
 class TestChunking:
     def test_chunk_keeps_numpy_on_one_arithmetic_path(self):
-        # the stencil kit holds 27 complex128 values per grid point
-        assert 27 * multiplier._CHUNK < ELISION_THRESHOLD
+        # a jet holds 12 complex128 values per grid point
+        assert 12 * multiplier._CHUNK < ELISION_THRESHOLD
 
     def test_reports_do_not_depend_on_the_chunk(self, monkeypatch):
         claims = declared_claims(LAMBDA0_REF)
@@ -193,12 +203,19 @@ class TestChunking:
         monkeypatch.setattr(multiplier, "_CHUNK", 37)
         got = certify_table(claims, REF, SECTOR, SMALL)
         _reports_equal(got, want)
+        # a batch of one point per chunk, on a tiny grid
+        monkeypatch.setattr(multiplier, "_CHUNK", 1024)
+        want = certify_table(claims, REF, SECTOR, TINY)
+        monkeypatch.setattr(multiplier, "_CHUNK", 1)
+        _reports_equal(certify_table(claims, REF, SECTOR, TINY), want)
 
     def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch):
-        # refined grids of 594 and 2,574 points (4.3x): the stencil of one
-        # chunk sets the peak, not the grid.  tracemalloc sees this process
-        # only, so the chunks run here rather than in pool workers.
+        # refined grids of 594 and 2,574 points (4.3x), in chunks of 100: the
+        # jets of one chunk set the peak, not the grid.  tracemalloc sees
+        # this process only, so the chunks run here rather than in pool
+        # workers.
         monkeypatch.setattr(multiplier, "_workers", lambda: 1)
+        monkeypatch.setattr(multiplier, "_CHUNK", 100)
         peaks = []
         for n_angles in (3, 13):
             grid = GridSpec(lam_min=1e-1, lam_max=1e2, lam_per_decade=1,
@@ -304,6 +321,28 @@ class TestPool:
 
         with pytest.raises(BrokenProcessPool):
             run(fn, 1, 1)
+        assert multiprocessing.active_children() == []
+
+    def test_lost_worker_exits_with_its_code(self, monkeypatch, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"class_grid": dataclasses.asdict(SMALL)}))
+        monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+        parent = os.getpid()
+
+        def lost(lam0):
+            def fn(kit, i1):
+                if _in_worker(parent):
+                    os._exit(1)
+                return kit.l11p
+            return [Claim("lost", 1.0, 1, fn)]
+
+        monkeypatch.setattr(cli, "declared_claims", lost)
+        code = cli.main(["verify-multipliers", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 71
+        assert err.startswith("error: a multiplier-class worker process died"), err
+        assert "Traceback" not in err
         assert multiprocessing.active_children() == []
 
 
