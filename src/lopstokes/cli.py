@@ -245,7 +245,7 @@ def cmd_verify_multipliers(cfg: RunConfig, tol: Tolerances, out: str, tag: str) 
         "quotient_cutoff": lam0,
         "claims": [
             {"name": r.name, "s": r.s, "type": r.mtype,
-             "lam_floor": r.lam_floor, "verdict": r.verdict,
+             "lam_floor": r.lam_floor, "domain": r.domain, "verdict": r.verdict,
              "max_drift": r.max_drift()}
             for r in table
         ],

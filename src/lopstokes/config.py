@@ -156,16 +156,17 @@ class GridSpec:
         span = math.pi - epsilon
         return np.linspace(-span, span, self.n_angles)
 
-    def points(self, epsilon: float,
-               mags: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def points(self, epsilon: float, mags: np.ndarray | None = None,
+               avals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Flattened (lam, a) arrays in deterministic order (mag, angle, a).
 
-        mags replaces the grid's |lambda| values (lam_mags() by default), so
-        a caller can lay out one magnitude or a floored list the same way.
+        mags and avals replace the grid's |lambda| and A values (lam_mags()
+        and a_vals() by default), so a caller can lay out one magnitude, a
+        floored list or an orbit image the same way.
         """
         mags = self.lam_mags() if mags is None else mags
         angs = self.angles(epsilon)
-        avals = self.a_vals()
+        avals = self.a_vals() if avals is None else avals
         lam = (mags[:, None] * np.exp(1j * angs)[None, :]).reshape(-1)
         lam_full = np.repeat(lam, avals.size)
         a_full = np.tile(avals, lam.size)

@@ -17,25 +17,52 @@ stability (< 2x drift) under a refinement that doubles grid density and
 widens both ranges by a decade: it tests grid convergence, which is what
 exposes wrong-degree claims as boundary blow-up.
 
-certify_table is the one entry point: it judges each claim (the declared
-table comes from declared_claims) on the class grid of GridSpec.points and
-on its refinement.  Claims sharing a sector floor share one pass per grid
-in fixed chunks of _CHUNK points: one SymbolKit of jets per chunk, every
-claim of the group judged on it.  The chunks of every floor group and both
-grids are the tasks of one fork process pool per call, one worker per
-usable core (the CPU affinity set of the process); the workers inherit the
-claims and grid columns, and only task indices and per-chunk maxima cross
-between processes.  With one core or one task, or without fork, the chunks
-run in-process.  A constant is a maximum of pointwise values, so it
-depends neither on the chunk size nor on the worker count or the order in
-which chunks finish, and peak memory does not grow with the grid.
+The orbit reduction.  A symbol homogeneous of its claimed order,
+m(r^2 lambda, r xi') = r^s m(lambda, xi') for r > 0, has a class ratio that
+is constant on each orbit (lambda, xi') -> (r^2 lambda, r xi'): the
+derivative of index (kappa, ell) has degree s - |kappa|, and so has either
+bound.  Its constant over a grid is therefore its constant over the orbit
+image of the grid: |lambda| = 1, the grid's angles and directions, and
+A = u for each distinct u = A/sqrt|lambda| of the grid (the floor
+magnitude included).  The default class grid has 10,850 base and 62,342
+refined point-directions; their orbit images have 1,106 and 2,702.  The
+reduction is exact; the constants move only by rounding, because the image
+evaluates each symbol at (lambda/|lambda|, xi'/sqrt|lambda|) and not at the
+grid point itself.  The refined image is that of the refined grid, so the
+drift verdict compares the same suprema as on the 3-D grids.
+
+Whether a claim is homogeneous of its claimed order is tested, not
+declared: its jet at (4^k lambda, 2^k xi'), k = +-8, must be the jet at
+(lambda, xi') scaled by 2^{k(s - |kappa| - 2c)} bit for bit on the first
+chunk of its base orbit image.  Scaling by a power of two is exact in
+floating point, so a homogeneous formula passes with no tolerance, while
+a symbol built from lambda + K, a wrong claimed order or a NaN fails.
+Those claims are judged on the 3-D class grid of GridSpec.points and its
+refinement.
+
+certify_table is the one entry point (the declared table comes from
+declared_claims).  Claims sharing a sector floor and a domain (orbit or
+grid) share one pass per point set in fixed chunks of _CHUNK points: one
+SymbolKit of jets per chunk, every claim of the group judged on it.  One
+fork process pool per call, one worker per usable core (the CPU affinity
+set of the process), runs first the degree test of each floor group and
+then the chunks of every group, domain and point set; the workers inherit
+the claims and the axes of each point set and build the point columns they
+evaluate, and only task indices, verdicts and per-chunk maxima cross
+between processes.  With one core, without fork or with other threads
+alive, the tasks run in-process.  A constant is a maximum of pointwise
+values, so it depends neither on the chunk size nor on the worker count or
+the order in which chunks finish, and peak memory does not grow with the
+grid.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -57,6 +84,7 @@ _FACTORIALS = np.array([[1.0], [1.0], [1.0], [2.0], [2.0], [1.0]])
 _DIRECTIONS = ((1.0, 0.0), (0.6, 0.8))
 
 _ORDERS = tuple(int(k[0]) + int(k[1]) for k in KAPPAS)
+_ORDER_COLUMN = np.array(_ORDERS, dtype=float)[:, None]
 _KEYS = tuple((kappa, ell) for ell in (0, 1) for kappa in KAPPAS)
 
 # Grid points per chunk; a jet holds at most 12 complex128 values per point,
@@ -85,9 +113,10 @@ class MultiplierClassReport:
     constants: dict            # (kappa, ell) -> C over the base grid
     refined_constants: dict
     drift: dict                # (kappa, ell) -> refined/base ratio
-    n_base: int
+    n_base: int                # points evaluated on the claim's own domain
     n_refined: int
     verdict: str               # "pass" | "fail"
+    domain: str                # "orbit" | "grid": the point sets judged on
 
     def max_drift(self) -> float:
         vals = [v for v in self.drift.values() if math.isfinite(v)]
@@ -116,38 +145,101 @@ def _jet_args(fluid: FluidParams, lam, xi1, xi2) -> tuple[SymbolKit, Jet]:
     return SymbolKit.from_roots(fluid, lam, a, roots), 1j * x1
 
 
-class _GridRun:
-    """The point columns of one flattened class grid.
+# u = A/sqrt|lambda| values of one class grid that differ by this relative
+# gap or less are one orbit: they differ by the rounding of the division
+_SAME_ORBIT = 1e-12
 
-    Holds lam, A, xi_1, xi_2 and the bound scale per point: chunk() builds
-    the jets of one _CHUNK of points and judges every claim on them, so
-    memory is set by the chunk, not the grid.
+# the degree test compares the jets at (4^k lam, 2^k xi') with those at
+# (lam, xi') for these k; a power of two scales every operation exactly
+_SCALINGS = (8, -8)
+
+
+def _floored_mags(grid: GridSpec, lam_floor: float) -> np.ndarray:
+    """The |lambda| values of the class grid of a claim with this floor."""
+    mags = grid.lam_mags()
+    if lam_floor > 0.0:
+        # keep the floor itself on every grid: the sup of a floored claim
+        # typically sits at the |lam| = lam_floor edge, and base/refined
+        # runs must sample that edge identically or the drift column
+        # measures the floor discretization instead of grid convergence
+        mags = np.unique(np.concatenate(([lam_floor], mags[mags > lam_floor])))
+    return mags
+
+
+def _grid_axes(grid: GridSpec, lam_floor: float):
+    """(|lambda| values, A values) of the 3-D class grid of a claim with
+    this floor."""
+    return _floored_mags(grid, lam_floor), grid.a_vals()
+
+
+def _orbit_axes(grid: GridSpec, lam_floor: float):
+    """(|lambda| values, A values) of the orbit image of that grid:
+    |lambda| = 1, and A = u for each distinct u = A/sqrt|lambda| of the
+    grid.  (lam, xi') lies on the orbit of (lam/|lam|, xi'/sqrt|lam|)."""
+    mags = _floored_mags(grid, lam_floor)
+    u = np.sort((grid.a_vals()[None, :] / np.sqrt(mags)[:, None]).reshape(-1))
+    return np.ones(1), u[np.concatenate(([True], np.diff(u) > _SAME_ORBIT * u[1:]))]
+
+
+class _Points:
+    """One flattened point set: the points of a class grid's angles on the
+    given (|lambda|, A) axes, each once per frequency direction.
+
+    chunk() builds the jets of one _CHUNK of points and judges the claims it
+    is given on them, so memory is set by the chunk, not the point set.
     """
 
-    def __init__(self, fluid: FluidParams, sector: Sector, grid: GridSpec,
-                 lam_floor: float):
-        mags = grid.lam_mags()
-        if lam_floor > 0.0:
-            # keep the floor itself on every grid: the sup of a floored claim
-            # typically sits at the |lam| = lam_floor edge, and base/refined
-            # runs must sample that edge identically or the drift column
-            # measures the floor discretization instead of grid convergence
-            mags = np.unique(np.concatenate(([lam_floor], mags[mags > lam_floor])))
-        # every grid point once per frequency direction
-        lam, a = (np.repeat(v, len(_DIRECTIONS)) for v in grid.points(sector.epsilon, mags))
+    def __init__(self, fluid: FluidParams, sector: Sector, grid: GridSpec, axes):
+        self.fluid, self.sector, self.grid, self.axes = fluid, sector, grid, axes
+        self.n = axes[0].size * grid.n_angles * axes[1].size * len(_DIRECTIONS)
+
+    @cached_property
+    def columns(self):
+        """lam, A, xi_1, xi_2 and the bound scale per point, built in the
+        process that first evaluates the set (a pool worker)."""
+        lam, a = (np.repeat(v, len(_DIRECTIONS))
+                  for v in self.grid.points(self.sector.epsilon, *self.axes))
         d = np.tile(_DIRECTIONS, (lam.size // len(_DIRECTIONS), 1))
-        self.fluid, self.lam, self.a, self.n = fluid, lam, a, lam.size
-        self.xi1, self.xi2 = a * d[:, 0], a * d[:, 1]
-        self.scale = np.sqrt(np.abs(lam)) + a
+        return lam, a, a * d[:, 0], a * d[:, 1], np.sqrt(np.abs(lam)) + a
 
     def chunk(self, start: int, claims) -> np.ndarray:
         """The max of |derivative|/bound over the _CHUNK points from start,
         over (claim, key) in _KEYS order."""
-        sl = slice(start, start + _CHUNK)
-        args = _jet_args(self.fluid, self.lam[sl], self.xi1[sl], self.xi2[sl])
-        tau, scale, a = self.lam[sl].imag, self.scale[sl], self.a[sl]
-        return np.array([(_derivatives(cl.fn(*args), tau) / _bound(cl.s, cl.mtype, scale, a))
+        lam, a, xi1, xi2, scale = (c[start:start + _CHUNK] for c in self.columns)
+        args = _jet_args(self.fluid, lam, xi1, xi2)
+        return np.array([(_derivatives(cl.fn(*args), lam.imag) / _bound(cl.s, cl.mtype, scale, a))
                          .max(axis=-1).reshape(-1) for cl in claims])
+
+    def homogeneous(self, claims) -> list[bool]:
+        """Per claim, whether its jet is homogeneous of its claimed order s
+        at the first _CHUNK points: at (4^k lam, 2^k xi') each coefficient
+        of d_xi^kappa d_lam^c is 2^{k(s - |kappa| - 2c)} times its value at
+        (lam, xi'), bit for bit, for each k in _SCALINGS.  A NaN fails.
+
+        Each batch holds a run of points unscaled and at every scaling, at
+        most _CHUNK points in all, so the test holds no more jets than a
+        chunk; the jets are elementwise, so no value depends on its batch.
+        """
+        lam, _, xi1, xi2, _ = self.columns
+        n, step = min(self.n, _CHUNK), max(1, _CHUNK // (1 + len(_SCALINGS)))
+        holds = [True] * len(claims)
+        for start in range(0, n, step):
+            sl = slice(start, min(start + step, n))
+            args = _jet_args(self.fluid, *(
+                np.concatenate([base ** k * v[sl] for k in (0, *_SCALINGS)])
+                for base, v in ((4.0, lam), (2.0, xi1), (2.0, xi2))))
+            for i, cl in enumerate(claims):
+                holds[i] = holds[i] and _scales(cl.fn(*args), cl.s, sl.stop - sl.start)
+        return holds
+
+
+def _scales(m: Jet, s: float, n: int) -> bool:
+    """Whether block j + 1 of the n-point blocks of m is block 0 scaled as
+    by k = _SCALINGS[j] for a symbol homogeneous of order s, bit for bit."""
+    blocks = ((m.x, 0.0),) if m.l is None else ((m.x, 0.0), (m.l, 2.0))
+    return all(np.array_equal(b[:, (j + 1) * n:(j + 2) * n],
+                              b[:, :n] * 2.0 ** (k * (s - _ORDER_COLUMN - c)))
+               for b, c in blocks for j, k in enumerate(_SCALINGS))
 
 
 def _bound(s: float, mtype: int, scale, a) -> np.ndarray:
@@ -209,7 +301,7 @@ def declared_claims(lambda0: float) -> list[Claim]:
 
     def _quot(num):
         def fn(kit, i1):
-            return num(kit, i1) / ((kit.lam + kit.k_height()) * (1.0 + kit.a * kit.a))
+            return num(kit, i1) / kit.quotient_q()
         return fn
 
     # the (lambda + K)-quotient families, type 2 above the cutoff lambda0
@@ -242,8 +334,9 @@ def _widened(grid: GridSpec) -> GridSpec:
                    a_per_decade=2 * grid.a_per_decade)
 
 
-# Per floor group, its claims and its (base, refined) _GridRun: what a chunk
-# task indexes into.  Set by _adopt in each pool worker only.
+# Per floor group, its claims and its point sets by domain, each a (base,
+# refined) pair of _Points: what a task indexes into.  Set by _adopt in each
+# pool worker only.
 _WORK: list | None = None
 
 
@@ -252,12 +345,19 @@ def _adopt(work) -> None:
     _WORK = work
 
 
+def _degree(g, work=None):
+    """The homogeneous() verdicts of floor group g's claims on its base orbit
+    image, on work or in a pool worker on the work it adopted."""
+    claims, sets = (_WORK if work is None else work)[g]
+    return sets["orbit"][0].homogeneous(claims)
+
+
 def _chunk(task, work=None):
-    """The chunk() result of task = (floor group, grid, chunk start) on
-    work, or in a pool worker on the work it adopted."""
-    g, r, start = task
-    claims, runs = (_WORK if work is None else work)[g]
-    return runs[r].chunk(start, claims)
+    """The chunk() result of task = (floor group, domain, grid, chunk start,
+    claim indices) on work, or in a pool worker on the work it adopted."""
+    g, domain, r, start, which = task
+    claims, sets = (_WORK if work is None else work)[g]
+    return sets[domain][r].chunk(start, [claims[i] for i in which])
 
 
 def _workers() -> int:
@@ -267,17 +367,19 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunks(work, tasks) -> list:
-    """_chunk of every task, in task order.
+@contextmanager
+def _pool(work):
+    """A map(fn, tasks, chunksize) that returns fn(task) of every task, in
+    task order, with work adopted.
 
-    One forked worker per usable core runs them when there are two or more
-    of both, the platform can fork and this process runs no other thread (a
-    lock another thread holds at the fork stays held in the worker);
-    otherwise they run in this process.  A worker that dies (a signal, the
-    OOM killer) raises WorkerLost here instead of leaving the call waiting
-    for it; the error is also the pool's own BrokenProcessPool.
+    One forked worker per usable core runs them when there are two or more,
+    the platform can fork and this process runs no other thread (a lock
+    another thread holds at the fork stays held in the worker); otherwise
+    they run in this process.  A worker that dies (a signal, the OOM killer)
+    raises WorkerLost here instead of leaving the call waiting for it; the
+    error is also the pool's own BrokenProcessPool.
     """
-    workers = min(_workers(), len(tasks))
+    workers = _workers()
     if workers > 1:
         import multiprocessing
         import threading
@@ -287,13 +389,15 @@ def _run_chunks(work, tasks) -> list:
             from concurrent.futures.process import BrokenProcessPool
             with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                      initializer=_adopt, initargs=(work,)) as pool:
-                try:
-                    # a few chunks per message: fewer round trips, a short tail
-                    return list(pool.map(_chunk, tasks, chunksize=4))
-                except BrokenProcessPool as exc:
-                    lost = type("WorkerLost", (WorkerLost, BrokenProcessPool), {})
-                    raise lost(f"a multiplier-class worker process died: {exc}") from exc
-    return [_chunk(task, work) for task in tasks]
+                def pooled(fn, tasks, chunksize):
+                    try:
+                        return list(pool.map(fn, tasks, chunksize=chunksize))
+                    except BrokenProcessPool as exc:
+                        lost = type("WorkerLost", (WorkerLost, BrokenProcessPool), {})
+                        raise lost(f"a multiplier-class worker process died: {exc}") from exc
+                yield pooled
+                return
+    yield lambda fn, tasks, chunksize: [fn(task, work) for task in tasks]
 
 
 def _estimates(chunks) -> list[dict]:
@@ -305,8 +409,10 @@ def _estimates(chunks) -> list[dict]:
 
 def certify_table(claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
                   tol: Tolerances | None = None) -> list[MultiplierClassReport]:
-    """Judge each claim on a base and a refined grid; claims with one floor
-    share the jet evaluations of both grids.
+    """Judge each claim on a base and a refined point set: the orbit images
+    of the class grid and its refinement for a claim homogeneous of its
+    claimed order, the 3-D grids for any other.  Claims with one floor and
+    domain share the jet evaluations.
 
     The verdict is "pass" when every constant moves by less than
     tol.class_drift under grid refinement, "fail" otherwise (a wrong claimed
@@ -317,23 +423,37 @@ def certify_table(claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
     for cl in claims:
         groups.setdefault(cl.lam_floor, []).append(cl)
 
-    work = [(members, (_GridRun(fluid, sector, grid, floor),
-                       _GridRun(fluid, sector, _widened(grid), floor)))
+    grids = (grid, _widened(grid))
+    work = [(members, {domain: tuple(_Points(fluid, sector, g, axes(g, floor)) for g in grids)
+                       for domain, axes in (("orbit", _orbit_axes), ("grid", _grid_axes))})
             for floor, members in sorted(groups.items())]
-    tasks = [(g, r, start) for g, (_, runs) in enumerate(work)
-             for r, run in enumerate(runs) for start in range(0, run.n, _CHUNK)]
-    chunks: dict[tuple[int, int], list] = {}
-    for (g, r, _), result in zip(tasks, _run_chunks(work, tasks)):
-        chunks.setdefault((g, r), []).append(result)
+    with _pool(work) as run:
+        # one task per group: one per worker, not batched
+        homogeneous = run(_degree, range(len(work)), 1)
+        # the claim indices of each group on each domain
+        routed = {(g, domain): tuple(i for i, h in enumerate(flags) if h == (domain == "orbit"))
+                  for g, flags in enumerate(homogeneous) for domain in ("orbit", "grid")}
+        tasks = [(g, domain, r, start, which) for (g, domain), which in routed.items() if which
+                 for r, points in enumerate(work[g][1][domain])
+                 for start in range(0, points.n, _CHUNK)]
+        # a few chunks per message: fewer round trips, a short tail
+        results = run(_chunk, tasks, 4)
+    chunks: dict[tuple, list] = {}
+    for (g, domain, r, _, _), result in zip(tasks, results):
+        chunks.setdefault((g, domain, r), []).append(result)
+    constants = {(g, i): (domain, cb, cr) for (g, domain), which in routed.items() if which
+                 for i, cb, cr in zip(which, _estimates(chunks[g, domain, 0]),
+                                      _estimates(chunks[g, domain, 1]))}
 
     reports = []
-    for g, (members, (run_b, run_r)) in enumerate(work):
-        base, refined = _estimates(chunks[g, 0]), _estimates(chunks[g, 1])
-        for cl, cb, cr in zip(members, base, refined):
+    for g, (members, sets) in enumerate(work):
+        for i, cl in enumerate(members):
+            domain, cb, cr = constants[g, i]
             drift, verdict = _verdict(cb, cr, tol.class_drift)
             reports.append(MultiplierClassReport(
                 name=cl.name, s=cl.s, mtype=cl.mtype, lam_floor=cl.lam_floor,
                 constants=cb, refined_constants=cr, drift=drift,
-                n_base=run_b.n, n_refined=run_r.n, verdict=verdict,
+                n_base=sets[domain][0].n, n_refined=sets[domain][1].n,
+                verdict=verdict, domain=domain,
             ))
     return reports

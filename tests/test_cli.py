@@ -4,7 +4,7 @@ solve lambda outside the sector ends in exit 65, and so does a config key the
 program no longer reads, a non-finite number, a malformed solve block or an
 out-of-range --seed/--samples, and a grid, or a scan refinement, of more
 points than MAX_GRID_POINTS; the energy suite reproduces its pinned quadrature
-figure."""
+figure; verify-multipliers names the domain each claim was judged on."""
 
 from __future__ import annotations
 
@@ -82,6 +82,16 @@ def test_det_grids_evaluated_once(monkeypatch, config):
     assert sum(det) == GRID_POINTS + REFINED_POINTS
     assert height == []
 
+
+def test_multiplier_report_names_each_domain(config, tmp_path):
+    assert main(["verify-multipliers", *config]) == 0
+    (path,) = (tmp_path / "out").glob("multipliers_*.json")
+    claims = json.loads(path.read_text())["claims"]
+    # the (lambda + K)-quotients, floored at the cutoff, keep the 3-D grid;
+    # the 32 homogeneous claims run on the orbit images
+    assert ({c["name"] for c in claims if c["domain"] == "grid"}
+            == {c["name"] for c in claims if c["lam_floor"] > 0.0})
+    assert sum(c["domain"] == "orbit" for c in claims) == 32
 
 def test_scan_report_bytes_pinned(tmp_path):
     # scan-lopatinski end to end on a 405-point grid: any drift in how the

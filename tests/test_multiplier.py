@@ -48,6 +48,14 @@ TINY = GridSpec(lam_min=1.0, lam_max=10.0, lam_per_decade=1,
 
 LAMBDA0_REF = 50.118723362727245
 
+CLASS = RunConfig().class_grid
+
+
+def inhomogeneous(kit, i1):
+    """L11+ plus a constant: inside the order-1 type-1 class at |lambda| >= 1,
+    and not homogeneous, so it is judged on the 3-D class grid."""
+    return kit.l11p + 1.0
+
 
 def run(fn, s, mtype, lam_floor=0.0):
     """The report of one claim on the SMALL grid."""
@@ -66,9 +74,10 @@ class TestCalibration:
         assert all(rep.constants[(k, 1)] == 0.0 for k in KAPPAS)
         # on the (1,0) direction (the even points) d_xi1, d_xi2, d_xi1^2 and
         # d_xi1 d_xi2 of i xi_1 / A vanish, and the jet coefficients are 0.0
-        grid = multiplier._GridRun(REF, SECTOR, SMALL, 0.0)
-        kit, i1 = multiplier._jet_args(REF, grid.lam, grid.xi1, grid.xi2)
-        d = multiplier._derivatives(i1 / kit.a, grid.lam.imag)
+        lam, _, xi1, xi2, _ = multiplier._Points(
+            REF, SECTOR, SMALL, multiplier._grid_axes(SMALL, 0.0)).columns
+        kit, i1 = multiplier._jet_args(REF, lam, xi1, xi2)
+        d = multiplier._derivatives(i1 / kit.a, lam.imag)
         zeros = [KAPPAS.index(k) for k in ("10", "01", "20", "11")]
         assert np.all(d[0][zeros, ::2] == 0.0)
         assert np.all(d[0][zeros, 1::2] > 0.0)
@@ -83,19 +92,24 @@ class TestCalibration:
 
     def test_a_claimed_order_one_type1_fails(self):
         # d^2 A ~ 1/A beats (sqrt|lam|+A)^{-1} at the small-A large-lam
-        # corner, so refinement widening must blow the drift up
+        # corner, so refinement widening must blow the drift up; A is
+        # homogeneous of order 1, so this is the orbit image's verdict
         rep = run(lambda kit, i1: kit.a + 0j, 1, 1)
+        assert rep.domain == "orbit"
         assert rep.verdict == "fail"
         assert rep.max_drift() >= Tolerances().class_drift
 
     def test_overclaimed_degree_fails(self):
-        # L12+ is order 2; claiming order 1 under-counts one scale power
+        # L12+ is order 2; claiming order 1 under-counts one scale power,
+        # which the degree test sees, so the 3-D grid judges it
         rep = run(lambda kit, i1: kit.l12p, 1, 1)
+        assert rep.domain == "grid"
         assert rep.verdict == "fail"
 
     def test_nan_symbol_fails(self):
         # a NaN constant has not converged, so it cannot pass
         rep = run(lambda kit, i1: kit.l11p * math.nan, 1, 1)
+        assert rep.domain == "grid"
         assert rep.verdict == "fail"
 
     def test_product_rule(self):
@@ -125,16 +139,17 @@ class TestEstimator:
 
     def test_floor_inserted_into_grid(self):
         floor = 3.7  # off-grid magnitude
-        rep = run(lambda kit, i1: kit.l11p, 1, 1, lam_floor=floor)
+        rep = run(inhomogeneous, 1, 1, lam_floor=floor)
         assert rep.lam_floor == floor
-        assert rep.verdict == "pass"
+        assert (rep.domain, rep.verdict) == ("grid", "pass")
         # magnitudes at and above the floor only: 3.7 plus the grid tail
         n_mags = 1 + int(np.sum(SMALL.lam_mags() > floor))
         assert rep.n_base == n_mags * 5 * 9 * 2
 
     def test_floor_beyond_range_collapses_to_single_magnitude(self):
         # the floor magnitude itself is always kept on the grid
-        rep = run(lambda kit, i1: kit.l11p, 1, 1, lam_floor=1e12)
+        rep = run(inhomogeneous, 1, 1, lam_floor=1e12)
+        assert rep.domain == "grid"
         assert rep.n_base == 1 * 5 * 9 * 2
         assert rep.n_refined == 1 * 5 * 25 * 2
 
@@ -160,27 +175,101 @@ class TestClaimTable:
         assert lam0 == pytest.approx(LAMBDA0_REF, rel=1e-12)
 
     def test_estimate_class_matches_table(self):
-        # a claim certified alone matches its entry in the shared-stencil table
+        # a claim certified alone matches its entry in the table, on the
+        # orbit image (S+_NN) and on the 3-D grid (A*S+NN/q)
         claims = {c.name: c for c in declared_claims(LAMBDA0_REF)}
         table = {r.name: r for r in certify_table(list(claims.values()), REF, SECTOR, SMALL)}
         for name in ("S+_NN", "A*S+NN/q"):
             rep = certify_table([claims[name]], REF, SECTOR, SMALL)[0]
             want = table[name]
             for f in dataclasses.fields(rep):
-                # repr compares the nan drift entries of unresolved indices too
+                # repr compares nan and inf drift entries too
                 assert repr(getattr(rep, f.name)) == repr(getattr(want, f.name)), (name, f.name)
         assert table["A*S+NN/q"].lam_floor == LAMBDA0_REF
         assert table["S+_NN"].lam_floor == 0.0
+        assert (table["S+_NN"].domain, table["A*S+NN/q"].domain) == ("orbit", "grid")
 
     def test_certify_table_reference(self):
-        reports = certify_table(declared_claims(LAMBDA0_REF), REF, SECTOR,
-                                RunConfig().class_grid)
+        reports = certify_table(declared_claims(LAMBDA0_REF), REF, SECTOR, CLASS)
         assert len(reports) == 45
         failures = [r.name for r in reports if r.verdict != "pass"]
         assert failures == []
         assert sum(1 for r in reports if r.lam_floor == LAMBDA0_REF) == 13
         worst = max(r.max_drift() for r in reports)
         assert worst < Tolerances().class_drift
+        # exactly the 13 (lambda + K)-quotients keep the floored 3-D grid,
+        # and the other 32 run on the orbit images: a fall-back to the 3-D
+        # path would multiply the points per claim by 10 to 23
+        assert ([r.name for r in reports if r.domain == "grid"]
+                == [r.name for r in reports if r.lam_floor == LAMBDA0_REF])
+        counts = {(r.domain, r.n_base, r.n_refined) for r in reports}
+        assert counts == {("orbit", 1106, 2702), ("grid", 4900, 28182)}
+
+
+def _orbit_keys(points: multiplier._Points, angles):
+    """(angle index, direction index, u = A/sqrt|lambda|) of every point."""
+    lam, a, xi1, xi2, _ = points.columns
+    assert lam.size == points.n
+    ang = np.angle(lam)
+    j = np.abs(ang[:, None] - angles[None, :]).argmin(axis=1)
+    assert np.all(np.abs(ang - angles[j]) <= 1e-12)
+    dirs = np.array(multiplier._DIRECTIONS)
+    unit = np.stack((xi1, xi2), axis=1) / a[:, None]
+    d = np.abs(unit[:, None, :] - dirs[None]).sum(axis=-1).argmin(axis=1)
+    assert np.all(np.abs(unit - dirs[d]) <= 1e-12)
+    return j, d, a / np.sqrt(np.abs(lam))
+
+
+class TestOrbit:
+    @pytest.mark.parametrize("grid, floor, n_orbit", [
+        (CLASS, 0.0, 1106), (multiplier._widened(CLASS), 0.0, 2702), (CLASS, 3.7, 1260),
+    ], ids=["base", "refined", "floor-3.7"])
+    def test_orbit_image_covers_the_grid(self, grid, floor, n_orbit):
+        # every 3-D point has an orbit point with its angle and direction
+        # and its u within 1e-12, and no two orbit points are that close
+        angles = grid.angles(SECTOR.epsilon)
+        full = multiplier._Points(REF, SECTOR, grid, multiplier._grid_axes(grid, floor))
+        orbit = multiplier._Points(REF, SECTOR, grid, multiplier._orbit_axes(grid, floor))
+        assert orbit.n == n_orbit
+        assert np.allclose(np.abs(orbit.columns[0]), 1.0, rtol=0, atol=1e-15)
+        gj, gd, gu = _orbit_keys(full, angles)
+        oj, od, ou = _orbit_keys(orbit, angles)
+        assert set(zip(gj, gd)) == set(zip(oj, od))
+        for j, d in set(zip(oj, od)):
+            u = np.sort(ou[(oj == j) & (od == d)])
+            assert np.all(np.diff(u) > 1e-12 * u[1:])
+            want = gu[(gj == j) & (gd == d)]
+            i = np.clip(np.searchsorted(u, want), 1, u.size - 1)
+            near = np.minimum(np.abs(u[i - 1] - want), np.abs(u[i] - want))
+            assert np.all(near <= 1e-12 * want)
+
+    def test_orbit_image_agrees_with_the_grid(self, monkeypatch):
+        # the oracle: every claim judged on the 3-D grids, as with no
+        # degree test; homogeneity makes the suprema equal up to rounding
+        claims = declared_claims(LAMBDA0_REF)
+        orbit = certify_table(claims, REF, SECTOR, SMALL)
+        monkeypatch.setattr(multiplier._Points, "homogeneous",
+                            lambda self, claims: [False] * len(claims))
+        grid = certify_table(claims, REF, SECTOR, SMALL)
+        assert sum(r.domain == "orbit" for r in orbit) == 32
+        assert all(r.domain == "grid" for r in grid)
+        for o, g in zip(orbit, grid):
+            assert (o.name, o.verdict) == (g.name, g.verdict)
+            for key in o.constants:
+                for got, want in ((o.constants, g.constants), (o.refined_constants,
+                                  g.refined_constants), (o.drift, g.drift)):
+                    assert got[key] == pytest.approx(want[key], rel=1e-8), (o.name, key)
+
+    @pytest.mark.parametrize("fluid", [REF, *STRESS_PARAM_SETS])
+    def test_degree_test_passes_the_homogeneous_claims(self, fluid):
+        # bit for bit at every parameter set: the 32 unfloored claims are
+        # homogeneous of their order, the 13 (lambda + K)-quotients are not
+        claims = declared_claims(LAMBDA0_REF)
+        orbit = multiplier._Points(fluid, SECTOR, SMALL, multiplier._orbit_axes(SMALL, 0.0))
+        # at sigma = 0 the height coupling, and with it every quotient claim,
+        # vanishes: a zero symbol is homogeneous of any order
+        want = [c.lam_floor == 0.0 or fluid.sigma == 0.0 for c in claims]
+        assert orbit.homogeneous(claims) == want
 
 
 def _reports_equal(got, want):
@@ -210,10 +299,10 @@ class TestChunking:
         _reports_equal(certify_table(claims, REF, SECTOR, TINY), want)
 
     def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch):
-        # refined grids of 594 and 2,574 points (4.3x), in chunks of 100: the
-        # jets of one chunk set the peak, not the grid.  tracemalloc sees
-        # this process only, so the chunks run here rather than in pool
-        # workers.
+        # refined floored 3-D grids of 378 and 1,638 points (4.3x), in chunks
+        # of 100: the jets of one chunk set the peak, not the grid.
+        # tracemalloc sees this process only, so the chunks run here rather
+        # than in pool workers.
         monkeypatch.setattr(multiplier, "_workers", lambda: 1)
         monkeypatch.setattr(multiplier, "_CHUNK", 100)
         peaks = []
@@ -227,7 +316,8 @@ class TestChunking:
             finally:
                 tracemalloc.stop()
             assert len(reports) == 45
-        assert reports[0].n_refined == 2574
+        quotient = next(r for r in reports if r.lam_floor == 1.0)
+        assert (quotient.domain, quotient.n_refined) == ("grid", 1638)
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
@@ -348,7 +438,7 @@ class TestPool:
 
 MEMOISED = {"k_height", "p_plus_N", "p_minus_N", "s_plus_NN", "s_minus_NN", "p_press_N",
             "_w_plus", "_bsum", "_det_block_plus", "_r_plus_factor_N", "t_plus", "t_minus",
-            "_p_plus_core", "_p_minus_core"}
+            "_p_plus_core", "_p_minus_core", "quotient_q"}
 
 
 class TestMemo:
