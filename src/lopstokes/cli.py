@@ -10,8 +10,8 @@ Subcommands
 
 Each scan grid is evaluated once per command.  The height curve (per-|lambda|
 minimum of |lambda+K|/(|lambda|+A)) yields both cutoffs, the height report
-and the height CSV; the base determinant grid yields omega, its worst point
-and the scan CSV columns.
+and the height CSV; the determinant grid yields omega, its worst point and
+the scan CSV columns.
 
 The library measures and the commands judge: every pass/fail decision
 (omega > 0 with the asymptotic deviation within asym_dev_at_100, omega4 > 0,
@@ -20,9 +20,9 @@ verdicts) is taken here, against Tolerances().scale(--tolerance-scale).
 The run defaults (fluid, sector, grids, seed, samples) come from RunConfig.
 
 Exit codes: 0 success; 2 usage (argparse); 65 config or data validation,
-including a non-finite config number, a malformed solve block, an
-out-of-range --seed/--samples, and a `solve` lambda outside the configured
-sector (or lambda = 0);
+including a non-finite config number, a malformed solve block, a non-finite
+value in a solve field file, an out-of-range --seed/--samples, and a `solve`
+lambda outside the configured sector (or lambda = 0);
 `verify` failures form a bitmask (1 fuzz, 2 multipliers, 4 height,
 8 energy); verify-multipliers alone exits with its bitmask value 2; the
 scan and decay commands exit 1 when their certification fails; 71
@@ -130,8 +130,7 @@ def cmd_scan_lopatinski(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> 
     dev = max(rep.delta1, rep.delta2)
     ok = rep.omega > 0.0 and dev <= tol.asym_dev_at_100
     print(f"scan-lopatinski: omega = {rep.omega:.6e} over {rep.n_points} points, "
-          f"refine drift {rep.refine_drift:.2%}, asymptotic deviation {dev:.2%} "
-          f"-> {'PASS' if ok else 'FAIL'}")
+          f"asymptotic deviation {dev:.2%} -> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -193,8 +192,7 @@ def _multiplier_table(cfg: RunConfig, tol: Tolerances, out: str, tag: str,
 def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
     suites: dict[str, dict] = {}
 
-    fuzz = fuzz_residuals(cfg.fluid, cfg.sector, cfg.samples, cfg.seed,
-                          energy=True, tol=tol)
+    fuzz = fuzz_residuals(cfg.fluid, cfg.sector, cfg.samples, cfg.seed, tol=tol)
     suites["fuzz"] = {**fuzz.to_dict(), "passed": fuzz.passed(tol)}
 
     curve = height_curve(cfg.fluid, cfg.sector, cfg.grid)
@@ -292,7 +290,7 @@ def cmd_solve(cfg: RunConfig, tol: Tolerances, out: str, tag: str, data_args) ->
     kw = {"H_field": fields[-1]} if mode == "explicit-H" else {"d_field": fields[-1]}
     sol = solve_physical(cfg.fluid, lam, fields[:-1], box,
                          x_levels=tuple(float(x) for x in sv["x_levels"]),
-                         tol=tol, residuals=True, **kw)
+                         tol=tol, **kw)
 
     for J, fld in enumerate(sol.u_plus, start=1):
         write_field(os.path.join(out, f"solve_{tag}_u_plus_{J}"), fld, lam,

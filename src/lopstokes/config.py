@@ -48,9 +48,8 @@ ELISION_THRESHOLD = 16384
 # The most points a GridSpec may lay out.  A scan keeps its point arrays and
 # per-point columns whole (about 64 bytes a point) and writes a CSV row per
 # point, so 10^7 points come to about a gigabyte; the bound admits the
-# default scan grid (190,333 points) and its refinement (1,452,025), and
-# turns an absurd density or angle count into a ConfigError instead of a
-# failed allocation.
+# default scan grid (190,333 points) fifty times over, and turns an absurd
+# density or angle count into a ConfigError instead of a failed allocation.
 MAX_GRID_POINTS = 10**7
 
 

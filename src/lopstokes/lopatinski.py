@@ -15,20 +15,20 @@ points; a single point is an array of length one.  The determinant obeys
 
 with explicit constants omega1 (A-dominated regime) and omega2
 (lambda-dominated regime); scan_lower_bound estimates the sector-wide omega
-on the GridSpec scan grid, in chunks below the elision threshold, and
-asymptotic_report measures the distance to the two limits.  Both only
-measure: the scan-lopatinski command judges the results.
+as the minimum over one pass of the GridSpec scan grid, in chunks below the
+elision threshold, and asymptotic_report measures the distance to the two
+limits.  Both only measure: the scan-lopatinski command judges the results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import ELISION_THRESHOLD, GridSpec
-from .errors import ConfigError, NonPositiveOmega, SingularDetL
+from .errors import NonPositiveOmega, SingularDetL
 from .params import FluidParams, Sector, first_offender
 from .symbols import char_roots_batch, check_roots
 
@@ -170,8 +170,7 @@ class ScanReport:
     worst_lam: complex
     worst_a: float
     n_points: int
-    refine_drift: float
-    # base-grid (lam, A, |det L|, ratio) arrays in grid order, the scan CSV
+    # the grid's (lam, A, |det L|, ratio) arrays in grid order, the scan CSV
     columns: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -196,7 +195,6 @@ class ScanReport:
                 "ratio": self.omega,
             },
             "n_points": self.n_points,
-            "refine_drift": self.refine_drift,
         }
 
 
@@ -209,36 +207,6 @@ _CHUNK = ELISION_THRESHOLD // 2
 _REGIME_RATIO = 100.0
 
 
-def _det_chunks(fluid: FluidParams, sector: Sector, grid: GridSpec):
-    """(lam, A, |det L|, ratio) over the grid in grid order, in bounded-size
-    chunks; raises NonPositiveOmega at the first nonfinite ratio."""
-    lam, a = grid.points(sector.epsilon)
-    for start in range(0, lam.size, _CHUNK):
-        lam_c = lam[start:start + _CHUNK]
-        a_c = a[start:start + _CHUNK]
-        absdet, ratio = det_ratios(fluid, lam_c, a_c)
-        if not np.all(np.isfinite(ratio)):
-            bad = int(np.argmin(np.isfinite(ratio)))
-            raise NonPositiveOmega(
-                f"nonfinite |det L| ratio at lam={lam_c[bad]!r}, A={a_c[bad]!r}"
-            )
-        yield lam_c, a_c, absdet, ratio
-
-
-def _scan_min(chunks):
-    """(omega, worst_lam, worst_a, n) over _det_chunks output."""
-    best = math.inf
-    worst_lam, worst_a, n = 0j, 0.0, 0
-    for lam_c, a_c, _, ratio in chunks:
-        n += lam_c.size
-        k = int(np.argmin(ratio))
-        if ratio[k] < best:
-            best = float(ratio[k])
-            worst_lam = complex(lam_c[k])
-            worst_a = float(a_c[k])
-    return best, worst_lam, worst_a, n
-
-
 def scan_lower_bound(
     fluid: FluidParams,
     sector: Sector,
@@ -246,23 +214,23 @@ def scan_lower_bound(
 ) -> ScanReport:
     """Estimate omega = inf |det L|/(sqrt|lam|+A)^4 over the scan grid.
 
-    The infimum is empirical (grid minimum); the grid is re-run at double
-    density with 12 more angles over the same ranges, and the relative
-    movement of omega is recorded as refine_drift.  Each grid is evaluated
-    once: the refined one is only reduced, chunk by chunk and first, so that
-    its peak memory does not overlap the base grid's per-point values, which
-    stay on the report as the scan CSV columns.  Raises NonPositiveOmega if
-    the minimum is not strictly positive, and ConfigError if the refinement
-    has more than MAX_GRID_POINTS points.
+    The infimum is empirical: the grid minimum, taken at the first point in
+    grid order that attains it.  The grid is evaluated once, in chunks of
+    _CHUNK points, and its per-point values stay on the report as the scan
+    CSV columns.  Raises NonPositiveOmega at the first nonfinite ratio in
+    grid order, or if the minimum is not strictly positive.
     """
-    try:
-        fine = replace(grid, lam_per_decade=2 * grid.lam_per_decade,
-                       a_per_decade=2 * grid.a_per_decade, n_angles=grid.n_angles + 12)
-    except ConfigError as exc:
-        raise ConfigError(f"scan refinement (double density, 12 more angles): {exc}") from exc
-    omega_r = _scan_min(_det_chunks(fluid, sector, fine))[0]
-    base = list(_det_chunks(fluid, sector, grid))
-    omega, worst_lam, worst_a, n = _scan_min(base)
+    lam, a = grid.points(sector.epsilon)
+    absdet, ratio = np.empty(lam.size), np.empty(lam.size)
+    for s in range(0, lam.size, _CHUNK):
+        absdet[s:s + _CHUNK], ratio[s:s + _CHUNK] = det_ratios(
+            fluid, lam[s:s + _CHUNK], a[s:s + _CHUNK])
+    finite = np.isfinite(ratio)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonPositiveOmega(f"nonfinite |det L| ratio at lam={lam[bad]!r}, A={a[bad]!r}")
+    k = int(np.argmin(ratio))
+    omega, worst_lam, worst_a = float(ratio[k]), complex(lam[k]), float(a[k])
     if not omega > 0.0:
         raise NonPositiveOmega(
             f"scan infimum {omega!r} at lam={worst_lam!r}, A={worst_a!r}"
@@ -271,9 +239,8 @@ def scan_lower_bound(
     return ScanReport(
         fluid=fluid, epsilon=sector.epsilon, grid=grid, omega=omega, omega1=w1, omega2=w2,
         r1=_REGIME_RATIO, r2=_REGIME_RATIO, delta1=d1, delta2=d2,
-        worst_lam=worst_lam, worst_a=worst_a, n_points=n,
-        refine_drift=abs(omega_r - omega) / omega,
-        columns=tuple(np.concatenate(col) for col in zip(*base)),
+        worst_lam=worst_lam, worst_a=worst_a, n_points=lam.size,
+        columns=(lam, a, absdet, ratio),
     )
 
 

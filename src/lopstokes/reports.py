@@ -181,8 +181,8 @@ def read_field(base_path: str) -> tuple[dict, PhysicalField]:
 
     The CSV is parsed in one pass, by column type; rows it does not list
     stay zero.  Malformed input (bad JSON, a missing or bad header key, a
-    bad cell, a wrong column count, an index outside the header's grid)
-    raises ConfigError naming the file.
+    bad cell, a non-finite value, a wrong column count, an index outside the
+    header's grid) raises ConfigError naming the file.
     """
     json_path, csv_path = base_path + ".json", base_path + ".csv"
     try:
@@ -223,8 +223,11 @@ def read_field(base_path: str) -> tuple[dict, PhysicalField]:
         if bad.size:
             raise ConfigError(f"{csv_path}: data row {bad[0] + 1}: {name} "
                               f"{col[bad[0]]} outside [0, {n})")
-    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, as in Python
-        field.samples[index] = rows["re"] + 1j * rows["im"]
+    bad = np.flatnonzero(~(np.isfinite(rows["re"]) & np.isfinite(rows["im"])))
+    if bad.size:
+        raise ConfigError(f"{csv_path}: data row {bad[0] + 1}: non-finite value "
+                          f"{complex(rows['re'][bad[0]], rows['im'][bad[0]])!r}")
+    field.samples[index] = rows["re"] + 1j * rows["im"]
     return header, field
 
 

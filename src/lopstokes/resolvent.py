@@ -309,9 +309,9 @@ def _vmax(values):
 
 
 def _ratio(num, den):
-    """num/den where den > 0, else 0."""
+    """num/den, 0 where den is 0 (every constituent vanishes); a NaN stays NaN."""
     num, den = np.broadcast_arrays(num, den)
-    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0.0)
+    return np.divide(num, den, out=np.zeros(num.shape), where=den != 0.0)
 
 
 def _residual_at(parts: list[Profile], basis):
@@ -574,8 +574,9 @@ def _decay(s: ProfileBatch):
         for p in ps:
             bound = (np.abs(p.c_m) * xstar + np.abs(p.c_b) + np.abs(p.c_a)) * envelope
             val = np.abs(p.c_m * m + p.c_b * eb + p.c_a * ea)
+            # 0 where the envelope underflows; a NaN stays NaN
             worst.append(np.divide(val, bound, out=np.zeros(val.shape),
-                                   where=bound >= 1e-300))
+                                   where=~(bound < 1e-300)))
     return _vmax(worst)
 
 
@@ -616,16 +617,18 @@ class FuzzReport:
 
     height_failures, when set, holds the count and the first of the
     kinematic samples whose height inverse was refused; they are skipped
-    by the residual checks and fail the report.
+    by the residual checks and fail the report.  nan_residuals, when set,
+    holds per category the count and the first of the samples whose
+    residual is NaN; they fail the report too.
     """
 
     seed: int
     n_samples: int
     epsilon: float
-    energy_included: bool
     worst: dict
     elapsed: float
     height_failures: dict | None = None
+    nan_residuals: dict | None = None
 
     def passed(self, tol: Tolerances | None = None) -> bool:
         tol = tol or Tolerances()
@@ -636,7 +639,7 @@ class FuzzReport:
             "energy": tol.energy_defect,
             "decay": 1.0 + 1e-9,
         }
-        return self.height_failures is None and all(
+        return self.height_failures is None and self.nan_residuals is None and all(
             self.worst[k]["value"] <= limits[k] for k in self.worst)
 
     def to_dict(self) -> dict:
@@ -645,11 +648,14 @@ class FuzzReport:
             "seed": self.seed,
             "n_samples": self.n_samples,
             "epsilon": self.epsilon,
-            "energy_included": self.energy_included,
+            # the energy check always runs; the key keeps the report's bytes
+            "energy_included": True,
             "worst": self.worst,
         }
         if self.height_failures is not None:
             d["height_not_invertible"] = self.height_failures
+        if self.nan_residuals is not None:
+            d["nan_residuals"] = self.nan_residuals
         return d
 
 
@@ -658,25 +664,23 @@ def fuzz_residuals(
     sector: Sector,
     n_samples: int,
     seed: int,
-    energy: bool = False,
     tol: Tolerances | None = None,
 ) -> FuzzReport:
     """Random-corpus certification of the full solve path.
 
     Draws the fuzz_corpus and evaluates it _CHUNK samples at a time, one
     assemble_batch per dimension and mode inside a chunk.  Records the
-    worst ODE, interface, kinematic, decay (and optionally energy) residual
-    with its point: the first sample, in corpus order, that attains the
-    category's maximum (NaN values are never recorded).  Kinematic samples
-    whose height inverse is refused are counted instead of aborting.
+    worst ODE, interface, kinematic, decay and energy residual with its
+    point: the first sample, in corpus order, that attains the category's
+    maximum.  Kinematic samples whose height inverse is refused, and NaN
+    residuals, are counted instead of aborting.
     """
-    cats = ["ode", "interface", "kinematic", "decay"]
-    if energy:
-        cats.append("energy")
+    cats = ["ode", "interface", "kinematic", "decay", "energy"]
     worst = {c: {"value": -1.0, "lam_re": 0.0, "lam_im": 0.0, "a": 0.0,
                  "dim": 0, "mode": ""} for c in cats}
     refused = 0
     first_refused = None
+    nans: dict[str, dict] = {}
 
     def where(sample) -> dict:
         dim, mode, lam, xi = sample[:4]
@@ -697,14 +701,18 @@ def fuzz_residuals(
             batch = assemble_batch(fluid, cols[2], cols[3], cols[4], cols[5], mode,
                                    tol=tol, strict=False)
             ok[idx] = batch.valid
-            for c, v in batch.residuals(energy).items():
+            for c, v in batch.residuals(energy=True).items():
                 vals[c][idx] = v
         if not ok.all():
             refused += int(np.count_nonzero(~ok))
             if first_refused is None:
                 first_refused = where(chunk[int(np.argmin(ok))])
         for c in cats:
-            v = np.where(ok & ~np.isnan(vals[c]), vals[c], -np.inf)
+            nan = ok & np.isnan(vals[c])
+            if nan.any():
+                hit = nans.setdefault(c, {"count": 0, "first": where(chunk[int(np.argmax(nan))])})
+                hit["count"] += int(np.count_nonzero(nan))
+            v = np.where(ok & ~nan, vals[c], -np.inf)
             k = int(np.argmax(v))
             if v[k] > worst[c]["value"]:
                 worst[c] = {"value": float(v[k]), **where(chunk[k])}
@@ -712,6 +720,6 @@ def fuzz_residuals(
 
     failures = None if refused == 0 else {"count": refused, "first": first_refused}
     return FuzzReport(seed=seed, n_samples=n_samples, epsilon=sector.epsilon,
-                      energy_included=energy, worst=worst, elapsed=elapsed,
-                      height_failures=failures)
+                      worst=worst, elapsed=elapsed, height_failures=failures,
+                      nan_residuals=nans or None)
 

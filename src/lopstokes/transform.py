@@ -166,10 +166,11 @@ class PhysicalSolution:
         return self.pressure.dim
 
     def worst_residuals(self) -> tuple[float, float]:
+        """Largest (ODE, interface) residual over the modes; NaN if any is NaN."""
         if not self.mode_residuals:
             return 0.0, 0.0
-        vals = list(self.mode_residuals.values())
-        return max(v[0] for v in vals), max(v[1] for v in vals)
+        ode, iface = np.array(list(self.mode_residuals.values())).max(axis=0)
+        return float(ode), float(iface)
 
 
 def solve_physical(
@@ -181,18 +182,16 @@ def solve_physical(
     H_field: np.ndarray | None = None,
     d_field: np.ndarray | None = None,
     tol: Tolerances | None = None,
-    residuals: bool = True,
 ) -> PhysicalSolution:
     """FFT the boundary data, solve every nonzero mode, inverse FFT.
 
     Exactly one of H_field (height given) and d_field (kinematic datum,
     height derived per mode) must be supplied.  x_levels are nonnegative
     distances from the interface; u_plus is evaluated at +x, u_minus and
-    the pressure at -x.  With residuals=True each mode also reports its
-    ODE and interface defect, the certification sidecar.  The modes with
-    nonzero data are solved as arrays, in resolvent-sized chunks
-    (assemble_batch); a refused height raises HeightNotInvertible at the
-    first such mode in grid order.
+    the pressure at -x.  Each mode also reports its ODE and interface
+    defect, the certification sidecar.  The modes with nonzero data are
+    solved as arrays, in resolvent-sized chunks (assemble_batch); a refused
+    height raises HeightNotInvertible at the first such mode in grid order.
     """
     tol = tol or Tolerances()
     box, shape = _validate_grid(box_lengths, np.shape(h_fields[0]) if h_fields else
@@ -245,12 +244,11 @@ def solve_physical(
             by_mode(out_um[J])[:, sel] = b.u_minus[J](-xs)
         by_mode(out_pr)[:, sel] = b.pressure(-xs)
         by_mode(out_h)[0, sel] = b.H
-        if residuals:
-            res = b.residuals()
-            iface = np.maximum(res["interface"], res.get("kinematic", res["interface"]))
-            idx = zip(*np.unravel_index(sel, shape))
-            mode_res.update(zip((tuple(map(int, i)) for i in idx),
-                                zip(res["ode"].tolist(), iface.tolist())))
+        res = b.residuals()
+        iface = np.maximum(res["interface"], res.get("kinematic", res["interface"]))
+        idx = zip(*np.unravel_index(sel, shape))
+        mode_res.update(zip((tuple(map(int, i)) for i in idx),
+                            zip(res["ode"].tolist(), iface.tolist())))
 
     def field(spec_stack: np.ndarray, lv: tuple[float, ...]) -> PhysicalField:
         phys = np.stack([_tophys(spec_stack[i]) for i in range(spec_stack.shape[0])])

@@ -2,9 +2,10 @@
 scan-lopatinski writes its pinned report bytes, malformed solve input or a
 solve lambda outside the sector ends in exit 65, and so does a config key the
 program no longer reads, a non-finite number, a malformed solve block or an
-out-of-range --seed/--samples, and a grid, or a scan refinement, of more
-points than MAX_GRID_POINTS; the energy suite reproduces its pinned quadrature
-figure; verify-multipliers names the domain each claim was judged on."""
+out-of-range --seed/--samples, a non-finite value in a solve field file, and
+a grid of more points than MAX_GRID_POINTS; the energy suite reproduces its
+pinned quadrature figure; verify-multipliers names the domain each claim was
+judged on."""
 
 from __future__ import annotations
 
@@ -32,9 +33,6 @@ from lopstokes.transform import PhysicalField
 
 EPS = math.pi / 4
 GRID_POINTS = GridSpec().points(EPS)[0].size                 # 190,333
-# the scan refinement: twice the density (241 magnitudes and A values over
-# the same 12 decades) and 12 more angles
-REFINED_POINTS = 241 * 25 * 241                              # 1,452,025
 
 # the default scan grid with a coarse class grid, so verify stays quick
 SMALL_CLASS = {"class_grid": {"lam_min": 1e-2, "lam_max": 1e4, "lam_per_decade": 2,
@@ -79,7 +77,7 @@ def test_det_grids_evaluated_once(monkeypatch, config):
     det = _count_points(monkeypatch, lopatinski.det_ratios)
     height = _count_points(monkeypatch, coefficients.height_ratio)
     assert main(["scan-lopatinski", *config]) == 0
-    assert sum(det) == GRID_POINTS + REFINED_POINTS
+    assert sum(det) == GRID_POINTS == 190_333
     assert height == []
 
 
@@ -105,7 +103,7 @@ def test_scan_report_bytes_pinned(tmp_path):
                for p in (tmp_path / "out").glob("scan_*")}
     assert digests == {
         ".csv": "b7b31b3950330ae938c184d5021ccd1245dba60fc3aff47bcf2546a041f5d800",
-        ".json": "336d1bbbb3b0df3bd3a070c91051032a6b7b32223f3dc64d01af77d127fc67b3",
+        ".json": "3f54e85d1d93569c5d98d59f72a7141332698fdea7ff9a87a192f85e6cb2a64e",
     }
 
 
@@ -179,6 +177,16 @@ def test_malformed_solve_input_exits_65(capsys, tmp_path, solve_argv, suffix, ed
     assert re.search(message, err), err
 
 
+@pytest.mark.parametrize("cells", [("nan", "0.0"), ("1.0", "-inf"), ("1e400", "0.0")],
+                         ids=["re-nan", "im-inf", "re-overflow"])
+def test_non_finite_field_value_exits_65(capsys, tmp_path, solve_argv, cells):
+    _replace_line(tmp_path / "h1.csv", 3, lambda s: ",".join([*s.split(",")[:2], *cells]))
+    assert main(solve_argv) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "h1.csv: data row 3: non-finite value" in err
+    assert not list((tmp_path / "out").glob("solve_*"))
+
+
 def test_removed_sector_key_exits_65(capsys, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"sector": {"epsilon": EPS, "lambda_floor": 2.5}}))
@@ -221,16 +229,6 @@ def test_huge_grid_exits_65(capsys, tmp_path, doc):
     assert f"config.{next(iter(doc))}: grid has 10^" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
-
-
-def test_scan_refinement_beyond_the_bound_exits_65(capsys, tmp_path):
-    # 361 x 13 x 361 points are admitted; the scan's 721 x 25 x 721 are not
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"grid": {"lam_per_decade": 30, "a_per_decade": 30}}))
-    assert main(["scan-lopatinski", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 65
-    err = capsys.readouterr().err
-    assert err.startswith("error: scan refinement") and "above the limit" in err
 
 
 @pytest.mark.parametrize("flag,message", [

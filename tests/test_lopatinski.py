@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from lopstokes import (
 )
 from lopstokes import lopatinski
 from lopstokes.config import ELISION_THRESHOLD, GridSpec, REFERENCE_PARAMS
+from lopstokes.errors import NonPositiveOmega
 from lopstokes.lopatinski import (
     ENTRY_DEGREES,
     block_det,
@@ -296,11 +298,10 @@ class TestScan:
         rep = scan_lower_bound(REF, SECTOR, grid=SMALL_GRID)
         assert rep.omega > 0.0
         assert rep.n_points == 9 * 5 * 9
-        assert rep.refine_drift < 0.5
         assert abs(rep.worst_lam) > 0.0 and rep.worst_a > 0.0
         d = rep.to_dict()
         for key in ("omega", "omega1", "omega2", "worst_point", "regime_deviations",
-                    "grid", "n_points", "refine_drift"):
+                    "grid", "n_points"):
             assert key in d
         assert d["worst_point"]["ratio"] == rep.omega
 
@@ -341,3 +342,30 @@ class TestScan:
         assert len(got.columns) == len(want.columns) == 4
         for g, w in zip(got.columns, want.columns):
             assert np.array_equal(g, w)
+
+    def test_constant_ratio_reports_the_first_point(self, monkeypatch):
+        # every point ties, in every chunk: the first grid point is the worst
+        monkeypatch.setattr(lopatinski, "_CHUNK", 37)
+        monkeypatch.setattr(lopatinski, "det_ratios",
+                            lambda fluid, lam, a: (np.ones(lam.size), np.full(lam.size, 0.5)))
+        rep = scan_lower_bound(REF, SECTOR, grid=SMALL_GRID)
+        lam, a = SMALL_GRID.points(SECTOR.epsilon)
+        assert (rep.omega, rep.worst_lam, rep.worst_a) == (0.5, lam[0], a[0])
+
+    def test_first_nonfinite_point_is_named(self, monkeypatch):
+        # NaN in the sixth and the second chunk of 37: the grid-order first is named
+        lam, a = SMALL_GRID.points(SECTOR.epsilon)
+        clean = lopatinski.det_ratios
+
+        def poisoned(fluid, lam_c, a_c):
+            absdet, ratio = clean(fluid, lam_c, a_c)
+            for k in (200, 50):
+                ratio[(lam_c == lam[k]) & (a_c == a[k])] = np.nan
+            return absdet, ratio
+
+        monkeypatch.setattr(lopatinski, "_CHUNK", 37)
+        monkeypatch.setattr(lopatinski, "det_ratios", poisoned)
+        with pytest.raises(NonPositiveOmega,
+                           match=re.escape(f"nonfinite |det L| ratio at lam={lam[50]!r}, "
+                                           f"A={a[50]!r}")):
+            scan_lower_bound(REF, SECTOR, grid=SMALL_GRID)

@@ -398,14 +398,15 @@ class TestFieldIO:
 
     def test_values_match_the_per_cell_parse(self, tmp_path):
         # the reading rule of the per-cell parser this reader replaced,
-        # re + 1j * im in Python complex arithmetic, on cells where it is
-        # not plain (signed zeros, infinities, nan, subnormals); rows the
-        # CSV does not list stay zero
+        # re + 1j * im in Python complex arithmetic, on finite cells where
+        # it is not plain (signed zeros, subnormals, the largest magnitude);
+        # rows the CSV does not list stay zero.  Non-finite cells are
+        # refused (test_cli.test_non_finite_field_value_exits_65).
         field = self._field()
         base = str(tmp_path / "odd")
         write_field(base, field, 1.0 + 0j, REF, "odd")
-        cells = ["-0.0", "0.0", "inf", "-inf", "nan", "5e-324", "-2.5e-300", "1e16",
-                 "0.1", "1e400", "-1.7976931348623157e+308", "3"]
+        cells = ["-0.0", "0.0", "5e-324", "-2.5e-300", "1e16",
+                 "0.1", "-1.7976931348623157e+308", "3"]
         rows = [(lv, i, cells[(3 * lv + i) % len(cells)], cells[(5 * i + lv) % len(cells)])
                 for lv in range(2) for i in range(16) if (lv, i) != (1, 7)]
         (tmp_path / "odd.csv").write_text(

@@ -338,7 +338,7 @@ class TestMutationAndFuzz:
     def test_fuzz_small_corpus(self):
         rep = fuzz_residuals(REF, SECTOR, n_samples=500, seed=20260817)
         assert rep.passed(TOL)
-        assert set(rep.worst) == {"ode", "interface", "kinematic", "decay"}
+        assert set(rep.worst) == {"ode", "interface", "kinematic", "decay", "energy"}
         for rec in rep.worst.values():
             assert rec["value"] >= 0.0
             assert rec["dim"] in (2, 3)
@@ -348,8 +348,8 @@ class TestMutationAndFuzz:
         assert "elapsed" not in rep.to_dict()
 
     def test_fuzz_with_energy(self):
-        rep = fuzz_residuals(REF, SECTOR, n_samples=60, seed=3, energy=True)
-        assert rep.energy_included
+        rep = fuzz_residuals(REF, SECTOR, n_samples=60, seed=3)
+        assert rep.to_dict()["energy_included"] is True
         assert "energy" in rep.worst
         assert rep.passed(TOL)
 
@@ -360,12 +360,38 @@ class TestMutationAndFuzz:
 
     def test_failed_report_detected(self):
         bad = FuzzReport(seed=1, n_samples=1, epsilon=SECTOR.epsilon,
-                         energy_included=False,
                          worst={"ode": {"value": 1.0, "lam_re": 1.0,
                                         "lam_im": 0.0, "a": 1.0,
                                         "dim": 2, "mode": "explicit-H"}},
                          elapsed=0.0)
         assert not bad.passed(TOL)
+
+    def test_ratio_is_zero_only_where_everything_vanishes(self):
+        got = resolvent._ratio(np.array([0.0, 1.0, math.nan, 0.0]),
+                               np.array([0.0, 2.0, 1.0, math.nan]))
+        assert got[:2].tolist() == [0.0, 0.5] and np.isnan(got[2:]).all()
+
+    @pytest.mark.parametrize("mode", ["explicit-H", "kinematic"])
+    @pytest.mark.parametrize("target", ["l11p", "gamma_minus"])
+    def test_nan_constituent_makes_residuals_nan(self, target, mode):
+        with mutated(target, np.nan), np.errstate(invalid="ignore", divide="ignore"):
+            res = assemble_batch(REF, [2.0 + 1.5j], [(0.7, -0.4)], [(0.3 + 0.1j, 0.2j)],
+                                 [0.5 + 0.2j], mode, strict=False).residuals(energy=True)
+        for cat in ("ode", "interface", "decay", "energy"):
+            assert np.isnan(res[cat][0]), cat
+
+    def test_nan_residuals_fail_the_fuzz(self):
+        with mutated("gamma_minus", np.nan), np.errstate(invalid="ignore", divide="ignore"):
+            rep = fuzz_residuals(REF, SECTOR, n_samples=200, seed=20260817)
+        assert not rep.passed(TOL)
+        nans = rep.nan_residuals
+        assert set(nans) == {"ode", "interface", "decay", "energy"}
+        assert all(v["count"] == 200 for v in nans.values())
+        first = next(fuzz_corpus(20260817, 1, SECTOR))
+        assert nans["ode"]["first"] == {"lam_re": first[2].real, "lam_im": first[2].imag,
+                                        "a": math.hypot(*first[3]), "dim": first[0],
+                                        "mode": first[1]}
+        assert rep.to_dict()["nan_residuals"] == nans
 
 
 # The first samples of the default fuzz corpus (seed 20260817), recorded from
@@ -479,20 +505,19 @@ class TestCorpusAndBatch:
                                  "lam_im": smp[2].imag, "a": math.hypot(*smp[3]),
                                  "dim": smp[0], "mode": smp[1]}
         monkeypatch.setattr(resolvent, "_CHUNK", 4)
-        got = fuzz_residuals(REF, SECTOR, n_samples=31, seed=11, energy=True)
+        got = fuzz_residuals(REF, SECTOR, n_samples=31, seed=11)
         assert got.worst == want
         monkeypatch.undo()
-        assert fuzz_residuals(REF, SECTOR, n_samples=31, seed=11,
-                              energy=True).worst == want
+        assert fuzz_residuals(REF, SECTOR, n_samples=31, seed=11).worst == want
 
     def test_fuzz_chunks_across_a_full_chunk(self, monkeypatch):
         # 2,100 samples: one full default chunk and a partial one, against
         # chunks of 256 and of 37 (no multiple of either)
         assert resolvent._CHUNK == 2048
-        want = fuzz_residuals(REF, SECTOR, n_samples=2100, seed=11, energy=True).worst
+        want = fuzz_residuals(REF, SECTOR, n_samples=2100, seed=11).worst
         for size in (256, 37):
             monkeypatch.setattr(resolvent, "_CHUNK", size)
-            got = fuzz_residuals(REF, SECTOR, n_samples=2100, seed=11, energy=True)
+            got = fuzz_residuals(REF, SECTOR, n_samples=2100, seed=11)
             assert got.worst == want, size
 
     def test_batch_errors_name_the_sample(self):

@@ -210,11 +210,13 @@ class TestSolvePhysical:
         assert sol.mode_residuals == {}
         assert sol.worst_residuals() == (0.0, 0.0)
 
-    def test_residual_sidecar_off(self):
+    def test_worst_residuals_propagate_nan(self):
+        # a NaN that is not the first mode's still decides the worst value
         pw = plane_wave(BOX, SHAPE, (1,))
-        sol = solve_physical(REF, LAM, [0.2 * pw], BOX, (0.0,),
-                             H_field=0.1 * pw, residuals=False)
-        assert sol.mode_residuals == {}
+        sol = solve_physical(REF, LAM, [0.2 * pw], BOX, (0.0,), H_field=0.1 * pw)
+        sol = dataclasses.replace(sol, mode_residuals={
+            (1,): (1e-16, 2e-16), (2,): (math.nan, 1e-16), (3,): (3e-16, math.nan)})
+        assert all(math.isnan(v) for v in sol.worst_residuals())
 
     def test_zero_mode_rejected(self):
         pw = plane_wave(BOX, SHAPE, (1,))
