@@ -16,16 +16,20 @@ the scan CSV columns.
 The library measures and the commands judge: every pass/fail decision
 (omega > 0 with the asymptotic deviation within asym_dev_at_100, omega4 > 0,
 the decay drift within envelope_drift, the fuzz, multiplier and energy
-verdicts) is taken here, against Tolerances().scale(--tolerance-scale).
+verdicts, the solve residuals within fuzz_residual) is taken here, against
+Tolerances().scale(--tolerance-scale).
 The run defaults (fluid, sector, grids, seed, samples) come from RunConfig.
 
 Exit codes: 0 success; 2 usage (argparse); 65 config or data validation,
 including a non-finite config number, a malformed solve block, a non-finite
-value in a solve field file, an out-of-range --seed/--samples, and a `solve`
-lambda outside the configured sector (or lambda = 0);
+value in a solve field file, a field with more than two tangential axes, an
+out-of-range --seed/--samples, and a `solve` lambda outside the configured
+sector (or lambda = 0);
 `verify` failures form a bitmask (1 fuzz, 2 multipliers, 4 height,
 8 energy); verify-multipliers alone exits with its bitmask value 2; the
-scan and decay commands exit 1 when their certification fails; 71
+scan and decay commands exit 1 when their certification fails, and `solve`
+exits 1, after writing its outputs, when its worst ODE or interface residual
+is above fuzz_residual or NaN; 71
 (EX_OSERR) when a process-pool worker of the multiplier classes dies, for
 example killed by the OOM killer.
 
@@ -287,10 +291,8 @@ def cmd_solve(cfg: RunConfig, tol: Tolerances, out: str, tag: str, data_args) ->
                   f"height cutoff lambda0 = {lam0:.3e}; the kinematic inversion "
                   "is not covered by the scanned bound there", file=sys.stderr)
 
-    kw = {"H_field": fields[-1]} if mode == "explicit-H" else {"d_field": fields[-1]}
-    sol = solve_physical(cfg.fluid, lam, fields[:-1], box,
-                         x_levels=tuple(float(x) for x in sv["x_levels"]),
-                         tol=tol, **kw)
+    sol = solve_physical(cfg.fluid, lam, fields[:-1], fields[-1], mode, box,
+                         x_levels=tuple(float(x) for x in sv["x_levels"]), tol=tol)
 
     for J, fld in enumerate(sol.u_plus, start=1):
         write_field(os.path.join(out, f"solve_{tag}_u_plus_{J}"), fld, lam,
@@ -303,11 +305,12 @@ def cmd_solve(cfg: RunConfig, tol: Tolerances, out: str, tag: str, data_args) ->
     write_field(os.path.join(out, f"solve_{tag}_height"), sol.height, lam,
                 cfg.fluid, "height")
     write_residual_csv(os.path.join(out, f"solve_{tag}_residuals.csv"),
-                       shape, sol.mode_residuals)
+                       shape, sol.modes, sol.residuals)
     ode, iface = sol.worst_residuals()
-    print(f"solve: {len(sol.mode_residuals)} modes, worst ODE residual "
-          f"{ode:.3e}, worst interface residual {iface:.3e}")
-    return 0
+    ok = ode <= tol.fuzz_residual and iface <= tol.fuzz_residual    # False on NaN
+    print(f"solve: {sol.modes.size} modes, worst ODE residual {ode:.3e}, worst "
+          f"interface residual {iface:.3e} -> {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def cmd_kernel_decay(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:

@@ -78,7 +78,7 @@ class Tolerances:
 
     scale() multiplies the acceptance-style residual thresholds by a factor,
     for the CLI --tolerance-scale; the convergence gates, the height levels,
-    zero_mode and energy_quad_rel keep their values.
+    zero_mode, energy_quad_rel and decay_margin keep their values.
     """
 
     # boundary matrix
@@ -96,6 +96,7 @@ class Tolerances:
     energy_defect: float = 1e-10
     quadrature_cross: float = 1e-8
     energy_quad_rel: float = 1e-9       # energy quadrature error estimate, relative
+    decay_margin: float = 1.0 + 1e-9    # fuzz decay ratio, |component| over its envelope
 
     # physical layer
     envelope_drift: float = 2.0

@@ -246,16 +246,13 @@ def _bad_row(body: str, d: int) -> str | None:
     return None
 
 
-def write_residual_csv(path: str, grid_shape: Sequence[int],
-                       mode_residuals: dict) -> None:
-    """Solve sidecar: per-mode ODE and interface defects in grid order."""
-    d = len(grid_shape)
-    idx_names = ("k0", "k1")[:d]
-
-    keys = sorted(mode_residuals)
-    idx = np.array(keys, dtype=np.int64).reshape(len(keys), d)
-    vals = np.array([mode_residuals[k] for k in keys], dtype=np.float64).reshape(len(keys), 2)
-    _write_csv(path, (*idx_names, "ode_residual", "interface_residual"), (*idx.T, *vals.T))
+def write_residual_csv(path: str, grid_shape: Sequence[int], modes, residuals) -> None:
+    """Solve sidecar: a row of ODE and interface defects per mode, the
+    (M, 2) residuals of the flat C-order grid indices modes."""
+    idx = np.unravel_index(np.asarray(modes, dtype=np.int64), tuple(grid_shape))
+    vals = np.asarray(residuals, dtype=np.float64).reshape(-1, 2)
+    _write_csv(path, (*("k0", "k1")[:len(idx)], "ode_residual", "interface_residual"),
+               (*idx, *vals.T))
 
 
 def ensure_out_dir(path: str) -> str:

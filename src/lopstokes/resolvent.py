@@ -637,7 +637,7 @@ class FuzzReport:
             "interface": tol.fuzz_residual,
             "kinematic": tol.fuzz_residual,
             "energy": tol.energy_defect,
-            "decay": 1.0 + 1e-9,
+            "decay": tol.decay_margin,
         }
         return self.height_failures is None and self.nan_residuals is None and all(
             self.worst[k]["value"] <= limits[k] for k in self.worst)

@@ -1,10 +1,12 @@
 """Physical-space layer: tangential FFT, grid solves, kernel decay.
 
 The tangential variables live on a periodic box standing in for the whole
-hyperplane; data sampled on a uniform grid are pushed through the forward
-FFT, each nonzero mode is solved with the exponential-profile machinery at
-its own frequency, and the inverse FFT returns grid fields.  Frequencies
-follow the standard DFT layout, xi_k = 2 pi k / L with signed integer k.
+hyperplane; data sampled on a uniform grid of one or two axes are pushed
+through the forward FFT, each nonzero mode is solved with the
+exponential-profile machinery at its own frequency, and one inverse FFT
+returns every grid field.  Frequencies follow the standard DFT layout,
+xi_k = 2 pi k / L with signed integer k.  A solve takes one datum and its
+mode, as assemble_batch does, and keeps its per-mode residuals as arrays.
 
 The zero tangential mode is outside the symbol domain (every formula
 divides by A somewhere), so inputs must be mean-free per level: a zero-mode
@@ -34,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import Tolerances
+from .config import SOLVE_MODES, Tolerances
 from .errors import ZeroModeData
 from .params import FluidParams
 from .resolvent import _CHUNK, assemble_batch
@@ -59,6 +61,8 @@ def _validate_grid(box_lengths, grid_shape) -> tuple[tuple[float, ...], tuple[in
     shape = tuple(int(n) for n in grid_shape)
     if len(box) != len(shape) or not box:
         raise ValueError("box_lengths and grid_shape must be equal-length and nonempty")
+    if len(shape) > 2:
+        raise ValueError(f"at most two tangential axes are supported, got grid_shape {shape}")
     if any(b <= 0.0 or not math.isfinite(b) for b in box):
         raise ValueError(f"box lengths must be positive finite, got {box}")
     for n in shape:
@@ -109,8 +113,10 @@ def _tospec(phys: np.ndarray) -> np.ndarray:
     return np.fft.fftn(phys) / phys.size
 
 
-def _tophys(spec: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(spec) * spec.size
+def _tophys(spec: np.ndarray, n_axes: int | None = None) -> np.ndarray:
+    """Inverse of _tospec over the trailing n_axes axes (all by default)."""
+    axes = tuple(range(-(spec.ndim if n_axes is None else n_axes), 0))
+    return np.fft.ifftn(spec, axes=axes) * math.prod(spec.shape[a] for a in axes)
 
 
 def _clean_zero_mode(spec: np.ndarray, name: str, tol: Tolerances) -> np.ndarray:
@@ -150,7 +156,9 @@ def _box_decay_warning(fluid: FluidParams, lam: complex, box: tuple[float, ...])
 
 @dataclass(frozen=True)
 class PhysicalSolution:
-    """Grid solution: velocities both sides, pressure, height, per-mode residuals."""
+    """Grid solution: velocities both sides, pressure, height, and per mode
+    (modes: increasing flat C-order grid indices) the ODE and interface
+    defects, the latter including the kinematic one, as an (M, 2) array."""
 
     fluid: FluidParams
     lam: complex
@@ -159,7 +167,8 @@ class PhysicalSolution:
     u_minus: tuple[PhysicalField, ...]
     pressure: PhysicalField
     height: PhysicalField
-    mode_residuals: dict[tuple[int, ...], tuple[float, float]]
+    modes: np.ndarray
+    residuals: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -167,9 +176,7 @@ class PhysicalSolution:
 
     def worst_residuals(self) -> tuple[float, float]:
         """Largest (ODE, interface) residual over the modes; NaN if any is NaN."""
-        if not self.mode_residuals:
-            return 0.0, 0.0
-        ode, iface = np.array(list(self.mode_residuals.values())).max(axis=0)
+        ode, iface = self.residuals.max(axis=0, initial=0.0)
         return float(ode), float(iface)
 
 
@@ -177,28 +184,28 @@ def solve_physical(
     fluid: FluidParams,
     lam: complex,
     h_fields: Sequence[np.ndarray],
+    top_field: np.ndarray,
+    mode: str,
     box_lengths: Sequence[float],
     x_levels: Sequence[float],
-    H_field: np.ndarray | None = None,
-    d_field: np.ndarray | None = None,
     tol: Tolerances | None = None,
 ) -> PhysicalSolution:
     """FFT the boundary data, solve every nonzero mode, inverse FFT.
 
-    Exactly one of H_field (height given) and d_field (kinematic datum,
-    height derived per mode) must be supplied.  x_levels are nonnegative
-    distances from the interface; u_plus is evaluated at +x, u_minus and
-    the pressure at -x.  Each mode also reports its ODE and interface
-    defect, the certification sidecar.  The modes with nonzero data are
-    solved as arrays, in resolvent-sized chunks (assemble_batch); a refused
-    height raises HeightNotInvertible at the first such mode in grid order.
+    top_field is H in explicit-H mode and d in kinematic mode (the height
+    then derived per mode), as in assemble_batch.  x_levels are nonnegative
+    distances from the interface; u_plus is evaluated at +x, u_minus and the
+    pressure at -x.  Each mode also reports its ODE and interface defect,
+    the certification sidecar.  The modes with nonzero data are solved as
+    arrays, in resolvent-sized chunks; a refused height raises
+    HeightNotInvertible at the first such mode in grid order.
     """
+    if mode not in SOLVE_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     tol = tol or Tolerances()
-    box, shape = _validate_grid(box_lengths, np.shape(h_fields[0]) if h_fields else
-                                (H_field if H_field is not None else d_field).shape)
+    top = np.asarray(top_field, dtype=np.complex128)
+    box, shape = _validate_grid(box_lengths, top.shape)
     lam = complex(lam)
-    if (H_field is None) == (d_field is None):
-        raise ValueError("supply exactly one of H_field and d_field")
     levels = tuple(float(x) for x in x_levels)
     if any(x < 0.0 for x in levels):
         raise ValueError("x_levels are distances from the interface, >= 0")
@@ -208,12 +215,7 @@ def solve_physical(
 
     h_spec = [_clean_zero_mode(_tospec(np.asarray(h, dtype=np.complex128)), f"h_{m + 1}", tol)
               for m, h in enumerate(h_fields)]
-    if H_field is not None:
-        top_spec = _clean_zero_mode(_tospec(np.asarray(H_field, dtype=np.complex128)), "H", tol)
-        data_mode = "explicit-H"
-    else:
-        top_spec = _clean_zero_mode(_tospec(np.asarray(d_field, dtype=np.complex128)), "d", tol)
-        data_mode = "kinematic"
+    top_spec = _clean_zero_mode(_tospec(top), "H" if mode == "explicit-H" else "d", tol)
     _box_decay_warning(fluid, lam, box)
 
     # modes in np.ndindex order (C order), the zero mode and data-free ones skipped
@@ -225,43 +227,38 @@ def solve_physical(
     keep[0] = False
     modes = np.flatnonzero(keep)
 
+    # u_plus, u_minus and the pressure, levels x flat modes each
     xs = np.asarray(levels, dtype=np.float64)[:, None]
-    out_up = [np.zeros((len(levels),) + shape, dtype=np.complex128) for _ in range(dim)]
-    out_um = [np.zeros((len(levels),) + shape, dtype=np.complex128) for _ in range(dim)]
-    out_pr = np.zeros((len(levels),) + shape, dtype=np.complex128)
-    out_h = np.zeros((1,) + shape, dtype=np.complex128)
-    mode_res: dict[tuple[int, ...], tuple[float, float]] = {}
-
-    def by_mode(out: np.ndarray) -> np.ndarray:
-        return out.reshape(out.shape[0], -1)     # a view: levels x flat modes
-
+    spec = np.zeros((2 * dim + 1, len(levels), top.size), dtype=np.complex128)
+    height = np.zeros(top.size, dtype=np.complex128)
+    residuals = np.zeros((modes.size, 2))
     for start in range(0, modes.size, _CHUNK):
         sel = modes[start:start + _CHUNK]
         b = assemble_batch(fluid, np.full(sel.size, lam), xi_all[sel], h_all[sel],
-                           top_all[sel], data_mode, tol=tol)
+                           top_all[sel], mode, tol=tol)
         for J in range(dim):
-            by_mode(out_up[J])[:, sel] = b.u_plus[J](xs)
-            by_mode(out_um[J])[:, sel] = b.u_minus[J](-xs)
-        by_mode(out_pr)[:, sel] = b.pressure(-xs)
-        by_mode(out_h)[0, sel] = b.H
+            spec[J][:, sel] = b.u_plus[J](xs)
+            spec[dim + J][:, sel] = b.u_minus[J](-xs)
+        spec[2 * dim][:, sel] = b.pressure(-xs)
+        height[sel] = b.H
         res = b.residuals()
-        iface = np.maximum(res["interface"], res.get("kinematic", res["interface"]))
-        idx = zip(*np.unravel_index(sel, shape))
-        mode_res.update(zip((tuple(map(int, i)) for i in idx),
-                            zip(res["ode"].tolist(), iface.tolist())))
+        residuals[start:start + sel.size] = np.stack(
+            [res["ode"], np.maximum(res["interface"], res.get("kinematic", res["interface"]))], 1)
 
-    def field(spec_stack: np.ndarray, lv: tuple[float, ...]) -> PhysicalField:
-        phys = np.stack([_tophys(spec_stack[i]) for i in range(spec_stack.shape[0])])
-        return PhysicalField(box_lengths=box, grid_shape=shape, x_levels=lv, samples=phys)
+    phys = _tophys(spec.reshape(spec.shape[:2] + shape), len(shape))
+
+    def field(samples: np.ndarray, lv: tuple[float, ...]) -> PhysicalField:
+        return PhysicalField(box_lengths=box, grid_shape=shape, x_levels=lv, samples=samples)
 
     neg = tuple(-x for x in levels)
     return PhysicalSolution(
-        fluid=fluid, lam=lam, mode=data_mode,
-        u_plus=tuple(field(u, levels) for u in out_up),
-        u_minus=tuple(field(u, neg) for u in out_um),
-        pressure=field(out_pr, neg),
-        height=field(out_h, (0.0,)),
-        mode_residuals=mode_res,
+        fluid=fluid, lam=lam, mode=mode,
+        u_plus=tuple(field(u, levels) for u in phys[:dim]),
+        u_minus=tuple(field(u, neg) for u in phys[dim:2 * dim]),
+        pressure=field(phys[2 * dim], neg),
+        height=field(_tophys(height.reshape((1,) + shape), len(shape)), (0.0,)),
+        modes=modes,
+        residuals=residuals,
     )
 
 

@@ -1,6 +1,8 @@
 """Command-level properties: each scan grid is evaluated once per command,
-scan-lopatinski writes its pinned report bytes, malformed solve input or a
-solve lambda outside the sector ends in exit 65, and so does a config key the
+scan-lopatinski and solve write their pinned report bytes, solve exits 1 on a
+residual above its limit or a NaN one, malformed solve input, a field of
+three tangential axes or a solve lambda outside the sector ends in exit 65,
+and so does a config key the
 program no longer reads, a non-finite number, a malformed solve block or an
 out-of-range --seed/--samples, a non-finite value in a solve field file, and
 a grid of more points than MAX_GRID_POINTS; the energy suite reproduces its
@@ -19,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import mutated
 from lopstokes import cli, coefficients, lopatinski
 from lopstokes.cli import main
 from lopstokes.config import (
@@ -128,6 +131,72 @@ def solve_argv(tmp_path):
 
 def test_solve_reads_its_fields(solve_argv):
     assert main(solve_argv) == 0
+
+
+def _solve_digests(tmp_path) -> dict:
+    """sha256 of each solve output, keyed by its name after solve_<tag>_."""
+    return {p.name.split("_", 2)[2]: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (tmp_path / "out").glob("solve_*")}
+
+
+SOLVE_DIGESTS = {
+    "height.csv": "08b8934de6df9d3db0eaa01f363ff7bb986c0f48219b677981d0267b1cba412d",
+    "height.json": "61328ca0cd4c1b9ab09f76739030f37c6443820e0c3d0c9b64d6a41a3e3d9bf9",
+    "pressure.csv": "7e7d743a7de53ca7b843bbcecb1ebbd4731057a0ce8d74e0f723e764f34f17cc",
+    "pressure.json": "cc4ac0942da7e01387771834fd9726fa7a782b42980300e2c8990fa581f15efe",
+    "residuals.csv": "a445cdfbc55202b2a726d9c92328b45736c6aa4a11292d46de32a683f3f710e6",
+    "u_minus_1.csv": "b7ad547ed0e71741da11b12d28426d29904524a579620fdb44badc0d3798a2d2",
+    "u_minus_1.json": "53345a35cfae22e59dbf8d28aa0baafa604cf70d3c6f40a66aa14e5123f43de5",
+    "u_minus_2.csv": "649ade97a0992425a4977fb2b290ff337d7755d2554d19207af3079db9dc0997",
+    "u_minus_2.json": "1fb366c0d41d831c8daff292d2d7b50bac91e81526aa6a8ad1d52dcf22285a11",
+    "u_plus_1.csv": "1177e222b0d532c06ff02a684192ea4c16ef09cafa18605be215b5f9e3a460f9",
+    "u_plus_1.json": "6cacf03dfb864c405111357dfff2e7598efbb0cae65e3cfc60e92463ce920e90",
+    "u_plus_2.csv": "340dcbe59cc1149fd7fe52b45cab29529081499e6752187627722f78e37758f1",
+    "u_plus_2.json": "e2326a8f619216094cdc867e0f2be4b58f8d050b1981bf338455293c76523223",
+}
+
+
+def test_solve_report_bytes_pinned(capsys, tmp_path, solve_argv):
+    # any drift in how the modes are solved, inverted or written changes these
+    assert main(solve_argv) == 0
+    assert _solve_digests(tmp_path) == SOLVE_DIGESTS
+    assert capsys.readouterr().out.rstrip().endswith("-> PASS")
+
+
+def test_solve_fails_above_its_residual_limit(capsys, tmp_path, solve_argv):
+    # worst ODE residual 1.757e-14 against a limit of 1e-10 * 1e-6; the
+    # outputs are written before the verdict, and they do not change
+    assert main([*solve_argv, "--tolerance-scale", "1e-6"]) == 1
+    out = capsys.readouterr().out
+    assert "worst ODE residual 1.757e-14" in out and out.rstrip().endswith("-> FAIL")
+    assert set(_solve_digests(tmp_path)) == set(SOLVE_DIGESTS)
+
+
+def test_solve_fails_on_nan_residual(capsys, tmp_path, solve_argv):
+    with mutated("gamma_minus", math.nan):
+        assert main(solve_argv) == 1
+    assert "worst ODE residual nan" in capsys.readouterr().out
+    assert set(_solve_digests(tmp_path)) == set(SOLVE_DIGESTS)
+
+
+def test_three_tangential_axes_exit_65(capsys, tmp_path):
+    # a 16x16x16 field in hand-written 6-column form: the header alone is refused
+    shape, box = [16, 16, 16], [8.0, 8.0, 8.0]
+    bases = []
+    for name in ("h1", "h2", "h3", "d"):
+        base = tmp_path / name
+        base.with_suffix(".json").write_text(json.dumps(
+            {"name": name, "box": box, "shape": shape, "x_levels": [0.0]}))
+        base.with_suffix(".csv").write_text("level,i,j,k,re,im\n0,0,0,1,1.0,0.0\n")
+        bases.append(str(base))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"solve": {"lambda_re": 2.0, "mode": "kinematic",
+                                          "x_levels": [0.0], "box": box, "shape": shape}}))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out"), *bases]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "h1.json" in err
+    assert "at most two tangential axes" in err
+    assert not list((tmp_path / "out").glob("solve_*"))
 
 
 @pytest.mark.parametrize("lam,code", [

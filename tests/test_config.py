@@ -30,12 +30,13 @@ from lopstokes.params import FluidParams, Sector
 class TestTolerances:
     def test_defaults(self):
         tol = Tolerances()
-        assert len(dataclasses.fields(tol)) == 10
+        assert len(dataclasses.fields(tol)) == 11
         assert tol.fuzz_residual == 1e-10
         assert tol.energy_quad_rel == 1e-9
         assert tol.class_drift == 2.0
         assert tol.height_floor == 1e-3
         assert tol.zero_mode == 1e-12
+        assert tol.decay_margin == 1.0 + 1e-9
 
     def test_scale_touches_residual_thresholds(self):
         tol = Tolerances().scale(10.0)
@@ -48,7 +49,7 @@ class TestTolerances:
         base = Tolerances()
         tol = base.scale(100.0)
         for name in ("class_drift", "envelope_drift", "height_floor", "height_inv_rel",
-                     "zero_mode", "energy_quad_rel"):
+                     "zero_mode", "energy_quad_rel", "decay_margin"):
             assert getattr(tol, name) == getattr(base, name), name
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, float("inf"), float("nan")])

@@ -180,17 +180,15 @@ class TestCsvWriters:
 
     def test_residual_csv(self, tmp_path):
         p = tmp_path / "res.csv"
-        write_residual_csv(str(p), (16,), {(3,): (1e-12, 2e-13),
-                                           (1,): (5e-13, 1e-14)})
+        write_residual_csv(str(p), (16,), [1, 3], [(5e-13, 1e-14), (1e-12, 2e-13)])
         lines = p.read_text().splitlines()
         assert lines[0] == "k0,ode_residual,interface_residual"
-        # sorted by mode index
         assert lines[1].startswith("1,5e-13")
         assert lines[2].startswith("3,1e-12")
 
     def test_residual_csv_2d_header(self, tmp_path):
         p = tmp_path / "res2.csv"
-        write_residual_csv(str(p), (16, 16), {(0, 1): (0.0, 0.0)})
+        write_residual_csv(str(p), (16, 16), [1], [(0.0, 0.0)])
         assert p.read_text().splitlines()[0] == "k0,k1,ode_residual,interface_residual"
 
 
@@ -269,7 +267,7 @@ class TestGoldenCsvBytes:
                       b"symbol,kappa_multi_index,ell,constant,refinement_drift\n"),
             "decay": (lambda p: write_decay_csv(p, Empty()),
                       b"shell_radius,sup_weighted,n_points\n"),
-            "residual": (lambda p: write_residual_csv(p, (16, 16), {}),
+            "residual": (lambda p: write_residual_csv(p, (16, 16), [], np.zeros((0, 2))),
                          b"k0,k1,ode_residual,interface_residual\n"),
         }
         for name, (write, want) in writers.items():
@@ -314,9 +312,9 @@ class TestGoldenCsvBytes:
 
     def test_residual(self, tmp_path):
         p = tmp_path / "res.csv"
-        write_residual_csv(str(p), (16, 16), {(np.int64(3), np.int64(1)): (math.nan, 5e-324),
-                                              (0, 2): (-0.0, 1e16),
-                                              (0, 10): (math.inf, 0.1)})
+        # flat C-order mode indices: (0, 2), (0, 10), (3, 1)
+        write_residual_csv(str(p), (16, 16), np.array([2, 10, 49]),
+                           [(-0.0, 1e16), (math.inf, 0.1), (math.nan, 5e-324)])
         assert p.read_bytes() == (b"k0,k1,ode_residual,interface_residual\n"
                                   b"0,2,-0.0,1e+16\n0,10,inf,0.1\n3,1,nan,5e-324\n")
 

@@ -70,6 +70,7 @@ class TestGrids:
         ((-1.0,), (16,)),
         ((2.0, 3.0), (16,)),
         ((), ()),
+        ((1.0, 1.0, 1.0), (16, 16, 16)),
     ])
     def test_grid_validation(self, box, shape):
         with pytest.raises(ValueError):
@@ -118,30 +119,27 @@ class TestPhysicalField:
 
 
 class TestSolvePhysical:
-    def test_requires_exactly_one_datum(self):
+    def test_rejects_unknown_mode(self):
         pw = plane_wave(BOX, SHAPE, (1,))
-        with pytest.raises(ValueError, match="exactly one"):
-            solve_physical(REF, LAM, [pw], BOX, (0.0,), H_field=pw, d_field=pw)
-        with pytest.raises(ValueError, match="exactly one"):
-            solve_physical(REF, LAM, [pw], BOX, (0.0,))
+        with pytest.raises(ValueError, match="unknown mode 'H'"):
+            solve_physical(REF, LAM, [pw], pw, "H", BOX, (0.0,))
 
     def test_rejects_negative_levels(self):
         pw = plane_wave(BOX, SHAPE, (1,))
         with pytest.raises(ValueError, match="x_levels"):
-            solve_physical(REF, LAM, [pw], BOX, (0.0, -0.5), H_field=pw)
+            solve_physical(REF, LAM, [pw], pw, "explicit-H", BOX, (0.0, -0.5))
 
     def test_rejects_wrong_jump_count(self):
         pw = plane_wave(BOX, SHAPE, (1,))
         with pytest.raises(ValueError, match="tangential jump"):
-            solve_physical(REF, LAM, [pw, pw], BOX, (0.0,), H_field=pw)
+            solve_physical(REF, LAM, [pw, pw], pw, "explicit-H", BOX, (0.0,))
 
     def test_single_mode_matches_spectral_solve(self):
         c1 = 0.4 - 0.7j
         c_top = 0.25 + 0.6j
         pw = plane_wave(BOX, SHAPE, (3,))
         levels = (0.0, 0.3, 1.1)
-        sol = solve_physical(REF, LAM, [c1 * pw], BOX, levels,
-                             H_field=c_top * pw)
+        sol = solve_physical(REF, LAM, [c1 * pw], c_top * pw, "explicit-H", BOX, levels)
         sp = SpectralPoint(lam=LAM, xi=(3.0,))
         ref = solve_point(REF, sp, (c1,), c_top)
         worst = 0.0
@@ -159,7 +157,7 @@ class TestSolvePhysical:
         assert worst < TEST_TOL.single_mode
         assert sol.mode == "explicit-H"
         assert sol.dim == 2
-        assert (3,) in sol.mode_residuals
+        assert 3 in sol.modes
         ode_worst, iface_worst = sol.worst_residuals()
         assert ode_worst < TEST_TOL.ode_residual
         assert iface_worst < TEST_TOL.interface_residual
@@ -170,8 +168,8 @@ class TestSolvePhysical:
         pw = plane_wave(box, shape, (2, -3))
         h = ((0.1 + 0.2j), (-0.4 + 0.3j))
         d = 0.3 - 0.2j
-        sol = solve_physical(REF, LAM, [h[0] * pw, h[1] * pw], box, (0.5,),
-                             d_field=d * pw)
+        sol = solve_physical(REF, LAM, [h[0] * pw, h[1] * pw], d * pw, "kinematic", box,
+                             (0.5,))
         sp = SpectralPoint(lam=LAM, xi=(2.0, -1.5))
         ref = solve_point(REF, sp, h, d, "kinematic")
         assert sol.mode == "kinematic"
@@ -191,7 +189,7 @@ class TestSolvePhysical:
         pws = (plane_wave(BOX, SHAPE, (3,)), plane_wave(BOX, SHAPE, (-5,)))
         h = amps[0] * pws[0] + amps[1] * pws[1]
         top = tops[0] * pws[0] + tops[1] * pws[1]
-        sol = solve_physical(REF, LAM, [h], BOX, (0.2,), H_field=top)
+        sol = solve_physical(REF, LAM, [h], top, "explicit-H", BOX, (0.2,))
         want_h = np.zeros(SHAPE, dtype=complex)
         want_u = np.zeros(SHAPE, dtype=complex)
         for amp, ctop, pw, xi in zip(amps, tops, pws, (3.0, -5.0)):
@@ -204,38 +202,38 @@ class TestSolvePhysical:
 
     def test_zero_data(self):
         z = np.zeros(SHAPE, dtype=complex)
-        sol = solve_physical(REF, LAM, [z], BOX, (0.0, 1.0), H_field=z)
+        sol = solve_physical(REF, LAM, [z], z, "explicit-H", BOX, (0.0, 1.0))
         for f in (*sol.u_plus, *sol.u_minus, sol.pressure, sol.height):
             assert np.all(f.samples == 0.0)
-        assert sol.mode_residuals == {}
+        assert sol.modes.size == 0 and sol.residuals.shape == (0, 2)
         assert sol.worst_residuals() == (0.0, 0.0)
 
     def test_worst_residuals_propagate_nan(self):
         # a NaN that is not the first mode's still decides the worst value
         pw = plane_wave(BOX, SHAPE, (1,))
-        sol = solve_physical(REF, LAM, [0.2 * pw], BOX, (0.0,), H_field=0.1 * pw)
-        sol = dataclasses.replace(sol, mode_residuals={
-            (1,): (1e-16, 2e-16), (2,): (math.nan, 1e-16), (3,): (3e-16, math.nan)})
+        sol = solve_physical(REF, LAM, [0.2 * pw], 0.1 * pw, "explicit-H", BOX, (0.0,))
+        sol = dataclasses.replace(sol, modes=np.array([1, 2, 3]), residuals=np.array(
+            [[1e-16, 2e-16], [math.nan, 1e-16], [3e-16, math.nan]]))
         assert all(math.isnan(v) for v in sol.worst_residuals())
 
     def test_zero_mode_rejected(self):
         pw = plane_wave(BOX, SHAPE, (1,))
         with pytest.raises(ZeroModeData, match="zero-frequency"):
-            solve_physical(REF, LAM, [pw + 1e-3], BOX, (0.0,), H_field=0.3 * pw)
+            solve_physical(REF, LAM, [pw + 1e-3], 0.3 * pw, "explicit-H", BOX, (0.0,))
 
     def test_zero_mode_projected_with_warning(self):
         pw = plane_wave(BOX, SHAPE, (1,))
         with pytest.warns(RuntimeWarning, match="projecting out zero-mode"):
-            dirty = solve_physical(REF, LAM, [pw + 1e-13], BOX, (0.0,),
-                                   H_field=0.3 * pw)
-        clean = solve_physical(REF, LAM, [pw], BOX, (0.0,), H_field=0.3 * pw)
+            dirty = solve_physical(REF, LAM, [pw + 1e-13], 0.3 * pw, "explicit-H", BOX,
+                                   (0.0,))
+        clean = solve_physical(REF, LAM, [pw], 0.3 * pw, "explicit-H", BOX, (0.0,))
         assert rel_err(dirty.height.level(0), clean.height.level(0)) < 1e-12
 
     def test_short_box_warning(self):
         # at lam = 0.01 the slowest kernel decay length is ~14, far beyond 2*pi
         pw = plane_wave(BOX, SHAPE, (1,))
         with pytest.warns(RuntimeWarning, match="periodization"):
-            solve_physical(REF, 0.01, [0.1 * pw], BOX, (0.0,), H_field=0.3 * pw)
+            solve_physical(REF, 0.01, [0.1 * pw], 0.3 * pw, "explicit-H", BOX, (0.0,))
 
 
 class TestKernelDecay:
