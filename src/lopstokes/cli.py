@@ -13,6 +13,14 @@ minimum of |lambda+K|/(|lambda|+A)) yields both cutoffs, the height report
 and the height CSV; the determinant grid yields omega, its worst point and
 the scan CSV columns.
 
+`verify` evaluates the height curve first, for the quotient cutoff, and then
+runs its fuzz as one more task on the process pool of the multiplier-class
+table (multiplier.certify_alongside): with two cores one worker runs the
+fuzz while the other starts on the claims.  The height and energy suites
+follow in this process; the energy suite reads the fuzz's worst energy
+sample.  When no quotient cutoff is found, the fuzz runs in this process and
+the multiplier suite records the error.
+
 The library measures and the commands judge: every pass/fail decision
 (omega > 0 with the asymptotic deviation within asym_dev_at_100, omega4 > 0,
 the decay drift within envelope_drift, the fuzz, multiplier and energy
@@ -30,8 +38,8 @@ sector (or lambda = 0);
 scan and decay commands exit 1 when their certification fails, and `solve`
 exits 1, after writing its outputs, when its worst ODE or interface residual
 is above fuzz_residual or NaN; 71
-(EX_OSERR) when a process-pool worker of the multiplier classes dies, for
-example killed by the OOM killer.
+(EX_OSERR) when a process-pool worker of the multiplier classes, or the one
+running the `verify` fuzz, dies, for example killed by the OOM killer.
 
 Reports land in --out (env LOPSTOKES_OUT wins over the flag, which wins
 over the config), named <kind>_<hash>.<ext> by the 12-hex content hash of
@@ -43,8 +51,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .coefficients import HeightCurve, height_curve, height_scan, omega4_formula
@@ -59,7 +70,7 @@ from .errors import (
     ZeroModeData,
 )
 from .lopatinski import scan_lower_bound
-from .multiplier import certify_table, declared_claims
+from .multiplier import certify_alongside, certify_table, declared_claims
 from .reports import (
     config_hash,
     ensure_out_dir,
@@ -179,44 +190,46 @@ def _energy_suite(cfg: RunConfig, tol: Tolerances, fuzz_rep) -> dict:
     }
 
 
-def _multiplier_table(cfg: RunConfig, tol: Tolerances, out: str, tag: str,
-                      curve: HeightCurve):
-    """(quotient cutoff, certified class table); writes class_<tag>.csv."""
+def _quotient_cutoff(cfg: RunConfig, curve: HeightCurve) -> float:
+    """The cutoff lambda0 above which the (lambda + K)-quotients are claimed."""
     # The (lambda + K)-quotient symbols lose uniformity wherever
     # |lambda + K|/(|lambda| + A) dips below its formula-level constant (the
     # interfacial dispersion curve passes near the sector edge at moderate
     # |lambda|), so they are claimed above the smallest scanned cutoff whose
     # suffix infimum clears omega4_formula, not the height_floor.
-    lam0 = curve.cutoff(omega4_formula(cfg.fluid, cfg.sector))
-    table = certify_table(declared_claims(lam0), cfg.fluid, cfg.sector, cfg.class_grid, tol)
-    write_class_csv(os.path.join(out, f"class_{tag}.csv"), table)
-    return lam0, table
+    return curve.cutoff(omega4_formula(cfg.fluid, cfg.sector))
 
 
 def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
     suites: dict[str, dict] = {}
 
-    fuzz = fuzz_residuals(cfg.fluid, cfg.sector, cfg.samples, cfg.seed, tol=tol)
-    suites["fuzz"] = {**fuzz.to_dict(), "passed": fuzz.passed(tol)}
-
+    fuzz_task = functools.partial(fuzz_residuals, cfg.fluid, cfg.sector, cfg.samples,
+                                  cfg.seed, tol=tol)
     curve = height_curve(cfg.fluid, cfg.sector, cfg.grid)
     try:
-        hrep = height_scan(cfg.fluid, cfg.sector, curve, curve.cutoff(tol.height_floor))
-        suites["height"] = {**hrep.to_dict(), "passed": hrep.omega4 > 0.0}
-    except (NoCutoffFound, HeightNotInvertible) as exc:
-        suites["height"] = {"passed": False, "error": str(exc)}
-
-    try:
-        lam0c, table = _multiplier_table(cfg, tol, out, tag, curve)
+        lam0c = _quotient_cutoff(cfg, curve)
+    except NoCutoffFound as exc:
+        fuzz = fuzz_task()
+        suites["multipliers"] = {"passed": False, "error": str(exc)}
+    else:
+        # the fuzz is one more task on the pool of the class table
+        fuzz, table = certify_alongside(fuzz_task, declared_claims(lam0c), cfg.fluid,
+                                        cfg.sector, cfg.class_grid, tol)
+        write_class_csv(os.path.join(out, f"class_{tag}.csv"), table)
         suites["multipliers"] = {
             "passed": all(r.verdict == "pass" for r in table),
             "failed": sorted(r.name for r in table if r.verdict != "pass"),
             "n_claims": len(table),
             "quotient_cutoff": lam0c,
-            "max_drift": max(r.max_drift() for r in table),
+            "max_drift": float(np.max([r.max_drift() for r in table])),
         }
-    except NoCutoffFound as exc:
-        suites["multipliers"] = {"passed": False, "error": str(exc)}
+    suites["fuzz"] = {**fuzz.to_dict(), "passed": fuzz.passed(tol)}
+
+    try:
+        hrep = height_scan(cfg.fluid, cfg.sector, curve, curve.cutoff(tol.height_floor))
+        suites["height"] = {**hrep.to_dict(), "passed": hrep.omega4 > 0.0}
+    except (NoCutoffFound, HeightNotInvertible) as exc:
+        suites["height"] = {"passed": False, "error": str(exc)}
 
     suites["energy"] = _energy_suite(cfg, tol, fuzz)
 
@@ -241,8 +254,9 @@ def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
 
 
 def cmd_verify_multipliers(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
-    lam0, table = _multiplier_table(cfg, tol, out, tag,
-                                    height_curve(cfg.fluid, cfg.sector, cfg.grid))
+    lam0 = _quotient_cutoff(cfg, height_curve(cfg.fluid, cfg.sector, cfg.grid))
+    table = certify_table(declared_claims(lam0), cfg.fluid, cfg.sector, cfg.class_grid, tol)
+    write_class_csv(os.path.join(out, f"class_{tag}.csv"), table)
     write_json(os.path.join(out, f"multipliers_{tag}.json"), {
         "quotient_cutoff": lam0,
         "claims": [

@@ -279,12 +279,6 @@ class SymbolKit:
             + f.sigma_plus * a2 * (f.rho_minus * self.c33 - f.rho_plus * self.c23)
         ) / (self.det * drho)
 
-    @_memoised
-    def quotient_q(self):
-        """q = (lambda + K)(1 + A^2), the denominator of the (lambda + K)-quotient
-        claims."""
-        return (self.lam + self.k_height()) * (1.0 + self.a * self.a)
-
 
 def _interface_rhs(fluid: FluidParams, a, l11p, l21p, ixh, H):
     """Right-hand side of the 3x3 interface system for data (i xi'.h, H)."""

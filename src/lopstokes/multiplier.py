@@ -40,20 +40,39 @@ a symbol built from lambda + K, a wrong claimed order or a NaN fails.
 Those claims are judged on the 3-D class grid of GridSpec.points and its
 refinement.
 
+The scaled route.  A (lambda + K)-quotient N/D is not homogeneous: its
+denominator D, (lambda + K)(1 + A^2) or lambda + K, mixes degrees.  But its
+numerator N is homogeneous of an integer degree d and K of degree 1, so at
+a grid point (r^2 lambda, r xi'), r = sqrt|lambda|, each jet coefficient
+d_xi^kappa d_lam^c of N is r^{d - |kappa| - 2c} times its value at the
+orbit-image point (lambda, xi') with |lambda| = 1, and likewise for K.  N
+and K are therefore evaluated once per image point (a SymbolKit per block
+of image points) and scaled to every grid point of the orbit, where D is
+formed from them and the jets of lambda and A, and N/D judged; the
+constants are those of the 3-D grids, up to rounding.  The claim declares
+N, d and D (Claim.over), and d is tested, not trusted: N at degree d and K
+at degree 1 must pass the same bit-exact test on the first chunk of the
+floored orbit image, or the claim is evaluated directly on the 3-D grid.
+Either way its domain is "grid", over the same points and verdict.
+
 certify_table is the one entry point (the declared table comes from
-declared_claims).  Claims sharing a sector floor and a domain (orbit or
-grid) share one pass per point set in fixed chunks of _CHUNK points: one
-SymbolKit of jets per chunk, every claim of the group judged on it.  One
-fork process pool per call, one worker per usable core (the CPU affinity
-set of the process), runs first the degree test of each floor group and
-then the chunks of every group, domain and point set; the workers inherit
-the claims and the axes of each point set and build the point columns they
-evaluate, and only task indices, verdicts and per-chunk maxima cross
-between processes.  With one core, without fork or with other threads
-alive, the tasks run in-process.  A constant is a maximum of pointwise
-values, so it depends neither on the chunk size nor on the worker count or
-the order in which chunks finish, and peak memory does not grow with the
-grid.
+declared_claims); certify_alongside runs one more function on the same
+pool.  Claims sharing a sector floor and a route (orbit, scaled or grid)
+share one pass per point set in fixed chunks of _CHUNK points: one
+SymbolKit of jets per chunk (per block of image points on the scaled
+route), every claim of the group judged on it.  One fork process pool per
+call, one worker per usable core (the CPU affinity set of the process),
+runs first the side function if any, then the degree tests of each floor
+group and then the chunks of every group, route and point set, so with two
+workers one runs the side function while the other starts on the claims;
+the workers inherit the claims and the axes of each point set and build
+the point columns (and the orbit index of a grid) they evaluate, and only
+task indices, verdicts, per-chunk maxima and the side result cross between
+processes.  With one core, without fork or with other threads alive, the
+same tasks run in-process, the side function first.  A constant is a
+maximum of pointwise values, so it depends neither on the chunk size nor
+on the worker count or the order in which chunks finish, and peak memory
+does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -74,7 +93,8 @@ from .jet import Jet
 from .params import FluidParams, Sector
 from .symbols import root_radicands
 
-__all__ = ["Claim", "MultiplierClassReport", "declared_claims", "certify_table", "KAPPAS"]
+__all__ = ["Claim", "MultiplierClassReport", "declared_claims", "certify_table",
+           "certify_alongside", "KAPPAS"]
 
 # derivative multi-indices (orders in xi_1, xi_2), the row order of a jet
 # block, and kappa! for each
@@ -93,15 +113,34 @@ _KEYS = tuple((kappa, ell) for ell in (0, 1) for kappa in KAPPAS)
 _CHUNK = 1024
 
 
+def _block() -> int:
+    """Image points per scaled task: half a chunk, since the numerator jets
+    of a block stay alive alongside the kit that evaluates them."""
+    return max(1, _CHUNK // 2)
+
+
 @dataclass(frozen=True)
 class Claim:
-    """One symbol with its claimed (order, type) and sector floor."""
+    """One symbol with its claimed (order, type) and sector floor.
+
+    A (lambda + K)-quotient also declares its denominator: fn is then its
+    numerator N, claimed homogeneous of the integer degree `degree`, and the
+    symbol is N / over(lam, A, K) on the jets of lambda, A and the height
+    symbol K.
+    """
 
     name: str
     s: float
     mtype: int
     fn: Callable  # fn(kit: SymbolKit, ixi1) -> Jet
     lam_floor: float = 0.0
+    over: Callable | None = None  # over(lam, a, k) -> Jet
+    degree: int | None = None
+
+    def symbol(self, kit: SymbolKit, i1) -> Jet:
+        """The jet of the claimed symbol on kit."""
+        m = self.fn(kit, i1)
+        return m if self.over is None else m / self.over(kit.lam, kit.a, kit.k_height())
 
 
 @dataclass
@@ -119,8 +158,8 @@ class MultiplierClassReport:
     domain: str                # "orbit" | "grid": the point sets judged on
 
     def max_drift(self) -> float:
-        vals = [v for v in self.drift.values() if math.isfinite(v)]
-        return max(vals) if vals else math.inf
+        """The largest drift: inf when a constant left 0.0, NaN when one is NaN."""
+        return float(np.max(list(self.drift.values())))
 
     def rows(self):
         """CSV rows: kappa_multi_index, ell, constant, refinement_drift."""
@@ -136,13 +175,42 @@ def _derivatives(m: Jet, tau) -> np.ndarray:
     return np.stack((d0, d1))
 
 
+def _coordinates(lam, xi1, xi2) -> tuple[Jet, Jet, Jet]:
+    """The jets of lambda, A = |xi'| and xi_1 at the points (lam, xi1, xi2)."""
+    x1, x2 = Jet.variable(xi1, 1), Jet.variable(xi2, 2)
+    return Jet.variable(lam, 0), (x1 * x1 + x2 * x2).sqrt(), x1
+
+
 def _jet_args(fluid: FluidParams, lam, xi1, xi2) -> tuple[SymbolKit, Jet]:
     """(kit, i xi_1) as jets at the points (lam, xi1, xi2), the arguments
     of every Claim.fn."""
-    x1, x2 = Jet.variable(xi1, 1), Jet.variable(xi2, 2)
-    lam, a = Jet.variable(lam, 0), (x1 * x1 + x2 * x2).sqrt()
+    lam, a, x1 = _coordinates(lam, xi1, xi2)
     roots = tuple(r.sqrt() for r in root_radicands(fluid, lam, a * a))
     return SymbolKit.from_roots(fluid, lam, a, roots), 1j * x1
+
+
+def _height(kit: SymbolKit, i1) -> Jet:
+    return kit.k_height()
+
+
+def _top(claim: Claim, m: Jet, lam, a, scale) -> np.ndarray:
+    """The max of |derivative|/bound of the claim's jet m over its points,
+    per key in _KEYS order."""
+    ratio = _derivatives(m, lam.imag) / _bound(claim.s, claim.mtype, scale, a)
+    return ratio.max(axis=-1).reshape(-1)
+
+
+def _scaled(m: Jet, j, powers) -> Jet:
+    """The jet at the points (r^2 lam, r xi') of a symbol homogeneous of some
+    degree, from its jet m at the points (lam, xi'): point i is point j[i]
+    of m, and its coefficients of d_xi^kappa d_lam^c are multiplied by
+    powers[c] = r^{degree - |kappa| - 2c} (see _powers)."""
+    return Jet(m.x[:, j] * powers[0], None if m.l is None else m.l[:, j] * powers[1])
+
+
+def _powers(r, degree: float) -> tuple[np.ndarray, np.ndarray]:
+    """r^{degree - |kappa| - 2c} over (kappa, point), for c = 0 and 1."""
+    return r ** (degree - _ORDER_COLUMN), r ** (degree - 2.0 - _ORDER_COLUMN)
 
 
 # u = A/sqrt|lambda| values of one class grid that differ by this relative
@@ -172,12 +240,17 @@ def _grid_axes(grid: GridSpec, lam_floor: float):
     return _floored_mags(grid, lam_floor), grid.a_vals()
 
 
+def _ratios(mags, avals) -> np.ndarray:
+    """u = A/sqrt|lambda| over (|lambda|, A) of a grid's axes."""
+    return avals[None, :] / np.sqrt(mags)[:, None]
+
+
 def _orbit_axes(grid: GridSpec, lam_floor: float):
     """(|lambda| values, A values) of the orbit image of that grid:
     |lambda| = 1, and A = u for each distinct u = A/sqrt|lambda| of the
-    grid.  (lam, xi') lies on the orbit of (lam/|lam|, xi'/sqrt|lam|)."""
-    mags = _floored_mags(grid, lam_floor)
-    u = np.sort((grid.a_vals()[None, :] / np.sqrt(mags)[:, None]).reshape(-1))
+    grid, the least of each run of u within _SAME_ORBIT.  (lam, xi') lies on
+    the orbit of (lam/|lam|, xi'/sqrt|lam|)."""
+    u = np.sort(_ratios(*_grid_axes(grid, lam_floor)).reshape(-1))
     return np.ones(1), u[np.concatenate(([True], np.diff(u) > _SAME_ORBIT * u[1:]))]
 
 
@@ -186,11 +259,14 @@ class _Points:
     given (|lambda|, A) axes, each once per frequency direction.
 
     chunk() builds the jets of one _CHUNK of points and judges the claims it
-    is given on them, so memory is set by the chunk, not the point set.
+    is given on them, so memory is set by the chunk, not the point set.  A
+    3-D set holds its orbit image as image, onto which scaled_chunk() maps.
     """
 
-    def __init__(self, fluid: FluidParams, sector: Sector, grid: GridSpec, axes):
+    def __init__(self, fluid: FluidParams, sector: Sector, grid: GridSpec, axes,
+                 image: "_Points | None" = None):
         self.fluid, self.sector, self.grid, self.axes = fluid, sector, grid, axes
+        self.image = image
         self.n = axes[0].size * grid.n_angles * axes[1].size * len(_DIRECTIONS)
 
     @cached_property
@@ -202,40 +278,96 @@ class _Points:
         d = np.tile(_DIRECTIONS, (lam.size // len(_DIRECTIONS), 1))
         return lam, a, a * d[:, 0], a * d[:, 1], np.sqrt(np.abs(lam)) + a
 
+    @cached_property
+    def by_image(self):
+        """(the point indices ordered by the index of their image point, those
+        image indices), built in the process that first scales onto the set.
+
+        A point of angle j, direction d and u = A/sqrt|lambda| has the image
+        point of angle j, direction d and the least orbit u not above its
+        own: the image axis keeps the least u of each run within _SAME_ORBIT,
+        computed by the same _ratios."""
+        u = self.image.axes[1]
+        k = np.searchsorted(u, _ratios(*self.axes), side="right") - 1
+        j = np.arange(self.grid.n_angles)[:, None, None]
+        index = ((j * u.size + k[:, None, :, None]) * len(_DIRECTIONS)
+                 + np.arange(len(_DIRECTIONS))).reshape(-1)
+        order = np.argsort(index, kind="stable")
+        return order, index[order]
+
     def chunk(self, start: int, claims) -> np.ndarray:
         """The max of |derivative|/bound over the _CHUNK points from start,
         over (claim, key) in _KEYS order."""
         lam, a, xi1, xi2, scale = (c[start:start + _CHUNK] for c in self.columns)
         args = _jet_args(self.fluid, lam, xi1, xi2)
-        return np.array([(_derivatives(cl.fn(*args), lam.imag) / _bound(cl.s, cl.mtype, scale, a))
-                         .max(axis=-1).reshape(-1) for cl in claims])
+        return np.array([_top(cl, cl.symbol(*args), lam, a, scale) for cl in claims])
+
+    def scaled_chunk(self, start: int, claims) -> np.ndarray:
+        """chunk() of quotient claims over the points whose images are the
+        _block() image points from start, taken _CHUNK points at a time.
+
+        Each numerator N (homogeneous of its degree) and K (of degree 1) is
+        evaluated once per image point and scaled to the points of its
+        orbit by _scaled; the denominator is formed from them and the jets of
+        lambda and A at each point."""
+        numerators, k = self._image_jets(start, claims)
+        order, images = self.by_image
+        lo, hi = np.searchsorted(images, (start, start + _block()))
+        tops = []
+        for sub in range(lo, hi, _CHUNK):
+            which = slice(sub, min(sub + _CHUNK, hi))
+            j = images[which] - start
+            lam, a, xi1, xi2, scale = (c[order[which]] for c in self.columns)
+            r = np.sqrt(np.abs(lam))
+            powers = {d: _powers(r, d) for d in {1.0, *(cl.degree for cl in claims)}}
+            lam_j, a_j, _ = _coordinates(lam, xi1, xi2)
+            k_j = _scaled(k, j, powers[1.0])
+            # one denominator per function over, shared by its claims
+            over = {f: f(lam_j, a_j, k_j) for f in {cl.over for cl in claims}}
+            tops.append([_top(cl, _scaled(n, j, powers[cl.degree]) / over[cl.over], lam, a, scale)
+                         for cl, n in zip(claims, numerators)])
+        return np.max(tops, axis=0)
+
+    def _image_jets(self, start: int, claims):
+        """The numerator jets of the claims and the jet of K at the _block()
+        image points from start."""
+        lam, _, xi1, xi2, _ = (c[start:start + _block()] for c in self.image.columns)
+        kit, i1 = _jet_args(self.fluid, lam, xi1, xi2)
+        return [cl.fn(kit, i1) for cl in claims], kit.k_height()
 
     def homogeneous(self, claims) -> list[bool]:
         """Per claim, whether its jet is homogeneous of its claimed order s
-        at the first _CHUNK points: at (4^k lam, 2^k xi') each coefficient
-        of d_xi^kappa d_lam^c is 2^{k(s - |kappa| - 2c)} times its value at
-        (lam, xi'), bit for bit, for each k in _SCALINGS.  A NaN fails.
+        at the first _CHUNK points (see scale_exactly)."""
+        return self.scale_exactly([(cl.symbol, cl.s) for cl in claims])
+
+    def scale_exactly(self, parts) -> list[bool]:
+        """Per (fn, degree) of parts, whether the jet fn(kit, i1) is
+        homogeneous of that degree at the first _CHUNK points: at
+        (4^k lam, 2^k xi') each coefficient of d_xi^kappa d_lam^c is
+        2^{k(degree - |kappa| - 2c)} times its value at (lam, xi'), bit for
+        bit, for each k in _SCALINGS.  A NaN fails.
 
         Each batch holds a run of points unscaled and at every scaling, at
         most _CHUNK points in all, so the test holds no more jets than a
         chunk; the jets are elementwise, so no value depends on its batch.
+        A part that has failed is not evaluated again.
         """
         lam, _, xi1, xi2, _ = self.columns
         n, step = min(self.n, _CHUNK), max(1, _CHUNK // (1 + len(_SCALINGS)))
-        holds = [True] * len(claims)
+        holds = [True] * len(parts)
         for start in range(0, n, step):
             sl = slice(start, min(start + step, n))
             args = _jet_args(self.fluid, *(
                 np.concatenate([base ** k * v[sl] for k in (0, *_SCALINGS)])
                 for base, v in ((4.0, lam), (2.0, xi1), (2.0, xi2))))
-            for i, cl in enumerate(claims):
-                holds[i] = holds[i] and _scales(cl.fn(*args), cl.s, sl.stop - sl.start)
+            for i, (fn, degree) in enumerate(parts):
+                holds[i] = holds[i] and _scales(fn(*args), degree, sl.stop - sl.start)
         return holds
 
 
 def _scales(m: Jet, s: float, n: int) -> bool:
     """Whether block j + 1 of the n-point blocks of m is block 0 scaled as
-    by k = _SCALINGS[j] for a symbol homogeneous of order s, bit for bit."""
+    by k = _SCALINGS[j] for a symbol homogeneous of degree s, bit for bit."""
     blocks = ((m.x, 0.0),) if m.l is None else ((m.x, 0.0), (m.l, 2.0))
     return all(np.array_equal(b[:, (j + 1) * n:(j + 2) * n],
                               b[:, :n] * 2.0 ** (k * (s - _ORDER_COLUMN - c)))
@@ -299,30 +431,33 @@ def declared_claims(lambda0: float) -> list[Claim]:
         Claim("K", 1, 2, lambda kit, i1: kit.k_height()),
     ]
 
-    def _quot(num):
-        def fn(kit, i1):
-            return num(kit, i1) / kit.quotient_q()
-        return fn
-
-    # the (lambda + K)-quotient families, type 2 above the cutoff lambda0
-    c.append(Claim("pN1/(lam+K)", 0, 2,
-                   lambda kit, i1: kit.p_press_N() / (kit.lam + kit.k_height()),
-                   lam_floor=lambda0))
-    c += [Claim(name, s, 2, _quot(num), lam_floor=lambda0) for name, s, num in (
-        ("A*R+NN*ixik/q", -1, lambda kit, i1: kit.a * kit.r_plus(True, True) * i1),
-        ("A*R-NN*ixik/q", -1, lambda kit, i1: kit.a * kit.r_minus(True, True) * i1),
-        ("A+*A*R+NN/q", -1, lambda kit, i1: kit.ap * kit.a * kit.r_plus(True, True)),
-        ("A-*A*R-NN/q", -1, lambda kit, i1: kit.a * kit.a * kit.r_minus(True, True)),
-        ("A*R+NN/q", -2, lambda kit, i1: kit.a * kit.r_plus(True, True)),
-        ("A*R-NN/q", -2, lambda kit, i1: kit.a * kit.r_minus(True, True)),
-        ("A*S+NN/q", -2, lambda kit, i1: kit.a * kit.s_plus_NN()),
-        ("A*S-NN/q", -2, lambda kit, i1: kit.a * kit.s_minus_NN()),
-        ("A*S+NN*ixik/q", -2, lambda kit, i1: kit.a * kit.s_plus_NN() * i1),
-        ("A*S-NN*ixik/q", -2, lambda kit, i1: kit.a * kit.s_minus_NN() * i1),
-        ("B+*A*S+NN/q", -2, lambda kit, i1: kit.bp * kit.a * kit.s_plus_NN()),
-        ("B-*A*S-NN/q", -2, lambda kit, i1: kit.bm * kit.a * kit.s_minus_NN()),
+    # the (lambda + K)-quotient families, type 2 above the cutoff lambda0:
+    # (numerator, its degree) over lambda + K or q = (lambda + K)(1 + A^2)
+    c.append(Claim("pN1/(lam+K)", 0, 2, lambda kit, i1: kit.p_press_N(),
+                   lam_floor=lambda0, over=_lam_plus_k, degree=1))
+    c += [Claim(name, s, 2, num, lam_floor=lambda0, over=_q, degree=d) for name, s, d, num in (
+        ("A*R+NN*ixik/q", -1, 2, lambda kit, i1: kit.a * kit.r_plus(True, True) * i1),
+        ("A*R-NN*ixik/q", -1, 2, lambda kit, i1: kit.a * kit.r_minus(True, True) * i1),
+        ("A+*A*R+NN/q", -1, 2, lambda kit, i1: kit.ap * kit.a * kit.r_plus(True, True)),
+        ("A-*A*R-NN/q", -1, 2, lambda kit, i1: kit.a * kit.a * kit.r_minus(True, True)),
+        ("A*R+NN/q", -2, 1, lambda kit, i1: kit.a * kit.r_plus(True, True)),
+        ("A*R-NN/q", -2, 1, lambda kit, i1: kit.a * kit.r_minus(True, True)),
+        ("A*S+NN/q", -2, 0, lambda kit, i1: kit.a * kit.s_plus_NN()),
+        ("A*S-NN/q", -2, 0, lambda kit, i1: kit.a * kit.s_minus_NN()),
+        ("A*S+NN*ixik/q", -2, 1, lambda kit, i1: kit.a * kit.s_plus_NN() * i1),
+        ("A*S-NN*ixik/q", -2, 1, lambda kit, i1: kit.a * kit.s_minus_NN() * i1),
+        ("B+*A*S+NN/q", -2, 1, lambda kit, i1: kit.bp * kit.a * kit.s_plus_NN()),
+        ("B-*A*S-NN/q", -2, 1, lambda kit, i1: kit.bm * kit.a * kit.s_minus_NN()),
     )]
     return c
+
+
+def _lam_plus_k(lam, a, k):
+    return lam + k
+
+
+def _q(lam, a, k):
+    return (lam + k) * (1.0 + a * a)
 
 
 def _widened(grid: GridSpec) -> GridSpec:
@@ -335,29 +470,53 @@ def _widened(grid: GridSpec) -> GridSpec:
 
 
 # Per floor group, its claims and its point sets by domain, each a (base,
-# refined) pair of _Points: what a task indexes into.  Set by _adopt in each
-# pool worker only.
+# refined) pair of _Points: what a task indexes into; and the side task of
+# certify_alongside.  Set by _adopt in each pool worker only.
 _WORK: list | None = None
+_SIDE: Callable | None = None
 
 
-def _adopt(work) -> None:
-    global _WORK
-    _WORK = work
+def _adopt(work, side) -> None:
+    global _WORK, _SIDE
+    _WORK, _SIDE = work, side
 
 
-def _degree(g, work=None):
-    """The homogeneous() verdicts of floor group g's claims on its base orbit
-    image, on work or in a pool worker on the work it adopted."""
+def _side():
+    return _SIDE()
+
+
+# the routes of a claim: the domain it is judged on and how its jets are had
+_DOMAIN = {"orbit": "orbit", "scaled": "grid", "grid": "grid"}
+
+
+def _routes(g, work=None) -> list[str]:
+    """The route of each of floor group g's claims, from the exact-scaling
+    tests on its base orbit image: "orbit" for a claim homogeneous of its
+    claimed order; "scaled" for another quotient whose numerator is
+    homogeneous of its degree, when K is of degree 1; "grid" for the rest.
+    On work, or in a pool worker on the work it adopted."""
     claims, sets = (_WORK if work is None else work)[g]
-    return sets["orbit"][0].homogeneous(claims)
+    image = sets["orbit"][0]
+    routes = ["orbit" if h else "grid" for h in image.homogeneous(claims)]
+    quotients = [i for i, (cl, route) in enumerate(zip(claims, routes))
+                 if route == "grid" and cl.over is not None]
+    if quotients:
+        *numerators, k = image.scale_exactly(
+            [(claims[i].fn, claims[i].degree) for i in quotients] + [(_height, 1.0)])
+        for i, holds in zip(quotients, numerators):
+            routes[i] = "scaled" if holds and k else "grid"
+    return routes
 
 
 def _chunk(task, work=None):
-    """The chunk() result of task = (floor group, domain, grid, chunk start,
-    claim indices) on work, or in a pool worker on the work it adopted."""
-    g, domain, r, start, which = task
+    """The chunk() or scaled_chunk() result of task = (floor group, route,
+    grid, chunk start, claim indices) on work, or in a pool worker on the
+    work it adopted."""
+    g, route, r, start, which = task
     claims, sets = (_WORK if work is None else work)[g]
-    return sets[domain][r].chunk(start, [claims[i] for i in which])
+    points = sets[_DOMAIN[route]][r]
+    chunk = points.scaled_chunk if route == "scaled" else points.chunk
+    return chunk(start, [claims[i] for i in which])
 
 
 def _workers() -> int:
@@ -368,16 +527,17 @@ def _workers() -> int:
 
 
 @contextmanager
-def _pool(work):
-    """A map(fn, tasks, chunksize) that returns fn(task) of every task, in
-    task order, with work adopted.
+def _pool(work, side=None):
+    """(map, side_result): map(fn, tasks, chunksize) returns fn(task) of
+    every task, in task order, with work adopted, and side_result() returns
+    side(), run first, as one more task, when side is given (None if not).
 
     One forked worker per usable core runs them when there are two or more,
     the platform can fork and this process runs no other thread (a lock
     another thread holds at the fork stays held in the worker); otherwise
-    they run in this process.  A worker that dies (a signal, the OOM killer)
-    raises WorkerLost here instead of leaving the call waiting for it; the
-    error is also the pool's own BrokenProcessPool.
+    they run in this process, side first.  A worker that dies (a signal, the
+    OOM killer) raises WorkerLost here instead of leaving the call waiting
+    for it; the error is also the pool's own BrokenProcessPool.
     """
     workers = _workers()
     if workers > 1:
@@ -387,17 +547,23 @@ def _pool(work):
                 and threading.active_count() == 1):
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures.process import BrokenProcessPool
+
+            def waited(call, *args):
+                try:
+                    return call(*args)
+                except BrokenProcessPool as exc:
+                    lost = type("WorkerLost", (WorkerLost, BrokenProcessPool), {})
+                    raise lost(f"a multiplier-class worker process died: {exc}") from exc
+
             with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_adopt, initargs=(work,)) as pool:
-                def pooled(fn, tasks, chunksize):
-                    try:
-                        return list(pool.map(fn, tasks, chunksize=chunksize))
-                    except BrokenProcessPool as exc:
-                        lost = type("WorkerLost", (WorkerLost, BrokenProcessPool), {})
-                        raise lost(f"a multiplier-class worker process died: {exc}") from exc
-                yield pooled
+                                     initializer=_adopt, initargs=(work, side)) as pool:
+                pending = None if side is None else pool.submit(_side)
+                yield ((lambda fn, tasks, chunksize:
+                        waited(lambda: list(pool.map(fn, tasks, chunksize=chunksize)))),
+                       lambda: None if pending is None else waited(pending.result))
                 return
-    yield lambda fn, tasks, chunksize: [fn(task, work) for task in tasks]
+    value = None if side is None else side()
+    yield (lambda fn, tasks, chunksize: [fn(task, work) for task in tasks]), lambda: value
 
 
 def _estimates(chunks) -> list[dict]:
@@ -411,39 +577,54 @@ def certify_table(claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
                   tol: Tolerances | None = None) -> list[MultiplierClassReport]:
     """Judge each claim on a base and a refined point set: the orbit images
     of the class grid and its refinement for a claim homogeneous of its
-    claimed order, the 3-D grids for any other.  Claims with one floor and
-    domain share the jet evaluations.
+    claimed order, the 3-D grids for any other, a quotient's from scaled
+    orbit jets when its numerator and K pass their degree tests.  Claims
+    with one floor and route share the jet evaluations.
 
     The verdict is "pass" when every constant moves by less than
     tol.class_drift under grid refinement, "fail" otherwise (a wrong claimed
     degree diverges at the extended range corner).
     """
+    return certify_alongside(None, claims, fluid, sector, grid, tol)[1]
+
+
+def certify_alongside(side, claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
+                      tol: Tolerances | None = None) -> tuple:
+    """(side(), certify_table(claims, ...)), side() run as the first task of
+    the same pool: with two workers one runs it while the other starts on
+    the claims.  side is a function of no arguments, or None (its result
+    is then None); an error it raises reaches the caller."""
     tol = tol or Tolerances()
     groups: dict[float, list[Claim]] = {}
     for cl in claims:
         groups.setdefault(cl.lam_floor, []).append(cl)
 
     grids = (grid, _widened(grid))
-    work = [(members, {domain: tuple(_Points(fluid, sector, g, axes(g, floor)) for g in grids)
-                       for domain, axes in (("orbit", _orbit_axes), ("grid", _grid_axes))})
-            for floor, members in sorted(groups.items())]
-    with _pool(work) as run:
+    work = []
+    for floor, members in sorted(groups.items()):
+        images = tuple(_Points(fluid, sector, g, _orbit_axes(g, floor)) for g in grids)
+        full = tuple(_Points(fluid, sector, g, _grid_axes(g, floor), image)
+                     for g, image in zip(grids, images))
+        work.append((members, {"orbit": images, "grid": full}))
+    with _pool(work, side) as (run, side_result):
         # one task per group: one per worker, not batched
-        homogeneous = run(_degree, range(len(work)), 1)
-        # the claim indices of each group on each domain
-        routed = {(g, domain): tuple(i for i, h in enumerate(flags) if h == (domain == "orbit"))
-                  for g, flags in enumerate(homogeneous) for domain in ("orbit", "grid")}
-        tasks = [(g, domain, r, start, which) for (g, domain), which in routed.items() if which
-                 for r, points in enumerate(work[g][1][domain])
-                 for start in range(0, points.n, _CHUNK)]
-        # a few chunks per message: fewer round trips, a short tail
-        results = run(_chunk, tasks, 4)
+        routes = run(_routes, range(len(work)), 1)
+        # the claim indices of each group on each route
+        routed = {(g, route): tuple(i for i, rt in enumerate(rts) if rt == route)
+                  for g, rts in enumerate(routes) for route in _DOMAIN}
+        # a scaled task starts at a block of image points
+        tasks = [(g, route, r, start, which) for (g, route), which in routed.items() if which
+                 for r, points in enumerate(work[g][1][_DOMAIN[route]])
+                 for start in (range(0, points.image.n, _block()) if route == "scaled"
+                               else range(0, points.n, _CHUNK))]
+        results = run(_chunk, tasks, 1)
+        done = side_result()
     chunks: dict[tuple, list] = {}
-    for (g, domain, r, _, _), result in zip(tasks, results):
-        chunks.setdefault((g, domain, r), []).append(result)
-    constants = {(g, i): (domain, cb, cr) for (g, domain), which in routed.items() if which
-                 for i, cb, cr in zip(which, _estimates(chunks[g, domain, 0]),
-                                      _estimates(chunks[g, domain, 1]))}
+    for (g, route, r, _, _), result in zip(tasks, results):
+        chunks.setdefault((g, route, r), []).append(result)
+    constants = {(g, i): (_DOMAIN[route], cb, cr) for (g, route), which in routed.items() if which
+                 for i, cb, cr in zip(which, _estimates(chunks[g, route, 0]),
+                                      _estimates(chunks[g, route, 1]))}
 
     reports = []
     for g, (members, sets) in enumerate(work):
@@ -456,4 +637,4 @@ def certify_table(claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
                 n_base=sets[domain][0].n, n_refined=sets[domain][1].n,
                 verdict=verdict, domain=domain,
             ))
-    return reports
+    return done, reports

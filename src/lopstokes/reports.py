@@ -45,8 +45,14 @@ __all__ = [
 ]
 
 
+def _number(x: float):
+    """x itself when finite, else the string "nan", "inf" or "-inf"."""
+    return x if math.isfinite(x) else repr(x)
+
+
 def jsonable(obj):
-    """Recursively convert to JSON-encodable values; complex -> {re, im}."""
+    """Recursively convert to strict-JSON values: complex -> {re, im}, and a
+    non-finite float -> "nan", "inf" or "-inf"."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -54,9 +60,9 @@ def jsonable(obj):
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
     if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
-        return {"re": float(obj.real), "im": float(obj.imag)}
+        return {"re": _number(float(obj.real)), "im": _number(float(obj.imag))}
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return _number(float(obj))
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -65,7 +71,7 @@ def jsonable(obj):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def config_hash(cfg: RunConfig, extra: dict | None = None) -> str:
@@ -82,7 +88,7 @@ def config_hash(cfg: RunConfig, extra: dict | None = None) -> str:
 
 
 def write_json(path: str, obj) -> None:
-    text = json.dumps(jsonable(obj), sort_keys=True, indent=1)
+    text = json.dumps(jsonable(obj), sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
         fh.write("\n")

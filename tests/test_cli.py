@@ -7,13 +7,19 @@ program no longer reads, a non-finite number, a malformed solve block or an
 out-of-range --seed/--samples, a non-finite value in a solve field file, and
 a grid of more points than MAX_GRID_POINTS; the energy suite reproduces its
 pinned quadrature figure; verify-multipliers names the domain each claim was
-judged on."""
+judged on and writes strict JSON when a drift is NaN or infinite; verify,
+which runs its fuzz on the class table's pool, writes the same bytes with one
+worker or two, keeps the exit code of an error raised in the fuzz worker,
+exits 71 when that worker dies, and still writes the fuzz suite when the
+quotient cutoff is not found."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -22,7 +28,7 @@ import numpy as np
 import pytest
 
 from helpers import mutated
-from lopstokes import cli, coefficients, lopatinski
+from lopstokes import cli, coefficients, lopatinski, multiplier
 from lopstokes.cli import main
 from lopstokes.config import (
     MAX_GRID_POINTS,
@@ -31,6 +37,8 @@ from lopstokes.config import (
     Tolerances,
     default_config,
 )
+from lopstokes.errors import SingularDetL
+from lopstokes.multiplier import Claim
 from lopstokes.reports import write_field
 from lopstokes.transform import PhysicalField
 
@@ -336,3 +344,98 @@ def test_energy_suite_pinned():
     doc = cli._energy_suite(cfg, Tolerances(), SimpleNamespace(worst={}))
     assert doc["quadrature_cross_worst"] == 5.621283425259092e-16
     assert doc["passed"]
+
+
+def _strict(text: str):
+    """text parsed as strict JSON: no NaN or Infinity literals."""
+    def reject(literal):
+        raise ValueError(f"non-standard JSON literal {literal}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_multiplier_report_is_strict_json(monkeypatch, config, tmp_path):
+    # a NaN symbol has NaN drifts; one that is zero up to |lambda| = 2e4 has
+    # every constant 0.0 on the base class grid (|lambda| <= 1e4) and not on
+    # the refined one, so every drift is infinite
+    def claims(lam0):
+        return [Claim("nan", 1.0, 1, lambda kit, i1: kit.l11p * math.nan),
+                Claim("late", 1.0, 1, lambda kit, i1: kit.l11p * (abs(kit.lam.x[0]) > 2e4)),
+                Claim("L11+", 1.0, 1, lambda kit, i1: kit.l11p)]
+
+    monkeypatch.setattr(cli, "declared_claims", claims)
+    assert main(["verify-multipliers", *config]) == 2
+    (path,) = (tmp_path / "out").glob("multipliers_*.json")
+    drifts = {c["name"]: c["max_drift"] for c in _strict(path.read_text())["claims"]}
+    assert drifts["nan"] == "nan" and drifts["late"] == "inf"
+    assert 1.0 <= drifts["L11+"] < Tolerances().class_drift
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the pool forks its workers")
+
+
+def _in_worker(parent: int) -> bool:
+    return os.getpid() != parent
+
+
+@needs_fork
+def test_verify_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
+    # one worker runs the fuzz, the class table and the rest in this
+    # process; two run the fuzz on one pool worker alongside the table
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_CLASS))
+    written = []
+    for workers in (1, 2):
+        monkeypatch.setattr(multiplier, "_workers", lambda: workers)
+        out = tmp_path / f"out{workers}"
+        assert main(["verify", "--samples", "200", "--config", str(path),
+                     "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+    assert sorted(name.split("_")[0] for name in written[0]) == ["class", "verify"]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_fuzz_error_in_a_worker_keeps_its_exit_code(monkeypatch, config, capsys):
+    monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+    parent = os.getpid()
+
+    def fuzz(*args, **kwargs):
+        raise SingularDetL(f"raised in {'a worker' if _in_worker(parent) else 'the caller'}")
+
+    monkeypatch.setattr(cli, "fuzz_residuals", fuzz)
+    assert main(["verify", *config]) == 65
+    assert "error: raised in a worker" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_lost_fuzz_worker_exits_71(monkeypatch, config, capsys):
+    monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+    parent = os.getpid()
+
+    def fuzz(*args, **kwargs):
+        assert _in_worker(parent)
+        os._exit(1)
+
+    monkeypatch.setattr(cli, "fuzz_residuals", fuzz)
+    assert main(["verify", *config]) == 71
+    err = capsys.readouterr().err
+    assert err.startswith("error: a multiplier-class worker process died"), err
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_no_quotient_cutoff_still_writes_the_fuzz_suite(monkeypatch, config, tmp_path):
+    # no scanned magnitude clears this floor, so the quotient cutoff is
+    # not found and no class table is certified
+    monkeypatch.setattr(cli, "omega4_formula", lambda fluid, sector: 1e9)
+    assert main(["verify", "--samples", "20", *config]) == 2
+    (path,) = (tmp_path / "out").glob("verify_*.json")
+    suites = _strict(path.read_text())["suites"]
+    assert suites["multipliers"]["passed"] is False
+    assert suites["multipliers"]["error"].startswith("no cutoff in ")
+    assert suites["fuzz"]["passed"] and suites["fuzz"]["n_samples"] == 20
+    assert all(suites[name]["passed"] for name in ("height", "energy"))
+    assert not list((tmp_path / "out").glob("class_*.csv"))

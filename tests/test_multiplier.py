@@ -32,7 +32,7 @@ from lopstokes import (
 )
 from lopstokes import cli, multiplier
 from lopstokes.coefficients import SymbolKit
-from lopstokes.multiplier import KAPPAS, Claim
+from lopstokes.multiplier import KAPPAS, Claim, MultiplierClassReport
 from lopstokes.config import ELISION_THRESHOLD, REFERENCE_PARAMS, STRESS_PARAM_SETS
 from lopstokes.errors import SingularDetL
 
@@ -145,6 +145,16 @@ class TestEstimator:
         # magnitudes at and above the floor only: 3.7 plus the grid tail
         n_mags = 1 + int(np.sum(SMALL.lam_mags() > floor))
         assert rep.n_base == n_mags * 5 * 9 * 2
+
+    @pytest.mark.parametrize("odd, want", [(math.inf, math.inf), (math.nan, math.nan)])
+    def test_max_drift_is_the_true_maximum(self, odd, want):
+        # one infinite drift among finite ones is the maximum, and a NaN one
+        # makes the maximum NaN, wherever it sits among the keys
+        for key in (("00", 0), ("11", 1)):
+            drift = {k: 1.5 for k in (("00", 0), ("10", 0), ("11", 1))}
+            drift[key] = odd
+            rep = MultiplierClassReport("probe", 0.0, 2, 0.0, {}, {}, drift, 1, 1, "fail", "grid")
+            assert repr(rep.max_drift()) == repr(want)
 
     def test_floor_beyond_range_collapses_to_single_magnitude(self):
         # the floor magnitude itself is always kept on the grid
@@ -270,6 +280,68 @@ class TestOrbit:
         # vanishes: a zero symbol is homogeneous of any order
         want = [c.lam_floor == 0.0 or fluid.sigma == 0.0 for c in claims]
         assert orbit.homogeneous(claims) == want
+
+
+def _direct(claim: Claim) -> Claim:
+    """The claim with its quotient folded into fn, so it is evaluated
+    directly on the 3-D grid."""
+    return dataclasses.replace(claim, fn=claim.symbol, over=None, degree=None)
+
+
+def _scaled_names(monkeypatch) -> list:
+    """The names of the claims judged on the scaled route from now on, in
+    this process (so the pool is not used)."""
+    monkeypatch.setattr(multiplier, "_workers", lambda: 1)
+    names = []
+    scaled_chunk = multiplier._Points.scaled_chunk
+
+    def spy(self, start, claims):
+        names.extend(cl.name for cl in claims)
+        return scaled_chunk(self, start, claims)
+
+    monkeypatch.setattr(multiplier._Points, "scaled_chunk", spy)
+    return names
+
+
+class TestScaled:
+    @pytest.mark.parametrize("fluid", [REF, *STRESS_PARAM_SETS])
+    def test_scaled_route_matches_direct_evaluation(self, monkeypatch, fluid):
+        # the oracle: each quotient evaluated at every 3-D point
+        quotients = [c for c in declared_claims(LAMBDA0_REF) if c.over is not None]
+        assert len(quotients) == 13
+        names = _scaled_names(monkeypatch)
+        scaled = certify_table(quotients, fluid, SECTOR, SMALL)
+        # at sigma = 0 every quotient vanishes and is judged on the orbit image
+        assert set(names) == (set() if fluid.sigma == 0.0 else {c.name for c in quotients})
+        direct = certify_table([_direct(c) for c in quotients], fluid, SECTOR, SMALL)
+        for got, want in zip(scaled, direct):
+            assert ((got.name, got.verdict, got.domain, got.n_base, got.n_refined)
+                    == (want.name, want.verdict, want.domain, want.n_base, want.n_refined))
+            for mine, theirs in ((got.constants, want.constants),
+                                 (got.refined_constants, want.refined_constants)):
+                for key, c in theirs.items():
+                    if c == 0.0:
+                        assert mine[key] == 0.0, (got.name, key)
+                    else:
+                        assert mine[key] == pytest.approx(c, rel=1e-13, abs=0.0), (got.name, key)
+
+    def test_wrong_numerator_degree_falls_back_to_the_grid(self, monkeypatch):
+        claim = next(c for c in declared_claims(LAMBDA0_REF) if c.name == "B+*A*S+NN/q")
+        names = _scaled_names(monkeypatch)
+        got = certify_table([dataclasses.replace(claim, degree=claim.degree + 1)],
+                            REF, SECTOR, SMALL)
+        assert names == []
+        _reports_equal(got, certify_table([_direct(claim)], REF, SECTOR, SMALL))
+        assert (got[0].domain, got[0].verdict) == ("grid", "pass")
+
+    def test_nan_numerator_fails(self, monkeypatch):
+        claim = next(c for c in declared_claims(LAMBDA0_REF) if c.name == "A*R+NN/q")
+        names = _scaled_names(monkeypatch)
+        rep = certify_table([dataclasses.replace(
+            claim, fn=lambda kit, i1: claim.fn(kit, i1) * math.nan)], REF, SECTOR, SMALL)[0]
+        assert names == []
+        assert (rep.domain, rep.verdict) == ("grid", "fail")
+        assert math.isnan(rep.max_drift())
 
 
 def _reports_equal(got, want):
@@ -438,7 +510,7 @@ class TestPool:
 
 MEMOISED = {"k_height", "p_plus_N", "p_minus_N", "s_plus_NN", "s_minus_NN", "p_press_N",
             "_w_plus", "_bsum", "_det_block_plus", "_r_plus_factor_N", "t_plus", "t_minus",
-            "_p_plus_core", "_p_minus_core", "quotient_q"}
+            "_p_plus_core", "_p_minus_core"}
 
 
 class TestMemo:

@@ -54,6 +54,12 @@ class TestJsonable:
         with pytest.raises(TypeError, match="not JSON-serializable"):
             jsonable({1, 2})
 
+    def test_non_finite_floats_become_strings(self):
+        out = jsonable({"a": math.nan, "b": np.float64(math.inf), "c": -math.inf,
+                        "z": complex(math.inf, 0.5), "x": 1.5})
+        assert out == {"a": "nan", "b": "inf", "c": "-inf",
+                       "z": {"re": "inf", "im": 0.5}, "x": 1.5}
+
 
 class TestCanonicalJson:
     def test_sorted_compact(self):
@@ -101,6 +107,18 @@ class TestWriteJson:
         back = json.loads(p1.read_text())
         assert back["z"] == {"re": 1.0, "im": 1.0}
         assert back["a"] == [0.25]
+
+    def test_strict_json_on_non_finite(self, tmp_path):
+        # NaN and +-Infinity literals are not JSON; a strict parser must
+        # read every report
+        path = tmp_path / "r.json"
+        write_json(str(path), {"drift": [math.nan, math.inf, -math.inf, 2.0]})
+
+        def reject(literal):
+            raise ValueError(f"non-standard JSON literal {literal}")
+
+        assert json.loads(path.read_text(), parse_constant=reject) == {
+            "drift": ["nan", "inf", "-inf", 2.0]}
 
 
 class TestScanRows:
