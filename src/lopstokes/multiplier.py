@@ -330,7 +330,8 @@ class _Points:
 
     def _image_jets(self, start: int, claims):
         """The numerator jets of the claims and the jet of K at the _block()
-        image points from start."""
+        image points from start; the kit that evaluates them is freed on
+        return, before the fan-out."""
         lam, _, xi1, xi2, _ = (c[start:start + _block()] for c in self.image.columns)
         kit, i1 = _jet_args(self.fluid, lam, xi1, xi2)
         return [cl.fn(kit, i1) for cl in claims], kit.k_height()
@@ -350,12 +351,15 @@ class _Points:
         Each batch holds a run of points unscaled and at every scaling, at
         most _CHUNK points in all, so the test holds no more jets than a
         chunk; the jets are elementwise, so no value depends on its batch.
-        A part that has failed is not evaluated again.
+        A part that has failed is not evaluated again, and no batch is built
+        once every part has failed.
         """
         lam, _, xi1, xi2, _ = self.columns
         n, step = min(self.n, _CHUNK), max(1, _CHUNK // (1 + len(_SCALINGS)))
         holds = [True] * len(parts)
         for start in range(0, n, step):
+            if not any(holds):
+                break
             sl = slice(start, min(start + step, n))
             args = _jet_args(self.fluid, *(
                 np.concatenate([base ** k * v[sl] for k in (0, *_SCALINGS)])
@@ -528,9 +532,10 @@ def _workers() -> int:
 
 @contextmanager
 def _pool(work, side=None):
-    """(map, side_result): map(fn, tasks, chunksize) returns fn(task) of
-    every task, in task order, with work adopted, and side_result() returns
-    side(), run first, as one more task, when side is given (None if not).
+    """(map, side_result): map(fn, tasks) returns fn(task) of every task,
+    sent one task per message, in task order, with work adopted, and
+    side_result() returns side(), run first as one more task when side is
+    given (None if not).
 
     One forked worker per usable core runs them when there are two or more,
     the platform can fork and this process runs no other thread (a lock
@@ -548,9 +553,9 @@ def _pool(work, side=None):
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures.process import BrokenProcessPool
 
-            def waited(call, *args):
+            def waited(call):
                 try:
-                    return call(*args)
+                    return call()
                 except BrokenProcessPool as exc:
                     lost = type("WorkerLost", (WorkerLost, BrokenProcessPool), {})
                     raise lost(f"a multiplier-class worker process died: {exc}") from exc
@@ -558,12 +563,11 @@ def _pool(work, side=None):
             with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                      initializer=_adopt, initargs=(work, side)) as pool:
                 pending = None if side is None else pool.submit(_side)
-                yield ((lambda fn, tasks, chunksize:
-                        waited(lambda: list(pool.map(fn, tasks, chunksize=chunksize)))),
+                yield ((lambda fn, tasks: waited(lambda: list(pool.map(fn, tasks)))),
                        lambda: None if pending is None else waited(pending.result))
                 return
     value = None if side is None else side()
-    yield (lambda fn, tasks, chunksize: [fn(task, work) for task in tasks]), lambda: value
+    yield (lambda fn, tasks: [fn(task, work) for task in tasks]), lambda: value
 
 
 def _estimates(chunks) -> list[dict]:
@@ -607,8 +611,8 @@ def certify_alongside(side, claims, fluid: FluidParams, sector: Sector, grid: Gr
                      for g, image in zip(grids, images))
         work.append((members, {"orbit": images, "grid": full}))
     with _pool(work, side) as (run, side_result):
-        # one task per group: one per worker, not batched
-        routes = run(_routes, range(len(work)), 1)
+        # one task per group
+        routes = run(_routes, range(len(work)))
         # the claim indices of each group on each route
         routed = {(g, route): tuple(i for i, rt in enumerate(rts) if rt == route)
                   for g, rts in enumerate(routes) for route in _DOMAIN}
@@ -617,7 +621,7 @@ def certify_alongside(side, claims, fluid: FluidParams, sector: Sector, grid: Gr
                  for r, points in enumerate(work[g][1][_DOMAIN[route]])
                  for start in (range(0, points.image.n, _block()) if route == "scaled"
                                else range(0, points.n, _CHUNK))]
-        results = run(_chunk, tasks, 1)
+        results = run(_chunk, tasks)
         done = side_result()
     chunks: dict[tuple, list] = {}
     for (g, route, r, _, _), result in zip(tasks, results):
