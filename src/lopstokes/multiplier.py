@@ -611,7 +611,6 @@ def certify_alongside(side, claims, fluid: FluidParams, sector: Sector, grid: Gr
                      for g, image in zip(grids, images))
         work.append((members, {"orbit": images, "grid": full}))
     with _pool(work, side) as (run, side_result):
-        # one task per group
         routes = run(_routes, range(len(work)))
         # the claim indices of each group on each route
         routed = {(g, route): tuple(i for i, rt in enumerate(rts) if rt == route)
