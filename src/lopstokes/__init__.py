@@ -27,101 +27,51 @@ Module map
 Every formula is array arithmetic over points; a single point is an array
 of length one, run through the same code as any batch.  The library
 measures; the commands judge.
+
+Importing the package loads none of these modules: each exported name
+(`from lopstokes import FluidParams`) imports its module on first use, so a
+process compiles only the layers it reaches.
 """
 
-from .config import (
-    REFERENCE_PARAMS,
-    STRESS_PARAM_SETS,
-    GridSpec,
-    RunConfig,
-    Tolerances,
-    default_config,
-    load_config,
-)
-from .errors import (
-    ConfigError,
-    EqualDensities,
-    HeightNotInvertible,
-    LopStokesError,
-    NoCutoffFound,
-    NonPositiveOmega,
-    NonPositiveParameter,
-    OutOfSector,
-    QuadratureFailure,
-    SingularDetL,
-    WorkerLost,
-    WrongSign,
-    ZeroModeData,
-)
-from .params import FluidParams, Sector
-from .symbols import char_roots_batch, exp_diff_quot_batch
-from .lopatinski import (
-    ScanReport,
-    asymptotic_report,
-    omega1,
-    omega2,
-    scan_lower_bound,
-)
-from .coefficients import (
-    HeightCurve,
-    HeightScanReport,
-    SymbolKit,
-    height_curve,
-    height_scan,
-    omega3,
-    omega4_formula,
-    slope_limit,
-)
-from .resolvent import (
-    FuzzReport,
-    Profile,
-    ProfileBatch,
-    assemble_batch,
-    fuzz_residuals,
-    inner_product,
-)
-from .multiplier import (
-    Claim,
-    MultiplierClassReport,
-    certify_table,
-    declared_claims,
-)
-from .transform import (
-    DecayReport,
-    PhysicalField,
-    PhysicalSolution,
-    kernel_decay_check,
-    solve_physical,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # params
-    "FluidParams", "Sector",
-    "REFERENCE_PARAMS", "STRESS_PARAM_SETS",
-    # symbols
-    "char_roots_batch", "exp_diff_quot_batch",
-    # lopatinski
-    "ScanReport", "asymptotic_report", "omega1", "omega2", "scan_lower_bound",
-    # coefficients
-    "HeightCurve", "HeightScanReport", "SymbolKit", "height_curve", "height_scan",
-    "omega3", "omega4_formula", "slope_limit",
-    # resolvent
-    "FuzzReport", "Profile", "ProfileBatch",
-    "assemble_batch", "fuzz_residuals", "inner_product",
-    # multiplier
-    "Claim", "MultiplierClassReport", "certify_table", "declared_claims",
-    # transform
-    "DecayReport", "PhysicalField", "PhysicalSolution", "kernel_decay_check",
-    "solve_physical",
-    # config
-    "GridSpec", "RunConfig", "Tolerances", "default_config",
-    "load_config",
-    # errors
-    "LopStokesError", "NonPositiveParameter", "EqualDensities", "OutOfSector",
-    "WrongSign", "SingularDetL", "NonPositiveOmega", "HeightNotInvertible",
-    "NoCutoffFound", "ZeroModeData", "QuadratureFailure", "ConfigError",
-    "WorkerLost",
-]
+# Each exported name and the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("params", "FluidParams Sector"),
+        ("symbols", "char_roots_batch exp_diff_quot_batch"),
+        ("lopatinski", "ScanReport asymptotic_report omega1 omega2 scan_lower_bound"),
+        ("coefficients", "HeightCurve HeightScanReport SymbolKit height_curve "
+                         "height_scan omega3 omega4_formula slope_limit"),
+        ("resolvent", "FuzzReport Profile ProfileBatch assemble_batch fuzz_residuals "
+                      "inner_product"),
+        ("multiplier", "Claim MultiplierClassReport certify_table declared_claims"),
+        ("transform", "DecayReport PhysicalField PhysicalSolution kernel_decay_check "
+                      "solve_physical"),
+        ("config", "REFERENCE_PARAMS STRESS_PARAM_SETS GridSpec RunConfig Tolerances "
+                   "default_config load_config"),
+        ("errors", "LopStokesError NonPositiveParameter EqualDensities OutOfSector "
+                   "WrongSign SingularDetL NonPositiveOmega HeightNotInvertible "
+                   "NoCutoffFound ZeroModeData QuadratureFailure ConfigError WorkerLost"),
+    )
+    for name in names.split()
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value         # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

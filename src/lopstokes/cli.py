@@ -21,6 +21,11 @@ follow in this process; the energy suite reads the fuzz's worst energy
 sample.  When no quotient cutoff is found, the fuzz runs in this process and
 the multiplier suite records the error.
 
+Importing this module loads only the config, errors and params layers.  Each
+subcommand imports the layers it runs when it starts, so no process compiles
+code it never calls; `verify` imports all of its layers before the pool
+forks, so the workers import nothing.
+
 The library measures and the commands judge: every pass/fail decision
 (omega > 0 with the asymptotic deviation within asym_dev_at_100, omega4 > 0,
 the decay drift within envelope_drift, the fuzz, multiplier and energy
@@ -33,8 +38,9 @@ including a non-finite config number, a malformed solve block, a non-finite
 value in a solve field file, a field with more than two tangential axes, an
 out-of-range --seed/--samples, and a `solve` lambda outside the configured
 sector (or lambda = 0);
-`verify` failures form a bitmask (1 fuzz, 2 multipliers, 4 height,
-8 energy); verify-multipliers alone exits with its bitmask value 2; the
+`verify` failures form a bitmask (1 fuzz, also when too few --samples
+leave a residual category unmeasured, 2 multipliers, 4 height, 8 energy);
+verify-multipliers alone exits with its bitmask value 2; the
 scan and decay commands exit 1 when their certification fails, and `solve`
 exits 1, after writing its outputs, when its worst ODE or interface residual
 is above fuzz_residual or NaN; 71
@@ -54,11 +60,11 @@ import dataclasses
 import functools
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .coefficients import HeightCurve, height_curve, height_scan, omega4_formula
 from .config import RunConfig, Tolerances, default_config, load_config
 from .errors import (
     ConfigError,
@@ -69,22 +75,9 @@ from .errors import (
     WorkerLost,
     ZeroModeData,
 )
-from .lopatinski import scan_lower_bound
-from .multiplier import certify_alongside, certify_table, declared_claims
-from .reports import (
-    config_hash,
-    ensure_out_dir,
-    read_field,
-    write_class_csv,
-    write_decay_csv,
-    write_field,
-    write_height_csv,
-    write_json,
-    write_residual_csv,
-    write_scan_csv,
-)
-from .resolvent import assemble_batch, energy_quadrature_check, fuzz_residuals
-from .transform import kernel_decay_check, solve_physical
+
+if TYPE_CHECKING:
+    from .coefficients import HeightCurve
 
 _DEFAULT_SAMPLES = RunConfig().samples
 
@@ -126,6 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective(args) -> tuple[RunConfig, Tolerances, str, str]:
+    from .reports import config_hash, ensure_out_dir
+
     try:
         cfg = load_config(args.config) if args.config else default_config()
     except OSError as exc:
@@ -139,6 +134,9 @@ def _effective(args) -> tuple[RunConfig, Tolerances, str, str]:
 
 
 def cmd_scan_lopatinski(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
+    from .lopatinski import scan_lower_bound
+    from .reports import write_json, write_scan_csv
+
     rep = scan_lower_bound(cfg.fluid, cfg.sector, cfg.grid)
     write_json(os.path.join(out, f"scan_{tag}.json"), rep.to_dict())
     write_scan_csv(os.path.join(out, f"scan_{tag}.csv"), *rep.columns)
@@ -150,6 +148,9 @@ def cmd_scan_lopatinski(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> 
 
 
 def cmd_scan_height(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
+    from .coefficients import height_curve, height_scan
+    from .reports import write_height_csv, write_json
+
     curve = height_curve(cfg.fluid, cfg.sector, cfg.grid)
     rep = height_scan(cfg.fluid, cfg.sector, curve, curve.cutoff(tol.height_floor))
     write_json(os.path.join(out, f"height_{tag}.json"), rep.to_dict())
@@ -171,6 +172,8 @@ _ENERGY_PROBES = (
 
 
 def _energy_suite(cfg: RunConfig, tol: Tolerances, fuzz_rep) -> dict:
+    from .resolvent import assemble_batch, energy_quadrature_check
+
     worst_closed = fuzz_rep.worst.get("energy", {}).get("value", 0.0)
     worst_quad = 0.0
     for lam, xi, mode in _ENERGY_PROBES:
@@ -192,6 +195,8 @@ def _energy_suite(cfg: RunConfig, tol: Tolerances, fuzz_rep) -> dict:
 
 def _quotient_cutoff(cfg: RunConfig, curve: HeightCurve) -> float:
     """The cutoff lambda0 above which the (lambda + K)-quotients are claimed."""
+    from .coefficients import omega4_formula
+
     # The (lambda + K)-quotient symbols lose uniformity wherever
     # |lambda + K|/(|lambda| + A) dips below its formula-level constant (the
     # interfacial dispersion curve passes near the sector edge at moderate
@@ -201,6 +206,12 @@ def _quotient_cutoff(cfg: RunConfig, curve: HeightCurve) -> float:
 
 
 def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
+    # every layer is imported here, before the pool forks
+    from .coefficients import height_curve, height_scan
+    from .multiplier import certify_alongside, declared_claims
+    from .reports import write_class_csv, write_json
+    from .resolvent import fuzz_residuals
+
     suites: dict[str, dict] = {}
 
     fuzz_task = functools.partial(fuzz_residuals, cfg.fluid, cfg.sector, cfg.samples,
@@ -254,6 +265,10 @@ def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
 
 
 def cmd_verify_multipliers(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
+    from .coefficients import height_curve
+    from .multiplier import certify_table, declared_claims
+    from .reports import write_class_csv, write_json
+
     lam0 = _quotient_cutoff(cfg, height_curve(cfg.fluid, cfg.sector, cfg.grid))
     table = certify_table(declared_claims(lam0), cfg.fluid, cfg.sector, cfg.class_grid, tol)
     write_class_csv(os.path.join(out, f"class_{tag}.csv"), table)
@@ -273,6 +288,10 @@ def cmd_verify_multipliers(cfg: RunConfig, tol: Tolerances, out: str, tag: str) 
 
 
 def cmd_solve(cfg: RunConfig, tol: Tolerances, out: str, tag: str, data_args) -> int:
+    from .coefficients import height_curve
+    from .reports import read_field, write_field, write_residual_csv
+    from .transform import solve_physical
+
     sv = cfg.solve
     missing = [k for k in ("lambda_re", "mode", "x_levels", "box", "shape") if k not in sv]
     if missing:
@@ -328,6 +347,9 @@ def cmd_solve(cfg: RunConfig, tol: Tolerances, out: str, tag: str, data_args) ->
 
 
 def cmd_kernel_decay(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
+    from .reports import write_decay_csv, write_json
+    from .transform import kernel_decay_check
+
     reps = {dim: kernel_decay_check(dim=dim) for dim in (2, 3)}
     write_json(os.path.join(out, f"decay_{tag}.json"), {
         str(dim): {

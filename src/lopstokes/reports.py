@@ -20,14 +20,16 @@ import io
 import json
 import math
 import os
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .config import RunConfig, config_document
 from .errors import ConfigError
 from .params import FluidParams
-from .transform import PhysicalField
+
+if TYPE_CHECKING:
+    from .transform import PhysicalField
 
 __all__ = [
     "jsonable",
@@ -190,6 +192,8 @@ def read_field(base_path: str) -> tuple[dict, PhysicalField]:
     bad cell, a non-finite value, a wrong column count, an index outside the
     header's grid) raises ConfigError naming the file.
     """
+    from .transform import PhysicalField
+
     json_path, csv_path = base_path + ".json", base_path + ".csv"
     try:
         with open(json_path, "r", encoding="utf-8") as fh:

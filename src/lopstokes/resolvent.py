@@ -619,7 +619,8 @@ class FuzzReport:
     kinematic samples whose height inverse was refused; they are skipped
     by the residual checks and fail the report.  nan_residuals, when set,
     holds per category the count and the first of the samples whose
-    residual is NaN; they fail the report too.
+    residual is NaN; they fail the report too.  So does a category that no
+    sample measured (see unsampled), whatever the others read.
     """
 
     seed: int
@@ -630,6 +631,13 @@ class FuzzReport:
     height_failures: dict | None = None
     nan_residuals: dict | None = None
 
+    @property
+    def unsampled(self) -> list[str]:
+        """The categories without a measured residual: none of their samples
+        was drawn, or every one was refused or NaN.  Their worst value is
+        still the placeholder -1.0, below any residual."""
+        return [c for c, rec in self.worst.items() if rec["value"] < 0.0]
+
     def passed(self, tol: Tolerances | None = None) -> bool:
         tol = tol or Tolerances()
         limits = {
@@ -639,8 +647,9 @@ class FuzzReport:
             "energy": tol.energy_defect,
             "decay": tol.decay_margin,
         }
-        return self.height_failures is None and self.nan_residuals is None and all(
-            self.worst[k]["value"] <= limits[k] for k in self.worst)
+        return (self.height_failures is None and self.nan_residuals is None
+                and not self.unsampled
+                and all(self.worst[k]["value"] <= limits[k] for k in self.worst))
 
     def to_dict(self) -> dict:
         # no timing field: reports must be byte-identical for a fixed seed
@@ -656,6 +665,8 @@ class FuzzReport:
             d["height_not_invertible"] = self.height_failures
         if self.nan_residuals is not None:
             d["nan_residuals"] = self.nan_residuals
+        if self.unsampled:
+            d["unsampled"] = self.unsampled
         return d
 
 

@@ -39,7 +39,6 @@ import numpy as np
 from .config import SOLVE_MODES, Tolerances
 from .errors import ZeroModeData
 from .params import FluidParams
-from .resolvent import _CHUNK, assemble_batch
 from .symbols import char_roots_batch
 
 __all__ = [
@@ -200,6 +199,8 @@ def solve_physical(
     arrays, in resolvent-sized chunks; a refused height raises
     HeightNotInvertible at the first such mode in grid order.
     """
+    from .resolvent import _CHUNK, assemble_batch
+
     if mode not in SOLVE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     tol = tol or Tolerances()

@@ -10,8 +10,9 @@ pinned quadrature figure; verify-multipliers names the domain each claim was
 judged on and writes strict JSON when a drift is NaN or infinite; verify,
 which runs its fuzz on the class table's pool, writes the same bytes with one
 worker or two, keeps the exit code of an error raised in the fuzz worker,
-exits 71 when that worker dies, and still writes the fuzz suite when the
-quotient cutoff is not found."""
+exits 71 when that worker dies, still writes the fuzz suite when the
+quotient cutoff is not found, and fails the fuzz (exit bit 1) when too few
+samples leave a residual category unmeasured."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 import pytest
 
 from helpers import mutated
-from lopstokes import cli, coefficients, lopatinski, multiplier
+from lopstokes import cli, coefficients, lopatinski, multiplier, resolvent
 from lopstokes.cli import main
 from lopstokes.config import (
     MAX_GRID_POINTS,
@@ -362,7 +363,7 @@ def test_multiplier_report_is_strict_json(monkeypatch, config, tmp_path):
                 Claim("late", 1.0, 1, lambda kit, i1: kit.l11p * (abs(kit.lam.x[0]) > 2e4)),
                 Claim("L11+", 1.0, 1, lambda kit, i1: kit.l11p)]
 
-    monkeypatch.setattr(cli, "declared_claims", claims)
+    monkeypatch.setattr(multiplier, "declared_claims", claims)
     assert main(["verify-multipliers", *config]) == 2
     (path,) = (tmp_path / "out").glob("multipliers_*.json")
     drifts = {c["name"]: c["max_drift"] for c in _strict(path.read_text())["claims"]}
@@ -404,7 +405,7 @@ def test_fuzz_error_in_a_worker_keeps_its_exit_code(monkeypatch, config, capsys)
     def fuzz(*args, **kwargs):
         raise SingularDetL(f"raised in {'a worker' if _in_worker(parent) else 'the caller'}")
 
-    monkeypatch.setattr(cli, "fuzz_residuals", fuzz)
+    monkeypatch.setattr(resolvent, "fuzz_residuals", fuzz)
     assert main(["verify", *config]) == 65
     assert "error: raised in a worker" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
@@ -419,7 +420,7 @@ def test_lost_fuzz_worker_exits_71(monkeypatch, config, capsys):
         assert _in_worker(parent)
         os._exit(1)
 
-    monkeypatch.setattr(cli, "fuzz_residuals", fuzz)
+    monkeypatch.setattr(resolvent, "fuzz_residuals", fuzz)
     assert main(["verify", *config]) == 71
     err = capsys.readouterr().err
     assert err.startswith("error: a multiplier-class worker process died"), err
@@ -430,7 +431,7 @@ def test_lost_fuzz_worker_exits_71(monkeypatch, config, capsys):
 def test_no_quotient_cutoff_still_writes_the_fuzz_suite(monkeypatch, config, tmp_path):
     # no scanned magnitude clears this floor, so the quotient cutoff is
     # not found and no class table is certified
-    monkeypatch.setattr(cli, "omega4_formula", lambda fluid, sector: 1e9)
+    monkeypatch.setattr(coefficients, "omega4_formula", lambda fluid, sector: 1e9)
     assert main(["verify", "--samples", "20", *config]) == 2
     (path,) = (tmp_path / "out").glob("verify_*.json")
     suites = _strict(path.read_text())["suites"]
@@ -439,3 +440,12 @@ def test_no_quotient_cutoff_still_writes_the_fuzz_suite(monkeypatch, config, tmp
     assert suites["fuzz"]["passed"] and suites["fuzz"]["n_samples"] == 20
     assert all(suites[name]["passed"] for name in ("height", "energy"))
     assert not list((tmp_path / "out").glob("class_*.csv"))
+
+
+def test_unsampled_fuzz_category_sets_exit_bit_1(config, tmp_path):
+    # one sample is explicit-H, so no kinematic residual is ever measured
+    code = main(["verify", "--samples", "1", *config])
+    assert code & 1
+    (path,) = (tmp_path / "out").glob("verify_*.json")
+    fuzz = _strict(path.read_text())["suites"]["fuzz"]
+    assert fuzz["passed"] is False and fuzz["unsampled"] == ["kinematic"]

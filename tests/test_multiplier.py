@@ -446,7 +446,7 @@ class TestPool:
                 raise SingularDetL("det L vanishes")
             return [Claim("singular", 0.0, 2, fn)]
 
-        monkeypatch.setattr(cli, "declared_claims", singular)
+        monkeypatch.setattr(multiplier, "declared_claims", singular)
         codes = []
         for workers in (1, 2):
             monkeypatch.setattr(multiplier, "_workers", lambda: workers)
@@ -498,7 +498,7 @@ class TestPool:
                 return kit.l11p
             return [Claim("lost", 1.0, 1, fn)]
 
-        monkeypatch.setattr(cli, "declared_claims", lost)
+        monkeypatch.setattr(multiplier, "declared_claims", lost)
         code = cli.main(["verify-multipliers", "--config", str(config),
                          "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err

@@ -366,6 +366,13 @@ class TestMutationAndFuzz:
                          elapsed=0.0)
         assert not bad.passed(TOL)
 
+    def test_unsampled_category_fails(self):
+        # sample 0 is explicit-H and sample 1 kinematic
+        one, two = (fuzz_residuals(REF, SECTOR, n_samples=n, seed=3) for n in (1, 2))
+        assert one.unsampled == ["kinematic"] and not one.passed(TOL)
+        assert one.to_dict()["unsampled"] == ["kinematic"]
+        assert two.unsampled == [] and "unsampled" not in two.to_dict()
+
     def test_ratio_is_zero_only_where_everything_vanishes(self):
         got = resolvent._ratio(np.array([0.0, 1.0, math.nan, 0.0]),
                                np.array([0.0, 2.0, 1.0, math.nan]))
