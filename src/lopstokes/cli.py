@@ -35,11 +35,13 @@ The run defaults (fluid, sector, grids, seed, samples) come from RunConfig.
 
 Exit codes: 0 success; 2 usage (argparse); 65 config or data validation,
 including a non-finite config number, a malformed solve block, a non-finite
-value in a solve field file, a field with more than two tangential axes, an
-out-of-range --seed/--samples, and a `solve` lambda outside the configured
-sector (or lambda = 0);
+value in a solve field file, a field with more than two tangential axes, a
+solve input field that is not one level at x_N = 0, an out-of-range
+--seed/--samples, and a `solve` lambda outside the configured sector (or
+lambda = 0);
 `verify` failures form a bitmask (1 fuzz, also when too few --samples
-leave a residual category unmeasured, 2 multipliers, 4 height, 8 energy);
+leave a residual category unmeasured, 2 multipliers, 4 height, 8 energy,
+also when an energy probe raises an error, which the report records);
 verify-multipliers alone exits with its bitmask value 2; the
 scan and decay commands exit 1 when their certification fails, and `solve`
 exits 1, after writing its outputs, when its worst ODE or interface residual
@@ -47,10 +49,11 @@ is above fuzz_residual or NaN; 71
 (EX_OSERR) when a process-pool worker of the multiplier classes, or the one
 running the `verify` fuzz, dies, for example killed by the OOM killer.
 
-Reports land in --out (env LOPSTOKES_OUT wins over the flag, which wins
-over the config), named <kind>_<hash>.<ext> by the 12-hex content hash of
-the effective configuration, so identical runs produce byte-identical
-artifacts at identical paths and nothing carries a timestamp.
+Reports land in --out, or in the config's out_dir without it; no
+environment variable overrides either.  They are named <kind>_<hash>.<ext>
+by the 12-hex content hash of the effective configuration, so identical runs
+produce byte-identical artifacts at identical paths and nothing carries a
+timestamp.
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ _DEFAULT_SAMPLES = RunConfig().samples
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    common.add_argument("--out", metavar="DIR", help="report directory "
-                        "(default from config; env LOPSTOKES_OUT overrides)")
+    common.add_argument("--out", metavar="DIR",
+                        help="report directory (default from config)")
     common.add_argument("--seed", type=int, metavar="U64", help="fuzz RNG seed")
     common.add_argument("--samples", type=int, metavar="N", help="fuzz sample count")
     common.add_argument("--tolerance-scale", type=float, default=1.0, metavar="FLOAT",
@@ -128,7 +131,7 @@ def _effective(args) -> tuple[RunConfig, Tolerances, str, str]:
     over = {k: getattr(args, k) for k in ("seed", "samples") if getattr(args, k) is not None}
     cfg = dataclasses.replace(cfg, **over)
     tol = Tolerances().scale(args.tolerance_scale)
-    out = os.environ.get("LOPSTOKES_OUT") or args.out or cfg.out_dir
+    out = args.out or cfg.out_dir
     tag = config_hash(cfg, extra={"tolerance_scale": args.tolerance_scale})
     return cfg, tol, ensure_out_dir(out), tag
 
@@ -181,10 +184,10 @@ def _energy_suite(cfg: RunConfig, tol: Tolerances, fuzz_rep) -> dict:
         top = 0.6 - 0.2j if mode == "kinematic" else 0.1 + 0.7j
         try:
             batch = assemble_batch(cfg.fluid, [lam], [xi], [h], [top], mode, tol=tol)
-        except HeightNotInvertible as exc:
+            worst_quad = max(worst_quad,
+                             energy_quadrature_check(batch, quad_rel=tol.energy_quad_rel))
+        except LopStokesError as exc:
             return {"passed": False, "error": str(exc)}
-        worst_quad = max(worst_quad,
-                         energy_quadrature_check(batch, quad_rel=tol.energy_quad_rel))
     return {
         "closed_form_worst": worst_closed,
         "quadrature_cross_worst": worst_quad,
@@ -315,6 +318,9 @@ def cmd_solve(cfg: RunConfig, tol: Tolerances, out: str, tag: str, data_args) ->
             raise ConfigError(
                 f"{path}: field grid {fld.grid_shape} box {fld.box_lengths} "
                 f"does not match config solve grid {shape} box {box}")
+        if fld.x_levels != (0.0,):
+            raise ConfigError(f"{path}: field levels {fld.x_levels} are not the one "
+                              "interface level x_N = 0")
         fields.append(fld.samples[0])
 
     if mode == "kinematic":
@@ -372,6 +378,22 @@ def cmd_kernel_decay(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int
     return 0 if ok else 1
 
 
+# The exit code and hint of each failure; main answers an error with the
+# entry of the first class in its method resolution order.
+_FAILURES = {
+    ZeroModeData: (65, "half-space symbols are undefined at the zero tangential "
+                       "mode; subtract the per-level mean from the data before solving"),
+    HeightNotInvertible: (65, "lambda + K degenerates at this mode; move |lambda| "
+                              "above the scan-height cutoff or supply H directly in "
+                              "explicit-H mode"),
+    NonPositiveOmega: (1, None),
+    NoCutoffFound: (1, None),
+    WorkerLost: (71, None),
+    LopStokesError: (65, None),
+    OSError: (66, None),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -387,31 +409,10 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg, tol, out, tag, args.data)
         return cmd_kernel_decay(cfg, tol, out, tag)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 65
-    except ZeroModeData as exc:
-        print(f"error: {exc}\nhint: half-space symbols are undefined at the "
-              "zero tangential mode; subtract the per-level mean from the "
-              "data before solving", file=sys.stderr)
-        return 65
-    except HeightNotInvertible as exc:
-        print(f"error: {exc}\nhint: lambda + K degenerates at this mode; "
-              "move |lambda| above the scan-height cutoff or supply H "
-              "directly in explicit-H mode", file=sys.stderr)
-        return 65
-    except (NonPositiveOmega, NoCutoffFound) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except WorkerLost as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 71
-    except LopStokesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 65
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 66
+    except tuple(_FAILURES) as exc:
+        code, hint = next(_FAILURES[c] for c in type(exc).__mro__ if c in _FAILURES)
+        print(f"error: {exc}" + (f"\nhint: {hint}" if hint else ""), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

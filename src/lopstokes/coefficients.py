@@ -14,7 +14,7 @@ closes the kinematic equation lambda H - weighted-normal-trace = d into
 H = (lambda + K)^{-1} (d + w_h).  All symbol formulas live on SymbolKit, on
 top of the lopatinski entry and cofactor formulas, as arithmetic over arrays
 of points, so the solves, the scans and the class estimator (on Taylor
-jets, through SymbolKit.from_roots) share the production arithmetic; a
+jets, through the SymbolKit constructor) share the production arithmetic; a
 single point is an array of length one.  The height scan evaluates its grid
 once, into a HeightCurve; every cutoff and the scanned omega4 are read off
 it.
@@ -84,21 +84,23 @@ class SymbolKit:
     __slots__ = (
         "fluid", "lam", "a", "ap", "bp", "bm",
         "l11p", "l12p", "l21p", "l22p", "l11m", "l12m", "l21m", "l22m",
-        "det", "p_stab",
+        "det", "det_plus", "p_stab",
         "c11", "c12", "c13", "c21", "c22", "c23", "c31", "c32", "c33",
         "_memo",
     )
 
-    def __init__(self, fluid, lam, a, roots, l_plus, l_minus, det, p_stab):
+    def __init__(self, fluid: FluidParams, lam, a, roots):
+        """The kit of lam, A and their roots (A+, B+, B-) as given: arrays,
+        jets or scalars."""
         self._memo = {}
         self.fluid = fluid
         self.lam = lam
         self.a = a
         self.ap, self.bp, self.bm = roots
+        l_plus, l_minus, self.p_stab = boundary_entries(fluid, lam, a, *roots)
         self.l11p, self.l12p, self.l21p, self.l22p = l_plus
         self.l11m, self.l12m, self.l21m, self.l22m = l_minus
-        self.det = det
-        self.p_stab = p_stab
+        self.det, self.det_plus, _ = block_det(l_plus, l_minus)
         (self.c11, self.c12, self.c13,
          self.c21, self.c22, self.c23,
          self.c31, self.c32, self.c33) = cofactor_entries(l_plus, l_minus)
@@ -107,24 +109,13 @@ class SymbolKit:
     def batch(cls, fluid: FluidParams, lam: np.ndarray, a: np.ndarray) -> "SymbolKit":
         lam = np.ascontiguousarray(lam, dtype=np.complex128)
         a = np.ascontiguousarray(a, dtype=np.float64)
-        return cls.from_roots(fluid, lam, a, char_roots_batch(fluid, lam, a))
-
-    @classmethod
-    def from_roots(cls, fluid: FluidParams, lam, a, roots) -> "SymbolKit":
-        """The kit of lam, A and their roots as given: arrays, jets or scalars."""
-        l_plus, l_minus, p_stab = boundary_entries(fluid, lam, a, *roots)
-        return cls(fluid, lam, a, roots, l_plus, l_minus,
-                   block_det(l_plus, l_minus)[0], p_stab)
+        return cls(fluid, lam, a, char_roots_batch(fluid, lam, a))
 
     # -- P family: q_pm = i xi'.beta'_pm mp B_pm beta_pmN = A (sum_m P_m h_m + A P_N H)
     #
     # The raw cofactor sums c1j -+ B_pm c{2,3}j cancel like A/B_pm in the
     # lambda-dominated regime, so the P entries are built from regrouped
     # forms in which every minus-entry difference is resolved analytically.
-
-    @_memoised
-    def _det_block_plus(self):
-        return self.l11p * self.l22p - self.l12p * self.l21p
 
     @_memoised
     def _w_plus(self):
@@ -152,7 +143,7 @@ class SymbolKit:
             return 2.0 * f.mu_minus * self.a * self.bm * self.l22p
         if j == 1:
             return (f.mu_minus * (self.a * self.a + self.bm * self.bm) * self.l22p
-                    + self.bm * self._det_block_plus())
+                    + self.bm * self.det_plus)
         return 2.0 * f.mu_minus * self.a * self.bm * self.l12p
 
     @_memoised

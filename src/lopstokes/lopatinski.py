@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ELISION_THRESHOLD, GridSpec
-from .errors import NonPositiveOmega, SingularDetL
-from .params import FluidParams, Sector, first_offender
-from .symbols import char_roots_batch, check_roots
+from .errors import NonPositiveOmega
+from .params import FluidParams, Sector
+from .symbols import char_roots_batch, check_det, check_roots
 
 __all__ = [
     "ScanReport",
@@ -38,7 +38,6 @@ __all__ = [
     "block_det",
     "cofactor_entries",
     "cofactor_solve",
-    "checked_entries",
     "det_ratios",
     "omega1",
     "omega2",
@@ -119,23 +118,6 @@ def det_ratios(fluid: FluidParams, lam: np.ndarray, a: np.ndarray):
     l_plus, l_minus, _ = boundary_entries(fluid, lam, a, *char_roots_batch(fluid, lam, a))
     absdet = np.abs(block_det(l_plus, l_minus)[0])
     return absdet, absdet / (np.sqrt(np.abs(lam)) + a) ** 4
-
-
-def checked_entries(fluid: FluidParams, lam, a, roots):
-    """(l_plus, l_minus, P, (det L, det L+, det L-)) with a singularity check.
-
-    Raises SingularDetL at the first point with |det L| < 1e-300.
-    """
-    lp, lm, p = boundary_entries(fluid, lam, a, *roots)
-    dets = block_det(lp, lm)
-    hit = first_offender(abs(dets[0]) < 1e-300, lam, a)
-    if hit is not None:
-        i, where = hit
-        raise SingularDetL(
-            f"det L = {complex(np.ravel(dets[0])[i])!r} at {where}; "
-            "vanishing determinant inside the sector is a certification failure"
-        )
-    return lp, lm, p, dets
 
 
 def omega1(fluid: FluidParams) -> float:
@@ -269,8 +251,10 @@ def asymptotic_report(fluid: FluidParams, sector: Sector, ratio: float = _REGIME
     a = np.concatenate([a1, a2])
     roots = char_roots_batch(fluid, lam, a)
     check_roots(roots, lam, a)
-    dets = checked_entries(fluid, lam, a, roots)[3]
-    det1, det2 = np.split(dets[0], 2)
+    l_plus, l_minus, _ = boundary_entries(fluid, lam, a, *roots)
+    det = block_det(l_plus, l_minus)[0]
+    check_det(det, lam, a)
+    det1, det2 = np.split(det, 2)
     dev1 = float(np.max(np.abs(det1 / (w1 * a1 ** 4) - 1.0)))
     dev2 = float(np.max(np.abs(det2 / (w2 * lam2 * lam2) - 1.0)))
     return w1, w2, (dev1, dev2)

@@ -186,7 +186,7 @@ def _jet_args(fluid: FluidParams, lam, xi1, xi2) -> tuple[SymbolKit, Jet]:
     of every Claim.fn."""
     lam, a, x1 = _coordinates(lam, xi1, xi2)
     roots = tuple(r.sqrt() for r in root_radicands(fluid, lam, a * a))
-    return SymbolKit.from_roots(fluid, lam, a, roots), 1j * x1
+    return SymbolKit(fluid, lam, a, roots), 1j * x1
 
 
 def _height(kit: SymbolKit, i1) -> Jet:
@@ -222,8 +222,9 @@ _SAME_ORBIT = 1e-12
 _SCALINGS = (8, -8)
 
 
-def _floored_mags(grid: GridSpec, lam_floor: float) -> np.ndarray:
-    """The |lambda| values of the class grid of a claim with this floor."""
+def _grid_axes(grid: GridSpec, lam_floor: float):
+    """(|lambda| values, A values) of the 3-D class grid of a claim with
+    this floor."""
     mags = grid.lam_mags()
     if lam_floor > 0.0:
         # keep the floor itself on every grid: the sup of a floored claim
@@ -231,13 +232,7 @@ def _floored_mags(grid: GridSpec, lam_floor: float) -> np.ndarray:
         # runs must sample that edge identically or the drift column
         # measures the floor discretization instead of grid convergence
         mags = np.unique(np.concatenate(([lam_floor], mags[mags > lam_floor])))
-    return mags
-
-
-def _grid_axes(grid: GridSpec, lam_floor: float):
-    """(|lambda| values, A values) of the 3-D class grid of a claim with
-    this floor."""
-    return _floored_mags(grid, lam_floor), grid.a_vals()
+    return mags, grid.a_vals()
 
 
 def _ratios(mags, avals) -> np.ndarray:
@@ -475,14 +470,10 @@ def _widened(grid: GridSpec) -> GridSpec:
 
 # Per floor group, its claims and its point sets by domain, each a (base,
 # refined) pair of _Points: what a task indexes into; and the side task of
-# certify_alongside.  Set by _adopt in each pool worker only.
+# certify_alongside.  Set by _pool for the duration of one call; its forked
+# workers inherit them.
 _WORK: list | None = None
 _SIDE: Callable | None = None
-
-
-def _adopt(work, side) -> None:
-    global _WORK, _SIDE
-    _WORK, _SIDE = work, side
 
 
 def _side():
@@ -493,13 +484,12 @@ def _side():
 _DOMAIN = {"orbit": "orbit", "scaled": "grid", "grid": "grid"}
 
 
-def _routes(g, work=None) -> list[str]:
+def _routes(g) -> list[str]:
     """The route of each of floor group g's claims, from the exact-scaling
     tests on its base orbit image: "orbit" for a claim homogeneous of its
     claimed order; "scaled" for another quotient whose numerator is
-    homogeneous of its degree, when K is of degree 1; "grid" for the rest.
-    On work, or in a pool worker on the work it adopted."""
-    claims, sets = (_WORK if work is None else work)[g]
+    homogeneous of its degree, when K is of degree 1; "grid" for the rest."""
+    claims, sets = _WORK[g]
     image = sets["orbit"][0]
     routes = ["orbit" if h else "grid" for h in image.homogeneous(claims)]
     quotients = [i for i, (cl, route) in enumerate(zip(claims, routes))
@@ -512,12 +502,11 @@ def _routes(g, work=None) -> list[str]:
     return routes
 
 
-def _chunk(task, work=None):
+def _chunk(task):
     """The chunk() or scaled_chunk() result of task = (floor group, route,
-    grid, chunk start, claim indices) on work, or in a pool worker on the
-    work it adopted."""
+    grid, chunk start, claim indices)."""
     g, route, r, start, which = task
-    claims, sets = (_WORK if work is None else work)[g]
+    claims, sets = _WORK[g]
     points = sets[_DOMAIN[route]][r]
     chunk = points.scaled_chunk if route == "scaled" else points.chunk
     return chunk(start, [claims[i] for i in which])
@@ -533,9 +522,9 @@ def _workers() -> int:
 @contextmanager
 def _pool(work, side=None):
     """(map, side_result): map(fn, tasks) returns fn(task) of every task,
-    sent one task per message, in task order, with work adopted, and
-    side_result() returns side(), run first as one more task when side is
-    given (None if not).
+    sent one task per message, in task order, with work and side as the
+    module state _WORK and _SIDE, and side_result() returns side(), run
+    first as one more task when side is given (None if not).
 
     One forked worker per usable core runs them when there are two or more,
     the platform can fork and this process runs no other thread (a lock
@@ -544,37 +533,34 @@ def _pool(work, side=None):
     OOM killer) raises WorkerLost here instead of leaving the call waiting
     for it; the error is also the pool's own BrokenProcessPool.
     """
-    workers = _workers()
-    if workers > 1:
-        import multiprocessing
-        import threading
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and threading.active_count() == 1):
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
+    global _WORK, _SIDE
+    _WORK, _SIDE = work, side
+    try:
+        workers = _workers()
+        if workers > 1:
+            import multiprocessing
+            import threading
+            if ("fork" in multiprocessing.get_all_start_methods()
+                    and threading.active_count() == 1):
+                from concurrent.futures import ProcessPoolExecutor
+                from concurrent.futures.process import BrokenProcessPool
 
-            def waited(call):
-                try:
-                    return call()
-                except BrokenProcessPool as exc:
-                    lost = type("WorkerLost", (WorkerLost, BrokenProcessPool), {})
-                    raise lost(f"a multiplier-class worker process died: {exc}") from exc
+                def waited(call):
+                    try:
+                        return call()
+                    except BrokenProcessPool as exc:
+                        lost = type("WorkerLost", (WorkerLost, BrokenProcessPool), {})
+                        raise lost(f"a multiplier-class worker process died: {exc}") from exc
 
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_adopt, initargs=(work, side)) as pool:
-                pending = None if side is None else pool.submit(_side)
-                yield ((lambda fn, tasks: waited(lambda: list(pool.map(fn, tasks)))),
-                       lambda: None if pending is None else waited(pending.result))
-                return
-    value = None if side is None else side()
-    yield (lambda fn, tasks: [fn(task, work) for task in tasks]), lambda: value
-
-
-def _estimates(chunks) -> list[dict]:
-    """The constants per claim on one grid: the maximum of
-    |derivative|/bound over the chunk() results of all its chunks."""
-    top = np.max(np.stack(chunks), axis=0)
-    return [{key: float(t) for key, t in zip(_KEYS, row)} for row in top]
+                with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+                    pending = None if side is None else pool.submit(_side)
+                    yield ((lambda fn, tasks: waited(lambda: list(pool.map(fn, tasks)))),
+                           lambda: None if pending is None else waited(pending.result))
+                    return
+        value = None if side is None else side()
+        yield (lambda fn, tasks: list(map(fn, tasks))), lambda: value
+    finally:
+        _WORK = _SIDE = None
 
 
 def certify_table(claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
@@ -620,19 +606,18 @@ def certify_alongside(side, claims, fluid: FluidParams, sector: Sector, grid: Gr
                  for r, points in enumerate(work[g][1][_DOMAIN[route]])
                  for start in (range(0, points.image.n, _block()) if route == "scaled"
                                else range(0, points.n, _CHUNK))]
-        results = run(_chunk, tasks)
+        # the max of |derivative|/bound per (group, claim, grid), over its chunks
+        tops: dict[tuple, np.ndarray] = {}
+        for (g, _, r, _, which), result in zip(tasks, run(_chunk, tasks)):
+            for i, top in zip(which, result):
+                tops[g, i, r] = np.maximum(tops[g, i, r], top) if (g, i, r) in tops else top
         done = side_result()
-    chunks: dict[tuple, list] = {}
-    for (g, route, r, _, _), result in zip(tasks, results):
-        chunks.setdefault((g, route, r), []).append(result)
-    constants = {(g, i): (_DOMAIN[route], cb, cr) for (g, route), which in routed.items() if which
-                 for i, cb, cr in zip(which, _estimates(chunks[g, route, 0]),
-                                      _estimates(chunks[g, route, 1]))}
 
     reports = []
     for g, (members, sets) in enumerate(work):
         for i, cl in enumerate(members):
-            domain, cb, cr = constants[g, i]
+            domain = _DOMAIN[routes[g][i]]
+            cb, cr = ({key: float(t) for key, t in zip(_KEYS, tops[g, i, r])} for r in (0, 1))
             drift, verdict = _verdict(cb, cr, tol.class_drift)
             reports.append(MultiplierClassReport(
                 name=cl.name, s=cl.s, mtype=cl.mtype, lam_floor=cl.lam_floor,

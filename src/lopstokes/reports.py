@@ -151,7 +151,7 @@ def write_class_csv(path: str, reports) -> None:
 
 def write_decay_csv(path: str, report) -> None:
     _write_csv(path, ("shell_radius", "sup_weighted", "n_points"),
-               tuple(zip(*report.to_rows())))
+               tuple(zip(*report.shells)))
 
 
 def write_field(base_path: str, field: PhysicalField, lam: complex,

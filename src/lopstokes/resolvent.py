@@ -43,9 +43,8 @@ from .coefficients import (
 )
 from .config import SOLVE_MODES, Tolerances
 from .errors import QuadratureFailure
-from .lopatinski import checked_entries
 from .params import FluidParams, Sector, first_offender
-from .symbols import char_roots_batch, check_roots, exp_diff_quot_batch
+from .symbols import char_roots_batch, check_det, check_roots, exp_diff_quot_batch
 
 __all__ = [
     "Profile",
@@ -265,8 +264,8 @@ def assemble_batch(
     a = np.array([math.hypot(*row) for row in xi.tolist()], dtype=np.float64)
     roots = char_roots_batch(fluid, lam, a)
     check_roots(roots, lam, a)
-    l_plus, l_minus, p_stab, dets = checked_entries(fluid, lam, a, roots)
-    kit = SymbolKit(fluid, lam, a, roots, l_plus, l_minus, dets[0], p_stab)
+    kit = SymbolKit(fluid, lam, a, roots)
+    check_det(kit.det, lam, a)
     ixi = _ixi(xi.T)
     hs = tuple(h.T)
     k = kit.k_height()

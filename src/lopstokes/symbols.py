@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import WrongSign
+from .errors import SingularDetL, WrongSign
 from .params import FluidParams, first_offender
 
 __all__ = [
     "char_roots_batch",
     "check_roots",
+    "check_det",
     "root_radicands",
     "exp_diff_quot_batch",
 ]
@@ -64,6 +65,17 @@ def check_roots(roots, lam, a) -> None:
         name = next(n for n, b in zip(("A_plus", "B_plus", "B_minus"), bad)
                     if np.ravel(b)[i])
         raise WrongSign(f"{name} has nonpositive real part at {where}")
+
+
+def check_det(det, lam, a) -> None:
+    """Raise SingularDetL at the first point where |det L| < 1e-300."""
+    hit = first_offender(abs(det) < 1e-300, lam, a)
+    if hit is not None:
+        i, where = hit
+        raise SingularDetL(
+            f"det L = {complex(np.ravel(det)[i])!r} at {where}; "
+            "vanishing determinant inside the sector is a certification failure"
+        )
 
 
 def exp_diff_quot_batch(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -112,9 +112,9 @@ def _tospec(phys: np.ndarray) -> np.ndarray:
     return np.fft.fftn(phys) / phys.size
 
 
-def _tophys(spec: np.ndarray, n_axes: int | None = None) -> np.ndarray:
-    """Inverse of _tospec over the trailing n_axes axes (all by default)."""
-    axes = tuple(range(-(spec.ndim if n_axes is None else n_axes), 0))
+def _tophys(spec: np.ndarray, n_axes: int) -> np.ndarray:
+    """Inverse of _tospec over the trailing n_axes axes."""
+    axes = tuple(range(-n_axes, 0))
     return np.fft.ifftn(spec, axes=axes) * math.prod(spec.shape[a] for a in axes)
 
 
@@ -290,9 +290,6 @@ class DecayReport:
                 and self.drift_refine < drift_limit
                 and self.drift_box < drift_limit
                 and all(self.monotone_levels))
-
-    def to_rows(self) -> list[tuple[float, float, int]]:
-        return [tuple(s) for s in self.shells]
 
 
 def _dyadic_shells(samples) -> list[tuple[float, float, int]]:

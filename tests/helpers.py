@@ -15,10 +15,10 @@ ifftn on dense meshes, an oracle for the half-spectrum transform.
 
 mutated() scales one boundary-matrix entry or one solution amplitude by
 (1 + rel) for the duration of a with-block, by patching the entry formula
-(lopatinski.boundary_entries) or the amplitude formula (resolvent.amplitudes)
-from outside.  The residual checks never read either formula, so a mutated
-solve is internally consistent and only the physics checks can expose it;
-the mutation tests prove that they do.
+(boundary_entries, where SymbolKit reads it) or the amplitude formula
+(resolvent.amplitudes) from outside.  The residual checks never read either
+formula, so a mutated solve is internally consistent and only the physics
+checks can expose it; the mutation tests prove that they do.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lopstokes import lopatinski, resolvent
+from lopstokes import coefficients, resolvent
 from lopstokes.coefficients import SymbolKit, amplitudes
 from lopstokes.transform import _validate_grid
 
@@ -99,7 +99,7 @@ def mutated(target: str, rel):
     with pytest.MonkeyPatch.context() as mp:
         if target in ENTRY_TARGETS:
             side, slot = ENTRY_TARGETS[target]
-            clean = lopatinski.boundary_entries
+            clean = coefficients.boundary_entries
 
             def entries(*args):
                 *blocks, p = clean(*args)
@@ -107,7 +107,7 @@ def mutated(target: str, rel):
                                      for k, v in enumerate(blocks[side]))
                 return (*blocks, p)
 
-            mp.setattr(lopatinski, "boundary_entries", entries)
+            mp.setattr(coefficients, "boundary_entries", entries)
         else:
             clean_amps = resolvent.amplitudes
             base, _, comp = target.rpartition("_")

@@ -1,21 +1,25 @@
 """Command-level properties: each scan grid is evaluated once per command,
-scan-lopatinski and solve write their pinned report bytes, solve exits 1 on a
-residual above its limit or a NaN one, malformed solve input, a field of
-three tangential axes or a solve lambda outside the sector ends in exit 65,
-and so does a config key the
-program no longer reads, a non-finite number, a malformed solve block or an
-out-of-range --seed/--samples, a non-finite value in a solve field file, and
-a grid of more points than MAX_GRID_POINTS; the energy suite reproduces its
-pinned quadrature figure; verify-multipliers names the domain each claim was
-judged on and writes strict JSON when a drift is NaN or infinite; verify,
-which runs its fuzz on the class table's pool, writes the same bytes with one
-worker or two, keeps the exit code of an error raised in the fuzz worker,
-exits 71 when that worker dies, still writes the fuzz suite when the
+scan-lopatinski, verify-multipliers and solve write their pinned report
+bytes, solve exits 1 on a residual above its limit or a NaN one, malformed
+solve input, a field of three tangential axes, a field not at the one level
+x_N = 0 or a solve lambda outside the sector ends in exit 65, and so does a
+config key the program no longer reads, a non-finite number, a malformed
+solve block or an out-of-range --seed/--samples, a non-finite value in a
+solve field file, and a grid of more points than MAX_GRID_POINTS; a
+kinematic solve below the height cutoff prints its advisory; the energy
+suite reproduces its pinned quadrature figure, and an error in an energy
+probe fails that suite alone; verify-multipliers names the domain each claim
+was judged on and writes strict JSON when a drift is NaN or infinite;
+verify, which runs its fuzz on the class table's pool, writes the same bytes
+with one worker or two, keeps the exit code of an error raised in the fuzz
+worker, exits 71 when that worker dies, still writes the fuzz suite when the
 quotient cutoff is not found, and fails the fuzz (exit bit 1) when too few
-samples leave a residual category unmeasured."""
+samples leave a residual category unmeasured; every error class ends in its
+exit code and hint."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,7 +33,7 @@ import numpy as np
 import pytest
 
 from helpers import mutated
-from lopstokes import cli, coefficients, lopatinski, multiplier, resolvent
+from lopstokes import cli, coefficients, errors, lopatinski, multiplier, resolvent
 from lopstokes.cli import main
 from lopstokes.config import (
     MAX_GRID_POINTS,
@@ -449,3 +453,87 @@ def test_unsampled_fuzz_category_sets_exit_bit_1(config, tmp_path):
     (path,) = (tmp_path / "out").glob("verify_*.json")
     fuzz = _strict(path.read_text())["suites"]["fuzz"]
     assert fuzz["passed"] is False and fuzz["unsampled"] == ["kinematic"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multiplier_report_bytes_pinned(monkeypatch, config, tmp_path, workers):
+    # verify-multipliers on the coarse class grid, in this process or on the
+    # pool: any drift in how the claims are routed, chunked, folded or
+    # written changes these digests
+    monkeypatch.setattr(multiplier, "_workers", lambda: workers)
+    assert main(["verify-multipliers", *config]) == 0
+    digests = {p.name.split("_")[0]: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir()}
+    assert digests == {
+        "class": "6b95d16c45d432eb7eeb4853cddcd8b47ecd0137033181cc5488d5af256c8cef",
+        "multipliers": "c4bc3233818fe67199aa68fb565a3d1e2097e3c250e5485bdd5805485c237ac8",
+    }
+
+
+@pytest.mark.parametrize("name,levels", [("h1", (0.5,)), ("H", (0.7, 0.0))],
+                         ids=["off-interface", "two-levels"])
+def test_solve_field_off_the_interface_exits_65(capsys, tmp_path, solve_argv, name, levels):
+    base = tmp_path / name
+    write_field(str(base), PhysicalField(box_lengths=(64.0,), grid_shape=(16,),
+                                         x_levels=levels, samples=np.ones((len(levels), 16))),
+                2.0 + 1.0j, REFERENCE_PARAMS, name)
+    assert main(solve_argv) == 65
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {base}: field levels {levels}")
+    assert "x_N = 0" in err
+    assert not list((tmp_path / "out").glob("solve_*"))
+
+
+@pytest.mark.parametrize("cutoff,advised", [(10.0, True), (0.5, False)],
+                         ids=["above-lambda", "below-lambda"])
+def test_kinematic_solve_advises_below_the_height_cutoff(monkeypatch, capsys, tmp_path,
+                                                         solve_argv, cutoff, advised):
+    # |lambda| = |2 + i| = 2.236 against a stubbed scan-height cutoff
+    path = tmp_path / "config.json"
+    cfg = json.loads(path.read_text())
+    cfg["solve"]["mode"] = "kinematic"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(coefficients, "height_curve",
+                        lambda fluid, sector, grid: SimpleNamespace(cutoff=lambda floor: cutoff))
+    assert main(solve_argv) == 0
+    err = capsys.readouterr().err
+    advisory = ("advisory: |lambda| = 2.236e+00 is below the certified height cutoff "
+                "lambda0 = 1.000e+01; the kinematic inversion is not covered by the "
+                "scanned bound there\n")
+    assert err == (advisory if advised else "")
+
+
+def test_energy_probe_error_fails_the_energy_suite(tmp_path):
+    # no quadrature meets this tolerance: QuadratureFailure in a probe's
+    # cross-check fails the energy suite alone, and the report is written
+    cfg = dataclasses.replace(default_config(), samples=20,
+                              class_grid=GridSpec(**SMALL_CLASS["class_grid"]))
+    tol = dataclasses.replace(Tolerances(), energy_quad_rel=1e-30)
+    assert cli.cmd_verify(cfg, tol, str(tmp_path), "tag") == 8
+    energy = _strict((tmp_path / "verify_tag.json").read_text())["suites"]["energy"]
+    assert energy["passed"] is False
+    assert energy["error"].startswith("energy integral error estimate ")
+
+
+ZERO_MODE_HINT = ("half-space symbols are undefined at the zero tangential mode; "
+                  "subtract the per-level mean from the data before solving")
+HEIGHT_HINT = ("lambda + K degenerates at this mode; move |lambda| above the "
+               "scan-height cutoff or supply H directly in explicit-H mode")
+EXITS = {"ZeroModeData": (65, ZERO_MODE_HINT), "HeightNotInvertible": (65, HEIGHT_HINT),
+         "NonPositiveOmega": (1, None), "NoCutoffFound": (1, None),
+         "WorkerLost": (71, None), "OSError": (66, None)}
+
+
+@pytest.mark.parametrize("name", [*errors.__all__, "OSError"])
+def test_each_error_class_keeps_its_exit_code_and_hint(monkeypatch, capsys, tmp_path, name):
+    # every other library error, ConfigError included, is 65 without a hint
+    cls = OSError if name == "OSError" else getattr(errors, name)
+
+    def failing(*args):
+        raise cls("stubbed failure")
+
+    monkeypatch.setattr(cli, "cmd_scan_height", failing)
+    code, hint = EXITS.get(name, (65, None))
+    assert main(["scan-height", "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == ("error: stubbed failure\n"
+                                       + (f"hint: {hint}\n" if hint else ""))

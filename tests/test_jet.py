@@ -50,7 +50,7 @@ def _mp_symbols(fluid):
         if key not in kits:
             a = mpmath.sqrt(x1 * x1 + x2 * x2)
             roots = tuple(mpmath.sqrt(r) for r in root_radicands(fluid, lam, a * a))
-            kits[key] = SymbolKit.from_roots(fluid, lam, a, roots)
+            kits[key] = SymbolKit(fluid, lam, a, roots)
         return kits[key]
 
     return lambda name: lambda x1, x2, lam: FNS[name](kit_at(x1, x2, lam), 1j * x1)

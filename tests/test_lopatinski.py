@@ -33,12 +33,13 @@ from lopstokes import (
     scan_lower_bound,
 )
 from lopstokes import lopatinski
+from lopstokes.coefficients import SymbolKit
 from lopstokes.config import ELISION_THRESHOLD, GridSpec, REFERENCE_PARAMS
 from lopstokes.errors import NonPositiveOmega
 from lopstokes.lopatinski import (
     ENTRY_DEGREES,
     block_det,
-    checked_entries,
+    boundary_entries,
     cofactor_solve,
 )
 from lopstokes.symbols import char_roots_batch
@@ -242,14 +243,17 @@ class TestDeterminantIdentities:
     def test_entry_mutation_is_internally_consistent(self):
         lam, a = np.array([P1.lam]), np.array([P1.a])
         roots = char_roots_batch(REF, lam, a)
-        clean = checked_entries(REF, lam, a, roots)
+        clean = boundary_entries(REF, lam, a, *roots)
         with mutated("l12p", 1e-3):
-            lp, lm, _, (det, _, _) = checked_entries(REF, lam, a, roots)
+            kit = SymbolKit(REF, lam, a, roots)
+        lp = (kit.l11p, kit.l12p, kit.l21p, kit.l22p)
+        lm = (kit.l11m, kit.l12m, kit.l21m, kit.l22m)
         assert rel(lp[1][0], clean[0][1][0] * 1.001) < 1e-15
         det_p = lp[0] * lp[3] - lp[1] * lp[2]
         det_m = lm[0] * lm[3] - lm[1] * lm[2]
-        assert rel(det[0], (lm[3] * det_p + lp[3] * det_m)[0]) < 1e-15
-        assert det[0] != clean[3][0][0]
+        assert rel(kit.det_plus[0], det_p[0]) < 1e-15
+        assert rel(kit.det[0], (lm[3] * det_p + lp[3] * det_m)[0]) < 1e-15
+        assert kit.det[0] != block_det(*clean[:2])[0][0]
 
 
 class TestAsymptotics:

@@ -509,7 +509,7 @@ class TestPool:
 
 
 MEMOISED = {"k_height", "p_plus_N", "p_minus_N", "s_plus_NN", "s_minus_NN", "p_press_N",
-            "_w_plus", "_bsum", "_det_block_plus", "_r_plus_factor_N", "t_plus", "t_minus",
+            "_w_plus", "_bsum", "_r_plus_factor_N", "t_plus", "t_minus",
             "_p_plus_core", "_p_minus_core"}
 
 

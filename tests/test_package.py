@@ -38,7 +38,6 @@ def _modules_after(code: str, packages=("scipy",), module="lopstokes.cli") -> st
     src = os.path.dirname(os.path.dirname(os.path.abspath(lopstokes.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    env.pop("LOPSTOKES_OUT", None)
     out = subprocess.run(
         [sys.executable, "-c",
          f"import sys, {module}; {code}; "

@@ -157,9 +157,7 @@ class _StubClassReport:
 
 
 class _StubDecayReport:
-    @staticmethod
-    def to_rows():
-        return [(0.5, 1.25, 4), (1.0, 0.75, 9)]
+    shells = [(0.5, 1.25, 4), (1.0, 0.75, 9)]
 
 
 class TestCsvWriters:
@@ -273,9 +271,7 @@ class TestGoldenCsvBytes:
 
     def test_no_rows_writes_the_header(self, tmp_path):
         class Empty:
-            @staticmethod
-            def to_rows():
-                return []
+            shells = []
 
         writers = {
             "scan": (lambda p: write_scan_csv(p, [], [], [], []),
@@ -319,9 +315,7 @@ class TestGoldenCsvBytes:
 
     def test_decay(self, tmp_path):
         class Report:
-            @staticmethod
-            def to_rows():
-                return [(-0.0, 1e16, np.int64(4)), (5e-324, math.nan, np.int64(0))]
+            shells = [(-0.0, 1e16, np.int64(4)), (5e-324, math.nan, np.int64(0))]
 
         p = tmp_path / "decay.csv"
         write_decay_csv(str(p), Report())

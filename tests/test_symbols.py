@@ -22,10 +22,11 @@ import mpmath
 from helpers import SpectralPoint
 from lopstokes import FluidParams, Sector
 from lopstokes.config import REFERENCE_PARAMS
-from lopstokes.errors import WrongSign
+from lopstokes.errors import SingularDetL, WrongSign
 from lopstokes.symbols import (
     CONFLUENT_SWITCH,
     char_roots_batch,
+    check_det,
     check_roots,
     exp_diff_quot_batch,
 )
@@ -282,6 +283,12 @@ class TestRootProperties:
         assert not sector.contains(lam[0])
         with pytest.raises(WrongSign):
             check_roots(char_roots_batch(REF, lam, a), lam, a)
+
+    def test_singular_det_names_the_first_point(self):
+        lam, a = np.array([1.0 + 0.0j, 2.0 + 0.0j, 3.0 + 0.0j]), np.array([0.5, 0.25, 0.125])
+        check_det(np.array([1e-300, 1.0, 2.0j]), lam, a)
+        with pytest.raises(SingularDetL, match=r"det L = 0j at sample 1: lam=\(2\+0j\)"):
+            check_det(np.array([1.0, 0.0, 1e-301]), lam, a)
 
     def test_batch_matches_scalar_roots(self):
         # every point of a batch equals the same point alone

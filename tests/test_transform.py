@@ -100,7 +100,7 @@ class TestGrids:
         rng = np.random.default_rng(7)
         for shape in [(16,), (16, 16)]:
             x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            back = _tophys(_tospec(x))
+            back = _tophys(_tospec(x), x.ndim)
             assert rel_err(back, x) < TEST_TOL.fft_roundtrip
 
 
@@ -244,8 +244,7 @@ class TestKernelDecay:
         assert rep.drift_refine >= 1.0 and rep.drift_box >= 1.0
         assert rep.monotone_levels == (True, True)
         assert len(rep.shells) >= 4
-        rows = rep.to_rows()
-        assert all(len(r) == 3 and r[2] > 0 for r in rows)
+        assert all(len(r) == 3 and r[2] > 0 for r in rep.shells)
 
     def test_small_grid_3d(self):
         rep = kernel_decay_check(dim=3, n=128, box=8.0)
