@@ -177,7 +177,9 @@ _ENERGY_PROBES = (
 def _energy_suite(cfg: RunConfig, tol: Tolerances, fuzz_rep) -> dict:
     from .resolvent import assemble_batch, energy_quadrature_check
 
-    worst_closed = fuzz_rep.worst.get("energy", {}).get("value", 0.0)
+    if "energy" in fuzz_rep.unsampled:
+        return {"passed": False, "error": "no fuzz sample measured an energy residual"}
+    worst_closed = fuzz_rep.worst["energy"]["value"]
     worst_quad = 0.0
     for lam, xi, mode in _ENERGY_PROBES:
         h = [0.4 + 0.3j] * len(xi)

@@ -21,8 +21,8 @@ on the last axis.  A single point is a batch of one, so it gives the same
 result alone as inside any batch.  The quadrature cross-check of the
 energy integrals is a batch evaluation too: a fixed exp-sinh rule whose
 nodes form a (nodes, N) depth array through Profile.__call__.
-fuzz_residuals draws its corpus point by point and evaluates it in chunks
-of _CHUNK samples.
+fuzz_residuals draws its corpus as array blocks of at most _CHUNK samples
+of one dimension and mode, and solves each block with one assemble_batch.
 """
 
 from __future__ import annotations
@@ -58,8 +58,14 @@ __all__ = [
 ]
 
 # Points per fuzz/solve batch: bounds the working set (a few dozen arrays of
-# 20 x _CHUNK complex values) whatever the corpus or grid size.
-_CHUNK = 2048
+# 20 x _CHUNK complex values) whatever the corpus or grid size, and keeps
+# every (20, _CHUNK) depth array below config.ELISION_THRESHOLD, so a point
+# gets the same bits in any batch.
+_CHUNK = 512
+
+# Every _EDGE_EVERY-th sample of a fuzz block lies on a sector edge, which
+# uniform angles almost never reach.
+_EDGE_EVERY = 16
 
 
 def _field(v):
@@ -260,7 +266,8 @@ def assemble_batch(
     if h.shape != xi.shape:
         raise ValueError(f"h_hat must have shape ({dim - 1},), got {h.shape[1:]}")
     tol = tol or Tolerances()
-    # A = |xi'| by math.hypot per point, as the fuzz reports record it
+    # A = |xi'| by math.hypot per point: np.hypot differs from it in the last
+    # bit on about 0.6 % of points, which would move the solve reports' bytes
     a = np.array([math.hypot(*row) for row in xi.tolist()], dtype=np.float64)
     roots = char_roots_batch(fluid, lam, a)
     check_roots(roots, lam, a)
@@ -579,35 +586,41 @@ def _decay(s: ProfileBatch):
     return _vmax(worst)
 
 
-def _cnormal(rng: np.random.Generator, size=None):
+def _cnormal(rng: np.random.Generator, size):
     re = rng.standard_normal(size)
     im = rng.standard_normal(size)
     return (re + 1j * im) / math.sqrt(2.0)
 
 
 def fuzz_corpus(seed: int, n_samples: int, sector: Sector):
-    """Yield the fuzz samples (dim, mode, lam, xi, h, top), one at a time.
+    """Yield the fuzz corpus as blocks (dim, mode, lam, xi, h, top) of arrays.
 
-    Log-uniform |lambda| and A over [1e-4, 1e8], uniform sector angles,
-    complex-normal data, mixed dimensions 2 and 3, alternating explicit-H
-    and kinematic modes; top is H or d by mode.  Drawn point by point in a
-    fixed order, so a seed names the same corpus whatever the batching.
+    The strata (2, explicit-H), (2, kinematic), (3, explicit-H) and
+    (3, kinematic) in turn, stratum k of (n_samples + 3 - k) // 4 samples,
+    drawn from the one seeded generator in blocks of at most _CHUNK.
+    Log-uniform |lambda| and A over [1e-4, 1e8], uniform sector angles but
+    for every _EDGE_EVERY-th sample of a block, which lies on the edge
+    arg lambda = +(pi - epsilon) or -(pi - epsilon) in turn; complex-normal
+    data h and top (H or d by mode).
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     span = math.pi - sector.epsilon
-    for i in range(n_samples):
-        dim = 2 + int(rng.integers(0, 2))
-        mag = 10.0 ** rng.uniform(-4.0, 8.0)
-        ang = rng.uniform(-span, span)
-        lam = complex(mag * math.cos(ang), mag * math.sin(ang))
-        a = 10.0 ** rng.uniform(-4.0, 8.0)
-        if dim == 2:
-            xi = (a if rng.integers(0, 2) else -a,)
-        else:
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            xi = (a * math.cos(phi), a * math.sin(phi))
-        h = tuple(complex(v) for v in _cnormal(rng, dim - 1))
-        yield dim, SOLVE_MODES[i % 2], lam, xi, h, complex(_cnormal(rng))
+    for k, (dim, mode) in enumerate(itertools.product((2, 3), SOLVE_MODES)):
+        size = (n_samples + 3 - k) // 4
+        for start in range(0, size, _CHUNK):
+            n = min(_CHUNK, size - start)
+            mag = 10.0 ** rng.uniform(-4.0, 8.0, n)
+            ang = rng.uniform(-span, span, n)
+            ang[::2 * _EDGE_EVERY] = span
+            ang[_EDGE_EVERY::2 * _EDGE_EVERY] = -span
+            lam = mag * np.exp(1j * ang)
+            a = 10.0 ** rng.uniform(-4.0, 8.0, n)
+            if dim == 2:
+                xi = np.where(rng.integers(0, 2, n) == 1, a, -a)[:, None]
+            else:
+                phi = rng.uniform(0.0, 2.0 * math.pi, n)
+                xi = np.stack((a * np.cos(phi), a * np.sin(phi)), axis=1)
+            yield dim, mode, lam, xi, _cnormal(rng, (n, dim - 1)), _cnormal(rng, n)
 
 
 @dataclass(frozen=True)
@@ -656,8 +669,6 @@ class FuzzReport:
             "seed": self.seed,
             "n_samples": self.n_samples,
             "epsilon": self.epsilon,
-            # the energy check always runs; the key keeps the report's bytes
-            "energy_included": True,
             "worst": self.worst,
         }
         if self.height_failures is not None:
@@ -678,58 +689,44 @@ def fuzz_residuals(
 ) -> FuzzReport:
     """Random-corpus certification of the full solve path.
 
-    Draws the fuzz_corpus and evaluates it _CHUNK samples at a time, one
-    assemble_batch per dimension and mode inside a chunk.  Records the
-    worst ODE, interface, kinematic, decay and energy residual with its
-    point: the first sample, in corpus order, that attains the category's
-    maximum.  Kinematic samples whose height inverse is refused, and NaN
-    residuals, are counted instead of aborting.
+    Solves each block of the fuzz_corpus with one assemble_batch and
+    records the worst ODE, interface, kinematic, decay and energy residual
+    with its point: the first sample, in corpus order, that attains the
+    category's maximum.  Kinematic samples whose height inverse is refused,
+    and NaN residuals, are counted instead of aborting.
     """
-    cats = ["ode", "interface", "kinematic", "decay", "energy"]
     worst = {c: {"value": -1.0, "lam_re": 0.0, "lam_im": 0.0, "a": 0.0,
-                 "dim": 0, "mode": ""} for c in cats}
+                 "dim": 0, "mode": ""}
+             for c in ("ode", "interface", "kinematic", "decay", "energy")}
     refused = 0
     first_refused = None
     nans: dict[str, dict] = {}
 
-    def where(sample) -> dict:
-        dim, mode, lam, xi = sample[:4]
-        return {"lam_re": lam.real, "lam_im": lam.imag, "a": math.hypot(*xi),
-                "dim": dim, "mode": mode}
-
     t0 = time.perf_counter()
-    corpus = fuzz_corpus(seed, n_samples, sector)
-    while chunk := list(itertools.islice(corpus, _CHUNK)):
-        vals = {c: np.full(len(chunk), -np.inf) for c in cats}
-        ok = np.ones(len(chunk), dtype=bool)
-        for dim, mode in itertools.product((2, 3), SOLVE_MODES):
-            idx = np.array([i for i, smp in enumerate(chunk)
-                            if smp[0] == dim and smp[1] == mode], dtype=np.intp)
-            if idx.size == 0:
-                continue
-            cols = list(zip(*(chunk[i] for i in idx)))
-            batch = assemble_batch(fluid, cols[2], cols[3], cols[4], cols[5], mode,
-                                   tol=tol, strict=False)
-            ok[idx] = batch.valid
-            for c, v in batch.residuals(energy=True).items():
-                vals[c][idx] = v
+    for dim, mode, lam, xi, h, top in fuzz_corpus(seed, n_samples, sector):
+        batch = assemble_batch(fluid, lam, xi, h, top, mode, tol=tol, strict=False)
+        ok = batch.valid
+
+        def where(i: int) -> dict:
+            return {"lam_re": float(lam[i].real), "lam_im": float(lam[i].imag),
+                    "a": float(batch.a[i]), "dim": dim, "mode": mode}
+
         if not ok.all():
             refused += int(np.count_nonzero(~ok))
             if first_refused is None:
-                first_refused = where(chunk[int(np.argmin(ok))])
-        for c in cats:
-            nan = ok & np.isnan(vals[c])
+                first_refused = where(int(np.argmin(ok)))
+        for c, v in batch.residuals(energy=True).items():
+            nan = ok & np.isnan(v)
             if nan.any():
-                hit = nans.setdefault(c, {"count": 0, "first": where(chunk[int(np.argmax(nan))])})
+                hit = nans.setdefault(c, {"count": 0, "first": where(int(np.argmax(nan)))})
                 hit["count"] += int(np.count_nonzero(nan))
-            v = np.where(ok & ~nan, vals[c], -np.inf)
-            k = int(np.argmax(v))
-            if v[k] > worst[c]["value"]:
-                worst[c] = {"value": float(v[k]), **where(chunk[k])}
+            v = np.where(ok & ~nan, v, -np.inf)
+            i = int(np.argmax(v))
+            if v[i] > worst[c]["value"]:
+                worst[c] = {"value": float(v[i]), **where(i)}
     elapsed = time.perf_counter() - t0
 
     failures = None if refused == 0 else {"count": refused, "first": first_refused}
     return FuzzReport(seed=seed, n_samples=n_samples, epsilon=sector.epsilon,
                       worst=worst, elapsed=elapsed, height_failures=failures,
                       nan_residuals=nans or None)
-

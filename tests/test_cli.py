@@ -344,11 +344,23 @@ def test_malformed_solve_config_exits_65(capsys, tmp_path, solve_argv, key, valu
 
 def test_energy_suite_pinned():
     # the figure verify writes for the default probes; fuzz supplies only
-    # the closed-form worst, absent here
+    # the closed-form worst, 0 here
     cfg = default_config()
-    doc = cli._energy_suite(cfg, Tolerances(), SimpleNamespace(worst={}))
+    fuzz = SimpleNamespace(unsampled=[], worst={"energy": {"value": 0.0}})
+    doc = cli._energy_suite(cfg, Tolerances(), fuzz)
     assert doc["quadrature_cross_worst"] == 5.621283425259092e-16
     assert doc["passed"]
+
+
+def test_energy_suite_fails_on_the_fuzz_placeholder():
+    # every energy residual is NaN, so the fuzz's energy worst is still its
+    # placeholder -1.0: the suite fails instead of reading it as a defect
+    cfg = dataclasses.replace(default_config(), samples=40)
+    with mutated("gamma_minus", math.nan), np.errstate(invalid="ignore", divide="ignore"):
+        fuzz = resolvent.fuzz_residuals(cfg.fluid, cfg.sector, cfg.samples, cfg.seed)
+    assert fuzz.nan_residuals["energy"]["count"] == 40 and "energy" in fuzz.unsampled
+    assert cli._energy_suite(cfg, Tolerances(), fuzz) == {
+        "passed": False, "error": "no fuzz sample measured an energy residual"}
 
 
 def _strict(text: str):
