@@ -594,6 +594,22 @@ class TestCorpusAndBatch:
         assert calls == [b[2].size for b in blocks]
         assert got.worst == want
 
+    def test_fuzz_chunks_across_a_full_chunk(self):
+        # 2,052 samples at the default chunk: each stratum is one full block
+        # of 512 and a block of one, and the fold across them keeps the
+        # first worst of the one-point loop over the same corpus
+        assert resolvent._CHUNK == 512
+        blocks = list(fuzz_corpus(11, 2052, SECTOR))
+        assert [b[2].size for b in blocks] == [512, 1] * 4
+        want = {c: {"value": -1.0} for c in CATEGORIES}
+        for dim, mode, *cols in blocks:
+            for lam, xi, h, top in zip(*cols):
+                for cat, val in point_residuals(REF, mode, lam, xi, h, top).items():
+                    if val > want[cat]["value"]:
+                        want[cat] = {"value": val, "lam_re": lam.real, "lam_im": lam.imag,
+                                     "a": math.hypot(*xi), "dim": dim, "mode": mode}
+        assert fuzz_residuals(REF, SECTOR, n_samples=2052, seed=11).worst == want
+
     def test_fuzz_memory_is_flat_in_samples(self):
         # blocks are drawn and solved one at a time, so ten times the
         # samples keep the traced peak within 10 %; a first call warms the
