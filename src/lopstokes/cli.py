@@ -335,16 +335,11 @@ def cmd_solve(cfg: RunConfig, tol: Tolerances, out: str, tag: str, data_args) ->
     sol = solve_physical(cfg.fluid, lam, fields[:-1], fields[-1], mode, box,
                          x_levels=tuple(float(x) for x in sv["x_levels"]), tol=tol)
 
-    for J, fld in enumerate(sol.u_plus, start=1):
-        write_field(os.path.join(out, f"solve_{tag}_u_plus_{J}"), fld, lam,
-                    cfg.fluid, f"u_plus_{J}")
-    for J, fld in enumerate(sol.u_minus, start=1):
-        write_field(os.path.join(out, f"solve_{tag}_u_minus_{J}"), fld, lam,
-                    cfg.fluid, f"u_minus_{J}")
-    write_field(os.path.join(out, f"solve_{tag}_pressure"), sol.pressure, lam,
-                cfg.fluid, "pressure")
-    write_field(os.path.join(out, f"solve_{tag}_height"), sol.height, lam,
-                cfg.fluid, "height")
+    outputs = [*((f"u_plus_{J}", u) for J, u in enumerate(sol.u_plus, start=1)),
+               *((f"u_minus_{J}", u) for J, u in enumerate(sol.u_minus, start=1)),
+               ("pressure", sol.pressure), ("height", sol.height)]
+    for name, fld in outputs:
+        write_field(os.path.join(out, f"solve_{tag}_{name}"), fld, lam, cfg.fluid, name)
     write_residual_csv(os.path.join(out, f"solve_{tag}_residuals.csv"),
                        shape, sol.modes, sol.residuals)
     ode, iface = sol.worst_residuals()

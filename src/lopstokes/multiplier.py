@@ -38,7 +38,9 @@ chunk of its base orbit image.  Scaling by a power of two is exact in
 floating point, so a homogeneous formula passes with no tolerance, while
 a symbol built from lambda + K, a wrong claimed order or a NaN fails.
 Those claims are judged on the 3-D class grid of GridSpec.points and its
-refinement.
+refinement.  One such test per floor group judges every claim at its
+order, every quotient's numerator at its degree and K at degree 1 on the
+same batches of jets.
 
 The scaled route.  A (lambda + K)-quotient N/D is not homogeneous: its
 denominator D, (lambda + K)(1 + A^2) or lambda + K, mixes degrees.  But its
@@ -51,8 +53,9 @@ of image points) and scaled to every grid point of the orbit, where D is
 formed from them and the jets of lambda and A, and N/D judged; the
 constants are those of the 3-D grids, up to rounding.  The claim declares
 N, d and D (Claim.over), and d is tested, not trusted: N at degree d and K
-at degree 1 must pass the same bit-exact test on the first chunk of the
-floored orbit image, or the claim is evaluated directly on the 3-D grid.
+at degree 1 must pass the same bit-exact test, in the same pass, on the
+first chunk of the floored orbit image, or the claim is evaluated
+directly on the 3-D grid.
 Either way its domain is "grid", over the same points and verdict.
 
 certify_table is the one entry point (the declared table comes from
@@ -62,7 +65,7 @@ share one pass per point set in fixed chunks of _CHUNK points: one
 SymbolKit of jets per chunk (per block of image points on the scaled
 route), every claim of the group judged on it.  One fork process pool per
 call, one worker per usable core (the CPU affinity set of the process),
-runs first the side function if any, then the degree tests of each floor
+runs first the side function if any, then the degree test of each floor
 group and then the chunks of every group, route and point set, so with two
 workers one runs the side function while the other starts on the claims;
 the workers inherit the claims and the axes of each point set and build
@@ -331,11 +334,6 @@ class _Points:
         kit, i1 = _jet_args(self.fluid, lam, xi1, xi2)
         return [cl.fn(kit, i1) for cl in claims], kit.k_height()
 
-    def homogeneous(self, claims) -> list[bool]:
-        """Per claim, whether its jet is homogeneous of its claimed order s
-        at the first _CHUNK points (see scale_exactly)."""
-        return self.scale_exactly([(cl.symbol, cl.s) for cl in claims])
-
     def scale_exactly(self, parts) -> list[bool]:
         """Per (fn, degree) of parts, whether the jet fn(kit, i1) is
         homogeneous of that degree at the first _CHUNK points: at
@@ -346,15 +344,12 @@ class _Points:
         Each batch holds a run of points unscaled and at every scaling, at
         most _CHUNK points in all, so the test holds no more jets than a
         chunk; the jets are elementwise, so no value depends on its batch.
-        A part that has failed is not evaluated again, and no batch is built
-        once every part has failed.
+        A part that has failed is not evaluated again.
         """
         lam, _, xi1, xi2, _ = self.columns
         n, step = min(self.n, _CHUNK), max(1, _CHUNK // (1 + len(_SCALINGS)))
         holds = [True] * len(parts)
         for start in range(0, n, step):
-            if not any(holds):
-                break
             sl = slice(start, min(start + step, n))
             args = _jet_args(self.fluid, *(
                 np.concatenate([base ** k * v[sl] for k in (0, *_SCALINGS)])
@@ -485,21 +480,18 @@ _DOMAIN = {"orbit": "orbit", "scaled": "grid", "grid": "grid"}
 
 
 def _routes(g) -> list[str]:
-    """The route of each of floor group g's claims, from the exact-scaling
-    tests on its base orbit image: "orbit" for a claim homogeneous of its
+    """The route of each of floor group g's claims, from one exact-scaling
+    test on its base orbit image: "orbit" for a claim homogeneous of its
     claimed order; "scaled" for another quotient whose numerator is
     homogeneous of its degree, when K is of degree 1; "grid" for the rest."""
     claims, sets = _WORK[g]
-    image = sets["orbit"][0]
-    routes = ["orbit" if h else "grid" for h in image.homogeneous(claims)]
-    quotients = [i for i, (cl, route) in enumerate(zip(claims, routes))
-                 if route == "grid" and cl.over is not None]
-    if quotients:
-        *numerators, k = image.scale_exactly(
-            [(claims[i].fn, claims[i].degree) for i in quotients] + [(_height, 1.0)])
-        for i, holds in zip(quotients, numerators):
-            routes[i] = "scaled" if holds and k else "grid"
-    return routes
+    quotients = [i for i, cl in enumerate(claims) if cl.over is not None]
+    *holds, k = sets["orbit"][0].scale_exactly(
+        [(cl.symbol, cl.s) for cl in claims]
+        + [(claims[i].fn, claims[i].degree) for i in quotients] + [(_height, 1.0)])
+    scaled = {i for i, h in zip(quotients, holds[len(claims):]) if h and k}
+    return ["orbit" if h else "scaled" if i in scaled else "grid"
+            for i, h in enumerate(holds[:len(claims)])]
 
 
 def _chunk(task):

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from . import config
 from .config import RunConfig, config_document
 from .errors import ConfigError
 from .params import FluidParams
@@ -190,19 +191,23 @@ def read_field(base_path: str) -> tuple[dict, PhysicalField]:
     The CSV is parsed in one pass, by column type; rows it does not list
     stay zero.  Malformed input (bad JSON, a missing or bad header key, a
     bad cell, a non-finite value, a wrong column count, an index outside the
-    header's grid) raises ConfigError naming the file.
+    header's grid or one an earlier row gave) raises ConfigError naming the
+    file.  The header's numbers are read as the config's are.
     """
     from .transform import PhysicalField
 
     json_path, csv_path = base_path + ".json", base_path + ".csv"
+
+    def numbers(key: str, integer: bool = False) -> tuple:
+        return tuple(config._number(x, f"{json_path}: {key}[{i}]", integer)
+                     for i, x in enumerate(header[key]))
+
     try:
         with open(json_path, "r", encoding="utf-8") as fh:
             header = json.load(fh)
-        shape = tuple(int(n) for n in header["shape"])
-        levels = tuple(float(x) for x in header["x_levels"])
+        shape, levels = numbers("shape", integer=True), numbers("x_levels")
         # the header alone builds, and so validates, the all-zero field
-        field = PhysicalField(box_lengths=tuple(float(b) for b in header["box"]),
-                              grid_shape=shape, x_levels=levels,
+        field = PhysicalField(box_lengths=numbers("box"), grid_shape=shape, x_levels=levels,
                               samples=np.zeros((len(levels),) + shape, dtype=np.complex128))
     except KeyError as exc:
         raise ConfigError(f"{json_path}: missing key {exc}") from exc
@@ -237,6 +242,13 @@ def read_field(base_path: str) -> tuple[dict, PhysicalField]:
     if bad.size:
         raise ConfigError(f"{csv_path}: data row {bad[0] + 1}: non-finite value "
                           f"{complex(rows['re'][bad[0]], rows['im'][bad[0]])!r}")
+    flat = np.ravel_multi_index(index, field.samples.shape)
+    first = np.zeros(flat.size, dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
+    if not first.all():
+        row = np.flatnonzero(~first)[0]
+        raise ConfigError(f"{csv_path}: data row {row + 1}: same {'/'.join(names)} as "
+                          f"data row {np.flatnonzero(flat == flat[row])[0] + 1}")
     field.samples[index] = rows["re"] + 1j * rows["im"]
     return header, field
 

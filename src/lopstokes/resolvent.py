@@ -384,6 +384,12 @@ def _sc(c, parts: list) -> list:
     return [c * q for q in parts]
 
 
+def _div_trace_parts(ixi, us) -> list:
+    """The trace of the divergence, split into its additive constituents:
+    i xi_j u_j(0) for each tangential j, then u_N'(0)."""
+    return [q for x, u in zip(ixi, us) for q in _sc(x, _trace_parts(u))] + _dtrace_parts(us[-1])
+
+
 def _interface(s: ProfileBatch):
     """Every interface condition re-derived from the profile traces.
 
@@ -411,24 +417,16 @@ def _interface(s: ProfileBatch):
         + _sc(-1.0, _trace_parts(s.pressure))
         + [f.sigma_minus * a ** 2 * H]
     )
-    div_p_parts: list = []
-    for j in range(n - 1):
-        div_p_parts += _sc(ixi[j], _trace_parts(u_p[j]))
-    div_p_parts += _dtrace_parts(u_p[-1])
     ns_plus = _rel(
         _sc(2.0 * mu_p, _dtrace_parts(u_p[-1]))
-        + _sc(nu_p - mu_p, div_p_parts)
+        + _sc(nu_p - mu_p, _div_trace_parts(ixi, u_p))
         + [f.sigma_plus * a ** 2 * H]
     )
     jumps = tuple(
         _rel(_trace_parts(u_m[m]) + _sc(-1.0, _trace_parts(u_p[m])) + [-s.h[m]])
         for m in range(n - 1)
     )
-    div_m_parts: list = []
-    for j in range(n - 1):
-        div_m_parts += _sc(ixi[j], _trace_parts(u_m[j]))
-    div_m_parts += _dtrace_parts(u_m[-1])
-    div_trace = _rel(div_m_parts)
+    div_trace = _rel(_div_trace_parts(ixi, u_m))
 
     kin = None
     if s.d is not None:

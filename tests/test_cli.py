@@ -237,6 +237,14 @@ def _replace_line(path, lineno, edit):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _set_header(key, value):
+    def edit(path):
+        header = json.loads(path.read_text())
+        header[key] = value
+        path.write_text(json.dumps(header))
+    return edit
+
+
 @pytest.mark.parametrize("suffix,edit,message", [
     (".csv", lambda p: _replace_line(p, 3, lambda s: "x" + s), "data row 3: invalid literal"),
     (".csv", lambda p: _replace_line(p, 4, lambda s: s + ",0.0"),
@@ -249,13 +257,22 @@ def _replace_line(path, lineno, edit):
         {k: v for k, v in json.loads(p.read_text()).items() if k != "shape"})),
      "missing key 'shape'"),
     (".json", lambda p: p.write_text("{"), "Expecting property name"),
+    (".json", _set_header("shape", [16.9]), r"h1\.json: shape\[0\]: expected an integer, got 16\.9"),
+    (".json", _set_header("shape", ["16"]), r"h1\.json: shape\[0\]: expected a number, got '16'"),
+    (".json", _set_header("x_levels", ["0"]), r"h1\.json: x_levels\[0\]: expected a number"),
+    (".json", _set_header("x_levels", [math.nan]),
+     r"h1\.json: x_levels\[0\]: expected a finite number, got nan"),
+    (".json", _set_header("box", [True]), r"h1\.json: box\[0\]: expected a number, got True"),
+    (".csv", lambda p: p.write_text(p.read_text() + "0,3,99.0,0.0\n"),
+     r"h1\.csv: data row 17: same level/index 0 as data row 4"),
 ], ids=["bad-cell", "row-columns", "header-columns", "level-range", "index-range",
-        "missing-key", "bad-json"])
+        "missing-key", "bad-json", "shape-fraction", "shape-string", "level-string",
+        "level-nan", "box-bool", "repeated-index"])
 def test_malformed_solve_input_exits_65(capsys, tmp_path, solve_argv, suffix, edit, message):
     edit(tmp_path / f"h1{suffix}")
     assert main(solve_argv) == 65
     err = capsys.readouterr().err
-    assert f"h1{suffix}" in err
+    assert err.startswith("error: ") and f"h1{suffix}" in err
     assert re.search(message, err), err
 
 

@@ -258,8 +258,8 @@ class TestOrbit:
         # degree test; homogeneity makes the suprema equal up to rounding
         claims = declared_claims(LAMBDA0_REF)
         orbit = certify_table(claims, REF, SECTOR, SMALL)
-        monkeypatch.setattr(multiplier._Points, "homogeneous",
-                            lambda self, claims: [False] * len(claims))
+        monkeypatch.setattr(multiplier._Points, "scale_exactly",
+                            lambda self, parts: [False] * len(parts))
         grid = certify_table(claims, REF, SECTOR, SMALL)
         assert sum(r.domain == "orbit" for r in orbit) == 32
         assert all(r.domain == "grid" for r in grid)
@@ -279,7 +279,36 @@ class TestOrbit:
         # at sigma = 0 the height coupling, and with it every quotient claim,
         # vanishes: a zero symbol is homogeneous of any order
         want = [c.lam_floor == 0.0 or fluid.sigma == 0.0 for c in claims]
-        assert orbit.homogeneous(claims) == want
+        assert orbit.scale_exactly([(c.symbol, c.s) for c in claims]) == want
+
+    def test_one_degree_test_pass_per_floor_group(self, monkeypatch):
+        # the claims, the numerators and K share each batch of jets: the
+        # route pass builds one kit per batch, not a second pass for the
+        # numerators of the quotients that fail their own test
+        monkeypatch.setattr(multiplier, "_workers", lambda: 1)
+        quotients = [c for c in declared_claims(LAMBDA0_REF) if c.over is not None]
+        calls, kits = [], []
+        jet_args, routes = multiplier._jet_args, multiplier._routes
+
+        def counted_jet_args(*args):
+            calls.append(args)
+            return jet_args(*args)
+
+        def counted_routes(g):
+            before = len(calls)
+            out = routes(g)
+            kits.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(multiplier, "_jet_args", counted_jet_args)
+        monkeypatch.setattr(multiplier, "_routes", counted_routes)
+        reports = certify_table(quotients, REF, SECTOR, CLASS)
+        assert [r.domain for r in reports] == ["grid"] * 13
+        image = multiplier._Points(REF, SECTOR, CLASS, multiplier._orbit_axes(CLASS, LAMBDA0_REF))
+        step = multiplier._CHUNK // (1 + len(multiplier._SCALINGS))
+        batches = -(-min(image.n, multiplier._CHUNK) // step)
+        assert batches > 1
+        assert kits == [batches]
 
 
 def _direct(claim: Claim) -> Claim:
