@@ -5,11 +5,13 @@ run configuration, so re-running the same study overwrites byte-identical
 files and distinct studies never collide.  Nothing here embeds timestamps,
 hostnames, or float formatting that could vary between runs; floats are
 written with repr (shortest round-trip form).  CSV writers take whole
-columns (arrays in grid order) and format each distinct value of a column
+columns (arrays in grid order) of equal length, and format and write them
+one block of rows at a time, so the text held at once does not grow with
+the row count.  Within a block each distinct value of a column is formatted
 once: floats are keyed by their 64-bit pattern, so 0.0 and -0.0, and NaNs
 of different payloads, stay apart, and the text is gathered back by index.
 Rows are joined with commas; string cells are quoted by the csv module's
-minimal rule, once per distinct string.
+minimal rule, once per distinct string of a block.
 """
 
 from __future__ import annotations
@@ -122,11 +124,25 @@ def _cells(col) -> list[str]:
     return np.array(list(text), dtype=object)[inv].tolist()
 
 
+# rows formatted and written at once: the 190,333-row scan CSV writes as fast
+# in blocks of 16,384 rows as in one (8,192 was sometimes slower), and the
+# write's traced peak falls from 21 MB to under 6 MB
+_CSV_BLOCK = 16384
+
+
 def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length columns under header, one formatting pass per column."""
+    """Write equal-length columns under header, one formatting pass per
+    column and block of _CSV_BLOCK rows; unequal lengths raise ValueError."""
+    columns = [np.asarray(col) for col in columns]
+    lengths = [len(col) for col in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns of unequal length {lengths} under {list(header)}")
+    n_rows = lengths[0] if lengths else 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(_quoted, header)) + "\n")
-        fh.writelines(map("{}\n".format, map(",".join, zip(*map(_cells, columns)))))
+        for start in range(0, n_rows, _CSV_BLOCK):
+            block = (_cells(col[start:start + _CSV_BLOCK]) for col in columns)
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def write_scan_csv(path: str, lam, a, absdet, ratio) -> None:

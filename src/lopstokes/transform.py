@@ -23,8 +23,12 @@ kernel_decay_check measures the decay envelope of the damped height kernel;
 the kernel-decay command judges it with DecayReport.passed.  That kernel is
 real: its symbol is real and even in every frequency, so the envelope builds
 only the non-negative half of the last frequency axis and inverts it with a
-half-spectrum transform (irfftn).  The multiplier ell is called on that
-half-spectrum array of A = |xi'| and must return a real-valued array.
+half-spectrum transform (the ifft and irfft calls of irfftn).  The multiplier
+ell is called on that half-spectrum array of A = |xi'| and must return a
+real-valued array.  Each envelope refills one complex half-spectrum buffer
+in place per level and inverts its last axis a slab of rows at a time into
+one small real buffer, folding every slab into the sup of |k| and the
+dyadic shells, so no whole real kernel is ever held.
 """
 
 from __future__ import annotations
@@ -292,19 +296,19 @@ class DecayReport:
                 and all(self.monotone_levels))
 
 
-def _dyadic_shells(samples) -> list[tuple[float, float, int]]:
+def _dyadic_shells(samples, r_lo: float, r_hi: float) -> list[tuple[float, float, int]]:
     """(lo, max w, count) of each nonempty dyadic shell lo <= r < 2 lo.
 
-    samples holds (r, w) array pairs; lo runs over min r * 2^m up to the
-    last one at or below max r.  One searchsorted per pair bins its samples
-    by those same lo <= r < hi tests, so a shell keeps its count and max.
+    samples is an iterable of (r, w) array pairs, folded one pair at a time,
+    with every r in [r_lo, r_hi]; lo runs over r_lo * 2^m up to the last one
+    at or below r_hi.  One searchsorted per pair bins its samples by those
+    same lo <= r < hi tests, so a shell keeps its count and max whatever the
+    split into pairs.
     """
-    edges_lo = min(r.min() for r, _ in samples)
-    r_max = max(r.max() for r, _ in samples)
     n_shells = 0
-    while edges_lo * 2.0 ** n_shells <= r_max:
+    while r_lo * 2.0 ** n_shells <= r_hi:
         n_shells += 1
-    edges = edges_lo * 2.0 ** np.arange(n_shells + 1)
+    edges = r_lo * 2.0 ** np.arange(n_shells + 1)
     counts = np.zeros(n_shells, dtype=np.int64)
     tops = np.full(n_shells, -np.inf)
     for r, w in samples:
@@ -316,14 +320,23 @@ def _dyadic_shells(samples) -> list[tuple[float, float, int]]:
             for m in np.flatnonzero(counts)]
 
 
+# kernel rows per irfft call of the envelope: 64 rows of the largest default
+# grid (2n = 1024) are 0.5 MB, against 8 MB for the whole real kernel
+_SLAB = 64
+
+
 def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
                      levels: tuple[float, ...]):
     """(shell list, envelope constant, per-level grid sup of |k|).
 
-    The symbol lives on the half spectrum and irfftn returns the real
-    kernel; both meshes stay sparse, and r and |k| r^N are formed on the
-    interior block alone, so no full complex grid and no dense mesh is
-    allocated.
+    The symbol lives on the half spectrum, in one complex buffer refilled in
+    place at each level: ifft over the leading axis in place, then irfft of
+    the last axis into one reused real buffer, _SLAB kernel rows at a time
+    (the calls irfftn makes, in its order).  Each slab folds into the grid
+    sup of |k| and, through r and |k| r^N on its interior rows, into the
+    dyadic shells, whose edges come from the r range of the interior x-grid
+    and the levels.  No full real kernel, no dense mesh and no whole-level
+    sample array is allocated.
     """
     d = dim - 1
     full = 2.0 * math.pi * np.fft.fftfreq(n, d=box / n)
@@ -334,24 +347,46 @@ def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
     if np.iscomplexobj(base):
         raise ValueError("ell must be real-valued: the decay kernel is real")
     damp_scale = np.sqrt(1.0 + a ** 2)
+    del a
     spacing = box / n
     xw = (np.arange(n) * spacing + box / 2.0) % box - box / 2.0
     # keep clear of the wrap-around seam where the periodic image interferes
     inner = np.flatnonzero(np.abs(xw) <= box / 4.0)
-    interior = np.ix_(*([inner] * d))
+    # the interior block as kernel rows x inner columns: the rows are inner
+    # at dim 3 and the one row of the 1-D kernel at dim 2
+    rows = inner if d == 2 else np.zeros(1, dtype=np.intp)
     r_tan2 = sum(x ** 2 for x in np.meshgrid(*([xw[inner]] * d), indexing="ij",
-                                             sparse=True))
+                                             sparse=True)).reshape(rows.size, inner.size)
+    # sqrt and + are monotone, so these are the min and max of every r below
+    r_lo = min(np.sqrt(r_tan2.min() + x_n ** 2) for x_n in levels)
+    r_hi = max(np.sqrt(r_tan2.max() + x_n ** 2) for x_n in levels)
 
-    samples = []    # per level: r and |k| r^N on the interior block
+    spec = np.empty(damp_scale.shape, dtype=np.complex128)
+    spec_rows = spec.reshape(-1, spec.shape[-1])
+    k_buf = np.empty((min(_SLAB, spec_rows.shape[0]), n))
+    scale = (n / box) ** d
     sups = []
-    for x_n in levels:
-        sym = np.exp(-damp_scale * x_n) * base
-        k = np.fft.irfftn(sym, s=(n,) * d, axes=tuple(range(d)))
-        k *= (n / box) ** d
-        sups.append(float(max(k.max(), -k.min())))    # sup |k| on the whole grid
-        r = np.sqrt(r_tan2 + x_n ** 2)
-        samples.append((r, np.abs(k[interior]) * r ** dim))
-    shells = _dyadic_shells(samples)
+
+    def slabs():
+        for x_n in levels:
+            np.multiply(damp_scale, -x_n, out=spec.real)
+            np.exp(spec.real, out=spec.real)
+            spec.real *= base
+            spec.imag = 0.0
+            if d == 2:
+                np.fft.ifft(spec, axis=0, out=spec)
+            hi, lo = -np.inf, np.inf
+            for start in range(0, spec_rows.shape[0], _SLAB):
+                stop = min(start + _SLAB, spec_rows.shape[0])
+                k = np.fft.irfft(spec_rows[start:stop], n, out=k_buf[:stop - start])
+                k *= scale
+                hi, lo = np.maximum(hi, k.max()), np.minimum(lo, k.min())
+                p0, p1 = np.searchsorted(rows, (start, stop))
+                r = np.sqrt(r_tan2[p0:p1] + x_n ** 2)
+                yield r, np.abs(k[np.ix_(rows[p0:p1] - start, inner)]) * r ** dim
+            sups.append(float(max(hi, -lo)))    # sup |k| on the whole grid
+
+    shells = _dyadic_shells(slabs(), r_lo, r_hi)
     constant = max(s[1] for s in shells)
     return shells, constant, sups
 

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lopstokes.config import GridSpec, RunConfig
 from lopstokes.errors import ConfigError
 from lopstokes.lopatinski import scan_lower_bound
 from lopstokes.params import FluidParams, Sector
+from lopstokes import reports
 from lopstokes.reports import (
     canonical_json,
     config_hash,
@@ -284,10 +286,66 @@ class TestGoldenCsvBytes:
             "residual": (lambda p: write_residual_csv(p, (16, 16), [], np.zeros((0, 2))),
                          b"k0,k1,ode_residual,interface_residual\n"),
         }
+        # an empty class table has no columns at all (columns == ()), the
+        # others have columns of no rows
         for name, (write, want) in writers.items():
             p = tmp_path / f"{name}.csv"
             write(str(p))
             assert p.read_bytes() == want, name
+
+    def test_blocks_match_the_per_cell_writer(self, tmp_path):
+        # 2 blocks and 3 rows: awkward values repeat in every block and sit on
+        # the block edges, next to values that occur once
+        n = 2 * reports._CSV_BLOCK + 3
+        rng = np.random.default_rng(11)
+        pool = np.array([0x0, 0x8000000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                         0x7FF0000000000000, 0xFFF0000000000000, 0x1, 0x3FB999999999999A],
+                        dtype=np.uint64).view(np.float64)
+        cols = [rng.choice(pool, n) for _ in range(4)]
+        cols.append(rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n))
+        edges = [0, reports._CSV_BLOCK - 1, reports._CSV_BLOCK, 2 * reports._CSV_BLOCK - 1,
+                 2 * reports._CSV_BLOCK, n - 1]
+        for col in cols:
+            col[edges] = pool[:len(edges)]
+        lam = np.empty(n, dtype=np.complex128)
+        lam.real, lam.imag = cols[0], cols[1]
+        p = tmp_path / "scan.csv"
+        write_scan_csv(str(p), lam, cols[2], cols[3], cols[4])
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(("re_lambda", "im_lambda", "A", "abs_detL", "ratio"))
+        w.writerows(tuple(map(repr, row)) for row in zip(*(c.tolist() for c in cols)))
+        assert p.read_bytes() == buf.getvalue().encode()
+
+    def test_memory_is_flat_in_the_row_count(self, tmp_path):
+        # the text of one block is held at a time, so 4x the rows stay within
+        # 1.5x the traced peak; formatting all rows at once took 4x
+        rng = np.random.default_rng(12)
+        p = str(tmp_path / "scan.csv")
+
+        def peak(n: int) -> int:
+            lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            cols = [rng.standard_normal(n) for _ in range(3)]
+            tracemalloc.start()
+            try:
+                write_scan_csv(p, lam, *cols)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 2 * reports._CSV_BLOCK
+        peak(n)    # warm-up
+        assert peak(4 * n) <= 1.5 * peak(n)
+
+    def test_unequal_columns_raise(self, tmp_path):
+        # zip would write the rows of the shortest column and drop the rest
+        p = tmp_path / "height.csv"
+        with pytest.raises(ValueError, match="unequal length"):
+            write_height_csv(str(p), [1.0, 2.0], [0.5])
+        with pytest.raises(ValueError, match="unequal length"):
+            write_scan_csv(str(p), np.zeros(reports._CSV_BLOCK + 1), np.zeros(5),
+                           np.zeros(5), np.zeros(5))
+        assert not p.exists()
 
     def test_scan(self, tmp_path):
         p = tmp_path / "scan.csv"

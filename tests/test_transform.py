@@ -296,7 +296,7 @@ class TestKernelDecay:
             if mask.any():
                 want.append((lo * 2.0 ** m, float(ww[mask].max()), int(mask.sum())))
             m += 1
-        assert transform._dyadic_shells(samples) == want
+        assert transform._dyadic_shells(iter(samples), rr.min(), rr.max()) == want
         assert [cnt for *_, cnt in want][-1] == 1    # max r alone opens the last shell
 
     def test_complex_symbol_is_refused(self):
@@ -306,15 +306,42 @@ class TestKernelDecay:
 
     def test_envelope_memory(self):
         # the largest grid of the check is the refined one, (2n)^2 values at
-        # dim 3; a complex ifftn on dense meshes needs 18 such arrays
+        # dim 3; a complex ifftn on dense meshes needs 18 such arrays, a whole
+        # half-spectrum irfftn with every level's samples held about 6.6, and
+        # the envelope's one half-spectrum buffer, its symbol arrays and one
+        # slab of kernel rows about 3.7 (2n = 256 rows span several slabs)
         n = 128
+        assert 2 * n > 2 * transform._SLAB
         tracemalloc.start()
         try:
             kernel_decay_check(dim=3, n=n, box=8.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * (2 * n) ** 2 * 8
+        assert peak <= 4.5 * (2 * n) ** 2 * 8
+
+    # kernel_decay_check(dim) on the default grids, as the kernel-decay
+    # command runs it: (constant, drift_refine, drift_box, monotone_levels,
+    # repr(shells)), recorded from the whole-grid irfftn envelope
+    GOLDEN = {
+        2: (0.33719372442563367, 1.0000000002986948, 1.0000000000000415, (True, True),
+            "((0.5, 0.33719372442563367, 27), (1.0, 0.3256092629542767, 89), "
+            "(2.0, 0.234055568531766, 245), (4.0, 0.014124791773825316, 394), "
+            "(8.0, 0.000375366324990498, 774), (16.0, 1.7932076171178757e-07, 10))"),
+        3: (0.3137301456223678, 1.0000000013556474, 1.0000000000007252, (True, True),
+            "((0.5, 0.3137301456223678, 593), (1.0, 0.2927491576215958, 4813), "
+            "(2.0, 0.21539279301848624, 28929), (4.0, 0.013158254568351258, 115748), "
+            "(8.0, 0.0004613372953000365, 48064))"),
+    }
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_default_envelopes_are_golden(self, dim):
+        # the slab-wise fold makes the calls irfftn makes, in its order, and
+        # max, min and the shell binning do not depend on the split: every
+        # bit of the report is the whole-grid one
+        rep = kernel_decay_check(dim=dim)
+        assert (rep.constant, rep.drift_refine, rep.drift_box, rep.monotone_levels,
+                repr(rep.shells)) == self.GOLDEN[dim]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="dim"):
