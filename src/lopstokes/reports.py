@@ -107,19 +107,18 @@ def _quoted(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _cells(col) -> list[str]:
+def _cells(col: np.ndarray) -> list[str]:
     """One CSV column as text: floats by repr, integers by str, strings quoted.
 
     Each distinct value is formatted once, floats keyed by their bit pattern.
     """
-    arr = np.asarray(col)
-    kind = arr.dtype.kind
+    kind = col.dtype.kind
     if kind == "f":
-        keys, inv = np.unique(arr.astype(np.float64, copy=False).view(np.int64),
+        keys, inv = np.unique(col.astype(np.float64, copy=False).view(np.int64),
                               return_inverse=True)
         text = map(repr, keys.view(np.float64).tolist())
     else:
-        keys, inv = np.unique(arr, return_inverse=True)
+        keys, inv = np.unique(col, return_inverse=True)
         text = map(str if kind in "iu" else _quoted, keys.tolist())
     return np.array(list(text), dtype=object)[inv].tolist()
 

@@ -409,8 +409,8 @@ def kernel_decay_check(
 
     The kernel is real, and the inverse transform is half-spectrum: ell is
     called once per envelope on the array of A over the non-negative half
-    of the last frequency axis and must return a real array of that shape;
-    a complex result raises ValueError.
+    of the last frequency axis and must return a real array of that shape
+    or a real scalar; a complex result raises ValueError.
 
     Default grids keep the spacing near box/n = 1/16: the symbol tail cut
     at the Nyquist frequency leaves a flat ringing floor of relative size

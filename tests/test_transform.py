@@ -258,6 +258,14 @@ class TestKernelDecay:
         assert rep.passed(TOL.envelope_drift)
         assert 0.1 < rep.constant < 0.3
 
+    @pytest.mark.parametrize("dim,n,box", [(2, 64, 16.0), (3, 32, 8.0)])
+    def test_scalar_symbol_equals_its_array(self, dim, n, box):
+        # ell may return a scalar: the half-spectrum buffer takes its shape
+        # from the grid, not from ell's result
+        scalar = kernel_decay_check(ell=lambda a: 1.0, dim=dim, n=n, box=box)
+        array = kernel_decay_check(ell=lambda a: np.ones_like(a), dim=dim, n=n, box=box)
+        assert scalar == array
+
     def test_growing_symbol_fails(self):
         bad = lambda a: np.exp(0.6 * a)
         rep = kernel_decay_check(ell=bad, dim=2, n=64, box=16.0)
