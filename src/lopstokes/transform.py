@@ -21,19 +21,22 @@ trigger a warning rather than an error.
 
 kernel_decay_check measures the decay envelope of the damped height kernel;
 the kernel-decay command judges it with DecayReport.passed.  That kernel is
-real: its symbol is real and even in every frequency, so the envelope builds
-only the non-negative half of the last frequency axis and inverts it with a
-half-spectrum transform (the ifft and irfft calls of irfftn).  The multiplier
-ell is called on that half-spectrum array of A = |xi'| and must return a
-real-valued array.  Each envelope refills one complex half-spectrum buffer
-in place per level and inverts its last axis a slab of rows at a time into
-one small real buffer, folding every slab into the sup of |k| and the
-dyadic shells, so no whole real kernel is ever held.
+real and even: its symbol depends on xi' only through A = |xi'|, so the
+envelope builds only the quarter spectrum, the non-negative frequencies of
+every axis, and inverts each axis with a real-input irfft whose first
+n//2 + 1 outputs are the whole kernel up to mirror images (a type-I DCT).
+The multiplier ell is called on that quarter-spectrum array of A and must
+return a real-valued array.  Each envelope refills one real symbol array
+in place per level, inverts it a slab at a time and folds every slab into
+the sup of |k| and the dyadic shells, each quarter-grid sample weighted by
+the interior grid points it stands for, so no complex spectrum and no
+whole real kernel is ever held.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -299,29 +302,33 @@ class DecayReport:
 def _dyadic_shells(samples, r_lo: float, r_hi: float) -> list[tuple[float, float, int]]:
     """(lo, max w, count) of each nonempty dyadic shell lo <= r < 2 lo.
 
-    samples is an iterable of (r, w) array pairs, folded one pair at a time,
-    with every r in [r_lo, r_hi]; lo runs over r_lo * 2^m up to the last one
-    at or below r_hi.  One searchsorted per pair bins its samples by those
-    same lo <= r < hi tests, so a shell keeps its count and max whatever the
-    split into pairs.
+    samples is an iterable of (r, w, weight) array triples, folded one
+    triple at a time, with every r in [r_lo, r_hi]; a sample counts weight
+    times (the grid points it stands for), and every weight is a positive
+    integer.  lo runs over r_lo * 2^m up to the last one at or below r_hi.
+    One searchsorted per triple bins its samples by those same lo <= r < hi
+    tests, so a shell keeps its count and max whatever the split into
+    triples.
     """
     n_shells = 0
     while r_lo * 2.0 ** n_shells <= r_hi:
         n_shells += 1
     edges = r_lo * 2.0 ** np.arange(n_shells + 1)
-    counts = np.zeros(n_shells, dtype=np.int64)
+    # float sums of small integers, exact below 2^53
+    counts = np.zeros(n_shells)
     tops = np.full(n_shells, -np.inf)
-    for r, w in samples:
+    for r, w, weight in samples:
         # flat index arrays: ufunc.at is several times slower on 2-D ones
         shell = np.searchsorted(edges, r.ravel(), side="right") - 1
-        counts += np.bincount(shell, minlength=n_shells)
+        counts += np.bincount(shell, weights=weight.ravel(), minlength=n_shells)
         np.maximum.at(tops, shell, w.ravel())
     return [(float(edges[m]), float(tops[m]), int(counts[m]))
             for m in np.flatnonzero(counts)]
 
 
-# kernel rows per irfft call of the envelope: 64 rows of the largest default
-# grid (2n = 1024) are 0.5 MB, against 8 MB for the whole real kernel
+# kernel rows (and, at dim 3, symbol columns) per irfft call of the
+# envelope: 64 rows of the largest default grid (2n = 1024) are 0.5 MB,
+# against 2.1 MB for the quarter-spectrum symbol
 _SLAB = 64
 
 
@@ -329,61 +336,81 @@ def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
                      levels: tuple[float, ...]):
     """(shell list, envelope constant, per-level grid sup of |k|).
 
-    The symbol lives on the half spectrum, in one complex buffer refilled in
-    place at each level: ifft over the leading axis in place, then irfft of
-    the last axis into one reused real buffer, _SLAB kernel rows at a time
-    (the calls irfftn makes, in its order).  Each slab folds into the grid
-    sup of |k| and, through r and |k| r^N on its interior rows, into the
-    dyadic shells, whose edges come from the r range of the interior x-grid
-    and the levels.  No full real kernel, no dense mesh and no whole-level
-    sample array is allocated.
+    The symbol depends on xi' only through A, so it is real and even in
+    every axis and lives on the quarter spectrum: m = n//2 + 1 non-negative
+    frequencies per axis, in one real array refilled in place at each
+    level.  A real even sequence has a real even inverse, so each axis is
+    inverted by irfft and keeps output indices 0..n//2, the rest being
+    their mirror images: at dim 3 the leading axis in place, _SLAB columns
+    at a time, then the last axis _SLAB rows at a time into one reused real
+    buffer.  Each slab folds into the grid sup of |k| and, through r and
+    |k| r^N on its interior rows, into the dyadic shells; quarter index i
+    stands for the grid points i and n - i (one point when they coincide),
+    so a sample weighs the product over axes of its mirror points inside
+    the interior.  No complex spectrum, no full real kernel and no
+    whole-level sample array is allocated.
     """
     d = dim - 1
-    full = 2.0 * math.pi * np.fft.fftfreq(n, d=box / n)
-    half = 2.0 * math.pi * np.fft.rfftfreq(n, d=box / n)
-    a = np.sqrt(sum(f ** 2 for f in np.meshgrid(*([full] * (d - 1)), half,
-                                                indexing="ij", sparse=True)))
+    m = n // 2 + 1
+    quarter = 2.0 * math.pi * np.fft.rfftfreq(n, d=box / n)
+    a = np.sqrt(sum(f ** 2 for f in np.meshgrid(*([quarter] * d), indexing="ij",
+                                                sparse=True)))
     base = ell(a)
     if np.iscomplexobj(base):
         raise ValueError("ell must be real-valued: the decay kernel is real")
-    damp_scale = np.sqrt(1.0 + a ** 2)
+    if np.shares_memory(base, a):
+        damp_scale = np.sqrt(1.0 + a ** 2)
+    else:
+        # sqrt(1 + A^2) over a itself, which ell no longer needs
+        damp_scale = np.sqrt(np.add(np.square(a, out=a), 1.0, out=a), out=a)
     del a
+    if np.array_equal(base, damp_scale):
+        base = damp_scale    # the default ell: one array, not two equal ones
     spacing = box / n
     xw = (np.arange(n) * spacing + box / 2.0) % box - box / 2.0
     # keep clear of the wrap-around seam where the periodic image interferes
-    inner = np.flatnonzero(np.abs(xw) <= box / 4.0)
+    inside = np.abs(xw) <= box / 4.0
+    idx = np.arange(m)
+    mirror = (n - idx) % n
+    points = inside[:m].astype(np.int64) + (inside[mirror] & (mirror != idx))
+    inner = np.flatnonzero(points)
     # the interior block as kernel rows x inner columns: the rows are inner
     # at dim 3 and the one row of the 1-D kernel at dim 2
     rows = inner if d == 2 else np.zeros(1, dtype=np.intp)
+    shape = (rows.size, inner.size)
     r_tan2 = sum(x ** 2 for x in np.meshgrid(*([xw[inner]] * d), indexing="ij",
-                                             sparse=True)).reshape(rows.size, inner.size)
+                                             sparse=True)).reshape(shape)
+    weight = math.prod(np.meshgrid(*([points[inner]] * d), indexing="ij",
+                                   sparse=True)).reshape(shape)
     # sqrt and + are monotone, so these are the min and max of every r below
     r_lo = min(np.sqrt(r_tan2.min() + x_n ** 2) for x_n in levels)
     r_hi = max(np.sqrt(r_tan2.max() + x_n ** 2) for x_n in levels)
 
-    spec = np.empty(damp_scale.shape, dtype=np.complex128)
-    spec_rows = spec.reshape(-1, spec.shape[-1])
-    k_buf = np.empty((min(_SLAB, spec_rows.shape[0]), n))
+    sym = np.empty(damp_scale.shape)
+    sym_rows = sym.reshape(-1, m)
+    k_buf = np.empty((min(_SLAB, sym_rows.shape[0]), n))
     scale = (n / box) ** d
     sups = []
 
     def slabs():
         for x_n in levels:
-            np.multiply(damp_scale, -x_n, out=spec.real)
-            np.exp(spec.real, out=spec.real)
-            spec.real *= base
-            spec.imag = 0.0
+            np.multiply(damp_scale, -x_n, out=sym)
+            np.exp(sym, out=sym)
+            np.multiply(sym, base, out=sym)
             if d == 2:
-                np.fft.ifft(spec, axis=0, out=spec)
+                for start in range(0, m, _SLAB):
+                    cols = sym[:, start:start + _SLAB]
+                    cols[...] = np.fft.irfft(cols, n, axis=0)[:m]
             hi, lo = -np.inf, np.inf
-            for start in range(0, spec_rows.shape[0], _SLAB):
-                stop = min(start + _SLAB, spec_rows.shape[0])
-                k = np.fft.irfft(spec_rows[start:stop], n, out=k_buf[:stop - start])
+            for start in range(0, sym_rows.shape[0], _SLAB):
+                stop = min(start + _SLAB, sym_rows.shape[0])
+                k = np.fft.irfft(sym_rows[start:stop], n, out=k_buf[:stop - start])[:, :m]
                 k *= scale
                 hi, lo = np.maximum(hi, k.max()), np.minimum(lo, k.min())
                 p0, p1 = np.searchsorted(rows, (start, stop))
                 r = np.sqrt(r_tan2[p0:p1] + x_n ** 2)
-                yield r, np.abs(k[np.ix_(rows[p0:p1] - start, inner)]) * r ** dim
+                yield (r, np.abs(k[np.ix_(rows[p0:p1] - start, inner)]) * r ** dim,
+                       weight[p0:p1])
             sups.append(float(max(hi, -lo)))    # sup |k| on the whole grid
 
     shells = _dyadic_shells(slabs(), r_lo, r_hi)
@@ -407,10 +434,13 @@ def kernel_decay_check(
     The report only measures; DecayReport.passed judges it against a drift
     limit the caller supplies (the CLI passes Tolerances.envelope_drift).
 
-    The kernel is real, and the inverse transform is half-spectrum: ell is
-    called once per envelope on the array of A over the non-negative half
-    of the last frequency axis and must return a real array of that shape
-    or a real scalar; a complex result raises ValueError.
+    The kernel is real and even, and the inverse transform is
+    quarter-spectrum: ell is called once per envelope on the array of A
+    over the non-negative frequencies of every axis and must return a real
+    array of that shape or a real scalar; a complex result raises
+    ValueError.  n must be an integer >= 4, box finite and positive, and
+    x_levels non-empty with every level finite and positive; anything else
+    raises ValueError naming the argument.
 
     Default grids keep the spacing near box/n = 1/16: the symbol tail cut
     at the Nyquist frequency leaves a flat ringing floor of relative size
@@ -420,14 +450,17 @@ def kernel_decay_check(
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    if box is None:
-        box = 64.0 if dim == 2 else 32.0
     if n is None:
         n = 1024 if dim == 2 else 512
+    if not isinstance(n, numbers.Integral) or n < 4:
+        raise ValueError(f"n must be an integer >= 4, got {n!r}")
+    box = (64.0 if dim == 2 else 32.0) if box is None else float(box)
+    if not (math.isfinite(box) and box > 0.0):
+        raise ValueError(f"box must be finite and > 0, got {box!r}")
     ell = ell or default_ell
     levels = tuple(float(x) for x in x_levels)
-    if any(x <= 0.0 for x in levels):
-        raise ValueError("x_levels must be positive")
+    if not levels or not all(math.isfinite(x) and x > 0.0 for x in levels):
+        raise ValueError(f"x_levels must be non-empty, finite and positive, got {levels}")
     shells, const, sups = _kernel_envelope(ell, dim, n, box, levels)
     _, const_ref, _ = _kernel_envelope(ell, dim, 2 * n, box, levels)
     _, const_box, _ = _kernel_envelope(ell, dim, 2 * n, 2.0 * box, levels)

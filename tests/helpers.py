@@ -11,7 +11,7 @@ entries_plus_raw and entries_minus_raw are the textbook boundary entries,
 an oracle for the stabilized ones away from the degenerate set;
 grid_coordinates and plane_wave lay out the single-mode grid datum.
 complex_kernel_envelope is the decay envelope through a full complex
-ifftn on dense meshes, an oracle for the half-spectrum transform.
+ifftn on dense meshes, an oracle for the quarter-spectrum transform.
 
 mutated() scales one boundary-matrix entry or one solution amplitude by
 (1 + rel) for the duration of a with-block, by patching the entry formula
@@ -260,7 +260,7 @@ def plane_wave(box_lengths, grid_shape, mode) -> np.ndarray:
 def complex_kernel_envelope(ell, dim: int, n: int, box: float, levels):
     """transform._kernel_envelope through a full complex ifftn on dense
     meshes: the whole spectrum is inverted and |k| includes the rounding
-    residue of the imaginary part.  Oracle for the half-spectrum path."""
+    residue of the imaginary part.  Oracle for the quarter-spectrum path."""
     d = dim - 1
     freqs = [2.0 * math.pi * np.fft.fftfreq(n, d=box / n) for _ in range(d)]
     fmesh = np.meshgrid(*freqs, indexing="ij") if d > 1 else [freqs[0]]
