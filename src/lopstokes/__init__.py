@@ -20,6 +20,8 @@ Module map
     multiplier    anisotropic symbol-class certification
     transform     tangential FFT solves, kernel decay
     reports       deterministic CSV/JSON artifacts
+    pool          the process pool the multiplier classes and the
+                  determinant scan run their tasks on
     config        run defaults (RunConfig), the one grid type (GridSpec),
                   tolerances, the elision threshold and the config reader
     cli           the `lopstokes` command; every pass/fail gate

@@ -10,15 +10,17 @@ Subcommands
 
 Each scan grid is evaluated once per command.  The height curve (per-|lambda|
 minimum of |lambda+K|/(|lambda|+A)) yields both cutoffs, the height report
-and the height CSV; the determinant grid yields omega, its worst point and
-the scan CSV columns.
+and the height CSV; the determinant grid yields omega and its worst point,
+and its tasks on the shared process pool (pool.run) return the scan CSV
+rows, which are streamed to a temporary file and moved into place only once
+the scan has passed its checks.
 
 `verify` evaluates the height curve first, for the quotient cutoff, and then
-runs its fuzz as one more task on the process pool of the multiplier-class
-table (multiplier.certify_alongside): with two cores one worker runs the
-fuzz while the other starts on the claims.  The height and energy suites
-follow in this process; the energy suite reads the fuzz's worst energy
-sample.  When no quotient cutoff is found, the fuzz runs in this process and
+runs its fuzz as one more task on the shared process pool, alongside the
+multiplier-class table (multiplier.certify_alongside): with two cores one
+worker runs the fuzz while the other starts on the claims.  The height and
+energy suites follow in this process; the energy suite reads the fuzz's
+worst energy sample.  When no quotient cutoff is found, the fuzz runs in this process and
 the multiplier suite records the error.
 
 Importing this module loads only the config, errors and params layers.  Each
@@ -46,8 +48,9 @@ verify-multipliers alone exits with its bitmask value 2; the
 scan and decay commands exit 1 when their certification fails, and `solve`
 exits 1, after writing its outputs, when its worst ODE or interface residual
 is above fuzz_residual or NaN; 71
-(EX_OSERR) when a process-pool worker of the multiplier classes, or the one
-running the `verify` fuzz, dies, for example killed by the OOM killer.
+(EX_OSERR) when a worker of the shared process pool dies (one evaluating
+the multiplier classes or the determinant scan, or the one running the
+`verify` fuzz), for example killed by the OOM killer.
 
 Reports land in --out, or in the config's out_dir without it; no
 environment variable overrides either.  They are named <kind>_<hash>.<ext>
@@ -138,11 +141,13 @@ def _effective(args) -> tuple[RunConfig, Tolerances, str, str]:
 
 def cmd_scan_lopatinski(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
     from .lopatinski import scan_lower_bound
-    from .reports import write_json, write_scan_csv
+    from .reports import replaced, write_json
 
-    rep = scan_lower_bound(cfg.fluid, cfg.sector, cfg.grid)
+    # the CSV is streamed to a temporary file, moved into place once the scan
+    # has passed its checks, so a failed scan leaves no report
+    with replaced(os.path.join(out, f"scan_{tag}.csv")) as csv_path:
+        rep = scan_lower_bound(cfg.fluid, cfg.sector, cfg.grid, csv_path)
     write_json(os.path.join(out, f"scan_{tag}.json"), rep.to_dict())
-    write_scan_csv(os.path.join(out, f"scan_{tag}.csv"), *rep.columns)
     dev = max(rep.delta1, rep.delta2)
     ok = rep.omega > 0.0 and dev <= tol.asym_dev_at_100
     print(f"scan-lopatinski: omega = {rep.omega:.6e} over {rep.n_points} points, "

@@ -45,11 +45,14 @@ __all__ = [
 # chunk array stays below this many values.
 ELISION_THRESHOLD = 16384
 
-# The most points a GridSpec may lay out.  A scan keeps its point arrays and
-# per-point columns whole (about 64 bytes a point) and writes a CSV row per
-# point, so 10^7 points come to about a gigabyte; the bound admits the
-# default scan grid (190,333 points) fifty times over, and turns an absurd
-# density or angle count into a ConfigError instead of a failed allocation.
+# The most points a GridSpec may lay out.  The multiplier classes keep the
+# point columns of a class grid whole (lam, A, xi_1, xi_2 and the bound scale
+# per point and direction, about 100 bytes a point), so 10^7 points come to
+# about a gigabyte; the scans hold a task or a magnitude of points at a time,
+# but write a CSV row per point (about 95 bytes), a gigabyte of report.  The
+# bound admits the default scan grid (190,333 points) fifty times over, and
+# turns an absurd density or angle count into a ConfigError (exit 65)
+# instead of a failed allocation.
 MAX_GRID_POINTS = 10**7
 
 

@@ -15,18 +15,24 @@ points; a single point is an array of length one.  The determinant obeys
 
 with explicit constants omega1 (A-dominated regime) and omega2
 (lambda-dominated regime); scan_lower_bound estimates the sector-wide omega
-as the minimum over one pass of the GridSpec scan grid, in chunks below the
-elision threshold, and asymptotic_report measures the distance to the two
-limits.  Both only measure: the scan-lopatinski command judges the results.
+as the minimum over one pass of the GridSpec scan grid, run as tasks of
+whole magnitudes on the shared process pool (pool.run), each evaluated in
+chunks below the elision threshold and returning its least ratio and its
+rows of the scan CSV, and asymptotic_report measures the distance to the
+two limits.  No process holds the whole grid: each task lays out its own
+points, and the caller keeps only the least ratio so far and the rows not
+yet written.  Both only measure: the scan-lopatinski command judges
+the results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool, reports
 from .config import ELISION_THRESHOLD, GridSpec
 from .errors import NonPositiveOmega
 from .params import FluidParams, Sector
@@ -152,8 +158,6 @@ class ScanReport:
     worst_lam: complex
     worst_a: float
     n_points: int
-    # the grid's (lam, A, |det L|, ratio) arrays in grid order, the scan CSV
-    columns: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -184,35 +188,78 @@ class ScanReport:
 # not depend on the chunk size.
 _CHUNK = ELISION_THRESHOLD // 2
 
+# Scan points per pool task, at most where a magnitude fits: a task is a run
+# of whole magnitudes.  Its CSV text reaches the caller whole, and half a CSV
+# block (about 0.75 MB of text) keeps the peak RSS of scan-lopatinski on the
+# default grid at 38.6 MB, against 42.6 MB for whole blocks (2 workers), in
+# the same wall time.
+_TASK_POINTS = reports._CSV_BLOCK // 2
+
 # A/sqrt|lam| (and its reciprocal) at which asymptotic_report probes the two
 # regimes; the scan report records it as the regime thresholds R1 and R2.
 _REGIME_RATIO = 100.0
 
 
-def scan_lower_bound(
-    fluid: FluidParams,
-    sector: Sector,
-    grid: GridSpec,
-) -> ScanReport:
-    """Estimate omega = inf |det L|/(sqrt|lam|+A)^4 over the scan grid.
-
-    The infimum is empirical: the grid minimum, taken at the first point in
-    grid order that attains it.  The grid is evaluated once, in chunks of
-    _CHUNK points, and its per-point values stay on the report as the scan
-    CSV columns.  Raises NonPositiveOmega at the first nonfinite ratio in
-    grid order, or if the minimum is not strictly positive.
-    """
-    lam, a = grid.points(sector.epsilon)
+def _scan_task(task) -> tuple:
+    """(ratio, lam, A, rows) of the scan magnitudes mags[i:j], task = (i, j),
+    laid out by GridSpec.points and evaluated in chunks of _CHUNK points:
+    the first nonfinite ratio and its point if there is one, else the least
+    ratio and the first point attaining it; rows is the scan CSV text of the
+    points when every ratio is finite and the scan writes a CSV, else ""."""
+    fluid, epsilon, grid, mags, write = pool.work()
+    lam, a = grid.points(epsilon, mags[slice(*task)])
     absdet, ratio = np.empty(lam.size), np.empty(lam.size)
     for s in range(0, lam.size, _CHUNK):
         absdet[s:s + _CHUNK], ratio[s:s + _CHUNK] = det_ratios(
             fluid, lam[s:s + _CHUNK], a[s:s + _CHUNK])
     finite = np.isfinite(ratio)
     if not finite.all():
-        bad = int(np.argmin(finite))
-        raise NonPositiveOmega(f"nonfinite |det L| ratio at lam={lam[bad]!r}, A={a[bad]!r}")
+        k = int(np.argmin(finite))
+        return ratio[k], lam[k], a[k], ""
     k = int(np.argmin(ratio))
-    omega, worst_lam, worst_a = float(ratio[k]), complex(lam[k]), float(a[k])
+    return ratio[k], lam[k], a[k], reports.scan_rows(lam, a, absdet, ratio) if write else ""
+
+
+def scan_lower_bound(
+    fluid: FluidParams,
+    sector: Sector,
+    grid: GridSpec,
+    csv_path: str | None = None,
+) -> ScanReport:
+    """Estimate omega = inf |det L|/(sqrt|lam|+A)^4 over the scan grid.
+
+    The infimum is empirical: the grid minimum, taken at the first point in
+    grid order that attains it.  The grid is evaluated once, as tasks on the
+    shared process pool (pool.run), each a run of whole magnitudes of at
+    most _TASK_POINTS points where the grid allows; each task lays out and
+    evaluates its own points (_scan_task), so no process holds the whole
+    grid.  The results are folded here in grid order and, given csv_path,
+    their rows are written there as they come.  Raises NonPositiveOmega at
+    the first nonfinite ratio in grid order, or if the minimum is not
+    strictly positive; csv_path is then partly written.
+    """
+    mags = grid.lam_mags()
+    per_mag = grid.n_angles * grid.a_vals().size
+    step = max(1, _TASK_POINTS // per_mag)
+    tasks = [(i, min(i + step, mags.size)) for i in range(0, mags.size, step)]
+    # the least ratio so far and its point, the first in grid order on a tie
+    worst = []
+
+    def folded(results):
+        for ratio, lam, a, rows in results:
+            if not np.isfinite(ratio):
+                raise NonPositiveOmega(f"nonfinite |det L| ratio at lam={lam!r}, A={a!r}")
+            if not worst or ratio < worst[0]:
+                worst[:] = ratio, lam, a
+            yield rows
+
+    with pool.run((fluid, sector.epsilon, grid, mags, csv_path is not None)) as (run, _):
+        if csv_path is None:
+            for _ in folded(run(_scan_task, tasks)):
+                pass
+        else:
+            reports.write_scan_rows(csv_path, folded(run(_scan_task, tasks)))
+    omega, worst_lam, worst_a = float(worst[0]), complex(worst[1]), float(worst[2])
     if not omega > 0.0:
         raise NonPositiveOmega(
             f"scan infimum {omega!r} at lam={worst_lam!r}, A={worst_a!r}"
@@ -221,8 +268,7 @@ def scan_lower_bound(
     return ScanReport(
         fluid=fluid, epsilon=sector.epsilon, grid=grid, omega=omega, omega1=w1, omega2=w2,
         r1=_REGIME_RATIO, r2=_REGIME_RATIO, delta1=d1, delta2=d2,
-        worst_lam=worst_lam, worst_a=worst_a, n_points=lam.size,
-        columns=(lam, a, absdet, ratio),
+        worst_lam=worst_lam, worst_a=worst_a, n_points=mags.size * per_mag,
     )
 
 

@@ -63,14 +63,14 @@ declared_claims); certify_alongside runs one more function on the same
 pool.  Claims sharing a sector floor and a route (orbit, scaled or grid)
 share one pass per point set in fixed chunks of _CHUNK points: one
 SymbolKit of jets per chunk (per block of image points on the scaled
-route), every claim of the group judged on it.  One fork process pool per
-call, one worker per usable core (the CPU affinity set of the process),
-runs first the side function if any, then the degree test of each floor
-group and then the chunks of every group, route and point set, so with two
-workers one runs the side function while the other starts on the claims;
-the workers inherit the claims and the axes of each point set and build
-the point columns (and the orbit index of a grid) they evaluate, and only
-task indices, verdicts, per-chunk maxima and the side result cross between
+route), every claim of the group judged on it.  The shared process pool
+(pool.run: one forked worker per usable core) runs first the side
+function if any, then the degree test of each floor group and then the
+chunks of every group, route and point set, so with two workers one runs
+the side function while the other starts on the claims; the workers
+inherit the claims and the axes of each point set and build the point
+columns (and the orbit index of a grid) they evaluate, and only task
+indices, verdicts, per-chunk maxima and the side result cross between
 processes.  With one core, without fork or with other threads alive, the
 same tasks run in-process, the side function first.  A constant is a
 maximum of pointwise values, so it depends neither on the chunk size nor
@@ -81,17 +81,15 @@ does not grow with the grid.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from . import pool
 from .coefficients import SymbolKit
 from .config import GridSpec, Tolerances
-from .errors import WorkerLost
 from .jet import Jet
 from .params import FluidParams, Sector
 from .symbols import root_radicands
@@ -463,18 +461,6 @@ def _widened(grid: GridSpec) -> GridSpec:
                    a_per_decade=2 * grid.a_per_decade)
 
 
-# Per floor group, its claims and its point sets by domain, each a (base,
-# refined) pair of _Points: what a task indexes into; and the side task of
-# certify_alongside.  Set by _pool for the duration of one call; its forked
-# workers inherit them.
-_WORK: list | None = None
-_SIDE: Callable | None = None
-
-
-def _side():
-    return _SIDE()
-
-
 # the routes of a claim: the domain it is judged on and how its jets are had
 _DOMAIN = {"orbit": "orbit", "scaled": "grid", "grid": "grid"}
 
@@ -484,7 +470,7 @@ def _routes(g) -> list[str]:
     test on its base orbit image: "orbit" for a claim homogeneous of its
     claimed order; "scaled" for another quotient whose numerator is
     homogeneous of its degree, when K is of degree 1; "grid" for the rest."""
-    claims, sets = _WORK[g]
+    claims, sets = pool.work()[g]
     quotients = [i for i, cl in enumerate(claims) if cl.over is not None]
     *holds, k = sets["orbit"][0].scale_exactly(
         [(cl.symbol, cl.s) for cl in claims]
@@ -498,61 +484,10 @@ def _chunk(task):
     """The chunk() or scaled_chunk() result of task = (floor group, route,
     grid, chunk start, claim indices)."""
     g, route, r, start, which = task
-    claims, sets = _WORK[g]
+    claims, sets = pool.work()[g]
     points = sets[_DOMAIN[route]][r]
     chunk = points.scaled_chunk if route == "scaled" else points.chunk
     return chunk(start, [claims[i] for i in which])
-
-
-def _workers() -> int:
-    """Usable cores: the size of this process's CPU affinity set."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextmanager
-def _pool(work, side=None):
-    """(map, side_result): map(fn, tasks) returns fn(task) of every task,
-    sent one task per message, in task order, with work and side as the
-    module state _WORK and _SIDE, and side_result() returns side(), run
-    first as one more task when side is given (None if not).
-
-    One forked worker per usable core runs them when there are two or more,
-    the platform can fork and this process runs no other thread (a lock
-    another thread holds at the fork stays held in the worker); otherwise
-    they run in this process, side first.  A worker that dies (a signal, the
-    OOM killer) raises WorkerLost here instead of leaving the call waiting
-    for it; the error is also the pool's own BrokenProcessPool.
-    """
-    global _WORK, _SIDE
-    _WORK, _SIDE = work, side
-    try:
-        workers = _workers()
-        if workers > 1:
-            import multiprocessing
-            import threading
-            if ("fork" in multiprocessing.get_all_start_methods()
-                    and threading.active_count() == 1):
-                from concurrent.futures import ProcessPoolExecutor
-                from concurrent.futures.process import BrokenProcessPool
-
-                def waited(call):
-                    try:
-                        return call()
-                    except BrokenProcessPool as exc:
-                        lost = type("WorkerLost", (WorkerLost, BrokenProcessPool), {})
-                        raise lost(f"a multiplier-class worker process died: {exc}") from exc
-
-                with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-                    pending = None if side is None else pool.submit(_side)
-                    yield ((lambda fn, tasks: waited(lambda: list(pool.map(fn, tasks)))),
-                           lambda: None if pending is None else waited(pending.result))
-                    return
-        value = None if side is None else side()
-        yield (lambda fn, tasks: list(map(fn, tasks))), lambda: value
-    finally:
-        _WORK = _SIDE = None
 
 
 def certify_table(claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
@@ -588,8 +523,8 @@ def certify_alongside(side, claims, fluid: FluidParams, sector: Sector, grid: Gr
         full = tuple(_Points(fluid, sector, g, _grid_axes(g, floor), image)
                      for g, image in zip(grids, images))
         work.append((members, {"orbit": images, "grid": full}))
-    with _pool(work, side) as (run, side_result):
-        routes = run(_routes, range(len(work)))
+    with pool.run(work, side) as (run, side_result):
+        routes = list(run(_routes, range(len(work))))
         # the claim indices of each group on each route
         routed = {(g, route): tuple(i for i, rt in enumerate(rts) if rt == route)
                   for g, rts in enumerate(routes) for route in _DOMAIN}

@@ -7,9 +7,11 @@ hostnames, or float formatting that could vary between runs; floats are
 written with repr (shortest round-trip form).  CSV writers take whole
 columns (arrays in grid order) of equal length, and format and write them
 one block of rows at a time, so the text held at once does not grow with
-the row count.  Within a block each distinct value of a column is formatted
-once: floats are keyed by their 64-bit pattern, so 0.0 and -0.0, and NaNs
-of different payloads, stay apart, and the text is gathered back by index.
+the row count; the scan CSV is also written from the scan_rows texts of
+consecutive runs of points, formatted by the same code.  Within a block
+each distinct value of a column is formatted once: floats are keyed by
+their 64-bit pattern, so 0.0 and -0.0, and NaNs of different payloads,
+stay apart, and the text is gathered back by index.
 Rows are joined with commas; string cells are quoted by the csv module's
 minimal rule, once per distinct string of a block.
 """
@@ -22,6 +24,7 @@ import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -39,13 +42,16 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "write_json",
+    "scan_rows",
     "write_scan_csv",
+    "write_scan_rows",
     "write_height_csv",
     "write_class_csv",
     "write_decay_csv",
     "write_field",
     "read_field",
     "write_residual_csv",
+    "replaced",
     "ensure_out_dir",
 ]
 
@@ -128,27 +134,59 @@ def _cells(col: np.ndarray) -> list[str]:
 # write's traced peak falls from 21 MB to under 6 MB
 _CSV_BLOCK = 16384
 
+_SCAN_HEADER = ("re_lambda", "im_lambda", "A", "abs_detL", "ratio")
 
-def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length columns under header, one formatting pass per
-    column and block of _CSV_BLOCK rows; unequal lengths raise ValueError."""
+
+def _rows(columns) -> str:
+    """The CSV text of the rows of equal-length columns, each distinct value
+    of a column formatted once."""
+    return "\n".join(map(",".join, zip(*map(_cells, columns)))) + "\n"
+
+
+def _blocks(header: Sequence[str], columns: Sequence):
+    """The _rows texts of equal-length columns, one per block of _CSV_BLOCK
+    rows, formatted as they are taken; unequal lengths raise ValueError."""
     columns = [np.asarray(col) for col in columns]
     lengths = [len(col) for col in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"CSV columns of unequal length {lengths} under {list(header)}")
-    n_rows = lengths[0] if lengths else 0
+    return (_rows([col[start:start + _CSV_BLOCK] for col in columns])
+            for start in range(0, lengths[0] if lengths else 0, _CSV_BLOCK))
+
+
+def _write_text(path: str, header: Sequence[str], blocks) -> None:
+    """Write the header, then each text block in turn."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(_quoted, header)) + "\n")
-        for start in range(0, n_rows, _CSV_BLOCK):
-            block = (_cells(col[start:start + _CSV_BLOCK]) for col in columns)
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+        for text in blocks:
+            fh.write(text)
+
+
+def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns under header, a block of rows at a time."""
+    _write_text(path, header, _blocks(header, columns))
+
+
+def _scan_columns(lam, a, absdet, ratio) -> tuple:
+    lam = np.asarray(lam, dtype=np.complex128)
+    return lam.real, lam.imag, a, absdet, ratio
+
+
+def scan_rows(lam, a, absdet, ratio) -> str:
+    """The scan CSV rows of these points, without the header: a run of
+    points in grid order gives its run of the rows write_scan_csv writes."""
+    return "".join(_blocks(_SCAN_HEADER, _scan_columns(lam, a, absdet, ratio)))
 
 
 def write_scan_csv(path: str, lam, a, absdet, ratio) -> None:
-    """Per-point determinant scan columns in grid order (see ScanReport.columns)."""
-    lam = np.asarray(lam, dtype=np.complex128)
-    _write_csv(path, ("re_lambda", "im_lambda", "A", "abs_detL", "ratio"),
-               (lam.real, lam.imag, a, absdet, ratio))
+    """Per-point determinant scan columns in grid order."""
+    _write_csv(path, _SCAN_HEADER, _scan_columns(lam, a, absdet, ratio))
+
+
+def write_scan_rows(path: str, texts) -> None:
+    """The scan CSV from the scan_rows texts of consecutive runs of points,
+    written one at a time as they are taken."""
+    _write_text(path, _SCAN_HEADER, texts)
 
 
 def write_height_csv(path: str, mags: Sequence[float], ratios: Sequence[float]) -> None:
@@ -290,6 +328,22 @@ def write_residual_csv(path: str, grid_shape: Sequence[int], modes, residuals) -
     vals = np.asarray(residuals, dtype=np.float64).reshape(-1, 2)
     _write_csv(path, (*("k0", "k1")[:len(idx)], "ode_residual", "interface_residual"),
                (*idx, *vals.T))
+
+
+@contextmanager
+def replaced(path: str):
+    """A temporary path beside path, moved onto path by os.replace when the
+    block ends without an error and removed when it raises, so a failed
+    write leaves path as it was."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
 
 
 def ensure_out_dir(path: str) -> str:

@@ -14,8 +14,12 @@ verify, which runs its fuzz on the class table's pool, writes the same bytes
 with one worker or two, keeps the exit code of an error raised in the fuzz
 worker, exits 71 when that worker dies, still writes the fuzz suite when the
 quotient cutoff is not found, and fails the fuzz (exit bit 1) when too few
-samples leave a residual category unmeasured; every error class ends in its
-exit code and hint."""
+samples leave a residual category unmeasured; scan-lopatinski, whose tasks
+run on the same pool, writes the same bytes with one worker or two and any
+task, block or chunk size, names the grid-order first nonfinite or least
+point whichever task finishes first, exits 71 when a scan worker dies, and
+leaves --out as it was when it fails; every error class ends in its exit
+code and hint."""
 
 from __future__ import annotations
 
@@ -27,13 +31,15 @@ import multiprocessing
 import os
 import re
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import mutated
-from lopstokes import cli, coefficients, errors, lopatinski, multiplier, resolvent
+from lopstokes import (cli, coefficients, errors, lopatinski, multiplier, pool, reports,
+                       resolvent)
 from lopstokes.cli import main
 from lopstokes.config import (
     MAX_GRID_POINTS,
@@ -90,6 +96,8 @@ def test_height_grid_evaluated_once(monkeypatch, config, argv):
 
 
 def test_det_grids_evaluated_once(monkeypatch, config):
+    # in this process, where the counts are seen: pool workers count their own
+    monkeypatch.setattr(pool, "_workers", lambda: 1)
     det = _count_points(monkeypatch, lopatinski.det_ratios)
     height = _count_points(monkeypatch, coefficients.height_ratio)
     assert main(["scan-lopatinski", *config]) == 0
@@ -107,20 +115,32 @@ def test_multiplier_report_names_each_domain(config, tmp_path):
             == {c["name"] for c in claims if c["lam_floor"] > 0.0})
     assert sum(c["domain"] == "orbit" for c in claims) == 32
 
+
+# a 405-point scan grid: 9 magnitudes of 5 angles and 9 A values
+SCAN_GRID = GridSpec(lam_min=1e-2, lam_max=1e2, lam_per_decade=2, n_angles=5,
+                     a_min=1e-2, a_max=1e2, a_per_decade=2)
+SCAN_DIGESTS = {
+    ".csv": "b7b31b3950330ae938c184d5021ccd1245dba60fc3aff47bcf2546a041f5d800",
+    ".json": "3f54e85d1d93569c5d98d59f72a7141332698fdea7ff9a87a192f85e6cb2a64e",
+}
+
+
+def _scan(tmp_path, out) -> int:
+    """scan-lopatinski on SCAN_GRID into out."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"grid": dataclasses.asdict(SCAN_GRID)}))
+    return main(["scan-lopatinski", "--config", str(path), "--out", str(out)])
+
+
+def _digests(out) -> dict:
+    return {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 def test_scan_report_bytes_pinned(tmp_path):
     # scan-lopatinski end to end on a 405-point grid: any drift in how the
     # scan is evaluated or its reports are formatted changes these digests
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"grid": {
-        "lam_min": 1e-2, "lam_max": 1e2, "lam_per_decade": 2, "n_angles": 5,
-        "a_min": 1e-2, "a_max": 1e2, "a_per_decade": 2}}))
-    assert main(["scan-lopatinski", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    digests = {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in (tmp_path / "out").glob("scan_*")}
-    assert digests == {
-        ".csv": "b7b31b3950330ae938c184d5021ccd1245dba60fc3aff47bcf2546a041f5d800",
-        ".json": "3f54e85d1d93569c5d98d59f72a7141332698fdea7ff9a87a192f85e6cb2a64e",
-    }
+    assert _scan(tmp_path, tmp_path / "out") == 0
+    assert _digests(tmp_path / "out") == SCAN_DIGESTS
 
 
 @pytest.fixture
@@ -420,7 +440,7 @@ def test_verify_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
     path.write_text(json.dumps(SMALL_CLASS))
     written = []
     for workers in (1, 2):
-        monkeypatch.setattr(multiplier, "_workers", lambda: workers)
+        monkeypatch.setattr(pool, "_workers", lambda: workers)
         out = tmp_path / f"out{workers}"
         assert main(["verify", "--samples", "200", "--config", str(path),
                      "--out", str(out)]) == 0
@@ -432,7 +452,7 @@ def test_verify_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
 
 @needs_fork
 def test_fuzz_error_in_a_worker_keeps_its_exit_code(monkeypatch, config, capsys):
-    monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+    monkeypatch.setattr(pool, "_workers", lambda: 2)
     parent = os.getpid()
 
     def fuzz(*args, **kwargs):
@@ -446,7 +466,7 @@ def test_fuzz_error_in_a_worker_keeps_its_exit_code(monkeypatch, config, capsys)
 
 @needs_fork
 def test_lost_fuzz_worker_exits_71(monkeypatch, config, capsys):
-    monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+    monkeypatch.setattr(pool, "_workers", lambda: 2)
     parent = os.getpid()
 
     def fuzz(*args, **kwargs):
@@ -456,9 +476,82 @@ def test_lost_fuzz_worker_exits_71(monkeypatch, config, capsys):
     monkeypatch.setattr(resolvent, "fuzz_residuals", fuzz)
     assert main(["verify", *config]) == 71
     err = capsys.readouterr().err
-    assert err.startswith("error: a multiplier-class worker process died"), err
+    assert err.startswith("error: a pool worker process died"), err
     assert "Traceback" not in err
     assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_scan_bytes_do_not_depend_on_workers_or_tasks(monkeypatch, tmp_path):
+    # tasks of two magnitudes (90 points), formatted in CSV blocks of 64 rows
+    # and evaluated in chunks of 37 points, in this process or on two workers
+    monkeypatch.setattr(lopatinski, "_TASK_POINTS", 90)
+    monkeypatch.setattr(reports, "_CSV_BLOCK", 64)
+    monkeypatch.setattr(lopatinski, "_CHUNK", 37)
+    det = _count_points(monkeypatch, lopatinski.det_ratios)
+    for workers in (1, 2):
+        monkeypatch.setattr(pool, "_workers", lambda: workers)
+        assert _scan(tmp_path, tmp_path / f"out{workers}") == 0
+        assert _digests(tmp_path / f"out{workers}") == SCAN_DIGESTS
+        # five tasks, counted in this process only
+        assert det == [37, 37, 16] * 4 + [37, 8]
+    assert multiprocessing.active_children() == []
+
+
+def _failed_scans(monkeypatch, capsys, tmp_path, det_ratios) -> list:
+    """(exit code, stderr) of scan-lopatinski on SCAN_GRID, one task per
+    magnitude on two workers and det_ratios patched, run into a new --out
+    and into one holding an older run's reports of the same name: both must
+    be left as they were."""
+    old = tmp_path / "old"
+    assert _scan(tmp_path, old) == 0
+    before = {p.name: p.read_bytes() for p in old.iterdir()}
+    capsys.readouterr()
+    monkeypatch.setattr(lopatinski, "_TASK_POINTS", 45)
+    monkeypatch.setattr(lopatinski, "det_ratios", det_ratios)
+    monkeypatch.setattr(pool, "_workers", lambda: 2)
+    runs = [(_scan(tmp_path, out), capsys.readouterr().err) for out in (tmp_path / "new", old)]
+    assert list((tmp_path / "new").iterdir()) == []
+    assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+    assert multiprocessing.active_children() == []
+    return runs
+
+
+@needs_fork
+@pytest.mark.parametrize("value", [math.nan, 0.0], ids=["nonfinite", "zero"])
+def test_scan_worker_failure_names_the_first_point(monkeypatch, capsys, tmp_path, value):
+    # points 50 and 200 lie in the second and the fifth task; the second
+    # finishes last, and its point is still the one named
+    lam, a = SCAN_GRID.points(EPS)
+    clean = lopatinski.det_ratios
+
+    def poisoned(fluid, lam_c, a_c):
+        absdet, ratio = clean(fluid, lam_c, a_c)
+        for k in (200, 50):
+            hit = (lam_c == lam[k]) & (a_c == a[k])
+            ratio[hit] = value
+        if ((lam_c == lam[50]) & (a_c == a[50])).any():
+            time.sleep(0.2)
+        return absdet, ratio
+
+    message = (f"nonfinite |det L| ratio at lam={lam[50]!r}, A={a[50]!r}" if value != 0.0
+               else f"scan infimum 0.0 at lam={complex(lam[50])!r}, A={float(a[50])!r}")
+    runs = _failed_scans(monkeypatch, capsys, tmp_path, poisoned)
+    assert runs == [(1, f"error: {message}\n")] * 2
+
+
+@needs_fork
+def test_lost_scan_worker_exits_71(monkeypatch, capsys, tmp_path):
+    parent = os.getpid()
+
+    def lost(fluid, lam, a):
+        assert _in_worker(parent)
+        os._exit(1)
+
+    for code, err in _failed_scans(monkeypatch, capsys, tmp_path, lost):
+        assert code == 71
+        assert err.startswith("error: a pool worker process died"), err
+        assert "Traceback" not in err
 
 
 def test_no_quotient_cutoff_still_writes_the_fuzz_suite(monkeypatch, config, tmp_path):
@@ -489,7 +582,7 @@ def test_multiplier_report_bytes_pinned(monkeypatch, config, tmp_path, workers):
     # verify-multipliers on the coarse class grid, in this process or on the
     # pool: any drift in how the claims are routed, chunked, folded or
     # written changes these digests
-    monkeypatch.setattr(multiplier, "_workers", lambda: workers)
+    monkeypatch.setattr(pool, "_workers", lambda: workers)
     assert main(["verify-multipliers", *config]) == 0
     digests = {p.name.split("_")[0]: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (tmp_path / "out").iterdir()}

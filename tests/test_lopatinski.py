@@ -338,14 +338,14 @@ class TestScan:
         # numpy elides temporaries from ELISION_THRESHOLD complex values on
         assert lopatinski._CHUNK < ELISION_THRESHOLD
 
-    def test_small_chunks_change_nothing(self, monkeypatch):
-        want = scan_lower_bound(REF, SECTOR, grid=SMALL_GRID)
+    def test_small_chunks_change_nothing(self, monkeypatch, tmp_path):
+        want = scan_lower_bound(REF, SECTOR, SMALL_GRID, str(tmp_path / "want.csv"))
         monkeypatch.setattr(lopatinski, "_CHUNK", 37)
-        got = scan_lower_bound(REF, SECTOR, grid=SMALL_GRID)
+        got = scan_lower_bound(REF, SECTOR, SMALL_GRID, str(tmp_path / "got.csv"))
         assert got == want
-        assert len(got.columns) == len(want.columns) == 4
-        for g, w in zip(got.columns, want.columns):
-            assert np.array_equal(g, w)
+        rows = (tmp_path / "got.csv").read_bytes()
+        assert rows == (tmp_path / "want.csv").read_bytes()
+        assert [len(row.split(b",")) for row in rows.splitlines()] == [5] * (1 + got.n_points)
 
     def test_constant_ratio_reports_the_first_point(self, monkeypatch):
         # every point ties, in every chunk: the first grid point is the worst

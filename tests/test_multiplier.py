@@ -30,7 +30,7 @@ from lopstokes import (
     height_curve,
     omega4_formula,
 )
-from lopstokes import cli, multiplier
+from lopstokes import cli, multiplier, pool
 from lopstokes.coefficients import SymbolKit
 from lopstokes.multiplier import KAPPAS, Claim, MultiplierClassReport
 from lopstokes.config import ELISION_THRESHOLD, REFERENCE_PARAMS, STRESS_PARAM_SETS
@@ -285,7 +285,7 @@ class TestOrbit:
         # the claims, the numerators and K share each batch of jets: the
         # route pass builds one kit per batch, not a second pass for the
         # numerators of the quotients that fail their own test
-        monkeypatch.setattr(multiplier, "_workers", lambda: 1)
+        monkeypatch.setattr(pool, "_workers", lambda: 1)
         quotients = [c for c in declared_claims(LAMBDA0_REF) if c.over is not None]
         calls, kits = [], []
         jet_args, routes = multiplier._jet_args, multiplier._routes
@@ -320,7 +320,7 @@ def _direct(claim: Claim) -> Claim:
 def _scaled_names(monkeypatch) -> list:
     """The names of the claims judged on the scaled route from now on, in
     this process (so the pool is not used)."""
-    monkeypatch.setattr(multiplier, "_workers", lambda: 1)
+    monkeypatch.setattr(pool, "_workers", lambda: 1)
     names = []
     scaled_chunk = multiplier._Points.scaled_chunk
 
@@ -404,7 +404,7 @@ class TestChunking:
         # of 100: the jets of one chunk set the peak, not the grid.
         # tracemalloc sees this process only, so the chunks run here rather
         # than in pool workers.
-        monkeypatch.setattr(multiplier, "_workers", lambda: 1)
+        monkeypatch.setattr(pool, "_workers", lambda: 1)
         monkeypatch.setattr(multiplier, "_CHUNK", 100)
         peaks = []
         for n_angles in (3, 13):
@@ -436,15 +436,15 @@ class TestPool:
     def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch, chunk):
         claims = declared_claims(LAMBDA0_REF)
         monkeypatch.setattr(multiplier, "_CHUNK", chunk)
-        monkeypatch.setattr(multiplier, "_workers", lambda: 1)
+        monkeypatch.setattr(pool, "_workers", lambda: 1)
         want = certify_table(claims, REF, SECTOR, SMALL)
-        monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+        monkeypatch.setattr(pool, "_workers", lambda: 2)
         got = certify_table(claims, REF, SECTOR, SMALL)
         _reports_equal(got, want)
         assert multiprocessing.active_children() == []
 
     def test_wrong_degree_still_fails(self, monkeypatch):
-        monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+        monkeypatch.setattr(pool, "_workers", lambda: 2)
         parent = os.getpid()
 
         def fn(kit, i1):
@@ -456,7 +456,7 @@ class TestPool:
         assert rep.verdict == "fail"
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+        monkeypatch.setattr(pool, "_workers", lambda: 2)
         parent = os.getpid()
 
         def fn(kit, i1):
@@ -478,7 +478,7 @@ class TestPool:
         monkeypatch.setattr(multiplier, "declared_claims", singular)
         codes = []
         for workers in (1, 2):
-            monkeypatch.setattr(multiplier, "_workers", lambda: workers)
+            monkeypatch.setattr(pool, "_workers", lambda: workers)
             codes.append(cli.main(["verify-multipliers", "--config", str(config),
                                    "--out", str(tmp_path / f"out{workers}")]))
             assert "error: det L vanishes" in capsys.readouterr().err
@@ -488,7 +488,7 @@ class TestPool:
     def test_threaded_caller_runs_in_process(self, monkeypatch):
         # fork copies only the calling thread, so a pool is not forked while
         # another thread runs
-        monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+        monkeypatch.setattr(pool, "_workers", lambda: 2)
         parent = os.getpid()
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(60.0,))
@@ -502,7 +502,7 @@ class TestPool:
         assert rep.verdict == "pass"
 
     def test_lost_worker_raises_instead_of_hanging(self, monkeypatch):
-        monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+        monkeypatch.setattr(pool, "_workers", lambda: 2)
         parent = os.getpid()
 
         def fn(kit, i1):
@@ -517,7 +517,7 @@ class TestPool:
     def test_lost_worker_exits_with_its_code(self, monkeypatch, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"class_grid": dataclasses.asdict(SMALL)}))
-        monkeypatch.setattr(multiplier, "_workers", lambda: 2)
+        monkeypatch.setattr(pool, "_workers", lambda: 2)
         parent = os.getpid()
 
         def lost(lam0):
@@ -532,7 +532,7 @@ class TestPool:
                          "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 71
-        assert err.startswith("error: a multiplier-class worker process died"), err
+        assert err.startswith("error: a pool worker process died"), err
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
 

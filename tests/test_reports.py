@@ -15,7 +15,7 @@ import pytest
 
 from lopstokes.config import GridSpec, RunConfig
 from lopstokes.errors import ConfigError
-from lopstokes.lopatinski import scan_lower_bound
+from lopstokes.lopatinski import det_ratios, scan_lower_bound
 from lopstokes.params import FluidParams, Sector
 from lopstokes import reports
 from lopstokes.reports import (
@@ -24,6 +24,7 @@ from lopstokes.reports import (
     ensure_out_dir,
     jsonable,
     read_field,
+    scan_rows,
     write_class_csv,
     write_decay_csv,
     write_field,
@@ -128,9 +129,14 @@ class TestScanRows:
         grid = GridSpec(lam_min=1.0, lam_max=10.0, lam_per_decade=1, n_angles=3,
                         a_min=1.0, a_max=10.0, a_per_decade=1)
         sector = Sector(epsilon=math.pi / 4)
-        rep = scan_lower_bound(REF, sector, grid)
-        lam, a, absdet, ratio = rep.columns
-        assert lam.shape == a.shape == absdet.shape == ratio.shape == (2 * 3 * 2,)
+        p = tmp_path / "scan.csv"
+        rep = scan_lower_bound(REF, sector, grid, str(p))
+        lines = p.read_text().splitlines()
+        assert lines[0] == "re_lambda,im_lambda,A,abs_detL,ratio"
+        assert len(lines) == 1 + 12
+        re_lam, im_lam, a, absdet, ratio = np.array(
+            [[float(c) for c in line.split(",")] for line in lines[1:]]).T
+        lam = re_lam + 1j * im_lam
         # grid order: magnitude, then angle, then A
         want_lam, want_a = grid.points(sector.epsilon)
         assert np.array_equal(lam, want_lam) and np.array_equal(a, want_a)
@@ -140,13 +146,9 @@ class TestScanRows:
         assert a[0] == pytest.approx(1.0)
         assert np.all(absdet > 0.0) and np.all(ratio > 0.0)
         assert rep.omega == ratio.min()
-        p = tmp_path / "scan.csv"
-        write_scan_csv(str(p), *rep.columns)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "re_lambda,im_lambda,A,abs_detL,ratio"
-        assert len(lines) == 1 + 12
-        assert [float(c) for c in lines[1].split(",")] == [
-            lam[0].real, lam[0].imag, a[0], absdet[0], ratio[0]]
+        assert [np.array_equal(c, w) for c, w in zip(
+            (absdet, ratio), det_ratios(REF, want_lam, want_a))] == [True, True]
+        assert p.read_text() == lines[0] + "\n" + scan_rows(lam, a, absdet, ratio)
 
 
 class _StubClassReport:
