@@ -189,11 +189,11 @@ class ScanReport:
 _CHUNK = ELISION_THRESHOLD // 2
 
 # Scan points per pool task, at most where a magnitude fits: a task is a run
-# of whole magnitudes.  Its CSV text reaches the caller whole, and half a CSV
-# block (about 0.75 MB of text) keeps the peak RSS of scan-lopatinski on the
-# default grid at 38.6 MB, against 42.6 MB for whole blocks (2 workers), in
-# the same wall time.
-_TASK_POINTS = reports._CSV_BLOCK // 2
+# of whole magnitudes.  Its CSV text reaches the caller whole, and 8,192
+# points (about 0.75 MB of text) keep the peak RSS of scan-lopatinski on the
+# default grid at 38.6 MB, against 42.6 MB for 16,384 (2 workers), in the
+# same wall time.
+_TASK_POINTS = 8192
 
 # A/sqrt|lam| (and its reciprocal) at which asymptotic_report probes the two
 # regimes; the scan report records it as the regime thresholds R1 and R2.
@@ -205,8 +205,8 @@ def _scan_task(task) -> tuple:
     laid out by GridSpec.points and evaluated in chunks of _CHUNK points:
     the first nonfinite ratio and its point if there is one, else the least
     ratio and the first point attaining it; rows is the scan CSV text of the
-    points when every ratio is finite and the scan writes a CSV, else ""."""
-    fluid, epsilon, grid, mags, write = pool.work()
+    points when every ratio is finite, else ""."""
+    fluid, epsilon, grid, mags = pool.work()
     lam, a = grid.points(epsilon, mags[slice(*task)])
     absdet, ratio = np.empty(lam.size), np.empty(lam.size)
     for s in range(0, lam.size, _CHUNK):
@@ -217,14 +217,14 @@ def _scan_task(task) -> tuple:
         k = int(np.argmin(finite))
         return ratio[k], lam[k], a[k], ""
     k = int(np.argmin(ratio))
-    return ratio[k], lam[k], a[k], reports.scan_rows(lam, a, absdet, ratio) if write else ""
+    return ratio[k], lam[k], a[k], reports.scan_rows(lam, a, absdet, ratio)
 
 
 def scan_lower_bound(
     fluid: FluidParams,
     sector: Sector,
     grid: GridSpec,
-    csv_path: str | None = None,
+    csv_path: str,
 ) -> ScanReport:
     """Estimate omega = inf |det L|/(sqrt|lam|+A)^4 over the scan grid.
 
@@ -233,8 +233,8 @@ def scan_lower_bound(
     shared process pool (pool.run), each a run of whole magnitudes of at
     most _TASK_POINTS points where the grid allows; each task lays out and
     evaluates its own points (_scan_task), so no process holds the whole
-    grid.  The results are folded here in grid order and, given csv_path,
-    their rows are written there as they come.  Raises NonPositiveOmega at
+    grid.  The results are folded here in grid order and their rows are
+    written to csv_path as they come.  Raises NonPositiveOmega at
     the first nonfinite ratio in grid order, or if the minimum is not
     strictly positive; csv_path is then partly written.
     """
@@ -253,12 +253,8 @@ def scan_lower_bound(
                 worst[:] = ratio, lam, a
             yield rows
 
-    with pool.run((fluid, sector.epsilon, grid, mags, csv_path is not None)) as (run, _):
-        if csv_path is None:
-            for _ in folded(run(_scan_task, tasks)):
-                pass
-        else:
-            reports.write_scan_rows(csv_path, folded(run(_scan_task, tasks)))
+    with pool.run((fluid, sector.epsilon, grid, mags)) as (run, _):
+        reports.write_scan_rows(csv_path, folded(run(_scan_task, tasks)))
     omega, worst_lam, worst_a = float(worst[0]), complex(worst[1]), float(worst[2])
     if not omega > 0.0:
         raise NonPositiveOmega(

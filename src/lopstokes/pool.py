@@ -54,7 +54,8 @@ def run(work, side=None):
     per usable core runs the tasks when there are two or more, the platform
     can fork and this process runs no other thread (a lock another thread
     holds at the fork stays held in the worker); otherwise they run in this
-    process, side first.  A worker that dies (a signal, the OOM killer)
+    process, side first.  A call that raises cancels the tasks not yet
+    handed to a worker.  A worker that dies (a signal, the OOM killer)
     raises WorkerLost here instead of leaving the call waiting for it; the
     error is also the pool's own BrokenProcessPool.
     """
@@ -88,7 +89,11 @@ def run(work, side=None):
 
                 with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
                     pending = None if side is None else pool.submit(_side)
-                    yield results, side_result
+                    try:
+                        yield results, side_result
+                    except BaseException:
+                        pool.shutdown(wait=True, cancel_futures=True)
+                        raise
                     return
         value = None if side is None else side()
         yield map, lambda: value

@@ -7,7 +7,7 @@ hostnames, or float formatting that could vary between runs; floats are
 written with repr (shortest round-trip form).  CSV writers take whole
 columns (arrays in grid order) of equal length, and format and write them
 one block of rows at a time, so the text held at once does not grow with
-the row count; the scan CSV is also written from the scan_rows texts of
+the row count; the scan CSV is written from the scan_rows texts of
 consecutive runs of points, formatted by the same code.  Within a block
 each distinct value of a column is formatted once: floats are keyed by
 their 64-bit pattern, so 0.0 and -0.0, and NaNs of different payloads,
@@ -43,7 +43,6 @@ __all__ = [
     "config_hash",
     "write_json",
     "scan_rows",
-    "write_scan_csv",
     "write_scan_rows",
     "write_height_csv",
     "write_class_csv",
@@ -167,25 +166,17 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     _write_text(path, header, _blocks(header, columns))
 
 
-def _scan_columns(lam, a, absdet, ratio) -> tuple:
-    lam = np.asarray(lam, dtype=np.complex128)
-    return lam.real, lam.imag, a, absdet, ratio
-
-
 def scan_rows(lam, a, absdet, ratio) -> str:
-    """The scan CSV rows of these points, without the header: a run of
-    points in grid order gives its run of the rows write_scan_csv writes."""
-    return "".join(_blocks(_SCAN_HEADER, _scan_columns(lam, a, absdet, ratio)))
-
-
-def write_scan_csv(path: str, lam, a, absdet, ratio) -> None:
-    """Per-point determinant scan columns in grid order."""
-    _write_csv(path, _SCAN_HEADER, _scan_columns(lam, a, absdet, ratio))
+    """The scan CSV rows of these points, without the header, formatted a
+    block at a time: a run of points in grid order gives its run of rows."""
+    lam = np.asarray(lam, dtype=np.complex128)
+    return "".join(_blocks(_SCAN_HEADER, (lam.real, lam.imag, a, absdet, ratio)))
 
 
 def write_scan_rows(path: str, texts) -> None:
-    """The scan CSV from the scan_rows texts of consecutive runs of points,
-    written one at a time as they are taken."""
+    """The per-point determinant scan CSV from the scan_rows texts of
+    consecutive runs of points in grid order, written one at a time as they
+    are taken."""
     _write_text(path, _SCAN_HEADER, texts)
 
 

@@ -541,6 +541,34 @@ def test_scan_worker_failure_names_the_first_point(monkeypatch, capsys, tmp_path
 
 
 @needs_fork
+def test_failed_scan_cancels_its_unstarted_tasks(monkeypatch, capsys, tmp_path):
+    # the first of nine tasks fails at once and every other takes 0.2 s on
+    # two workers: the scan raises while the last tasks are still waiting for
+    # a worker, and those are cancelled, not run
+    lam = SCAN_GRID.points(EPS)[0]
+    clean = lopatinski.det_ratios
+    log = tmp_path / "evaluated"
+
+    def poisoned(fluid, lam_c, a_c):
+        with open(log, "a") as fh:
+            fh.write(f"{abs(lam_c[0])!r}\n")
+        absdet, ratio = clean(fluid, lam_c, a_c)
+        if lam_c[0] == lam[0]:
+            ratio[0] = math.nan
+        else:
+            time.sleep(0.2)
+        return absdet, ratio
+
+    monkeypatch.setattr(lopatinski, "_TASK_POINTS", 45)
+    monkeypatch.setattr(lopatinski, "det_ratios", poisoned)
+    monkeypatch.setattr(pool, "_workers", lambda: 2)
+    assert _scan(tmp_path, tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("error: nonfinite |det L| ratio at lam=")
+    assert len(log.read_text().splitlines()) < 9
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
 def test_lost_scan_worker_exits_71(monkeypatch, capsys, tmp_path):
     parent = os.getpid()
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import re
 
 import numpy as np
@@ -299,7 +300,7 @@ SMALL_GRID = GridSpec(
 
 class TestScan:
     def test_report_shape(self):
-        rep = scan_lower_bound(REF, SECTOR, grid=SMALL_GRID)
+        rep = scan_lower_bound(REF, SECTOR, SMALL_GRID, os.devnull)
         assert rep.omega > 0.0
         assert rep.n_points == 9 * 5 * 9
         assert abs(rep.worst_lam) > 0.0 and rep.worst_a > 0.0
@@ -310,7 +311,7 @@ class TestScan:
         assert d["worst_point"]["ratio"] == rep.omega
 
     def test_omega_is_labelled_a_grid_estimate(self):
-        d = scan_lower_bound(REF, SECTOR, grid=SMALL_GRID).to_dict()
+        d = scan_lower_bound(REF, SECTOR, SMALL_GRID, os.devnull).to_dict()
         assert d["omega_kind"] == "grid minimum, an upper estimate of the infimum"
 
     def test_thresholds_are_the_probed_ratio(self, monkeypatch):
@@ -323,15 +324,15 @@ class TestScan:
 
         monkeypatch.setattr(lopatinski, "asymptotic_report", spy)
         monkeypatch.setattr(lopatinski, "_REGIME_RATIO", 1e3)
-        rep = scan_lower_bound(REF, SECTOR, grid=SMALL_GRID)
+        rep = scan_lower_bound(REF, SECTOR, SMALL_GRID, os.devnull)
         assert probed == [1e3]
         assert rep.to_dict()["regime_thresholds"] == {"R1": 1e3, "R2": 1e3}
         assert (rep.delta1, rep.delta2) == asymptotic_report(REF, SECTOR, 1e3)[2]
 
     def test_scan_narrower_sector_not_worse(self):
         # shrinking the angle span cannot lower the infimum
-        wide = scan_lower_bound(REF, SECTOR, grid=SMALL_GRID)
-        narrow = scan_lower_bound(REF, Sector(epsilon=math.pi / 2), grid=SMALL_GRID)
+        wide = scan_lower_bound(REF, SECTOR, SMALL_GRID, os.devnull)
+        narrow = scan_lower_bound(REF, Sector(epsilon=math.pi / 2), SMALL_GRID, os.devnull)
         assert narrow.omega >= wide.omega
 
     def test_chunk_below_elision_threshold(self):
@@ -352,7 +353,7 @@ class TestScan:
         monkeypatch.setattr(lopatinski, "_CHUNK", 37)
         monkeypatch.setattr(lopatinski, "det_ratios",
                             lambda fluid, lam, a: (np.ones(lam.size), np.full(lam.size, 0.5)))
-        rep = scan_lower_bound(REF, SECTOR, grid=SMALL_GRID)
+        rep = scan_lower_bound(REF, SECTOR, SMALL_GRID, os.devnull)
         lam, a = SMALL_GRID.points(SECTOR.epsilon)
         assert (rep.omega, rep.worst_lam, rep.worst_a) == (0.5, lam[0], a[0])
 
@@ -372,4 +373,4 @@ class TestScan:
         with pytest.raises(NonPositiveOmega,
                            match=re.escape(f"nonfinite |det L| ratio at lam={lam[50]!r}, "
                                            f"A={a[50]!r}")):
-            scan_lower_bound(REF, SECTOR, grid=SMALL_GRID)
+            scan_lower_bound(REF, SECTOR, SMALL_GRID, os.devnull)

