@@ -25,8 +25,12 @@ the multiplier suite records the error.
 
 Importing this module loads only the config, errors and params layers.  Each
 subcommand imports the layers it runs when it starts, so no process compiles
-code it never calls; `verify` imports all of its layers before the pool
-forks, so the workers import nothing.
+code it never calls.  `verify` imports all of its layers, and hashlib,
+before the pool forks.  Its fuzz worker still imports numpy.random, which
+loads hashlib (secrets -> hmac -> hashlib), and hashlib loads OpenSSL; done
+after the fork, in the worker, that raises the command's peak RSS, so the
+parent loads hashlib first.  The report tag takes sha256 from the
+interpreter's builtin module, so no other command loads OpenSSL.
 
 The library measures and the commands judge: every pass/fail decision
 (omega > 0 with the asymptotic deviation within asym_dev_at_100, omega4 > 0,
@@ -216,7 +220,12 @@ def _quotient_cutoff(cfg: RunConfig, curve: HeightCurve) -> float:
 
 
 def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
-    # every layer is imported here, before the pool forks
+    # every layer is imported here, before the pool forks, and hashlib too:
+    # the fuzz worker imports numpy.random, whose secrets -> hmac -> hashlib
+    # chain loads OpenSSL.  Loaded in the worker, after the fork, that raised
+    # the command's peak RSS by about 2.5 MB; loaded here it adds nothing
+    import hashlib  # noqa: F401
+
     from .coefficients import height_curve, height_scan
     from .multiplier import certify_alongside, declared_claims
     from .reports import write_class_csv, write_json

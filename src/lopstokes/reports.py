@@ -19,7 +19,6 @@ minimal rule, once per distinct string of a block.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -33,6 +32,16 @@ from . import config
 from .config import RunConfig, config_document
 from .errors import ConfigError
 from .params import FluidParams
+
+# sha256 from the interpreter's builtin module, as random.py takes sha512:
+# hashlib would load OpenSSL, about 3.5 MB in every command
+try:
+    from _sha2 import sha256            # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from .transform import PhysicalField
@@ -94,7 +103,7 @@ def config_hash(cfg: RunConfig, extra: dict | None = None) -> str:
     doc = config_document(cfg)
     if extra:
         doc = {**doc, **extra}
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:12]
+    return sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:12]
 
 
 def write_json(path: str, obj) -> None:

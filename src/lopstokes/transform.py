@@ -25,12 +25,13 @@ real and even: its symbol depends on xi' only through A = |xi'|, so the
 envelope builds only the quarter spectrum, the non-negative frequencies of
 every axis, and inverts each axis with a real-input irfft whose first
 n//2 + 1 outputs are the whole kernel up to mirror images (a type-I DCT).
-The multiplier ell is called on that quarter-spectrum array of A and must
-return a real-valued array.  Each envelope refills one real symbol array
-in place per level, inverts it a slab at a time and folds every slab into
-the sup of |k| and the dyadic shells, each quarter-grid sample weighted by
-the interior grid points it stands for, so no complex spectrum and no
-whole real kernel is ever held.
+The multiplier ell must be elementwise and real-valued: it is called on each
+column slab of the quarter-spectrum array of A at each level.  Each
+envelope builds the symbol a column slab at a time into one real work
+array per level, inverts it a slab at a time and folds every slab into the
+sup of |k| and the dyadic shells, each quarter-grid sample weighted by the
+interior grid points it stands for, so no whole-level symbol, no complex
+spectrum and no whole real kernel is ever held.
 """
 
 from __future__ import annotations
@@ -326,9 +327,9 @@ def _dyadic_shells(samples, r_lo: float, r_hi: float) -> list[tuple[float, float
             for m in np.flatnonzero(counts)]
 
 
-# kernel rows (and, at dim 3, symbol columns) per irfft call of the
-# envelope: 64 rows of the largest default grid (2n = 1024) are 0.5 MB,
-# against 2.1 MB for the quarter-spectrum symbol
+# kernel rows, and symbol columns, per irfft call of the envelope: 64 rows
+# of the largest default grid (2n = 1024) are 0.5 MB, against 2.1 MB for the
+# quarter-spectrum work array
 _SLAB = 64
 
 
@@ -338,34 +339,26 @@ def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
 
     The symbol depends on xi' only through A, so it is real and even in
     every axis and lives on the quarter spectrum: m = n//2 + 1 non-negative
-    frequencies per axis, in one real array refilled in place at each
-    level.  A real even sequence has a real even inverse, so each axis is
-    inverted by irfft and keeps output indices 0..n//2, the rest being
-    their mirror images: at dim 3 the leading axis in place, _SLAB columns
-    at a time, then the last axis _SLAB rows at a time into one reused real
-    buffer.  Each slab folds into the grid sup of |k| and, through r and
-    |k| r^N on its interior rows, into the dyadic shells; quarter index i
-    stands for the grid points i and n - i (one point when they coincide),
-    so a sample weighs the product over axes of its mirror points inside
-    the interior.  No complex spectrum, no full real kernel and no
-    whole-level sample array is allocated.
+    frequencies per axis.  A real even sequence has a real even inverse, so
+    each axis is inverted by irfft and keeps output indices 0..n//2, the
+    rest being their mirror images.  At each level the symbol is built
+    _SLAB columns at a time, A and ell(A) included, and each column slab
+    goes straight into the leading-axis irfft (at dim 3, into the kernel-row
+    buffer) whose first m rows refill one real m**(d-1) x m work array; the
+    last axis is then inverted _SLAB rows at a time into that reused real
+    buffer.  Each row slab folds into the grid sup of |k| and, through r
+    and |k| r^N on its interior rows, into the dyadic shells; quarter index
+    i stands for the grid points i and n - i (one point when they
+    coincide), so a sample weighs the product over axes of its mirror
+    points inside the interior.  Radii and weights are formed per row slab
+    from per-axis vectors, so no whole-level A, symbol, radius or weight
+    array, no complex spectrum and no full real kernel is allocated.
     """
     d = dim - 1
     m = n // 2 + 1
     quarter = 2.0 * math.pi * np.fft.rfftfreq(n, d=box / n)
-    a = np.sqrt(sum(f ** 2 for f in np.meshgrid(*([quarter] * d), indexing="ij",
-                                                sparse=True)))
-    base = ell(a)
-    if np.iscomplexobj(base):
-        raise ValueError("ell must be real-valued: the decay kernel is real")
-    if np.shares_memory(base, a):
-        damp_scale = np.sqrt(1.0 + a ** 2)
-    else:
-        # sqrt(1 + A^2) over a itself, which ell no longer needs
-        damp_scale = np.sqrt(np.add(np.square(a, out=a), 1.0, out=a), out=a)
-    del a
-    if np.array_equal(base, damp_scale):
-        base = damp_scale    # the default ell: one array, not two equal ones
+    # the leading axis of A^2 in a column slab: whole at dim 3, none at dim 2
+    lead = quarter[:, None] ** 2 if d == 2 else np.zeros((1, 1))
     spacing = box / n
     xw = (np.arange(n) * spacing + box / 2.0) % box - box / 2.0
     # keep clear of the wrap-around seam where the periodic image interferes
@@ -374,43 +367,41 @@ def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
     mirror = (n - idx) % n
     points = inside[:m].astype(np.int64) + (inside[mirror] & (mirror != idx))
     inner = np.flatnonzero(points)
+    sq, wt = xw[inner] ** 2, points[inner]
     # the interior block as kernel rows x inner columns: the rows are inner
     # at dim 3 and the one row of the 1-D kernel at dim 2
-    rows = inner if d == 2 else np.zeros(1, dtype=np.intp)
-    shape = (rows.size, inner.size)
-    r_tan2 = sum(x ** 2 for x in np.meshgrid(*([xw[inner]] * d), indexing="ij",
-                                             sparse=True)).reshape(shape)
-    weight = math.prod(np.meshgrid(*([points[inner]] * d), indexing="ij",
-                                   sparse=True)).reshape(shape)
+    rows, row_sq, row_wt = ((inner, sq, wt) if d == 2 else
+                            (np.zeros(1, np.intp), np.zeros(1), np.ones(1, np.int64)))
     # sqrt and + are monotone, so these are the min and max of every r below
-    r_lo = min(np.sqrt(r_tan2.min() + x_n ** 2) for x_n in levels)
-    r_hi = max(np.sqrt(r_tan2.max() + x_n ** 2) for x_n in levels)
+    r_lo = min(np.sqrt(row_sq.min() + sq.min() + x_n ** 2) for x_n in levels)
+    r_hi = max(np.sqrt(row_sq.max() + sq.max() + x_n ** 2) for x_n in levels)
 
-    sym = np.empty(damp_scale.shape)
-    sym_rows = sym.reshape(-1, m)
-    k_buf = np.empty((min(_SLAB, sym_rows.shape[0]), n))
+    work = np.empty((m ** (d - 1), m))
+    k_buf = np.empty((min(_SLAB, work.shape[0]), n))
     scale = (n / box) ** d
     sups = []
 
     def slabs():
         for x_n in levels:
-            np.multiply(damp_scale, -x_n, out=sym)
-            np.exp(sym, out=sym)
-            np.multiply(sym, base, out=sym)
-            if d == 2:
-                for start in range(0, m, _SLAB):
-                    cols = sym[:, start:start + _SLAB]
-                    cols[...] = np.fft.irfft(cols, n, axis=0)[:m]
+            for start in range(0, m, _SLAB):
+                a = np.sqrt(lead + quarter[start:start + _SLAB] ** 2)
+                sym = ell(a)
+                if np.iscomplexobj(sym):
+                    raise ValueError("ell must be real-valued: the decay kernel is real")
+                sym = np.exp(np.sqrt(1.0 + a ** 2) * -x_n) * sym
+                if d == 2:    # through the kernel-row buffer, free until the rows
+                    sym = np.fft.irfft(sym, n, axis=0, out=k_buf[:sym.shape[1]].T)[:m]
+                work[:, start:start + _SLAB] = sym
             hi, lo = -np.inf, np.inf
-            for start in range(0, sym_rows.shape[0], _SLAB):
-                stop = min(start + _SLAB, sym_rows.shape[0])
-                k = np.fft.irfft(sym_rows[start:stop], n, out=k_buf[:stop - start])[:, :m]
+            for start in range(0, work.shape[0], _SLAB):
+                stop = min(start + _SLAB, work.shape[0])
+                k = np.fft.irfft(work[start:stop], n, out=k_buf[:stop - start])[:, :m]
                 k *= scale
                 hi, lo = np.maximum(hi, k.max()), np.minimum(lo, k.min())
                 p0, p1 = np.searchsorted(rows, (start, stop))
-                r = np.sqrt(r_tan2[p0:p1] + x_n ** 2)
+                r = np.sqrt(row_sq[p0:p1, None] + sq + x_n ** 2)
                 yield (r, np.abs(k[np.ix_(rows[p0:p1] - start, inner)]) * r ** dim,
-                       weight[p0:p1])
+                       row_wt[p0:p1, None] * wt)
             sups.append(float(max(hi, -lo)))    # sup |k| on the whole grid
 
     shells = _dyadic_shells(slabs(), r_lo, r_hi)
@@ -435,12 +426,13 @@ def kernel_decay_check(
     limit the caller supplies (the CLI passes Tolerances.envelope_drift).
 
     The kernel is real and even, and the inverse transform is
-    quarter-spectrum: ell is called once per envelope on the array of A
-    over the non-negative frequencies of every axis and must return a real
-    array of that shape or a real scalar; a complex result raises
-    ValueError.  n must be an integer >= 4, box finite and positive, and
-    x_levels non-empty with every level finite and positive; anything else
-    raises ValueError naming the argument.
+    quarter-spectrum: A runs over the non-negative frequencies of every
+    axis.  ell must be elementwise: it is called on each column slab of
+    that array of A at each level, and must return a real array of the
+    slab's shape or a real scalar; a complex result raises ValueError.
+    n must be an integer >= 4, box finite and positive, and x_levels
+    non-empty with every level finite and positive; anything else raises
+    ValueError naming the argument.
 
     Default grids keep the spacing near box/n = 1/16: the symbol tail cut
     at the Nyquist frequency leaves a flat ringing floor of relative size

@@ -9,7 +9,8 @@ and its cofactors at one point, and coefficient_tables the P/R/S/T/p^-
 data-to-amplitude tables, for checks against a direct solve.
 entries_plus_raw and entries_minus_raw are the textbook boundary entries,
 an oracle for the stabilized ones away from the degenerate set;
-grid_coordinates and plane_wave lay out the single-mode grid datum.
+grid_coordinates and plane_wave lay out the single-mode grid datum, and
+solve_inputs writes a small solve's config and input fields.
 complex_kernel_envelope is the decay envelope through a full complex
 ifftn on dense meshes, an oracle for the quarter-spectrum transform.
 
@@ -24,6 +25,7 @@ checks can expose it; the mutation tests prove that they do.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -33,7 +35,9 @@ import pytest
 
 from lopstokes import coefficients, resolvent
 from lopstokes.coefficients import SymbolKit, amplitudes
-from lopstokes.transform import _validate_grid
+from lopstokes.config import REFERENCE_PARAMS
+from lopstokes.reports import write_field
+from lopstokes.transform import PhysicalField, _validate_grid
 
 # Thresholds the tests apply to the package's results; the thresholds the
 # package applies itself live in lopstokes.config.Tolerances.
@@ -255,6 +259,25 @@ def plane_wave(box_lengths, grid_shape, mode) -> np.ndarray:
         shape_ax[ax] = shape[ax]
         out = out * np.exp(1j * xi * coords[ax]).reshape(shape_ax)
     return out
+
+
+def solve_inputs(tmp_path) -> list[str]:
+    """The argv of an explicit-H solve on a 16-point grid, whose config and
+    two input fields it writes under tmp_path."""
+    box, shape = (64.0,), (16,)
+    x = np.arange(16) * (2.0 * math.pi / 16)
+    cfg = {"solve": {"lambda_re": 2.0, "lambda_im": 1.0, "mode": "explicit-H",
+                     "x_levels": [0.0, 0.5], "box": list(box), "shape": list(shape)}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    bases = []
+    for name, values in (("h1", np.sin(x)), ("H", 0.5 * np.cos(2.0 * x))):
+        base = str(tmp_path / name)
+        write_field(base, PhysicalField(box_lengths=box, grid_shape=shape, x_levels=(0.0,),
+                                        samples=values[None, :]),
+                    2.0 + 1.0j, REFERENCE_PARAMS, name)
+        bases.append(base)
+    return ["solve", "--config", str(path), "--out", str(tmp_path / "out"), *bases]
 
 
 def complex_kernel_envelope(ell, dim: int, n: int, box: float, levels):

@@ -37,7 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import mutated
+from helpers import mutated, solve_inputs
 from lopstokes import (cli, coefficients, errors, lopatinski, multiplier, pool, reports,
                        resolvent)
 from lopstokes.cli import main
@@ -145,21 +145,7 @@ def test_scan_report_bytes_pinned(tmp_path):
 
 @pytest.fixture
 def solve_argv(tmp_path):
-    """An explicit-H solve on a 16-point grid: config plus two input fields."""
-    box, shape = (64.0,), (16,)
-    x = np.arange(16) * (2.0 * math.pi / 16)
-    cfg = {"solve": {"lambda_re": 2.0, "lambda_im": 1.0, "mode": "explicit-H",
-                     "x_levels": [0.0, 0.5], "box": list(box), "shape": list(shape)}}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    bases = []
-    for name, values in (("h1", np.sin(x)), ("H", 0.5 * np.cos(2.0 * x))):
-        base = str(tmp_path / name)
-        write_field(base, PhysicalField(box_lengths=box, grid_shape=shape, x_levels=(0.0,),
-                                        samples=values[None, :]),
-                    2.0 + 1.0j, REFERENCE_PARAMS, name)
-        bases.append(base)
-    return ["solve", "--config", str(path), "--out", str(tmp_path / "out"), *bases]
+    return solve_inputs(tmp_path)
 
 
 def test_solve_reads_its_fields(solve_argv):

@@ -3,7 +3,8 @@ lazily (importing the package loads no submodule, `dir` lists every export);
 each process loads only the layers it runs: the CLI with its config (the
 benchmark's setup child) loads cli, config, errors and params alone, the
 scans and kernel-decay load none of the resolvent and multiplier layers,
-and kernel-decay none of the scan layers; scipy is a test dependency only
+and kernel-decay none of the scan layers; neither they nor solve load
+OpenSSL (_hashlib); scipy is a test dependency only
 (neither importing the CLI nor running verify loads it), and importing the
 CLI or the layers that use the process pool (lopatinski, multiplier) leaves
 the process-pool modules out, which only a running pool loads."""
@@ -21,6 +22,7 @@ import sys
 import pytest
 
 import lopstokes
+from helpers import solve_inputs
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lopstokes.__path__))
 
@@ -89,7 +91,10 @@ EXPORTS = {
 
 def _layers_after(code: str, module="lopstokes.cli") -> set[str]:
     """The lopstokes submodules a child that imports module and runs code loads."""
-    loaded = ast.literal_eval(_modules_after(code, ("lopstokes",), module))
+    return _layers(ast.literal_eval(_modules_after(code, ("lopstokes",), module)))
+
+
+def _layers(loaded) -> set[str]:
     return {m.split(".", 1)[1] for m in loaded if "." in m}
 
 
@@ -114,12 +119,20 @@ def test_setup_child_loads_only_the_config_layers(tmp_path):
     ("scan-lopatinski", {"resolvent", "multiplier", "jet"}),
     ("scan-height", {"resolvent", "multiplier", "jet"}),
     ("kernel-decay", {"resolvent", "multiplier", "jet", "coefficients", "lopatinski"}),
+    ("solve", {"multiplier", "jet"}),
 ])
 def test_commands_load_only_their_layers(tmp_path, command, absent):
-    # a coarse scan grid keeps the scans short; kernel-decay has no grid
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"grid": {"lam_per_decade": 2, "n_angles": 5,
-                                           "a_per_decade": 2}}))
-    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
-    loaded = _layers_after(f"assert lopstokes.cli.main({argv!r}) == 0")
-    assert loaded >= {"cli", "reports"} and not loaded & absent
+    # a coarse scan grid keeps the scans short; kernel-decay has no grid.
+    # No command loads OpenSSL (_hashlib): the report tag takes the
+    # interpreter's builtin sha256
+    if command == "solve":
+        argv = solve_inputs(tmp_path)
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"lam_per_decade": 2, "n_angles": 5,
+                                               "a_per_decade": 2}}))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    loaded = ast.literal_eval(_modules_after(f"assert lopstokes.cli.main({argv!r}) == 0",
+                                             ("lopstokes", "_hashlib")))
+    assert _layers(loaded) >= {"cli", "reports"} and not _layers(loaded) & absent
+    assert "_hashlib" not in loaded

@@ -7,13 +7,16 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lopstokes.config import GridSpec, RunConfig
+from lopstokes.config import GridSpec, RunConfig, config_document
 from lopstokes.errors import ConfigError
 from lopstokes.lopatinski import det_ratios, scan_lower_bound
 from lopstokes.params import FluidParams, Sector
@@ -96,6 +99,22 @@ class TestConfigHash:
     def test_default_tag_pinned(self):
         # the tag every default-config report is named by
         assert config_hash(RunConfig(), extra={"tolerance_scale": 1.0}) == "e2bc2fd638e1"
+
+    def test_hashlib_fallback_gives_the_same_tag(self):
+        # with the builtin sha256 modules blocked the tag comes from hashlib,
+        # and it is the same tag, hashlib's sha256 of the canonical document
+        code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+                "from lopstokes.config import RunConfig; "
+                "from lopstokes.reports import config_hash; "
+                "print(config_hash(RunConfig(), extra={'tolerance_scale': 1.0}), "
+                "'_hashlib' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(reports.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+        doc = {**config_document(RunConfig()), "tolerance_scale": 1.0}
+        want = hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:12]
+        assert want == "e2bc2fd638e1"
+        assert out.stdout.split() == [want, "True"]
 
 
 class TestWriteJson:

@@ -334,24 +334,31 @@ class TestKernelDecay:
             kernel_decay_check(ell=lambda a: (1.0 + 0.1j) * np.ones_like(a), dim=2,
                                n=64, box=16.0)
 
-    def test_envelope_memory(self):
-        # the largest grid of the check is the refined one, (2n)^2 values at
-        # dim 3; a complex ifftn on dense meshes needs 18 such arrays, a whole
-        # half-spectrum irfftn with every level's samples held about 6.6, a
-        # complex half-spectrum buffer inverted a slab of rows at a time
-        # about 3.4, and the envelope's real quarter-spectrum arrays (the
-        # damping scale, which the default symbol equals, and the level's
-        # work array) with one slab of columns and one of kernel rows about
-        # 1.4 (2n = 256 rows span several slabs)
-        n = 128
-        assert 2 * n > 2 * transform._SLAB
+    def _traced_peak(self, **kw) -> int:
         tracemalloc.start()
         try:
-            kernel_decay_check(dim=3, n=n, box=8.0)
-            _, peak = tracemalloc.get_traced_memory()
+            kernel_decay_check(**kw)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * (2 * n) ** 2 * 8
+
+    def test_envelope_memory(self):
+        # the largest grid of the check is the refined one, (2n)^2 values at
+        # dim 3.  The envelope holds one real quarter-spectrum work array,
+        # ((2n)/2 + 1)^2 values, and one buffer of _SLAB kernel rows, which
+        # the leading-axis irfft of each symbol column slab fills first; A,
+        # ell(A) and the damped symbol exist one column slab at a time, and
+        # radii and weights one kernel-row slab at a time.  That traces
+        # about 1.28 (2n)^2 doubles at n = 128 (2n = 256 rows span several
+        # slabs)
+        n = 128
+        assert 2 * n > 2 * transform._SLAB
+        assert self._traced_peak(dim=3, n=n, box=8.0) <= 1.45 * (2 * n) ** 2 * 8
+
+    def test_default_envelope_memory(self):
+        # the kernel-decay command's dim-3 check, on its default grids:
+        # about 3.6 MiB traced
+        assert self._traced_peak(dim=3) <= 4.5 * 2 ** 20
 
     # kernel_decay_check(dim) on the default grids, as the kernel-decay
     # command runs it: (constant, drift_refine, drift_box, monotone_levels,
@@ -380,7 +387,7 @@ class TestKernelDecay:
 
     @pytest.mark.parametrize("dim,n,box", [(2, 64, 16.0), (3, 32, 8.0)])
     def test_symbol_returning_its_argument(self, dim, n, box):
-        # ell may hand back the array of A itself; the damping scale is then
+        # ell may hand back the array of A itself; the damped symbol is then
         # built beside it, not over it
         same = kernel_decay_check(ell=lambda a: a, dim=dim, n=n, box=box)
         copied = kernel_decay_check(ell=lambda a: a.copy(), dim=dim, n=n, box=box)
