@@ -20,8 +20,9 @@ Module map
     multiplier    anisotropic symbol-class certification
     transform     tangential FFT solves, kernel decay
     reports       deterministic CSV/JSON artifacts
-    pool          the process pool the multiplier classes and the
-                  determinant scan run their tasks on
+    pool          the process pool the multiplier classes, the
+                  determinant scan and the verify fuzz run their tasks on,
+                  as ordered maps
     config        run defaults (RunConfig), the one grid type (GridSpec),
                   tolerances, the elision threshold and the config reader
     cli           the `lopstokes` command; every pass/fail gate

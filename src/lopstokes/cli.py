@@ -18,10 +18,10 @@ the scan has passed its checks.
 `verify` evaluates the height curve first, for the quotient cutoff, and then
 runs its fuzz as one more task on the shared process pool, alongside the
 multiplier-class table (multiplier.certify_alongside): with two cores one
-worker runs the fuzz while the other starts on the claims.  The height and
-energy suites follow in this process; the energy suite reads the fuzz's
-worst energy sample.  When no quotient cutoff is found, the fuzz runs in this process and
-the multiplier suite records the error.
+worker runs the fuzz while the other starts on the claims.  When no quotient
+cutoff is found, the table has no claims and the multiplier suite records
+the error.  The height and energy suites follow in this process; the energy
+suite reads the fuzz's worst energy sample.
 
 Importing this module loads only the config, errors and params layers.  Each
 subcommand imports the layers it runs when it starts, so no process compiles
@@ -233,18 +233,19 @@ def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
 
     suites: dict[str, dict] = {}
 
-    fuzz_task = functools.partial(fuzz_residuals, cfg.fluid, cfg.sector, cfg.samples,
-                                  cfg.seed, tol=tol)
     curve = height_curve(cfg.fluid, cfg.sector, cfg.grid)
     try:
         lam0c = _quotient_cutoff(cfg, curve)
     except NoCutoffFound as exc:
-        fuzz = fuzz_task()
-        suites["multipliers"] = {"passed": False, "error": str(exc)}
-    else:
-        # the fuzz is one more task on the pool of the class table
-        fuzz, table = certify_alongside(fuzz_task, declared_claims(lam0c), cfg.fluid,
-                                        cfg.sector, cfg.class_grid, tol)
+        lam0c, suites["multipliers"] = None, {"passed": False, "error": str(exc)}
+    # the fuzz is one more task on the pool of the class table, a table
+    # without claims when no quotient cutoff is found
+    fuzz, table = certify_alongside(
+        functools.partial(fuzz_residuals, cfg.fluid, cfg.sector, cfg.samples, cfg.seed,
+                          tol=tol),
+        [] if lam0c is None else declared_claims(lam0c),
+        cfg.fluid, cfg.sector, cfg.class_grid, tol)
+    if lam0c is not None:
         write_class_csv(os.path.join(out, f"class_{tag}.csv"), table)
         suites["multipliers"] = {
             "passed": all(r.verdict == "pass" for r in table),

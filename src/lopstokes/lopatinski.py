@@ -205,18 +205,14 @@ def _scan_task(task) -> tuple:
     laid out by GridSpec.points and evaluated in chunks of _CHUNK points:
     the first nonfinite ratio and its point if there is one, else the least
     ratio and the first point attaining it; rows is the scan CSV text of the
-    points when every ratio is finite, else ""."""
+    points."""
     fluid, epsilon, grid, mags = pool.work()
     lam, a = grid.points(epsilon, mags[slice(*task)])
     absdet, ratio = np.empty(lam.size), np.empty(lam.size)
     for s in range(0, lam.size, _CHUNK):
         absdet[s:s + _CHUNK], ratio[s:s + _CHUNK] = det_ratios(
             fluid, lam[s:s + _CHUNK], a[s:s + _CHUNK])
-    finite = np.isfinite(ratio)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        return ratio[k], lam[k], a[k], ""
-    k = int(np.argmin(ratio))
+    k = int(np.argmin(np.where(np.isfinite(ratio), ratio, -np.inf)))
     return ratio[k], lam[k], a[k], reports.scan_rows(lam, a, absdet, ratio)
 
 
@@ -253,7 +249,7 @@ def scan_lower_bound(
                 worst[:] = ratio, lam, a
             yield rows
 
-    with pool.run((fluid, sector.epsilon, grid, mags)) as (run, _):
+    with pool.run((fluid, sector.epsilon, grid, mags)) as run:
         reports.write_scan_rows(csv_path, folded(run(_scan_task, tasks)))
     omega, worst_lam, worst_a = float(worst[0]), complex(worst[1]), float(worst[2])
     if not omega > 0.0:

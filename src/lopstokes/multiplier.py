@@ -64,15 +64,17 @@ pool.  Claims sharing a sector floor and a route (orbit, scaled or grid)
 share one pass per point set in fixed chunks of _CHUNK points: one
 SymbolKit of jets per chunk (per block of image points on the scaled
 route), every claim of the group judged on it.  The shared process pool
-(pool.run: one forked worker per usable core) runs first the side
-function if any, then the degree test of each floor group and then the
+(pool.run: one forked worker per usable core) runs three maps, each
+handed to the workers when it is called: the side function if any, as a
+one-task map, then the degree test of each floor group and then the
 chunks of every group, route and point set, so with two workers one runs
-the side function while the other starts on the claims; the workers
-inherit the claims and the axes of each point set and build the point
-columns (and the orbit index of a grid) they evaluate, and only task
-indices, verdicts, per-chunk maxima and the side result cross between
-processes.  With one core, without fork or with other threads alive, the
-same tasks run in-process, the side function first.  A constant is a
+the side function while the other starts on the claims.  The workers
+inherit the side function, the claims and the axes of each point set and
+build the point columns (and the orbit index of a grid) they evaluate,
+and only task indices, verdicts, per-chunk maxima and the side result
+cross between processes.  With one core, without fork or with other
+threads alive, each map runs in-process as it is taken, so the side
+function runs last, after the claims.  A constant is a
 maximum of pointwise values, so it depends neither on the chunk size nor
 on the worker count or the order in which chunks finish, and peak memory
 does not grow with the grid.
@@ -470,7 +472,7 @@ def _routes(g) -> list[str]:
     test on its base orbit image: "orbit" for a claim homogeneous of its
     claimed order; "scaled" for another quotient whose numerator is
     homogeneous of its degree, when K is of degree 1; "grid" for the rest."""
-    claims, sets = pool.work()[g]
+    claims, sets = pool.work()[1][g]
     quotients = [i for i, cl in enumerate(claims) if cl.over is not None]
     *holds, k = sets["orbit"][0].scale_exactly(
         [(cl.symbol, cl.s) for cl in claims]
@@ -484,10 +486,15 @@ def _chunk(task):
     """The chunk() or scaled_chunk() result of task = (floor group, route,
     grid, chunk start, claim indices)."""
     g, route, r, start, which = task
-    claims, sets = pool.work()[g]
+    claims, sets = pool.work()[1][g]
     points = sets[_DOMAIN[route]][r]
     chunk = points.scaled_chunk if route == "scaled" else points.chunk
     return chunk(start, [claims[i] for i in which])
+
+
+def _side(_):
+    """The side function of the running certify_alongside call."""
+    return pool.work()[0]()
 
 
 def certify_table(claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
@@ -507,10 +514,12 @@ def certify_table(claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
 
 def certify_alongside(side, claims, fluid: FluidParams, sector: Sector, grid: GridSpec,
                       tol: Tolerances | None = None) -> tuple:
-    """(side(), certify_table(claims, ...)), side() run as the first task of
-    the same pool: with two workers one runs it while the other starts on
-    the claims.  side is a function of no arguments, or None (its result
-    is then None); an error it raises reaches the caller."""
+    """(side(), certify_table(claims, ...)), side() run on the same pool as
+    a one-task map, called before the claims' maps and taken after them:
+    with two workers one runs it while the other starts on the claims, and
+    in-process it runs last.  side is a function of no arguments, inherited
+    by the workers and never pickled, or None (its result is then None); an
+    error it raises reaches the caller."""
     tol = tol or Tolerances()
     groups: dict[float, list[Claim]] = {}
     for cl in claims:
@@ -523,7 +532,8 @@ def certify_alongside(side, claims, fluid: FluidParams, sector: Sector, grid: Gr
         full = tuple(_Points(fluid, sector, g, _grid_axes(g, floor), image)
                      for g, image in zip(grids, images))
         work.append((members, {"orbit": images, "grid": full}))
-    with pool.run(work, side) as (run, side_result):
+    with pool.run((side, work)) as run:
+        sides = run(_side, [0] if side else [])
         routes = list(run(_routes, range(len(work))))
         # the claim indices of each group on each route
         routed = {(g, route): tuple(i for i, rt in enumerate(rts) if rt == route)
@@ -538,7 +548,7 @@ def certify_alongside(side, claims, fluid: FluidParams, sector: Sector, grid: Gr
         for (g, _, r, _, which), result in zip(tasks, run(_chunk, tasks)):
             for i, top in zip(which, result):
                 tops[g, i, r] = np.maximum(tops[g, i, r], top) if (g, i, r) in tops else top
-        done = side_result()
+        done = next(sides, None)
 
     reports = []
     for g, (members, sets) in enumerate(work):

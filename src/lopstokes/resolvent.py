@@ -300,8 +300,6 @@ def assemble_batch(
     )
 
 
-
-
 _LOG_DEPTHS = np.logspace(-2.0, 1.0, 20)
 
 
