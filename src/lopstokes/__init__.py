@@ -33,7 +33,8 @@ measures; the commands judge.
 
 Importing the package loads none of these modules: each exported name
 (`from lopstokes import FluidParams`) imports its module on first use, so a
-process compiles only the layers it reaches.
+process compiles only the layers it reaches.  Importing `cli` loads only the
+config, errors and params layers, and not numpy.
 """
 
 import importlib

@@ -23,14 +23,17 @@ cutoff is found, the table has no claims and the multiplier suite records
 the error.  The height and energy suites follow in this process; the energy
 suite reads the fuzz's worst energy sample.
 
-Importing this module loads only the config, errors and params layers.  Each
-subcommand imports the layers it runs when it starts, so no process compiles
-code it never calls.  `verify` imports all of its layers, and hashlib,
-before the pool forks.  Its fuzz worker still imports numpy.random, which
-loads hashlib (secrets -> hmac -> hashlib), and hashlib loads OpenSSL; done
-after the fork, in the worker, that raises the command's peak RSS, so the
-parent loads hashlib first.  The report tag takes sha256 from the
-interpreter's builtin module, so no other command loads OpenSSL.
+Importing this module loads only the config, errors and params layers, and
+not numpy: parsing the arguments and validating the config build no array,
+so --help, --version, a usage error and a config error finish without it.
+Each subcommand imports the layers it runs once its input is valid (the
+first, reports, loads numpy), so no process compiles code it never calls.
+`verify` imports all of its layers, and hashlib, before the pool forks.  Its
+fuzz worker still imports numpy.random, which loads hashlib (secrets ->
+hmac -> hashlib), and hashlib loads OpenSSL; done after the fork, in the
+worker, that raises the command's peak RSS, so the parent loads hashlib
+first.  The report tag takes sha256 from the interpreter's builtin module,
+so no other command loads OpenSSL.
 
 The library measures and the commands judge: every pass/fail decision
 (omega > 0 with the asymptotic deviation within asym_dev_at_100, omega4 > 0,
@@ -40,18 +43,19 @@ Tolerances().scale(--tolerance-scale).
 The run defaults (fluid, sector, grids, seed, samples) come from RunConfig.
 
 Exit codes: 0 success; 2 usage (argparse); 65 config or data validation,
-including a non-finite config number, a malformed solve block, a non-finite
-value in a solve field file, a field with more than two tangential axes, a
-solve input field that is not one level at x_N = 0, an out-of-range
---seed/--samples, and a `solve` lambda outside the configured sector (or
-lambda = 0);
+including a config file that is not UTF-8, a non-finite config number, a
+malformed solve block, a non-finite value in a solve field file, a field
+with more than two tangential axes, a solve input field that is not one
+level at x_N = 0, an out-of-range --seed/--samples, and a `solve` lambda
+outside the configured sector (or lambda = 0);
 `verify` failures form a bitmask (1 fuzz, also when too few --samples
 leave a residual category unmeasured, 2 multipliers, 4 height, 8 energy,
 also when an energy probe raises an error, which the report records);
 verify-multipliers alone exits with its bitmask value 2; the
 scan and decay commands exit 1 when their certification fails, and `solve`
 exits 1, after writing its outputs, when its worst ODE or interface residual
-is above fuzz_residual or NaN; 71
+is above fuzz_residual or NaN; 66 when a file cannot be read or written (a
+missing solve field file, an unwritable --out); 71
 (EX_OSERR) when a worker of the shared process pool dies (one evaluating
 the multiplier classes or the determinant scan, or the one running the
 `verify` fuzz), for example killed by the OOM killer.
@@ -71,8 +75,6 @@ import functools
 import os
 import sys
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import __version__
 from .config import RunConfig, Tolerances, default_config, load_config
@@ -129,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective(args) -> tuple[RunConfig, Tolerances, str, str]:
-    from .reports import config_hash, ensure_out_dir
-
     try:
         cfg = load_config(args.config) if args.config else default_config()
     except OSError as exc:
@@ -138,6 +138,9 @@ def _effective(args) -> tuple[RunConfig, Tolerances, str, str]:
     over = {k: getattr(args, k) for k in ("seed", "samples") if getattr(args, k) is not None}
     cfg = dataclasses.replace(cfg, **over)
     tol = Tolerances().scale(args.tolerance_scale)
+    # the first array layer, and with it numpy, loads once the input is valid
+    from .reports import config_hash, ensure_out_dir
+
     out = args.out or cfg.out_dir
     tag = config_hash(cfg, extra={"tolerance_scale": args.tolerance_scale})
     return cfg, tol, ensure_out_dir(out), tag
@@ -225,6 +228,8 @@ def cmd_verify(cfg: RunConfig, tol: Tolerances, out: str, tag: str) -> int:
     # chain loads OpenSSL.  Loaded in the worker, after the fork, that raised
     # the command's peak RSS by about 2.5 MB; loaded here it adds nothing
     import hashlib  # noqa: F401
+
+    import numpy as np
 
     from .coefficients import height_curve, height_scan
     from .multiplier import certify_alongside, declared_claims

@@ -17,12 +17,13 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .errors import ConfigError
 from .params import FluidParams, Sector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Tolerances",
@@ -156,6 +157,8 @@ class GridSpec:
         return _log_axis(self.a_min, self.a_max, self.a_per_decade)
 
     def angles(self, epsilon: float) -> np.ndarray:
+        import numpy as np
+
         span = math.pi - epsilon
         return np.linspace(-span, span, self.n_angles)
 
@@ -167,6 +170,8 @@ class GridSpec:
         and a_vals() by default), so a caller can lay out one magnitude, a
         floored list or an orbit image the same way.
         """
+        import numpy as np
+
         mags = self.lam_mags() if mags is None else mags
         angs = self.angles(epsilon)
         avals = self.a_vals() if avals is None else avals
@@ -183,6 +188,8 @@ def _axis_len(lo: float, hi: float, per_decade: int):
 
 
 def _log_axis(lo: float, hi: float, per_decade: int) -> np.ndarray:
+    import numpy as np
+
     return np.logspace(math.log10(lo), math.log10(hi), _axis_len(lo, hi, per_decade))
 
 
@@ -300,9 +307,13 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse a JSON run configuration; errors carry line/column diagnostics."""
+    """Parse a JSON run configuration; errors carry line/column diagnostics,
+    and a file that is not UTF-8 is a ConfigError that names it."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -15,8 +15,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EqualDensities, NonPositiveParameter, OutOfSector
 
 __all__ = ["FluidParams", "Sector", "validate_params", "first_offender"]
@@ -104,6 +102,8 @@ def first_offender(bad, lam, a) -> tuple[int, str] | None:
     point the text also names the sample index, so a batch error points at
     its culprit.
     """
+    import numpy as np
+
     flat = np.ravel(bad)
     if not flat.any():
         return None

@@ -44,7 +44,7 @@ from .coefficients import (
 from .config import SOLVE_MODES, Tolerances
 from .errors import QuadratureFailure
 from .params import FluidParams, Sector, first_offender
-from .symbols import char_roots_batch, check_det, check_roots, exp_diff_quot_batch
+from .symbols import _exp_diff_quot, char_roots_batch, check_det, check_roots
 
 __all__ = [
     "Profile",
@@ -78,8 +78,10 @@ def _basis(side: int, b, a, x):
     Broadcasts: rates of shape (N,) against depths of shape (k, N).
     """
     if side > 0:
-        return -exp_diff_quot_batch(-b, -a, x), np.exp(-b * x), np.exp(-a * x)
-    return exp_diff_quot_batch(a, b, x), np.exp(b * x), np.exp(a * x)
+        eb, ea = np.exp(-b * x), np.exp(-a * x)
+        return -_exp_diff_quot(-b, -a, x, eb, ea), eb, ea
+    eb, ea = np.exp(b * x), np.exp(a * x)
+    return _exp_diff_quot(a, b, x, ea, eb), eb, ea
 
 
 class Profile:
@@ -318,16 +320,16 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros(num.shape), where=den != 0.0)
 
 
-def _residual_at(parts: list[Profile], basis):
+def _residual_at(parts: list[Profile], basis, mags):
     """|sum of parts| over the largest constituent amplitude*basis term,
-    worst over the depth axis.
+    worst over the depth axis; mags holds the moduli of the basis.
 
     Judging against individual constituents (not the evaluated parts, which
     may themselves be cancellations of large pieces) keeps the residual an
     honest round-off measure in every asymptotic regime.
     """
     m, eb, ea = basis
-    am, aeb, aea = np.abs(m), np.abs(eb), np.abs(ea)
+    am, aeb, aea = mags
     total = 0.0
     scale = 0.0
     for p in parts:
@@ -347,18 +349,20 @@ def _ode(s: ProfileBatch, xs):
     div_p = _divergence(ixi, up)
     basis_p = _basis(+1, bp, up[0].a, xs)
     basis_m = _basis(-1, bm, um[0].a, -xs)
+    # the moduli of each side's basis, formed once for all 2n + 1 equations
+    mags_p, mags_m = (tuple(map(np.abs, basis)) for basis in (basis_p, basis_m))
     worst = []
     for J in range(n):
         forcing = (-nu_p * ixi[J]) * div_p if J < n - 1 else (-nu_p) * div_p.deriv()
         parts = [(mu_p * bp ** 2) * up[J], (-mu_p) * up[J].deriv().deriv(), forcing]
-        worst.append(_residual_at(parts, basis_p))
+        worst.append(_residual_at(parts, basis_p, mags_p))
     for J in range(n):
         grad_p = ixi[J] * s.pressure if J < n - 1 else s.pressure.deriv()
         parts = [(mu_m * bm ** 2) * um[J], (-mu_m) * um[J].deriv().deriv(), grad_p]
-        worst.append(_residual_at(parts, basis_m))
+        worst.append(_residual_at(parts, basis_m, mags_m))
     div_parts = [ixi[j] * um[j] for j in range(n - 1)]
     div_parts.append(um[-1].deriv())
-    worst.append(_residual_at(div_parts, basis_m))
+    worst.append(_residual_at(div_parts, basis_m, mags_m))
     return _vmax(worst)
 
 

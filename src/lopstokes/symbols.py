@@ -94,7 +94,13 @@ def exp_diff_quot_batch(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarr
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     x = np.asarray(x, dtype=np.float64)
-    a, b, x = np.broadcast_arrays(a, b, x)
+    return _exp_diff_quot(a, b, x, np.exp(a * x), np.exp(b * x))
+
+
+def _exp_diff_quot(a, b, x, ea, eb) -> np.ndarray:
+    """exp_diff_quot_batch from complex a and b, float x and the
+    exponentials ea = exp(a*x) and eb = exp(b*x) a caller already holds."""
+    a, b, x, ea, eb = np.broadcast_arrays(a, b, x, ea, eb)
     d = b - a
     s = b + a
     out = np.empty(d.shape, dtype=np.complex128)
@@ -103,8 +109,7 @@ def exp_diff_quot_batch(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarr
     conf[conf] = np.abs(d[conf] * x[conf]) < 1.0
     direct = ~conf
     if np.any(direct):
-        dd = d[direct]
-        out[direct] = (np.exp(b[direct] * x[direct]) - np.exp(a[direct] * x[direct])) / dd
+        out[direct] = (eb[direct] - ea[direct]) / d[direct]
     if np.any(conf):
         z = d[conf] * x[conf]
         total = np.ones(z.shape, dtype=np.complex128)
@@ -114,5 +119,5 @@ def exp_diff_quot_batch(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarr
             total = total + term
             if np.all(np.abs(term) <= SERIES_TERM * np.abs(total)):
                 break
-        out[conf] = x[conf] * np.exp(a[conf] * x[conf]) * total
+        out[conf] = x[conf] * ea[conf] * total
     return out

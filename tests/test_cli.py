@@ -3,23 +3,23 @@ scan-lopatinski, verify-multipliers and solve write their pinned report
 bytes, solve exits 1 on a residual above its limit or a NaN one, malformed
 solve input, a field of three tangential axes, a field not at the one level
 x_N = 0 or a solve lambda outside the sector ends in exit 65, and so does a
-config key the program no longer reads, a non-finite number, a malformed
-solve block or an out-of-range --seed/--samples, a non-finite value in a
-solve field file, and a grid of more points than MAX_GRID_POINTS; a
-kinematic solve below the height cutoff prints its advisory; the energy
-suite reproduces its pinned quadrature figure, and an error in an energy
-probe fails that suite alone; verify-multipliers names the domain each claim
-was judged on and writes strict JSON when a drift is NaN or infinite;
-verify, which runs its fuzz on the class table's pool, writes the same bytes
-with one worker or two, keeps the exit code of an error raised in the fuzz
-worker, exits 71 when that worker dies, still writes the fuzz suite when the
-quotient cutoff is not found, and fails the fuzz (exit bit 1) when too few
-samples leave a residual category unmeasured; scan-lopatinski, whose tasks
-run on the same pool, writes the same bytes with one worker or two and any
-task, block or chunk size, names the grid-order first nonfinite or least
-point whichever task finishes first, exits 71 when a scan worker dies, and
-leaves --out as it was when it fails; every error class ends in its exit
-code and hint."""
+config file that is not UTF-8, a config key the program no longer reads, a
+non-finite number, a malformed solve block or an out-of-range
+--seed/--samples, a non-finite value in a solve field file, and a grid of
+more points than MAX_GRID_POINTS; a kinematic solve below the height cutoff
+prints its advisory; the energy suite reproduces its pinned quadrature
+figure, and an error in an energy probe fails that suite alone;
+verify-multipliers names the domain each claim was judged on and writes
+strict JSON when a drift is NaN or infinite; verify, which runs its fuzz on
+the class table's pool, writes its pinned bytes with one worker or two,
+keeps the exit code of an error raised in the fuzz worker, exits 71 when
+that worker dies, still writes the fuzz suite when the quotient cutoff is
+not found, and fails the fuzz (exit bit 1) when too few samples leave a
+residual category unmeasured; scan-lopatinski, whose tasks run on the same
+pool, writes the same bytes with one worker or two and any task, block or
+chunk size, names the grid-order first nonfinite or least point whichever
+task finishes first, exits 71 when a scan worker dies, and leaves --out as
+it was when it fails; every error class ends in its exit code and hint."""
 
 from __future__ import annotations
 
@@ -319,6 +319,16 @@ def test_non_finite_config_exits_65(capsys, tmp_path, command, doc):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_utf8_config_exits_65(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["scan-height", "--config", str(path), "--out", str(tmp_path / "out")]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"grid": {"n_angles": 1e300}},
     {"grid": {"lam_per_decade": 1e12}},
@@ -421,18 +431,22 @@ def _in_worker(parent: int) -> bool:
 @needs_fork
 def test_verify_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
     # one worker runs the fuzz, the class table and the rest in this
-    # process; two run the fuzz on one pool worker alongside the table
+    # process; two run the fuzz on one pool worker alongside the table.  Any
+    # drift in the fuzz, multiplier, height or energy suite changes these
+    # digests
     path = tmp_path / "config.json"
     path.write_text(json.dumps(SMALL_CLASS))
-    written = []
     for workers in (1, 2):
         monkeypatch.setattr(pool, "_workers", lambda: workers)
         out = tmp_path / f"out{workers}"
         assert main(["verify", "--samples", "200", "--config", str(path),
                      "--out", str(out)]) == 0
-        written.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert written[0] == written[1]
-    assert sorted(name.split("_")[0] for name in written[0]) == ["class", "verify"]
+        digests = {p.name.split("_")[0]: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+        assert digests == {
+            "class": "6b95d16c45d432eb7eeb4853cddcd8b47ecd0137033181cc5488d5af256c8cef",
+            "verify": "a9af6f01caa3b4787e9da947fb97552308644253923b588d4d3ecf04b5efb26c",
+        }, workers
     assert multiprocessing.active_children() == []
 
 

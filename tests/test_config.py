@@ -336,6 +336,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bad.json"):
             load_config(str(p))
 
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match=r"bad\.json: 'utf-8' codec can't decode"):
+            load_config(str(p))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(str(tmp_path / "absent.json"))

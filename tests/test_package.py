@@ -1,7 +1,9 @@
 """Package surface: every exported name resolves, and the exports load
 lazily (importing the package loads no submodule, `dir` lists every export);
 each process loads only the layers it runs: the CLI with its config (the
-benchmark's setup child) loads cli, config, errors and params alone, the
+benchmark's setup child) loads cli, config, errors and params alone and no
+numpy, nor does the CLI answering --version, --help, a usage error (exit 2)
+or a config or override error (exit 65); the
 scans and kernel-decay load none of the resolvent and multiplier layers,
 and kernel-decay none of the scan layers; neither they nor solve load
 OpenSSL (_hashlib); scipy is a test dependency only
@@ -34,17 +36,19 @@ def test_exports_resolve(name):
     assert stale == []
 
 
-def _modules_after(code: str, packages=("scipy",), module="lopstokes.cli") -> str:
+def _modules_after(code: str, packages=("scipy",), module="lopstokes.cli",
+                   status=0) -> str:
     """The modules of packages a child that imports module and runs code has
-    loaded, as printed text."""
+    loaded when it exits, with status, as printed text."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lopstokes.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, {module}; {code}; "
-         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"],
-        capture_output=True, text=True, env=env, check=True, timeout=120)
+         f"import atexit, sys, {module}; atexit.register(lambda: print(sorted("
+         f"m for m in sys.modules if m.split('.')[0] in {packages!r}))); {code}"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == status, out.stderr
     return out.stdout.strip().splitlines()[-1]
 
 
@@ -113,6 +117,25 @@ def test_setup_child_loads_only_the_config_layers(tmp_path):
     config.write_text("{}")
     code = f"from lopstokes.config import load_config; load_config({str(config)!r})"
     assert _layers_after(code) == {"cli", "config", "errors", "params"}
+    assert _modules_after(code, ("numpy",)) == "[]"
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["scan-height", "--no-such-flag", "--out", "{out}"], 2),
+    (["scan-height", "--config", "{config}", "--out", "{out}"], 65),
+    (["verify", "--samples", "0", "--out", "{out}"], 65),
+], ids=["version", "help", "usage-error", "config-error", "override-error"])
+def test_front_end_exits_without_numpy(tmp_path, argv, status):
+    # parsing and validating the input needs no array layer: the first one,
+    # and numpy with it, loads once the input is valid
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": {"n_angles": 2}}))
+    argv = [a.format(config=config, out=tmp_path / "out") for a in argv]
+    code = f"sys.exit(lopstokes.cli.main({argv!r}))"
+    assert _modules_after(code, ("numpy",), status=status) == "[]"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, absent", [
