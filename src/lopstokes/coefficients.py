@@ -1,7 +1,7 @@
 """Closed-form solution coefficients and the height (kinematic) symbol.
 
-The interface solve produces the triple (i xi'.beta'_-, beta_+N, beta_-N);
-everything else is explicit: the scaled Stokes-kernel amplitudes
+The interface solve produces beta_+N and beta_-N; everything else is
+explicit: the scaled Stokes-kernel amplitudes
 g_{pm J} = (B_pm - A_pm) alpha_{pm J}, the tangential boundary amplitudes
 beta_{pm j}, the pressure amplitude gamma_-, and the data-to-coefficient
 symbols P, R, S, T, p^- that express all of them as weights against
@@ -34,7 +34,6 @@ from .lopatinski import (
     block_det,
     boundary_entries,
     cofactor_entries,
-    cofactor_solve,
     omega1,
 )
 from .params import FluidParams, Sector, first_offender
@@ -85,7 +84,7 @@ class SymbolKit:
         "fluid", "lam", "a", "ap", "bp", "bm",
         "l11p", "l12p", "l21p", "l22p", "l11m", "l12m", "l21m", "l22m",
         "det", "det_plus", "p_stab",
-        "c11", "c12", "c13", "c21", "c22", "c23", "c31", "c32", "c33",
+        "c21", "c22", "c23", "c31", "c32", "c33",
         "_memo",
     )
 
@@ -101,8 +100,7 @@ class SymbolKit:
         self.l11p, self.l12p, self.l21p, self.l22p = l_plus
         self.l11m, self.l12m, self.l21m, self.l22m = l_minus
         self.det, self.det_plus, _ = block_det(l_plus, l_minus)
-        (self.c11, self.c12, self.c13,
-         self.c21, self.c22, self.c23,
+        (self.c21, self.c22, self.c23,
          self.c31, self.c32, self.c33) = cofactor_entries(l_plus, l_minus)
 
     @classmethod
@@ -281,7 +279,7 @@ def _interface_rhs(fluid: FluidParams, a, l11p, l21p, ixh, H):
 
 
 def amplitudes(kit: SymbolKit, ixi, h, H) -> dict:
-    """Solve the interface system and expand every solution amplitude.
+    """Solve the interface system for beta_pmN and expand every amplitude.
 
     ixi and h hold one entry per tangential component (i xi_m and h_m), each
     an array over the points of kit, and H is the height datum.  Returns
@@ -291,9 +289,9 @@ def amplitudes(kit: SymbolKit, ixi, h, H) -> dict:
     f = kit.fluid
     a = kit.a
     ixh = sum(x * y for x, y in zip(ixi, h))
-    ixbm, beta_p_N, beta_m_N = cofactor_solve(
-        (kit.c11, kit.c12, kit.c13, kit.c21, kit.c22, kit.c23, kit.c31, kit.c32, kit.c33),
-        kit.det, _interface_rhs(f, a, kit.l11p, kit.l21p, ixh, H))
+    r1, r2, r3 = _interface_rhs(f, a, kit.l11p, kit.l21p, ixh, H)
+    beta_p_N = (kit.c21 * r1 + kit.c22 * r2 + kit.c23 * r3) / kit.det
+    beta_m_N = (kit.c31 * r1 + kit.c32 * r2 + kit.c33 * r3) / kit.det
 
     # q_pm via the representation tables, not the trace combinations
     # ixb_pm -+ B_pm beta_pmN: the latter cancel catastrophically when
@@ -314,8 +312,6 @@ def amplitudes(kit: SymbolKit, ixi, h, H) -> dict:
     ]
     beta_plus = [bm - hj for bm, hj in zip(beta_minus, h)]
     return {
-        "ix_beta_minus": ixbm,
-        "ix_beta_plus": ixbm - ixh,
         "q_plus": q_plus,
         "q_minus": q_minus,
         "beta_plus": np.array([*beta_plus, beta_p_N], dtype=np.complex128),

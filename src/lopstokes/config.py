@@ -308,7 +308,8 @@ def parse_config(doc: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     """Parse a JSON run configuration; errors carry line/column diagnostics,
-    and a file that is not UTF-8 is a ConfigError that names it."""
+    and a file that is not UTF-8 or is nested too deeply is a ConfigError
+    that names it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -320,6 +321,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply") from exc
     try:
         return parse_config(doc)
     except ConfigError as exc:

@@ -2,6 +2,8 @@
 
 The interface system couples (i xi'.beta'_minus, beta_plus_N, beta_minus_N)
 through a 3x3 matrix L assembled from eight scalar entries, four per phase.
+Only beta_plus_N and beta_minus_N are read, so only rows 2 and 3 of the
+adjugate of L are formed.
 Production entries avoid the A_plus*B_plus - A^2 cancellation (it vanishes
 like lambda) by routing every division through
 
@@ -43,7 +45,6 @@ __all__ = [
     "boundary_entries",
     "block_det",
     "cofactor_entries",
-    "cofactor_solve",
     "det_ratios",
     "omega1",
     "omega2",
@@ -92,27 +93,15 @@ def block_det(l_plus, l_minus):
 
 
 def cofactor_entries(l_plus, l_minus):
-    """The nine cofactors (c11, c12, ..., c33), row-major: (L^{-1})_ij = c_ij/det L."""
+    """Rows 2 and 3 of the adjugate, (c21, c22, c23, c31, c32, c33), row-major:
+    (L^{-1})_ij = c_ij/det L."""
     l11p, l12p, l21p, l22p = l_plus
     l11m, l12m, l21m, l22m = l_minus
     l11 = l11p + l11m
     return (
-        l22p * l22m, -l22p * l12m, l12p * l22m,
         -l21p * l22m, l21p * l12m, l12m * l21m - l11 * l22m,
         -l22p * l21m, l11 * l22p - l12p * l21p, -l12p * l21m,
     )
-
-
-def cofactor_solve(cofactors, det, rhs):
-    """(x1, x2, x3) with L x = rhs, from the nine cofactors and det L.
-
-    Field arithmetic, so one right-hand side or one per point of a batch.
-    """
-    c11, c12, c13, c21, c22, c23, c31, c32, c33 = cofactors
-    r1, r2, r3 = rhs
-    return ((c11 * r1 + c12 * r2 + c13 * r3) / det,
-            (c21 * r1 + c22 * r2 + c23 * r3) / det,
-            (c31 * r1 + c32 * r2 + c33 * r3) / det)
 
 
 def det_ratios(fluid: FluidParams, lam: np.ndarray, a: np.ndarray):

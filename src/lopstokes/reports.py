@@ -242,10 +242,11 @@ def read_field(base_path: str) -> tuple[dict, PhysicalField]:
     """Read back a field written by write_field (also the solve input format).
 
     The CSV is parsed in one pass, by column type; rows it does not list
-    stay zero.  Malformed input (bad JSON, a missing or bad header key, a
-    bad cell, a non-finite value, a wrong column count, an index outside the
-    header's grid or one an earlier row gave) raises ConfigError naming the
-    file.  The header's numbers are read as the config's are.
+    stay zero.  Malformed input (bad or too deeply nested JSON, a missing or
+    bad header key, a bad cell, a non-finite value, a wrong column count, an
+    index outside the header's grid or one an earlier row gave) raises
+    ConfigError naming the file.  The header's numbers are read as the
+    config's are.
     """
     from .transform import PhysicalField
 
@@ -266,6 +267,8 @@ def read_field(base_path: str) -> tuple[dict, PhysicalField]:
         raise ConfigError(f"{json_path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{json_path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{json_path}: JSON nested too deeply") from exc
 
     d = len(shape)
     names = ("level", *(f"index {k}" for k in range(d)))

@@ -118,10 +118,6 @@ class Profile:
         self.c_b = _field(c_b)
         self.c_a = _field(c_a)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Profile(side={self.side:+d}, b={self.b!r}, a={self.a!r}, "
-                f"c_m={self.c_m!r}, c_b={self.c_b!r}, c_a={self.c_a!r})")
-
     @property
     def trace0(self):
         return self.c_b + self.c_a

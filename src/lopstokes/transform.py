@@ -116,16 +116,6 @@ class PhysicalField:
         return self.samples[i]
 
 
-def _tospec(phys: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(phys) / phys.size
-
-
-def _tophys(spec: np.ndarray, n_axes: int) -> np.ndarray:
-    """Inverse of _tospec over the trailing n_axes axes."""
-    axes = tuple(range(-n_axes, 0))
-    return np.fft.ifftn(spec, axes=axes) * math.prod(spec.shape[a] for a in axes)
-
-
 def _clean_zero_mode(spec: np.ndarray, name: str, tol: Tolerances) -> np.ndarray:
     zero = (0,) * spec.ndim
     amp = abs(spec[zero])
@@ -222,9 +212,11 @@ def solve_physical(
     if len(h_fields) != dim - 1:
         raise ValueError(f"expected {dim - 1} tangential jump fields, got {len(h_fields)}")
 
-    h_spec = [_clean_zero_mode(_tospec(np.asarray(h, dtype=np.complex128)), f"h_{m + 1}", tol)
+    h_spec = [_clean_zero_mode(np.fft.fftn(np.asarray(h, dtype=np.complex128), norm="forward"),
+                               f"h_{m + 1}", tol)
               for m, h in enumerate(h_fields)]
-    top_spec = _clean_zero_mode(_tospec(top), "H" if mode == "explicit-H" else "d", tol)
+    top_spec = _clean_zero_mode(np.fft.fftn(top, norm="forward"),
+                                "H" if mode == "explicit-H" else "d", tol)
     _box_decay_warning(fluid, lam, box)
 
     # modes in np.ndindex order (C order), the zero mode and data-free ones skipped
@@ -254,7 +246,8 @@ def solve_physical(
         residuals[start:start + sel.size] = np.stack(
             [res["ode"], np.maximum(res["interface"], res.get("kinematic", res["interface"]))], 1)
 
-    phys = _tophys(spec.reshape(spec.shape[:2] + shape), len(shape))
+    axes = tuple(range(-len(shape), 0))
+    phys = np.fft.ifftn(spec.reshape(spec.shape[:2] + shape), axes=axes, norm="forward")
 
     def field(samples: np.ndarray, lv: tuple[float, ...]) -> PhysicalField:
         return PhysicalField(box_lengths=box, grid_shape=shape, x_levels=lv, samples=samples)
@@ -265,7 +258,8 @@ def solve_physical(
         u_plus=tuple(field(u, levels) for u in phys[:dim]),
         u_minus=tuple(field(u, neg) for u in phys[dim:2 * dim]),
         pressure=field(phys[2 * dim], neg),
-        height=field(_tophys(height.reshape((1,) + shape), len(shape)), (0.0,)),
+        height=field(np.fft.ifftn(height.reshape((1,) + shape), axes=axes, norm="forward"),
+                     (0.0,)),
         modes=modes,
         residuals=residuals,
     )

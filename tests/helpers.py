@@ -49,7 +49,6 @@ TEST_TOL = SimpleNamespace(
     ode_residual=1e-10,
     interface_residual=1e-11,
     mutation_floor=1e-4,        # residual a perturbed amplitude must trigger
-    fft_roundtrip=1e-13,
     single_mode=1e-12,          # one-mode grid solve against the profile solve
 )
 
@@ -173,9 +172,13 @@ def lopatinski_matrix(kit, i: int = 0) -> np.ndarray:
 
 
 def cofactor_matrix(kit, i: int = 0) -> np.ndarray:
-    """3x3 array C at point i of a kit, with (L^{-1})_jk = C[j, k]/det L."""
-    return np.array([getattr(kit, f"c{j}{k}")[i] for j in (1, 2, 3) for k in (1, 2, 3)],
-                    dtype=np.complex128).reshape(3, 3)
+    """3x3 array C at point i of a kit, with (L^{-1})_jk = C[j, k]/det L.
+
+    The kit forms rows 2 and 3 only; row 1 is formed here from the entries.
+    """
+    row1 = [kit.l22p[i] * kit.l22m[i], -kit.l22p[i] * kit.l12m[i], kit.l12p[i] * kit.l22m[i]]
+    rows23 = [getattr(kit, f"c{j}{k}")[i] for j in (2, 3) for k in (1, 2, 3)]
+    return np.array(row1 + rows23, dtype=np.complex128).reshape(3, 3)
 
 
 def coefficient_tables(fluid, sp) -> SimpleNamespace:

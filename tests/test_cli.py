@@ -271,9 +271,10 @@ def _set_header(key, value):
     (".json", _set_header("box", [True]), r"h1\.json: box\[0\]: expected a number, got True"),
     (".csv", lambda p: p.write_text(p.read_text() + "0,3,99.0,0.0\n"),
      r"h1\.csv: data row 17: same level/index 0 as data row 4"),
+    (".json", lambda p: p.write_text("[" * 100_000), r"h1\.json: JSON nested too deeply"),
 ], ids=["bad-cell", "row-columns", "header-columns", "level-range", "index-range",
         "missing-key", "bad-json", "shape-fraction", "shape-string", "level-string",
-        "level-nan", "box-bool", "repeated-index"])
+        "level-nan", "box-bool", "repeated-index", "deep-json"])
 def test_malformed_solve_input_exits_65(capsys, tmp_path, solve_argv, suffix, edit, message):
     edit(tmp_path / f"h1{suffix}")
     assert main(solve_argv) == 65
@@ -325,6 +326,16 @@ def test_non_utf8_config_exits_65(capsys, tmp_path):
     assert main(["scan-height", "--config", str(path), "--out", str(tmp_path / "out")]) == 65
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_deeply_nested_config_exits_65(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100_000)
+    assert main(["scan-height", "--config", str(path), "--out", str(tmp_path / "out")]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: JSON nested too deeply")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

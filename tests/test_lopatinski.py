@@ -41,7 +41,6 @@ from lopstokes.lopatinski import (
     ENTRY_DEGREES,
     block_det,
     boundary_entries,
-    cofactor_solve,
 )
 from lopstokes.symbols import char_roots_batch
 
@@ -223,13 +222,6 @@ class TestDeterminantIdentities:
         kit = point_kit(fluid, sp)
         prod = lopatinski_matrix(kit) @ cofactor_matrix(kit) / kit.det[0]
         assert float(np.max(np.abs(prod - np.eye(3)))) < 1e-12
-
-    def test_solve_matches_inverse(self):
-        kit = point_kit(REF, P1)
-        rhs = np.array([1.0 + 2.0j, -0.5j, 0.25], dtype=np.complex128)
-        x = np.array(cofactor_solve(cofactor_matrix(kit).ravel(), kit.det[0], rhs))
-        assert float(np.max(np.abs(lopatinski_matrix(kit) @ x - rhs))) < 1e-13 * float(
-            np.max(np.abs(rhs)))
 
     @pytest.mark.parametrize("s", [0.5, 2.0, 10.0])
     def test_parabolic_homogeneity(self, s):

@@ -1,5 +1,6 @@
 """Profile algebra, assembled resolvent solutions, and residual operators."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -34,7 +35,7 @@ from lopstokes.resolvent import (
     fuzz_corpus,
 )
 from lopstokes.errors import HeightNotInvertible, QuadratureFailure
-from lopstokes.config import ELISION_THRESHOLD, REFERENCE_PARAMS, STRESS_PARAM_SETS
+from lopstokes.config import ELISION_THRESHOLD, REFERENCE_PARAMS, STRESS_PARAM_SETS, RunConfig
 
 TOL = Tolerances()
 SECTOR = Sector(epsilon=math.pi / 4)
@@ -609,6 +610,25 @@ class TestCorpusAndBatch:
                         want[cat] = {"value": val, "lam_re": lam.real, "lam_im": lam.imag,
                                      "a": math.hypot(*xi), "dim": dim, "mode": mode}
         assert fuzz_residuals(REF, SECTOR, n_samples=2052, seed=11).worst == want
+
+    def test_every_fuzz_residual_is_pinned(self):
+        # the sha256 of each category's float64 residuals, every sample of a
+        # 200-sample corpus of the default run in corpus order: a last-bit
+        # drift in any residual moves its digest, where the verify report
+        # records only each category's worst sample
+        cfg = RunConfig()
+        got = {}
+        for dim, mode, *cols in fuzz_corpus(cfg.seed, 200, cfg.sector):
+            res = assemble_batch(cfg.fluid, *cols, mode, strict=False).residuals(energy=True)
+            for cat, v in res.items():
+                got.setdefault(cat, hashlib.sha256()).update(np.asarray(v, np.float64).tobytes())
+        assert {cat: d.hexdigest() for cat, d in got.items()} == {
+            "ode": "7c21d6e645a969b60e53dcfac532cdfc733c001579895b83b67f57a0546f6eb4",
+            "interface": "048ea7237df5fdab8c002bfe4794d17a717ad5e147a77562fbe3c019f73978d1",
+            "kinematic": "0b958ec0caf20911c3044935e8b46a5184f0f3fc1bd8206229c25e988ec8c25a",
+            "decay": "36b99bdd87a6848312dc651ea1cc19cbb03ed0e94827c49765526caec5aa88c8",
+            "energy": "1c3cbc025c6e4f2101b2f6d94358f860b3a034795bda72fb76f9fc557efde826",
+        }
 
     def test_fuzz_memory_is_flat_in_samples(self):
         # blocks are drawn and solved one at a time, so ten times the

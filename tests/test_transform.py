@@ -29,7 +29,6 @@ from lopstokes.transform import (
     solve_physical,
     tangential_frequencies,
 )
-from lopstokes.transform import _tophys, _tospec
 
 TOL = Tolerances()
 REF = FluidParams(rho_plus=1.0, rho_minus=2.0, mu_plus=1.0, mu_minus=1.0,
@@ -95,13 +94,6 @@ class TestGrids:
     def test_plane_wave_rank_mismatch(self):
         with pytest.raises(ValueError, match="rank"):
             plane_wave(BOX, SHAPE, (1, 2))
-
-    def test_fft_roundtrip(self):
-        rng = np.random.default_rng(7)
-        for shape in [(16,), (16, 16)]:
-            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            back = _tophys(_tospec(x), x.ndim)
-            assert rel_err(back, x) < TEST_TOL.fft_roundtrip
 
 
 class TestPhysicalField:
