@@ -24,12 +24,15 @@ Module map
                   determinant scan and the verify fuzz run their tasks on,
                   as ordered maps
     config        run defaults (RunConfig), the one grid type (GridSpec),
-                  tolerances, the elision threshold and the config reader
+                  tolerances and the config reader
     cli           the `lopstokes` command; every pass/fail gate
 
 Every formula is array arithmetic over points; a single point is an array
-of length one, run through the same code as any batch.  The library
-measures; the commands judge.
+of length one, run through the same code as any batch.  A product of two
+complex operands takes a temporary only as its left operand, or is an
+np.multiply call: numpy evaluates x * <temporary> as <temporary> * x on
+large arrays, and the two differ in the last bit.  So no result depends on
+the batch size.  The library measures; the commands judge.
 
 Importing the package loads none of these modules: each exported name
 (`from lopstokes import FluidParams`) imports its module on first use, so a

@@ -347,7 +347,10 @@ def cmd_solve(cfg: RunConfig, tol: Tolerances, out: str, tag: str, data_args) ->
         fields.append(fld.samples[0])
 
     if mode == "kinematic":
-        lam0 = height_curve(cfg.fluid, cfg.sector, cfg.grid).cutoff(tol.height_floor)
+        # the magnitudes from the one at or below |lambda| up decide the advisory
+        mags = cfg.grid.lam_mags()
+        mags = mags[max(0, mags.searchsorted(abs(lam), "right") - 1):]
+        lam0 = height_curve(cfg.fluid, cfg.sector, cfg.grid, mags).cutoff(tol.height_floor)
         if abs(lam) < lam0:
             print(f"advisory: |lambda| = {abs(lam):.3e} is below the certified "
                   f"height cutoff lambda0 = {lam0:.3e}; the kinematic inversion "

@@ -131,8 +131,8 @@ class SymbolKit:
         if j == 1:
             return -self.l12m * self._w_plus()
         l11 = self.l11p + self.l11m
-        return (self.l22m * (self.l12p + self.bp * l11)
-                - self.bp * self.l12m * self.l21m)
+        inner = self.l12p + self.bp * l11
+        return self.l22m * inner - self.bp * self.l12m * self.l21m
 
     def _row_minus(self, j: int):
         """Stable c1j + B- c3j (the q_minus row of the inverse)."""
@@ -305,9 +305,9 @@ def amplitudes(kit: SymbolKit, ixi, h, H) -> dict:
     g_minus = [-(x / a) * q_minus for x in ixi]
     g_minus.append(-q_minus)
 
+    jump = f.mu_plus * beta_p_N - f.mu_minus * beta_m_N
     beta_minus = [
-        (f.mu_plus * kit.bp * hj - f.mu_plus * gp - f.mu_minus * gm
-         + x * (f.mu_plus * beta_p_N - f.mu_minus * beta_m_N)) / kit._bsum()
+        (f.mu_plus * kit.bp * hj - f.mu_plus * gp - f.mu_minus * gm + x * jump) / kit._bsum()
         for x, hj, gp, gm in zip(ixi, h, g_plus, g_minus)
     ]
     beta_plus = [bm - hj for bm, hj in zip(beta_minus, h)]
@@ -441,17 +441,18 @@ class HeightCurve:
         ok = suffix >= floor
         if not ok.any():
             raise NoCutoffFound(
-                f"no cutoff in [{self.mags[0]:.3e}, {self.mags[-1]:.3e}] attains "
-                f"|lam+K|/(|lam|+A) >= {floor:.1e}"
+                f"no cutoff in the scan grid attains |lam+K|/(|lam|+A) >= {floor:.1e}: "
+                f"it is {self.per_min[-1]:.3e} at the largest |lambda| {self.mags[-1]:.3e}"
             )
         first = int(np.argmax(ok))
         return 0.0 if first == 0 else float(self.mags[first])
 
 
-def height_curve(fluid: FluidParams, sector: Sector,
-                 grid: GridSpec) -> HeightCurve:
-    """Evaluate the height ratio on the scan grid, one magnitude at a time."""
-    mags = grid.lam_mags()
+def height_curve(fluid: FluidParams, sector: Sector, grid: GridSpec,
+                 mags: np.ndarray | None = None) -> HeightCurve:
+    """Evaluate the height ratio on the scan grid, one magnitude at a time;
+    mags, increasing, replaces the grid's |lambda| values (lam_mags())."""
+    mags = grid.lam_mags() if mags is None else mags
     per_min = np.empty(mags.size)
     worst = []
     n_points = 0

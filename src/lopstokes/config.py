@@ -4,11 +4,10 @@ Each decision has one owner here.  Every numeric threshold the library
 applies lives in Tolerances, so the CLI and the tests share one set of
 defaults; GridSpec, the one grid type, lays out the scan and class grids;
 RunConfig holds the run defaults (fluid, sector, grids, seed, samples),
-which the library functions take as arguments; ELISION_THRESHOLD bounds
-every chunked evaluation.  Run configurations are JSON files, each block
-read through its dataclass: unknown keys are rejected with their full path,
-so typos cannot silently fall back to defaults, and the record validates
-itself.
+which the library functions take as arguments.  Run configurations are
+JSON files, each block read through its dataclass: unknown keys are
+rejected with their full path, so typos cannot silently fall back to
+defaults, and the record validates itself.
 """
 
 from __future__ import annotations
@@ -34,17 +33,8 @@ __all__ = [
     "SOLVE_MODES",
     "REFERENCE_PARAMS",
     "STRESS_PARAM_SETS",
-    "ELISION_THRESHOLD",
     "MAX_GRID_POINTS",
 ]
-
-# numpy's temporary-elision threshold in complex128 values (256 KiB).  From
-# that size on numpy evaluates x * <temporary> as the in-place
-# temporary *= x, that is t * x, and complex multiply is not bitwise
-# commutative: the last bit of an expression then depends on the array
-# size.  A chunked evaluation reproduces the whole-grid bits only when every
-# chunk array stays below this many values.
-ELISION_THRESHOLD = 16384
 
 # The most points a GridSpec may lay out.  The multiplier classes keep the
 # point columns of a class grid whole (lam, A, xi_1, xi_2 and the bound scale

@@ -19,12 +19,11 @@ with explicit constants omega1 (A-dominated regime) and omega2
 (lambda-dominated regime); scan_lower_bound estimates the sector-wide omega
 as the minimum over one pass of the GridSpec scan grid, run as tasks of
 whole magnitudes on the shared process pool (pool.run), each evaluated in
-chunks below the elision threshold and returning its least ratio and its
-rows of the scan CSV, and asymptotic_report measures the distance to the
-two limits.  No process holds the whole grid: each task lays out its own
-points, and the caller keeps only the least ratio so far and the rows not
-yet written.  Both only measure: the scan-lopatinski command judges
-the results.
+chunks and returning its least ratio and its rows of the scan CSV, and
+asymptotic_report measures the distance to the two limits.  No process
+holds the whole grid: each task lays out its own points, and the caller
+keeps only the least ratio so far and the rows not yet written.  Both only
+measure: the scan-lopatinski command judges the results.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pool, reports
-from .config import ELISION_THRESHOLD, GridSpec
+from .config import GridSpec
 from .errors import NonPositiveOmega
 from .params import FluidParams, Sector
 from .symbols import char_roots_batch, check_det, check_roots
@@ -173,9 +172,9 @@ class ScanReport:
         }
 
 
-# Points per scan chunk: below the elision threshold, so the scan bits do
-# not depend on the chunk size.
-_CHUNK = ELISION_THRESHOLD // 2
+# Points per det_ratios call of a scan task: a call's arrays take about
+# 1.9 MB at 8,192 points, and a task holds one call's at a time.
+_CHUNK = 8192
 
 # Scan points per pool task, at most where a magnitude fits: a task is a run
 # of whole magnitudes.  Its CSV text reaches the caller whole, and 8,192

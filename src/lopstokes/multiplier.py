@@ -110,9 +110,8 @@ _ORDERS = tuple(int(k[0]) + int(k[1]) for k in KAPPAS)
 _ORDER_COLUMN = np.array(_ORDERS, dtype=float)[:, None]
 _KEYS = tuple((kappa, ell) for ell in (0, 1) for kappa in KAPPAS)
 
-# Grid points per chunk; a jet holds at most 12 complex128 values per point,
-# and 12 * _CHUNK stays below config.ELISION_THRESHOLD so the estimates do not
-# depend on the chunk size.
+# Grid points per chunk: the jets of one chunk, on which every claim of a
+# group is judged, take about 8 MB at 1,024 points, whatever the grid size.
 _CHUNK = 1024
 
 

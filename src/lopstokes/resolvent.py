@@ -21,8 +21,9 @@ on the last axis.  A single point is a batch of one, so it gives the same
 result alone as inside any batch.  The quadrature cross-check of the
 energy integrals is a batch evaluation too: a fixed exp-sinh rule whose
 nodes form a (nodes, N) depth array through Profile.__call__.
-fuzz_residuals draws its corpus as array blocks of at most _CHUNK samples
-of one dimension and mode, and solves each block with one assemble_batch.
+fuzz_residuals draws its corpus as array blocks of at most _CORPUS_BLOCK
+samples of one dimension and mode, and solves each block with one
+assemble_batch.
 """
 
 from __future__ import annotations
@@ -57,11 +58,9 @@ __all__ = [
     "fuzz_residuals",
 ]
 
-# Points per fuzz/solve batch: bounds the working set (a few dozen arrays of
-# 20 x _CHUNK complex values) whatever the corpus or grid size, and keeps
-# every (20, _CHUNK) depth array below config.ELISION_THRESHOLD, so a point
-# gets the same bits in any batch.
-_CHUNK = 512
+# Samples per fuzz corpus block, part of the corpus definition: the blocks
+# fix the order of the draws and which samples lie on a sector edge.
+_CORPUS_BLOCK = 512
 
 # Every _EDGE_EVERY-th sample of a fuzz block lies on a sector edge, which
 # uniform angles almost never reach.
@@ -476,12 +475,12 @@ def _side_energy(s: ProfileBatch, side: int):
     for J in range(n):
         du0 = us[J].deriv().trace0
         if J < n - 1:
-            stress = mu * (du0 + ixi[J] * us[-1].trace0)
+            stress = mu * (du0 + np.multiply(ixi[J], us[-1].trace0))
         elif side > 0:
             stress = 2.0 * mu * du0 + (f.nu_plus - f.mu_plus) * div_trace0
         else:
             stress = 2.0 * mu * du0 - s.pressure.trace0
-        flux = flux + stress * us[J].trace0.conjugate()
+        flux = flux + np.multiply(stress, us[J].trace0.conjugate())
     if side < 0:
         flux = -flux
 
@@ -593,7 +592,7 @@ def fuzz_corpus(seed: int, n_samples: int, sector: Sector):
 
     The strata (2, explicit-H), (2, kinematic), (3, explicit-H) and
     (3, kinematic) in turn, stratum k of (n_samples + 3 - k) // 4 samples,
-    drawn from the one seeded generator in blocks of at most _CHUNK.
+    drawn from the one seeded generator in blocks of at most _CORPUS_BLOCK.
     Log-uniform |lambda| and A over [1e-4, 1e8], uniform sector angles but
     for every _EDGE_EVERY-th sample of a block, which lies on the edge
     arg lambda = +(pi - epsilon) or -(pi - epsilon) in turn; complex-normal
@@ -603,8 +602,8 @@ def fuzz_corpus(seed: int, n_samples: int, sector: Sector):
     span = math.pi - sector.epsilon
     for k, (dim, mode) in enumerate(itertools.product((2, 3), SOLVE_MODES)):
         size = (n_samples + 3 - k) // 4
-        for start in range(0, size, _CHUNK):
-            n = min(_CHUNK, size - start)
+        for start in range(0, size, _CORPUS_BLOCK):
+            n = min(_CORPUS_BLOCK, size - start)
             mag = 10.0 ** rng.uniform(-4.0, 8.0, n)
             ang = rng.uniform(-span, span, n)
             ang[::2 * _EDGE_EVERY] = span

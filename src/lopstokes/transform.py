@@ -58,6 +58,11 @@ __all__ = [
     "kernel_decay_check",
 ]
 
+# Modes per assemble_batch call of the grid solve: a call's working set, a
+# few dozen arrays of up to 20 x _CHUNK complex values, is about 2.9 MB at
+# 512 modes (3-D, kinematic, three levels), whatever the grid size.
+_CHUNK = 512
+
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -194,10 +199,10 @@ def solve_physical(
     distances from the interface; u_plus is evaluated at +x, u_minus and the
     pressure at -x.  Each mode also reports its ODE and interface defect,
     the certification sidecar.  The modes with nonzero data are solved as
-    arrays, in resolvent-sized chunks; a refused height raises
+    arrays, _CHUNK modes at a time; a refused height raises
     HeightNotInvertible at the first such mode in grid order.
     """
-    from .resolvent import _CHUNK, assemble_batch
+    from .resolvent import assemble_batch
 
     if mode not in SOLVE_MODES:
         raise ValueError(f"unknown mode {mode!r}")

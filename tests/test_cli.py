@@ -7,8 +7,10 @@ config file that is not UTF-8, a config key the program no longer reads, a
 non-finite number, a malformed solve block or an out-of-range
 --seed/--samples, a non-finite value in a solve field file, and a grid of
 more points than MAX_GRID_POINTS; a kinematic solve below the height cutoff
-prints its advisory; the energy suite reproduces its pinned quadrature
-figure, and an error in an energy probe fails that suite alone;
+prints its advisory, read off only the height magnitudes from the one at or
+below |lambda| up, as the whole grid would give it; the energy suite
+reproduces its pinned quadrature figure, and an error in an energy probe
+fails that suite alone;
 verify-multipliers names the domain each claim was judged on and writes
 strict JSON when a drift is NaN or infinite; verify, which runs its fuzz on
 the class table's pool, writes its pinned bytes with one worker or two,
@@ -19,7 +21,9 @@ residual category unmeasured; scan-lopatinski, whose tasks run on the same
 pool, writes the same bytes with one worker or two and any task, block or
 chunk size, names the grid-order first nonfinite or least point whichever
 task finishes first, exits 71 when a scan worker dies, and leaves --out as
-it was when it fails; every error class ends in its exit code and hint."""
+it was when it fails; verify-multipliers and scan-lopatinski write the
+default config's pinned bytes with chunks of 20,000 and 50,000 points; every
+error class ends in its exit code and hint."""
 
 from __future__ import annotations
 
@@ -631,6 +635,33 @@ def test_multiplier_report_bytes_pinned(monkeypatch, config, tmp_path, workers):
     }
 
 
+# the reports of verify-multipliers and scan-lopatinski on the default
+# config, at the default chunk sizes
+DEFAULT_DIGESTS = {
+    "class_e2bc2fd638e1.csv": "1f306c1687ccef05e00dbbf2a95dc3711dc0286c6cf8494f2b998ef373e8957a",
+    "multipliers_e2bc2fd638e1.json":
+        "4a0f9e56ad028aaa9e9ff070eb4eae9dbd7d1b3864b1372fcc8f78cae8b712ab",
+    "scan_e2bc2fd638e1.csv": "774820813204701863bb05464bc9a5542254a09c2ea8f24d11ecd45cd60d30d2",
+    "scan_e2bc2fd638e1.json": "d91415d3683b775dc29fb3931c704701000cd2afb6b4cd92bcf0fb86533e01db",
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2])
+def test_default_reports_do_not_depend_on_the_chunk_sizes(monkeypatch, tmp_path, workers):
+    # class chunks of 20,000 points and scan tasks and chunks of 50,000, far
+    # above the defaults, in this process or on the pool
+    monkeypatch.setattr(pool, "_workers", lambda: workers)
+    monkeypatch.setattr(multiplier, "_CHUNK", 20_000)
+    monkeypatch.setattr(lopatinski, "_TASK_POINTS", 50_000)
+    monkeypatch.setattr(lopatinski, "_CHUNK", 50_000)
+    for command in ("verify-multipliers", "scan-lopatinski"):
+        assert main([command, "--out", str(tmp_path)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == DEFAULT_DIGESTS
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("name,levels", [("h1", (0.5,)), ("H", (0.7, 0.0))],
                          ids=["off-interface", "two-levels"])
 def test_solve_field_off_the_interface_exits_65(capsys, tmp_path, solve_argv, name, levels):
@@ -654,14 +685,43 @@ def test_kinematic_solve_advises_below_the_height_cutoff(monkeypatch, capsys, tm
     cfg = json.loads(path.read_text())
     cfg["solve"]["mode"] = "kinematic"
     path.write_text(json.dumps(cfg))
-    monkeypatch.setattr(coefficients, "height_curve",
-                        lambda fluid, sector, grid: SimpleNamespace(cutoff=lambda floor: cutoff))
+    monkeypatch.setattr(coefficients, "height_curve", lambda fluid, sector, grid, mags:
+                        SimpleNamespace(cutoff=lambda floor: cutoff))
     assert main(solve_argv) == 0
     err = capsys.readouterr().err
     advisory = ("advisory: |lambda| = 2.236e+00 is below the certified height cutoff "
                 "lambda0 = 1.000e+01; the kinematic inversion is not covered by the "
                 "scanned bound there\n")
     assert err == (advisory if advised else "")
+
+
+@pytest.mark.parametrize("lam_range,floor,scanned,advised,code", [
+    ((1e-2, 1e2), 0.3, 5, True, 0), ((1e-2, 1e2), 0.25, 5, False, 0),
+    ((10.0, 1e4), 0.3, 7, True, 0), ((1e-4, 1.0), 0.3, 1, False, 0),
+    ((1e-2, 1e2), 0.6, 5, False, 1),
+], ids=["advised", "clear", "below-grid", "above-grid", "no-cutoff"])
+def test_kinematic_advisory_scans_only_the_magnitudes_it_reads(
+        monkeypatch, capsys, tmp_path, solve_argv, lam_range, floor, scanned, advised, code):
+    # |lambda| = 2.236 on height grids of 2 magnitudes per decade; on
+    # [1e-2, 1e2] a floor of 0.3 puts the cutoff at 100, 0.25 at 0.032 and
+    # 0.6 nowhere.  The magnitudes from the one at or below |lambda| upward
+    # give the decision of the whole grid: the same stderr and exit code.
+    path = tmp_path / "config.json"
+    cfg = json.loads(path.read_text())
+    cfg["solve"]["mode"] = "kinematic"
+    cfg["grid"] = {"lam_min": lam_range[0], "lam_max": lam_range[1], "lam_per_decade": 2,
+                   "n_angles": 5, "a_min": 1e-2, "a_max": 1e2, "a_per_decade": 2}
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(cli, "Tolerances", lambda: Tolerances(height_floor=floor))
+    seen = _count_points(monkeypatch, coefficients.height_ratio)
+    got = main(solve_argv), capsys.readouterr()
+    assert len(seen) == scanned
+    full = coefficients.height_curve
+    monkeypatch.setattr(coefficients, "height_curve",
+                        lambda fluid, sector, grid, mags: full(fluid, sector, grid))
+    assert (main(solve_argv), capsys.readouterr()) == got
+    assert got[0] == code
+    assert ("advisory: " in got[1].err) == advised
 
 
 def test_energy_probe_error_fails_the_energy_suite(tmp_path):

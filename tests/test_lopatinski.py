@@ -35,7 +35,7 @@ from lopstokes import (
 )
 from lopstokes import lopatinski
 from lopstokes.coefficients import SymbolKit
-from lopstokes.config import ELISION_THRESHOLD, GridSpec, REFERENCE_PARAMS
+from lopstokes.config import GridSpec, REFERENCE_PARAMS
 from lopstokes.errors import NonPositiveOmega
 from lopstokes.lopatinski import (
     ENTRY_DEGREES,
@@ -326,10 +326,6 @@ class TestScan:
         wide = scan_lower_bound(REF, SECTOR, SMALL_GRID, os.devnull)
         narrow = scan_lower_bound(REF, Sector(epsilon=math.pi / 2), SMALL_GRID, os.devnull)
         assert narrow.omega >= wide.omega
-
-    def test_chunk_below_elision_threshold(self):
-        # numpy elides temporaries from ELISION_THRESHOLD complex values on
-        assert lopatinski._CHUNK < ELISION_THRESHOLD
 
     def test_small_chunks_change_nothing(self, monkeypatch, tmp_path):
         want = scan_lower_bound(REF, SECTOR, SMALL_GRID, str(tmp_path / "want.csv"))

@@ -33,7 +33,7 @@ from lopstokes import (
 from lopstokes import cli, multiplier, pool
 from lopstokes.coefficients import SymbolKit
 from lopstokes.multiplier import KAPPAS, Claim, MultiplierClassReport
-from lopstokes.config import ELISION_THRESHOLD, REFERENCE_PARAMS, STRESS_PARAM_SETS
+from lopstokes.config import REFERENCE_PARAMS, STRESS_PARAM_SETS
 from lopstokes.errors import SingularDetL
 
 REF = REFERENCE_PARAMS
@@ -382,10 +382,6 @@ def _reports_equal(got, want):
 
 
 class TestChunking:
-    def test_chunk_keeps_numpy_on_one_arithmetic_path(self):
-        # a jet holds 12 complex128 values per grid point
-        assert 12 * multiplier._CHUNK < ELISION_THRESHOLD
-
     def test_reports_do_not_depend_on_the_chunk(self, monkeypatch):
         claims = declared_claims(LAMBDA0_REF)
         want = certify_table(claims, REF, SECTOR, SMALL)

@@ -35,7 +35,7 @@ from lopstokes.resolvent import (
     fuzz_corpus,
 )
 from lopstokes.errors import HeightNotInvertible, QuadratureFailure
-from lopstokes.config import ELISION_THRESHOLD, REFERENCE_PARAMS, STRESS_PARAM_SETS, RunConfig
+from lopstokes.config import REFERENCE_PARAMS, STRESS_PARAM_SETS, RunConfig
 
 TOL = Tolerances()
 SECTOR = Sector(epsilon=math.pi / 4)
@@ -464,8 +464,6 @@ GOLDEN_CORPUS = [
     ]),
 ]
 
-# batch and point agreement, fixed before the comparison was first run
-BATCH_RTOL = 1e-12
 CATEGORIES = ("ode", "interface", "kinematic", "decay", "energy")
 
 
@@ -500,7 +498,7 @@ class TestCorpusAndBatch:
         sizes = {}
         for dim, mode, lam, xi, h, top in blocks:
             m = lam.size
-            assert 1 <= m <= resolvent._CHUNK
+            assert 1 <= m <= resolvent._CORPUS_BLOCK
             assert xi.shape == h.shape == (m, dim - 1) and top.shape == (m,)
             sizes[dim, mode] = sizes.get((dim, mode), 0) + m
             a = np.array([math.hypot(*row) for row in xi.tolist()])
@@ -523,10 +521,6 @@ class TestCorpusAndBatch:
         for b, c in zip(blocks, again):
             assert b[:2] == c[:2] and all(np.array_equal(x, y) for x, y in zip(b[2:], c[2:]))
 
-    def test_chunk_below_elision_threshold(self):
-        # a depth array holds len(_LOG_DEPTHS) complex values per point
-        assert len(resolvent._LOG_DEPTHS) * resolvent._CHUNK < ELISION_THRESHOLD
-
     @settings(max_examples=40)
     @given(
         fluid=st.sampled_from((REF, *STRESS_PARAM_SETS)),
@@ -536,8 +530,8 @@ class TestCorpusAndBatch:
     )
     def test_batch_equals_points(self, fluid, dim, mode, seed):
         # every point of a batch gives the residuals it gives solved alone,
-        # as a batch of one; 13 points: no multiple of any chunk size,
-        # mixed magnitudes
+        # as a batch of one, bit for bit; 13 points: no multiple of any chunk
+        # size, mixed magnitudes
         cols = stratum(seed, 52, dim, mode)
         batch = assemble_batch(fluid, *cols, mode, strict=False)
         res = batch.residuals(energy=True)
@@ -550,7 +544,7 @@ class TestCorpusAndBatch:
             want = point_residuals(fluid, mode, *smp)
             assert set(want) == set(res)
             for cat, val in want.items():
-                assert abs(res[cat][i] - val) <= BATCH_RTOL * abs(val), (cat, i)
+                assert res[cat][i].tobytes() == np.float64(val).tobytes(), (cat, i)
 
     def test_perturbation_stays_at_its_index(self):
         # index 4 is the mutation-probe point, where every target is visible
@@ -574,7 +568,7 @@ class TestCorpusAndBatch:
         # blocks of 37 (three per stratum: 37, 37, 1) against the one-point
         # loop over the same corpus: one assemble_batch per block, and every
         # category keeps its first maximum in corpus order
-        monkeypatch.setattr(resolvent, "_CHUNK", 37)
+        monkeypatch.setattr(resolvent, "_CORPUS_BLOCK", 37)
         want = {c: {"value": -1.0} for c in CATEGORIES}
         blocks = list(fuzz_corpus(11, 300, SECTOR))
         assert len(blocks) == 12
@@ -596,10 +590,10 @@ class TestCorpusAndBatch:
         assert got.worst == want
 
     def test_fuzz_chunks_across_a_full_chunk(self):
-        # 2,052 samples at the default chunk: each stratum is one full block
-        # of 512 and a block of one, and the fold across them keeps the
+        # 2,052 samples at the default corpus block: each stratum is one full
+        # block of 512 and a block of one, and the fold across them keeps the
         # first worst of the one-point loop over the same corpus
-        assert resolvent._CHUNK == 512
+        assert resolvent._CORPUS_BLOCK == 512
         blocks = list(fuzz_corpus(11, 2052, SECTOR))
         assert [b[2].size for b in blocks] == [512, 1] * 4
         want = {c: {"value": -1.0} for c in CATEGORIES}
