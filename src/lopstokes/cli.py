@@ -11,9 +11,10 @@ Subcommands
 Each scan grid is evaluated once per command.  The height curve (per-|lambda|
 minimum of |lambda+K|/(|lambda|+A)) yields both cutoffs, the height report
 and the height CSV; the determinant grid yields omega and its worst point,
-and its tasks on the shared process pool (pool.run) return the scan CSV
-rows, which are streamed to a temporary file and moved into place only once
-the scan has passed its checks.
+and its tasks on the shared process pool (pool.run), each a flat run of
+grid points evaluated in one call, return the scan CSV rows, which are
+streamed to a temporary file and moved into place only once the scan has
+passed its checks.
 
 `verify` evaluates the height curve first, for the quotient cutoff, and then
 runs its fuzz as one more task on the shared process pool, alongside the

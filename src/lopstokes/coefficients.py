@@ -55,43 +55,21 @@ __all__ = [
 ]
 
 
-def _memoised(method):
-    """Evaluate a no-argument SymbolKit symbol once per kit (the fields it
-    reads are never reassigned)."""
-    name = method.__name__
-
-    @functools.wraps(method)
-    def cached(self):
-        memo = self._memo
-        if name not in memo:
-            memo[name] = method(self)
-        return memo[name]
-
-    return cached
-
-
 class SymbolKit:
-    """Entry/cofactor bundle with every coefficient symbol as a method.
+    """Entry/cofactor bundle with every coefficient symbol.
 
     Fields are equal-shape numpy arrays, one value per point; the formulas
     only use field arithmetic.  Indices are supplied as the value i*xi_m of
     the chosen frequency component.  The symbols without an index argument
-    are memoised on the kit; callers must not modify a returned array in
-    place.
+    (k_height, p_plus_N, p_minus_N, s_plus_NN, s_minus_NN, t_plus, t_minus,
+    p_press_N) are attributes, evaluated once per kit with the parts they
+    share as functools.cached_property; callers must not modify a returned
+    array in place.
     """
-
-    __slots__ = (
-        "fluid", "lam", "a", "ap", "bp", "bm",
-        "l11p", "l12p", "l21p", "l22p", "l11m", "l12m", "l21m", "l22m",
-        "det", "det_plus", "p_stab",
-        "c21", "c22", "c23", "c31", "c32", "c33",
-        "_memo",
-    )
 
     def __init__(self, fluid: FluidParams, lam, a, roots):
         """The kit of lam, A and their roots (A+, B+, B-) as given: arrays,
         jets or scalars."""
-        self._memo = {}
         self.fluid = fluid
         self.lam = lam
         self.a = a
@@ -115,64 +93,52 @@ class SymbolKit:
     # lambda-dominated regime, so the P entries are built from regrouped
     # forms in which every minus-entry difference is resolved analytically.
 
-    @_memoised
-    def _w_plus(self):
-        """L22+ + B+ L21+ with the parameter-level cancellation removed."""
+    def _p_pair(self, row0, row1, row2):
+        """(num/det L, P_N): the index-free part of P_m and P_N of one phase,
+        from the three stable rows of its q row of the inverse."""
+        f = self.fluid
+        return ((row0 * self.l11p - row2 * self.l21p) / self.det,
+                -(row1 * f.sigma_minus * self.a + row2 * f.sigma_plus) / self.det)
+
+    @functools.cached_property
+    def _p_plus(self):
+        """_p_pair of the rows c1j - B+ c2j; w is L22+ + B+ L21+ with the
+        parameter-level cancellation removed."""
         f = self.fluid
         mp, nup = f.mu_plus, f.nu_plus
-        return (2.0 * mp * self.p_stab * self.bp
-                * ((mp + nup) * self.ap + mp * self.bp)
-                / ((2.0 * mp + nup) * (self.ap + self.bp)))
-
-    def _row_plus(self, j: int):
-        """Stable c1j - B+ c2j (the q_plus row of the inverse)."""
-        if j == 0:
-            return self.l22m * self._w_plus()
-        if j == 1:
-            return -self.l12m * self._w_plus()
+        w = (2.0 * mp * self.p_stab * self.bp
+             * ((mp + nup) * self.ap + mp * self.bp)
+             / ((2.0 * mp + nup) * (self.ap + self.bp)))
         l11 = self.l11p + self.l11m
         inner = self.l12p + self.bp * l11
-        return self.l22m * inner - self.bp * self.l12m * self.l21m
+        return self._p_pair(self.l22m * w, -self.l12m * w,
+                            self.l22m * inner - self.bp * self.l12m * self.l21m)
 
-    def _row_minus(self, j: int):
-        """Stable c1j + B- c3j (the q_minus row of the inverse)."""
+    @functools.cached_property
+    def _p_minus(self):
+        """_p_pair of the rows c1j + B- c3j."""
         f = self.fluid
-        if j == 0:
-            return 2.0 * f.mu_minus * self.a * self.bm * self.l22p
-        if j == 1:
-            return (f.mu_minus * (self.a * self.a + self.bm * self.bm) * self.l22p
-                    + self.bm * self.det_plus)
-        return 2.0 * f.mu_minus * self.a * self.bm * self.l12p
-
-    @_memoised
-    def _p_plus_core(self):
-        """The index-free part num/det L of P+_m."""
-        return (self._row_plus(0) * self.l11p - self._row_plus(2) * self.l21p) / self.det
+        s = 2.0 * f.mu_minus * self.a * self.bm
+        return self._p_pair(s * self.l22p,
+                            f.mu_minus * (self.a * self.a + self.bm * self.bm) * self.l22p
+                            + self.bm * self.det_plus,
+                            s * self.l12p)
 
     def p_plus_m(self, ixi_m):
         w = ixi_m / self.a
-        return self._p_plus_core() * w - w
+        return self._p_plus[0] * w - w
 
-    @_memoised
+    @property
     def p_plus_N(self):
-        f = self.fluid
-        return -(self._row_plus(1) * f.sigma_minus * self.a
-                 + self._row_plus(2) * f.sigma_plus) / self.det
-
-    @_memoised
-    def _p_minus_core(self):
-        """The index-free part num/det L of P-_m."""
-        return (self._row_minus(0) * self.l11p - self._row_minus(2) * self.l21p) / self.det
+        return self._p_plus[1]
 
     def p_minus_m(self, ixi_m):
         w = ixi_m / self.a
-        return self._p_minus_core() * w
+        return self._p_minus[0] * w
 
-    @_memoised
+    @property
     def p_minus_N(self):
-        f = self.fluid
-        return -(self._row_minus(1) * f.sigma_minus * self.a
-                 + self._row_minus(2) * f.sigma_plus) / self.det
+        return self._p_minus[1]
 
     # -- R family: (B_pm - A_pm) alpha_pmJ = A (sum_m R_Jm h_m + A R_JN H)
 
@@ -181,20 +147,20 @@ class SymbolKit:
         return -f.nu_plus * ixi_j * self.p_stab / (
             (2.0 * f.mu_plus + f.nu_plus) * (self.ap + self.bp))
 
-    @_memoised
+    @functools.cached_property
     def _r_plus_factor_N(self):
         f = self.fluid
         return f.nu_plus * self.ap * self.p_stab / (
             (2.0 * f.mu_plus + f.nu_plus) * (self.ap + self.bp))
 
     def r_plus(self, j_normal: bool, m_normal: bool, ixi_j=None, ixi_m=None):
-        fac = self._r_plus_factor_N() if j_normal else self._r_plus_factor_j(ixi_j)
-        p = self.p_plus_N() if m_normal else self.p_plus_m(ixi_m)
+        fac = self._r_plus_factor_N if j_normal else self._r_plus_factor_j(ixi_j)
+        p = self.p_plus_N if m_normal else self.p_plus_m(ixi_m)
         return fac * p
 
     def r_minus(self, j_normal: bool, m_normal: bool, ixi_j=None, ixi_m=None):
         fac = -1.0 if j_normal else -ixi_j / self.a
-        p = self.p_minus_N() if m_normal else self.p_minus_m(ixi_m)
+        p = self.p_minus_N if m_normal else self.p_minus_m(ixi_m)
         return fac * p
 
     # -- S family: beta_pmJ = [T_j h_j] + A (sum_m S_Jm h_m + A S_JN H)
@@ -202,7 +168,7 @@ class SymbolKit:
     def s_plus_Nm(self, ixi_m):
         return (self.c21 * self.l11p - self.c23 * self.l21p) / self.det * (ixi_m / self.a)
 
-    @_memoised
+    @functools.cached_property
     def s_plus_NN(self):
         f = self.fluid
         return -(self.c22 * f.sigma_minus * self.a + self.c23 * f.sigma_plus) / self.det
@@ -210,12 +176,12 @@ class SymbolKit:
     def s_minus_Nm(self, ixi_m):
         return (self.c31 * self.l11p - self.c33 * self.l21p) / self.det * (ixi_m / self.a)
 
-    @_memoised
+    @functools.cached_property
     def s_minus_NN(self):
         f = self.fluid
         return -(self.c32 * f.sigma_minus * self.a + self.c33 * f.sigma_plus) / self.det
 
-    @_memoised
+    @functools.cached_property
     def _bsum(self):
         f = self.fluid
         return f.mu_plus * self.bp + f.mu_minus * self.bm
@@ -227,37 +193,37 @@ class SymbolKit:
             + f.mu_minus * self.r_minus(False, False, ixi_j, ixi_m)
             - f.mu_plus * ixi_j * self.s_plus_Nm(ixi_m)
             + f.mu_minus * ixi_j * self.s_minus_Nm(ixi_m)
-        ) / self._bsum()
+        ) / self._bsum
 
     def s_jN(self, ixi_j):
         f = self.fluid
         return -(
             f.mu_plus * self.r_plus(False, True, ixi_j)
             + f.mu_minus * self.r_minus(False, True, ixi_j)
-            - f.mu_plus * ixi_j * self.s_plus_NN()
-            + f.mu_minus * ixi_j * self.s_minus_NN()
-        ) / self._bsum()
+            - f.mu_plus * ixi_j * self.s_plus_NN
+            + f.mu_minus * ixi_j * self.s_minus_NN
+        ) / self._bsum
 
-    @_memoised
+    @functools.cached_property
     def t_plus(self):
-        return -self.fluid.mu_minus * self.bm / self._bsum()
+        return -self.fluid.mu_minus * self.bm / self._bsum
 
-    @_memoised
+    @functools.cached_property
     def t_minus(self):
-        return self.fluid.mu_plus * self.bp / self._bsum()
+        return self.fluid.mu_plus * self.bp / self._bsum
 
     # -- pressure: gamma_- = sum_m p_m1 h_m + A p_N1 H
 
     def p_press_m(self, ixi_m):
         return -self.fluid.mu_minus * (self.a + self.bm) * self.p_minus_m(ixi_m)
 
-    @_memoised
+    @functools.cached_property
     def p_press_N(self):
-        return -self.fluid.mu_minus * (self.a + self.bm) * self.p_minus_N()
+        return -self.fluid.mu_minus * (self.a + self.bm) * self.p_minus_N
 
     # -- height symbol
 
-    @_memoised
+    @functools.cached_property
     def k_height(self):
         f = self.fluid
         drho = f.rho_minus - f.rho_plus
@@ -297,17 +263,17 @@ def amplitudes(kit: SymbolKit, ixi, h, H) -> dict:
     # ixb_pm -+ B_pm beta_pmN: the latter cancel catastrophically when
     # B_pm >> A and would poison gamma_minus and every g amplitude.
     q_plus = a * (sum(kit.p_plus_m(x) * y for x, y in zip(ixi, h))
-                  + a * kit.p_plus_N() * H)
+                  + a * kit.p_plus_N * H)
     q_minus = a * (sum(kit.p_minus_m(x) * y for x, y in zip(ixi, h))
-                   + a * kit.p_minus_N() * H)
+                   + a * kit.p_minus_N * H)
     g_plus = [kit._r_plus_factor_j(x) * q_plus for x in ixi]
-    g_plus.append(kit._r_plus_factor_N() * q_plus)
+    g_plus.append(kit._r_plus_factor_N * q_plus)
     g_minus = [-(x / a) * q_minus for x in ixi]
     g_minus.append(-q_minus)
 
     jump = f.mu_plus * beta_p_N - f.mu_minus * beta_m_N
     beta_minus = [
-        (f.mu_plus * kit.bp * hj - f.mu_plus * gp - f.mu_minus * gm + x * jump) / kit._bsum()
+        (f.mu_plus * kit.bp * hj - f.mu_plus * gp - f.mu_minus * gm + x * jump) / kit._bsum
         for x, hj, gp, gm in zip(ixi, h, g_plus, g_minus)
     ]
     beta_plus = [bm - hj for bm, hj in zip(beta_minus, h)]
@@ -413,7 +379,7 @@ class HeightScanReport:
 
 def height_ratio(fluid: FluidParams, lam: np.ndarray, a: np.ndarray) -> np.ndarray:
     """|lam + K|/(|lam| + A) over arrays, the quantity the height scans bound."""
-    k = SymbolKit.batch(fluid, lam, a).k_height()
+    k = SymbolKit.batch(fluid, lam, a).k_height
     return np.abs(lam + k) / (np.abs(lam) + a)
 
 
@@ -485,7 +451,7 @@ def height_scan(
     slope_ratio = 100.0
     lam_mags = np.array([1e-2, 1.0, 1e2])
     a = slope_ratio * np.sqrt(lam_mags)
-    slope = float(np.mean(SymbolKit.batch(fluid, lam_mags, a).k_height().real / a))
+    slope = float(np.mean(SymbolKit.batch(fluid, lam_mags, a).k_height.real / a))
 
     # |K| <= C sqrt|lam| envelope on the lam-dominated side
     lam, a, root = [], [], []
@@ -495,7 +461,7 @@ def height_scan(
                 lam.append(lam_mag * complex(math.cos(ang), math.sin(ang)))
                 a.append(afrac * math.sqrt(lam_mag))
                 root.append(math.sqrt(lam_mag))
-    k = SymbolKit.batch(fluid, lam, a).k_height()
+    k = SymbolKit.batch(fluid, lam, a).k_height
     env = float(np.max(np.abs(k) / root))
 
     return HeightScanReport(

@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Any
 
-from .errors import ConfigError
+from .errors import ConfigError, LopStokesError
 from .params import FluidParams, Sector
 
 if TYPE_CHECKING:
@@ -238,7 +238,8 @@ def _number(v: Any, path: str, integer: bool = False):
 
 
 def _record(current, doc: Any, path: str):
-    """current with the fields doc sets, each read by its annotation."""
+    """current with the fields doc sets, each read by its annotation; an
+    error the record raises keeps its class and is prefixed with path."""
     doc = _require_mapping(doc, path)
     kinds = {f.name: f.type for f in fields(current)}
     _check_keys(doc, kinds, path)
@@ -257,8 +258,8 @@ def _record(current, doc: Any, path: str):
             new[key] = _number(v, where, integer=kinds[key] in ("int", int))
     try:
         return replace(current, **new)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except LopStokesError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _solve(doc: Any, path: str) -> dict:
@@ -298,8 +299,8 @@ def parse_config(doc: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     """Parse a JSON run configuration; errors carry line/column diagnostics,
-    and a file that is not UTF-8 or is nested too deeply is a ConfigError
-    that names it."""
+    a file that is not UTF-8 or is nested too deeply is a ConfigError that
+    names it, and every error of a record names the file and its key path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -315,8 +316,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: JSON nested too deeply") from exc
     try:
         return parse_config(doc)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except LopStokesError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def config_document(cfg: RunConfig) -> dict:

@@ -18,12 +18,13 @@ points; a single point is an array of length one.  The determinant obeys
 with explicit constants omega1 (A-dominated regime) and omega2
 (lambda-dominated regime); scan_lower_bound estimates the sector-wide omega
 as the minimum over one pass of the GridSpec scan grid, run as tasks of
-whole magnitudes on the shared process pool (pool.run), each evaluated in
-chunks and returning its least ratio and its rows of the scan CSV, and
-asymptotic_report measures the distance to the two limits.  No process
-holds the whole grid: each task lays out its own points, and the caller
-keeps only the least ratio so far and the rows not yet written.  Both only
-measure: the scan-lopatinski command judges the results.
+consecutive grid points on the shared process pool (pool.run), each
+evaluated in one det_ratios call and returning its least ratio and its rows
+of the scan CSV, and asymptotic_report measures the distance to the two
+limits.  No process holds the whole grid: each task lays out the magnitudes
+it covers, and the caller keeps only the least ratio so far and the rows
+not yet written.  Both only measure: the scan-lopatinski command judges the
+results.
 """
 
 from __future__ import annotations
@@ -139,8 +140,7 @@ class ScanReport:
     omega: float
     omega1: float
     omega2: float
-    r1: float
-    r2: float
+    regime_ratio: float      # the regime thresholds R1 = R2
     delta1: float
     delta2: float
     worst_lam: complex
@@ -160,7 +160,7 @@ class ScanReport:
             "omega_kind": "grid minimum, an upper estimate of the infimum",
             "omega1": self.omega1,
             "omega2": self.omega2,
-            "regime_thresholds": {"R1": self.r1, "R2": self.r2},
+            "regime_thresholds": {"R1": self.regime_ratio, "R2": self.regime_ratio},
             "regime_deviations": {"delta1": self.delta1, "delta2": self.delta2},
             "worst_point": {
                 "re_lambda": self.worst_lam.real,
@@ -172,15 +172,11 @@ class ScanReport:
         }
 
 
-# Points per det_ratios call of a scan task: a call's arrays take about
-# 1.9 MB at 8,192 points, and a task holds one call's at a time.
-_CHUNK = 8192
-
-# Scan points per pool task, at most where a magnitude fits: a task is a run
-# of whole magnitudes.  Its CSV text reaches the caller whole, and 8,192
-# points (about 0.75 MB of text) keep the peak RSS of scan-lopatinski on the
-# default grid at 38.6 MB, against 42.6 MB for 16,384 (2 workers), in the
-# same wall time.
+# Scan points per pool task, evaluated in one det_ratios call: the call's
+# arrays take about 1.9 MB at 8,192 points, and the task's CSV text (about
+# 0.75 MB) reaches the caller whole.  On the default grid (2 cores, 10 runs
+# each) scan-lopatinski peaks at a median 35.3 MB with 8,192 points against
+# 39.6 MB with 16,384, in the same wall time.
 _TASK_POINTS = 8192
 
 # A/sqrt|lam| (and its reciprocal) at which asymptotic_report probes the two
@@ -189,17 +185,18 @@ _REGIME_RATIO = 100.0
 
 
 def _scan_task(task) -> tuple:
-    """(ratio, lam, A, rows) of the scan magnitudes mags[i:j], task = (i, j),
-    laid out by GridSpec.points and evaluated in chunks of _CHUNK points:
-    the first nonfinite ratio and its point if there is one, else the least
-    ratio and the first point attaining it; rows is the scan CSV text of the
-    points."""
-    fluid, epsilon, grid, mags = pool.work()
-    lam, a = grid.points(epsilon, mags[slice(*task)])
-    absdet, ratio = np.empty(lam.size), np.empty(lam.size)
-    for s in range(0, lam.size, _CHUNK):
-        absdet[s:s + _CHUNK], ratio[s:s + _CHUNK] = det_ratios(
-            fluid, lam[s:s + _CHUNK], a[s:s + _CHUNK])
+    """(ratio, lam, A, rows) of the scan grid points [i, j) in grid order,
+    task = (i, j), sliced from the magnitudes they cover as GridSpec.points
+    lays them out and evaluated in one det_ratios call: the first nonfinite
+    ratio and its point if there is one, else the least ratio and the first
+    point attaining it; rows is the scan CSV text of the points."""
+    fluid, epsilon, grid, mags, per_mag = pool.work()
+    start, stop = task
+    first, last = start // per_mag, (stop - 1) // per_mag
+    lam, a = grid.points(epsilon, mags[first:last + 1])
+    skip = first * per_mag
+    lam, a = lam[start - skip:stop - skip], a[start - skip:stop - skip]
+    absdet, ratio = det_ratios(fluid, lam, a)
     k = int(np.argmin(np.where(np.isfinite(ratio), ratio, -np.inf)))
     return ratio[k], lam[k], a[k], reports.scan_rows(lam, a, absdet, ratio)
 
@@ -213,19 +210,19 @@ def scan_lower_bound(
     """Estimate omega = inf |det L|/(sqrt|lam|+A)^4 over the scan grid.
 
     The infimum is empirical: the grid minimum, taken at the first point in
-    grid order that attains it.  The grid is evaluated once, as tasks on the
-    shared process pool (pool.run), each a run of whole magnitudes of at
-    most _TASK_POINTS points where the grid allows; each task lays out and
-    evaluates its own points (_scan_task), so no process holds the whole
-    grid.  The results are folded here in grid order and their rows are
-    written to csv_path as they come.  Raises NonPositiveOmega at
-    the first nonfinite ratio in grid order, or if the minimum is not
-    strictly positive; csv_path is then partly written.
+    grid order that attains it.  The grid is evaluated once, as tasks of
+    _TASK_POINTS consecutive grid points (a task may split a magnitude) on
+    the shared process pool (pool.run); each task evaluates its own points
+    in one call (_scan_task), so no process holds the whole grid.  The
+    results are folded here in grid order and their rows are written to
+    csv_path as they come.  Raises NonPositiveOmega at the first nonfinite
+    ratio in grid order, or if the minimum is not strictly positive;
+    csv_path is then partly written.
     """
     mags = grid.lam_mags()
     per_mag = grid.n_angles * grid.a_vals().size
-    step = max(1, _TASK_POINTS // per_mag)
-    tasks = [(i, min(i + step, mags.size)) for i in range(0, mags.size, step)]
+    n_points = mags.size * per_mag
+    tasks = [(i, min(i + _TASK_POINTS, n_points)) for i in range(0, n_points, _TASK_POINTS)]
     # the least ratio so far and its point, the first in grid order on a tie
     worst = []
 
@@ -237,7 +234,7 @@ def scan_lower_bound(
                 worst[:] = ratio, lam, a
             yield rows
 
-    with pool.run((fluid, sector.epsilon, grid, mags)) as run:
+    with pool.run((fluid, sector.epsilon, grid, mags, per_mag)) as run:
         reports.write_scan_rows(csv_path, folded(run(_scan_task, tasks)))
     omega, worst_lam, worst_a = float(worst[0]), complex(worst[1]), float(worst[2])
     if not omega > 0.0:
@@ -247,8 +244,8 @@ def scan_lower_bound(
     w1, w2, (d1, d2) = asymptotic_report(fluid, sector, _REGIME_RATIO)
     return ScanReport(
         fluid=fluid, epsilon=sector.epsilon, grid=grid, omega=omega, omega1=w1, omega2=w2,
-        r1=_REGIME_RATIO, r2=_REGIME_RATIO, delta1=d1, delta2=d2,
-        worst_lam=worst_lam, worst_a=worst_a, n_points=mags.size * per_mag,
+        regime_ratio=_REGIME_RATIO, delta1=d1, delta2=d2,
+        worst_lam=worst_lam, worst_a=worst_a, n_points=n_points,
     )
 
 

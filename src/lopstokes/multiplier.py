@@ -142,7 +142,7 @@ class Claim:
     def symbol(self, kit: SymbolKit, i1) -> Jet:
         """The jet of the claimed symbol on kit."""
         m = self.fn(kit, i1)
-        return m if self.over is None else m / self.over(kit.lam, kit.a, kit.k_height())
+        return m if self.over is None else m / self.over(kit.lam, kit.a, kit.k_height)
 
 
 @dataclass
@@ -192,7 +192,7 @@ def _jet_args(fluid: FluidParams, lam, xi1, xi2) -> tuple[SymbolKit, Jet]:
 
 
 def _height(kit: SymbolKit, i1) -> Jet:
-    return kit.k_height()
+    return kit.k_height
 
 
 def _top(claim: Claim, m: Jet, lam, a, scale) -> np.ndarray:
@@ -331,7 +331,7 @@ class _Points:
         return, before the fan-out."""
         lam, _, xi1, xi2, _ = (c[start:start + _block()] for c in self.image.columns)
         kit, i1 = _jet_args(self.fluid, lam, xi1, xi2)
-        return [cl.fn(kit, i1) for cl in claims], kit.k_height()
+        return [cl.fn(kit, i1) for cl in claims], kit.k_height
 
     def scale_exactly(self, parts) -> list[bool]:
         """Per (fn, degree) of parts, whether the jet fn(kit, i1) is
@@ -400,9 +400,9 @@ def declared_claims(lambda0: float) -> list[Claim]:
         Claim("L22-", 2, 2, lambda kit, i1: kit.l22m),
         Claim("detL_inv", -4, 2, lambda kit, i1: 1.0 / kit.det),
         Claim("P+_m", 0, 2, lambda kit, i1: kit.p_plus_m(i1)),
-        Claim("P+_N", 0, 2, lambda kit, i1: kit.p_plus_N()),
+        Claim("P+_N", 0, 2, lambda kit, i1: kit.p_plus_N),
         Claim("P-_m", 0, 2, lambda kit, i1: kit.p_minus_m(i1)),
-        Claim("P-_N", 0, 2, lambda kit, i1: kit.p_minus_N()),
+        Claim("P-_N", 0, 2, lambda kit, i1: kit.p_minus_N),
         Claim("R+_jm", 0, 2, lambda kit, i1: kit.r_plus(False, False, i1, i1)),
         Claim("R+_jN", 0, 2, lambda kit, i1: kit.r_plus(False, True, ixi_j=i1)),
         Claim("R+_Nm", 0, 2, lambda kit, i1: kit.r_plus(True, False, ixi_m=i1)),
@@ -414,19 +414,19 @@ def declared_claims(lambda0: float) -> list[Claim]:
         Claim("S_jm", -1, 2, lambda kit, i1: kit.s_jm(i1, i1)),
         Claim("S_jN", -1, 2, lambda kit, i1: kit.s_jN(i1)),
         Claim("S+_Nm", -1, 2, lambda kit, i1: kit.s_plus_Nm(i1)),
-        Claim("S+_NN", -1, 2, lambda kit, i1: kit.s_plus_NN()),
+        Claim("S+_NN", -1, 2, lambda kit, i1: kit.s_plus_NN),
         Claim("S-_Nm", -1, 2, lambda kit, i1: kit.s_minus_Nm(i1)),
-        Claim("S-_NN", -1, 2, lambda kit, i1: kit.s_minus_NN()),
-        Claim("T+_j", 0, 1, lambda kit, i1: kit.t_plus()),
-        Claim("T-_j", 0, 1, lambda kit, i1: kit.t_minus()),
+        Claim("S-_NN", -1, 2, lambda kit, i1: kit.s_minus_NN),
+        Claim("T+_j", 0, 1, lambda kit, i1: kit.t_plus),
+        Claim("T-_j", 0, 1, lambda kit, i1: kit.t_minus),
         Claim("p-_m1", 1, 2, lambda kit, i1: kit.p_press_m(i1)),
-        Claim("p-_N1", 1, 2, lambda kit, i1: kit.p_press_N()),
-        Claim("K", 1, 2, lambda kit, i1: kit.k_height()),
+        Claim("p-_N1", 1, 2, lambda kit, i1: kit.p_press_N),
+        Claim("K", 1, 2, lambda kit, i1: kit.k_height),
     ]
 
     # the (lambda + K)-quotient families, type 2 above the cutoff lambda0:
     # (numerator, its degree) over lambda + K or q = (lambda + K)(1 + A^2)
-    c.append(Claim("pN1/(lam+K)", 0, 2, lambda kit, i1: kit.p_press_N(),
+    c.append(Claim("pN1/(lam+K)", 0, 2, lambda kit, i1: kit.p_press_N,
                    lam_floor=lambda0, over=_lam_plus_k, degree=1))
     c += [Claim(name, s, 2, num, lam_floor=lambda0, over=_q, degree=d) for name, s, d, num in (
         ("A*R+NN*ixik/q", -1, 2, lambda kit, i1: kit.a * kit.r_plus(True, True) * i1),
@@ -435,12 +435,12 @@ def declared_claims(lambda0: float) -> list[Claim]:
         ("A-*A*R-NN/q", -1, 2, lambda kit, i1: kit.a * kit.a * kit.r_minus(True, True)),
         ("A*R+NN/q", -2, 1, lambda kit, i1: kit.a * kit.r_plus(True, True)),
         ("A*R-NN/q", -2, 1, lambda kit, i1: kit.a * kit.r_minus(True, True)),
-        ("A*S+NN/q", -2, 0, lambda kit, i1: kit.a * kit.s_plus_NN()),
-        ("A*S-NN/q", -2, 0, lambda kit, i1: kit.a * kit.s_minus_NN()),
-        ("A*S+NN*ixik/q", -2, 1, lambda kit, i1: kit.a * kit.s_plus_NN() * i1),
-        ("A*S-NN*ixik/q", -2, 1, lambda kit, i1: kit.a * kit.s_minus_NN() * i1),
-        ("B+*A*S+NN/q", -2, 1, lambda kit, i1: kit.bp * kit.a * kit.s_plus_NN()),
-        ("B-*A*S-NN/q", -2, 1, lambda kit, i1: kit.bm * kit.a * kit.s_minus_NN()),
+        ("A*S+NN/q", -2, 0, lambda kit, i1: kit.a * kit.s_plus_NN),
+        ("A*S-NN/q", -2, 0, lambda kit, i1: kit.a * kit.s_minus_NN),
+        ("A*S+NN*ixik/q", -2, 1, lambda kit, i1: kit.a * kit.s_plus_NN * i1),
+        ("A*S-NN*ixik/q", -2, 1, lambda kit, i1: kit.a * kit.s_minus_NN * i1),
+        ("B+*A*S+NN/q", -2, 1, lambda kit, i1: kit.bp * kit.a * kit.s_plus_NN),
+        ("B-*A*S-NN/q", -2, 1, lambda kit, i1: kit.bm * kit.a * kit.s_minus_NN),
     )]
     return c
 

@@ -272,7 +272,7 @@ def assemble_batch(
     check_det(kit.det, lam, a)
     ixi = _ixi(xi.T)
     hs = tuple(h.T)
-    k = kit.k_height()
+    k = kit.k_height
     valid = np.ones(lam.shape, dtype=bool)
     if mode == "kinematic":
         denom = lam + k

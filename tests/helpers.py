@@ -193,16 +193,15 @@ def coefficient_tables(fluid, sp) -> SimpleNamespace:
 
     def table(tangential, normal):
         """One row: the symbol at each i xi_m, then the normal column."""
-        return np.array([*(tangential(x) for x in ixi), normal()])[:, 0]
+        return np.array([*(tangential(x) for x in ixi), normal])[:, 0]
 
     def r_table(r):
-        rows = [table(lambda x, xj=xj: r(False, False, xj, x), lambda xj=xj: r(False, True, xj))
+        rows = [table(lambda x, xj=xj: r(False, False, xj, x), r(False, True, xj))
                 for xj in ixi]
-        rows.append(table(lambda x: r(True, False, ixi_m=x), lambda: r(True, True)))
+        rows.append(table(lambda x: r(True, False, ixi_m=x), r(True, True)))
         return np.array(rows)
 
-    s_rows = [table(lambda x, xj=xj: kit.s_jm(xj, x), lambda xj=xj: kit.s_jN(xj))
-              for xj in ixi]
+    s_rows = [table(lambda x, xj=xj: kit.s_jm(xj, x), kit.s_jN(xj)) for xj in ixi]
     return SimpleNamespace(
         p_plus=table(kit.p_plus_m, kit.p_plus_N),
         p_minus=table(kit.p_minus_m, kit.p_minus_N),
@@ -210,8 +209,8 @@ def coefficient_tables(fluid, sp) -> SimpleNamespace:
         r_minus=r_table(kit.r_minus),
         s_plus=np.array([*s_rows, table(kit.s_plus_Nm, kit.s_plus_NN)]),
         s_minus=np.array([*s_rows, table(kit.s_minus_Nm, kit.s_minus_NN)]),
-        t_plus=np.full(n - 1, kit.t_plus()[0]),
-        t_minus=np.full(n - 1, kit.t_minus()[0]),
+        t_plus=np.full(n - 1, kit.t_plus[0]),
+        t_minus=np.full(n - 1, kit.t_minus[0]),
         p_press=table(kit.p_press_m, kit.p_press_N),
     )
 

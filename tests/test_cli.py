@@ -4,6 +4,7 @@ bytes, solve exits 1 on a residual above its limit or a NaN one, malformed
 solve input, a field of three tangential axes, a field not at the one level
 x_N = 0 or a solve lambda outside the sector ends in exit 65, and so does a
 config file that is not UTF-8, a config key the program no longer reads, a
+fluid or sector value out of range (named with its file and key path), a
 non-finite number, a malformed solve block or an out-of-range
 --seed/--samples, a non-finite value in a solve field file, and a grid of
 more points than MAX_GRID_POINTS; a kinematic solve below the height cutoff
@@ -18,12 +19,13 @@ keeps the exit code of an error raised in the fuzz worker, exits 71 when
 that worker dies, still writes the fuzz suite when the quotient cutoff is
 not found, and fails the fuzz (exit bit 1) when too few samples leave a
 residual category unmeasured; scan-lopatinski, whose tasks run on the same
-pool, writes the same bytes with one worker or two and any task, block or
-chunk size, names the grid-order first nonfinite or least point whichever
-task finishes first, exits 71 when a scan worker dies, and leaves --out as
-it was when it fails; verify-multipliers and scan-lopatinski write the
-default config's pinned bytes with chunks of 20,000 and 50,000 points; every
-error class ends in its exit code and hint."""
+pool, writes the same bytes with one worker or two and any task or block
+size, tasks that split a magnitude included, evaluates each task in one
+call, names the grid-order first nonfinite or least point whichever task
+finishes first, exits 71 when a scan worker dies, and leaves --out as it
+was when it fails; every command but solve writes the default config's
+pinned bytes with class chunks of 20,000 and scan tasks of 50,000 points;
+every error class ends in its exit code and hint."""
 
 from __future__ import annotations
 
@@ -306,6 +308,18 @@ def test_removed_sector_key_exits_65(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"sector": {"epsilon": 0}}, "config.sector: sector epsilon must lie in (0, pi/2], got 0.0"),
+    ({"fluid": {"mu_plus": -1}}, "config.fluid: mu_plus must be positive and finite, got -1.0"),
+], ids=["sector-epsilon", "fluid-mu_plus"])
+def test_record_error_names_its_file_and_key_exits_65(capsys, tmp_path, doc, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["scan-height", "--config", str(path), "--out", str(tmp_path / "out")]) == 65
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,doc", [
     ("verify", {"seed": math.nan}),
     ("verify", {"samples": math.inf}),
@@ -498,18 +512,72 @@ def test_lost_fuzz_worker_exits_71(monkeypatch, config, capsys):
 
 @needs_fork
 def test_scan_bytes_do_not_depend_on_workers_or_tasks(monkeypatch, tmp_path):
-    # tasks of two magnitudes (90 points), formatted in CSV blocks of 64 rows
-    # and evaluated in chunks of 37 points, in this process or on two workers
+    # tasks of two magnitudes (90 points), formatted in CSV blocks of 64
+    # rows, in this process or on two workers
     monkeypatch.setattr(lopatinski, "_TASK_POINTS", 90)
     monkeypatch.setattr(reports, "_CSV_BLOCK", 64)
-    monkeypatch.setattr(lopatinski, "_CHUNK", 37)
     det = _count_points(monkeypatch, lopatinski.det_ratios)
     for workers in (1, 2):
         monkeypatch.setattr(pool, "_workers", lambda: workers)
         assert _scan(tmp_path, tmp_path / f"out{workers}") == 0
         assert _digests(tmp_path / f"out{workers}") == SCAN_DIGESTS
-        # five tasks, counted in this process only
-        assert det == [37, 37, 16] * 4 + [37, 8]
+        # five tasks of one call each, counted in this process only
+        assert det == [90] * 4 + [45]
+    assert multiprocessing.active_children() == []
+
+
+def _poisoned(value):
+    """det_ratios with the ratio at scan points 200 and 50 of SCAN_GRID set
+    to value, taking 0.2 s longer on the call that holds point 50."""
+    lam, a = SCAN_GRID.points(EPS)
+    clean = lopatinski.det_ratios
+
+    def poisoned(fluid, lam_c, a_c):
+        absdet, ratio = clean(fluid, lam_c, a_c)
+        for k in (200, 50):
+            ratio[(lam_c == lam[k]) & (a_c == a[k])] = value
+        if ((lam_c == lam[50]) & (a_c == a[50])).any():
+            time.sleep(0.2)
+        return absdet, ratio
+
+    return poisoned
+
+
+def _first_point_error(value) -> str:
+    """The error scan-lopatinski prints for _poisoned(value): point 50 is named."""
+    lam, a = SCAN_GRID.points(EPS)
+    if value != 0.0:
+        return f"error: nonfinite |det L| ratio at lam={lam[50]!r}, A={a[50]!r}\n"
+    return f"error: scan infimum 0.0 at lam={complex(lam[50])!r}, A={float(a[50])!r}\n"
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_tasks_may_split_magnitudes(monkeypatch, capsys, tmp_path, workers):
+    # tasks of 37 points against magnitudes of 45, so most tasks split one:
+    # one det_ratios call per task, the pinned bytes, and the grid-order first
+    # nonfinite or tied point named, though points 50 and 200 lie in split
+    # magnitudes (the second and the fifth) and the task holding 50 finishes
+    # last
+    monkeypatch.setattr(lopatinski, "_TASK_POINTS", 37)
+    monkeypatch.setattr(pool, "_workers", lambda: workers)
+    log = tmp_path / "calls"
+    clean = lopatinski.det_ratios
+
+    def logged(fluid, lam, a):
+        with open(log, "a") as fh:
+            fh.write(f"{lam.size}\n")
+        return clean(fluid, lam, a)
+
+    monkeypatch.setattr(lopatinski, "det_ratios", logged)
+    assert _scan(tmp_path, tmp_path / "out") == 0
+    assert _digests(tmp_path / "out") == SCAN_DIGESTS
+    assert sorted(map(int, log.read_text().split())) == sorted([37] * 10 + [35])
+    capsys.readouterr()
+    for value in (math.nan, 0.0):
+        monkeypatch.setattr(lopatinski, "det_ratios", _poisoned(value))
+        assert _scan(tmp_path, tmp_path / "failed") == 1
+        assert capsys.readouterr().err == _first_point_error(value)
     assert multiprocessing.active_children() == []
 
 
@@ -537,22 +605,8 @@ def _failed_scans(monkeypatch, capsys, tmp_path, det_ratios) -> list:
 def test_scan_worker_failure_names_the_first_point(monkeypatch, capsys, tmp_path, value):
     # points 50 and 200 lie in the second and the fifth task; the second
     # finishes last, and its point is still the one named
-    lam, a = SCAN_GRID.points(EPS)
-    clean = lopatinski.det_ratios
-
-    def poisoned(fluid, lam_c, a_c):
-        absdet, ratio = clean(fluid, lam_c, a_c)
-        for k in (200, 50):
-            hit = (lam_c == lam[k]) & (a_c == a[k])
-            ratio[hit] = value
-        if ((lam_c == lam[50]) & (a_c == a[50])).any():
-            time.sleep(0.2)
-        return absdet, ratio
-
-    message = (f"nonfinite |det L| ratio at lam={lam[50]!r}, A={a[50]!r}" if value != 0.0
-               else f"scan infimum 0.0 at lam={complex(lam[50])!r}, A={float(a[50])!r}")
-    runs = _failed_scans(monkeypatch, capsys, tmp_path, poisoned)
-    assert runs == [(1, f"error: {message}\n")] * 2
+    runs = _failed_scans(monkeypatch, capsys, tmp_path, _poisoned(value))
+    assert runs == [(1, _first_point_error(value))] * 2
 
 
 @needs_fork
@@ -635,27 +689,39 @@ def test_multiplier_report_bytes_pinned(monkeypatch, config, tmp_path, workers):
     }
 
 
-# the reports of verify-multipliers and scan-lopatinski on the default
-# config, at the default chunk sizes
+# the reports of every command but solve on the default config (verify
+# at its default seed and 10,000 samples), at the default chunk sizes; verify
+# and verify-multipliers write the same class table
 DEFAULT_DIGESTS = {
     "class_e2bc2fd638e1.csv": "1f306c1687ccef05e00dbbf2a95dc3711dc0286c6cf8494f2b998ef373e8957a",
     "multipliers_e2bc2fd638e1.json":
         "4a0f9e56ad028aaa9e9ff070eb4eae9dbd7d1b3864b1372fcc8f78cae8b712ab",
     "scan_e2bc2fd638e1.csv": "774820813204701863bb05464bc9a5542254a09c2ea8f24d11ecd45cd60d30d2",
     "scan_e2bc2fd638e1.json": "d91415d3683b775dc29fb3931c704701000cd2afb6b4cd92bcf0fb86533e01db",
+    "height_e2bc2fd638e1.csv":
+        "789430cf22ceeb9d9f83fcdede0bb34774b3579e3c7d127643e5d184735aa0c3",
+    "height_e2bc2fd638e1.json":
+        "00ae651d709f66bac88596478c03b2811659c674acc9608ff8faa67c70132f7b",
+    "decay2_e2bc2fd638e1.csv":
+        "ccc106a59a42dfc78bdbee3f0bb05c25ce46d5f6544b0e7419067a922bb90601",
+    "decay3_e2bc2fd638e1.csv":
+        "4db1036bc104d3043fa5f6cc632586726af8ceed691c2f7e3d54f0f2ad1196f2",
+    "decay_e2bc2fd638e1.json": "fae3a059929e3e42e61f1cc86b54bce791575b8095013ac2766717b7f325f83e",
+    "verify_e2bc2fd638e1.json":
+        "6fc097f77ab01a0d361c332afce0cdde1a19b5528d4841674ac09f52ef86041a",
 }
 
 
 @needs_fork
 @pytest.mark.parametrize("workers", [1, 2])
 def test_default_reports_do_not_depend_on_the_chunk_sizes(monkeypatch, tmp_path, workers):
-    # class chunks of 20,000 points and scan tasks and chunks of 50,000, far
-    # above the defaults, in this process or on the pool
+    # class chunks of 20,000 points and scan tasks of 50,000, far above the
+    # defaults, in this process or on the pool
     monkeypatch.setattr(pool, "_workers", lambda: workers)
     monkeypatch.setattr(multiplier, "_CHUNK", 20_000)
     monkeypatch.setattr(lopatinski, "_TASK_POINTS", 50_000)
-    monkeypatch.setattr(lopatinski, "_CHUNK", 50_000)
-    for command in ("verify-multipliers", "scan-lopatinski"):
+    for command in ("verify-multipliers", "scan-lopatinski", "scan-height", "kernel-decay",
+                    "verify"):
         assert main([command, "--out", str(tmp_path)]) == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in tmp_path.iterdir()} == DEFAULT_DIGESTS

@@ -128,7 +128,7 @@ class TestBetaSolve:
     def test_normal_g_amplitudes_equal_minus_q(self):
         sol = point_amplitudes(REF, P1, H1, HH1)
         assert sol["g_minus"][-1] == -sol["q_minus"]
-        fac = point_kit(REF, P1)._r_plus_factor_N()[0]
+        fac = point_kit(REF, P1)._r_plus_factor_N[0]
         assert sol["g_plus"][-1] == fac * sol["q_plus"]
 
     @pytest.mark.parametrize(
@@ -235,7 +235,7 @@ class TestCoefficientTables:
         kit = point_kit(fluid, sp)
         bp, bm = kit.bp[0], kit.bm[0]
         bsum = fluid.mu_plus * bp + fluid.mu_minus * bm
-        t_plus, t_minus = kit.t_plus()[0], kit.t_minus()[0]
+        t_plus, t_minus = kit.t_plus[0], kit.t_minus[0]
         assert rel(t_plus, -fluid.mu_minus * bm / bsum) < 1e-15
         assert rel(t_minus, fluid.mu_plus * bp / bsum) < 1e-15
         assert abs(t_minus - t_plus - 1.0) < 1e-14
@@ -257,23 +257,23 @@ class TestCoefficientTables:
         for i in range(lam.size):
             ks = SymbolKit.batch(REF, lam[i:i + 1], a[i:i + 1])
             assert rel(kb.det[i], ks.det[0]) < 5e-13
-            assert rel(kb.k_height()[i], ks.k_height()[0]) < 5e-12
-            assert rel(kb.t_plus()[i], ks.t_plus()[0]) < 5e-13
+            assert rel(kb.k_height[i], ks.k_height[0]) < 5e-12
+            assert rel(kb.t_plus[i], ks.t_plus[0]) < 5e-13
 
 
 class TestHeightSymbol:
     def test_frozen_k_o1(self):
-        assert rel(point_kit(REF, P1).k_height()[0], K_O1) < 1e-13
+        assert rel(point_kit(REF, P1).k_height[0], K_O1) < 1e-13
 
     def test_height_K_record(self):
-        k = complex(point_kit(REF, P1).k_height()[0])
+        k = complex(point_kit(REF, P1).k_height[0])
         assert rel(k, K_O1) < 1e-13
         assert not refused_heights(P1.lam, P1.a, P1.lam + k, Tolerances(), strict=True)
         assert omega3(REF) == pytest.approx(68.0 / 3.0, rel=1e-14)
 
     def test_not_invertible_raises(self):
         strict = dataclasses.replace(Tolerances(), height_inv_rel=1e10)
-        k = point_kit(REF, P1).k_height()[0]
+        k = point_kit(REF, P1).k_height[0]
         assert refused_heights(P1.lam, P1.a, P1.lam + k, strict)
         with pytest.raises(HeightNotInvertible):
             refused_heights(P1.lam, P1.a, P1.lam + k, strict, strict=True)
@@ -286,7 +286,7 @@ class TestHeightSymbol:
         # so the data-linear parts must satisfy  w_h - K*H = weighted trace.
         sol = point_amplitudes(fluid, sp, h, H)
         cs = coefficient_tables(fluid, sp)
-        k = point_kit(fluid, sp).k_height()[0]
+        k = point_kit(fluid, sp).k_height[0]
         drho = fluid.rho_minus - fluid.rho_plus
         trace = (fluid.rho_minus * sol["beta_minus"][-1]
                  - fluid.rho_plus * sol["beta_plus"][-1]) / drho
@@ -319,7 +319,7 @@ class TestHeightSymbol:
         for lam_mag in (1e-2, 1.0, 1e2):
             a = 300.0 * math.sqrt(lam_mag)
             k = complex(point_kit(REF, SpectralPoint(lam=complex(lam_mag), xi=(a,)))
-                        .k_height()[0])
+                        .k_height[0])
             assert abs(k.real / a - 17.0 / 6.0) < 0.05 * 17.0 / 6.0
             assert abs(k.imag) < 0.05 * abs(k.real)
 
@@ -333,8 +333,8 @@ class TestHeightSymbol:
         # numerator is degree 5, det is degree 4: K(s^2 lam, s A) = s K(lam, A)
         sp = SpectralPoint(lam=mag * complex(math.cos(ang), math.sin(ang)),
                            xi=(a,))
-        k1 = point_kit(REF, sp).k_height()[0]
-        k2 = point_kit(REF, sp.scaled(s)).k_height()[0]
+        k1 = point_kit(REF, sp).k_height[0]
+        k2 = point_kit(REF, sp.scaled(s)).k_height[0]
         assert rel(k2, s * k1) < 1e-12
 
 
@@ -417,7 +417,7 @@ class TestScalarBatchAgreement:
                         for m, t, _ in pts])
         a = np.array([10.0 ** la for _, _, la in pts])
         kb = SymbolKit.batch(fluid, lam, a)
-        k_batch = kb.k_height()
+        k_batch = kb.k_height
         absdet, det_ratio = det_ratios(fluid, lam, a)
         h_ratio = height_ratio(fluid, lam, a)
         for i in range(lam.size):
@@ -431,7 +431,7 @@ class TestScalarBatchAgreement:
             assert abs(det_ratio[i] - det_ratio1[0]) <= AGREE_RTOL * det_ratio1[0]
             # K is compared on the scale |lam| + A the height ratio divides
             # by, which stays positive when sigma = 0 makes K vanish
-            k_one = ks.k_height()[0]
+            k_one = ks.k_height[0]
             h_scale = abs(lam[i]) + a[i]
             assert abs(k_batch[i] - k_one) <= AGREE_RTOL * (abs(k_one) + h_scale)
             h_ratio1 = height_ratio(fluid, lam[one], a[one])[0]

@@ -22,7 +22,7 @@ from lopstokes.config import (
 )
 from lopstokes.cli import main
 from lopstokes.config import config_document, parse_config
-from lopstokes.errors import ConfigError
+from lopstokes.errors import ConfigError, EqualDensities, NonPositiveParameter
 from lopstokes.multiplier import _widened
 from lopstokes.params import FluidParams, Sector
 
@@ -267,14 +267,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="out_dir"):
             parse_config({"out_dir": 7})
 
-    @pytest.mark.parametrize("block", ["grid", "class_grid"])
-    @pytest.mark.parametrize("kw,message", [
-        ({"a_per_decade": 1e6}, "grid has 10^"),
-        ({"n_angles": 2}, "grid density too low"),
-    ], ids=["too-many-points", "too-few-angles"])
-    def test_grid_errors_name_their_block(self, block, kw, message):
-        with pytest.raises(ConfigError, match=rf"^config\.{block}: {re.escape(message)}"):
+    @pytest.mark.parametrize("block,kw,error,message", [
+        *(pytest.param(block, kw, ConfigError, message, id=f"{name}-{block}")
+          for name, kw, message in (
+              ("too-many-points", {"a_per_decade": 1e6}, "grid has 10^"),
+              ("too-few-angles", {"n_angles": 2}, "grid density too low"))
+          for block in ("class_grid", "grid")),
+        pytest.param("fluid", {"mu_plus": -1}, NonPositiveParameter,
+                     "mu_plus must be positive and finite, got -1.0", id="mu_plus-fluid"),
+        pytest.param("fluid", {"rho_minus": 1.0}, EqualDensities,
+                     "rho_plus == rho_minus == 1.0", id="equal-densities-fluid"),
+        pytest.param("sector", {"epsilon": 0}, NonPositiveParameter,
+                     "sector epsilon must lie in (0, pi/2], got 0.0", id="epsilon-sector"),
+    ])
+    def test_grid_errors_name_their_block(self, block, kw, error, message):
+        # a record's own error keeps its class and gains the key path
+        with pytest.raises(error, match=rf"^config\.{block}: {re.escape(message)}") as exc:
             parse_config({block: kw})
+        assert type(exc.value) is error
 
     def test_grid_size_error_reads_the_point_count(self):
         with pytest.raises(ConfigError) as exc:

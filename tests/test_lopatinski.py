@@ -329,7 +329,7 @@ class TestScan:
 
     def test_small_chunks_change_nothing(self, monkeypatch, tmp_path):
         want = scan_lower_bound(REF, SECTOR, SMALL_GRID, str(tmp_path / "want.csv"))
-        monkeypatch.setattr(lopatinski, "_CHUNK", 37)
+        monkeypatch.setattr(lopatinski, "_TASK_POINTS", 37)
         got = scan_lower_bound(REF, SECTOR, SMALL_GRID, str(tmp_path / "got.csv"))
         assert got == want
         rows = (tmp_path / "got.csv").read_bytes()
@@ -337,8 +337,8 @@ class TestScan:
         assert [len(row.split(b",")) for row in rows.splitlines()] == [5] * (1 + got.n_points)
 
     def test_constant_ratio_reports_the_first_point(self, monkeypatch):
-        # every point ties, in every chunk: the first grid point is the worst
-        monkeypatch.setattr(lopatinski, "_CHUNK", 37)
+        # every point ties, in every task: the first grid point is the worst
+        monkeypatch.setattr(lopatinski, "_TASK_POINTS", 37)
         monkeypatch.setattr(lopatinski, "det_ratios",
                             lambda fluid, lam, a: (np.ones(lam.size), np.full(lam.size, 0.5)))
         rep = scan_lower_bound(REF, SECTOR, SMALL_GRID, os.devnull)
@@ -346,7 +346,8 @@ class TestScan:
         assert (rep.omega, rep.worst_lam, rep.worst_a) == (0.5, lam[0], a[0])
 
     def test_first_nonfinite_point_is_named(self, monkeypatch):
-        # NaN in the sixth and the second chunk of 37: the grid-order first is named
+        # NaN in the sixth and the second task of 37 points, each splitting a
+        # magnitude of 45: the grid-order first is named
         lam, a = SMALL_GRID.points(SECTOR.epsilon)
         clean = lopatinski.det_ratios
 
@@ -356,7 +357,7 @@ class TestScan:
                 ratio[(lam_c == lam[k]) & (a_c == a[k])] = np.nan
             return absdet, ratio
 
-        monkeypatch.setattr(lopatinski, "_CHUNK", 37)
+        monkeypatch.setattr(lopatinski, "_TASK_POINTS", 37)
         monkeypatch.setattr(lopatinski, "det_ratios", poisoned)
         with pytest.raises(NonPositiveOmega,
                            match=re.escape(f"nonfinite |det L| ratio at lam={lam[50]!r}, "

@@ -8,6 +8,7 @@ give those zeros exactly, with no noise floor to hide them below.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -533,15 +534,16 @@ class TestPool:
         assert multiprocessing.active_children() == []
 
 
-MEMOISED = {"k_height", "p_plus_N", "p_minus_N", "s_plus_NN", "s_minus_NN", "p_press_N",
-            "_w_plus", "_bsum", "_r_plus_factor_N", "t_plus", "t_minus",
-            "_p_plus_core", "_p_minus_core"}
+MEMOISED = {"k_height", "s_plus_NN", "s_minus_NN", "p_press_N", "_bsum", "_r_plus_factor_N",
+            "t_plus", "t_minus", "_p_plus", "_p_minus"}
+# read off the cached (num/det L, P_N) pairs _p_plus and _p_minus
+PAIRED = {"p_plus_N", "p_minus_N"}
 
 
 class TestMemo:
     def test_memoised_symbols(self):
-        found = {name for name, fn in vars(SymbolKit).items()
-                 if callable(fn) and hasattr(fn, "__wrapped__")}
+        found = {name for name, attr in vars(SymbolKit).items()
+                 if isinstance(attr, functools.cached_property)}
         assert found == MEMOISED
 
     @pytest.mark.parametrize("fluid", [REF, *STRESS_PARAM_SETS])
@@ -551,15 +553,16 @@ class TestMemo:
         a = 10.0 ** rng.uniform(-4, 4, 64)
 
         # warm kit: every symbol twice, the composite ones first, so the
-        # parts they memoise are asked for again directly
-        names = sorted(MEMOISED, key=lambda n: (not n.startswith("_"), n))
+        # parts they cache are asked for again directly
+        names = sorted(MEMOISED | PAIRED, key=lambda n: (not n.startswith("_"), n))
         warm = SymbolKit.batch(fluid, lam, a)
-        got = {n: getattr(warm, n)() for n in reversed(names)}
-        assert all(getattr(warm, n)() is got[n] for n in names)
+        got = {n: getattr(warm, n) for n in reversed(names)}
+        assert all(getattr(warm, n) is got[n] for n in names)
 
+        # cold kit: every symbol a plain property, evaluated afresh on each read
         for name in MEMOISED:
-            monkeypatch.setattr(SymbolKit, name, getattr(SymbolKit, name).__wrapped__)
+            monkeypatch.setattr(SymbolKit, name, property(vars(SymbolKit)[name].func))
         cold = SymbolKit.batch(fluid, lam, a)
         for name in names:
-            want = getattr(cold, name)()
+            want = getattr(cold, name)
             assert np.asarray(got[name]).tobytes() == np.asarray(want).tobytes(), name
