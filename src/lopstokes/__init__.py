@@ -49,7 +49,7 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("params", "FluidParams Sector"),
-        ("symbols", "char_roots_batch exp_diff_quot_batch"),
+        ("symbols", "char_roots_batch"),
         ("lopatinski", "ScanReport asymptotic_report omega1 omega2 scan_lower_bound"),
         ("coefficients", "HeightCurve HeightScanReport SymbolKit height_curve "
                          "height_scan omega3 omega4_formula slope_limit"),

@@ -36,14 +36,12 @@ __all__ = [
     "MAX_GRID_POINTS",
 ]
 
-# The most points a GridSpec may lay out.  The multiplier classes keep the
-# point columns of a class grid whole (lam, A, xi_1, xi_2 and the bound scale
-# per point and direction, about 100 bytes a point), so 10^7 points come to
-# about a gigabyte; the scans hold a task or a magnitude of points at a time,
-# but write a CSV row per point (about 95 bytes), a gigabyte of report.  The
-# bound admits the default scan grid (190,333 points) fifty times over, and
-# turns an absurd density or angle count into a ConfigError (exit 65)
-# instead of a failed allocation.
+# The most points a GridSpec may lay out.  No consumer holds a whole grid's
+# point columns, only a scan task, a magnitude or a class chunk at a time,
+# so the bound checks the count and caps the scan CSV, a row per point
+# (about 95 bytes, a gigabyte at 10^7 points).  It admits the default scan
+# grid (190,333 points) fifty times over, and turns an absurd density or
+# angle count into a ConfigError (exit 65) before any work starts.
 MAX_GRID_POINTS = 10**7
 
 
@@ -153,8 +151,10 @@ class GridSpec:
         return np.linspace(-span, span, self.n_angles)
 
     def points(self, epsilon: float, mags: np.ndarray | None = None,
-               avals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (lam, a) arrays in deterministic order (mag, angle, a).
+               avals: np.ndarray | None = None,
+               index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, a) of only the points at the flat indices index of the grid
+        order (mag, angle, a); of the whole grid when index is None.
 
         mags and avals replace the grid's |lambda| and A values (lam_mags()
         and a_vals() by default), so a caller can lay out one magnitude, a
@@ -163,12 +163,11 @@ class GridSpec:
         import numpy as np
 
         mags = self.lam_mags() if mags is None else mags
-        angs = self.angles(epsilon)
         avals = self.a_vals() if avals is None else avals
-        lam = (mags[:, None] * np.exp(1j * angs)[None, :]).reshape(-1)
-        lam_full = np.repeat(lam, avals.size)
-        a_full = np.tile(avals, lam.size)
-        return lam_full, a_full
+        shape = (mags.size, self.n_angles, avals.size)
+        index = np.arange(math.prod(shape)) if index is None else index
+        m, j, k = np.unravel_index(index, shape)
+        return mags[m] * np.exp(1j * self.angles(epsilon))[j], avals[k]
 
 
 def _axis_len(lo: float, hi: float, per_decade: int):

@@ -21,10 +21,10 @@ as the minimum over one pass of the GridSpec scan grid, run as tasks of
 consecutive grid points on the shared process pool (pool.run), each
 evaluated in one det_ratios call and returning its least ratio and its rows
 of the scan CSV, and asymptotic_report measures the distance to the two
-limits.  No process holds the whole grid: each task lays out the magnitudes
-it covers, and the caller keeps only the least ratio so far and the rows
-not yet written.  Both only measure: the scan-lopatinski command judges the
-results.
+limits.  No process holds the whole grid: each task lays out only its own
+points (GridSpec.points at their flat indices), and the caller keeps only
+the least ratio so far and the rows not yet written.  Both only measure:
+the scan-lopatinski command judges the results.
 """
 
 from __future__ import annotations
@@ -186,16 +186,12 @@ _REGIME_RATIO = 100.0
 
 def _scan_task(task) -> tuple:
     """(ratio, lam, A, rows) of the scan grid points [i, j) in grid order,
-    task = (i, j), sliced from the magnitudes they cover as GridSpec.points
-    lays them out and evaluated in one det_ratios call: the first nonfinite
-    ratio and its point if there is one, else the least ratio and the first
-    point attaining it; rows is the scan CSV text of the points."""
-    fluid, epsilon, grid, mags, per_mag = pool.work()
-    start, stop = task
-    first, last = start // per_mag, (stop - 1) // per_mag
-    lam, a = grid.points(epsilon, mags[first:last + 1])
-    skip = first * per_mag
-    lam, a = lam[start - skip:stop - skip], a[start - skip:stop - skip]
+    task = (i, j), laid out by GridSpec.points and evaluated in one
+    det_ratios call: the first nonfinite ratio and its point if there is
+    one, else the least ratio and the first point attaining it; rows is the
+    scan CSV text of the points."""
+    fluid, epsilon, grid = pool.work()
+    lam, a = grid.points(epsilon, index=np.arange(*task))
     absdet, ratio = det_ratios(fluid, lam, a)
     k = int(np.argmin(np.where(np.isfinite(ratio), ratio, -np.inf)))
     return ratio[k], lam[k], a[k], reports.scan_rows(lam, a, absdet, ratio)
@@ -212,16 +208,15 @@ def scan_lower_bound(
     The infimum is empirical: the grid minimum, taken at the first point in
     grid order that attains it.  The grid is evaluated once, as tasks of
     _TASK_POINTS consecutive grid points (a task may split a magnitude) on
-    the shared process pool (pool.run); each task evaluates its own points
-    in one call (_scan_task), so no process holds the whole grid.  The
+    the shared process pool (pool.run); each task lays out and evaluates
+    only its own points, in one call (_scan_task), so no process holds more
+    than a task of points, whatever the size of a magnitude.  The
     results are folded here in grid order and their rows are written to
     csv_path as they come.  Raises NonPositiveOmega at the first nonfinite
     ratio in grid order, or if the minimum is not strictly positive;
     csv_path is then partly written.
     """
-    mags = grid.lam_mags()
-    per_mag = grid.n_angles * grid.a_vals().size
-    n_points = mags.size * per_mag
+    n_points = grid.lam_mags().size * grid.n_angles * grid.a_vals().size
     tasks = [(i, min(i + _TASK_POINTS, n_points)) for i in range(0, n_points, _TASK_POINTS)]
     # the least ratio so far and its point, the first in grid order on a tie
     worst = []
@@ -234,7 +229,7 @@ def scan_lower_bound(
                 worst[:] = ratio, lam, a
             yield rows
 
-    with pool.run((fluid, sector.epsilon, grid, mags, per_mag)) as run:
+    with pool.run((fluid, sector.epsilon, grid)) as run:
         reports.write_scan_rows(csv_path, folded(run(_scan_task, tasks)))
     omega, worst_lam, worst_a = float(worst[0]), complex(worst[1]), float(worst[2])
     if not omega > 0.0:

@@ -69,15 +69,15 @@ handed to the workers when it is called: the side function if any, as a
 one-task map, then the degree test of each floor group and then the
 chunks of every group, route and point set, so with two workers one runs
 the side function while the other starts on the claims.  The workers
-inherit the side function, the claims and the axes of each point set and
-build the point columns (and the orbit index of a grid) they evaluate,
-and only task indices, verdicts, per-chunk maxima and the side result
-cross between processes.  With one core, without fork or with other
-threads alive, each map runs in-process as it is taken, so the side
-function runs last, after the claims.  A constant is a
-maximum of pointwise values, so it depends neither on the chunk size nor
-on the worker count or the order in which chunks finish, and peak memory
-does not grow with the grid.
+inherit the side function, the claims and the axes of each point set,
+lay out only the points each chunk evaluates (and build the orbit index of
+a grid), and only task indices, verdicts, per-chunk maxima and the side
+result cross between processes.  With one core, without fork or with
+other threads alive, each map runs in-process as it is taken, so the side
+function runs last, after the claims.  A constant is a maximum of
+pointwise values, so it depends neither on the chunk size nor on the
+worker count or the order in which chunks finish, and peak memory does
+not grow with the grid.
 """
 
 from __future__ import annotations
@@ -253,11 +253,13 @@ def _orbit_axes(grid: GridSpec, lam_floor: float):
 
 class _Points:
     """One flattened point set: the points of a class grid's angles on the
-    given (|lambda|, A) axes, each once per frequency direction.
+    given (|lambda|, A) axes, each once per frequency direction.  Index i
+    is grid point i // len(_DIRECTIONS) in direction i % len(_DIRECTIONS).
 
-    chunk() builds the jets of one _CHUNK of points and judges the claims it
-    is given on them, so memory is set by the chunk, not the point set.  A
-    3-D set holds its orbit image as image, onto which scaled_chunk() maps.
+    chunk() lays out one _CHUNK of points, builds their jets and judges the
+    claims it is given on them, so memory is set by the chunk, not the
+    point set.  A 3-D set holds its orbit image as image, onto which
+    scaled_chunk() maps.
     """
 
     def __init__(self, fluid: FluidParams, sector: Sector, grid: GridSpec, axes,
@@ -266,13 +268,12 @@ class _Points:
         self.image = image
         self.n = axes[0].size * grid.n_angles * axes[1].size * len(_DIRECTIONS)
 
-    @cached_property
-    def columns(self):
-        """lam, A, xi_1, xi_2 and the bound scale per point, built in the
-        process that first evaluates the set (a pool worker)."""
-        lam, a = (np.repeat(v, len(_DIRECTIONS))
-                  for v in self.grid.points(self.sector.epsilon, *self.axes))
-        d = np.tile(_DIRECTIONS, (lam.size // len(_DIRECTIONS), 1))
+    def columns(self, index):
+        """lam, A, xi_1, xi_2 and the bound scale at the point indices index,
+        and at no other point."""
+        lam, a = self.grid.points(self.sector.epsilon, *self.axes,
+                                  index=index // len(_DIRECTIONS))
+        d = np.array(_DIRECTIONS)[index % len(_DIRECTIONS)]
         return lam, a, a * d[:, 0], a * d[:, 1], np.sqrt(np.abs(lam)) + a
 
     @cached_property
@@ -295,7 +296,7 @@ class _Points:
     def chunk(self, start: int, claims) -> np.ndarray:
         """The max of |derivative|/bound over the _CHUNK points from start,
         over (claim, key) in _KEYS order."""
-        lam, a, xi1, xi2, scale = (c[start:start + _CHUNK] for c in self.columns)
+        lam, a, xi1, xi2, scale = self.columns(np.arange(start, min(start + _CHUNK, self.n)))
         args = _jet_args(self.fluid, lam, xi1, xi2)
         return np.array([_top(cl, cl.symbol(*args), lam, a, scale) for cl in claims])
 
@@ -314,7 +315,7 @@ class _Points:
         for sub in range(lo, hi, _CHUNK):
             which = slice(sub, min(sub + _CHUNK, hi))
             j = images[which] - start
-            lam, a, xi1, xi2, scale = (c[order[which]] for c in self.columns)
+            lam, a, xi1, xi2, scale = self.columns(order[which])
             r = np.sqrt(np.abs(lam))
             powers = {d: _powers(r, d) for d in {1.0, *(cl.degree for cl in claims)}}
             lam_j, a_j, _ = _coordinates(lam, xi1, xi2)
@@ -329,7 +330,8 @@ class _Points:
         """The numerator jets of the claims and the jet of K at the _block()
         image points from start; the kit that evaluates them is freed on
         return, before the fan-out."""
-        lam, _, xi1, xi2, _ = (c[start:start + _block()] for c in self.image.columns)
+        image = self.image
+        lam, _, xi1, xi2, _ = image.columns(np.arange(start, min(start + _block(), image.n)))
         kit, i1 = _jet_args(self.fluid, lam, xi1, xi2)
         return [cl.fn(kit, i1) for cl in claims], kit.k_height
 
@@ -345,8 +347,8 @@ class _Points:
         chunk; the jets are elementwise, so no value depends on its batch.
         A part that has failed is not evaluated again.
         """
-        lam, _, xi1, xi2, _ = self.columns
         n, step = min(self.n, _CHUNK), max(1, _CHUNK // (1 + len(_SCALINGS)))
+        lam, _, xi1, xi2, _ = self.columns(np.arange(n))
         holds = [True] * len(parts)
         for start in range(0, n, step):
             sl = slice(start, min(start + step, n))

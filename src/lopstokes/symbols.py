@@ -27,7 +27,6 @@ __all__ = [
     "check_roots",
     "check_det",
     "root_radicands",
-    "exp_diff_quot_batch",
 ]
 
 CONFLUENT_SWITCH = 1e-4
@@ -78,8 +77,10 @@ def check_det(det, lam, a) -> None:
         )
 
 
-def exp_diff_quot_batch(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Stable (exp(b*x) - exp(a*x)) / (b - a), broadcasting a, b and x.
+def _exp_diff_quot(a, b, x, ea, eb) -> np.ndarray:
+    """Stable (exp(b*x) - exp(a*x)) / (b - a) from complex a and b, float x
+    and the exponentials ea = exp(a*x) and eb = exp(b*x) the caller already
+    holds, broadcasting all five.
 
     Where |b - a| < CONFLUENT_SWITCH * |b + a| and |(b - a) x| < 1 the
     quotient is evaluated as
@@ -91,15 +92,6 @@ def exp_diff_quot_batch(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarr
     |(b - a) x| = 1 the series terms grow before they fall and can
     overflow, while the direct formula has lost no accuracy there.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.float64)
-    return _exp_diff_quot(a, b, x, np.exp(a * x), np.exp(b * x))
-
-
-def _exp_diff_quot(a, b, x, ea, eb) -> np.ndarray:
-    """exp_diff_quot_batch from complex a and b, float x and the
-    exponentials ea = exp(a*x) and eb = exp(b*x) a caller already holds."""
     a, b, x, ea, eb = np.broadcast_arrays(a, b, x, ea, eb)
     d = b - a
     s = b + a

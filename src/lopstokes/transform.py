@@ -113,13 +113,6 @@ class PhysicalField:
             raise ValueError(f"samples shape {samples.shape} != {want}")
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def dim(self) -> int:
-        return len(self.grid_shape) + 1
-
-    def level(self, i: int) -> np.ndarray:
-        return self.samples[i]
-
 
 def _clean_zero_mode(spec: np.ndarray, name: str, tol: Tolerances) -> np.ndarray:
     zero = (0,) * spec.ndim
@@ -171,10 +164,6 @@ class PhysicalSolution:
     height: PhysicalField
     modes: np.ndarray
     residuals: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.pressure.dim
 
     def worst_residuals(self) -> tuple[float, float]:
         """Largest (ODE, interface) residual over the modes; NaN if any is NaN."""

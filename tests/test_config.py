@@ -9,6 +9,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lopstokes.config import (
     MAX_GRID_POINTS,
@@ -23,6 +25,7 @@ from lopstokes.config import (
 from lopstokes.cli import main
 from lopstokes.config import config_document, parse_config
 from lopstokes.errors import ConfigError, EqualDensities, NonPositiveParameter
+from lopstokes import multiplier
 from lopstokes.multiplier import _widened
 from lopstokes.params import FluidParams, Sector
 
@@ -81,6 +84,44 @@ class TestGridSpec:
         assert g.lam_mags().size == 13
         assert g.lam_mags()[0] == pytest.approx(1e-2, rel=1e-12)
         assert g.lam_mags()[-1] == pytest.approx(1e2, rel=1e-12)
+
+    @pytest.mark.parametrize("axes", ["own", "grid", "orbit"])
+    @pytest.mark.parametrize("order", ["range", "permutation", "empty"])
+    @settings(max_examples=15)
+    @given(layout=st.data())
+    def test_indexed_points_are_the_whole_layout_there(self, axes, order, layout):
+        # a random grid on its own axes or those a multiplier point set lays
+        # it out on, at a range, at an unsorted part of a permutation (as a
+        # scaled chunk takes its points) or at no index
+        draw = layout.draw
+        lam_min, a_min = (10.0 ** draw(st.floats(-4.0, 4.0)) for _ in "la")
+        grid = GridSpec(lam_min=lam_min, lam_max=lam_min * 10.0 ** draw(st.floats(0.1, 3.0)),
+                        lam_per_decade=draw(st.integers(1, 4)), n_angles=draw(st.integers(3, 9)),
+                        a_min=a_min, a_max=a_min * 10.0 ** draw(st.floats(0.1, 3.0)),
+                        a_per_decade=draw(st.integers(1, 4)))
+        eps = draw(st.floats(1e-3, math.pi / 2))
+        floor = draw(st.sampled_from((0.0, math.sqrt(grid.lam_min * grid.lam_max))))
+        axes = {"own": (), "grid": multiplier._grid_axes(grid, floor),
+                "orbit": multiplier._orbit_axes(grid, floor)}[axes]
+        mags, avals = axes or (grid.lam_mags(), grid.a_vals())
+        n = mags.size * grid.n_angles * avals.size
+        if order == "range":
+            start = draw(st.integers(0, n - 1))
+            index = np.arange(start, draw(st.integers(start + 1, n)))
+        elif order == "permutation":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            index = rng.permutation(n)[:draw(st.integers(1, n))]
+        else:
+            index = np.arange(0)
+        # the grid order (mag, angle, a), laid out whole by repeat and tile
+        lam = (mags[:, None] * np.exp(1j * grid.angles(eps))[None, :]).reshape(-1)
+        want = np.repeat(lam, avals.size), np.tile(avals, lam.size)
+        whole = grid.points(eps, *axes)
+        got = grid.points(eps, *axes, index=index)
+        # bit for bit: -0.0 and NaN payloads count
+        for w, v, g in zip(want, whole, got):
+            assert np.array_equal(v.view(np.int64), w.view(np.int64))
+            assert np.array_equal(g.view(np.int64), v[index].view(np.int64))
 
     def test_points_order(self):
         g = GridSpec(lam_min=1.0, lam_max=10.0, lam_per_decade=1, n_angles=3,

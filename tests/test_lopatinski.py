@@ -10,6 +10,7 @@ import cmath
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from lopstokes import (
     omega2,
     scan_lower_bound,
 )
-from lopstokes import lopatinski
+from lopstokes import lopatinski, pool
 from lopstokes.coefficients import SymbolKit
 from lopstokes.config import GridSpec, REFERENCE_PARAMS
 from lopstokes.errors import NonPositiveOmega
@@ -335,6 +336,27 @@ class TestScan:
         rows = (tmp_path / "got.csv").read_bytes()
         assert rows == (tmp_path / "want.csv").read_bytes()
         assert [len(row.split(b",")) for row in rows.splitlines()] == [5] * (1 + got.n_points)
+
+    def test_peak_memory_does_not_grow_with_the_magnitude(self, monkeypatch):
+        # one magnitude of 14,641 and 58,564 points (4x), in tasks of 1,024:
+        # a task lays out its own points, not the magnitude it splits, so
+        # the task sets the peak.  tracemalloc sees this process only, so
+        # the tasks run here rather than in pool workers.
+        monkeypatch.setattr(pool, "_workers", lambda: 1)
+        monkeypatch.setattr(lopatinski, "_TASK_POINTS", 1024)
+        peaks = []
+        for n_angles in (121, 484):
+            grid = GridSpec(lam_min=1.0, lam_max=1.0000001, lam_per_decade=1,
+                            n_angles=n_angles)
+            assert grid.lam_mags().size == 1
+            tracemalloc.start()
+            try:
+                rep = scan_lower_bound(REF, SECTOR, grid, os.devnull)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rep.n_points == n_angles * grid.a_vals().size
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_constant_ratio_reports_the_first_point(self, monkeypatch):
         # every point ties, in every task: the first grid point is the worst

@@ -75,8 +75,8 @@ class TestCalibration:
         assert all(rep.constants[(k, 1)] == 0.0 for k in KAPPAS)
         # on the (1,0) direction (the even points) d_xi1, d_xi2, d_xi1^2 and
         # d_xi1 d_xi2 of i xi_1 / A vanish, and the jet coefficients are 0.0
-        lam, _, xi1, xi2, _ = multiplier._Points(
-            REF, SECTOR, SMALL, multiplier._grid_axes(SMALL, 0.0)).columns
+        points = multiplier._Points(REF, SECTOR, SMALL, multiplier._grid_axes(SMALL, 0.0))
+        lam, _, xi1, xi2, _ = points.columns(np.arange(points.n))
         kit, i1 = multiplier._jet_args(REF, lam, xi1, xi2)
         d = multiplier._derivatives(i1 / kit.a, lam.imag)
         zeros = [KAPPAS.index(k) for k in ("10", "01", "20", "11")]
@@ -219,7 +219,7 @@ class TestClaimTable:
 
 def _orbit_keys(points: multiplier._Points, angles):
     """(angle index, direction index, u = A/sqrt|lambda|) of every point."""
-    lam, a, xi1, xi2, _ = points.columns
+    lam, a, xi1, xi2, _ = points.columns(np.arange(points.n))
     assert lam.size == points.n
     ang = np.angle(lam)
     j = np.abs(ang[:, None] - angles[None, :]).argmin(axis=1)
@@ -242,7 +242,7 @@ class TestOrbit:
         full = multiplier._Points(REF, SECTOR, grid, multiplier._grid_axes(grid, floor))
         orbit = multiplier._Points(REF, SECTOR, grid, multiplier._orbit_axes(grid, floor))
         assert orbit.n == n_orbit
-        assert np.allclose(np.abs(orbit.columns[0]), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(np.abs(orbit.columns(np.arange(orbit.n))[0]), 1.0, rtol=0, atol=1e-15)
         gj, gd, gu = _orbit_keys(full, angles)
         oj, od, ou = _orbit_keys(orbit, angles)
         assert set(zip(gj, gd)) == set(zip(oj, od))

@@ -77,7 +77,7 @@ def test_verify_leaves_scipy_out(tmp_path):
 # the package's exports before they were loaded lazily
 EXPORTS = {
     "__version__", "FluidParams", "Sector", "REFERENCE_PARAMS", "STRESS_PARAM_SETS",
-    "char_roots_batch", "exp_diff_quot_batch",
+    "char_roots_batch",
     "ScanReport", "asymptotic_report", "omega1", "omega2", "scan_lower_bound",
     "HeightCurve", "HeightScanReport", "SymbolKit", "height_curve", "height_scan",
     "omega3", "omega4_formula", "slope_limit",

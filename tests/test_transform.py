@@ -105,9 +105,9 @@ class TestPhysicalField:
     def test_accessors(self):
         f = PhysicalField(box_lengths=BOX, grid_shape=SHAPE, x_levels=(0.0, 1.0),
                           samples=np.ones((2, 16)))
-        assert f.dim == 2
+        assert f.grid_shape == SHAPE
         assert f.x_levels == (0.0, 1.0)
-        assert np.all(f.level(1) == 1.0)
+        assert np.all(f.samples[1] == 1.0)
 
 
 class TestSolvePhysical:
@@ -137,18 +137,18 @@ class TestSolvePhysical:
         worst = 0.0
         for j in range(2):
             for i, x in enumerate(levels):
-                worst = max(worst, rel_err(sol.u_plus[j].level(i),
+                worst = max(worst, rel_err(sol.u_plus[j].samples[i],
                                            ref.u_plus[j](x) * pw))
-                worst = max(worst, rel_err(sol.u_minus[j].level(i),
+                worst = max(worst, rel_err(sol.u_minus[j].samples[i],
                                            ref.u_minus[j](-x) * pw))
         for i, x in enumerate(levels):
-            worst = max(worst, rel_err(sol.pressure.level(i),
+            worst = max(worst, rel_err(sol.pressure.samples[i],
                                        ref.pressure(-x) * pw))
-        worst = max(worst, rel_err(sol.height.level(0),
+        worst = max(worst, rel_err(sol.height.samples[0],
                                    ref.H[0] * pw))
         assert worst < TEST_TOL.single_mode
         assert sol.mode == "explicit-H"
-        assert sol.dim == 2
+        assert sol.pressure.grid_shape == SHAPE
         assert 3 in sol.modes
         ode_worst, iface_worst = sol.worst_residuals()
         assert ode_worst < TEST_TOL.ode_residual
@@ -165,12 +165,12 @@ class TestSolvePhysical:
         sp = SpectralPoint(lam=LAM, xi=(2.0, -1.5))
         ref = solve_point(REF, sp, h, d, "kinematic")
         assert sol.mode == "kinematic"
-        assert sol.dim == 3
-        assert rel_err(sol.height.level(0), ref.H[0] * pw) < TEST_TOL.single_mode
+        assert sol.pressure.grid_shape == shape
+        assert rel_err(sol.height.samples[0], ref.H[0] * pw) < TEST_TOL.single_mode
         for j in range(3):
-            assert rel_err(sol.u_plus[j].level(0), ref.u_plus[j](0.5) * pw) < TEST_TOL.single_mode
-            assert rel_err(sol.u_minus[j].level(0), ref.u_minus[j](-0.5) * pw) < TEST_TOL.single_mode
-        assert rel_err(sol.pressure.level(0), ref.pressure(-0.5) * pw) < TEST_TOL.single_mode
+            assert rel_err(sol.u_plus[j].samples[0], ref.u_plus[j](0.5) * pw) < TEST_TOL.single_mode
+            assert rel_err(sol.u_minus[j].samples[0], ref.u_minus[j](-0.5) * pw) < TEST_TOL.single_mode
+        assert rel_err(sol.pressure.samples[0], ref.pressure(-0.5) * pw) < TEST_TOL.single_mode
         ode_worst, iface_worst = sol.worst_residuals()
         assert ode_worst < TEST_TOL.ode_residual
         assert iface_worst < TEST_TOL.interface_residual
@@ -189,8 +189,8 @@ class TestSolvePhysical:
             ref = solve_point(REF, sp, (amp,), ctop)
             want_h += ref.H[0] * pw
             want_u += ref.u_plus[1](0.2) * pw
-        assert rel_err(sol.height.level(0), want_h) < TEST_TOL.single_mode
-        assert rel_err(sol.u_plus[1].level(0), want_u) < TEST_TOL.single_mode
+        assert rel_err(sol.height.samples[0], want_h) < TEST_TOL.single_mode
+        assert rel_err(sol.u_plus[1].samples[0], want_u) < TEST_TOL.single_mode
 
     def test_zero_data(self):
         z = np.zeros(SHAPE, dtype=complex)
@@ -219,7 +219,7 @@ class TestSolvePhysical:
             dirty = solve_physical(REF, LAM, [pw + 1e-13], 0.3 * pw, "explicit-H", BOX,
                                    (0.0,))
         clean = solve_physical(REF, LAM, [pw], 0.3 * pw, "explicit-H", BOX, (0.0,))
-        assert rel_err(dirty.height.level(0), clean.height.level(0)) < 1e-12
+        assert rel_err(dirty.height.samples[0], clean.height.samples[0]) < 1e-12
 
     def test_short_box_warning(self):
         # at lam = 0.01 the slowest kernel decay length is ~14, far beyond 2*pi
