@@ -56,8 +56,10 @@ also when an energy probe raises an error, which the report records);
 verify-multipliers alone exits with its bitmask value 2; the
 scan and decay commands exit 1 when their certification fails, and `solve`
 exits 1, after writing its outputs, when its worst ODE or interface residual
-is above fuzz_residual or NaN; 66 when a file cannot be read or written (a
-missing solve field file, an unwritable --out); 71
+is above fuzz_residual or NaN; a kinematic `solve` only advises on its height
+scan, also when no scanned magnitude gives a cutoff, and exits 65 when
+lambda + K degenerates at one of its modes; 66 when a file cannot be read or
+written (a missing solve field file, an unwritable --out); 71
 (EX_OSERR) when a worker of the shared process pool dies (one evaluating
 the multiplier classes or the determinant scan, or the one running the
 `verify` fuzz), for example killed by the OOM killer.
@@ -351,11 +353,15 @@ def cmd_solve(cfg: RunConfig, tol: Tolerances, out: str, tag: str, data_args) ->
         # the magnitudes from the one at or below |lambda| up decide the advisory
         mags = cfg.grid.lam_mags()
         mags = mags[max(0, mags.searchsorted(abs(lam), "right") - 1):]
-        lam0 = height_curve(cfg.fluid, cfg.sector, cfg.grid, mags).cutoff(tol.height_floor)
-        if abs(lam) < lam0:
-            print(f"advisory: |lambda| = {abs(lam):.3e} is below the certified "
-                  f"height cutoff lambda0 = {lam0:.3e}; the kinematic inversion "
-                  "is not covered by the scanned bound there", file=sys.stderr)
+        try:
+            lam0 = height_curve(cfg.fluid, cfg.sector, cfg.grid, mags).cutoff(tol.height_floor)
+            gap = (f"|lambda| = {abs(lam):.3e} is below the certified height cutoff "
+                   f"lambda0 = {lam0:.3e}") if abs(lam) < lam0 else None
+        except NoCutoffFound as exc:    # advice too: the solve goes on
+            gap = f"no scanned magnitude certifies the height bound ({exc})"
+        if gap:
+            print(f"advisory: {gap}; the kinematic inversion is not covered by the "
+                  "scanned bound there", file=sys.stderr)
 
     sol = solve_physical(cfg.fluid, lam, fields[:-1], fields[-1], mode, box,
                          x_levels=tuple(float(x) for x in sv["x_levels"]), tol=tol)

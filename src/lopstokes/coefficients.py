@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lopatinski
 from .config import GridSpec, Tolerances
 from .errors import HeightNotInvertible, NoCutoffFound
 from .lopatinski import (
@@ -416,21 +417,32 @@ class HeightCurve:
 
 def height_curve(fluid: FluidParams, sector: Sector, grid: GridSpec,
                  mags: np.ndarray | None = None) -> HeightCurve:
-    """Evaluate the height ratio on the scan grid, one magnitude at a time;
-    mags, increasing, replaces the grid's |lambda| values (lam_mags())."""
+    """Evaluate the height ratio on the scan grid, one magnitude at a time,
+    in runs of at most lopatinski._TASK_POINTS points (read per call), so no
+    process holds more than a scan task of points; mags, increasing,
+    replaces the grid's |lambda| values (lam_mags()).  A magnitude keeps
+    the point np.argmin picks over it whole: its first NaN ratio, else its
+    first least ratio."""
     mags = grid.lam_mags() if mags is None else mags
+    avals = grid.a_vals()
+    per_mag = grid.n_angles * avals.size
+    run = lopatinski._TASK_POINTS
     per_min = np.empty(mags.size)
     worst = []
-    n_points = 0
     for i in range(mags.size):
-        lam, a = grid.points(sector.epsilon, mags[i:i + 1])
-        ratio = height_ratio(fluid, lam, a)
-        k = int(np.argmin(ratio))
-        per_min[i] = float(ratio[k])
-        worst.append((complex(lam[k]), float(a[k])))
-        n_points += lam.size
+        picks = []
+        for start in range(0, per_mag, run):
+            lam, a = grid.points(sector.epsilon, mags[i:i + 1], avals,
+                                 np.arange(start, min(start + run, per_mag)))
+            ratio = height_ratio(fluid, lam, a)
+            k = int(np.argmin(ratio))
+            picks.append((ratio[k], complex(lam[k]), float(a[k])))
+        # np.argmin over the runs' picks is its pick over the whole magnitude
+        ratio, lam, a = picks[int(np.argmin([p[0] for p in picks]))]
+        per_min[i] = float(ratio)
+        worst.append((lam, a))
     return HeightCurve(mags=mags, per_min=per_min, worst=tuple(worst),
-                       n_points=n_points)
+                       n_points=mags.size * per_mag)
 
 
 def height_scan(

@@ -37,11 +37,12 @@ __all__ = [
 ]
 
 # The most points a GridSpec may lay out.  No consumer holds a whole grid's
-# point columns, only a scan task, a magnitude or a class chunk at a time,
-# so the bound checks the count and caps the scan CSV, a row per point
-# (about 95 bytes, a gigabyte at 10^7 points).  It admits the default scan
-# grid (190,333 points) fifty times over, and turns an absurd density or
-# angle count into a ConfigError (exit 65) before any work starts.
+# point columns, only a run of at most a scan task's points (a scan task or
+# a run of one height magnitude) or a class chunk at a time, so the bound
+# checks the count and caps the scan CSV, a row per point (about 95 bytes,
+# a gigabyte at 10^7 points).  It admits the default scan grid (190,333
+# points) fifty times over, and turns an absurd density or angle count into
+# a ConfigError (exit 65) before any work starts.
 MAX_GRID_POINTS = 10**7
 
 

@@ -19,28 +19,27 @@ the A = 0 root scale min Re sqrt(rho lambda / mu~), taken from
 char_roots_batch at A = 0.  Boxes shorter than ten of those decay lengths
 trigger a warning rather than an error.
 
-kernel_decay_check measures the decay envelope of the damped height kernel;
-the kernel-decay command judges it with DecayReport.passed.  That kernel is
-real and even: its symbol depends on xi' only through A = |xi'|, so the
-envelope builds only the quarter spectrum, the non-negative frequencies of
-every axis, and inverts each axis with a real-input irfft whose first
-n//2 + 1 outputs are the whole kernel up to mirror images (a type-I DCT).
-The multiplier ell must be elementwise and real-valued: it is called on each
-column slab of the quarter-spectrum array of A at each level.  Each
-envelope builds the symbol a column slab at a time into one real work
-array per level, inverts it a slab at a time and folds every slab into the
-sup of |k| and the dyadic shells, each quarter-grid sample weighted by the
-interior grid points it stands for, so no whole-level symbol, no complex
-spectrum and no whole real kernel is ever held.
+kernel_decay_check measures the decay envelope of the damped height kernel
+k = F^{-1}[sqrt(1+A^2) exp(-x_N sqrt(1+A^2))] on the fixed grids and levels
+of the module constants _GRIDS and _LEVELS; the kernel-decay command judges
+it with DecayReport.passed.  That kernel is real and even: its symbol
+depends on xi' only through A = |xi'|, so the envelope builds only the
+quarter spectrum, the non-negative frequencies of every axis, and inverts
+each axis with a real-input irfft whose first n//2 + 1 outputs are the
+whole kernel up to mirror images (a type-I DCT).  Each envelope builds the
+symbol a column slab at a time into one real work array per level, inverts
+it a slab at a time and folds every slab into the sup of |k| and the dyadic
+shells, each quarter-grid sample weighted by the interior grid points it
+stands for, so no whole-level symbol, no complex spectrum and no whole real
+kernel is ever held.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -263,10 +262,6 @@ def solve_physical(
 # Kernel decay
 
 
-def default_ell(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(1.0 + a ** 2)
-
-
 @dataclass(frozen=True)
 class DecayReport:
     """Dyadic-shell envelope of |k(x)| |x|^N for the damped height kernel."""
@@ -316,30 +311,37 @@ def _dyadic_shells(samples, r_lo: float, r_hi: float) -> list[tuple[float, float
 
 
 # kernel rows, and symbol columns, per irfft call of the envelope: 64 rows
-# of the largest default grid (2n = 1024) are 0.5 MB, against 2.1 MB for the
+# of the largest grid (2n = 1024) are 0.5 MB, against 2.1 MB for the
 # quarter-spectrum work array
 _SLAB = 64
 
+# (n, box) of the checked grid of each dimension: spacing box/n = 1/16 (see
+# kernel_decay_check); the drifts rerun it at (2n, box) and (2n, 2 box)
+_GRIDS = {2: (1024, 64.0), 3: (512, 32.0)}
 
-def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
-                     levels: tuple[float, ...]):
+# the x_N levels of the check, each the double of the one before
+_LEVELS = (0.5, 1.0, 2.0)
+
+
+def _kernel_envelope(dim: int, n: int, box: float):
     """(shell list, envelope constant, per-level grid sup of |k|).
 
     The symbol depends on xi' only through A, so it is real and even in
     every axis and lives on the quarter spectrum: m = n//2 + 1 non-negative
     frequencies per axis.  A real even sequence has a real even inverse, so
     each axis is inverted by irfft and keeps output indices 0..n//2, the
-    rest being their mirror images.  At each level the symbol is built
-    _SLAB columns at a time, A and ell(A) included, and each column slab
-    goes straight into the leading-axis irfft (at dim 3, into the kernel-row
-    buffer) whose first m rows refill one real m**(d-1) x m work array; the
-    last axis is then inverted _SLAB rows at a time into that reused real
-    buffer.  Each row slab folds into the grid sup of |k| and, through r
-    and |k| r^N on its interior rows, into the dyadic shells; quarter index
-    i stands for the grid points i and n - i (one point when they
-    coincide), so a sample weighs the product over axes of its mirror
-    points inside the interior.  Radii and weights are formed per row slab
-    from per-axis vectors, so no whole-level A, symbol, radius or weight
+    rest being their mirror images.  At each level of _LEVELS the symbol
+    sqrt(1+A^2) exp(-x_N sqrt(1+A^2)) is built _SLAB columns at a time, A
+    and sqrt(1+A^2) included, and each column slab goes straight into the
+    leading-axis irfft (at dim 3, into the kernel-row buffer) whose first m
+    rows refill one real m**(d-1) x m work array; the last axis is then
+    inverted _SLAB rows at a time into that reused real buffer.  Each row
+    slab folds into the grid sup of |k| and, through r and |k| r^N on its
+    interior rows, into the dyadic shells; quarter index i stands for the
+    grid points i and n - i (one point when they coincide), so a sample
+    weighs the product over axes of its mirror points inside the interior.
+    Radii and weights are formed per row slab from per-axis vectors, so no
+    whole-level A, symbol, radius or weight
     array, no complex spectrum and no full real kernel is allocated.
     """
     d = dim - 1
@@ -361,8 +363,8 @@ def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
     rows, row_sq, row_wt = ((inner, sq, wt) if d == 2 else
                             (np.zeros(1, np.intp), np.zeros(1), np.ones(1, np.int64)))
     # sqrt and + are monotone, so these are the min and max of every r below
-    r_lo = min(np.sqrt(row_sq.min() + sq.min() + x_n ** 2) for x_n in levels)
-    r_hi = max(np.sqrt(row_sq.max() + sq.max() + x_n ** 2) for x_n in levels)
+    r_lo = min(np.sqrt(row_sq.min() + sq.min() + x_n ** 2) for x_n in _LEVELS)
+    r_hi = max(np.sqrt(row_sq.max() + sq.max() + x_n ** 2) for x_n in _LEVELS)
 
     work = np.empty((m ** (d - 1), m))
     k_buf = np.empty((min(_SLAB, work.shape[0]), n))
@@ -370,13 +372,11 @@ def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
     sups = []
 
     def slabs():
-        for x_n in levels:
+        for x_n in _LEVELS:
             for start in range(0, m, _SLAB):
                 a = np.sqrt(lead + quarter[start:start + _SLAB] ** 2)
-                sym = ell(a)
-                if np.iscomplexobj(sym):
-                    raise ValueError("ell must be real-valued: the decay kernel is real")
-                sym = np.exp(np.sqrt(1.0 + a ** 2) * -x_n) * sym
+                root = np.sqrt(1.0 + a ** 2)
+                sym = np.exp(root * -x_n) * root
                 if d == 2:    # through the kernel-row buffer, free until the rows
                     sym = np.fft.irfft(sym, n, axis=0, out=k_buf[:sym.shape[1]].T)[:m]
                 work[:, start:start + _SLAB] = sym
@@ -397,60 +397,33 @@ def _kernel_envelope(ell: Callable, dim: int, n: int, box: float,
     return shells, constant, sups
 
 
-def kernel_decay_check(
-    ell: Callable | None = None,
-    dim: int = 2,
-    n: int | None = None,
-    box: float | None = None,
-    x_levels: Sequence[float] = (0.5, 1.0, 2.0),
-) -> DecayReport:
-    """Certify |k(x)| <= C |x|^{-N} for k = F^{-1}[exp(-sqrt(1+A^2) x_N) ell].
+def kernel_decay_check(dim: int) -> DecayReport:
+    """Certify |k(x)| <= C |x|^{-N} for k = F^{-1}[sqrt(1+A^2) exp(-sqrt(1+A^2) x_N)].
 
-    The envelope constant is the max over dyadic shells of sup |k| |x|^N,
-    compared across one grid refinement (n x2, box fixed) and one box
-    enlargement (box x2 at fixed spacing); < 2x drift certifies stability.
-    Levels with exact doubles also check that sup |k| decreases in x_N.
-    The report only measures; DecayReport.passed judges it against a drift
+    The envelope constant is the max over dyadic shells of sup |k| |x|^N on
+    the grid _GRIDS[dim] at the levels _LEVELS, compared across one grid
+    refinement (n x2, box fixed) and one box enlargement (box x2 at fixed
+    spacing); < 2x drift certifies stability.  Each level doubles the one
+    before, and sup |k| must decrease from each level to the next.  The
+    report only measures; DecayReport.passed judges it against a drift
     limit the caller supplies (the CLI passes Tolerances.envelope_drift).
+    A dim other than 2 or 3 raises ValueError.
 
-    The kernel is real and even, and the inverse transform is
-    quarter-spectrum: A runs over the non-negative frequencies of every
-    axis.  ell must be elementwise: it is called on each column slab of
-    that array of A at each level, and must return a real array of the
-    slab's shape or a real scalar; a complex result raises ValueError.
-    n must be an integer >= 4, box finite and positive, and x_levels
-    non-empty with every level finite and positive; anything else raises
-    ValueError naming the argument.
-
-    Default grids keep the spacing near box/n = 1/16: the symbol tail cut
-    at the Nyquist frequency leaves a flat ringing floor of relative size
-    about exp(-pi/(2 spacing) x_min) which |x|^N amplifies in the far
-    shells; coarse spacing makes the envelope track that floor instead of
-    the kernel and the box-enlargement drift blows through 2x.
+    The grids keep the spacing at box/n = 1/16: the symbol tail cut at the
+    Nyquist frequency leaves a flat ringing floor of relative size about
+    exp(-pi/(2 spacing) x_min) which |x|^N amplifies in the far shells;
+    coarse spacing makes the envelope track that floor instead of the
+    kernel and the box-enlargement drift blows through 2x.
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    if n is None:
-        n = 1024 if dim == 2 else 512
-    if not isinstance(n, numbers.Integral) or n < 4:
-        raise ValueError(f"n must be an integer >= 4, got {n!r}")
-    box = (64.0 if dim == 2 else 32.0) if box is None else float(box)
-    if not (math.isfinite(box) and box > 0.0):
-        raise ValueError(f"box must be finite and > 0, got {box!r}")
-    ell = ell or default_ell
-    levels = tuple(float(x) for x in x_levels)
-    if not levels or not all(math.isfinite(x) and x > 0.0 for x in levels):
-        raise ValueError(f"x_levels must be non-empty, finite and positive, got {levels}")
-    shells, const, sups = _kernel_envelope(ell, dim, n, box, levels)
-    _, const_ref, _ = _kernel_envelope(ell, dim, 2 * n, box, levels)
-    _, const_box, _ = _kernel_envelope(ell, dim, 2 * n, 2.0 * box, levels)
+    n, box = _GRIDS[dim]
+    shells, const, sups = _kernel_envelope(dim, n, box)
+    _, const_ref, _ = _kernel_envelope(dim, 2 * n, box)
+    _, const_box, _ = _kernel_envelope(dim, 2 * n, 2.0 * box)
     drift_r = max(const / const_ref, const_ref / const)
     drift_b = max(const / const_box, const_box / const)
-    mono = []
-    for i, x in enumerate(levels):
-        for j, y in enumerate(levels):
-            if abs(y - 2.0 * x) <= 1e-12 * abs(x):
-                mono.append(sups[j] < sups[i])
-    return DecayReport(dim=dim, box=box, n=n, x_levels=levels, constant=const,
+    mono = tuple(b < a for a, b in zip(sups, sups[1:]))
+    return DecayReport(dim=dim, box=box, n=n, x_levels=_LEVELS, constant=const,
                        shells=tuple(shells), drift_refine=float(drift_r),
-                       drift_box=float(drift_b), monotone_levels=tuple(mono))
+                       drift_box=float(drift_b), monotone_levels=mono)

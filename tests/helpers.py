@@ -37,7 +37,7 @@ from lopstokes import coefficients, resolvent
 from lopstokes.coefficients import SymbolKit, amplitudes
 from lopstokes.config import REFERENCE_PARAMS
 from lopstokes.reports import write_field
-from lopstokes.transform import PhysicalField, _validate_grid
+from lopstokes.transform import _LEVELS, PhysicalField, _validate_grid
 
 # Thresholds the tests apply to the package's results; the thresholds the
 # package applies itself live in lopstokes.config.Tolerances.
@@ -282,7 +282,7 @@ def solve_inputs(tmp_path) -> list[str]:
     return ["solve", "--config", str(path), "--out", str(tmp_path / "out"), *bases]
 
 
-def complex_kernel_envelope(ell, dim: int, n: int, box: float, levels):
+def complex_kernel_envelope(dim: int, n: int, box: float):
     """transform._kernel_envelope through a full complex ifftn on dense
     meshes: the whole spectrum is inverted and |k| includes the rounding
     residue of the imaginary part.  Oracle for the quarter-spectrum path."""
@@ -290,7 +290,6 @@ def complex_kernel_envelope(ell, dim: int, n: int, box: float, levels):
     freqs = [2.0 * math.pi * np.fft.fftfreq(n, d=box / n) for _ in range(d)]
     fmesh = np.meshgrid(*freqs, indexing="ij") if d > 1 else [freqs[0]]
     a = np.sqrt(sum(f ** 2 for f in fmesh))
-    base = ell(a)
     spacing = box / n
     xw = (np.arange(n) * spacing + box / 2.0) % box - box / 2.0
     xmesh = np.meshgrid(*([xw] * d), indexing="ij") if d > 1 else [xw]
@@ -303,8 +302,8 @@ def complex_kernel_envelope(ell, dim: int, n: int, box: float, levels):
     samples_r: list[np.ndarray] = []
     samples_w: list[np.ndarray] = []
     sups = []
-    for x_n in levels:
-        sym = np.exp(-damp_scale * x_n) * base
+    for x_n in _LEVELS:
+        sym = np.exp(-damp_scale * x_n) * damp_scale
         k = (n / box) ** d * np.fft.ifftn(sym)
         mag = np.abs(k)
         sups.append(float(mag.max()))

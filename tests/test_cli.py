@@ -24,8 +24,10 @@ size, tasks that split a magnitude included, evaluates each task in one
 call, names the grid-order first nonfinite or least point whichever task
 finishes first, exits 71 when a scan worker dies, and leaves --out as it
 was when it fails; every command but solve writes the default config's
-pinned bytes with class chunks of 20,000 and scan tasks of 50,000 points;
-every error class ends in its exit code and hint."""
+pinned bytes with class chunks of 20,000 and scan tasks of 50,000 points,
+and with scan tasks and height runs of 1,000 points; a kinematic solve whose
+height scan gives no cutoff advises so and still solves; every error class
+ends in its exit code and hint."""
 
 from __future__ import annotations
 
@@ -722,9 +724,20 @@ def test_default_reports_do_not_depend_on_the_chunk_sizes(monkeypatch, tmp_path,
     monkeypatch.setattr(lopatinski, "_TASK_POINTS", 50_000)
     for command in ("verify-multipliers", "scan-lopatinski", "scan-height", "kernel-decay",
                     "verify"):
-        assert main([command, "--out", str(tmp_path)]) == 0
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in tmp_path.iterdir()} == DEFAULT_DIGESTS
+        assert main([command, "--out", str(tmp_path / "big")]) == 0
+    # scan tasks and height runs of 1,000 points, which split every default
+    # height magnitude (1,573 points)
+    monkeypatch.setattr(lopatinski, "_TASK_POINTS", 1_000)
+    for command in ("verify-multipliers", "scan-lopatinski", "scan-height", "verify"):
+        assert main([command, "--out", str(tmp_path / "small")]) == 0
+
+    def digests(out):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (tmp_path / out).iterdir()}
+
+    assert digests("big") == DEFAULT_DIGESTS
+    assert digests("small") == {name: digest for name, digest in DEFAULT_DIGESTS.items()
+                                if not name.startswith("decay")}
     assert multiprocessing.active_children() == []
 
 
@@ -761,17 +774,41 @@ def test_kinematic_solve_advises_below_the_height_cutoff(monkeypatch, capsys, tm
     assert err == (advisory if advised else "")
 
 
+def test_kinematic_solve_without_a_height_cutoff_still_solves(monkeypatch, capsys, tmp_path,
+                                                              solve_argv):
+    # no scanned magnitude attains the height floor: the advisory says so,
+    # and the solve still writes every output and passes
+    path = tmp_path / "config.json"
+    cfg = json.loads(path.read_text())
+    cfg["solve"]["mode"] = "kinematic"
+    path.write_text(json.dumps(cfg))
+
+    def no_cutoff(floor):
+        raise errors.NoCutoffFound("stubbed: no cutoff")
+
+    monkeypatch.setattr(coefficients, "height_curve", lambda fluid, sector, grid, mags:
+                        SimpleNamespace(cutoff=no_cutoff))
+    assert main(solve_argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("advisory: no scanned magnitude certifies the height bound "
+                            "(stubbed: no cutoff); the kinematic inversion is not covered "
+                            "by the scanned bound there\n")
+    assert captured.out.rstrip().endswith("-> PASS")
+    assert set(_solve_digests(tmp_path)) == set(SOLVE_DIGESTS)
+
+
 @pytest.mark.parametrize("lam_range,floor,scanned,advised,code", [
     ((1e-2, 1e2), 0.3, 5, True, 0), ((1e-2, 1e2), 0.25, 5, False, 0),
     ((10.0, 1e4), 0.3, 7, True, 0), ((1e-4, 1.0), 0.3, 1, False, 0),
-    ((1e-2, 1e2), 0.6, 5, False, 1),
+    ((1e-2, 1e2), 0.6, 5, True, 0),
 ], ids=["advised", "clear", "below-grid", "above-grid", "no-cutoff"])
 def test_kinematic_advisory_scans_only_the_magnitudes_it_reads(
         monkeypatch, capsys, tmp_path, solve_argv, lam_range, floor, scanned, advised, code):
     # |lambda| = 2.236 on height grids of 2 magnitudes per decade; on
     # [1e-2, 1e2] a floor of 0.3 puts the cutoff at 100, 0.25 at 0.032 and
-    # 0.6 nowhere.  The magnitudes from the one at or below |lambda| upward
-    # give the decision of the whole grid: the same stderr and exit code.
+    # 0.6 nowhere, which is advised too.  The magnitudes from the one at or
+    # below |lambda| upward give the decision of the whole grid: the same
+    # stderr and exit code.
     path = tmp_path / "config.json"
     cfg = json.loads(path.read_text())
     cfg["solve"]["mode"] = "kinematic"

@@ -6,6 +6,7 @@ solve of the 3x3 interface system (plain LU, no stabilized rewrites).
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from helpers import (
     point_kit,
     solve_point,
 )
+from lopstokes import coefficients, lopatinski
 from lopstokes import (
     FluidParams,
     GridSpec,
@@ -393,6 +395,52 @@ class TestHeightScan:
         # default floor is first met at the grid magnitude above 1000/999
         lam0 = height_curve(flat, SECTOR, grid=grid).cutoff(Tolerances().height_floor)
         assert lam0 == pytest.approx(10.0 ** 0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("run", [1, 7, 45])
+    def test_runs_keep_the_whole_magnitude_pick(self, monkeypatch, run):
+        # 5 magnitudes of 5 angles x 9 A values, in runs that split them or
+        # not; a stub ratio ties at its least value and is NaN at four
+        # points of the largest magnitude.  Each magnitude keeps the point
+        # np.argmin picks over the whole of it: its first NaN, else its
+        # first least ratio
+        grid = GridSpec(lam_min=1e-2, lam_max=1e2, lam_per_decade=1, n_angles=5,
+                        a_min=1e-2, a_max=1e2, a_per_decade=2)
+
+        def ratio(fluid, lam, a):
+            r = np.floor(np.angle(lam) ** 2) + (a > 1.0)
+            return np.where((np.abs(lam) > 50.0) & (a > 9.0) & (np.angle(lam) > 0.0),
+                            np.nan, r)
+
+        monkeypatch.setattr(coefficients, "height_ratio", ratio)
+        monkeypatch.setattr(lopatinski, "_TASK_POINTS", run)
+        curve = height_curve(REF, SECTOR, grid)
+        mags = grid.lam_mags()
+        want = []
+        for i in range(mags.size):
+            lam, a = grid.points(SECTOR.epsilon, mags[i:i + 1])
+            r = ratio(REF, lam, a)
+            k = int(np.argmin(r))
+            want.append((r[k], (complex(lam[k]), float(a[k]))))
+        np.testing.assert_array_equal(curve.per_min, [w[0] for w in want])
+        assert curve.worst == tuple(w[1] for w in want)
+        assert math.isnan(curve.per_min[-1]) and curve.n_points == 5 * 5 * 9
+
+    def _traced_peak(self, n_angles: int) -> int:
+        grid = GridSpec(lam_min=1.0, lam_max=1.0000001, lam_per_decade=1, n_angles=n_angles)
+        tracemalloc.start()
+        try:
+            height_curve(REF, SECTOR, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_a_magnitude(self):
+        # one magnitude of 401 x 121 points, then four times as many: each is
+        # evaluated in runs of _TASK_POINTS, so the traced peak stays that of
+        # a run where a whole-magnitude layout would grow it about 4x
+        small = self._traced_peak(401)
+        assert 401 * 121 > 4 * lopatinski._TASK_POINTS
+        assert self._traced_peak(4 * 401) <= 1.5 * small
 
 
 # A point evaluated alone, as a batch of one, runs the same array code as
